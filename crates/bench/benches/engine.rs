@@ -154,9 +154,11 @@ fn bench_engine(c: &mut Criterion) {
         );
     }
 
-    // --- Matrix-mechanism pseudoinverse (A⁺) artifact: the dominant cost
-    // of a matrix-mechanism release is the SVD behind A⁺; the cache pays
-    // it once per strategy key.
+    // --- Dense reference matrix mechanism (A⁺ materialized): the
+    // dominant cost of a dense release is deriving A⁺, so a plan held
+    // across releases pays it once. The serving path plans through the
+    // sparse factorization instead (`plan-sparse` below); these keys keep
+    // measuring the reference implementation against their baselines.
     let km = 64;
     let w = identity_strategy(km);
     let strat_a = hierarchical_strategy(km);
@@ -167,35 +169,28 @@ fn bench_engine(c: &mut Criterion) {
             black_box(mm.noise_only(eps, &mut rng).expect("noise"))
         })
     });
-    let cache = session.cache();
+    let held = Arc::new(MatrixMechanism::new(w, strat_a).expect("supported"));
     g.bench_function(BenchmarkId::new("pinv_cached_plan_release", km), |b| {
         let mut rng = StdRng::seed_from_u64(5);
         b.iter(|| {
-            let mm = cache
-                .matrix_mechanism("identity/hierarchical/64", || {
-                    MatrixMechanism::new(w.clone(), strat_a.clone())
-                })
-                .expect("supported");
+            let mm = Arc::clone(&held);
             black_box(mm.noise_only(eps, &mut rng).expect("noise"))
         })
     });
-    assert_eq!(
-        cache.stats().pseudoinverse_builds(),
-        1,
-        "cached releases must not re-derive the A⁺ pseudoinverse"
-    );
 
     g.finish();
 
-    // --- Sparse planning at large k: the domain sizes the dense path
-    // cannot reach (a dense A⁺ at k = 65 536 is 34 GB). Plans route
-    // through the CSR strategy (`SparseMatrixMechanism`); the gram is
-    // factored once at plan time by the cached sparse Cholesky
+    // --- Sparse planning, the only matrix-mechanism serving path: from
+    // the small domains the dense reference also reaches (k = 64..512) to
+    // the sizes it cannot (a dense A⁺ at k = 65 536 is 34 GB). Plans
+    // route through the CSR strategy (`SparseMatrixMechanism`); the gram
+    // is factored once at plan time by the cached sparse Cholesky
     // (`matrix_hist_factored_release`, two O(nnz(L)) triangular solves
-    // per release), with the explicitly CG-pinned release kept as the
-    // pre-factorization comparison point (`matrix_hist_sparse_release`,
-    // same key as the committed PR 7 baseline). Snapshotted into
-    // BENCH_plan.json (`plan_sparse_ns`) and gated in CI.
+    // per release). At large k the explicitly CG-pinned release is kept
+    // as the pre-factorization comparison point
+    // (`matrix_hist_sparse_release`, same key as its committed CG-era
+    // baseline). Snapshotted into BENCH_plan.json (`plan_sparse_ns`) and
+    // gated in CI.
     let mut gs = c.benchmark_group("plan-sparse");
     gs.sample_size(10);
     let mspec = MechanismSpec::MatrixHist {
@@ -203,7 +198,7 @@ fn bench_engine(c: &mut Criterion) {
     };
     let mut sparse_release_ids = Vec::new();
     let mut factored_release_ids = Vec::new();
-    for ks in [4096usize, 16_384, 65_536] {
+    for ks in [64usize, 256, 512, 4096, 16_384, 65_536] {
         let theta = 4;
         gs.bench_function(BenchmarkId::new("theta_line_sparse_plan", ks), |b| {
             b.iter(|| {
@@ -213,19 +208,22 @@ fn bench_engine(c: &mut Criterion) {
             })
         });
 
+        let small = ks <= 512;
         // Factor-once cost in isolation: Haar-rotated gram + symbolic +
         // numeric sparse Cholesky for the hierarchical strategy. Paid
         // once per (strategy, k) at plan time, amortized over every
         // release the session serves afterwards.
-        gs.bench_function(BenchmarkId::new("gram_factorization", ks), |b| {
-            b.iter(|| {
-                let a = hierarchical_strategy_sparse(ks);
-                black_box(GramSolver::plan(
-                    &a,
-                    SparseMatrixMechanism::DEFAULT_CG_OPTIONS,
-                ))
-            })
-        });
+        if !small {
+            gs.bench_function(BenchmarkId::new("gram_factorization", ks), |b| {
+                b.iter(|| {
+                    let a = hierarchical_strategy_sparse(ks);
+                    black_box(GramSolver::plan(
+                        &a,
+                        SparseMatrixMechanism::DEFAULT_CG_OPTIONS,
+                    ))
+                })
+            });
+        }
 
         let ss = Session::with_policy(Domain::one_dim(ks), Policy::Theta1d { theta }, eps)
             .expect("session");
@@ -233,12 +231,7 @@ fn bench_engine(c: &mut Criterion) {
         assert_eq!(
             ss.cache().stats().sparse_matrix_builds(),
             1,
-            "k = {ks} > SPARSE_DOMAIN_THRESHOLD must plan through the sparse path"
-        );
-        assert_eq!(
-            ss.cache().stats().pseudoinverse_builds(),
-            0,
-            "the large-k plan must never materialize a dense A⁺"
+            "k = {ks} must plan through the sparse path"
         );
         assert_eq!(
             ss.cache().stats().sparse_factorizations(),
@@ -253,7 +246,6 @@ fn bench_engine(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(6);
             b.iter(|| black_box(sm.fit(&xs, &mut rng).expect("fit")))
         });
-        factored_release_ids.push(format!("plan-sparse/matrix_hist_factored_release/{ks}"));
         assert_eq!(
             ss.cache().solver_stats().cg_iterations,
             0,
@@ -264,6 +256,10 @@ fn bench_engine(c: &mut Criterion) {
             1,
             "k = {ks} repeated releases must reuse the one cached factorization"
         );
+        if small {
+            continue;
+        }
+        factored_release_ids.push(format!("plan-sparse/matrix_hist_factored_release/{ks}"));
 
         // The pre-factorization path, pinned explicitly to CG so this key
         // keeps measuring what its committed baseline measured (each

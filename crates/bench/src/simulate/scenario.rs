@@ -85,11 +85,9 @@ pub enum SpecChoice {
     /// the ε/2-DP Laplace baseline.
     ClosedForm,
     /// Every fit names the matrix mechanism with the hierarchical
-    /// strategy (`MechanismSpec::MatrixHist`). Above
-    /// [`SPARSE_DOMAIN_THRESHOLD`](blowfish_engine::SPARSE_DOMAIN_THRESHOLD)
-    /// the engine plans it through the sparse path: CSR strategy plus CG
-    /// pseudoinverse application, never a dense k×k A⁺ — the only route
-    /// that reaches large domains like k = 16 384.
+    /// strategy (`MechanismSpec::MatrixHist`). The engine plans it as a
+    /// CSR strategy with a once-factored gram, never a dense k×k A⁺,
+    /// which is what lets it reach large domains like k = 16 384.
     SparseMatrix,
 }
 

@@ -105,8 +105,8 @@ fn spec_for(family: PolicyFamily, choice: SpecChoice) -> Option<MechanismSpec> {
             _ => MechanismSpec::Laplace,
         }),
         // The ε/2-DP matrix-mechanism baseline with the hierarchical
-        // strategy: valid under every policy family, and planned through
-        // the sparse CSR + CG path above SPARSE_DOMAIN_THRESHOLD.
+        // strategy: valid under every policy family, and planned as a
+        // CSR strategy with a once-factored gram at every k.
         SpecChoice::SparseMatrix => Some(MechanismSpec::MatrixHist {
             strategy: MatrixStrategyKind::Hierarchical,
         }),

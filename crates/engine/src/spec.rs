@@ -56,28 +56,28 @@ pub enum MechanismSpec {
         theta: usize,
     },
     /// The ε-DP matrix mechanism on the histogram workload `I_k` with a
-    /// named strategy, routed dense or sparse by the plan cache's
-    /// [`MatrixPathMode`](crate::plan::MatrixPathMode) — above the
-    /// density/size threshold this is the CSR + CG path that serves
-    /// k≈10⁵ domains.
+    /// named strategy, released as the domain estimate `x̂ = x + A⁺η`.
+    /// Planned at every k as a CSR strategy whose gram `AᵀA` is factored
+    /// once and shared with [`MechanismSpec::MatrixRange`], so each
+    /// release is two sparse triangular solves (preconditioned CG when
+    /// the factor would not fit its budgets).
     MatrixHist {
         /// Which strategy matrix answers the histogram.
         strategy: MatrixStrategyKind,
     },
     /// The ε-DP matrix mechanism serving a real W ≠ I workload: the
     /// dyadic 1-D range workload answered from the reconstructed domain
-    /// estimate `x̂ = x + A⁺η`. Served exclusively through the sparse
-    /// path (the dense mechanism stores only `W A⁺` and cannot
-    /// reconstruct `x̂`), sharing the strategy's cached gram solver with
-    /// [`MechanismSpec::MatrixHist`].
+    /// estimate `x̂ = x + A⁺η`. Served from the same cached plan as
+    /// [`MechanismSpec::MatrixHist`] over the same strategy, so the two
+    /// ids release identical estimates from equal seeds.
     MatrixRange {
         /// Which strategy matrix answers the ranges.
         strategy: MatrixStrategyKind,
     },
 }
 
-/// Strategy matrices the [`MechanismSpec::MatrixHist`] mechanism plans
-/// with.
+/// Strategy matrices the [`MechanismSpec::MatrixHist`] and
+/// [`MechanismSpec::MatrixRange`] mechanisms plan with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MatrixStrategyKind {
     /// `A = I_k` (the Laplace mechanism in matrix-mechanism clothing).

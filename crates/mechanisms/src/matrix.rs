@@ -84,6 +84,7 @@ impl MatrixMechanism {
     /// How this mechanism applies `A⁺`: always materialized, tagged with
     /// the factorization that derived it. The CSR counterpart
     /// ([`crate::SparseMatrixMechanism`]) reports
+    /// [`PinvApply::Factored`](crate::PinvApply::Factored) or
     /// [`PinvApply::IterativeCg`](crate::PinvApply::IterativeCg) instead.
     pub fn apply_method(&self) -> crate::PinvApply {
         crate::PinvApply::Materialized(self.method)

@@ -1,15 +1,17 @@
 //! The matrix mechanism over CSR strategies: apply `A⁺`, never store it.
 //!
 //! The dense [`MatrixMechanism`](crate::MatrixMechanism) materializes the
-//! k×k reconstruction `W A⁺`, which caps planning near k≈512: at
-//! k = 65 536 that object alone is 32 GiB. But every strategy the paper
-//! plans with — identity, binary hierarchical, Haar — is O(k log k)
-//! sparse, and for a full-column-rank strategy the pseudoinverse
-//! *application* factors as `A⁺ ỹ = (AᵀA)⁻¹ Aᵀ ỹ`: a normal-equation
-//! solve. [`SparseMatrixMechanism`] keeps `W` and `A` in CSR and runs one
-//! Jacobi-preconditioned CG solve per release
-//! ([`blowfish_linalg::solve_normal_equations`], matrix-free — `AᵀA` of a
-//! hierarchical strategy is dense and is never formed), so peak memory is
+//! reconstruction `W A⁺` through an O(k³) pseudoinverse: at k = 65 536
+//! that object alone is 32 GiB. But every strategy the paper plans with —
+//! identity, binary hierarchical, Haar — is O(k log k) sparse, and for a
+//! full-column-rank strategy the pseudoinverse *application* factors as
+//! `A⁺ ỹ = (AᵀA)⁻¹ Aᵀ ỹ`: a normal-equation solve.
+//! [`SparseMatrixMechanism`] keeps `W` and `A` in CSR and solves through
+//! a plan-time [`GramSolver`]. Its budget cascade factors `AᵀA` once by
+//! sparse Cholesky (directly, or after a Haar-basis rotation when the
+//! gram itself is too dense to form), so each release is two O(nnz(L))
+//! triangular solves; only a strategy whose factor would break the
+//! budgets falls back to preconditioned CG per release. Peak memory stays
 //! O(nnz) and the domain ceiling lifts to k≈10⁵.
 //!
 //! The sparse strategy constructors ([`hierarchical_strategy_sparse`]
@@ -38,8 +40,9 @@ use crate::MechanismError;
 /// How a matrix mechanism applies the strategy pseudoinverse per release.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PinvApply {
-    /// `W A⁺` was materialized dense up front (the k≲512 path); the tag
-    /// records which factorization derived it.
+    /// `W A⁺` was materialized dense up front, as the reference
+    /// [`MatrixMechanism`](crate::MatrixMechanism) does; the tag records
+    /// which factorization derived it.
     Materialized(PinvMethod),
     /// `A⁺ ỹ` is computed per release by matrix-free normal-equation CG
     /// (the O(nnz) path).
@@ -305,7 +308,7 @@ impl GramSolver {
 }
 
 /// A matrix mechanism whose workload and strategy stay in CSR form and
-/// whose pseudoinverse is applied per release by preconditioned CG.
+/// whose pseudoinverse is applied per release through its [`GramSolver`].
 ///
 /// Requires the strategy to have full column rank (every strategy the
 /// engine plans with does) — that is what collapses the support condition
