@@ -12,9 +12,9 @@
 //!
 //! ```text
 //! blowfish_loadtest [--scenario NAME] [--connections N] [--seed N]
-//!                   [--requests N] [--connect ADDR] [--net-model M]
+//!                   [--requests N] [--connect ADDR]
 //!                   [--out FILE] [--snapshot FILE] [--list]
-//! blowfish_loadtest --idle N [--net-model M] [--probes N] [--dwell-ms N]
+//! blowfish_loadtest --idle N [--probes N] [--dwell-ms N]
 //!                   [--out FILE] [--snapshot FILE]
 //! blowfish_loadtest --ping ADDR     # banner handshake check, exit 0/1
 //! blowfish_loadtest --client ADDR   # stdin → socket, replies → stdout
@@ -25,8 +25,6 @@
 //!   `grid-hotkey` scenario are the CI pair);
 //! * `--connections N` — concurrent client sockets, all held open
 //!   simultaneously (default 64);
-//! * `--net-model reactor|threads` — serving model for the in-process
-//!   server (default: the platform default, reactor on Linux);
 //! * `--idle N` — instead of a trace replay, run the mostly-idle
 //!   connection-scaling test: N silent connections held open while
 //!   `--probes` requests measure latency through them; asserts the
@@ -37,7 +35,7 @@
 //!   in-process one;
 //! * `--out FILE` — write the full JSON report;
 //! * `--snapshot FILE` — write the `bench_gate`-consumable
-//!   `net-<scenario>/<metric>` (or `net-idle-<model>/<metric>`)
+//!   `net-<scenario>/<metric>` (or `net-idle-reactor/<metric>`)
 //!   tail-latency snapshot;
 //! * `--ping ADDR` — one connection, banner verified, nothing sent:
 //!   readiness probe for scripted CI startup;
@@ -51,7 +49,6 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use blowfish_bench::simulate::{run_idle, run_load, IdleReport, LoadReport, Scenario};
-use blowfish_engine::NetModel;
 
 fn main() {
     std::process::exit(real_main());
@@ -66,7 +63,6 @@ fn real_main() -> i32 {
     let mut connect: Option<String> = None;
     let mut out: Option<String> = None;
     let mut snapshot: Option<String> = None;
-    let mut model = NetModel::platform_default();
     let mut idle: Option<usize> = None;
     let mut probes = 200usize;
     let mut dwell = Duration::from_millis(1000);
@@ -122,13 +118,6 @@ fn real_main() -> i32 {
                 }
                 None => return usage("--requests needs an integer"),
             },
-            "--net-model" => match value(i).and_then(|v| NetModel::parse(&v)) {
-                Some(v) => {
-                    model = v;
-                    i += 1;
-                }
-                None => return usage("--net-model must be reactor or threads"),
-            },
             "--idle" => match value(i).and_then(|v| v.parse().ok()) {
                 Some(v) => {
                     idle = Some(v);
@@ -177,7 +166,7 @@ fn real_main() -> i32 {
     }
 
     if let Some(connections) = idle {
-        return run_idle_mode(connections, model, probes, dwell, out, snapshot);
+        return run_idle_mode(connections, probes, dwell, out, snapshot);
     }
 
     let mut scenario = match Scenario::find(&scenario_name) {
@@ -194,7 +183,7 @@ fn real_main() -> i32 {
         scenario.requests = requests;
     }
 
-    let report = match run_load(&scenario, connections, connect.as_deref(), model) {
+    let report = match run_load(&scenario, connections, connect.as_deref()) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("{scenario_name}: load test could not run: {e}");
@@ -228,7 +217,7 @@ fn real_main() -> i32 {
 fn usage(problem: &str) -> i32 {
     eprintln!(
         "{problem}\nusage: blowfish_loadtest [--scenario NAME] [--connections N] \
-         [--seed N] [--requests N] [--connect ADDR] [--net-model reactor|threads] \
+         [--seed N] [--requests N] [--connect ADDR] \
          [--out FILE] [--snapshot FILE] [--list] \
          | --idle N [--probes N] [--dwell-ms N] | --ping ADDR | --client ADDR"
     );
@@ -238,13 +227,12 @@ fn usage(problem: &str) -> i32 {
 /// `--idle N`: the mostly-idle connection-scaling mode.
 fn run_idle_mode(
     connections: usize,
-    model: NetModel,
     probes: usize,
     dwell: Duration,
     out: Option<String>,
     snapshot: Option<String>,
 ) -> i32 {
-    let report = match run_idle(connections, model, probes, dwell) {
+    let report = match run_idle(connections, probes, dwell) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("idle test could not run: {e}");
@@ -277,9 +265,8 @@ fn run_idle_mode(
 
 fn print_idle_summary(report: &IdleReport) {
     println!(
-        "=== idle scaling test — {} silent connections, model {} — {}",
+        "=== idle scaling test — {} silent connections — {}",
         report.connections,
-        report.model.label(),
         if report.passed() { "PASS" } else { "FAIL" }
     );
     match report.server_threads {

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use blowfish_core::overdraw_slack;
 use blowfish_engine::wire::{self, Codec};
-use blowfish_engine::{NetConfig, NetModel, Request, Service, TcpServer};
+use blowfish_engine::{NetConfig, Request, Service, TcpServer};
 
 use crate::report::snapshot::JsonValue;
 use crate::simulate::scenario::{PolicyFamily, Scenario};
@@ -138,11 +138,6 @@ pub struct LoadTenantScore {
 pub struct LoadReport {
     /// Scenario the trace came from.
     pub scenario: String,
-    /// Serving model the in-process server ran under (the effective one:
-    /// a reactor request degrades to threads off Linux). External servers
-    /// report whatever model was requested — the harness cannot see
-    /// theirs.
-    pub model: NetModel,
     /// Trace seed.
     pub seed: u64,
     /// Concurrent client connections held open for the whole run.
@@ -197,10 +192,6 @@ impl LoadReport {
                 JsonValue::Str("blowfish-loadtest/v1".into()),
             ),
             ("scenario".into(), JsonValue::Str(self.scenario.clone())),
-            (
-                "model".into(),
-                JsonValue::Str(self.model.label().to_string()),
-            ),
             ("seed".into(), JsonValue::Str(self.seed.to_string())),
             ("connections".into(), count(self.connections)),
             ("requests".into(), count(self.requests)),
@@ -328,14 +319,11 @@ struct WorkerOutcome {
 
 /// Runs the load test: `connections` concurrent clients replaying
 /// `scenario`'s trace against an in-process loopback server (default) or
-/// an externally started `blowfish-serve --tcp` at `external`, under the
-/// requested serving `model` (in-process runs; an external server's
-/// model is its own).
+/// an externally started `blowfish-serve --tcp` at `external`.
 pub fn run_load(
     scenario: &Scenario,
     connections: usize,
     external: Option<&str>,
-    model: NetModel,
 ) -> Result<LoadReport, LoadError> {
     if connections == 0 {
         return Err(LoadError::Setup("need at least one connection".into()));
@@ -356,15 +344,10 @@ pub fn run_load(
                     max_connections: connections + 1,
                     idle_timeout: Duration::from_secs(600),
                     listen_backlog: connections + CONNECT_WINDOW,
-                    model,
                 },
             )
             .map_err(LoadError::Io)?,
         ),
-    };
-    let model = match &server {
-        Some(server) => server.model(),
-        None => model,
     };
     let addr = match (external, &server) {
         (Some(addr), _) => addr.to_string(),
@@ -613,7 +596,6 @@ pub fn run_load(
 
     Ok(LoadReport {
         scenario: scenario.name.clone(),
-        model,
         seed: trace.seed,
         connections,
         requests: trace.requests.len(),
@@ -632,8 +614,6 @@ pub fn run_load(
 /// nor wakeups.
 #[derive(Clone, Debug)]
 pub struct IdleReport {
-    /// Serving model actually in effect.
-    pub model: NetModel,
     /// Idle connections held open for the whole run (the probe
     /// connection is extra).
     pub connections: usize,
@@ -675,10 +655,6 @@ impl IdleReport {
         JsonValue::Obj(vec![
             ("schema".into(), JsonValue::Str("blowfish-idle/v1".into())),
             (
-                "model".into(),
-                JsonValue::Str(self.model.label().to_string()),
-            ),
-            (
                 "connections".into(),
                 JsonValue::Num(self.connections as f64),
             ),
@@ -711,12 +687,12 @@ impl IdleReport {
         .to_pretty()
     }
 
-    /// A `bench_gate`-consumable snapshot under `net-idle-<model>/…`
+    /// A `bench_gate`-consumable snapshot under `net-idle-reactor/…`
     /// keys: probe tail latencies plus `threads_per_kconn` (gate the
     /// latter with `--min-ns 0` — it is a ratio far below the gate's
     /// default small-baseline skip).
     pub fn snapshot_json(&self) -> String {
-        let group = format!("net-idle-{}", self.model.label());
+        let group = "net-idle-reactor";
         let t = &self.timing;
         let mut results = vec![
             (
@@ -744,10 +720,7 @@ impl IdleReport {
                 "schema".into(),
                 JsonValue::Str("blowfish-net-snapshot/v1".into()),
             ),
-            (
-                "scenario".into(),
-                JsonValue::Str(format!("idle-{}", self.model.label())),
-            ),
+            ("scenario".into(), JsonValue::Str("idle-reactor".into())),
             (
                 "connections".into(),
                 JsonValue::Num(self.connections as f64),
@@ -761,14 +734,12 @@ impl IdleReport {
 /// Runs the mostly-idle connection-scaling test against an in-process
 /// server: open `connections` sockets, leave them all silent, and prove
 /// the idle mass is cheap — server thread count stays ≤ 2 × cores
-/// (measured via `/proc/self/status`, the tentpole property a
-/// thread-per-connection model cannot satisfy), the reactor's
-/// spurious-wakeup counter does not move during a `dwell` of silence,
-/// and `probes` probe requests served *through* the idle mass come back
-/// correct with sane latency.
+/// (measured via `/proc/self/status`), the reactor's spurious-wakeup
+/// counter does not move during a `dwell` of silence, and `probes` probe
+/// requests served *through* the idle mass come back correct with sane
+/// latency.
 pub fn run_idle(
     connections: usize,
-    model: NetModel,
     probes: usize,
     dwell: Duration,
 ) -> Result<IdleReport, LoadError> {
@@ -788,11 +759,9 @@ pub fn run_idle(
             max_connections: connections + 2,
             idle_timeout: Duration::from_secs(600),
             listen_backlog: connections + CONNECT_WINDOW,
-            model,
         },
     )
     .map_err(LoadError::Io)?;
-    let model = server.model();
     let addr = server.local_addr().to_string();
     let mut violations = Vec::new();
 
@@ -814,23 +783,20 @@ pub fn run_idle(
         idle_conns.push(stream);
     }
 
-    // Thread census with the full connection count open: under the
-    // reactor this is acceptor + O(cores) event loops, regardless of
-    // `connections`.
+    // Thread census with the full connection count open: this is the
+    // acceptor + O(cores) event loops, regardless of `connections`.
     let threads_with_load = proc_thread_count();
     let server_threads = match (threads_before, threads_with_load) {
         (Some(before), Some(with)) => Some(with.saturating_sub(before)),
         _ => None,
     };
-    if model == NetModel::Reactor {
-        if let Some(server_threads) = server_threads {
-            if server_threads > 2 * cores {
-                violations.push(format!(
-                    "{server_threads} server threads for {connections} idle connections \
-                     exceeds the 2 × cores = {} bound",
-                    2 * cores
-                ));
-            }
+    if let Some(server_threads) = server_threads {
+        if server_threads > 2 * cores {
+            violations.push(format!(
+                "{server_threads} server threads for {connections} idle connections \
+                 exceeds the 2 × cores = {} bound",
+                2 * cores
+            ));
         }
     }
 
@@ -842,7 +808,7 @@ pub fn run_idle(
     let after = net_stats(&mut probe)?;
     let spurious_delta =
         (after.spurious_wakeups as i64 - before.spurious_wakeups as i64).max(0) as u64;
-    if model == NetModel::Reactor && spurious_delta != 0 {
+    if spurious_delta != 0 {
         violations.push(format!(
             "{spurious_delta} spurious wakeups during {dwell:?} of silence \
              across {connections} idle connections"
@@ -884,7 +850,6 @@ pub fn run_idle(
     }
 
     Ok(IdleReport {
-        model,
         connections,
         cores,
         server_threads,
@@ -1171,6 +1136,19 @@ fn parse_stats(reply: &str) -> Option<HashMap<String, (f64, usize)>> {
 mod tests {
     use super::*;
 
+    /// Held by every test that starts a socket server: `run_idle`'s
+    /// thread census counts every thread in the process, so it must not
+    /// overlap another test's server or load clients.
+    #[cfg(target_os = "linux")]
+    static SOCKETS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[cfg(target_os = "linux")]
+    fn sockets() -> std::sync::MutexGuard<'static, ()> {
+        SOCKETS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// A scaled-down exhaustion scenario: tight budgets so both fit
     /// outcomes occur, bursty arrivals, small enough for `cargo test`.
     fn small_scenario() -> Scenario {
@@ -1180,19 +1158,15 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn loopback_load_test_reconciles_exactly_under_both_models() {
-        for model in [NetModel::Threads, NetModel::Reactor] {
-            let scenario = small_scenario();
-            let report = run_load(&scenario, 24, None, model).unwrap();
-            assert!(report.passed(), "{model:?}: {:#?}", report.violations);
-            assert_eq!(report.model, model.effective());
-            assert_eq!(report.requests, 160);
-            assert_eq!(report.replies, 160);
-            assert_eq!(report.shed, 0);
-        }
+        let _sockets = sockets();
         let scenario = small_scenario();
-        let report = run_load(&scenario, 24, None, NetModel::platform_default()).unwrap();
+        let report = run_load(&scenario, 24, None).unwrap();
         assert!(report.passed(), "{:#?}", report.violations);
+        assert_eq!(report.requests, 160);
+        assert_eq!(report.replies, 160);
+        assert_eq!(report.shed, 0);
         let timing = &report.timing;
         assert!(timing.p50_latency_ns <= timing.p95_latency_ns);
         assert!(timing.p95_latency_ns <= timing.p99_latency_ns);
@@ -1211,9 +1185,11 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn snapshot_json_exposes_gateable_metrics() {
+        let _sockets = sockets();
         let scenario = small_scenario();
-        let report = run_load(&scenario, 8, None, NetModel::platform_default()).unwrap();
+        let report = run_load(&scenario, 8, None).unwrap();
         assert!(report.passed(), "{:#?}", report.violations);
         let snapshot = JsonValue::parse(&report.snapshot_json()).unwrap();
         let metrics = crate::report::snapshot::extract_metrics(&snapshot, None);
@@ -1237,38 +1213,30 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn idle_connections_are_thread_and_wakeup_free() {
         // Scaled down for `cargo test`; CI runs 4096 via the CLI.
-        let report = run_idle(
-            128,
-            NetModel::platform_default(),
-            32,
-            Duration::from_millis(300),
-        )
-        .unwrap();
+        let _sockets = sockets();
+        let report = run_idle(128, 32, Duration::from_millis(300)).unwrap();
         assert!(report.passed(), "{:#?}", report.violations);
         assert_eq!(report.connections, 128);
         assert_eq!(report.live_reported, 129);
-        if report.model == NetModel::Reactor {
-            assert_eq!(report.spurious_delta, 0);
-            let threads = report.server_threads.expect("proc census on linux");
-            assert!(
-                threads <= 2 * report.cores,
-                "{threads} threads for {} cores",
-                report.cores
-            );
-            assert!(report.threads_per_kconn().unwrap() > 0.0);
-        }
-        // Both JSON faces parse; the snapshot carries the gateable keys.
+        assert_eq!(report.spurious_delta, 0);
+        let threads = report.server_threads.expect("proc census on linux");
+        assert!(
+            threads <= 2 * report.cores,
+            "{threads} threads for {} cores",
+            report.cores
+        );
+        assert!(report.threads_per_kconn().unwrap() > 0.0);
+        // Both JSON faces parse; the snapshot carries the gateable keys
+        // under the `net-idle-reactor` group `BENCH_net.json` holds.
         let full = JsonValue::parse(&report.to_json()).unwrap();
         assert!(full.get("spurious_delta").is_some());
         let snapshot = JsonValue::parse(&report.snapshot_json()).unwrap();
         let metrics = crate::report::snapshot::extract_metrics(&snapshot, None);
-        let group = format!("net-idle-{}", report.model.label());
-        assert!(metrics.contains_key(&format!("{group}/p99_latency_ns")));
-        if report.server_threads.is_some() {
-            assert!(metrics.contains_key(&format!("{group}/threads_per_kconn")));
-        }
+        assert!(metrics.contains_key("net-idle-reactor/p99_latency_ns"));
+        assert!(metrics.contains_key("net-idle-reactor/threads_per_kconn"));
     }
 
     #[test]

@@ -6,20 +6,16 @@
 //! Lemma 4.5 subgraph-approximation scaling (an `(ε, G′)` mechanism is
 //! `(ℓ·ε, G)`-private, so target budgets divide by the certified stretch).
 //!
-//! Two ledgers live here:
-//!
-//! * [`BudgetLedger`] — the original single-owner, `&mut`-style tracker
-//!   used inside individual experiments;
-//! * [`Ledger`] — the thread-safe **multi-tenant** ledger behind the
-//!   engine's `Service` layer: one privacy account per tenant, atomic
-//!   check-and-charge under sequential composition, parallel-composition
-//!   charging ([`Ledger::charge_parallel`], disjoint cells cost the max),
-//!   and stretch-scaled charging ([`Ledger::charge_stretched`], a
-//!   `(ε, G′)` release on a stretch-ℓ subgraph costs `ℓ·ε` against the
-//!   `G` account per Lemma 4.5). Over-budget requests are rejected with
-//!   the typed [`CoreError::BudgetExhausted`] and leave the account
-//!   untouched — spend is monotone and never exceeds the registered
-//!   total.
+//! The budget itself is kept by [`Ledger`], the thread-safe
+//! **multi-tenant** ledger behind the engine's `Service` layer: one
+//! privacy account per tenant, atomic check-and-charge under sequential
+//! composition, parallel-composition charging ([`Ledger::charge_parallel`],
+//! disjoint cells cost the max), and stretch-scaled charging
+//! ([`Ledger::charge_stretched`], a `(ε, G′)` release on a stretch-ℓ
+//! subgraph costs `ℓ·ε` against the `G` account per Lemma 4.5).
+//! Over-budget requests are rejected with the typed
+//! [`CoreError::BudgetExhausted`] and leave the account untouched — spend
+//! is monotone and never exceeds the registered total.
 //!
 //! ## Sharding and durability
 //!
@@ -189,57 +185,6 @@ impl Delta {
     #[inline]
     pub fn value(&self) -> f64 {
         self.0
-    }
-}
-
-/// Tracks sequential composition against a total budget. Parallel
-/// composition is modeled by charging a group once via
-/// [`BudgetLedger::charge`] with the maximum of its members.
-#[derive(Clone, Debug)]
-pub struct BudgetLedger {
-    total: Epsilon,
-    spent: f64,
-    entries: Vec<(&'static str, f64)>,
-}
-
-impl BudgetLedger {
-    /// Opens a ledger with the given total budget.
-    pub fn new(total: Epsilon) -> Self {
-        BudgetLedger {
-            total,
-            spent: 0.0,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Charges `eps` under `label`; errors when the total would be
-    /// exceeded (beyond the `overdraw_slack` float tolerance).
-    pub fn charge(&mut self, label: &'static str, eps: Epsilon) -> Result<(), CoreError> {
-        let new_total = self.spent + eps.value();
-        if new_total > self.total.value() + overdraw_slack(self.total.value()) {
-            return Err(CoreError::BudgetExceeded {
-                total: self.total.value(),
-                attempted: new_total,
-            });
-        }
-        self.spent = new_total;
-        self.entries.push((label, eps.value()));
-        Ok(())
-    }
-
-    /// Budget spent so far.
-    pub fn spent(&self) -> f64 {
-        self.spent
-    }
-
-    /// Remaining budget.
-    pub fn remaining(&self) -> f64 {
-        (self.total.value() - self.spent).max(0.0)
-    }
-
-    /// The charge history.
-    pub fn entries(&self) -> &[(&'static str, f64)] {
-        &self.entries
     }
 }
 
@@ -1091,21 +1036,6 @@ mod tests {
         assert!(Delta::new(0.001).is_ok());
         assert!(Delta::new(0.0).is_err());
         assert!(Delta::new(1.0).is_err());
-    }
-
-    #[test]
-    fn ledger_tracks_and_rejects_overspend() {
-        let mut ledger = BudgetLedger::new(Epsilon::new(1.0).unwrap());
-        ledger
-            .charge("partition", Epsilon::new(0.25).unwrap())
-            .unwrap();
-        ledger
-            .charge("estimate", Epsilon::new(0.75).unwrap())
-            .unwrap();
-        assert!((ledger.spent() - 1.0).abs() < 1e-12);
-        assert!(ledger.remaining() < 1e-12);
-        assert!(ledger.charge("extra", Epsilon::new(0.1).unwrap()).is_err());
-        assert_eq!(ledger.entries().len(), 2);
     }
 
     #[test]

@@ -66,9 +66,8 @@ pub mod spanner;
 pub mod workload;
 
 pub use accounting::{
-    overdraw_slack, AccountSnapshot, BudgetDistribution, BudgetLedger, Charge, Delta,
-    DurabilityStats, Epsilon, FsyncPolicy, Ledger, LedgerDurability, RecoveryReport, WalTail,
-    LEDGER_STRIPES,
+    overdraw_slack, AccountSnapshot, BudgetDistribution, Charge, Delta, DurabilityStats, Epsilon,
+    FsyncPolicy, Ledger, LedgerDurability, RecoveryReport, WalTail, LEDGER_STRIPES,
 };
 pub use database::DataVector;
 pub use domain::Domain;
@@ -172,13 +171,6 @@ pub enum CoreError {
         /// The rejected value.
         delta: f64,
     },
-    /// A budget ledger charge exceeded its total.
-    BudgetExceeded {
-        /// The ledger total.
-        total: f64,
-        /// The attempted cumulative spend.
-        attempted: f64,
-    },
     /// A multi-tenant [`Ledger`] charge would exceed the tenant's
     /// cumulative budget; the account was left untouched.
     BudgetExhausted {
@@ -271,9 +263,6 @@ impl std::fmt::Display for CoreError {
             }
             CoreError::InvalidEpsilon { eps } => write!(f, "invalid ε = {eps}"),
             CoreError::InvalidDelta { delta } => write!(f, "invalid δ = {delta}"),
-            CoreError::BudgetExceeded { total, attempted } => {
-                write!(f, "budget exceeded: {attempted} > {total}")
-            }
             CoreError::BudgetExhausted {
                 tenant,
                 total,

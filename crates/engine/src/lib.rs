@@ -103,7 +103,7 @@ pub mod session;
 pub mod spec;
 pub mod wire;
 
-pub use net::{LineSession, NetConfig, NetModel, NetStats, TcpServer, MAX_LINE_BYTES};
+pub use net::{LineSession, NetConfig, NetStats, TcpServer, MAX_LINE_BYTES};
 pub use parallel::{fit_cells, fit_cells_serial, parallel_map, FitCell};
 pub use plan::{PlanCache, PlanStats, SolverStats};
 pub use service::{Replayed, Request, Response, Service, TenantConfig, TenantStats};

@@ -1,30 +1,23 @@
 //! TCP serving for the [`wire`](crate::wire) protocol: one shared
-//! [`Service`] behind a socket server with two serving models.
+//! [`Service`] behind an epoll readiness reactor.
 //!
 //! [`TcpServer::bind`] takes an address plus a [`NetConfig`] and starts
-//! serving under the configured [`NetModel`]:
+//! a small fixed pool of event-loop threads (one per core, capped) that
+//! multiplexes every connection through nonblocking sockets and
+//! per-connection [`LineSession`] state machines (banner → incremental
+//! line framing → [`Codec`] decode → [`Service`] dispatch → write
+//! buffer with partial-write continuation). An idle connection costs a
+//! few hundred bytes of buffers and **no thread**, so the server scales
+//! to thousands of mostly-idle connections with an O(cores) thread
+//! count. Connections are pinned to a loop by fd hash; idle timeouts
+//! ride a lazy timer wheel (`reactor::TimerWheel`) revalidated against
+//! real activity, so the request hot path does no timer bookkeeping.
+//! The acceptor blocks on epoll over the listener fd plus a shutdown
+//! eventfd doorbell, so an idle server does zero accept-path wakeups.
 //!
-//! * **`Reactor`** (default on Linux) — an epoll readiness reactor.
-//!   A small fixed pool of event-loop threads (one per core, capped)
-//!   multiplexes every connection through nonblocking sockets and
-//!   per-connection [`LineSession`] state machines; an idle connection
-//!   costs a few hundred bytes of buffers and **no thread**, so the
-//!   server scales to thousands of mostly-idle connections with an
-//!   O(cores) thread count. Connections are pinned to a loop by fd
-//!   hash; idle timeouts ride a lazy timer wheel
-//!   (`reactor::TimerWheel`) revalidated against real activity, so the
-//!   request hot path does no timer bookkeeping.
-//! * **`Threads`** (portable fallback) — the original bounded
-//!   thread-per-connection model: each accepted connection gets its own
-//!   worker thread parked in blocking reads.
-//!
-//! Both models share the acceptor, the [`NetStats`] counters, and the
-//! same `LineSession` framing (banner → incremental line framing →
-//! [`Codec`] decode → [`Service`] dispatch → write buffer with
-//! partial-write continuation), so their wire behaviour is
-//! byte-identical. On Linux the acceptor blocks on epoll over the
-//! listener fd plus a shutdown eventfd doorbell — an idle server does
-//! zero accept-path wakeups in either model (no accept busy-poll).
+//! TCP serving is Linux-only: elsewhere [`TcpServer::bind`] fails with
+//! [`std::io::ErrorKind::Unsupported`], and the stdio mode of
+//! `blowfish-serve` serves instead.
 //!
 //! Overload and lifecycle behaviour, all tested over loopback:
 //!
@@ -41,9 +34,8 @@
 //!   line is still arriving: one client cannot grow an unbounded buffer
 //!   server-side.
 //! * **Idle timeout** — a connection silent for
-//!   [`NetConfig::idle_timeout`] is closed (reactor: a timer-wheel
-//!   eviction; threads: a read-timeout tick) so abandoned clients
-//!   cannot pin resources forever.
+//!   [`NetConfig::idle_timeout`] is closed by a timer-wheel eviction, so
+//!   abandoned clients cannot pin resources forever.
 //! * **Graceful shutdown** — [`TcpServer::shutdown`] stops accepting,
 //!   notifies every live connection with `err server-shutdown …`, and
 //!   waits (bounded) for the connection count to drain.
@@ -54,22 +46,25 @@
 //! touching the engine — load tests use it to assert that idle
 //! connections generate no events.
 
-#[cfg(target_os = "linux")]
-use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-#[cfg(target_os = "linux")]
-use std::sync::Mutex;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 #[cfg(target_os = "linux")]
-use crate::reactor::{
-    listen_with_backlog, Epoll, EpollEvent, EventFd, TimerWheel, EPOLLERR, EPOLLHUP, EPOLLIN,
-    EPOLLOUT, EPOLLRDHUP,
+use {
+    crate::reactor::{
+        listen_with_backlog, Epoll, EpollEvent, EventFd, TimerWheel, EPOLLERR, EPOLLHUP, EPOLLIN,
+        EPOLLOUT, EPOLLRDHUP,
+    },
+    std::collections::HashMap,
+    std::io::{ErrorKind, Read, Write},
+    std::net::{TcpListener, TcpStream},
+    std::os::unix::io::AsRawFd,
+    std::sync::Mutex,
+    std::thread::JoinHandle,
 };
+
 use crate::service::Service;
 use crate::wire::{Codec, WireReply};
 
@@ -79,76 +74,21 @@ use crate::wire::{Codec, WireReply};
 /// traffic.
 pub const MAX_LINE_BYTES: usize = 256 * 1024;
 
-/// How often a parked `threads`-model worker wakes to check idle time
-/// and the shutdown flag (the read timeout on every worker socket).
-const TICK: Duration = Duration::from_millis(200);
-
 /// Cap on reactor event-loop threads (the pool is
 /// `min(available cores, this)`): past a handful of loops the protocol
 /// is service-bound, not event-bound.
+#[cfg(target_os = "linux")]
 const MAX_EVENT_LOOPS: usize = 8;
 
 /// Bytes read per `read(2)` in the reactor loops.
+#[cfg(target_os = "linux")]
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Max `read` calls served per readiness event before yielding back to
 /// the loop (level-triggered epoll re-fires if more input is pending),
 /// so one firehose connection cannot starve its loop-mates.
+#[cfg(target_os = "linux")]
 const READS_PER_EVENT: usize = 16;
-
-/// The serving model a [`TcpServer`] multiplexes connections with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetModel {
-    /// Bounded thread-per-connection workers (portable fallback).
-    Threads,
-    /// Epoll readiness reactor: O(cores) event-loop threads serving all
-    /// connections (Linux; falls back to `Threads` elsewhere).
-    Reactor,
-}
-
-impl NetModel {
-    /// The platform default: `Reactor` on Linux, `Threads` elsewhere.
-    pub fn platform_default() -> NetModel {
-        if cfg!(target_os = "linux") {
-            NetModel::Reactor
-        } else {
-            NetModel::Threads
-        }
-    }
-
-    /// The model that will actually serve: `Reactor` degrades to
-    /// `Threads` off Linux.
-    pub fn effective(self) -> NetModel {
-        if cfg!(target_os = "linux") {
-            self
-        } else {
-            NetModel::Threads
-        }
-    }
-
-    /// Parses the `--net-model` flag token.
-    pub fn parse(token: &str) -> Option<NetModel> {
-        match token {
-            "threads" => Some(NetModel::Threads),
-            "reactor" => Some(NetModel::Reactor),
-            _ => None,
-        }
-    }
-
-    /// The flag token / stats label for this model.
-    pub fn label(self) -> &'static str {
-        match self {
-            NetModel::Threads => "threads",
-            NetModel::Reactor => "reactor",
-        }
-    }
-}
-
-impl Default for NetModel {
-    fn default() -> Self {
-        NetModel::platform_default()
-    }
-}
 
 /// Tuning for a [`TcpServer`].
 #[derive(Clone, Debug)]
@@ -163,8 +103,6 @@ pub struct NetConfig {
     /// the largest simultaneous connect burst expected (the kernel
     /// clamps to `net.core.somaxconn`).
     pub listen_backlog: usize,
-    /// The serving model (see [`NetModel`]).
-    pub model: NetModel,
 }
 
 impl Default for NetConfig {
@@ -173,18 +111,17 @@ impl Default for NetConfig {
             max_connections: 1024,
             idle_timeout: Duration::from_secs(300),
             listen_backlog: 1024,
-            model: NetModel::platform_default(),
         }
     }
 }
 
 /// Monotonic counters describing a server's lifetime traffic, shared
-/// with every worker/event-loop thread and surfaced to clients through
-/// the TCP-only `stats net` request.
+/// with the acceptor and every event-loop thread and surfaced to clients
+/// through the TCP-only `stats net` request.
 #[derive(Debug, Default)]
 pub struct NetStats {
-    /// Connections accepted into the serving model (including ones
-    /// since closed).
+    /// Connections accepted into an event loop (including ones since
+    /// closed).
     pub accepted: AtomicU64,
     /// Connections shed with `err server-busy` at the cap.
     pub shed: AtomicU64,
@@ -204,19 +141,19 @@ pub struct NetStats {
     /// Connections evicted by the reactor's idle timer wheel (the
     /// reactor's contribution to [`idle_closed`](NetStats::idle_closed)).
     pub timer_evictions: AtomicU64,
-    /// Event-loop threads serving connections (0 under the threads
-    /// model — every connection has its own thread there).
+    /// Event-loop threads serving connections: one per core, capped at
+    /// 8.
     pub event_loops: AtomicUsize,
 }
 
 impl NetStats {
-    /// The `ok stats net …` reply line: every counter, prefixed with
-    /// the serving model, ordered stably for parsers.
-    pub fn wire_line(&self, model: NetModel) -> String {
+    /// The `ok stats net …` reply line: `model=reactor` (the field
+    /// clients match first), then every counter, ordered stably for
+    /// parsers.
+    pub fn wire_line(&self) -> String {
         format!(
-            "ok stats net model={} accepted={} live={} requests={} shed={} idle_closed={} \
+            "ok stats net model=reactor accepted={} live={} requests={} shed={} idle_closed={} \
              spurious_wakeups={} partial_writes_resumed={} timer_evictions={} event_loops={}",
-            model.label(),
             self.accepted.load(Ordering::SeqCst),
             self.live.load(Ordering::SeqCst),
             self.requests.load(Ordering::SeqCst),
@@ -230,12 +167,12 @@ impl NetStats {
     }
 }
 
-/// The per-connection protocol state machine, shared verbatim by both
-/// serving models (and driven with arbitrary chunkings by the framing
-/// property tests): banner, incremental line framing with the
-/// [`MAX_LINE_BYTES`] cap enforced mid-stream, [`Codec`] decode,
-/// [`Service`] dispatch, and a pending-output buffer the caller drains
-/// at whatever pace the socket allows.
+/// The per-connection protocol state machine the event loops drive (and
+/// the framing property tests drive with arbitrary chunkings): banner,
+/// incremental line framing with the [`MAX_LINE_BYTES`] cap enforced
+/// mid-stream, [`Codec`] decode, [`Service`] dispatch, and a
+/// pending-output buffer the caller drains at whatever pace the socket
+/// allows.
 ///
 /// Drivers feed raw received bytes to [`ingest`](LineSession::ingest)
 /// and write out [`output`](LineSession::output), acknowledging with
@@ -278,7 +215,7 @@ impl LineSession {
     /// reply line per complete request line. Counts served requests in
     /// `stats`; answers the TCP-only `stats net` introspection line
     /// locally. Input after a close decision is discarded.
-    pub fn ingest(&mut self, bytes: &[u8], service: &Service, stats: &NetStats, model: NetModel) {
+    pub fn ingest(&mut self, bytes: &[u8], service: &Service, stats: &NetStats) {
         if self.closing {
             return;
         }
@@ -289,7 +226,7 @@ impl LineSession {
             let line = line.trim_end_matches('\r');
             if line.trim() == "stats net" {
                 stats.requests.fetch_add(1, Ordering::SeqCst);
-                self.push_line(&stats.wire_line(model));
+                self.push_line(&stats.wire_line());
                 continue;
             }
             match self.codec.serve(service, line) {
@@ -374,111 +311,110 @@ impl LineSession {
 /// handle shuts the server down.
 pub struct TcpServer {
     addr: SocketAddr,
-    model: NetModel,
     stats: Arc<NetStats>,
     stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    accept_wake: Arc<Doorbell>,
+    /// Every serving thread with the doorbell that wakes it: the
+    /// acceptor first, then the event loops. Shutdown joins them in this
+    /// order, so no connection reaches an inbox after its loop drained.
     #[cfg(target_os = "linux")]
-    loops: Vec<Arc<EventLoopHandle>>,
-    loop_threads: Vec<JoinHandle<()>>,
+    threads: Vec<(Arc<EventFd>, JoinHandle<()>)>,
 }
 
 impl TcpServer {
     /// Binds `addr` (e.g. `127.0.0.1:7741`, or port `0` for an ephemeral
-    /// port) with the configured listen backlog and starts serving under
-    /// [`NetConfig::model`]. The returned handle reports the concrete
-    /// [`local_addr`](TcpServer::local_addr) and serves until
-    /// [`shutdown`](TcpServer::shutdown) or drop.
+    /// port) with the configured listen backlog and starts serving. Every
+    /// epoll set and doorbell is created before any thread starts, so a
+    /// setup failure comes back as its `io::Error`. The returned handle
+    /// reports the concrete [`local_addr`](TcpServer::local_addr) and
+    /// serves until [`shutdown`](TcpServer::shutdown) or drop.
+    #[cfg(target_os = "linux")]
     pub fn bind(
         service: Arc<Service>,
         addr: &str,
         config: NetConfig,
     ) -> std::io::Result<TcpServer> {
         let listener = bind_listener(addr, config.listen_backlog)?;
-        let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let model = config.model.effective();
-        let stats = Arc::new(NetStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_wake = Arc::new(Doorbell::new());
+        let accept_wake = Arc::new(EventFd::new()?);
+        let accept_epoll = Epoll::new()?;
+        accept_epoll.add(listener.as_raw_fd(), EPOLLIN, 0)?;
+        accept_epoll.add(accept_wake.raw_fd(), EPOLLIN, 1)?;
+        let n = std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+            .min(MAX_EVENT_LOOPS);
+        let mut loops = Vec::with_capacity(n);
+        for _ in 0..n {
+            let handle = Arc::new(EventLoopHandle {
+                doorbell: Arc::new(EventFd::new()?),
+                inbox: Mutex::new(Vec::new()),
+            });
+            let epoll = Epoll::new()?;
+            epoll.add(handle.doorbell.raw_fd(), EPOLLIN, WAKE_TOKEN)?;
+            loops.push((handle, epoll));
+        }
 
-        // Event loops first (reactor model), so the acceptor has
-        // somewhere to dispatch from its first connection on.
-        #[cfg(target_os = "linux")]
-        let mut loops: Vec<Arc<EventLoopHandle>> = Vec::new();
-        let mut loop_threads = Vec::new();
-        let dispatch: Dispatch = match model {
-            NetModel::Threads => Dispatch::Threads {
-                service: Arc::clone(&service),
-                stop: Arc::clone(&stop),
-            },
-            NetModel::Reactor => {
-                #[cfg(target_os = "linux")]
-                {
-                    let n = std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
-                        .min(MAX_EVENT_LOOPS);
-                    stats.event_loops.store(n, Ordering::SeqCst);
-                    for i in 0..n {
-                        let handle = Arc::new(EventLoopHandle::new()?);
-                        let (h, service, config, stats, stop) = (
-                            Arc::clone(&handle),
-                            Arc::clone(&service),
-                            config.clone(),
-                            Arc::clone(&stats),
-                            Arc::clone(&stop),
-                        );
-                        loop_threads.push(
-                            std::thread::Builder::new()
-                                .name(format!("blowfish-loop-{i}"))
-                                .spawn(move || event_loop(&h, &service, &config, &stats, &stop))?,
-                        );
-                        loops.push(handle);
-                    }
-                    Dispatch::Reactor {
-                        loops: loops.clone(),
-                    }
-                }
-                #[cfg(not(target_os = "linux"))]
-                unreachable!("NetModel::effective() never yields Reactor off Linux")
-            }
+        // From here on, a failed spawn drops `server`, and its shutdown
+        // stops and joins every thread already started.
+        let mut server = TcpServer {
+            addr: listener.local_addr()?,
+            stats: Arc::new(NetStats::default()),
+            stop: Arc::new(AtomicBool::new(false)),
+            threads: Vec::with_capacity(n + 1),
         };
-
-        let accept_thread = {
-            let (stats, stop, wake) = (
-                Arc::clone(&stats),
-                Arc::clone(&stop),
-                Arc::clone(&accept_wake),
+        server.stats.event_loops.store(n, Ordering::SeqCst);
+        let mut handles = Vec::with_capacity(n);
+        for (i, (handle, epoll)) in loops.into_iter().enumerate() {
+            let (h, service, config, stats, stop) = (
+                Arc::clone(&handle),
+                Arc::clone(&service),
+                config.clone(),
+                Arc::clone(&server.stats),
+                Arc::clone(&server.stop),
             );
-            let config = config.clone();
-            std::thread::Builder::new()
-                .name("blowfish-accept".to_string())
-                .spawn(move || accept_loop(listener, dispatch, config, stats, stop, wake))?
-        };
-        Ok(TcpServer {
-            addr,
-            model,
-            stats,
-            stop,
-            accept_thread: Some(accept_thread),
-            accept_wake,
-            #[cfg(target_os = "linux")]
-            loops,
-            loop_threads,
-        })
+            let thread = std::thread::Builder::new()
+                .name(format!("blowfish-loop-{i}"))
+                .spawn(move || event_loop(&epoll, &h, &service, &config, &stats, &stop))?;
+            server.threads.push((Arc::clone(&handle.doorbell), thread));
+            handles.push(handle);
+        }
+        // The acceptor starts last, so every loop it dispatches to is
+        // running, but is joined first.
+        let (stats, stop) = (Arc::clone(&server.stats), Arc::clone(&server.stop));
+        let max_connections = config.max_connections;
+        let acceptor = std::thread::Builder::new()
+            .name("blowfish-accept".to_string())
+            .spawn(move || {
+                accept_loop(
+                    &listener,
+                    &accept_epoll,
+                    &handles,
+                    max_connections,
+                    &stats,
+                    &stop,
+                )
+            })?;
+        server.threads.insert(0, (accept_wake, acceptor));
+        Ok(server)
+    }
+
+    /// TCP serving needs the Linux epoll reactor: off Linux this always
+    /// fails with [`std::io::ErrorKind::Unsupported`].
+    #[cfg(not(target_os = "linux"))]
+    pub fn bind(
+        _service: Arc<Service>,
+        _addr: &str,
+        _config: NetConfig,
+    ) -> std::io::Result<TcpServer> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "TCP serving needs Linux epoll; serve stdio instead",
+        ))
     }
 
     /// The bound address (useful with port `0`).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The serving model actually in effect (a `Reactor` request
-    /// degrades to `Threads` off Linux).
-    pub fn model(&self) -> NetModel {
-        self.model
     }
 
     /// The server's shared traffic counters.
@@ -488,28 +424,21 @@ impl TcpServer {
 
     /// Stops accepting, notifies live connections, and waits up to
     /// `drain` for them to finish; returns `true` if the server drained
-    /// fully. Reactor loops drain at their next wakeup (immediate —
-    /// their doorbells are rung); threads-model workers see the flag
-    /// within one read-timeout tick.
+    /// fully. Each thread is woken through its doorbell and joined; an
+    /// event loop notifies and closes its connections on the way out.
     pub fn shutdown(&mut self, drain: Duration) -> bool {
         self.stop.store(true, Ordering::SeqCst);
-        self.accept_wake.ring();
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
         #[cfg(target_os = "linux")]
-        for handle in &self.loops {
-            handle.doorbell.notify();
-        }
-        for handle in self.loop_threads.drain(..) {
-            let _ = handle.join();
+        for (doorbell, thread) in self.threads.drain(..) {
+            doorbell.notify();
+            let _ = thread.join();
         }
         let deadline = Instant::now() + drain;
         while self.stats.live.load(Ordering::SeqCst) > 0 {
             if Instant::now() >= deadline {
                 return false;
             }
-            std::thread::sleep(TICK / 4);
+            std::thread::sleep(Duration::from_millis(50));
         }
         true
     }
@@ -521,74 +450,32 @@ impl Drop for TcpServer {
     }
 }
 
-/// Binds the listener with an explicit backlog where the platform
-/// supports it, falling back to std's 128-entry default otherwise.
+/// Binds the listener with an explicit backlog, falling back to std's
+/// 128-entry default when the raw path fails.
+#[cfg(target_os = "linux")]
 fn bind_listener(addr: &str, backlog: usize) -> std::io::Result<TcpListener> {
-    #[cfg(target_os = "linux")]
-    {
-        use std::net::ToSocketAddrs;
-        if let Some(sock_addr) = addr.to_socket_addrs().ok().and_then(|mut a| a.next()) {
-            if let Ok(listener) = listen_with_backlog(sock_addr, backlog) {
-                return Ok(listener);
-            }
+    use std::net::ToSocketAddrs;
+    if let Some(sock_addr) = addr.to_socket_addrs().ok().and_then(|mut a| a.next()) {
+        if let Ok(listener) = listen_with_backlog(sock_addr, backlog) {
+            return Ok(listener);
         }
     }
-    let _ = backlog;
     TcpListener::bind(addr)
 }
 
-/// The cross-thread wakeup for the acceptor: an eventfd doorbell on
-/// Linux (the acceptor epoll-waits on it), a no-op elsewhere (the
-/// acceptor polls at a short interval instead).
-#[derive(Debug)]
-struct Doorbell {
-    #[cfg(target_os = "linux")]
-    eventfd: Option<EventFd>,
-}
-
-impl Doorbell {
-    fn new() -> Doorbell {
-        Doorbell {
-            #[cfg(target_os = "linux")]
-            eventfd: EventFd::new().ok(),
-        }
-    }
-
-    fn ring(&self) {
-        #[cfg(target_os = "linux")]
-        if let Some(eventfd) = &self.eventfd {
-            eventfd.notify();
-        }
-    }
-}
-
-/// Where the acceptor sends an admitted connection.
-enum Dispatch {
-    /// Spawn a dedicated worker thread (threads model).
-    Threads {
-        service: Arc<Service>,
-        stop: Arc<AtomicBool>,
-    },
-    /// Hand off to the event loop owning the connection's fd hash
-    /// (reactor model).
-    #[cfg(target_os = "linux")]
-    Reactor { loops: Vec<Arc<EventLoopHandle>> },
-}
-
-/// The accept loop shared by both serving models: admit or shed each
-/// connection, then dispatch. On Linux it blocks on epoll over the
-/// listener plus the shutdown doorbell — zero wakeups while no client
-/// connects; elsewhere (or if epoll setup fails) it degrades to a
-/// short-interval nonblocking poll.
+/// The accept loop: admit or shed each connection, then hand it to the
+/// event loop owning its fd hash. It blocks on epoll over the listener
+/// plus the shutdown doorbell — zero wakeups while no client connects.
+#[cfg(target_os = "linux")]
 fn accept_loop(
-    listener: TcpListener,
-    mut dispatch: Dispatch,
-    config: NetConfig,
-    stats: Arc<NetStats>,
-    stop: Arc<AtomicBool>,
-    wake: Arc<Doorbell>,
+    listener: &TcpListener,
+    epoll: &Epoll,
+    loops: &[Arc<EventLoopHandle>],
+    max_connections: usize,
+    stats: &NetStats,
+    stop: &AtomicBool,
 ) {
-    let waiter = AcceptWaiter::new(&listener, &wake);
+    let mut events = [EpollEvent::zeroed(); 4];
     while !stop.load(Ordering::SeqCst) {
         // Drain every queued handshake before parking again.
         loop {
@@ -603,158 +490,29 @@ fn accept_loop(
                     break;
                 }
             };
-            if stats.live.load(Ordering::SeqCst) >= config.max_connections {
-                shed(stream, &stats);
+            if stats.live.load(Ordering::SeqCst) >= max_connections {
+                shed(stream, stats);
                 continue;
             }
             stats.live.fetch_add(1, Ordering::SeqCst);
             stats.accepted.fetch_add(1, Ordering::SeqCst);
-            if !dispatch.send(stream, &config, &stats) {
-                stats.live.fetch_sub(1, Ordering::SeqCst);
-                stats.accepted.fetch_sub(1, Ordering::SeqCst);
-            }
+            let target = &loops[(stream.as_raw_fd() as usize) % loops.len()];
+            target.inbox.lock().unwrap().push(stream);
+            target.doorbell.notify();
         }
-        waiter.wait();
-    }
-}
-
-impl Dispatch {
-    /// Routes one admitted connection into its serving model; `false`
-    /// means dispatch failed and the caller must undo the admission
-    /// accounting (the stream drops closed).
-    fn send(&mut self, stream: TcpStream, config: &NetConfig, stats: &Arc<NetStats>) -> bool {
-        match self {
-            Dispatch::Threads { service, stop } => {
-                let (service, stats_w, stop_w) =
-                    (Arc::clone(service), Arc::clone(stats), Arc::clone(stop));
-                let idle_timeout = config.idle_timeout;
-                std::thread::Builder::new()
-                    .name("blowfish-conn".to_string())
-                    // Workers parse lines and call into the engine — no
-                    // deep recursion — so a small stack keeps 1000+
-                    // threads cheap.
-                    .stack_size(256 * 1024)
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &service, idle_timeout, &stats_w, &stop_w);
-                        stats_w.live.fetch_sub(1, Ordering::SeqCst);
-                    })
-                    .is_ok()
-            }
-            #[cfg(target_os = "linux")]
-            Dispatch::Reactor { loops } => {
-                use std::os::unix::io::AsRawFd;
-                let slot = (stream.as_raw_fd() as usize) % loops.len();
-                loops[slot].inbox.lock().unwrap().push(stream);
-                loops[slot].doorbell.notify();
-                true
-            }
-        }
-    }
-}
-
-/// How the acceptor parks between connection bursts.
-enum AcceptWaiter {
-    #[cfg(target_os = "linux")]
-    Epoll(Epoll),
-    /// Fallback: nonblocking accept + short sleep (non-Linux, or epoll
-    /// setup failure).
-    Poll,
-}
-
-impl AcceptWaiter {
-    #[allow(unused_variables)]
-    fn new(listener: &TcpListener, wake: &Doorbell) -> AcceptWaiter {
-        #[cfg(target_os = "linux")]
-        {
-            use std::os::unix::io::AsRawFd;
-            if let Some(eventfd) = &wake.eventfd {
-                if let Ok(epoll) = Epoll::new() {
-                    if epoll.add(listener.as_raw_fd(), EPOLLIN, 0).is_ok()
-                        && epoll.add(eventfd.raw_fd(), EPOLLIN, 1).is_ok()
-                    {
-                        return AcceptWaiter::Epoll(epoll);
-                    }
-                }
-            }
-        }
-        AcceptWaiter::Poll
-    }
-
-    fn wait(&self) {
-        match self {
-            #[cfg(target_os = "linux")]
-            AcceptWaiter::Epoll(epoll) => {
-                let mut events = [EpollEvent::zeroed(); 4];
-                // The doorbell is left un-drained on purpose: once rung
-                // (shutdown), every subsequent wait returns immediately
-                // and the loop re-checks the stop flag.
-                let _ = epoll.wait(&mut events, None);
-            }
-            AcceptWaiter::Poll => std::thread::sleep(Duration::from_millis(2)),
-        }
+        // The doorbell is left un-drained on purpose: once rung
+        // (shutdown), every subsequent wait returns immediately and the
+        // loop re-checks the stop flag.
+        let _ = epoll.wait(&mut events, None);
     }
 }
 
 /// Over-cap connection: one explanatory line, then close.
+#[cfg(target_os = "linux")]
 fn shed(mut stream: TcpStream, stats: &NetStats) {
     stats.shed.fetch_add(1, Ordering::SeqCst);
     let _ = stream.write_all(b"err server-busy (connection limit reached, retry later)\n");
     let _ = stream.shutdown(std::net::Shutdown::Both);
-}
-
-/// Threads-model worker: drives one blocking connection through the
-/// shared [`LineSession`] state machine until quit/EOF/idle-timeout/
-/// shutdown.
-fn serve_connection(
-    mut stream: TcpStream,
-    service: &Service,
-    idle_timeout: Duration,
-    stats: &NetStats,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    // One request line in, one reply line out: flushing per reply
-    // matters more than batching, so disable Nagle.
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(TICK))?;
-    let mut session = LineSession::new();
-    let mut chunk = [0u8; 4096];
-    let mut idle = Duration::ZERO;
-    loop {
-        while !session.output().is_empty() {
-            let n = stream.write(session.output())?;
-            if n == 0 {
-                return Err(std::io::Error::from(ErrorKind::WriteZero));
-            }
-            session.consume(n);
-        }
-        if session.finished() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return Ok(());
-        }
-        if stop.load(Ordering::SeqCst) {
-            session.note_shutdown();
-            continue;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                session.note_eof();
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                return Ok(());
-            }
-            Ok(n) => {
-                idle = Duration::ZERO;
-                session.ingest(&chunk[..n], service, stats, NetModel::Threads);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                idle += TICK;
-                if idle >= idle_timeout {
-                    session.note_idle_timeout(stats);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// What the acceptor shares with one reactor event loop.
@@ -762,19 +520,9 @@ fn serve_connection(
 struct EventLoopHandle {
     /// Rung by the acceptor (new connection in the inbox) and by
     /// shutdown.
-    doorbell: EventFd,
+    doorbell: Arc<EventFd>,
     /// Freshly accepted connections awaiting adoption by the loop.
     inbox: Mutex<Vec<TcpStream>>,
-}
-
-#[cfg(target_os = "linux")]
-impl EventLoopHandle {
-    fn new() -> std::io::Result<EventLoopHandle> {
-        Ok(EventLoopHandle {
-            doorbell: EventFd::new()?,
-            inbox: Mutex::new(Vec::new()),
-        })
-    }
 }
 
 /// One reactor-owned connection.
@@ -796,31 +544,18 @@ struct Conn {
 const WAKE_TOKEN: u64 = u64::MAX;
 
 /// One reactor event loop: adopts connections from its inbox, serves
-/// readiness events through the [`LineSession`] state machine, and
-/// evicts idlers via a lazy timer wheel.
+/// readiness events on `epoll` (which already holds the doorbell under
+/// [`WAKE_TOKEN`]) through the [`LineSession`] state machine, and evicts
+/// idlers via a lazy timer wheel.
 #[cfg(target_os = "linux")]
 fn event_loop(
+    epoll: &Epoll,
     handle: &EventLoopHandle,
     service: &Service,
     config: &NetConfig,
     stats: &NetStats,
     stop: &AtomicBool,
 ) {
-    use std::os::unix::io::AsRawFd;
-
-    let epoll = match Epoll::new() {
-        Ok(epoll) => epoll,
-        // Cannot serve without a readiness set; connections dispatched
-        // here will close. (Never observed in practice: bind() already
-        // created epoll sets successfully.)
-        Err(_) => return,
-    };
-    if epoll
-        .add(handle.doorbell.raw_fd(), EPOLLIN, WAKE_TOKEN)
-        .is_err()
-    {
-        return;
-    }
     // Wheel granularity: coarse enough that thousands of idle
     // connections cost a handful of wakeups per minute, fine enough
     // that evictions land within ~25% of the configured timeout.
@@ -844,15 +579,13 @@ fn event_loop(
             let (token, bits) = (event.token, event.events);
             if token == WAKE_TOKEN {
                 handle.doorbell.drain();
-                adopt_inbox(
-                    handle, &epoll, &mut conns, &mut wheel, config, service, stats, now,
-                );
+                adopt_inbox(handle, epoll, &mut conns, &mut wheel, config, stats, now);
                 continue;
             }
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            let close = serve_readiness(conn, bits, service, config, stats, &mut chunk, now);
+            let close = serve_readiness(conn, bits, service, stats, &mut chunk, now);
             let fd = conn.stream.as_raw_fd();
             if close || conn.session.finished() {
                 let _ = epoll.delete(fd);
@@ -914,18 +647,15 @@ fn event_loop(
 /// nonblocking mode, banner queued (and eagerly flushed), epoll
 /// registration, idle-timer scheduling.
 #[cfg(target_os = "linux")]
-#[allow(clippy::too_many_arguments)]
 fn adopt_inbox(
     handle: &EventLoopHandle,
     epoll: &Epoll,
     conns: &mut HashMap<u64, Conn>,
     wheel: &mut TimerWheel,
     config: &NetConfig,
-    service: &Service,
     stats: &NetStats,
     now: Instant,
 ) {
-    use std::os::unix::io::AsRawFd;
     let fresh: Vec<TcpStream> = handle.inbox.lock().unwrap().drain(..).collect();
     for stream in fresh {
         let _ = stream.set_nodelay(true);
@@ -956,7 +686,6 @@ fn adopt_inbox(
         }
         conn.interest_out = want_out;
         wheel.schedule(token, config.idle_timeout);
-        let _ = service;
         conns.insert(token, conn);
     }
 }
@@ -969,7 +698,6 @@ fn serve_readiness(
     conn: &mut Conn,
     bits: u32,
     service: &Service,
-    config: &NetConfig,
     stats: &NetStats,
     chunk: &mut [u8],
     now: Instant,
@@ -988,8 +716,7 @@ fn serve_readiness(
                 Ok(n) => {
                     progressed = true;
                     conn.last_active = now;
-                    conn.session
-                        .ingest(&chunk[..n], service, stats, NetModel::Reactor);
+                    conn.session.ingest(&chunk[..n], service, stats);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -1008,7 +735,6 @@ fn serve_readiness(
         Ok(wrote) => progressed |= wrote,
         Err(_) => return true,
     }
-    let _ = config;
     if !progressed {
         stats.spurious_wakeups.fetch_add(1, Ordering::SeqCst);
     }
@@ -1040,22 +766,14 @@ fn flush_nonblocking(conn: &mut Conn) -> std::io::Result<bool> {
     Ok(wrote)
 }
 
-#[cfg(test)]
+// TCP serving exists only on Linux.
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
 
-    fn server_with(model: NetModel, config: NetConfig) -> TcpServer {
-        TcpServer::bind(
-            Arc::new(Service::new()),
-            "127.0.0.1:0",
-            NetConfig { model, ..config },
-        )
-        .unwrap()
-    }
-
-    fn both_models() -> Vec<NetModel> {
-        vec![NetModel::Threads, NetModel::Reactor]
+    fn server_with(config: NetConfig) -> TcpServer {
+        TcpServer::bind(Arc::new(Service::new()), "127.0.0.1:0", config).unwrap()
     }
 
     /// Connect and consume the banner.
@@ -1077,52 +795,41 @@ mod tests {
 
     #[test]
     fn serves_a_full_session_over_tcp_under_both_models() {
-        for model in both_models() {
-            let mut server = server_with(model, NetConfig::default());
-            let (mut reader, mut stream) = client(server.local_addr());
-            assert_eq!(
-                roundtrip(
-                    &mut reader,
-                    &mut stream,
-                    "tenant acme policy=line:16 eps=0.5 budget=1.0 data=uniform:3",
-                ),
-                "ok tenant acme policy=G^1_16 cells=16"
-            );
-            assert_eq!(
-                roundtrip(&mut reader, &mut stream, "hello blowfish/1"),
-                "ok hello blowfish/1"
-            );
-            // Connection-scoped default tenant works over the socket.
-            assert_eq!(
-                roundtrip(&mut reader, &mut stream, "use acme"),
-                "ok use acme"
-            );
-            let fit = roundtrip(&mut reader, &mut stream, "fit as=r1 seed=7");
-            assert_eq!(fit, "ok fit r1 charged=0.5 spent=0.5 remaining=0.5");
-            let answer = roundtrip(&mut reader, &mut stream, "answer from=r1 0..15");
-            assert!(answer.starts_with("ok answer 1 "), "{answer}");
-            // quit closes the connection (EOF on the reader).
-            writeln!(stream, "quit").unwrap();
-            let mut rest = String::new();
-            reader.read_line(&mut rest).unwrap();
-            assert_eq!(rest, "");
-            assert!(server.shutdown(Duration::from_secs(5)), "{model:?}");
-            assert_eq!(
-                server.stats().requests.load(Ordering::SeqCst),
-                5,
-                "{model:?}"
-            );
-        }
+        let mut server = server_with(NetConfig::default());
+        let (mut reader, mut stream) = client(server.local_addr());
+        assert_eq!(
+            roundtrip(
+                &mut reader,
+                &mut stream,
+                "tenant acme policy=line:16 eps=0.5 budget=1.0 data=uniform:3",
+            ),
+            "ok tenant acme policy=G^1_16 cells=16"
+        );
+        assert_eq!(
+            roundtrip(&mut reader, &mut stream, "hello blowfish/1"),
+            "ok hello blowfish/1"
+        );
+        // Connection-scoped default tenant works over the socket.
+        assert_eq!(
+            roundtrip(&mut reader, &mut stream, "use acme"),
+            "ok use acme"
+        );
+        let fit = roundtrip(&mut reader, &mut stream, "fit as=r1 seed=7");
+        assert_eq!(fit, "ok fit r1 charged=0.5 spent=0.5 remaining=0.5");
+        let answer = roundtrip(&mut reader, &mut stream, "answer from=r1 0..15");
+        assert!(answer.starts_with("ok answer 1 "), "{answer}");
+        // quit closes the connection (EOF on the reader).
+        writeln!(stream, "quit").unwrap();
+        let mut rest = String::new();
+        reader.read_line(&mut rest).unwrap();
+        assert_eq!(rest, "");
+        assert!(server.shutdown(Duration::from_secs(5)));
+        assert_eq!(server.stats().requests.load(Ordering::SeqCst), 5);
     }
 
     #[test]
     fn reactor_is_the_linux_default_and_reports_itself() {
-        if !cfg!(target_os = "linux") {
-            return;
-        }
-        assert_eq!(NetModel::platform_default(), NetModel::Reactor);
-        let mut server = server_with(NetModel::Reactor, NetConfig::default());
-        assert_eq!(server.model(), NetModel::Reactor);
+        let mut server = server_with(NetConfig::default());
         assert!(server.stats().event_loops.load(Ordering::SeqCst) >= 1);
         // The TCP-only `stats net` introspection line answers at the
         // framing layer with every counter.
@@ -1146,18 +853,8 @@ mod tests {
     }
 
     #[test]
-    fn net_model_flag_tokens_round_trip() {
-        assert_eq!(NetModel::parse("reactor"), Some(NetModel::Reactor));
-        assert_eq!(NetModel::parse("threads"), Some(NetModel::Threads));
-        assert_eq!(NetModel::parse("green-threads"), None);
-        for model in both_models() {
-            assert_eq!(NetModel::parse(model.label()), Some(model));
-        }
-    }
-
-    #[test]
     fn default_tenant_state_is_per_connection() {
-        let mut server = server_with(NetModel::platform_default(), NetConfig::default());
+        let mut server = server_with(NetConfig::default());
         let (mut r1, mut s1) = client(server.local_addr());
         let (mut r2, mut s2) = client(server.local_addr());
         roundtrip(
@@ -1178,101 +875,85 @@ mod tests {
 
     #[test]
     fn connections_beyond_the_cap_are_shed_under_both_models() {
-        for model in both_models() {
-            let mut server = server_with(
-                model,
-                NetConfig {
-                    max_connections: 2,
-                    ..NetConfig::default()
-                },
-            );
-            let keep1 = client(server.local_addr());
-            let keep2 = client(server.local_addr());
-            // The third connection gets the busy line, not a banner.
-            let extra = TcpStream::connect(server.local_addr()).unwrap();
-            let mut reader = BufReader::new(extra);
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert!(line.starts_with("err server-busy"), "{model:?}: {line}");
-            // …and then EOF.
-            line.clear();
-            reader.read_line(&mut line).unwrap();
-            assert_eq!(line, "");
-            assert_eq!(server.stats().shed.load(Ordering::SeqCst), 1);
-            // Freeing a slot re-opens admission.
-            drop(keep1);
-            let deadline = Instant::now() + Duration::from_secs(5);
-            loop {
-                let again = TcpStream::connect(server.local_addr()).unwrap();
-                let mut reader = BufReader::new(again);
-                let mut banner = String::new();
-                reader.read_line(&mut banner).unwrap();
-                if banner.starts_with("ok blowfish/1") {
-                    break;
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "slot never freed; last reply {banner}"
-                );
-                std::thread::sleep(Duration::from_millis(50));
+        let mut server = server_with(NetConfig {
+            max_connections: 2,
+            ..NetConfig::default()
+        });
+        let keep1 = client(server.local_addr());
+        let keep2 = client(server.local_addr());
+        // The third connection gets the busy line, not a banner.
+        let extra = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(extra);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with("err server-busy"), "{line}");
+        // …and then EOF.
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "");
+        assert_eq!(server.stats().shed.load(Ordering::SeqCst), 1);
+        // Freeing a slot re-opens admission.
+        drop(keep1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let again = TcpStream::connect(server.local_addr()).unwrap();
+            let mut reader = BufReader::new(again);
+            let mut banner = String::new();
+            reader.read_line(&mut banner).unwrap();
+            if banner.starts_with("ok blowfish/1") {
+                break;
             }
-            drop(keep2);
-            assert!(server.shutdown(Duration::from_secs(5)), "{model:?}");
+            assert!(
+                Instant::now() < deadline,
+                "slot never freed; last reply {banner}"
+            );
+            std::thread::sleep(Duration::from_millis(50));
         }
+        drop(keep2);
+        assert!(server.shutdown(Duration::from_secs(5)));
     }
 
     #[test]
     fn oversized_lines_close_the_connection_under_both_models() {
-        for model in both_models() {
-            let mut server = server_with(model, NetConfig::default());
-            let (mut reader, mut stream) = client(server.local_addr());
-            let huge = vec![b'x'; MAX_LINE_BYTES + 4096];
-            stream.write_all(&huge).unwrap();
-            stream.flush().unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            assert!(reply.starts_with("err line-too-long"), "{model:?}: {reply}");
-            assert!(server.shutdown(Duration::from_secs(5)), "{model:?}");
-        }
+        let mut server = server_with(NetConfig::default());
+        let (mut reader, mut stream) = client(server.local_addr());
+        let huge = vec![b'x'; MAX_LINE_BYTES + 4096];
+        stream.write_all(&huge).unwrap();
+        stream.flush().unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("err line-too-long"), "{reply}");
+        assert!(server.shutdown(Duration::from_secs(5)));
     }
 
     #[test]
     fn idle_connections_time_out_under_both_models() {
-        for model in both_models() {
-            let mut server = server_with(
-                model,
-                NetConfig {
-                    idle_timeout: Duration::from_millis(300),
-                    ..NetConfig::default()
-                },
-            );
-            let (mut reader, _stream) = client(server.local_addr());
-            let started = Instant::now();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert!(line.starts_with("err idle-timeout"), "{model:?}: {line}");
-            assert!(started.elapsed() >= Duration::from_millis(250), "{model:?}");
-            assert_eq!(server.stats().idle_closed.load(Ordering::SeqCst), 1);
-            if model == NetModel::Reactor {
-                // The reactor's eviction rode the timer wheel.
-                assert_eq!(server.stats().timer_evictions.load(Ordering::SeqCst), 1);
-            }
-            assert!(server.shutdown(Duration::from_secs(5)), "{model:?}");
-        }
+        let mut server = server_with(NetConfig {
+            idle_timeout: Duration::from_millis(300),
+            ..NetConfig::default()
+        });
+        let (mut reader, _stream) = client(server.local_addr());
+        let started = Instant::now();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with("err idle-timeout"), "{line}");
+        assert!(started.elapsed() >= Duration::from_millis(250));
+        assert_eq!(server.stats().idle_closed.load(Ordering::SeqCst), 1);
+        // The eviction rode the timer wheel.
+        assert_eq!(server.stats().timer_evictions.load(Ordering::SeqCst), 1);
+        assert!(server.shutdown(Duration::from_secs(5)));
     }
 
     #[test]
     fn shutdown_notifies_parked_connections_under_both_models() {
-        for model in both_models() {
-            let mut server = server_with(model, NetConfig::default());
-            let (mut reader, _stream) = client(server.local_addr());
-            assert!(server.shutdown(Duration::from_secs(5)), "{model:?}");
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert!(line.starts_with("err server-shutdown"), "{model:?}: {line}");
-            // New connections are refused once the listener is gone.
-            assert!(TcpStream::connect(server.local_addr()).is_err());
-        }
+        let mut server = server_with(NetConfig::default());
+        let (mut reader, _stream) = client(server.local_addr());
+        assert!(server.shutdown(Duration::from_secs(5)));
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with("err server-shutdown"), "{line}");
+        // New connections are refused once the listener is gone.
+        assert!(TcpStream::connect(server.local_addr()).is_err());
     }
 
     #[test]
@@ -1280,7 +961,7 @@ mod tests {
         // 2000 requests written before any reply is read: exercises
         // framing across partial reads and the reactor's write-buffer
         // continuation under socket backpressure.
-        let mut server = server_with(NetModel::platform_default(), NetConfig::default());
+        let mut server = server_with(NetConfig::default());
         let (reader, mut stream) = client(server.local_addr());
         let total = 2000usize;
         let writer = std::thread::spawn(move || {
@@ -1318,7 +999,7 @@ mod tests {
         let mut session = LineSession::new();
         let script = "tenant acme policy=line:8 eps=0.5 budget=2 data=uniform:1\n\
                       use acme\nfit as=h seed=3\nanswer from=h 0..7\nbogus\n";
-        session.ingest(script.as_bytes(), &service, &stats, NetModel::Reactor);
+        session.ingest(script.as_bytes(), &service, &stats);
 
         let twin = Service::new();
         let mut codec = Codec::new();
@@ -1339,12 +1020,7 @@ mod tests {
         session.consume(full.len());
         assert!(session.output().is_empty());
         // quit discards any buffered input after it.
-        session.ingest(
-            b"quit\nfit as=never seed=1\n",
-            &service,
-            &stats,
-            NetModel::Reactor,
-        );
+        session.ingest(b"quit\nfit as=never seed=1\n", &service, &stats);
         assert!(session.finished());
     }
 }

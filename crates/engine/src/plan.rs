@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use blowfish_core::{Incidence, PolicyGraph};
-use blowfish_mechanisms::{GramSolver, MechanismError, SparseMatrixMechanism};
+use blowfish_mechanisms::{MechanismError, SparseMatrixMechanism};
 use blowfish_strategies::{GridPlans, ThetaGridStrategy, ThetaLineStrategy};
 
 use crate::EngineError;
@@ -79,16 +79,18 @@ impl PlanStats {
         self.sparse_solver.load(Ordering::Relaxed)
     }
 
-    /// Shared gram solvers that planned a cached sparse Cholesky factor
-    /// — the factor-once events. Each one turns every subsequent release
-    /// over that strategy into two O(nnz(L)) triangular solves.
+    /// Matrix-mechanism plans whose gram solver kept a cached sparse
+    /// Cholesky factor — the factor-once events. Each one turns every
+    /// subsequent release over that strategy into two O(nnz(L))
+    /// triangular solves.
     pub fn sparse_factorizations(&self) -> usize {
         self.sparse_factorization.load(Ordering::Relaxed)
     }
 
-    /// Shared gram solvers whose budget cascade declined to factor and
-    /// fell back to (IC(0)- or Jacobi-preconditioned) CG. A nonzero
-    /// count is not an error — it is the typed no-regression path.
+    /// Matrix-mechanism plans whose gram solver's budget cascade
+    /// declined to factor and fell back to (IC(0)- or
+    /// Jacobi-preconditioned) CG. A nonzero count is not an error — it is
+    /// the typed no-regression path.
     pub fn cg_fallbacks(&self) -> usize {
         self.cg_fallback.load(Ordering::Relaxed)
     }
@@ -194,9 +196,6 @@ pub struct PlanCache {
     theta_grid: Striped<(usize, usize), Arc<ThetaGridStrategy>>,
     grid_plans: Striped<(usize, usize), GridPlans>,
     sparse_matrix: Striped<String, Arc<SparseMatrixMechanism>>,
-    /// Normal-equation solvers keyed per strategy; each build is counted
-    /// as a factorization or a CG fallback.
-    gram_solvers: Striped<String, Arc<GramSolver>>,
     stats: PlanStats,
 }
 
@@ -287,7 +286,11 @@ impl PlanCache {
 
     /// A prepared CSR matrix mechanism (`A⁺` applied per release through
     /// its gram solver) under a caller-chosen key, derived at most once
-    /// per key and counted under [`PlanStats::sparse_matrix_builds`].
+    /// per key and counted under [`PlanStats::sparse_matrix_builds`]. Its
+    /// solver's outcome is counted too: under
+    /// [`PlanStats::sparse_factorizations`] when the budget cascade kept
+    /// a Cholesky factor, under [`PlanStats::cg_fallbacks`] when it
+    /// downgraded to preconditioned CG.
     pub fn sparse_matrix_mechanism<F>(
         &self,
         key: &str,
@@ -298,38 +301,15 @@ impl PlanCache {
     {
         self.sparse_matrix
             .get_or_build(key.to_string(), &self.stats.sparse_solver, || {
-                Ok(Arc::new(build()?))
+                let mechanism = build()?;
+                let outcome = if mechanism.solver().is_factored() {
+                    &self.stats.sparse_factorization
+                } else {
+                    &self.stats.cg_fallback
+                };
+                outcome.fetch_add(1, Ordering::Relaxed);
+                Ok(Arc::new(mechanism))
             })
-    }
-
-    /// The shared gram solver for one strategy, planned at most once per
-    /// key. The build is counted under
-    /// [`PlanStats::sparse_factorizations`] when the budget cascade kept
-    /// a Cholesky factor and under [`PlanStats::cg_fallbacks`] when it
-    /// downgraded to preconditioned CG.
-    pub fn gram_solver<F>(&self, key: &str, build: F) -> Arc<GramSolver>
-    where
-        F: FnOnce() -> GramSolver,
-    {
-        let key = key.to_string();
-        let mut map = self
-            .gram_solvers
-            .stripe(&key)
-            .lock()
-            .expect("plan cache stripe lock");
-        if let Some(v) = map.get(&key) {
-            return Arc::clone(v);
-        }
-        let solver = Arc::new(build());
-        if solver.is_factored() {
-            self.stats
-                .sparse_factorization
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.cg_fallback.fetch_add(1, Ordering::Relaxed);
-        }
-        map.insert(key, Arc::clone(&solver));
-        solver
     }
 
     /// Aggregates runtime solver counters across every planned matrix
@@ -453,7 +433,7 @@ mod tests {
 
     #[test]
     fn gram_solvers_are_shared_and_counted_by_outcome() {
-        use blowfish_linalg::CgOptions;
+        use blowfish_linalg::{CgOptions, SparseMatrix};
         use blowfish_mechanisms::{hierarchical_strategy_sparse, GramSolver};
         let cache = PlanCache::new();
         let opts = CgOptions {
@@ -461,16 +441,37 @@ mod tests {
             max_iter: 0,
         };
         let strategy = hierarchical_strategy_sparse(64);
-        let a = cache.gram_solver("gram/hierarchical/64", || GramSolver::plan(&strategy, opts));
-        let b = cache.gram_solver("gram/hierarchical/64", || GramSolver::plan(&strategy, opts));
+        let plan_with = |solver: GramSolver| {
+            SparseMatrixMechanism::with_solver(
+                SparseMatrix::identity(64),
+                strategy.clone(),
+                Arc::new(solver),
+            )
+        };
+        let a = cache
+            .sparse_matrix_mechanism("mm/hierarchical/64", || {
+                plan_with(GramSolver::plan(&strategy, opts))
+            })
+            .unwrap();
+        let b = cache
+            .sparse_matrix_mechanism("mm/hierarchical/64", || {
+                plan_with(GramSolver::plan(&strategy, opts))
+            })
+            .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert!(a.is_factored());
+        assert!(a.solver().is_factored());
         assert_eq!(cache.stats().sparse_factorizations(), 1);
         assert_eq!(cache.stats().cg_fallbacks(), 0);
-        // A solver that declines to factor is counted as a CG fallback.
-        let c = cache.gram_solver("gram/forced-cg/64", || GramSolver::plan_cg(&strategy, opts));
-        assert!(!c.is_factored());
+        // A plan whose solver declines to factor is counted as a CG
+        // fallback.
+        let c = cache
+            .sparse_matrix_mechanism("mm/forced-cg/64", || {
+                plan_with(GramSolver::plan_cg(&strategy, opts))
+            })
+            .unwrap();
+        assert!(!c.solver().is_factored());
         assert_eq!(cache.stats().cg_fallbacks(), 1);
+        assert_eq!(cache.stats().sparse_matrix_builds(), 2);
         // Runtime aggregation sees the factorization split.
         let stats = cache.solver_stats();
         assert_eq!(stats.sparse_factorizations, 1);

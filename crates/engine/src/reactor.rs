@@ -1,11 +1,10 @@
-//! Linux readiness primitives for the epoll serving model: thin,
-//! std-only wrappers over `epoll_create1`/`epoll_ctl`/`epoll_wait`,
+//! Linux readiness primitives for the TCP server in [`net`](crate::net):
+//! thin, std-only wrappers over `epoll_create1`/`epoll_ctl`/`epoll_wait`,
 //! `eventfd`, and a raw `socket`/`bind`/`listen` path that honours a
 //! configurable backlog — declared via direct `extern "C"` bindings in
 //! the same no-crates.io spirit as the workspace `shims/`.
 //!
-//! The pieces compose into the reactor serving model in
-//! [`net`](crate::net):
+//! The pieces compose into the reactor:
 //!
 //! * [`Epoll`] — one readiness set per event loop. Level-triggered
 //!   (the default), so a connection with buffered input or pending
@@ -25,8 +24,7 @@
 //!   the socket is created raw and `listen(2)` gets the real number.
 //!
 //! Everything here is `target_os = "linux"`-only (gated at the module
-//! declaration); the portable `threads` serving model in `net` never
-//! touches it.
+//! declaration), which is why TCP serving is Linux-only.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};

@@ -28,7 +28,7 @@ use rand::RngCore;
 use blowfish_core::{Charge, DataVector, Domain, Epsilon, Ledger, PolicyGraph, Vtx};
 use blowfish_linalg::SparseMatrix;
 use blowfish_mechanisms::{
-    hierarchical_strategy_sparse, identity_strategy_sparse, wavelet_strategy_sparse, GramSolver,
+    hierarchical_strategy_sparse, identity_strategy_sparse, wavelet_strategy_sparse,
     SparseMatrixMechanism,
 };
 use blowfish_strategies::{
@@ -692,10 +692,7 @@ fn matrix_plan(
             MatrixStrategyKind::Hierarchical => hierarchical_strategy_sparse(k),
             MatrixStrategyKind::Wavelet => wavelet_strategy_sparse(k),
         };
-        let solver = cache.gram_solver(&format!("gram/{}/{k}", kind.id()), || {
-            GramSolver::plan(&strategy, SparseMatrixMechanism::DEFAULT_CG_OPTIONS)
-        });
-        SparseMatrixMechanism::with_solver(SparseMatrix::identity(k), strategy, solver)
+        SparseMatrixMechanism::new(SparseMatrix::identity(k), strategy)
     })
 }
 

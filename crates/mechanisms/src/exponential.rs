@@ -1,73 +1,28 @@
-//! The exponential mechanism.
+//! The Theorem 4.4 witness distribution.
 //!
-//! Used in two roles:
-//!
-//! * the generic McSherry–Talwar selection mechanism over a finite range,
-//! * the *graph-distance mechanism* of the Theorem 4.4 negative result:
-//!   given a policy graph `G` and a single-record input with value `x`, it
-//!   outputs `y` with probability `∝ exp(−ε·dist_G(x, y))`. This mechanism
-//!   is `(ε, G)`-Blowfish private for every `G`, but for graphs without an
-//!   isometric L1 embedding (cycles) *no* workload/database transformation
-//!   can make it ε-differentially private — the data-dependent witness that
-//!   transformational equivalence cannot hold in general.
-
-use rand::Rng;
+//! The *graph-distance mechanism* of the Theorem 4.4 negative result is an
+//! exponential mechanism over the policy graph: given a policy graph `G`
+//! and a single-record input with value `x`, it outputs `y` with
+//! probability `∝ exp(−ε·dist_G(x, y))`. This mechanism is
+//! `(ε, G)`-Blowfish private on vertex-transitive policies, but for graphs
+//! without an isometric L1 embedding (cycles) *no* workload/database
+//! transformation can make it ε-differentially private — the
+//! data-dependent witness that transformational equivalence cannot hold in
+//! general. Only its exact output distribution lives here, so the privacy
+//! ratios are verified analytically rather than by sampling.
 
 use blowfish_core::{Epsilon, PolicyGraph};
 
 use crate::MechanismError;
 
-/// Samples an index with probability `∝ exp(eps · score[i] / (2·Δ))` —
-/// the standard exponential mechanism with score sensitivity `Δ`.
-pub fn exponential_mechanism<R: Rng + ?Sized>(
-    scores: &[f64],
-    eps: Epsilon,
-    sensitivity: f64,
-    rng: &mut R,
-) -> Result<usize, MechanismError> {
-    if scores.is_empty() {
-        return Err(MechanismError::InvalidParameter {
-            what: "empty score vector",
-        });
-    }
-    if sensitivity <= 0.0 {
-        return Err(MechanismError::InvalidParameter {
-            what: "sensitivity must be positive",
-        });
-    }
-    let factor = eps.value() / (2.0 * sensitivity);
-    sample_from_log_weights(&scores.iter().map(|s| s * factor).collect::<Vec<_>>(), rng)
-}
-
-/// The Theorem 4.4 witness mechanism: outputs vertex `y` with probability
-/// `∝ exp(−ε · dist_G(x, y))` where `x` is the value of the database's
-/// single record.
+/// The exact output distribution of the Theorem 4.4 witness mechanism:
+/// vertex `y` has probability `∝ exp(−ε · dist_G(x, y))`, where `x` is
+/// the value of the database's single record.
 ///
-/// Satisfies `(2ε, G)`-Blowfish privacy in general (weights shift by
-/// `e^{ε·d}` and the normalizer by another `e^{ε·d}`); on vertex-transitive
-/// policies — cycles in particular, the Theorem 4.4 witness — the
-/// normalizers cancel and it is exactly `(ε, G)`-Blowfish private.
-pub fn graph_distance_mechanism<R: Rng + ?Sized>(
-    g: &PolicyGraph,
-    x: usize,
-    eps: Epsilon,
-    rng: &mut R,
-) -> Result<usize, MechanismError> {
-    let probs = graph_distance_distribution(g, x, eps)?;
-    let u: f64 = rng.gen();
-    let mut acc = 0.0;
-    for (i, p) in probs.iter().enumerate() {
-        acc += p;
-        if u < acc {
-            return Ok(i);
-        }
-    }
-    Ok(probs.len() - 1)
-}
-
-/// The full output distribution of [`graph_distance_mechanism`] — exact
-/// probabilities, so tests can verify privacy ratios analytically rather
-/// than statistically.
+/// The mechanism satisfies `(2ε, G)`-Blowfish privacy in general (weights
+/// shift by `e^{ε·d}` and the normalizer by another `e^{ε·d}`); on
+/// vertex-transitive policies — cycles in particular — the normalizers
+/// cancel and it is exactly `(ε, G)`-Blowfish private.
 pub fn graph_distance_distribution(
     g: &PolicyGraph,
     x: usize,
@@ -93,58 +48,9 @@ pub fn graph_distance_distribution(
     Ok(weights.into_iter().map(|w| w / z).collect())
 }
 
-/// Numerically stable sampling given unnormalized log-weights.
-fn sample_from_log_weights<R: Rng + ?Sized>(
-    log_w: &[f64],
-    rng: &mut R,
-) -> Result<usize, MechanismError> {
-    let m = log_w.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-    let weights: Vec<f64> = log_w.iter().map(|&l| (l - m).exp()).collect();
-    let z: f64 = weights.iter().sum();
-    let u: f64 = rng.gen::<f64>() * z;
-    let mut acc = 0.0;
-    for (i, w) in weights.iter().enumerate() {
-        acc += w;
-        if u < acc {
-            return Ok(i);
-        }
-    }
-    Ok(log_w.len() - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn prefers_high_scores() {
-        let scores = [0.0, 0.0, 10.0];
-        let eps = Epsilon::new(2.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let hits = (0..2_000)
-            .filter(|_| exponential_mechanism(&scores, eps, 1.0, &mut rng).unwrap() == 2)
-            .count();
-        assert!(hits > 1_900, "only {hits}/2000 picked the best option");
-    }
-
-    #[test]
-    fn uniform_scores_uniform_output() {
-        let scores = [1.0; 4];
-        let eps = Epsilon::new(1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut counts = [0usize; 4];
-        for _ in 0..8_000 {
-            counts[exponential_mechanism(&scores, eps, 1.0, &mut rng).unwrap()] += 1;
-        }
-        for c in counts {
-            assert!(
-                (c as f64 - 2_000.0).abs() < 200.0,
-                "counts {counts:?} not uniform"
-            );
-        }
-    }
 
     #[test]
     fn graph_distance_distribution_ratios() {
@@ -196,27 +102,7 @@ mod tests {
     #[test]
     fn rejects_bad_input() {
         let eps = Epsilon::new(1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(exponential_mechanism(&[], eps, 1.0, &mut rng).is_err());
-        assert!(exponential_mechanism(&[1.0], eps, 0.0, &mut rng).is_err());
         let g = PolicyGraph::line(3).unwrap();
-        assert!(graph_distance_mechanism(&g, 9, eps, &mut rng).is_err());
-    }
-
-    #[test]
-    fn sampler_matches_distribution() {
-        let g = PolicyGraph::line(4).unwrap();
-        let eps = Epsilon::new(1.5).unwrap();
-        let probs = graph_distance_distribution(&g, 1, eps).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let n = 40_000;
-        let mut counts = [0usize; 4];
-        for _ in 0..n {
-            counts[graph_distance_mechanism(&g, 1, eps, &mut rng).unwrap()] += 1;
-        }
-        for (c, p) in counts.iter().zip(&probs) {
-            let emp = *c as f64 / n as f64;
-            assert!((emp - p).abs() < 0.01, "empirical {emp} vs analytic {p}");
-        }
+        assert!(graph_distance_distribution(&g, 9, eps).is_err());
     }
 }

@@ -8,13 +8,15 @@
 //! * [`noise`] — seeded Laplace / two-sided-geometric samplers.
 //! * [`laplace`](mod@laplace) — the Laplace mechanism (Theorem 2.1) with
 //!   analytic error.
-//! * [`exponential`] — the exponential mechanism and the graph-distance
-//!   mechanism witnessing the Theorem 4.4 negative result.
+//! * [`exponential`] — the exact output distribution of the
+//!   graph-distance mechanism witnessing the Theorem 4.4 negative result.
 //! * [`matrix`] — the matrix mechanism framework (Li et al. \[15\], Eq. 2)
 //!   with identity / hierarchical / wavelet strategy matrices.
 //! * [`sparse_matrix`] — the same framework over CSR strategies with the
-//!   pseudoinverse *applied* per release by matrix-free normal-equation
-//!   CG (O(nnz) memory; the k≈10⁵ planning path).
+//!   pseudoinverse *applied* per release by a [`GramSolver`]: a cached
+//!   sparse Cholesky factor of `AᵀA` where its budget cascade allows,
+//!   preconditioned CG otherwise (O(nnz) memory; the engine's serving
+//!   path at every k).
 //! * [`hierarchical`] — the Hay et al. \[10\] binary-tree estimator with
 //!   weighted least-squares consistency.
 //! * [`privelet`] — Privelet \[20\]: Haar wavelet noise in 1 and d
@@ -32,7 +34,6 @@
 pub mod consistency;
 pub mod dawa;
 pub mod exponential;
-pub mod gaussian;
 pub mod hierarchical;
 pub mod laplace;
 pub mod matrix;
@@ -44,10 +45,7 @@ pub use consistency::{
     consistent_prefix_estimate, isotonic_non_decreasing, isotonic_non_decreasing_with_floor,
 };
 pub use dawa::{dawa_histogram, optimal_partition, DawaOptions};
-pub use exponential::{
-    exponential_mechanism, graph_distance_distribution, graph_distance_mechanism,
-};
-pub use gaussian::{gaussian_histogram, gaussian_sigma, gaussian_variance, standard_normal};
+pub use exponential::graph_distance_distribution;
 pub use hierarchical::{hierarchical_histogram, hierarchical_range_error_order};
 pub use laplace::{
     laplace_histogram, laplace_per_query_error, laplace_total_error, laplace_workload,

@@ -27,7 +27,6 @@
 //! DESIGN.md §6), while making 10,000-query workloads O(1) per query.
 
 pub mod answering;
-pub mod approx_dp;
 pub mod baselines;
 pub mod grid;
 pub mod line1d;
@@ -37,9 +36,6 @@ pub mod theta_grid;
 pub mod theta_line;
 
 pub use answering::{answer_ranges_1d, answer_ranges_2d, true_ranges_1d, true_ranges_2d};
-pub use approx_dp::{
-    line_blowfish_histogram_gaussian, line_range_error_gaussian, tree_blowfish_histogram_gaussian,
-};
 pub use baselines::{
     dp_dawa_1d, dp_dawa_2d, dp_laplace, dp_privelet_1d, dp_privelet_nd, DawaBaseline1d,
     DawaBaseline2d, LaplaceBaseline, PriveletBaseline1d, PriveletBaselineNd,

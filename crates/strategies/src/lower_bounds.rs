@@ -231,6 +231,48 @@ mod tests {
     }
 
     #[test]
+    fn corollary_a2_bound_holds_for_its_mechanism_class() {
+        // The SVD bound lower-bounds the TOTAL error of any (ε, δ) matrix
+        // mechanism answering W whose strategy coordinates carry noise
+        // variance P(ε, δ). The line strategy (strategy = prefix identity
+        // in edge space) is such a mechanism: each range touches ≤ 2
+        // noisy prefixes, so its total error over all of R_k must meet
+        // the bound.
+        let eps = Epsilon::new(0.5).unwrap();
+        let delta = Delta::new(1e-3).unwrap();
+        let k = 24;
+        let gram = range_gram_1d(k);
+        let g = PolicyGraph::line(k).unwrap();
+        let bound = svd_lower_bound(&gram, &g, eps, delta).unwrap();
+        // Analytic total error of the strategy: ranges starting at 0 or
+        // ending at k−1 touch one prefix fewer; sum exactly.
+        let sigma2 = p_eps_delta(eps, delta);
+        let mut total = 0.0;
+        for l in 0..k {
+            for r in l..k {
+                let mut terms = 0.0;
+                if l > 0 {
+                    terms += 1.0;
+                }
+                if r < k - 1 {
+                    terms += 1.0;
+                }
+                total += terms * sigma2;
+            }
+        }
+        assert!(
+            total >= bound,
+            "strategy total {total} below the bound {bound}"
+        );
+        // And the bound is non-vacuous: within a polylog factor of the
+        // strategy (both are Θ(k²·σ²) up to constants).
+        assert!(
+            total < bound * 50.0,
+            "bound {bound} vacuously small next to {total}"
+        );
+    }
+
+    #[test]
     fn shape_validation() {
         let (e, d) = eps_delta();
         let gram = range_gram_1d(4);

@@ -21,15 +21,13 @@
 //!
 //! ```text
 //! $ blowfish-serve --tcp 127.0.0.1:7741 --max-conns 1024 --idle-timeout-secs 300 \
-//!       --net-model reactor --backlog 1024
+//!       --backlog 1024
 //! ```
 //!
-//! `--net-model` picks the serving model: `reactor` (the Linux default)
-//! multiplexes all connections over epoll with O(cores) event-loop
-//! threads, so thousands of mostly-idle connections cost no threads;
-//! `threads` is the portable thread-per-connection fallback. Both models
-//! answer identically on the wire. `--backlog` sizes the kernel listen
-//! queue for mass connect bursts.
+//! TCP mode is Linux-only: an epoll reactor multiplexes all connections
+//! over O(cores) event-loop threads, so thousands of mostly-idle
+//! connections cost no threads. `--backlog` sizes the kernel listen
+//! queue for mass connect bursts. Stdio mode runs everywhere.
 //!
 //! every connection is greeted with the `ok blowfish/1 ready …` banner
 //! and gets its own connection-scoped codec (so `use <tenant>` defaults
@@ -44,7 +42,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blowfish_privacy::core::{FsyncPolicy, Ledger, LedgerDurability};
-use blowfish_privacy::engine::{Codec, NetConfig, NetModel, Service, TcpServer, WireReply};
+use blowfish_privacy::engine::{Codec, NetConfig, Service, TcpServer, WireReply};
 
 struct Args {
     tcp: Option<String>,
@@ -94,23 +92,16 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--backlog needs an integer".to_string())?
             }
-            "--net-model" => {
-                let token = value("reactor|threads")?;
-                args.config.model = NetModel::parse(&token).ok_or(format!(
-                    "--net-model must be reactor or threads, got {token}"
-                ))?
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: blowfish-serve [--tcp ADDR] [--max-conns N] [--idle-timeout-secs S]\n\
-                     \x20                     [--net-model reactor|threads] [--backlog N]\n\
+                     \x20                     [--backlog N]\n\
                      \x20                     [--state-dir DIR] [--fsync per-charge|batched[:n]|off]\n\
                      \x20                     [--snapshot-every N]\n\
                      \n\
                      Without --tcp, serves the blowfish/1 protocol over stdin/stdout.\n\
                      With --tcp ADDR (e.g. 127.0.0.1:7741), serves concurrent TCP clients\n\
-                     under the chosen serving model (reactor: epoll event loops, the Linux\n\
-                     default; threads: portable thread-per-connection).\n\
+                     from epoll event loops (Linux only).\n\
                      With --state-dir DIR, the privacy ledger is durable: charges are\n\
                      write-ahead logged (and periodically snapshotted) under DIR, and a\n\
                      restarted server recovers every account bit-for-bit before serving."

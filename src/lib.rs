@@ -21,10 +21,12 @@
 //!   (Cholesky, LU, symmetric eigensolvers, SVD, CG).
 //! * [`core`] — domains, workloads, policy graphs, the `P_G`
 //!   transformation (Cases I/II/III), sensitivities, spanners, neighbor
-//!   enumeration, error measurement.
-//! * [`mechanisms`] — Laplace, exponential, matrix mechanism,
-//!   hierarchical (Hay), Privelet (1-D/d-D, planned via `HaarPlan`),
-//!   DAWA, isotonic consistency.
+//!   enumeration, error measurement, and the durable multi-tenant ε
+//!   [`Ledger`](core::Ledger).
+//! * [`mechanisms`] — Laplace, matrix mechanism (dense reference + CSR
+//!   with a cached factorization), hierarchical (Hay), Privelet
+//!   (1-D/d-D, planned via `HaarPlan`), DAWA, isotonic consistency, and
+//!   the Theorem 4.4 graph-distance witness distribution.
 //! * [`strategies`] — the Section-5 policy-aware algorithms (line, θ-line,
 //!   grid, θ-grid), ε/2-DP baselines, the Appendix-A SVD lower bounds,
 //!   and the object-safe [`Mechanism`](strategies::Mechanism) trait +
@@ -32,15 +34,15 @@
 //! * [`engine`] — the serving stack: the
 //!   [`MechanismSpec`](engine::MechanismSpec) registry, the lock-striped
 //!   [`PlanCache`](engine::PlanCache) of per-policy artifacts (incidence,
-//!   spanners, Haar plans, pseudoinverses), the
+//!   spanners, Haar plans, matrix-mechanism plans), the
 //!   [`Session`](engine::Session)/planner serving fitted
 //!   [`Estimate`](strategies::Estimate)s at O(1) per range query, and the
 //!   concurrent budget-metered multi-tenant
 //!   [`Service`](engine::Service) with its versioned newline-delimited
 //!   [`wire`](engine::wire) protocol (`blowfish/1`, typed
-//!   [`Codec`](engine::Codec)) and the bounded concurrent
+//!   [`Codec`](engine::Codec)) and the epoll
 //!   [`TcpServer`](engine::TcpServer) front end (the `blowfish-serve`
-//!   bin, stdin/stdout or `--tcp`).
+//!   bin: stdin/stdout everywhere, `--tcp` on Linux).
 //! * [`data`] — synthetic Table-1 datasets.
 //!
 //! ## Quickstart

@@ -1,8 +1,7 @@
 //! Property tests for the TCP framing state machine ([`LineSession`]):
-//! the per-connection engine both serving models (reactor event loops
-//! and thread-per-connection workers) drive, so its equivalence to the
-//! blocking codec path is what makes the models byte-identical on the
-//! wire.
+//! the per-connection engine the reactor's event loops drive, so its
+//! equivalence to the blocking codec path is what makes TCP serving
+//! byte-identical on the wire to the stdin/stdout mode.
 //!
 //! * **chunk-boundary equivalence** — canonical request lines split
 //!   across arbitrary read-chunk boundaries, with the output drained in
@@ -17,7 +16,7 @@
 //!   the session, and whatever comes out is newline-framed `ok`/`err`
 //!   lines after the banner.
 
-use blowfish_privacy::engine::{Codec, LineSession, NetModel, NetStats, MAX_LINE_BYTES};
+use blowfish_privacy::engine::{Codec, LineSession, NetStats, MAX_LINE_BYTES};
 use blowfish_privacy::prelude::*;
 use proptest::prelude::*;
 
@@ -45,9 +44,8 @@ const LINES: &[&str] = &[
     "quit",
 ];
 
-/// What the blocking codec path (the pre-reactor `serve_connection`
-/// semantics) produces for `script`: banner first, one reply line per
-/// request line, stop at `Quit`.
+/// What serving `script` straight through a [`Codec`] produces: banner
+/// first, one reply line per request line, stop at `Quit`.
 fn codec_reference(script: &str) -> String {
     let service = Service::new();
     let mut codec = Codec::new();
@@ -84,12 +82,7 @@ fn drive_session(bytes: &[u8], cuts: &[usize], drain_sizes: &[usize]) -> (Vec<u8
     let mut collected = Vec::new();
     let mut drain_at = 0usize;
     for window in positions.windows(2) {
-        session.ingest(
-            &bytes[window[0]..window[1]],
-            &service,
-            &stats,
-            NetModel::Reactor,
-        );
+        session.ingest(&bytes[window[0]..window[1]], &service, &stats);
         // Interleave a partial write after every chunk: take some but
         // not necessarily all of the pending output, like a socket
         // whose buffer keeps filling.
@@ -147,7 +140,7 @@ proptest! {
         let mut fed = 0usize;
         while fed < total {
             let take = chunk_len.min(total - fed);
-            session.ingest(&chunk[..take], &service, &stats, NetModel::Reactor);
+            session.ingest(&chunk[..take], &service, &stats);
             fed += take;
             if fed > MAX_LINE_BYTES {
                 prop_assert!(
@@ -165,7 +158,7 @@ proptest! {
             "missing cap rejection, got: {}…", &out[..out.len().min(120)]
         );
         // Everything after the close decision is discarded.
-        session.ingest(b"help\n", &service, &stats, NetModel::Reactor);
+        session.ingest(b"help\n", &service, &stats);
         let after = String::from_utf8_lossy(session.output()).into_owned();
         prop_assert_eq!(out, after);
     }

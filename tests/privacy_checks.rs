@@ -166,13 +166,17 @@ fn statistical_ratio_check_line_strategy() {
 /// composes as Corollary 4.6 dictates.
 #[test]
 fn budget_accounting() {
-    use blowfish_privacy::core::BudgetLedger;
+    use blowfish_privacy::core::CoreError;
     let eps = Epsilon::new(0.9).unwrap();
-    let mut ledger = BudgetLedger::new(eps);
+    let ledger = Ledger::new();
+    ledger.open("t", eps).unwrap();
     let per_stage = eps.for_stretch(3).unwrap();
-    ledger.charge("stage-1", per_stage).unwrap();
-    ledger.charge("stage-2", per_stage).unwrap();
-    ledger.charge("stage-3", per_stage).unwrap();
-    assert!(ledger.remaining() < 1e-9);
-    assert!(ledger.charge("extra", per_stage).is_err());
+    ledger.charge("t", "stage-1", per_stage).unwrap();
+    ledger.charge("t", "stage-2", per_stage).unwrap();
+    ledger.charge("t", "stage-3", per_stage).unwrap();
+    assert!(ledger.remaining("t").unwrap() < 1e-9);
+    assert!(matches!(
+        ledger.charge("t", "extra", per_stage),
+        Err(CoreError::BudgetExhausted { .. })
+    ));
 }
