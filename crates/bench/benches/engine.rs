@@ -26,10 +26,9 @@ use rand::SeedableRng;
 
 use blowfish_core::{DataVector, Domain, Epsilon};
 use blowfish_engine::{MatrixStrategyKind, MechanismSpec, Policy, Session};
-use blowfish_linalg::SparseMatrix;
 use blowfish_mechanisms::{
     hierarchical_strategy, hierarchical_strategy_sparse, identity_strategy, GramSolver,
-    MatrixMechanism, SparseMatrixMechanism,
+    MatrixMechanism,
 };
 use blowfish_strategies::ThetaEstimator;
 
@@ -186,17 +185,13 @@ fn bench_engine(c: &mut Criterion) {
     // route through the CSR strategy (`SparseMatrixMechanism`); the gram
     // is factored once at plan time by the cached sparse Cholesky
     // (`matrix_hist_factored_release`, two O(nnz(L)) triangular solves
-    // per release). At large k the explicitly CG-pinned release is kept
-    // as the pre-factorization comparison point
-    // (`matrix_hist_sparse_release`, same key as its committed CG-era
-    // baseline). Snapshotted into BENCH_plan.json (`plan_sparse_ns`) and
-    // gated in CI.
+    // per release). Snapshotted into BENCH_plan.json (`plan_sparse_ns`)
+    // and gated in CI.
     let mut gs = c.benchmark_group("plan-sparse");
     gs.sample_size(10);
     let mspec = MechanismSpec::MatrixHist {
         strategy: MatrixStrategyKind::Hierarchical,
     };
-    let mut sparse_release_ids = Vec::new();
     let mut factored_release_ids = Vec::new();
     for ks in [64usize, 256, 512, 4096, 16_384, 65_536] {
         let theta = 4;
@@ -217,10 +212,7 @@ fn bench_engine(c: &mut Criterion) {
             gs.bench_function(BenchmarkId::new("gram_factorization", ks), |b| {
                 b.iter(|| {
                     let a = hierarchical_strategy_sparse(ks);
-                    black_box(GramSolver::plan(
-                        &a,
-                        SparseMatrixMechanism::DEFAULT_CG_OPTIONS,
-                    ))
+                    black_box(GramSolver::plan(&a).expect("plan"))
                 })
             });
         }
@@ -233,11 +225,6 @@ fn bench_engine(c: &mut Criterion) {
             1,
             "k = {ks} must plan through the sparse path"
         );
-        assert_eq!(
-            ss.cache().stats().sparse_factorizations(),
-            1,
-            "k = {ks} hierarchical plan must keep its sparse Cholesky factor"
-        );
         let xs = DataVector::new(Domain::one_dim(ks), vec![2.0; ks]).expect("uniform");
 
         // The session-served release: two O(nnz(L)) triangular solves
@@ -247,51 +234,13 @@ fn bench_engine(c: &mut Criterion) {
             b.iter(|| black_box(sm.fit(&xs, &mut rng).expect("fit")))
         });
         assert_eq!(
-            ss.cache().solver_stats().cg_iterations,
-            0,
-            "k = {ks} factored releases must not fall back to CG iterations"
-        );
-        assert_eq!(
-            ss.cache().stats().sparse_factorizations(),
+            ss.cache().stats().sparse_matrix_builds(),
             1,
             "k = {ks} repeated releases must reuse the one cached factorization"
         );
-        if small {
-            continue;
+        if !small {
+            factored_release_ids.push(format!("plan-sparse/matrix_hist_factored_release/{ks}"));
         }
-        factored_release_ids.push(format!("plan-sparse/matrix_hist_factored_release/{ks}"));
-
-        // The pre-factorization path, pinned explicitly to CG so this key
-        // keeps measuring what its committed baseline measured (each
-        // release = one Jacobi-PCG solve of AᵀA x = Aᵀỹ).
-        let cg_a = hierarchical_strategy_sparse(ks);
-        let cg_solver = Arc::new(GramSolver::plan_cg(
-            &cg_a,
-            SparseMatrixMechanism::DEFAULT_CG_OPTIONS,
-        ));
-        let cgm = SparseMatrixMechanism::with_solver(SparseMatrix::identity(ks), cg_a, cg_solver)
-            .expect("cg mechanism");
-        let xv = vec![2.0; ks];
-        gs.bench_function(BenchmarkId::new("matrix_hist_sparse_release", ks), |b| {
-            let mut rng = StdRng::seed_from_u64(6);
-            b.iter(|| black_box(cgm.run(&xv, eps, &mut rng).expect("run")))
-        });
-        sparse_release_ids.push(format!("plan-sparse/matrix_hist_sparse_release/{ks}"));
-        // Satellite note: the CG scratch workspace is reused across
-        // releases — allocation count must flatten after warm-up.
-        let allocs = cgm.scratch_allocations();
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..3 {
-            cgm.run(&xv, eps, &mut rng).expect("run");
-        }
-        assert_eq!(
-            cgm.scratch_allocations(),
-            allocs,
-            "k = {ks} warm CG releases must reuse the cached solve scratch"
-        );
-        eprintln!(
-            "plan-sparse/{ks}: scratch allocations after warm-up = {allocs} (flat across releases)"
-        );
     }
     gs.finish();
 
@@ -335,27 +284,23 @@ fn bench_engine(c: &mut Criterion) {
         );
         // Sparse releases must scale like O(nnz) = O(k log k): going from
         // k = 4096 to k = 65 536 multiplies nnz by ~21, so a 100x margin
-        // passes with headroom while an accidental O(k²)+ fallback
-        // (≥256x) fails.
-        let (small, large) = (mean(&sparse_release_ids[0]), mean(&sparse_release_ids[2]));
+        // passes with headroom while an accidental O(k²)+ path (≥256x)
+        // fails.
+        let (small, large) = (
+            mean(&factored_release_ids[0]),
+            mean(&factored_release_ids[2]),
+        );
         assert!(
             large < small * 100.0,
             "sparse release no longer scales like O(nnz): k=4096 {small:.0} ns vs k=65536 {large:.0} ns"
         );
-        // Factor-once payoff, gated two ways: against the live CG
-        // measurement on this machine, and against the committed PR 7
-        // baseline (BENCH_plan.json plan_sparse_ns, 131.41 ms for the
-        // k = 65 536 CG release). Both must show ≥10x.
-        let factored = mean(&factored_release_ids[2]);
-        let cg_live = mean(&sparse_release_ids[2]);
-        assert!(
-            factored * 10.0 < cg_live,
-            "factored k=65536 release ({factored:.0} ns) is no longer ≥10x faster than the live CG release ({cg_live:.0} ns)"
-        );
+        // Factor-once payoff against the committed PR 7 baseline
+        // (BENCH_plan.json plan_sparse_ns, 131.41 ms for the k = 65 536
+        // CG release): the factored release must stay ≥10x faster.
         const PR7_CG_RELEASE_65536_NS: f64 = 131_411_740.5;
         assert!(
-            factored * 10.0 < PR7_CG_RELEASE_65536_NS,
-            "factored k=65536 release ({factored:.0} ns) is no longer ≥10x faster than the committed CG baseline ({PR7_CG_RELEASE_65536_NS:.0} ns)"
+            large * 10.0 < PR7_CG_RELEASE_65536_NS,
+            "factored k=65536 release ({large:.0} ns) is no longer ≥10x faster than the committed CG baseline ({PR7_CG_RELEASE_65536_NS:.0} ns)"
         );
     }
 }

@@ -1159,7 +1159,7 @@ mod tests {
 
     #[test]
     #[cfg(target_os = "linux")]
-    fn loopback_load_test_reconciles_exactly_under_both_models() {
+    fn loopback_load_test_reconciles_exactly() {
         let _sockets = sockets();
         let scenario = small_scenario();
         let report = run_load(&scenario, 24, None).unwrap();

@@ -274,7 +274,7 @@ impl Scenario {
                 name: "sparse-large-domain".to_string(),
                 description: "2 θ-line tenants over k = 16384 — far above the dense \
                               planning ceiling — fitting the matrix mechanism through \
-                              the sparse CSR + CG path"
+                              the sparse CSR path and its cached Cholesky factor"
                     .to_string(),
                 seed: 41,
                 tenants: 2,

@@ -794,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn serves_a_full_session_over_tcp_under_both_models() {
+    fn serves_a_full_session_over_tcp() {
         let mut server = server_with(NetConfig::default());
         let (mut reader, mut stream) = client(server.local_addr());
         assert_eq!(
@@ -874,7 +874,7 @@ mod tests {
     }
 
     #[test]
-    fn connections_beyond_the_cap_are_shed_under_both_models() {
+    fn connections_beyond_the_cap_are_shed() {
         let mut server = server_with(NetConfig {
             max_connections: 2,
             ..NetConfig::default()
@@ -914,7 +914,7 @@ mod tests {
     }
 
     #[test]
-    fn oversized_lines_close_the_connection_under_both_models() {
+    fn oversized_lines_close_the_connection() {
         let mut server = server_with(NetConfig::default());
         let (mut reader, mut stream) = client(server.local_addr());
         let huge = vec![b'x'; MAX_LINE_BYTES + 4096];
@@ -927,7 +927,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_connections_time_out_under_both_models() {
+    fn idle_connections_time_out() {
         let mut server = server_with(NetConfig {
             idle_timeout: Duration::from_millis(300),
             ..NetConfig::default()
@@ -945,7 +945,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_notifies_parked_connections_under_both_models() {
+    fn shutdown_notifies_parked_connections() {
         let mut server = server_with(NetConfig::default());
         let (mut reader, _stream) = client(server.local_addr());
         assert!(server.shutdown(Duration::from_secs(5)));

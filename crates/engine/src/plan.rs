@@ -47,8 +47,6 @@ pub struct PlanStats {
     theta_grid: AtomicUsize,
     haar: AtomicUsize,
     sparse_solver: AtomicUsize,
-    sparse_factorization: AtomicUsize,
-    cg_fallback: AtomicUsize,
 }
 
 impl PlanStats {
@@ -74,25 +72,10 @@ impl PlanStats {
 
     /// Matrix-mechanism plans built: one CSR strategy with its gram
     /// solver per `(strategy, k)`, shared by every matrix-mechanism id
-    /// over that strategy.
+    /// over that strategy. Every plan holds one sparse Cholesky factor,
+    /// so this is also the count of factor-once events.
     pub fn sparse_matrix_builds(&self) -> usize {
         self.sparse_solver.load(Ordering::Relaxed)
-    }
-
-    /// Matrix-mechanism plans whose gram solver kept a cached sparse
-    /// Cholesky factor — the factor-once events. Each one turns every
-    /// subsequent release over that strategy into two O(nnz(L))
-    /// triangular solves.
-    pub fn sparse_factorizations(&self) -> usize {
-        self.sparse_factorization.load(Ordering::Relaxed)
-    }
-
-    /// Matrix-mechanism plans whose gram solver's budget cascade
-    /// declined to factor and fell back to (IC(0)- or
-    /// Jacobi-preconditioned) CG. A nonzero count is not an error — it is
-    /// the typed no-regression path.
-    pub fn cg_fallbacks(&self) -> usize {
-        self.cg_fallback.load(Ordering::Relaxed)
     }
 
     /// Total artifact derivations across all classes. Gram-solver plans
@@ -109,18 +92,13 @@ impl PlanStats {
 
 /// A point-in-time aggregate of runtime solver activity across every
 /// planned matrix mechanism in a cache, plus the plan-time factorization
-/// split — what the `stats` wire verb reports so a live server shows
-/// which apply path releases are taking.
+/// count — what the `stats` wire verb reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Normal-equation solves served (releases + error reports).
     pub solves: usize,
-    /// Total CG iterations across those solves (0 on factored paths).
-    pub cg_iterations: usize,
     /// Cached sparse Cholesky factorizations planned.
     pub sparse_factorizations: usize,
-    /// Gram solvers that fell back to preconditioned CG.
-    pub cg_fallbacks: usize,
 }
 
 /// Number of independent mutex shards per artifact class. Small powers of
@@ -285,12 +263,9 @@ impl PlanCache {
     }
 
     /// A prepared CSR matrix mechanism (`A⁺` applied per release through
-    /// its gram solver) under a caller-chosen key, derived at most once
-    /// per key and counted under [`PlanStats::sparse_matrix_builds`]. Its
-    /// solver's outcome is counted too: under
-    /// [`PlanStats::sparse_factorizations`] when the budget cascade kept
-    /// a Cholesky factor, under [`PlanStats::cg_fallbacks`] when it
-    /// downgraded to preconditioned CG.
+    /// its factored gram solver) under a caller-chosen key, derived at
+    /// most once per key and counted under
+    /// [`PlanStats::sparse_matrix_builds`].
     pub fn sparse_matrix_mechanism<F>(
         &self,
         key: &str,
@@ -301,30 +276,21 @@ impl PlanCache {
     {
         self.sparse_matrix
             .get_or_build(key.to_string(), &self.stats.sparse_solver, || {
-                let mechanism = build()?;
-                let outcome = if mechanism.solver().is_factored() {
-                    &self.stats.sparse_factorization
-                } else {
-                    &self.stats.cg_fallback
-                };
-                outcome.fetch_add(1, Ordering::Relaxed);
-                Ok(Arc::new(mechanism))
+                Ok(Arc::new(build()?))
             })
     }
 
-    /// Aggregates runtime solver counters across every planned matrix
+    /// Aggregates runtime solve counters across every planned matrix
     /// mechanism (walking all stripes) together with the plan-time
-    /// factorization split.
+    /// factorization count.
     pub fn solver_stats(&self) -> SolverStats {
         let mut agg = SolverStats {
-            sparse_factorizations: self.stats.sparse_factorizations(),
-            cg_fallbacks: self.stats.cg_fallbacks(),
+            sparse_factorizations: self.stats.sparse_matrix_builds(),
             ..SolverStats::default()
         };
         for stripe in &self.sparse_matrix.stripes {
             for m in stripe.lock().expect("plan cache stripe lock").values() {
                 agg.solves += m.solve_count();
-                agg.cg_iterations += m.cg_iterations();
             }
         }
         agg
@@ -414,7 +380,6 @@ mod tests {
                 .mechanism(&MechanismSpec::MatrixRange { strategy })
                 .unwrap();
             assert_eq!(cache.stats().sparse_matrix_builds(), built + 1);
-            assert_eq!(cache.stats().sparse_factorizations(), built + 1);
             let served = hist.fit(&x, &mut StdRng::seed_from_u64(3)).unwrap();
             let reference = MatrixMechanism::new(Matrix::identity(k), dense)
                 .unwrap()
@@ -428,55 +393,6 @@ mod tests {
             }
         }
         assert_eq!(cache.stats().total_builds(), 3);
-        assert_eq!(cache.stats().cg_fallbacks(), 0);
-    }
-
-    #[test]
-    fn gram_solvers_are_shared_and_counted_by_outcome() {
-        use blowfish_linalg::{CgOptions, SparseMatrix};
-        use blowfish_mechanisms::{hierarchical_strategy_sparse, GramSolver};
-        let cache = PlanCache::new();
-        let opts = CgOptions {
-            tol: 1e-12,
-            max_iter: 0,
-        };
-        let strategy = hierarchical_strategy_sparse(64);
-        let plan_with = |solver: GramSolver| {
-            SparseMatrixMechanism::with_solver(
-                SparseMatrix::identity(64),
-                strategy.clone(),
-                Arc::new(solver),
-            )
-        };
-        let a = cache
-            .sparse_matrix_mechanism("mm/hierarchical/64", || {
-                plan_with(GramSolver::plan(&strategy, opts))
-            })
-            .unwrap();
-        let b = cache
-            .sparse_matrix_mechanism("mm/hierarchical/64", || {
-                plan_with(GramSolver::plan(&strategy, opts))
-            })
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(a.solver().is_factored());
-        assert_eq!(cache.stats().sparse_factorizations(), 1);
-        assert_eq!(cache.stats().cg_fallbacks(), 0);
-        // A plan whose solver declines to factor is counted as a CG
-        // fallback.
-        let c = cache
-            .sparse_matrix_mechanism("mm/forced-cg/64", || {
-                plan_with(GramSolver::plan_cg(&strategy, opts))
-            })
-            .unwrap();
-        assert!(!c.solver().is_factored());
-        assert_eq!(cache.stats().cg_fallbacks(), 1);
-        assert_eq!(cache.stats().sparse_matrix_builds(), 2);
-        // Runtime aggregation sees the factorization split.
-        let stats = cache.solver_stats();
-        assert_eq!(stats.sparse_factorizations, 1);
-        assert_eq!(stats.cg_fallbacks, 1);
-        assert_eq!(stats.solves, 0);
     }
 
     #[test]

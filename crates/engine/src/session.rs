@@ -653,7 +653,7 @@ impl std::fmt::Debug for ServedMatrixMechanism {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServedMatrixMechanism")
             .field("name", &self.name)
-            .field("apply", &self.plan.apply_method())
+            .field("rotated", &self.plan.solver().rotated())
             .finish()
     }
 }
@@ -678,8 +678,8 @@ impl Mechanism for ServedMatrixMechanism {
 
 /// The cached plan behind every matrix-mechanism id over `(kind, k)`,
 /// built at most once: the CSR strategy with its gram solver, which
-/// factors `AᵀA` once when the budget cascade allows and falls back to
-/// preconditioned CG otherwise. The workload is `I_k` because
+/// factors `AᵀA` (or its Haar-rotated gram) once, or refuses a strategy
+/// over its budgets with a typed error. The workload is `I_k` because
 /// `reconstruct` never reads it.
 fn matrix_plan(
     cache: &PlanCache,
@@ -1037,7 +1037,6 @@ mod tests {
                 .mechanism(&MechanismSpec::MatrixHist { strategy })
                 .unwrap();
             assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
-            assert_eq!(session.cache().stats().sparse_factorizations(), 1);
             // Baseline convention: the matrix mechanism reports ε/2.
             assert_eq!(m.epsilon(), eps.half());
             let served = m.fit(&x, &mut StdRng::seed_from_u64(99)).unwrap();
@@ -1056,20 +1055,24 @@ mod tests {
 
     #[test]
     fn matrix_ids_factor_and_agree_at_edge_sizes() {
-        // Every strategy factors its gram without a CG fallback at the
-        // degenerate and power-of-two-boundary sizes, and the histogram
-        // and range ids release bit-identical estimates from equal seeds.
+        // Every strategy factors its gram at the degenerate,
+        // power-of-two-boundary and tier-switch sizes up to the wire's
+        // 1-D cap of 4096, and on its expected side of the switch:
+        // identity always directly, hierarchical directly up to k = 128
+        // and wavelet up to k = 87, the Haar-rotated gram above. The
+        // histogram and range ids release bit-identical estimates from
+        // equal seeds.
         let eps = Epsilon::new(0.7).unwrap();
-        for k in [1usize, 2, 3, 5, 17, 511, 512, 513] {
+        for k in [1usize, 2, 3, 5, 17, 87, 88, 128, 129, 511, 512, 513, 4096] {
             let session =
                 Session::with_policy(Domain::one_dim(k), Policy::Theta1d { theta: 1 }, eps)
                     .unwrap();
             let x = DataVector::new(Domain::one_dim(k), (0..k).map(|i| (i % 7) as f64).collect())
                 .unwrap();
-            for strategy in [
-                MatrixStrategyKind::Identity,
-                MatrixStrategyKind::Hierarchical,
-                MatrixStrategyKind::Wavelet,
+            for (strategy, direct_up_to) in [
+                (MatrixStrategyKind::Identity, usize::MAX),
+                (MatrixStrategyKind::Hierarchical, 128),
+                (MatrixStrategyKind::Wavelet, 87),
             ] {
                 let fit = |spec: MechanismSpec| {
                     session
@@ -1081,9 +1084,10 @@ mod tests {
                 };
                 let hist = fit(MechanismSpec::MatrixHist { strategy });
                 let range = fit(MechanismSpec::MatrixRange { strategy });
+                let plan = matrix_plan(session.cache(), strategy, k).unwrap();
                 assert_eq!(
-                    session.cache().stats().cg_fallbacks(),
-                    0,
+                    plan.solver().rotated(),
+                    k > direct_up_to,
                     "{strategy:?} k={k}"
                 );
                 assert_eq!(hist.len(), k);
@@ -1116,8 +1120,8 @@ mod tests {
     #[test]
     fn matrix_hist_above_threshold_serves_from_one_factorization() {
         // The factor-once contract at serving scale: at k = 16 384 the
-        // budget cascade factors the rotated Gram exactly once, and
-        // repeated releases spend zero CG iterations.
+        // planner factors the rotated Gram exactly once, and repeated
+        // releases reuse it.
         let k = 16_384;
         let graph = PolicyGraph::theta_line(k, 4).unwrap();
         let eps = Epsilon::new(1.0).unwrap();
@@ -1130,12 +1134,10 @@ mod tests {
         for seed in 0..3 {
             m.fit(&x, &mut StdRng::seed_from_u64(seed)).unwrap();
         }
-        let stats = session.cache().stats();
-        assert_eq!(stats.sparse_factorizations(), 1);
-        assert_eq!(stats.cg_fallbacks(), 0);
+        assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
         let solver = session.cache().solver_stats();
         assert_eq!(solver.solves, 3);
-        assert_eq!(solver.cg_iterations, 0);
+        assert_eq!(solver.sparse_factorizations, 1);
     }
 
     #[test]
@@ -1160,7 +1162,7 @@ mod tests {
             assert_eq!(est.histogram().len(), k);
             assert!(est.histogram().iter().all(|v| v.is_finite()));
         }
-        assert_eq!(session.cache().stats().sparse_factorizations(), 1);
+        assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
         // The histogram spec over the same strategy reuses the plan:
         // still exactly one plan and one factorization in the cache.
         session
@@ -1169,9 +1171,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
-        assert_eq!(session.cache().stats().sparse_factorizations(), 1);
-        assert_eq!(session.cache().stats().cg_fallbacks(), 0);
-        assert_eq!(session.cache().solver_stats().cg_iterations, 0);
+        assert_eq!(session.cache().solver_stats().sparse_factorizations, 1);
     }
 
     #[test]

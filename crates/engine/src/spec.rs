@@ -57,10 +57,10 @@ pub enum MechanismSpec {
     },
     /// The ε-DP matrix mechanism on the histogram workload `I_k` with a
     /// named strategy, released as the domain estimate `x̂ = x + A⁺η`.
-    /// Planned at every k as a CSR strategy whose gram `AᵀA` is factored
-    /// once and shared with [`MechanismSpec::MatrixRange`], so each
-    /// release is two sparse triangular solves (preconditioned CG when
-    /// the factor would not fit its budgets).
+    /// Planned at every k as a CSR strategy whose gram `AᵀA` (or its
+    /// Haar-rotated gram) is factored once and shared with
+    /// [`MechanismSpec::MatrixRange`], so each release is two sparse
+    /// triangular solves.
     MatrixHist {
         /// Which strategy matrix answers the histogram.
         strategy: MatrixStrategyKind,

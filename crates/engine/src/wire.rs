@@ -429,13 +429,11 @@ impl Codec {
                         None => ("no".to_string(), 0, 0),
                     };
                     let mut out = format!(
-                        "ok stats builds={artifact_builds} solves={} cg_iters={} \
-                         factored={} cg_fallback={} durable={durable} \
-                         wal_bytes={wal_bytes} last_snapshot={last_snapshot} tenants={}",
+                        "ok stats builds={artifact_builds} solves={} factored={} \
+                         durable={durable} wal_bytes={wal_bytes} \
+                         last_snapshot={last_snapshot} tenants={}",
                         solver.solves,
-                        solver.cg_iterations,
                         solver.sparse_factorizations,
-                        solver.cg_fallbacks,
                         tenants.len()
                     );
                     for t in tenants {
@@ -910,7 +908,6 @@ mod tests {
         // Solver observability flows through the stats verb.
         assert!(stats.contains("solves="), "{stats}");
         assert!(stats.contains("factored="), "{stats}");
-        assert!(stats.contains("cg_fallback="), "{stats}");
         // Durability fields are always present; in-memory answers no/0/0.
         assert!(stats.contains("durable=no"), "{stats}");
         assert!(stats.contains("wal_bytes=0"), "{stats}");

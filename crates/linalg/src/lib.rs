@@ -10,6 +10,10 @@
 //! * workload matrices and their products (dense + CSR sparse),
 //! * Moore–Penrose pseudoinverses for the matrix mechanism `M_A(W, x) =
 //!   Wx + WA⁺ Lap(Δ_A/ε)` (Eq. 2),
+//! * the same reconstruction at k = 65 536 without any dense k×k object:
+//!   a natural-order sparse Cholesky factor of the normal equations `AᵀA`
+//!   (directly, or after a rotation into the dyadic Haar basis), solved
+//!   per release in O(nnz(L)),
 //! * right inverses `P_G⁻¹ = P_Gᵀ (P_G P_Gᵀ)⁻¹` of policy incidence
 //!   matrices (Section 4.4), where `P_G P_Gᵀ` is a grounded graph Laplacian
 //!   (Cholesky when small, conjugate gradient when sparse/large),
@@ -29,19 +33,13 @@ pub mod sparse;
 pub mod sparse_cholesky;
 pub mod svd;
 
-pub use cg::{
-    conjugate_gradient, solve_gram_system, solve_gram_system_with, solve_normal_equations,
-    solve_normal_equations_with, CgOptions, CgSolution, CgWorkspace, GramPreconditioner,
-};
+pub use cg::{conjugate_gradient, CgOptions, CgSolution};
 pub use cholesky::Cholesky;
 pub use dense::{add_vec, axpy, dot, norm1, norm2, norm_inf, sub_vec, ColView, Matrix};
 pub use eigen::{eigenvalues, eigh, jacobi_eigh, sqrt_psd, SymmetricEigen};
 pub use lu::Lu;
 pub use sparse::{SparseMatrix, TripletBuilder};
-pub use sparse_cholesky::{
-    dyadic_haar_basis, incomplete_cholesky0, rcm_ordering, CholeskyOrdering, SparseCholesky,
-    SymbolicCholesky,
-};
+pub use sparse_cholesky::{dyadic_haar_basis, SparseCholesky};
 pub use svd::{
     is_pseudoinverse, pseudoinverse, pseudoinverse_eigen, pseudoinverse_with_method, rank,
     singular_values, PinvMethod,
@@ -88,13 +86,14 @@ pub enum LinalgError {
         /// The iteration budget that was exhausted.
         iterations: usize,
     },
-    /// A symbolic Cholesky analysis predicted more factor fill than the
-    /// caller's budget allows (the analysis aborts early, so
-    /// `predicted_at_least` is a lower bound on the true fill).
+    /// A sparse factorization was refused because its predicted cost
+    /// exceeds the caller's budget: the factor fill nnz(L) (the symbolic
+    /// pass aborts early, so `predicted_at_least` is a lower bound on the
+    /// true fill), or the work of forming the Gram matrix to factor.
     FillBudgetExceeded {
-        /// Running nnz(L) when the analysis aborted.
+        /// The predicted cost when the budget check failed.
         predicted_at_least: usize,
-        /// The fill budget that was exceeded.
+        /// The budget that was exceeded.
         cap: usize,
     },
 }
@@ -127,7 +126,7 @@ impl std::fmt::Display for LinalgError {
             } => {
                 write!(
                     f,
-                    "cholesky fill budget exceeded: ≥{predicted_at_least} nnz predicted, cap {cap}"
+                    "cholesky budget exceeded: ≥{predicted_at_least} predicted, cap {cap}"
                 )
             }
         }

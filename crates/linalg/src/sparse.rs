@@ -22,14 +22,13 @@
 //! Everything on the plan-derivation hot path is O(nnz) per application:
 //! [`SparseMatrix::matvec`] / [`SparseMatrix::matvec_transpose`] (plus
 //! allocation-free `_into` variants for solver inner loops),
-//! [`SparseMatrix::col_sq_norms`] (the diagonal of `AᵀA`, the Jacobi
-//! preconditioner for normal-equation CG), and [`SparseMatrix::max_col_l1`]
-//! (the L1 sensitivity `Δ_A`). [`SparseMatrix::gram`] materializes `AᵀA`
-//! as CSR and costs O(Σᵢ nnz(rowᵢ)²) — fine for bounded-row-degree inputs
-//! like incidence matrices, but a dense trap for strategies with a full
-//! row (e.g. the hierarchical root); solvers that only need `AᵀA x`
-//! should stay matrix-free via the paired `matvec`/`matvec_transpose`
-//! ([`crate::solve_normal_equations`] does exactly this).
+//! [`SparseMatrix::col_sq_norms`] (the diagonal of `AᵀA`), and
+//! [`SparseMatrix::max_col_l1`] (the L1 sensitivity `Δ_A`).
+//! [`SparseMatrix::gram`] materializes `AᵀA` as CSR and costs
+//! O(Σᵢ nnz(rowᵢ)²) — fine for bounded-row-degree inputs like incidence
+//! matrices, but a dense trap for strategies with a full row (e.g. the
+//! hierarchical root); the matrix mechanism rotates such strategies into
+//! the [`crate::dyadic_haar_basis`] first, where the gram is sparse.
 
 use crate::dense::Matrix;
 use crate::LinalgError;
@@ -280,9 +279,9 @@ impl SparseMatrix {
     /// cost is O(Σᵢ nnz(rowᵢ)²) triplets. That is O(nnz) for
     /// bounded-row-degree inputs (incidence matrices, θ-spanner rows), but
     /// a strategy with one dense row (the hierarchical root, the Haar
-    /// total row) makes `AᵀA` itself dense — for those, apply the normal
-    /// equations matrix-free via [`crate::solve_normal_equations`]
-    /// instead of materializing this product.
+    /// total row) makes `AᵀA` itself dense — for those, form the gram of
+    /// the strategy rotated into the [`crate::dyadic_haar_basis`]
+    /// instead.
     pub fn gram(&self) -> SparseMatrix {
         let mut b = TripletBuilder::new(self.cols, self.cols);
         for i in 0..self.rows {
@@ -296,8 +295,7 @@ impl SparseMatrix {
     }
 
     /// Per-column squared L2 norms — the diagonal of `AᵀA`, computed in
-    /// O(nnz) without materializing the Gram matrix. This is the Jacobi
-    /// preconditioner for normal-equation CG.
+    /// O(nnz) without materializing the Gram matrix.
     pub fn col_sq_norms(&self) -> Vec<f64> {
         let mut norms = vec![0.0; self.cols];
         for i in 0..self.rows {

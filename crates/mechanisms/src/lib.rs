@@ -14,9 +14,9 @@
 //!   with identity / hierarchical / wavelet strategy matrices.
 //! * [`sparse_matrix`] — the same framework over CSR strategies with the
 //!   pseudoinverse *applied* per release by a [`GramSolver`]: a cached
-//!   sparse Cholesky factor of `AᵀA` where its budget cascade allows,
-//!   preconditioned CG otherwise (O(nnz) memory; the engine's serving
-//!   path at every k).
+//!   natural-order sparse Cholesky factor of `AᵀA`, or of its
+//!   Haar-rotated gram, with a typed refusal for strategies over its
+//!   budgets (O(nnz) memory; the engine's serving path at every k).
 //! * [`hierarchical`] — the Hay et al. \[10\] binary-tree estimator with
 //!   weighted least-squares consistency.
 //! * [`privelet`] — Privelet \[20\]: Haar wavelet noise in 1 and d
@@ -58,7 +58,7 @@ pub use privelet::{
 };
 pub use sparse_matrix::{
     hierarchical_strategy_sparse, identity_strategy_sparse, wavelet_strategy_sparse, GramSolver,
-    PinvApply, SparseMatrixMechanism,
+    SparseMatrixMechanism,
 };
 
 /// Errors reported by mechanism construction or execution.

@@ -26,9 +26,6 @@ pub struct MatrixMechanism {
     reconstruction: Matrix,
     /// Unbounded-DP sensitivity `Δ_A` (max column L1 norm).
     delta_a: f64,
-    /// Which factorization derived `A⁺` (reported via
-    /// [`MatrixMechanism::apply_method`]).
-    method: PinvMethod,
 }
 
 impl MatrixMechanism {
@@ -77,17 +74,7 @@ impl MatrixMechanism {
             strategy,
             reconstruction,
             delta_a,
-            method,
         })
-    }
-
-    /// How this mechanism applies `A⁺`: always materialized, tagged with
-    /// the factorization that derived it. The CSR counterpart
-    /// ([`crate::SparseMatrixMechanism`]) reports
-    /// [`PinvApply::Factored`](crate::PinvApply::Factored) or
-    /// [`PinvApply::IterativeCg`](crate::PinvApply::IterativeCg) instead.
-    pub fn apply_method(&self) -> crate::PinvApply {
-        crate::PinvApply::Materialized(self.method)
     }
 
     /// The workload `W`.

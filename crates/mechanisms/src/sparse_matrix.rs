@@ -7,29 +7,25 @@
 //! full-column-rank strategy the pseudoinverse *application* factors as
 //! `A⁺ ỹ = (AᵀA)⁻¹ Aᵀ ỹ`: a normal-equation solve.
 //! [`SparseMatrixMechanism`] keeps `W` and `A` in CSR and solves through
-//! a plan-time [`GramSolver`]. Its budget cascade factors `AᵀA` once by
-//! sparse Cholesky (directly, or after a Haar-basis rotation when the
-//! gram itself is too dense to form), so each release is two O(nnz(L))
-//! triangular solves; only a strategy whose factor would break the
-//! budgets falls back to preconditioned CG per release. Peak memory stays
-//! O(nnz) and the domain ceiling lifts to k≈10⁵.
+//! a plan-time [`GramSolver`], which factors `AᵀA` once by natural-order
+//! sparse Cholesky — directly, or after a Haar-basis rotation when the
+//! gram itself is too dense to form — so each release is two O(nnz(L))
+//! triangular solves. A strategy whose factor would break the budgets is
+//! refused with a typed error. Peak memory stays O(nnz) and the domain
+//! ceiling lifts to k≈10⁵.
 //!
 //! The sparse strategy constructors ([`hierarchical_strategy_sparse`]
 //! et al.) emit *exactly* the rows of their dense counterparts, in the
 //! same order. That makes the two mechanisms draw identical Laplace noise
-//! from the same seed — so sparse and dense releases agree to solver
-//! tolerance (≤1e-9 relative with `tol = 1e-12`), which the equivalence
-//! tests pin.
+//! from the same seed — so sparse and dense releases agree to ≤1e-9
+//! relative, which the equivalence tests pin.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use rand::Rng;
 
 use blowfish_linalg::{
-    dyadic_haar_basis, incomplete_cholesky0, solve_gram_system_with, CgOptions, CgWorkspace,
-    CholeskyOrdering, GramPreconditioner, LinalgError, PinvMethod, SparseCholesky, SparseMatrix,
-    SymbolicCholesky, TripletBuilder,
+    dyadic_haar_basis, LinalgError, SparseCholesky, SparseMatrix, TripletBuilder,
 };
 
 use blowfish_core::Epsilon;
@@ -37,109 +33,46 @@ use blowfish_core::Epsilon;
 use crate::noise::{laplace_variance, laplace_vec};
 use crate::MechanismError;
 
-/// How a matrix mechanism applies the strategy pseudoinverse per release.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PinvApply {
-    /// `W A⁺` was materialized dense up front, as the reference
-    /// [`MatrixMechanism`](crate::MatrixMechanism) does; the tag records
-    /// which factorization derived it.
-    Materialized(PinvMethod),
-    /// `A⁺ ỹ` is computed per release by matrix-free normal-equation CG
-    /// (the O(nnz) path).
-    IterativeCg,
-    /// `AᵀA` (possibly after a Haar-basis rotation) was factored once by
-    /// sparse Cholesky at plan time; each release is two O(nnz(L))
-    /// triangular solves.
-    Factored,
-}
-
-impl std::fmt::Display for PinvApply {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PinvApply::Materialized(m) => write!(f, "materialized ({m:?})"),
-            PinvApply::IterativeCg => write!(f, "iterative-cg"),
-            PinvApply::Factored => write!(f, "factored-cholesky"),
-        }
-    }
-}
-
-/// Gram-formability budget: `AᵀA` is only formed when its
+/// Gram-formability budget: a gram `BᵀB` is only formed when its
 /// O(Σᵢ nnz(rowᵢ)²) accumulation cost stays within
-/// `GRAM_COST_FACTOR · (nnz(A) + k)` — a constant number of strategy
+/// `GRAM_COST_FACTOR · (nnz(B) + k)` — a constant number of strategy
 /// sweeps. Hierarchical/wavelet strategies blow this at large k (their
 /// coarse rows make `AᵀA` structurally dense), which routes them to the
-/// Haar-rotation branch instead of a doomed Gram product.
+/// Haar rotation instead of a doomed Gram product; a strategy whose
+/// rotated gram blows it too is refused.
 pub const GRAM_COST_FACTOR: usize = 32;
 
-/// Factor-fill budget: a complete factorization is kept only while the
+/// Factor-fill budget: a factorization is kept only while the
 /// **symbolic** pass predicts `nnz(L) ≤ FILL_GROWTH_FACTOR ·
 /// nnz(lower(G))`. Past that the factor would break the O(nnz) memory
-/// story, so the solver downgrades to IC(0)-preconditioned CG (and to
-/// plain Jacobi CG if IC(0) breaks down) — no input ever regresses past
-/// the pre-factorization path.
+/// story, and the strategy is refused.
 pub const FILL_GROWTH_FACTOR: usize = 8;
 
-/// Reusable per-solve scratch: the CG workspace plus two column-space
-/// buffers for the factored path. Lives behind a `try_lock` so
-/// concurrent releases never serialize — a contended solve just runs
-/// with a fresh (allocating) scratch.
-#[derive(Debug, Default)]
-struct SolveScratch {
-    ws: CgWorkspace,
-    a: Vec<f64>,
-    b: Vec<f64>,
-}
-
-fn ensure_len(buf: &mut Vec<f64>, len: usize) {
-    if buf.len() != len {
-        buf.clear();
-        buf.resize(len, 0.0);
-    }
-}
-
-#[derive(Debug)]
-enum GramPath {
-    /// `P G Pᵀ = L Lᵀ` held ready; `basis = Some(Q)` means the factored
-    /// operator is `(AQ)ᵀ(AQ)` and solves run through the congruence
-    /// `x = Q z`, `(AQ)ᵀ(AQ) z = Qᵀ b`.
-    Factored {
-        basis: Option<SparseMatrix>,
-        chol: SparseCholesky,
-    },
-    /// Matrix-free PCG with a plan-time-cached Jacobi diagonal, upgraded
-    /// to an IC(0) preconditioner when one was within budget.
-    Cg {
-        diag: Vec<f64>,
-        precond: Option<SparseCholesky>,
-    },
-}
-
 /// The plan-time solver for one strategy's normal equations
-/// `AᵀA x = b` — the shareable, factor-once artifact behind
-/// [`PinvApply::Factored`]. Decides its own path by budget cascade:
+/// `AᵀA x = b`: a natural-order sparse Cholesky factor, computed once.
+/// [`GramSolver::plan`] factors
 ///
-/// 1. **Direct factor** — if `AᵀA` is affordable to form
-///    ([`GRAM_COST_FACTOR`]) and its symbolic fill is within
-///    [`FILL_GROWTH_FACTOR`], factor it once (Auto ordering).
-/// 2. **Rotated factor** — otherwise rotate by the orthonormal
-///    [`dyadic_haar_basis`]: `B = AQ` is O(log k)-per-row sparse for
+/// 1. `AᵀA` directly, when it is affordable to form
+///    ([`GRAM_COST_FACTOR`]);
+/// 2. otherwise the gram of `B = AQ`, rotated by the orthonormal
+///    [`dyadic_haar_basis`] `Q`: `B` is O(log k)-per-row sparse for
 ///    dyadic strategies and `BᵀB` has chordal tree-ancestor sparsity
-///    with zero fill in its natural order, so the same budgets now pass
-///    at k = 65 536.
-/// 3. **IC(0) PCG** — Gram formable but fill over budget: keep the
-///    no-fill incomplete factor as a CG preconditioner.
-/// 4. **Jacobi PCG** — anything else (including IC(0) breakdown):
-///    exactly the pre-factorization path, so nothing regresses.
+///    with zero fill in its natural order, so the budgets pass at
+///    k = 65 536. Solves run through the congruence `x = Q z`,
+///    `BᵀB z = Qᵀ b`.
 #[derive(Debug)]
 pub struct GramSolver {
-    path: GramPath,
-    opts: CgOptions,
+    basis: Option<SparseMatrix>,
+    chol: SparseCholesky,
 }
 
 impl GramSolver {
-    /// Plans the solver for `strategy` by the budget cascade above.
-    /// Never fails: every rejected branch falls through to Jacobi PCG.
-    pub fn plan(strategy: &SparseMatrix, opts: CgOptions) -> GramSolver {
+    /// Plans the solver for `strategy` as described above. Refuses with
+    /// [`LinalgError::FillBudgetExceeded`] when the rotated gram also
+    /// breaks [`GRAM_COST_FACTOR`] or either factor breaks
+    /// [`FILL_GROWTH_FACTOR`]; a rank-deficient strategy fails its
+    /// factorization with [`LinalgError::NotPositiveDefinite`].
+    pub fn plan(strategy: &SparseMatrix) -> Result<GramSolver, LinalgError> {
         let k = strategy.cols();
         let gram_cost = |m: &SparseMatrix| -> usize {
             (0..m.rows())
@@ -152,36 +85,14 @@ impl GramSolver {
         let budget = |m: &SparseMatrix| GRAM_COST_FACTOR.saturating_mul(m.nnz() + k);
 
         if gram_cost(strategy) <= budget(strategy) {
-            if let Ok(g) = strategy.transpose().matmul(strategy) {
-                match Self::factor_within_fill_budget(&g) {
-                    Ok(chol) => {
-                        return GramSolver {
-                            path: GramPath::Factored { basis: None, chol },
-                            opts,
-                        }
-                    }
-                    Err(LinalgError::FillBudgetExceeded { .. }) => {
-                        // Gram formable, factor too filled: IC(0) PCG,
-                        // with typed breakdown falling through to Jacobi.
-                        if let Ok(pc) = incomplete_cholesky0(&g) {
-                            return GramSolver {
-                                path: GramPath::Cg {
-                                    diag: strategy.col_sq_norms(),
-                                    precond: Some(pc),
-                                },
-                                opts,
-                            };
-                        }
-                    }
-                    // Rank deficiency etc.: let the CG path (and the
-                    // construction probes) pass judgment.
-                    Err(_) => {}
-                }
-            }
-            return Self::plan_cg(strategy, opts);
+            let g = strategy.transpose().matmul(strategy)?;
+            return Ok(GramSolver {
+                basis: None,
+                chol: Self::factor_within_fill_budget(&g)?,
+            });
         }
 
-        // Gram too dense to form: try the Haar congruence. The sparse
+        // Gram too dense to form: take the Haar congruence. The sparse
         // product `AQ` leaves ~1e-13 rounding residue at entries the
         // wavelet cancellation makes mathematically zero; dropped here
         // (the smallest true entry of a dyadic rotation is ≥ 1/(2√k),
@@ -190,118 +101,50 @@ impl GramSolver {
         // construction probes vet the pruned operator numerically
         // before it can serve a release.
         let q = dyadic_haar_basis(k);
-        if let Ok(b) = strategy.matmul(&q).map(|b| {
-            let tol = b.max_abs() * 1e-10;
-            b.dropping_below(tol)
-        }) {
-            if gram_cost(&b) <= budget(&b) {
-                if let Ok(g) = b.transpose().matmul(&b) {
-                    if let Ok(chol) = Self::factor_within_fill_budget(&g) {
-                        return GramSolver {
-                            path: GramPath::Factored {
-                                basis: Some(q),
-                                chol,
-                            },
-                            opts,
-                        };
-                    }
-                }
-            }
+        let b = strategy.matmul(&q)?;
+        let b = b.dropping_below(b.max_abs() * 1e-10);
+        let (cost, cap) = (gram_cost(&b), budget(&b));
+        if cost > cap {
+            return Err(LinalgError::FillBudgetExceeded {
+                predicted_at_least: cost,
+                cap,
+            });
         }
-        Self::plan_cg(strategy, opts)
-    }
-
-    /// The pre-factorization solver, unconditionally: Jacobi PCG with a
-    /// plan-time-cached diagonal. Public so equivalence tests and
-    /// benches can pin the factored path against the CG path on the
-    /// same strategy.
-    pub fn plan_cg(strategy: &SparseMatrix, opts: CgOptions) -> GramSolver {
-        GramSolver {
-            path: GramPath::Cg {
-                diag: strategy.col_sq_norms(),
-                precond: None,
-            },
-            opts,
-        }
+        let g = b.transpose().matmul(&b)?;
+        Ok(GramSolver {
+            chol: Self::factor_within_fill_budget(&g)?,
+            basis: Some(q),
+        })
     }
 
     fn factor_within_fill_budget(g: &SparseMatrix) -> Result<SparseCholesky, LinalgError> {
         let lower = (g.nnz() + g.rows()) / 2;
         let cap = FILL_GROWTH_FACTOR.saturating_mul(lower.max(g.rows()));
-        let sym = SymbolicCholesky::analyze(g, CholeskyOrdering::Auto, Some(cap))?;
-        sym.factorize(g)
-    }
-
-    /// Whether this solver serves releases from a cached factorization.
-    pub fn is_factored(&self) -> bool {
-        matches!(self.path, GramPath::Factored { .. })
+        SparseCholesky::factor(g, Some(cap))
     }
 
     /// Whether the factorization runs through the Haar congruence.
     pub fn rotated(&self) -> bool {
-        matches!(self.path, GramPath::Factored { basis: Some(_), .. })
+        self.basis.is_some()
     }
 
-    /// Whether the CG path carries an IC(0) preconditioner.
-    pub fn uses_ic0(&self) -> bool {
-        matches!(
-            self.path,
-            GramPath::Cg {
-                precond: Some(_),
-                ..
+    /// Stored nonzeros of the cached factor.
+    pub fn factor_nnz(&self) -> usize {
+        self.chol.nnz()
+    }
+
+    /// Solves `AᵀA x = b` (column space).
+    fn solve_gram(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        match &self.basis {
+            None => {
+                let mut x = b.to_vec();
+                self.chol.solve_in_place(&mut x);
+                Ok(x)
             }
-        )
-    }
-
-    /// Stored nonzeros of the cached factor, when one exists.
-    pub fn factor_nnz(&self) -> Option<usize> {
-        match &self.path {
-            GramPath::Factored { chol, .. } => Some(chol.nnz()),
-            GramPath::Cg { .. } => None,
-        }
-    }
-
-    /// How a mechanism holding this solver reports its apply path.
-    pub fn apply_method(&self) -> PinvApply {
-        if self.is_factored() {
-            PinvApply::Factored
-        } else {
-            PinvApply::IterativeCg
-        }
-    }
-
-    /// Solves `AᵀA x = b` (column space). Returns the solution and the
-    /// CG iterations spent (0 on the factored path).
-    fn solve_gram(
-        &self,
-        strategy: &SparseMatrix,
-        b: &[f64],
-        scratch: &mut SolveScratch,
-    ) -> Result<(Vec<f64>, usize), LinalgError> {
-        match &self.path {
-            GramPath::Factored { basis: None, chol } => {
-                let mut out = b.to_vec();
-                ensure_len(&mut scratch.a, chol.n());
-                chol.solve_in_place(&mut out, &mut scratch.a);
-                Ok((out, 0))
-            }
-            GramPath::Factored {
-                basis: Some(q),
-                chol,
-            } => {
-                ensure_len(&mut scratch.a, q.cols());
-                ensure_len(&mut scratch.b, q.cols());
-                q.matvec_transpose_into(b, &mut scratch.a)?;
-                chol.solve_in_place(&mut scratch.a, &mut scratch.b);
-                Ok((q.matvec(&scratch.a)?, 0))
-            }
-            GramPath::Cg { diag, precond } => {
-                let pc = match precond {
-                    Some(c) => GramPreconditioner::Ic0(c),
-                    None => GramPreconditioner::JacobiWith(diag),
-                };
-                let sol = solve_gram_system_with(strategy, b, self.opts, pc, &mut scratch.ws)?;
-                Ok((sol.x, sol.iterations))
+            Some(q) => {
+                let mut z = q.matvec_transpose(b)?;
+                self.chol.solve_in_place(&mut z);
+                q.matvec(&z)
             }
         }
     }
@@ -319,53 +162,22 @@ pub struct SparseMatrixMechanism {
     w: SparseMatrix,
     strategy: SparseMatrix,
     delta_a: f64,
-    solver: Arc<GramSolver>,
-    scratch: Mutex<SolveScratch>,
+    solver: GramSolver,
     solves: AtomicUsize,
-    cg_iterations: AtomicUsize,
 }
 
 impl SparseMatrixMechanism {
-    /// The default solver options (`tol = 1e-12`: releases agree with
-    /// the dense reconstruction to ≤1e-9 relative).
-    pub const DEFAULT_CG_OPTIONS: CgOptions = CgOptions {
-        tol: 1e-12,
-        max_iter: 0,
-    };
-
-    /// Prepares the mechanism with [`Self::DEFAULT_CG_OPTIONS`].
+    /// Prepares the mechanism: verifies shapes and sensitivity, plans the
+    /// normal-equation solver with [`GramSolver::plan`] — factor `AᵀA`
+    /// once here, serve every release from triangular solves — and
+    /// verifies the left-inverse identity `A⁺A v = v` on seeded probes
+    /// **through the planned path** (so a numerically unsound factor is
+    /// caught at build time). A structurally or numerically
+    /// column-rank-deficient strategy is rejected as
+    /// [`MechanismError::StrategyDoesNotSupportWorkload`]; a strategy
+    /// over the solver's budgets bubbles the typed
+    /// [`LinalgError::FillBudgetExceeded`].
     pub fn new(w: SparseMatrix, strategy: SparseMatrix) -> Result<Self, MechanismError> {
-        SparseMatrixMechanism::with_options(w, strategy, Self::DEFAULT_CG_OPTIONS)
-    }
-
-    /// Prepares the mechanism with explicit solver options, planning the
-    /// normal-equation solver by the [`GramSolver`] budget cascade —
-    /// factor `AᵀA` once here, serve every release from triangular
-    /// solves — and verifying shapes, sensitivity, and the left-inverse
-    /// identity `A⁺A v = v` on seeded probes **through the planned
-    /// path** (so a numerically unsound factor is caught at build time).
-    /// A structurally or numerically column-rank-deficient strategy is
-    /// rejected as [`MechanismError::StrategyDoesNotSupportWorkload`]; a
-    /// solver that runs out of iterations bubbles the typed
-    /// [`LinalgError::NoConvergence`].
-    pub fn with_options(
-        w: SparseMatrix,
-        strategy: SparseMatrix,
-        opts: CgOptions,
-    ) -> Result<Self, MechanismError> {
-        let solver = Arc::new(GramSolver::plan(&strategy, opts));
-        SparseMatrixMechanism::with_solver(w, strategy, solver)
-    }
-
-    /// Prepares the mechanism around an already-planned (typically
-    /// cache-shared) [`GramSolver`], so several workloads over one
-    /// strategy pay for one factorization. Validation is identical to
-    /// [`Self::with_options`].
-    pub fn with_solver(
-        w: SparseMatrix,
-        strategy: SparseMatrix,
-        solver: Arc<GramSolver>,
-    ) -> Result<Self, MechanismError> {
         if w.cols() != strategy.cols() {
             return Err(MechanismError::InvalidParameter {
                 what: "workload and strategy must share the domain size",
@@ -377,6 +189,7 @@ impl SparseMatrixMechanism {
                 what: "strategy has zero sensitivity (all-zero matrix)",
             });
         }
+        let solver = GramSolver::plan(&strategy).map_err(lift_rank_error)?;
         if !probe_round_trip_holds(&strategy, &solver)? {
             return Err(MechanismError::StrategyDoesNotSupportWorkload);
         }
@@ -385,9 +198,7 @@ impl SparseMatrixMechanism {
             strategy,
             delta_a,
             solver,
-            scratch: Mutex::new(SolveScratch::default()),
             solves: AtomicUsize::new(0),
-            cg_iterations: AtomicUsize::new(0),
         })
     }
 
@@ -406,15 +217,8 @@ impl SparseMatrixMechanism {
         self.delta_a
     }
 
-    /// How this mechanism applies `A⁺`: [`PinvApply::Factored`] when the
-    /// planner's budgets admitted a cached Cholesky factor,
-    /// [`PinvApply::IterativeCg`] otherwise.
-    pub fn apply_method(&self) -> PinvApply {
-        self.solver.apply_method()
-    }
-
-    /// The shared normal-equation solver (for cache reuse and stats).
-    pub fn solver(&self) -> &Arc<GramSolver> {
+    /// The planned normal-equation solver.
+    pub fn solver(&self) -> &GramSolver {
         &self.solver
     }
 
@@ -424,31 +228,11 @@ impl SparseMatrixMechanism {
         self.solves.load(Ordering::Relaxed)
     }
 
-    /// Total CG iterations across those solves — ~log₂ k per solve on
-    /// hierarchical strategies when CG runs at all, and exactly 0 on the
-    /// factored path.
-    pub fn cg_iterations(&self) -> usize {
-        self.cg_iterations.load(Ordering::Relaxed)
-    }
-
-    /// Buffer (re)allocations inside the shared solve scratch so far —
-    /// flat after the first release of a given shape.
-    pub fn scratch_allocations(&self) -> usize {
-        self.scratch.lock().map(|s| s.ws.allocations()).unwrap_or(0)
-    }
-
-    /// Solves `AᵀA u = b` through the planned path, reusing the shared
-    /// scratch when it is uncontended and bumping the solve counters.
+    /// Solves `AᵀA u = b` through the planned solver and bumps the solve
+    /// counter.
     fn solve_gram_tracked(&self, b: &[f64]) -> Result<Vec<f64>, MechanismError> {
-        let solved = match self.scratch.try_lock() {
-            Ok(mut s) => self.solver.solve_gram(&self.strategy, b, &mut s),
-            Err(_) => self
-                .solver
-                .solve_gram(&self.strategy, b, &mut SolveScratch::default()),
-        };
-        let (x, iterations) = solved.map_err(lift_rank_error)?;
+        let x = self.solver.solve_gram(b)?;
         self.solves.fetch_add(1, Ordering::Relaxed);
-        self.cg_iterations.fetch_add(iterations, Ordering::Relaxed);
         Ok(x)
     }
 
@@ -456,7 +240,6 @@ impl SparseMatrixMechanism {
         let rhs = self.strategy.matvec_transpose(y)?;
         self.solve_gram_tracked(&rhs)
     }
-
     /// Runs the mechanism: `Wx + W A⁺ Lap(Δ_A/ε)^p`.
     pub fn run<R: Rng + ?Sized>(
         &self,
@@ -524,7 +307,7 @@ impl SparseMatrixMechanism {
         Ok(laplace_variance(self.delta_a / eps.value()) * sq)
     }
 
-    /// Expected total squared error over all queries — `W.rows()` CG
+    /// Expected total squared error over all queries — `W.rows()` gram
     /// solves; intended for offline reporting, not the serving path.
     pub fn total_error(&self, eps: Epsilon) -> Result<f64, MechanismError> {
         let mut acc = 0.0;
@@ -535,10 +318,10 @@ impl SparseMatrixMechanism {
     }
 }
 
-/// A rank-deficient strategy surfaces from CG as `NotPositiveDefinite`;
-/// the mechanism layer reports that the same way the dense path reports a
-/// failed support check. Anything else (non-convergence, shapes) stays a
-/// typed linalg error.
+/// A rank-deficient strategy fails its factorization with
+/// `NotPositiveDefinite`; the mechanism layer reports that the same way
+/// the dense path reports a failed support check. Anything else (budget
+/// refusals, shapes) stays a typed linalg error.
 fn lift_rank_error(e: LinalgError) -> MechanismError {
     match e {
         LinalgError::NotPositiveDefinite { .. } => MechanismError::StrategyDoesNotSupportWorkload,
@@ -547,23 +330,20 @@ fn lift_rank_error(e: LinalgError) -> MechanismError {
 }
 
 /// Verifies `A⁺A v = v` on seeded pseudo-random probes via round-trip
-/// solves **through the planned solver path**, mirroring the dense
-/// path's `left_inverse_probe_holds` (same probe count, distribution,
-/// and tolerance rationale). Running probes through the real path means
-/// a factored solver is numerically vetted before it serves a release.
+/// solves **through the planned solver**, mirroring the dense path's
+/// `left_inverse_probe_holds` (same probe count, distribution, and
+/// tolerance rationale), so a factor is numerically vetted before it
+/// serves a release.
 fn probe_round_trip_holds(a: &SparseMatrix, solver: &GramSolver) -> Result<bool, MechanismError> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let n = a.cols();
     let mut rng = StdRng::seed_from_u64(0x5EED_1DE4);
-    let mut scratch = SolveScratch::default();
     for _ in 0..3 {
         let v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let av = a.matvec(&v)?;
         let rhs = a.matvec_transpose(&av)?;
-        let (back, _) = solver
-            .solve_gram(a, &rhs, &mut scratch)
-            .map_err(lift_rank_error)?;
+        let back = solver.solve_gram(&rhs)?;
         let scale = 1.0 + v.iter().fold(0.0_f64, |m, x| m.max(x.abs()));
         if back
             .iter()
@@ -712,77 +492,84 @@ mod tests {
             for (d, s) in rd.iter().zip(&rs) {
                 assert!((d - s).abs() <= 1e-9 * (1.0 + d.abs()), "k={k}: {d} vs {s}");
             }
-            // Small hierarchical grams are within both budgets: the
-            // planner factors them and releases spend zero CG iterations.
-            assert_eq!(sparse.apply_method(), PinvApply::Factored);
+            // Small hierarchical grams are cheap to form: the planner
+            // factors them directly, without the Haar rotation.
+            assert!(!sparse.solver().rotated());
             assert!(sparse.solve_count() >= 1);
-            assert_eq!(sparse.cg_iterations(), 0);
         }
     }
 
     #[test]
     fn factored_cg_and_dense_releases_three_way_agree() {
+        // The third leg solves the same normal equations by plain CG on
+        // the explicit gram, from the same Laplace draws the mechanisms
+        // take: `Wx + W (AᵀA)⁻¹ Aᵀ Lap(Δ_A/ε)`.
         let eps = Epsilon::new(0.9).unwrap();
+        let opts = blowfish_linalg::CgOptions {
+            tol: 1e-12,
+            max_iter: 0,
+        };
         for k in [12usize, 24, 48] {
             let w = Workload::all_ranges_1d(k);
-            let opts = CgOptions {
-                tol: 1e-12,
-                max_iter: 0,
-            };
             let dense =
                 MatrixMechanism::new(w.to_dense_matrix(), hierarchical_strategy(k)).unwrap();
             let factored =
                 SparseMatrixMechanism::new(w.to_sparse_matrix(), hierarchical_strategy_sparse(k))
                     .unwrap();
-            let strategy = hierarchical_strategy_sparse(k);
-            let cg_solver = Arc::new(GramSolver::plan_cg(&strategy, opts));
-            let cg = SparseMatrixMechanism::with_solver(w.to_sparse_matrix(), strategy, cg_solver)
-                .unwrap();
-            assert_eq!(factored.apply_method(), PinvApply::Factored);
-            assert_eq!(cg.apply_method(), PinvApply::IterativeCg);
+            assert!(!factored.solver().rotated());
             let x: Vec<f64> = (0..k).map(|i| (i * 5 % 11) as f64).collect();
             let rd = dense.run(&x, eps, &mut StdRng::seed_from_u64(7)).unwrap();
             let rf = factored
                 .run(&x, eps, &mut StdRng::seed_from_u64(7))
                 .unwrap();
-            let rc = cg.run(&x, eps, &mut StdRng::seed_from_u64(7)).unwrap();
+
+            let (sw, strategy) = (w.to_sparse_matrix(), hierarchical_strategy_sparse(k));
+            let gram = strategy.transpose().matmul(&strategy).unwrap();
+            let raw = laplace_vec(
+                &mut StdRng::seed_from_u64(7),
+                factored.delta_a() / eps.value(),
+                strategy.rows(),
+            );
+            let rhs = strategy.matvec_transpose(&raw).unwrap();
+            let cg = blowfish_linalg::conjugate_gradient(&gram, &rhs, opts).unwrap();
+            assert!(cg.iterations > 0);
+            let truth = sw.matvec(&x).unwrap();
+            let noise = sw.matvec(&cg.x).unwrap();
+            let rc: Vec<f64> = truth.iter().zip(&noise).map(|(t, n)| t + n).collect();
+
             for ((d, f), c) in rd.iter().zip(&rf).zip(&rc) {
                 assert!((d - f).abs() <= 1e-9 * (1.0 + d.abs()), "k={k}: {d} vs {f}");
                 assert!((f - c).abs() <= 1e-9 * (1.0 + f.abs()), "k={k}: {f} vs {c}");
             }
-            assert!(cg.cg_iterations() > 0);
         }
     }
 
     #[test]
     fn oversized_gram_routes_through_the_haar_rotation() {
         // At k = 256 the hierarchical Gram cost (~2k²) blows the
-        // GRAM_COST_FACTOR budget, so the planner must reach the factored
-        // path via the Haar congruence — and still match the CG path.
+        // GRAM_COST_FACTOR budget, so the planner must factor the gram
+        // of the Haar-rotated strategy — and still match the dense
+        // reference.
         let k = 256usize;
         let eps = Epsilon::new(0.5).unwrap();
-        let opts = CgOptions {
-            tol: 1e-12,
-            max_iter: 0,
-        };
-        let strategy = hierarchical_strategy_sparse(k);
         let factored =
-            SparseMatrixMechanism::new(SparseMatrix::identity(k), strategy.clone()).unwrap();
-        assert_eq!(factored.apply_method(), PinvApply::Factored);
+            SparseMatrixMechanism::new(SparseMatrix::identity(k), hierarchical_strategy_sparse(k))
+                .unwrap();
         assert!(factored.solver().rotated());
-        assert!(factored.solver().factor_nnz().is_some());
-        let cg_solver = Arc::new(GramSolver::plan_cg(&strategy, opts));
-        let cg = SparseMatrixMechanism::with_solver(SparseMatrix::identity(k), strategy, cg_solver)
-            .unwrap();
+        assert!(factored.solver().factor_nnz() >= k);
+        let dense = MatrixMechanism::new(
+            blowfish_linalg::Matrix::identity(k),
+            hierarchical_strategy(k),
+        )
+        .unwrap();
         let x: Vec<f64> = (0..k).map(|i| (i % 13) as f64).collect();
         let rf = factored
             .run(&x, eps, &mut StdRng::seed_from_u64(99))
             .unwrap();
-        let rc = cg.run(&x, eps, &mut StdRng::seed_from_u64(99)).unwrap();
-        for (f, c) in rf.iter().zip(&rc) {
-            assert!((f - c).abs() <= 1e-9 * (1.0 + f.abs()), "{f} vs {c}");
+        let rd = dense.run(&x, eps, &mut StdRng::seed_from_u64(99)).unwrap();
+        for (f, d) in rf.iter().zip(&rd) {
+            assert!((f - d).abs() <= 1e-9 * (1.0 + f.abs()), "{f} vs {d}");
         }
-        assert_eq!(factored.cg_iterations(), 0);
     }
 
     #[test]
@@ -808,29 +595,6 @@ mod tests {
             mm.reconstruct(&x[..k - 1], eps, &mut StdRng::seed_from_u64(5)),
             Err(MechanismError::InvalidParameter { .. })
         ));
-    }
-
-    #[test]
-    fn scratch_allocations_flatten_across_releases() {
-        let k = 64usize;
-        let eps = Epsilon::new(1.0).unwrap();
-        let strategy = hierarchical_strategy_sparse(k);
-        let opts = CgOptions {
-            tol: 1e-12,
-            max_iter: 0,
-        };
-        let cg_solver = Arc::new(GramSolver::plan_cg(&strategy, opts));
-        let mm = SparseMatrixMechanism::with_solver(SparseMatrix::identity(k), strategy, cg_solver)
-            .unwrap();
-        let x = vec![1.0; k];
-        let mut rng = StdRng::seed_from_u64(11);
-        mm.run(&x, eps, &mut rng).unwrap();
-        let after_first = mm.scratch_allocations();
-        assert!(after_first > 0);
-        for _ in 0..5 {
-            mm.run(&x, eps, &mut rng).unwrap();
-        }
-        assert_eq!(mm.scratch_allocations(), after_first);
     }
 
     #[test]
@@ -875,6 +639,36 @@ mod tests {
     }
 
     #[test]
+    fn strategy_over_both_budgets_is_refused_typed() {
+        // A dense ±1 strategy has a dense gram, and so does its Haar
+        // rotation: both break GRAM_COST_FACTOR, so the planner refuses
+        // the strategy with a typed error.
+        let k = 64;
+        let mut rng = StdRng::seed_from_u64(0xD5);
+        let mut b = TripletBuilder::new(2 * k, k);
+        for i in 0..2 * k {
+            for j in 0..k {
+                let sign = if rng.gen_range(0.0..1.0) < 0.5 {
+                    -1.0
+                } else {
+                    1.0
+                };
+                b.push(i, j, sign);
+            }
+        }
+        let res = SparseMatrixMechanism::new(SparseMatrix::identity(k), b.build());
+        assert!(
+            matches!(
+                res,
+                Err(MechanismError::Linalg(
+                    LinalgError::FillBudgetExceeded { .. }
+                ))
+            ),
+            "{res:?}"
+        );
+    }
+
+    #[test]
     fn shape_and_sensitivity_validation() {
         let a = identity_strategy_sparse(4);
         assert!(matches!(
@@ -889,7 +683,8 @@ mod tests {
         assert_eq!(mm.delta_a(), 1.0);
         assert_eq!(mm.workload().rows(), 4);
         assert_eq!(mm.strategy().cols(), 4);
-        // The identity Gram is trivially within budget: factored.
-        assert!(mm.apply_method().to_string().contains("factored"));
+        // The identity Gram is diagonal: factored directly, zero fill.
+        assert!(!mm.solver().rotated());
+        assert_eq!(mm.solver().factor_nnz(), 4);
     }
 }

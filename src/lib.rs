@@ -18,13 +18,15 @@
 //! This facade crate re-exports the workspace:
 //!
 //! * [`linalg`] — dense/sparse linear algebra built from scratch
-//!   (Cholesky, LU, symmetric eigensolvers, SVD, CG).
+//!   (dense and natural-order sparse Cholesky, LU, symmetric
+//!   eigensolvers, SVD, CG for grounded Laplacians).
 //! * [`core`] — domains, workloads, policy graphs, the `P_G`
 //!   transformation (Cases I/II/III), sensitivities, spanners, neighbor
 //!   enumeration, error measurement, and the durable multi-tenant ε
 //!   [`Ledger`](core::Ledger).
 //! * [`mechanisms`] — Laplace, matrix mechanism (dense reference + CSR
-//!   with a cached factorization), hierarchical (Hay), Privelet
+//!   with one cached sparse Cholesky factor of the direct or
+//!   Haar-rotated gram), hierarchical (Hay), Privelet
 //!   (1-D/d-D, planned via `HaarPlan`), DAWA, isotonic consistency, and
 //!   the Theorem 4.4 graph-distance witness distribution.
 //! * [`strategies`] — the Section-5 policy-aware algorithms (line, θ-line,

@@ -1,11 +1,8 @@
-//! Seeded three-way equivalence of the matrix-mechanism apply paths:
-//! for random domain sizes, strategies, and seeds, a release served from
-//! the cached sparse Cholesky factor (`PinvApply::Factored`) must agree
-//! with the matrix-free CG path (`PinvApply::IterativeCg`) and with the
-//! dense materialized `W A⁺` reference to ≤1e-9 — the no-regression
-//! contract behind the factor-once hot path.
-
-use std::sync::Arc;
+//! Seeded equivalence of the matrix-mechanism apply paths: for random
+//! domain sizes, strategies, and seeds, a release served from the cached
+//! sparse Cholesky factor must agree with the dense materialized `W A⁺`
+//! reference to ≤1e-9 — the no-regression contract behind the
+//! factor-once hot path.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,8 +12,8 @@ use blowfish_privacy::core::{Epsilon, Workload};
 use blowfish_privacy::linalg::SparseMatrix;
 use blowfish_privacy::mechanisms::{
     hierarchical_strategy, hierarchical_strategy_sparse, identity_strategy,
-    identity_strategy_sparse, wavelet_strategy, wavelet_strategy_sparse, GramSolver,
-    MatrixMechanism, PinvApply, SparseMatrixMechanism,
+    identity_strategy_sparse, wavelet_strategy, wavelet_strategy_sparse, MatrixMechanism,
+    SparseMatrixMechanism,
 };
 
 fn strategies(kind: usize, k: usize) -> (blowfish_privacy::linalg::Matrix, SparseMatrix) {
@@ -30,8 +27,8 @@ fn strategies(kind: usize, k: usize) -> (blowfish_privacy::linalg::Matrix, Spars
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Factored vs IterativeCg vs dense `A⁺`, identity workload, random
-    /// (k, strategy, seed): all three releases agree to ≤1e-9.
+    /// Factored vs dense `A⁺`, identity workload, random
+    /// (k, strategy, seed): the two releases agree to ≤1e-9.
     #[test]
     fn factored_cg_and_dense_histogram_releases_agree(
         k in 4usize..80,
@@ -43,39 +40,22 @@ proptest! {
         let (dense_a, sparse_a) = strategies(kind, k);
         let dense =
             MatrixMechanism::new(blowfish_privacy::linalg::Matrix::identity(k), dense_a).unwrap();
-        let factored =
-            SparseMatrixMechanism::new(SparseMatrix::identity(k), sparse_a.clone()).unwrap();
-        let cg_solver = Arc::new(GramSolver::plan_cg(
-            &sparse_a,
-            SparseMatrixMechanism::DEFAULT_CG_OPTIONS,
-        ));
-        let cg =
-            SparseMatrixMechanism::with_solver(SparseMatrix::identity(k), sparse_a, cg_solver)
-                .unwrap();
-        // Small grams are always within budget: the default plan factors.
-        prop_assert_eq!(factored.apply_method(), PinvApply::Factored);
-        prop_assert_eq!(cg.apply_method(), PinvApply::IterativeCg);
+        let factored = SparseMatrixMechanism::new(SparseMatrix::identity(k), sparse_a).unwrap();
 
         let x: Vec<f64> = (0..k).map(|i| ((i * 13 + 5) % 17) as f64).collect();
         let rd = dense.run(&x, eps, &mut StdRng::seed_from_u64(seed)).unwrap();
         let rf = factored.run(&x, eps, &mut StdRng::seed_from_u64(seed)).unwrap();
-        let rc = cg.run(&x, eps, &mut StdRng::seed_from_u64(seed)).unwrap();
         for i in 0..k {
             let scale = 1.0 + rd[i].abs();
             prop_assert!(
                 (rd[i] - rf[i]).abs() <= 1e-9 * scale,
                 "k={k} kind={kind} cell {i}: dense {} vs factored {}", rd[i], rf[i]
             );
-            prop_assert!(
-                (rc[i] - rf[i]).abs() <= 1e-9 * scale,
-                "k={k} kind={kind} cell {i}: cg {} vs factored {}", rc[i], rf[i]
-            );
         }
-        prop_assert_eq!(factored.cg_iterations(), 0);
     }
 
-    /// The same three-way agreement under a real W ≠ I dyadic range
-    /// workload, including the reconstruction path that serves it.
+    /// The same agreement under a real W ≠ I dyadic range workload,
+    /// including the reconstruction path that serves it.
     #[test]
     fn factored_cg_and_dense_range_releases_agree(
         k in 4usize..48,
@@ -86,23 +66,14 @@ proptest! {
         let w = Workload::dyadic_ranges_1d(k);
         let (dense_a, sparse_a) = strategies(kind, k);
         let dense = MatrixMechanism::new(w.to_dense_matrix(), dense_a).unwrap();
-        let factored =
-            SparseMatrixMechanism::new(w.to_sparse_matrix(), sparse_a.clone()).unwrap();
-        let cg_solver = Arc::new(GramSolver::plan_cg(
-            &sparse_a,
-            SparseMatrixMechanism::DEFAULT_CG_OPTIONS,
-        ));
-        let cg =
-            SparseMatrixMechanism::with_solver(w.to_sparse_matrix(), sparse_a, cg_solver).unwrap();
+        let factored = SparseMatrixMechanism::new(w.to_sparse_matrix(), sparse_a).unwrap();
 
         let x: Vec<f64> = (0..k).map(|i| ((i * 3 + 1) % 7) as f64).collect();
         let rd = dense.run(&x, eps, &mut StdRng::seed_from_u64(seed)).unwrap();
         let rf = factored.run(&x, eps, &mut StdRng::seed_from_u64(seed)).unwrap();
-        let rc = cg.run(&x, eps, &mut StdRng::seed_from_u64(seed)).unwrap();
         for i in 0..rd.len() {
             let scale = 1.0 + rd[i].abs();
             prop_assert!((rd[i] - rf[i]).abs() <= 1e-9 * scale, "range {i}");
-            prop_assert!((rc[i] - rf[i]).abs() <= 1e-9 * scale, "range {i}");
         }
         // The reconstruction serving path is the same release: W x̂ = run.
         let xhat = factored
