@@ -128,10 +128,27 @@ impl Domain {
     /// L1 (Manhattan) distance between two flat indices, interpreting both
     /// as points of the product domain. This is the distance that defines
     /// the paper's distance-threshold policies `G^θ_{k^d}`.
+    ///
+    /// Reads each coordinate off the row-major strides, allocating
+    /// nothing; an out-of-range index fails as [`Domain::coords`] does,
+    /// `a` first.
     pub fn l1_distance(&self, a: usize, b: usize) -> Result<usize, CoreError> {
-        let ca = self.coords(a)?;
-        let cb = self.coords(b)?;
-        Ok(ca.iter().zip(&cb).map(|(&x, &y)| x.abs_diff(y)).sum())
+        for flat in [a, b] {
+            if flat >= self.size {
+                return Err(CoreError::CoordinateOutOfRange {
+                    coord: flat,
+                    dim_size: self.size,
+                });
+            }
+        }
+        let (mut ra, mut rb) = (a, b);
+        let mut dist = 0;
+        for &s in &self.strides {
+            dist += (ra / s).abs_diff(rb / s);
+            ra %= s;
+            rb %= s;
+        }
+        Ok(dist)
     }
 
     /// Iterates all flat indices.
@@ -180,6 +197,29 @@ mod tests {
         let b = d.flat_index(&[3, 4]).unwrap();
         assert_eq!(d.l1_distance(a, b).unwrap(), 2 + 3);
         assert_eq!(d.l1_distance(a, a).unwrap(), 0);
+        // Every pair of a 1-D, a 2-D and a 3-D domain agrees with the
+        // coordinate-vector definition.
+        for dims in [&[7][..], &[5, 7], &[3, 4, 5]] {
+            let d = Domain::product(dims).unwrap();
+            for a in d.iter() {
+                for b in d.iter() {
+                    let (ca, cb) = (d.coords(a).unwrap(), d.coords(b).unwrap());
+                    let want: usize = ca.iter().zip(&cb).map(|(&x, &y)| x.abs_diff(y)).sum();
+                    assert_eq!(d.l1_distance(a, b).unwrap(), want, "{dims:?} {a} {b}");
+                }
+            }
+            // Out of range on either side, reported for the first bad index.
+            let n = d.size();
+            for (a, b, bad) in [(n, 0, n), (0, n + 3, n + 3), (n + 1, n + 2, n + 1)] {
+                assert_eq!(
+                    d.l1_distance(a, b),
+                    Err(CoreError::CoordinateOutOfRange {
+                        coord: bad,
+                        dim_size: n
+                    })
+                );
+            }
+        }
     }
 
     #[test]

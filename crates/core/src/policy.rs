@@ -77,39 +77,60 @@ pub struct PolicyGraph {
 }
 
 impl PolicyGraph {
-    /// Builds a policy graph from explicit edges. Duplicate edges are
-    /// rejected.
+    /// Builds a policy graph from explicit edges, kept in the given order.
+    ///
+    /// Every endpoint must lie in the domain
+    /// ([`CoreError::CoordinateOutOfRange`]) and no edge may repeat
+    /// ([`CoreError::InvalidEdge`] `"duplicate edge"`; edges are canonical,
+    /// so `(v, u)` repeats `(u, v)`). When the input breaks both rules, the
+    /// error is the one an in-order scan meets first. Duplicates are found
+    /// by sorting the `(u, v)` keys once, which is O(E) for input already
+    /// in key order, as the line and θ-line generators emit it; each
+    /// adjacency list is allocated at its exact degree.
     pub fn from_edges(
         domain: Domain,
-        raw_edges: Vec<PolicyEdge>,
+        mut edges: Vec<PolicyEdge>,
         name: impl Into<String>,
     ) -> Result<Self, CoreError> {
         let k = domain.size();
-        let mut edges = Vec::with_capacity(raw_edges.len());
-        let mut adj = vec![Vec::new(); k];
-        let mut bottom_adj = Vec::new();
-        let mut seen = std::collections::HashSet::with_capacity(raw_edges.len());
-        for e in raw_edges {
-            if e.u >= k {
-                return Err(CoreError::CoordinateOutOfRange {
-                    coord: e.u,
-                    dim_size: k,
-                });
+        // The endpoint an in-order scan reports, `u` before `v`.
+        let out_of_range = |e: &PolicyEdge| match e.v {
+            _ if e.u >= k => Some(e.u),
+            Vtx::Value(v) if v >= k => Some(v),
+            _ => None,
+        };
+        // An in-order scan stops at the first out-of-range edge, so only
+        // a duplicate before it takes precedence.
+        let first_bad = edges.iter().position(|e| out_of_range(e).is_some());
+        let mut keys: Vec<(usize, usize)> = edges[..first_bad.unwrap_or(edges.len())]
+            .iter()
+            .map(|e| match e.v {
+                Vtx::Value(v) => (e.u, v),
+                Vtx::Bottom => (e.u, k),
+            })
+            .collect();
+        keys.sort_unstable();
+        if keys.windows(2).any(|w| w[0] == w[1]) {
+            return Err(CoreError::InvalidEdge {
+                reason: "duplicate edge",
+            });
+        }
+        if let Some(coord) = first_bad.and_then(|i| out_of_range(&edges[i])) {
+            return Err(CoreError::CoordinateOutOfRange { coord, dim_size: k });
+        }
+        let mut degree = vec![0usize; k];
+        let mut bottom_degree = 0;
+        for e in &edges {
+            degree[e.u] += 1;
+            match e.v {
+                Vtx::Value(v) => degree[v] += 1,
+                Vtx::Bottom => bottom_degree += 1,
             }
-            if let Vtx::Value(v) = e.v {
-                if v >= k {
-                    return Err(CoreError::CoordinateOutOfRange {
-                        coord: v,
-                        dim_size: k,
-                    });
-                }
-            }
-            if !seen.insert((e.u, e.v)) {
-                return Err(CoreError::InvalidEdge {
-                    reason: "duplicate edge",
-                });
-            }
-            let idx = edges.len();
+        }
+        let mut adj: Vec<Vec<(usize, usize)>> =
+            degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+        let mut bottom_adj = Vec::with_capacity(bottom_degree);
+        for (idx, e) in edges.iter().enumerate() {
             match e.v {
                 Vtx::Value(v) => {
                     adj[e.u].push((v, idx));
@@ -120,8 +141,8 @@ impl PolicyGraph {
                     bottom_adj.push((e.u, idx));
                 }
             }
-            edges.push(e);
         }
+        edges.shrink_to_fit();
         Ok(PolicyGraph {
             domain,
             edges,
@@ -149,7 +170,8 @@ impl PolicyGraph {
             return Err(CoreError::InvalidTheta { theta });
         }
         let domain = Domain::one_dim(k);
-        let mut edges = Vec::new();
+        let mut edges =
+            Vec::with_capacity((1..=theta.min(k.saturating_sub(1))).map(|d| k - d).sum());
         for u in 0..k {
             for v in (u + 1)..k.min(u + theta + 1) {
                 edges.push(PolicyEdge::new(Vtx::Value(u), Vtx::Value(v))?);
@@ -615,6 +637,57 @@ mod tests {
         assert!(PolicyGraph::from_edges(d.clone(), dup, "dup").is_err());
         let oob = vec![PolicyEdge::new(Vtx::Value(0), Vtx::Value(7)).unwrap()];
         assert!(PolicyGraph::from_edges(d, oob, "oob").is_err());
+    }
+
+    #[test]
+    fn from_edges_rejects_duplicates_in_scan_order() {
+        let dup = Err(CoreError::InvalidEdge {
+            reason: "duplicate edge",
+        });
+        let e = |a: usize, b: Vtx| PolicyEdge::new(Vtx::Value(a), b).unwrap();
+        let d = Domain::one_dim(6);
+        // A value edge given as (v, u) after (u, v).
+        let edges = vec![
+            e(1, Vtx::Value(2)),
+            e(4, Vtx::Value(5)),
+            e(2, Vtx::Value(1)),
+        ];
+        assert_eq!(PolicyGraph::from_edges(d.clone(), edges, "vu"), dup);
+        // A repeated (u, ⊥).
+        let edges = vec![e(3, Vtx::Bottom), e(0, Vtx::Bottom), e(3, Vtx::Bottom)];
+        assert_eq!(PolicyGraph::from_edges(d.clone(), edges, "bottom"), dup);
+        // A duplicate appended to a shuffled θ-line edge list.
+        let mut edges = PolicyGraph::theta_line(40, 3).unwrap().edges().to_vec();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..edges.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            edges.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        assert!(PolicyGraph::from_edges(Domain::one_dim(40), edges.clone(), "ok").is_ok());
+        edges.push(edges[17]);
+        assert_eq!(
+            PolicyGraph::from_edges(Domain::one_dim(40), edges.clone(), "shuffled"),
+            dup
+        );
+        // An out-of-range edge before the duplicate is reported first, and
+        // one after it is not.
+        let oob = e(2, Vtx::Value(40));
+        let mut before = edges.clone();
+        before.insert(10, oob);
+        assert_eq!(
+            PolicyGraph::from_edges(Domain::one_dim(40), before, "oob-first"),
+            Err(CoreError::CoordinateOutOfRange {
+                coord: 40,
+                dim_size: 40
+            })
+        );
+        edges.push(oob);
+        assert_eq!(
+            PolicyGraph::from_edges(Domain::one_dim(40), edges, "dup-first"),
+            dup
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use dense::{add_vec, axpy, dot, norm1, norm2, norm_inf, sub_vec, ColView, Ma
 pub use eigen::{eigenvalues, eigh, jacobi_eigh, sqrt_psd, SymmetricEigen};
 pub use lu::Lu;
 pub use sparse::{SparseMatrix, TripletBuilder};
-pub use sparse_cholesky::{dyadic_haar_basis, SparseCholesky};
+pub use sparse_cholesky::{dyadic_haar_basis, haar_rotate, SparseCholesky};
 pub use svd::{
     is_pseudoinverse, pseudoinverse, pseudoinverse_eigen, pseudoinverse_with_method, rank,
     singular_values, PinvMethod,
@@ -96,6 +96,12 @@ pub enum LinalgError {
         /// The budget that was exceeded.
         cap: usize,
     },
+    /// CSR arrays handed to [`SparseMatrix::from_csr`] break the
+    /// canonical form.
+    InvalidCsr {
+        /// Which invariant failed.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for LinalgError {
@@ -129,6 +135,7 @@ impl std::fmt::Display for LinalgError {
                     "cholesky budget exceeded: ≥{predicted_at_least} predicted, cap {cap}"
                 )
             }
+            LinalgError::InvalidCsr { reason } => write!(f, "invalid CSR matrix: {reason}"),
         }
     }
 }

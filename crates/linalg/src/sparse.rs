@@ -9,13 +9,19 @@
 //!
 //! [`SparseMatrix`] is classic three-array CSR: `indptr` (length
 //! `rows + 1`), `indices` (column of each stored value, ascending within a
-//! row), and `values`. Matrices are assembled through [`TripletBuilder`],
-//! which accepts `(row, col, value)` pushes in any order — including
-//! repeats of the same coordinate — and canonicalizes on
-//! [`TripletBuilder::build`]: duplicates are summed, and entries whose sum
-//! is exactly `0.0` are dropped, so structural equality (`PartialEq`)
-//! means numerical equality. This is what lets incidence assembly push one
-//! triplet per edge endpoint without pre-deduping.
+//! row), and `values`, with no explicit zeros, so structural equality
+//! (`PartialEq`) means numerical equality. Matrices come from one of two
+//! constructors:
+//!
+//! * [`TripletBuilder`] accepts `(row, col, value)` pushes in any order —
+//!   including repeats of the same coordinate — and canonicalizes on
+//!   [`TripletBuilder::build`]: duplicates are summed, and entries whose
+//!   sum is exactly `0.0` are dropped. This is what lets incidence
+//!   assembly push one triplet per edge endpoint without pre-deduping.
+//! * [`SparseMatrix::from_csr`] takes the three arrays of a matrix whose
+//!   builder already emits rows in order (the dyadic strategies, the Haar
+//!   basis, its rotation), checks the invariants in one O(nnz) pass, and
+//!   stores them as given: no triplet list and no sort.
 //!
 //! ## Kernels
 //!
@@ -24,11 +30,13 @@
 //! allocation-free `_into` variants for solver inner loops),
 //! [`SparseMatrix::col_sq_norms`] (the diagonal of `AᵀA`), and
 //! [`SparseMatrix::max_col_l1`] (the L1 sensitivity `Δ_A`).
-//! [`SparseMatrix::gram`] materializes `AᵀA` as CSR and costs
+//! [`SparseMatrix::gram_lower`] materializes the lower triangle of `AᵀA`,
+//! the only half a Cholesky factorization reads, and costs
 //! O(Σᵢ nnz(rowᵢ)²) — fine for bounded-row-degree inputs like incidence
 //! matrices, but a dense trap for strategies with a full row (e.g. the
 //! hierarchical root); the matrix mechanism rotates such strategies into
-//! the [`crate::dyadic_haar_basis`] first, where the gram is sparse.
+//! the [`crate::dyadic_haar_basis`] first ([`crate::haar_rotate`]), where
+//! the gram is sparse.
 
 use crate::dense::Matrix;
 use crate::LinalgError;
@@ -136,22 +144,49 @@ impl SparseMatrix {
 
     /// Sparse identity of size `n`.
     pub fn identity(n: usize) -> Self {
-        let mut b = TripletBuilder::new(n, n);
-        for i in 0..n {
-            b.push(i, i, 1.0);
-        }
-        b.build()
+        SparseMatrix::from_csr(n, n, (0..=n).collect(), (0..n).collect(), vec![1.0; n])
+            .expect("the identity is canonical CSR")
     }
 
-    /// Builds from per-row `(col, value)` lists.
-    pub fn from_row_lists(cols: usize, rows: &[Vec<(usize, f64)>]) -> Self {
-        let mut b = TripletBuilder::new(rows.len(), cols);
-        for (i, row) in rows.iter().enumerate() {
-            for &(j, v) in row {
-                b.push(i, j, v);
+    /// Assembles a matrix from its CSR arrays, checking the canonical form
+    /// in one O(nnz) pass: `indptr` has `rows + 1` nondecreasing entries
+    /// from `0` to `nnz`, every row's column indices ascend strictly and
+    /// stay below `cols`, and no stored value is `0.0`. The arrays are
+    /// kept as given, so a builder that sizes them exactly leaves no
+    /// growth slack behind.
+    pub fn from_csr(
+        rows: usize,
+        cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Result<SparseMatrix, LinalgError> {
+        let invalid = |reason| Err(LinalgError::InvalidCsr { reason });
+        if indptr.len() != rows + 1 || indptr[0] != 0 {
+            return invalid("indptr must hold rows + 1 offsets starting at 0");
+        }
+        if indptr[rows] != indices.len() || values.len() != indices.len() {
+            return invalid("indptr, indices and values disagree on nnz");
+        }
+        for w in indptr.windows(2) {
+            if w[0] > w[1] || w[1] > indices.len() {
+                return invalid("indptr must be nondecreasing");
+            }
+            let row = &indices[w[0]..w[1]];
+            if row.windows(2).any(|p| p[0] >= p[1]) || row.last().is_some_and(|&j| j >= cols) {
+                return invalid("column indices must ascend within a row and stay below cols");
             }
         }
-        b.build()
+        if values.contains(&0.0) {
+            return invalid("explicit zeros are not stored");
+        }
+        Ok(SparseMatrix {
+            rows,
+            cols,
+            indptr,
+            indices,
+            values,
+        })
     }
 
     /// Number of rows.
@@ -273,25 +308,61 @@ impl SparseMatrix {
         Ok(())
     }
 
-    /// The Gram matrix `AᵀA` as CSR.
+    /// The lower triangle of the Gram matrix `AᵀA`, diagonal included, as
+    /// CSR — the half [`crate::SparseCholesky::factor`] reads.
     ///
-    /// Assembled row-by-row from the outer products of `A`'s rows, so the
-    /// cost is O(Σᵢ nnz(rowᵢ)²) triplets. That is O(nnz) for
-    /// bounded-row-degree inputs (incidence matrices, θ-spanner rows), but
-    /// a strategy with one dense row (the hierarchical root, the Haar
-    /// total row) makes `AᵀA` itself dense — for those, form the gram of
-    /// the strategy rotated into the [`crate::dyadic_haar_basis`]
-    /// instead.
-    pub fn gram(&self) -> SparseMatrix {
-        let mut b = TripletBuilder::new(self.cols, self.cols);
-        for i in 0..self.rows {
-            for (j1, v1) in self.row(i) {
-                for (j2, v2) in self.row(i) {
-                    b.push(j1, j2, v1 * v2);
+    /// Row `i` accumulates `A[r, i]·A[r, j]` for `j ≤ i` over the rows `r`
+    /// of column `i` in ascending order, the summation order of
+    /// `self.transpose().matmul(self)`, so every entry it keeps is
+    /// bit-identical to that product's, and an entry that cancels to
+    /// exactly `0.0` is dropped the same way. The cost is
+    /// O(Σᵢ nnz(rowᵢ)²): O(nnz) for bounded-row-degree inputs (incidence
+    /// matrices, θ-spanner rows), but a strategy with one dense row (the
+    /// hierarchical root, the Haar total row) makes `AᵀA` itself dense —
+    /// for those, form the gram of the strategy rotated into the
+    /// [`crate::dyadic_haar_basis`] ([`crate::haar_rotate`]) instead.
+    pub fn gram_lower(&self) -> SparseMatrix {
+        let at = self.transpose();
+        let n = self.cols;
+        let mut indptr = Vec::with_capacity(n + 1);
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        indptr.push(0);
+        let mut acc = vec![0.0f64; n];
+        let mut occupied = vec![false; n];
+        let mut touched: Vec<usize> = Vec::new();
+        for i in 0..n {
+            for (r, v) in at.row(i) {
+                for (j, w) in self.row(r) {
+                    if j > i {
+                        break; // columns ascend: the rest is upper triangle
+                    }
+                    if !occupied[j] {
+                        occupied[j] = true;
+                        touched.push(j);
+                    }
+                    acc[j] += v * w;
                 }
             }
+            touched.sort_unstable();
+            for &j in &touched {
+                if acc[j] != 0.0 {
+                    indices.push(j);
+                    values.push(acc[j]);
+                }
+                acc[j] = 0.0;
+                occupied[j] = false;
+            }
+            touched.clear();
+            indptr.push(indices.len());
         }
-        b.build()
+        SparseMatrix {
+            rows: n,
+            cols: n,
+            indptr,
+            indices,
+            values,
+        }
     }
 
     /// Per-column squared L2 norms — the diagonal of `AᵀA`, computed in
@@ -314,55 +385,6 @@ impl SparseMatrix {
             0.0
         } else {
             self.nnz() as f64 / cells as f64
-        }
-    }
-
-    /// Largest entry magnitude (0 for a matrix with no stored entries).
-    pub fn max_abs(&self) -> f64 {
-        let mut m = 0.0f64;
-        for i in 0..self.rows {
-            for (_, v) in self.row(i) {
-                m = m.max(v.abs());
-            }
-        }
-        m
-    }
-
-    /// A copy with every entry of magnitude ≤ `tol` dropped from the
-    /// stored pattern.
-    ///
-    /// Sparse products of structurally-cancelling operands (e.g. a
-    /// dyadic strategy times a Haar basis, where whole wavelet columns
-    /// sum to zero across a row's support) leave rounding residue at
-    /// entries that are mathematically zero: partial sums `m·x` round
-    /// for non-power-of-two `m`, so the cancellation comes back as
-    /// ~1e-13 instead of 0.0. Those phantom entries are numerically
-    /// irrelevant but **structurally ruinous** — they densify the
-    /// product's Gram and break the chordal zero-fill pattern a
-    /// downstream sparse Cholesky depends on. Callers prune with a
-    /// tolerance well below the smallest true entry (see
-    /// `GramSolver::plan`).
-    pub fn dropping_below(&self, tol: f64) -> SparseMatrix {
-        // Filtering preserves the canonical CSR order: assemble directly.
-        let mut indptr = Vec::with_capacity(self.rows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        for i in 0..self.rows {
-            for (j, v) in self.row(i) {
-                if v.abs() > tol {
-                    indices.push(j);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        SparseMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            indptr,
-            indices,
-            values,
         }
     }
 
@@ -607,29 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_and_dropping_below() {
-        let mut b = TripletBuilder::new(2, 3);
-        b.push(0, 0, 1.0);
-        b.push(0, 2, -4.0);
-        b.push(1, 1, 1e-13);
-        b.push(1, 2, -2e-13);
-        let m = b.build();
-        assert_eq!(m.max_abs(), 4.0);
-        let pruned = m.dropping_below(1e-10);
-        assert_eq!(pruned.nnz(), 2);
-        assert_eq!(pruned.rows(), 2);
-        assert_eq!(pruned.cols(), 3);
-        assert_eq!(pruned.get(0, 0), 1.0);
-        assert_eq!(pruned.get(0, 2), -4.0);
-        assert_eq!(pruned.get(1, 1), 0.0);
-        // Canonical CSR out: round-trips through dense unchanged.
-        assert_eq!(SparseMatrix::from_dense(&pruned.to_dense()), pruned);
-        assert_eq!(SparseMatrix::zeros(2, 2).max_abs(), 0.0);
-        // tol = 0 keeps every stored entry.
-        assert_eq!(m.dropping_below(0.0), m);
-    }
-
-    #[test]
     fn dense_roundtrip() {
         let m = small();
         let rt = SparseMatrix::from_dense(&m.to_dense());
@@ -684,22 +683,55 @@ mod tests {
         let m = small();
         let dense = m.to_dense();
         let expected = dense.transpose().matmul(&dense).unwrap();
-        assert!(m.gram().to_dense().approx_eq(&expected, 1e-12));
-        // gram of a matrix with an empty row/col stays consistent.
-        let g = m.gram();
-        assert_eq!(g.rows(), 3);
-        assert_eq!(g.cols(), 3);
+        let g = m.gram_lower();
+        // A gram of a matrix with an empty row/col stays square.
+        assert_eq!((g.rows(), g.cols()), (3, 3));
+        for i in 0..3 {
+            for j in 0..3 {
+                let want = if j <= i { expected[(i, j)] } else { 0.0 };
+                assert!((g.get(i, j) - want).abs() < 1e-12, "({i},{j})");
+            }
+        }
     }
 
     #[test]
     fn col_sq_norms_is_gram_diagonal() {
         let m = small();
-        let g = m.gram();
+        let g = m.gram_lower();
         let sq = m.col_sq_norms();
         for (j, &s) in sq.iter().enumerate() {
             assert!((g.get(j, j) - s).abs() < 1e-12);
         }
         assert_eq!(sq, vec![10.0, 16.0, 4.0]);
+    }
+
+    #[test]
+    fn from_csr_checks_the_canonical_form() {
+        let m = small();
+        let rebuilt = SparseMatrix::from_csr(
+            3,
+            3,
+            vec![0, 2, 2, 4],
+            vec![0, 2, 0, 1],
+            vec![1.0, 2.0, 3.0, 4.0],
+        )
+        .unwrap();
+        assert_eq!(rebuilt, m);
+        let bad = |indptr: Vec<usize>, indices: Vec<usize>, values: Vec<f64>| {
+            matches!(
+                SparseMatrix::from_csr(2, 3, indptr, indices, values),
+                Err(LinalgError::InvalidCsr { .. })
+            )
+        };
+        assert!(bad(vec![0, 1], vec![0], vec![1.0])); // too few offsets
+        assert!(bad(vec![1, 1, 1], vec![0], vec![1.0])); // not from 0
+        assert!(bad(vec![0, 1, 2], vec![0, 1], vec![1.0])); // nnz disagree
+        assert!(bad(vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0])); // decreasing
+        assert!(bad(vec![0, 2, 2], vec![1, 0], vec![1.0, 1.0])); // unsorted
+        assert!(bad(vec![0, 2, 2], vec![1, 1], vec![1.0, 1.0])); // repeated
+        assert!(bad(vec![0, 1, 1], vec![3], vec![1.0])); // column out of range
+        assert!(bad(vec![0, 1, 1], vec![0], vec![0.0])); // explicit zero
+        assert_eq!(SparseMatrix::identity(0).nnz(), 0);
     }
 
     #[test]

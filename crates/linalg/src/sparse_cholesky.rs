@@ -14,7 +14,19 @@
 //! [`dyadic_haar_basis`] rotation of a hierarchical or wavelet strategy
 //! has tree-ancestor sparsity that is chordal with *zero* fill in its
 //! leaf-first column order. So [`SparseCholesky::factor`] eliminates in
-//! the matrix's given order and never permutes.
+//! the matrix's given order and never permutes. It reads only the lower
+//! triangle, so the planner hands it
+//! [`SparseMatrix::gram_lower`](crate::SparseMatrix::gram_lower), half
+//! the gram.
+//!
+//! # The Haar rotation
+//!
+//! [`haar_rotate`] forms the rotated strategy `B = AQ` in closed form,
+//! row by row, instead of as a sparse product with the basis: a dyadic
+//! row is a few runs of equal values, every tree node inside one run has
+//! an exactly-zero coefficient, and every other coefficient is a scaled
+//! difference of two half-sums — exact for integer rows, so no rounding
+//! residue is ever stored.
 //!
 //! # Symbolic and numeric passes
 //!
@@ -49,7 +61,7 @@ fn symbolic(
     for k in 0..n {
         for (mut j, _) in g.row(k) {
             if j >= k {
-                continue;
+                break; // columns ascend: the rest is diagonal or upper
             }
             while j != NONE && j < k {
                 let next = ancestor[j];
@@ -73,7 +85,7 @@ fn symbolic(
         mark[k] = k;
         for (mut j, _) in g.row(k) {
             if j >= k {
-                continue;
+                break;
             }
             // (k is an etree ancestor of every lower entry of row k, so
             // the walk always terminates at a marked node; the NONE guard
@@ -118,6 +130,12 @@ pub struct SparseCholesky {
 impl SparseCholesky {
     /// Factors the SPD matrix `g` in natural order.
     ///
+    /// Only the lower triangle of `g` is read, diagonal included: the
+    /// entries `(i, j)` with `j ≤ i`. A full symmetric matrix and its
+    /// lower triangle alone (such as [`SparseMatrix::gram_lower`]) give
+    /// the same factor, bit for bit; the upper triangle is never checked
+    /// against it.
+    ///
     /// With `fill_cap = Some(cap)`, the symbolic pass aborts with
     /// [`LinalgError::FillBudgetExceeded`] as soon as the running nnz(L)
     /// passes `cap` — O(cap) work to reject a dense factor, never O(n²),
@@ -150,7 +168,7 @@ impl SparseCholesky {
             x[k] = 0.0;
             for (j, v) in g.row(k) {
                 if j > k {
-                    continue;
+                    break;
                 }
                 x[j] = v;
                 let mut len = 0usize;
@@ -250,6 +268,68 @@ impl SparseCholesky {
     }
 }
 
+/// One level of the dyadic tree over `k` leaves: the `count` nodes of
+/// width `size` whose two clipped children are both non-empty. Node `j`
+/// spans `j·size .. min((j + 1)·size, k)` and splits at `j·size + size/2`;
+/// only the last node of a level can be clipped, so every other node has
+/// `n_L = n_R = size/2`.
+struct HaarLevel {
+    size: usize,
+    /// Basis column of node 0; node `j` is column `offset + j`.
+    offset: usize,
+    count: usize,
+    /// `1/√(n_L·n_R·(n_L + n_R))` for a full node and for the last node.
+    scale_full: f64,
+    scale_last: f64,
+}
+
+impl HaarLevel {
+    /// `(lo, mid, hi, n_L, n_R, scale)` of node `j`.
+    fn node(&self, j: usize, k: usize) -> (usize, usize, usize, f64, f64, f64) {
+        let lo = j * self.size;
+        let mid = lo + self.size / 2;
+        let hi = (lo + self.size).min(k);
+        let scale = if j + 1 == self.count {
+            self.scale_last
+        } else {
+            self.scale_full
+        };
+        (lo, mid, hi, (mid - lo) as f64, (hi - mid) as f64, scale)
+    }
+}
+
+/// The node enumeration shared by [`dyadic_haar_basis`] and
+/// [`haar_rotate`]: the levels of the dyadic tree over `k ≥ 1` leaves,
+/// deepest first, each level's nodes left to right — the basis's column
+/// order, which makes natural elimination leaf-first. A block of width
+/// `size` starting at `lo` is a node iff `lo + size/2 < k`, so each level
+/// holds `⌈(k − size/2) / size⌉` nodes, `k − 1` in all.
+fn haar_levels(k: usize) -> Vec<HaarLevel> {
+    let scale = |nl: usize, nr: usize| {
+        let (nl, nr) = (nl as f64, nr as f64);
+        1.0 / (nl * nr * (nl + nr)).sqrt()
+    };
+    let mut levels = Vec::new();
+    let mut offset = 0;
+    let mut size = 2;
+    while size <= k.next_power_of_two() {
+        let half = size / 2;
+        let count = (k - half).div_ceil(size);
+        let last_hi = (count * size).min(k);
+        levels.push(HaarLevel {
+            size,
+            offset,
+            count,
+            scale_full: scale(half, half),
+            scale_last: scale(half, last_hi - (count - 1) * size - half),
+        });
+        offset += count;
+        size *= 2;
+    }
+    debug_assert_eq!(offset, k - 1, "a binary tree over k leaves");
+    levels
+}
+
 /// The orthonormal **unbalanced dyadic Haar basis** `Q` over a domain of
 /// size `k` (any `k ≥ 1`, clipped from the next power of two), as a
 /// `k × k` CSR matrix whose columns are the basis vectors.
@@ -259,10 +339,10 @@ impl SparseCholesky {
 /// pair of leaves shares a tree ancestor), so no permutation makes it
 /// directly factorable at k = 65 536. But under the congruence
 /// `AᵀA x = b  ⇔  (AQ)ᵀ(AQ) z = Qᵀb, x = Qz`, the rotated strategy
-/// `B = AQ` has ≤ log₂k + 1 nonzeros per row — a dyadic row of `A` has
-/// nonzero inner product only with the Haar vectors of its own
-/// ancestor-or-self tree nodes (every other wavelet sums to zero across
-/// the row's support) — and `BᵀB` has tree-ancestor-pair sparsity
+/// `B = AQ` ([`haar_rotate`]) has ≤ log₂k + 1 nonzeros per row — a
+/// dyadic row of `A` has nonzero inner product only with the Haar vectors
+/// of its own ancestor tree nodes (every other wavelet sums to zero
+/// across the row's support) — and `BᵀB` has tree-ancestor-pair sparsity
 /// (O(k log k) nonzeros). That pattern is **chordal**: columns are
 /// emitted deepest-first (the total column last), which is a perfect
 /// elimination order, so the natural-order Cholesky factor has *zero
@@ -271,49 +351,163 @@ impl SparseCholesky {
 /// Columns are orthonormal (`QᵀQ = I`), so the congruence preserves
 /// conditioning exactly: internal node `t` with clipped child supports
 /// `L`, `R` contributes `(|R|·1_L − |L|·1_R) / √(|L||R|(|L|+|R|))`, and
-/// the final column is `1/√k`.
+/// the final column is `1/√k`. Row `i` holds one entry per node above
+/// leaf `i`, deepest first, then the total column, so the CSR arrays are
+/// written in order at their exact final size.
 pub fn dyadic_haar_basis(k: usize) -> SparseMatrix {
     assert!(k >= 1, "domain must be non-empty");
-    // Collect (depth, lo, mid, hi) for every tree node with two
-    // non-empty clipped children.
-    let padded = k.next_power_of_two();
-    let mut nodes: Vec<(usize, usize, usize, usize)> = Vec::new();
-    let mut frontier: Vec<(usize, usize, usize)> = vec![(0usize, padded, 0usize)];
-    while let Some((start, size, depth)) = frontier.pop() {
-        if size < 2 || start >= k {
-            continue;
-        }
-        let half = size / 2;
-        let mid = (start + half).min(k);
-        let hi = (start + size).min(k);
-        if mid > start && hi > mid {
-            nodes.push((depth, start, mid, hi));
-        }
-        frontier.push((start, half, depth + 1));
-        if start + half < k {
-            frontier.push((start + half, half, depth + 1));
-        }
-    }
-    // Deepest-first column order makes natural elimination leaf-first.
-    nodes.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    debug_assert_eq!(nodes.len(), k - 1, "a binary tree over k leaves");
-
-    let mut b = TripletBuilder::new(k, k);
-    for (col, &(_, lo, mid, hi)) in nodes.iter().enumerate() {
-        let (nl, nr) = ((mid - lo) as f64, (hi - mid) as f64);
-        let scale = 1.0 / (nl * nr * (nl + nr)).sqrt();
-        for row in lo..mid {
-            b.push(row, col, nr * scale);
-        }
-        for row in mid..hi {
-            b.push(row, col, -(nl * scale));
-        }
-    }
+    let levels = haar_levels(k);
+    // Each level's nodes cover a prefix of the leaves; every leaf also
+    // meets the total column.
+    let nnz = k + levels
+        .iter()
+        .map(|l| (l.count * l.size).min(k))
+        .sum::<usize>();
+    let mut indptr = Vec::with_capacity(k + 1);
+    let mut indices = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
+    indptr.push(0);
     let total = 1.0 / (k as f64).sqrt();
     for row in 0..k {
-        b.push(row, k - 1, total);
+        for level in &levels {
+            let j = row / level.size;
+            if j < level.count {
+                let (_, mid, _, nl, nr, scale) = level.node(j, k);
+                indices.push(level.offset + j);
+                values.push(if row < mid { nr * scale } else { -(nl * scale) });
+            }
+        }
+        indices.push(k - 1);
+        values.push(total);
+        indptr.push(indices.len());
     }
-    b.build()
+    debug_assert_eq!(indices.len(), nnz);
+    SparseMatrix::from_csr(k, k, indptr, indices, values)
+        .expect("the Haar basis is written in canonical CSR order")
+}
+
+/// One row of a matrix as maximal runs of equal values over `0..k`, gaps
+/// between stored entries included as runs of `0.0`, with the prefix sum
+/// at each run start. Reused across rows.
+#[derive(Default)]
+struct Runs {
+    starts: Vec<usize>,
+    values: Vec<f64>,
+    prefix: Vec<f64>,
+}
+
+impl Runs {
+    fn load(&mut self, row: impl Iterator<Item = (usize, f64)>, k: usize) {
+        self.starts.clear();
+        self.values.clear();
+        self.prefix.clear();
+        let mut pos = 0;
+        for (c, v) in row {
+            if c > pos {
+                self.push(pos, 0.0);
+            }
+            self.push(c, v);
+            pos = c + 1;
+        }
+        if pos < k {
+            self.push(pos, 0.0);
+        }
+        let mut acc = 0.0;
+        for r in 0..self.starts.len() {
+            self.prefix.push(acc);
+            let end = self.starts.get(r + 1).copied().unwrap_or(k);
+            acc += (end - self.starts[r]) as f64 * self.values[r];
+        }
+    }
+
+    fn push(&mut self, start: usize, value: f64) {
+        // Runs are contiguous, so an equal value extends the last run.
+        if self.values.last() != Some(&value) {
+            self.starts.push(start);
+            self.values.push(value);
+        }
+    }
+
+    /// Positions `p` with `x[p − 1] ≠ x[p]`, ascending.
+    fn boundaries(&self) -> &[usize] {
+        &self.starts[1..]
+    }
+
+    /// `Σ_{i < q} x[i]`, for `q ≤ k`. `run` is a cursor that only moves
+    /// forward, so positions asked in ascending order cost O(runs) in all.
+    fn prefix_sum(&self, q: usize, run: &mut usize) -> f64 {
+        while self.starts.get(*run + 1).is_some_and(|&s| s <= q) {
+            *run += 1;
+        }
+        let r = *run;
+        self.prefix[r] + (q - self.starts[r]) as f64 * self.values[r]
+    }
+}
+
+/// The strategy rotated into the [`dyadic_haar_basis`]: `B = A·Q`,
+/// computed in closed form one row at a time, without forming `Q`.
+///
+/// Row `x` of `A` is read as runs of equal values. Coefficient `t` of a
+/// node with halves `L`, `R` is `x·q_t = scale·(n_R·S_L − n_L·S_R)`, with
+/// `S_L`, `S_R` the half-sums of `x`. A node inside one run has
+/// `S_L = n_L·v` and `S_R = n_R·v`, so its coefficient is exactly zero,
+/// and so is every coefficient in its subtree: the walk visits only the
+/// nodes that straddle a run boundary, deepest level first, which is the
+/// basis's column order, so each row is written sorted. The half-sums
+/// come from prefix sums over the runs, so for an integer-valued row
+/// `n_R·S_L − n_L·S_R` is computed exactly and a coefficient that is
+/// zero in exact arithmetic is never stored — no rounding residue to
+/// prune. The total column is `S/√k`. Cost per row: O(nnz(row) +
+/// runs · log₂k), against a generic sparse product's O(nnz(row) · log₂k)
+/// multiply-adds.
+pub fn haar_rotate(a: &SparseMatrix) -> SparseMatrix {
+    let k = a.cols();
+    assert!(k >= 1, "domain must be non-empty");
+    let levels = haar_levels(k);
+    let total = 1.0 / (k as f64).sqrt();
+    let mut indptr = Vec::with_capacity(a.rows() + 1);
+    let mut indices = Vec::new();
+    let mut values = Vec::new();
+    indptr.push(0);
+    let mut runs = Runs::default();
+    for i in 0..a.rows() {
+        runs.load(a.row(i), k);
+        for level in &levels {
+            // Nodes, and their lo < mid < hi, ascend within a level.
+            let mut run = 0;
+            let mut visited = usize::MAX;
+            for &p in runs.boundaries() {
+                if p % level.size == 0 {
+                    continue; // on a node edge, inside none of this level
+                }
+                let j = p / level.size;
+                if j >= level.count {
+                    break; // boundaries ascend: no node further right
+                }
+                if j == visited {
+                    continue;
+                }
+                visited = j;
+                let (lo, mid, hi, nl, nr, scale) = level.node(j, k);
+                let at_lo = runs.prefix_sum(lo, &mut run);
+                let at_mid = runs.prefix_sum(mid, &mut run);
+                let (sl, sr) = (at_mid - at_lo, runs.prefix_sum(hi, &mut run) - at_mid);
+                let d = nr * sl - nl * sr;
+                if d != 0.0 {
+                    indices.push(level.offset + j);
+                    values.push(scale * d);
+                }
+            }
+        }
+        let sum = runs.prefix_sum(k, &mut 0);
+        if sum != 0.0 {
+            indices.push(k - 1);
+            values.push(total * sum);
+        }
+        indptr.push(indices.len());
+    }
+    SparseMatrix::from_csr(a.rows(), k, indptr, indices, values)
+        .expect("the rotation is written in canonical CSR order")
 }
 
 #[cfg(test)]

@@ -24,9 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::Rng;
 
-use blowfish_linalg::{
-    dyadic_haar_basis, LinalgError, SparseCholesky, SparseMatrix, TripletBuilder,
-};
+use blowfish_linalg::{dyadic_haar_basis, haar_rotate, LinalgError, SparseCholesky, SparseMatrix};
 
 use blowfish_core::Epsilon;
 
@@ -60,6 +58,9 @@ pub const FILL_GROWTH_FACTOR: usize = 8;
 ///    with zero fill in its natural order, so the budgets pass at
 ///    k = 65 536. Solves run through the congruence `x = Q z`,
 ///    `BᵀB z = Qᵀ b`.
+///
+/// Either way only the lower triangle of the gram is formed
+/// ([`SparseMatrix::gram_lower`]), the half the factorization reads.
 #[derive(Debug)]
 pub struct GramSolver {
     basis: Option<SparseMatrix>,
@@ -85,24 +86,19 @@ impl GramSolver {
         let budget = |m: &SparseMatrix| GRAM_COST_FACTOR.saturating_mul(m.nnz() + k);
 
         if gram_cost(strategy) <= budget(strategy) {
-            let g = strategy.transpose().matmul(strategy)?;
             return Ok(GramSolver {
                 basis: None,
-                chol: Self::factor_within_fill_budget(&g)?,
+                chol: Self::factor_within_fill_budget(&strategy.gram_lower())?,
             });
         }
 
-        // Gram too dense to form: take the Haar congruence. The sparse
-        // product `AQ` leaves ~1e-13 rounding residue at entries the
-        // wavelet cancellation makes mathematically zero; dropped here
-        // (the smallest true entry of a dyadic rotation is ≥ 1/(2√k),
-        // many orders above the prune line), because the residue would
-        // densify `BᵀB` and break its chordal zero-fill pattern. The
-        // construction probes vet the pruned operator numerically
+        // Gram too dense to form: take the Haar congruence. `B = AQ` comes
+        // from the closed-form rotation, which stores no coefficient that
+        // is zero in exact arithmetic for an integer strategy, so `BᵀB`
+        // keeps its chordal zero-fill pattern without a residue prune.
+        // The construction probes vet the rotated operator numerically
         // before it can serve a release.
-        let q = dyadic_haar_basis(k);
-        let b = strategy.matmul(&q)?;
-        let b = b.dropping_below(b.max_abs() * 1e-10);
+        let b = haar_rotate(strategy);
         let (cost, cap) = (gram_cost(&b), budget(&b));
         if cost > cap {
             return Err(LinalgError::FillBudgetExceeded {
@@ -110,16 +106,16 @@ impl GramSolver {
                 cap,
             });
         }
-        let g = b.transpose().matmul(&b)?;
         Ok(GramSolver {
-            chol: Self::factor_within_fill_budget(&g)?,
-            basis: Some(q),
+            chol: Self::factor_within_fill_budget(&b.gram_lower())?,
+            basis: Some(dyadic_haar_basis(k)),
         })
     }
 
+    /// Factors the lower-triangle gram `g` under [`FILL_GROWTH_FACTOR`]:
+    /// `g.nnz()` is the stored lower triangle, diagonal included.
     fn factor_within_fill_budget(g: &SparseMatrix) -> Result<SparseCholesky, LinalgError> {
-        let lower = (g.nnz() + g.rows()) / 2;
-        let cap = FILL_GROWTH_FACTOR.saturating_mul(lower.max(g.rows()));
+        let cap = FILL_GROWTH_FACTOR.saturating_mul(g.nnz().max(g.rows()));
         SparseCholesky::factor(g, Some(cap))
     }
 
@@ -361,78 +357,63 @@ pub fn identity_strategy_sparse(k: usize) -> SparseMatrix {
     SparseMatrix::identity(k)
 }
 
+/// The levels of a dyadic strategy over `k` cells: block widths from the
+/// padded domain `k.next_power_of_two()` down to `smallest`.
+fn dyadic_sizes(k: usize, smallest: usize) -> impl Iterator<Item = usize> {
+    let padded = k.next_power_of_two();
+    std::iter::successors((padded >= smallest).then_some(padded), move |&s| {
+        (s > smallest).then_some(s / 2)
+    })
+}
+
 /// The binary hierarchical strategy `H_k` in CSR form — row-for-row
 /// identical to [`crate::hierarchical_strategy`], at O(k log k) nonzeros
-/// instead of O(k²·log k) dense cells.
+/// instead of O(k²·log k) dense cells. Every level covers each cell once,
+/// so the strategy has exactly `k·(log₂(k.next_power_of_two()) + 1)`
+/// nonzeros, and the rows are written in order straight into CSR arrays
+/// of that size.
 pub fn hierarchical_strategy_sparse(k: usize) -> SparseMatrix {
-    let padded = k.next_power_of_two();
-    let mut triplets: Vec<(usize, usize)> = Vec::new();
-    let mut row = 0usize;
-    let mut size = padded;
-    loop {
-        let mut start = 0;
-        while start < padded {
-            let lo = start.min(k);
-            let hi = (start + size).min(k);
-            if lo < hi {
-                // Non-empty after clipping padding: this row exists.
-                for j in lo..hi {
-                    triplets.push((row, j));
-                }
-                row += 1;
-            }
-            start += size;
+    let rows: usize = dyadic_sizes(k, 1).map(|s| k.div_ceil(s)).sum();
+    let nnz = k * (k.next_power_of_two().trailing_zeros() as usize + 1);
+    let mut indptr = Vec::with_capacity(rows + 1);
+    let mut indices = Vec::with_capacity(nnz);
+    indptr.push(0);
+    for size in dyadic_sizes(k, 1) {
+        for lo in (0..k).step_by(size) {
+            indices.extend(lo..(lo + size).min(k));
+            indptr.push(indices.len());
         }
-        if size == 1 {
-            break;
-        }
-        size /= 2;
     }
-    let mut b = TripletBuilder::new(row, k);
-    for (r, j) in triplets {
-        b.push(r, j, 1.0);
-    }
-    b.build()
+    SparseMatrix::from_csr(rows, k, indptr, indices, vec![1.0; nnz])
+        .expect("hierarchical rows are written in canonical CSR order")
 }
 
 /// The Haar wavelet strategy `Y_k` in CSR form — row-for-row identical to
-/// [`crate::wavelet_strategy`].
+/// [`crate::wavelet_strategy`]: the total row, then one `+1 … −1` row per
+/// block of every level of width ≥ 2. Like the hierarchical strategy it
+/// has exactly `k·(log₂(k.next_power_of_two()) + 1)` nonzeros, written in
+/// order straight into CSR arrays of that size.
 pub fn wavelet_strategy_sparse(k: usize) -> SparseMatrix {
-    let padded = k.next_power_of_two();
-    let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-    let mut row = 0usize;
-    // Total-average row.
-    for j in 0..k {
-        triplets.push((row, j, 1.0));
-    }
-    row += 1;
-    let mut size = padded;
-    while size >= 2 {
-        let half = size / 2;
-        let mut start = 0;
-        while start < padded {
-            let plo = start.min(k);
-            let phi = (start + half).min(k);
-            let nlo = (start + half).min(k);
-            let nhi = (start + size).min(k);
-            if plo < phi || nlo < nhi {
-                for j in plo..phi {
-                    triplets.push((row, j, 1.0));
-                }
-                for j in nlo..nhi {
-                    triplets.push((row, j, -1.0));
-                }
-                row += 1;
-            }
-            start += size;
+    let rows = 1 + dyadic_sizes(k, 2).map(|s| k.div_ceil(s)).sum::<usize>();
+    let nnz = k * (k.next_power_of_two().trailing_zeros() as usize + 1);
+    let mut indptr = Vec::with_capacity(rows + 1);
+    let mut indices = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
+    indptr.push(0);
+    indices.extend(0..k);
+    values.resize(k, 1.0);
+    indptr.push(k);
+    for size in dyadic_sizes(k, 2) {
+        for lo in (0..k).step_by(size) {
+            let (mid, hi) = ((lo + size / 2).min(k), (lo + size).min(k));
+            indices.extend(lo..hi);
+            values.resize(values.len() + (mid - lo), 1.0);
+            values.resize(values.len() + (hi - mid), -1.0);
+            indptr.push(indices.len());
         }
-        size /= 2;
     }
-    let mut b = TripletBuilder::new(row, k);
-    for (r, j, v) in triplets {
-        b.push(r, j, v);
-    }
-    b.build()
+    SparseMatrix::from_csr(rows, k, indptr, indices, values)
+        .expect("wavelet rows are written in canonical CSR order")
 }
 
 #[cfg(test)]
@@ -441,12 +422,15 @@ mod tests {
     use crate::matrix::{hierarchical_strategy, identity_strategy, wavelet_strategy};
     use crate::MatrixMechanism;
     use blowfish_core::Workload;
+    use blowfish_linalg::TripletBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn sparse_strategies_match_dense_row_for_row() {
-        for k in [1, 2, 3, 5, 6, 7, 8, 13, 16, 21, 32, 37] {
+        for k in [
+            1, 2, 3, 5, 6, 7, 8, 13, 16, 21, 32, 37, 100, 129, 255, 257, 513,
+        ] {
             let hd = hierarchical_strategy(k);
             let hs = hierarchical_strategy_sparse(k);
             assert_eq!(hs.rows(), hd.rows(), "hierarchical rows at k={k}");
