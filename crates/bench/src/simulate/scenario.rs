@@ -85,9 +85,9 @@ pub enum SpecChoice {
     /// the ε/2-DP Laplace baseline.
     ClosedForm,
     /// Every fit names the matrix mechanism with the hierarchical
-    /// strategy (`MechanismSpec::MatrixHist`). The engine plans it as a
-    /// CSR strategy with a once-factored gram, never a dense k×k A⁺,
-    /// which is what lets it reach large domains like k = 16 384.
+    /// strategy (`MechanismSpec::MatrixHist`). The engine serves it by
+    /// the closed-form tree solve, never a dense k×k A⁺, which is what
+    /// lets it reach large domains like k = 16 384.
     SparseMatrix,
 }
 
@@ -184,7 +184,7 @@ impl Scenario {
     /// The four canned scenarios the CI `simulate-smoke` gate replays:
     /// small enough to finish in seconds, together covering mixed policy
     /// families, exact budget exhaustion, skewed 2-D traffic, and
-    /// large-domain sparse planning.
+    /// large-domain matrix-mechanism serving.
     pub fn quick_catalog() -> Vec<Scenario> {
         vec![
             Scenario {
@@ -274,7 +274,7 @@ impl Scenario {
                 name: "sparse-large-domain".to_string(),
                 description: "2 θ-line tenants over k = 16384 — far above the dense \
                               planning ceiling — fitting the matrix mechanism through \
-                              the sparse CSR path and its cached Cholesky factor"
+                              its closed-form tree solve"
                     .to_string(),
                 seed: 41,
                 tenants: 2,

@@ -1,18 +1,16 @@
 //! Privacy-budget accounting.
 //!
 //! Thin, validated wrappers for ε (and δ) plus the composition rules the
-//! Section-5 strategies rely on: sequential composition (budgets add),
-//! parallel composition (disjoint data shares one budget), and the
-//! Lemma 4.5 subgraph-approximation scaling (an `(ε, G′)` mechanism is
-//! `(ℓ·ε, G)`-private, so target budgets divide by the certified stretch).
+//! Section-5 strategies rely on: sequential composition (budgets add,
+//! [`Epsilon::split`]) and the Lemma 4.5 subgraph-approximation scaling
+//! (an `(ε, G′)` mechanism is `(ℓ·ε, G)`-private, so target budgets
+//! divide by the certified stretch, [`Epsilon::for_stretch`]).
 //!
 //! The budget itself is kept by [`Ledger`], the thread-safe
 //! **multi-tenant** ledger behind the engine's `Service` layer: one
-//! privacy account per tenant, atomic check-and-charge under sequential
-//! composition, parallel-composition charging ([`Ledger::charge_parallel`],
-//! disjoint cells cost the max), and stretch-scaled charging
-//! ([`Ledger::charge_stretched`], a `(ε, G′)` release on a stretch-ℓ
-//! subgraph costs `ℓ·ε` against the `G` account per Lemma 4.5).
+//! privacy account per tenant and atomic check-and-charge under
+//! sequential composition. The strategies apply Lemma 4.5 themselves and
+//! report the ε they actually spend, which is what the ledger charges.
 //! Over-budget requests are rejected with the typed
 //! [`CoreError::BudgetExhausted`] and leave the account untouched — spend
 //! is monotone and never exceeds the registered total.
@@ -678,44 +676,6 @@ impl Ledger {
         self.debit(tenant, label, eps.value())
     }
 
-    /// Charges a *parallel composition* group: `parts` are the budgets of
-    /// sub-releases over **disjoint** data partitions, which jointly cost
-    /// only their maximum (parallel composition). The caller asserts
-    /// disjointness; the ledger applies the max-rule debit.
-    pub fn charge_parallel(
-        &self,
-        tenant: &str,
-        label: &str,
-        parts: &[Epsilon],
-    ) -> Result<Charge, CoreError> {
-        if parts.is_empty() {
-            return Err(CoreError::InvalidCharge {
-                reason: "parallel composition group is empty",
-            });
-        }
-        let amount = parts.iter().map(|e| e.value()).fold(0.0, f64::max);
-        self.debit(tenant, label, amount)
-    }
-
-    /// Charges a stretch-scaled release (Lemma 4.5): a mechanism that is
-    /// `(ε, G′)`-private on a subgraph `G′` whose certified stretch
-    /// through the tenant policy `G` is `ℓ` is `(ℓ·ε, G)`-private, so the
-    /// `G` account is debited `ℓ·ε`.
-    pub fn charge_stretched(
-        &self,
-        tenant: &str,
-        label: &str,
-        eps: Epsilon,
-        stretch: usize,
-    ) -> Result<Charge, CoreError> {
-        if stretch == 0 {
-            return Err(CoreError::InvalidCharge {
-                reason: "stretch must be at least 1",
-            });
-        }
-        self.debit(tenant, label, eps.value() * stretch as f64)
-    }
-
     /// The single atomic check-and-debit every charge path funnels into.
     /// When durable, the WAL record is written (and, under per-charge
     /// fsync, synced) *before* the in-memory account mutates — an acked
@@ -1111,39 +1071,6 @@ mod tests {
         assert!((ledger.spent("t").unwrap() - 1.0).abs() < 1e-12);
         assert_eq!(ledger.history("t").unwrap().len(), 2);
         assert_eq!(ledger.charge_count("t").unwrap(), 2);
-    }
-
-    #[test]
-    fn ledger_parallel_charges_max() {
-        let ledger = Ledger::new();
-        ledger.open("t", Epsilon::new(1.0).unwrap()).unwrap();
-        let parts = [
-            Epsilon::new(0.2).unwrap(),
-            Epsilon::new(0.7).unwrap(),
-            Epsilon::new(0.5).unwrap(),
-        ];
-        let c = ledger.charge_parallel("t", "cells", &parts).unwrap();
-        assert!((c.amount - 0.7).abs() < 1e-12);
-        assert!(ledger.charge_parallel("t", "none", &[]).is_err());
-    }
-
-    #[test]
-    fn ledger_stretch_scales_the_debit() {
-        let ledger = Ledger::new();
-        ledger.open("t", Epsilon::new(1.0).unwrap()).unwrap();
-        // (0.2, G′) at stretch 3 costs 0.6 against G (Lemma 4.5).
-        let c = ledger
-            .charge_stretched("t", "spanner", Epsilon::new(0.2).unwrap(), 3)
-            .unwrap();
-        assert!((c.amount - 0.6).abs() < 1e-12);
-        assert!(ledger
-            .charge_stretched("t", "bad", Epsilon::new(0.2).unwrap(), 0)
-            .is_err());
-        // A stretch that overshoots the remaining budget is rejected.
-        assert!(matches!(
-            ledger.charge_stretched("t", "over", Epsilon::new(0.2).unwrap(), 3),
-            Err(CoreError::BudgetExhausted { .. })
-        ));
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub mod wire;
 
 pub use net::{LineSession, NetConfig, NetStats, TcpServer, MAX_LINE_BYTES};
 pub use parallel::{fit_cells, fit_cells_serial, parallel_map, FitCell};
-pub use plan::{PlanCache, PlanStats, SolverStats};
+pub use plan::{PlanCache, PlanStats};
 pub use service::{Replayed, Request, Response, Service, TenantConfig, TenantStats};
 pub use session::{Fitted, Plan, Policy, Session};
 pub use spec::{MatrixStrategyKind, MechanismSpec, Task};

@@ -2,11 +2,12 @@
 //!
 //! Every policy-aware strategy leans on artifacts that are pure functions
 //! of `(domain, policy)` — the incidence matrix `P_G`, the `H^θ` spanners
-//! with their certified stretch, Haar wavelet plans, and matrix-mechanism
-//! plans (a CSR strategy with its normal-equation solver, factored once).
-//! Before the engine existed each invocation re-derived them; a
-//! [`PlanCache`] materializes each artifact exactly once and hands out
-//! `Arc` clones across fits, trials, and mechanisms.
+//! with their certified stretch, and Haar wavelet plans. (The matrix
+//! mechanism needs none: its strategies are trees, and each release
+//! applies `A⁺` in closed form.) Before the engine existed each
+//! invocation re-derived them; a [`PlanCache`] materializes each
+//! artifact exactly once and hands out `Arc` clones across fits, trials,
+//! and mechanisms.
 //!
 //! Build counts are tracked in [`PlanStats`] so callers (tests, the
 //! `engine` criterion bench) can *prove* the cache is not silently
@@ -33,7 +34,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use blowfish_core::{Incidence, PolicyGraph};
-use blowfish_mechanisms::{MechanismError, SparseMatrixMechanism};
 use blowfish_strategies::{GridPlans, ThetaGridStrategy, ThetaLineStrategy};
 
 use crate::EngineError;
@@ -46,7 +46,6 @@ pub struct PlanStats {
     theta_line: AtomicUsize,
     theta_grid: AtomicUsize,
     haar: AtomicUsize,
-    sparse_solver: AtomicUsize,
 }
 
 impl PlanStats {
@@ -70,35 +69,13 @@ impl PlanStats {
         self.haar.load(Ordering::Relaxed)
     }
 
-    /// Matrix-mechanism plans built: one CSR strategy with its gram
-    /// solver per `(strategy, k)`, shared by every matrix-mechanism id
-    /// over that strategy. Every plan holds one sparse Cholesky factor,
-    /// so this is also the count of factor-once events.
-    pub fn sparse_matrix_builds(&self) -> usize {
-        self.sparse_solver.load(Ordering::Relaxed)
-    }
-
-    /// Total artifact derivations across all classes. Gram-solver plans
-    /// are not added separately: each is part of exactly one
-    /// matrix-mechanism plan build.
+    /// Total artifact derivations across all classes.
     pub fn total_builds(&self) -> usize {
         self.incidence_builds()
             + self.theta_line_builds()
             + self.theta_grid_builds()
             + self.haar_plan_builds()
-            + self.sparse_matrix_builds()
     }
-}
-
-/// A point-in-time aggregate of runtime solver activity across every
-/// planned matrix mechanism in a cache, plus the plan-time factorization
-/// count — what the `stats` wire verb reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolverStats {
-    /// Normal-equation solves served (releases + error reports).
-    pub solves: usize,
-    /// Cached sparse Cholesky factorizations planned.
-    pub sparse_factorizations: usize,
 }
 
 /// Number of independent mutex shards per artifact class. Small powers of
@@ -173,7 +150,6 @@ pub struct PlanCache {
     theta_line: Striped<(usize, usize), Arc<ThetaLineStrategy>>,
     theta_grid: Striped<(usize, usize), Arc<ThetaGridStrategy>>,
     grid_plans: Striped<(usize, usize), GridPlans>,
-    sparse_matrix: Striped<String, Arc<SparseMatrixMechanism>>,
     stats: PlanStats,
 }
 
@@ -261,40 +237,6 @@ impl PlanCache {
                 Ok(GridPlans::new(rows, cols)?)
             })
     }
-
-    /// A prepared CSR matrix mechanism (`A⁺` applied per release through
-    /// its factored gram solver) under a caller-chosen key, derived at
-    /// most once per key and counted under
-    /// [`PlanStats::sparse_matrix_builds`].
-    pub fn sparse_matrix_mechanism<F>(
-        &self,
-        key: &str,
-        build: F,
-    ) -> Result<Arc<SparseMatrixMechanism>, EngineError>
-    where
-        F: FnOnce() -> Result<SparseMatrixMechanism, MechanismError>,
-    {
-        self.sparse_matrix
-            .get_or_build(key.to_string(), &self.stats.sparse_solver, || {
-                Ok(Arc::new(build()?))
-            })
-    }
-
-    /// Aggregates runtime solve counters across every planned matrix
-    /// mechanism (walking all stripes) together with the plan-time
-    /// factorization count.
-    pub fn solver_stats(&self) -> SolverStats {
-        let mut agg = SolverStats {
-            sparse_factorizations: self.stats.sparse_matrix_builds(),
-            ..SolverStats::default()
-        };
-        for stripe in &self.sparse_matrix.stripes {
-            for m in stripe.lock().expect("plan cache stripe lock").values() {
-                agg.solves += m.solve_count();
-            }
-        }
-        agg
-    }
 }
 
 #[cfg(test)]
@@ -340,11 +282,11 @@ mod tests {
     }
 
     #[test]
-    fn matrix_plans_are_shared_per_strategy_and_match_dense() {
-        // Every matrix-mechanism id plans through one cached sparse plan
-        // per (strategy, k): `mm-hist` and `mm-range` share it, its gram
-        // is factored once, and the served fit matches the dense
-        // reference mechanism built directly from the same seed.
+    fn matrix_ids_build_no_plan_and_match_dense() {
+        // Every matrix-mechanism id serves through its closed-form tree
+        // solve: nothing is derived into the cache, and the served fit
+        // matches the dense reference mechanism built directly from the
+        // same seed.
         use crate::{MatrixStrategyKind, MechanismSpec, Policy, Session};
         use blowfish_core::{DataVector, Domain, Epsilon};
         use blowfish_linalg::Matrix;
@@ -365,21 +307,17 @@ mod tests {
         .unwrap();
         let x =
             DataVector::new(Domain::one_dim(k), (0..k).map(|i| (i % 3) as f64).collect()).unwrap();
-        for (built, (strategy, dense)) in [
+        for (strategy, dense) in [
             (MatrixStrategyKind::Identity, identity_strategy(k)),
             (MatrixStrategyKind::Hierarchical, hierarchical_strategy(k)),
             (MatrixStrategyKind::Wavelet, wavelet_strategy(k)),
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        ] {
             let hist = session
                 .mechanism(&MechanismSpec::MatrixHist { strategy })
                 .unwrap();
             session
                 .mechanism(&MechanismSpec::MatrixRange { strategy })
                 .unwrap();
-            assert_eq!(cache.stats().sparse_matrix_builds(), built + 1);
             let served = hist.fit(&x, &mut StdRng::seed_from_u64(3)).unwrap();
             let reference = MatrixMechanism::new(Matrix::identity(k), dense)
                 .unwrap()
@@ -392,7 +330,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(cache.stats().total_builds(), 3);
+        assert_eq!(cache.stats().total_builds(), 0);
     }
 
     #[test]

@@ -162,9 +162,6 @@ pub enum Response {
         tenants: Vec<TenantStats>,
         /// Total artifact derivations in the shared plan cache.
         artifact_builds: usize,
-        /// Aggregated sparse-solver activity: which apply path releases
-        /// are taking and what they cost.
-        solver: crate::plan::SolverStats,
         /// Write-ahead-log health when the ledger is durable; `None`
         /// for a purely in-memory service.
         durability: Option<DurabilityStats>,
@@ -462,7 +459,6 @@ impl Service {
         Ok(Response::Stats {
             tenants: rows,
             artifact_builds: self.cache.stats().total_builds(),
-            solver: self.cache.solver_stats(),
             durability: self.ledger.durability_stats(),
         })
     }
@@ -544,7 +540,6 @@ mod tests {
             Response::Stats {
                 tenants,
                 artifact_builds,
-                solver,
                 durability,
             } => {
                 assert_eq!(tenants.len(), 1);
@@ -554,8 +549,6 @@ mod tests {
                 // artifact class, so builds may legitimately be zero —
                 // just assert the counter is readable.
                 let _ = artifact_builds;
-                // No matrix mechanism ran: the solver aggregate is zero.
-                assert_eq!(solver, crate::plan::SolverStats::default());
                 // An in-memory service reports no durability stats.
                 assert!(durability.is_none());
             }

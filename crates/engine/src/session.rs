@@ -26,11 +26,6 @@ use std::sync::{Arc, Mutex};
 use rand::RngCore;
 
 use blowfish_core::{Charge, DataVector, Domain, Epsilon, Ledger, PolicyGraph, Vtx};
-use blowfish_linalg::SparseMatrix;
-use blowfish_mechanisms::{
-    hierarchical_strategy_sparse, identity_strategy_sparse, wavelet_strategy_sparse,
-    SparseMatrixMechanism,
-};
 use blowfish_strategies::{
     DawaBaseline1d, DawaBaseline2d, Estimate, GridMechanism, LaplaceBaseline, LineMechanism,
     Mechanism, PriveletBaseline1d, PriveletBaselineNd, StrategyError, ThetaEstimator,
@@ -627,7 +622,7 @@ impl Session {
                     name: spec.id(),
                     eps,
                     domain: self.domain.clone(),
-                    plan: matrix_plan(&self.cache, *strategy, self.domain.size())?,
+                    kind: *strategy,
                 })
             }
         })
@@ -636,26 +631,19 @@ impl Session {
 
 /// The matrix mechanism as a servable [`Mechanism`], for every
 /// matrix-mechanism id: `fit` releases the reconstructed domain estimate
-/// `x̂ = x + A⁺η`. On the histogram workload `W = I` that is the release
-/// itself; on the dyadic range workload `W = D_k` every answer `W x̂` is
-/// a linear function of it, so one [`Estimate`] serves both, with 2-D
-/// domains in their row-major linearization. `mm-hist-*` and
-/// `mm-range-*` over one strategy therefore share one plan and release
-/// bit-identical estimates from equal seeds.
+/// `x̂ = x + A⁺η` through the strategy's closed-form tree solve
+/// ([`MatrixStrategyKind::reconstruct`]). On the histogram workload
+/// `W = I` that is the release itself; on the dyadic range workload
+/// `W = D_k` every answer `W x̂` is a linear function of it, so one
+/// [`Estimate`] serves both, with 2-D domains in their row-major
+/// linearization. `mm-hist-*` and `mm-range-*` over one strategy
+/// therefore release bit-identical estimates from equal seeds.
+#[derive(Debug)]
 struct ServedMatrixMechanism {
     name: String,
     eps: Epsilon,
     domain: Domain,
-    plan: Arc<SparseMatrixMechanism>,
-}
-
-impl std::fmt::Debug for ServedMatrixMechanism {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServedMatrixMechanism")
-            .field("name", &self.name)
-            .field("rotated", &self.plan.solver().rotated())
-            .finish()
-    }
+    kind: MatrixStrategyKind,
 }
 
 impl Mechanism for ServedMatrixMechanism {
@@ -668,32 +656,11 @@ impl Mechanism for ServedMatrixMechanism {
     }
 
     fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        let xhat = self
-            .plan
-            .reconstruct(x.counts(), self.eps, rng)
-            .map_err(StrategyError::Mechanism)?;
-        Estimate::new(&self.domain, xhat)
+        Estimate::new(
+            &self.domain,
+            self.kind.reconstruct(x.counts(), self.eps, rng),
+        )
     }
-}
-
-/// The cached plan behind every matrix-mechanism id over `(kind, k)`,
-/// built at most once: the CSR strategy with its gram solver, which
-/// factors `AᵀA` (or its Haar-rotated gram) once, or refuses a strategy
-/// over its budgets with a typed error. The workload is `I_k` because
-/// `reconstruct` never reads it.
-fn matrix_plan(
-    cache: &PlanCache,
-    kind: MatrixStrategyKind,
-    k: usize,
-) -> Result<Arc<SparseMatrixMechanism>, EngineError> {
-    cache.sparse_matrix_mechanism(&format!("mm/{}/{k}", kind.id()), || {
-        let strategy = match kind {
-            MatrixStrategyKind::Identity => identity_strategy_sparse(k),
-            MatrixStrategyKind::Hierarchical => hierarchical_strategy_sparse(k),
-            MatrixStrategyKind::Wavelet => wavelet_strategy_sparse(k),
-        };
-        SparseMatrixMechanism::new(SparseMatrix::identity(k), strategy)
-    })
 }
 
 #[cfg(test)]
@@ -1036,7 +1003,6 @@ mod tests {
             let m = session
                 .mechanism(&MechanismSpec::MatrixHist { strategy })
                 .unwrap();
-            assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
             // Baseline convention: the matrix mechanism reports ε/2.
             assert_eq!(m.epsilon(), eps.half());
             let served = m.fit(&x, &mut StdRng::seed_from_u64(99)).unwrap();
@@ -1054,14 +1020,10 @@ mod tests {
     }
 
     #[test]
-    fn matrix_ids_factor_and_agree_at_edge_sizes() {
-        // Every strategy factors its gram at the degenerate,
-        // power-of-two-boundary and tier-switch sizes up to the wire's
-        // 1-D cap of 4096, and on its expected side of the switch:
-        // identity always directly, hierarchical directly up to k = 128
-        // and wavelet up to k = 87, the Haar-rotated gram above. The
-        // histogram and range ids release bit-identical estimates from
-        // equal seeds.
+    fn matrix_ids_agree_at_edge_sizes() {
+        // Every strategy serves the degenerate and power-of-two-boundary
+        // sizes up to the wire's 1-D cap of 4096, and the histogram and
+        // range ids release bit-identical estimates from equal seeds.
         let eps = Epsilon::new(0.7).unwrap();
         for k in [1usize, 2, 3, 5, 17, 87, 88, 128, 129, 511, 512, 513, 4096] {
             let session =
@@ -1069,10 +1031,10 @@ mod tests {
                     .unwrap();
             let x = DataVector::new(Domain::one_dim(k), (0..k).map(|i| (i % 7) as f64).collect())
                 .unwrap();
-            for (strategy, direct_up_to) in [
-                (MatrixStrategyKind::Identity, usize::MAX),
-                (MatrixStrategyKind::Hierarchical, 128),
-                (MatrixStrategyKind::Wavelet, 87),
+            for strategy in [
+                MatrixStrategyKind::Identity,
+                MatrixStrategyKind::Hierarchical,
+                MatrixStrategyKind::Wavelet,
             ] {
                 let fit = |spec: MechanismSpec| {
                     session
@@ -1084,12 +1046,6 @@ mod tests {
                 };
                 let hist = fit(MechanismSpec::MatrixHist { strategy });
                 let range = fit(MechanismSpec::MatrixRange { strategy });
-                let plan = matrix_plan(session.cache(), strategy, k).unwrap();
-                assert_eq!(
-                    plan.solver().rotated(),
-                    k > direct_up_to,
-                    "{strategy:?} k={k}"
-                );
                 assert_eq!(hist.len(), k);
                 assert!(hist.iter().all(|v| v.is_finite()), "{strategy:?} k={k}");
                 assert_eq!(hist, range, "{strategy:?} k={k}");
@@ -1110,7 +1066,6 @@ mod tests {
             strategy: MatrixStrategyKind::Hierarchical,
         };
         let m = session.mechanism(&spec).unwrap();
-        assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
         let x = DataVector::new(Domain::one_dim(k), vec![2.0; k]).unwrap();
         let est = m.fit(&x, &mut StdRng::seed_from_u64(5)).unwrap();
         assert_eq!(est.histogram().len(), k);
@@ -1118,10 +1073,10 @@ mod tests {
     }
 
     #[test]
-    fn matrix_hist_above_threshold_serves_from_one_factorization() {
-        // The factor-once contract at serving scale: at k = 16 384 the
-        // planner factors the rotated Gram exactly once, and repeated
-        // releases reuse it.
+    fn matrix_hist_above_threshold_serves_repeated_releases() {
+        // At serving scale (k = 16 384) one mechanism serves repeated
+        // releases: each is a fresh draw, equal seeds reproduce it bit
+        // for bit, and no release derives anything into the plan cache.
         let k = 16_384;
         let graph = PolicyGraph::theta_line(k, 4).unwrap();
         let eps = Epsilon::new(1.0).unwrap();
@@ -1130,48 +1085,51 @@ mod tests {
             strategy: MatrixStrategyKind::Hierarchical,
         };
         let m = session.mechanism(&spec).unwrap();
+        let builds = session.cache().stats().total_builds();
         let x = DataVector::new(Domain::one_dim(k), vec![1.0; k]).unwrap();
-        for seed in 0..3 {
-            m.fit(&x, &mut StdRng::seed_from_u64(seed)).unwrap();
-        }
-        assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
-        let solver = session.cache().solver_stats();
-        assert_eq!(solver.solves, 3);
-        assert_eq!(solver.sparse_factorizations, 1);
+        let releases: Vec<Vec<f64>> = (0..3)
+            .map(|seed| {
+                let est = m.fit(&x, &mut StdRng::seed_from_u64(seed)).unwrap();
+                assert_eq!(est.histogram().len(), k);
+                assert!(est.histogram().iter().all(|v| v.is_finite()));
+                est.histogram().to_vec()
+            })
+            .collect();
+        assert_ne!(releases[0], releases[1]);
+        assert_ne!(releases[1], releases[2]);
+        let again = m.fit(&x, &mut StdRng::seed_from_u64(1)).unwrap();
+        assert_eq!(again.histogram(), &releases[1][..]);
+        assert_eq!(session.cache().stats().total_builds(), builds);
     }
 
     #[test]
-    fn matrix_range_serves_w_neq_i_through_the_shared_factorization() {
+    fn matrix_range_serves_w_neq_i_at_serving_scale() {
         // The W ≠ I acceptance path: a dyadic range workload at
         // k = 16 384 over the hierarchical strategy, releases served
-        // from the reconstructed x̂, with the plan and its factorization
-        // built once and *shared* with the histogram spec across
-        // repeated releases.
+        // from the reconstructed x̂, identical to the histogram spec's
+        // release over the same strategy from equal seeds.
         let k = 16_384;
         let graph = PolicyGraph::theta_line(k, 4).unwrap();
         let eps = Epsilon::new(1.0).unwrap();
         let session = Session::new(&graph, eps).unwrap();
-        let range_spec = MechanismSpec::MatrixRange {
-            strategy: MatrixStrategyKind::Hierarchical,
-        };
-        let m = session.mechanism(&range_spec).unwrap();
-        assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
-        let x = DataVector::new(Domain::one_dim(k), vec![2.0; k]).unwrap();
-        for seed in 0..3 {
-            let est = m.fit(&x, &mut StdRng::seed_from_u64(seed)).unwrap();
-            assert_eq!(est.histogram().len(), k);
-            assert!(est.histogram().iter().all(|v| v.is_finite()));
-        }
-        assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
-        // The histogram spec over the same strategy reuses the plan:
-        // still exactly one plan and one factorization in the cache.
-        session
+        let range = session
+            .mechanism(&MechanismSpec::MatrixRange {
+                strategy: MatrixStrategyKind::Hierarchical,
+            })
+            .unwrap();
+        let hist = session
             .mechanism(&MechanismSpec::MatrixHist {
                 strategy: MatrixStrategyKind::Hierarchical,
             })
             .unwrap();
-        assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
-        assert_eq!(session.cache().solver_stats().sparse_factorizations, 1);
+        let x = DataVector::new(Domain::one_dim(k), vec![2.0; k]).unwrap();
+        for seed in 0..3 {
+            let est = range.fit(&x, &mut StdRng::seed_from_u64(seed)).unwrap();
+            assert_eq!(est.histogram().len(), k);
+            assert!(est.histogram().iter().all(|v| v.is_finite()));
+            let same = hist.fit(&x, &mut StdRng::seed_from_u64(seed)).unwrap();
+            assert_eq!(est.histogram(), same.histogram());
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! [`MechanismSpec::parse`]) and by figure-legend label
 //! ([`MechanismSpec::label`]).
 
+pub use blowfish_mechanisms::MatrixStrategyKind;
 use blowfish_strategies::{ThetaEstimator, TreeEstimator};
 
 /// The query workload class a plan serves.
@@ -57,56 +58,22 @@ pub enum MechanismSpec {
     },
     /// The ε-DP matrix mechanism on the histogram workload `I_k` with a
     /// named strategy, released as the domain estimate `x̂ = x + A⁺η`.
-    /// Planned at every k as a CSR strategy whose gram `AᵀA` (or its
-    /// Haar-rotated gram) is factored once and shared with
-    /// [`MechanismSpec::MatrixRange`], so each release is two sparse
-    /// triangular solves.
+    /// Served at every k by the strategy's closed-form tree solve
+    /// ([`MatrixStrategyKind::reconstruct`]), with nothing to plan or
+    /// cache.
     MatrixHist {
         /// Which strategy matrix answers the histogram.
         strategy: MatrixStrategyKind,
     },
     /// The ε-DP matrix mechanism serving a real W ≠ I workload: the
     /// dyadic 1-D range workload answered from the reconstructed domain
-    /// estimate `x̂ = x + A⁺η`. Served from the same cached plan as
+    /// estimate `x̂ = x + A⁺η`. Served by the same tree solve as
     /// [`MechanismSpec::MatrixHist`] over the same strategy, so the two
     /// ids release identical estimates from equal seeds.
     MatrixRange {
         /// Which strategy matrix answers the ranges.
         strategy: MatrixStrategyKind,
     },
-}
-
-/// Strategy matrices the [`MechanismSpec::MatrixHist`] and
-/// [`MechanismSpec::MatrixRange`] mechanisms plan with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum MatrixStrategyKind {
-    /// `A = I_k` (the Laplace mechanism in matrix-mechanism clothing).
-    Identity,
-    /// The binary hierarchical strategy `H_k` (O(k log k) sparse).
-    Hierarchical,
-    /// The Haar wavelet strategy `Y_k` (O(k log k) sparse).
-    Wavelet,
-}
-
-impl MatrixStrategyKind {
-    /// The stable id fragment (`identity` / `hierarchical` / `wavelet`)
-    /// used in registry ids and plan-cache keys.
-    pub fn id(self) -> &'static str {
-        match self {
-            MatrixStrategyKind::Identity => "identity",
-            MatrixStrategyKind::Hierarchical => "hierarchical",
-            MatrixStrategyKind::Wavelet => "wavelet",
-        }
-    }
-
-    fn parse(id: &str) -> Option<MatrixStrategyKind> {
-        Some(match id {
-            "identity" => MatrixStrategyKind::Identity,
-            "hierarchical" => MatrixStrategyKind::Hierarchical,
-            "wavelet" => MatrixStrategyKind::Wavelet,
-            _ => return None,
-        })
-    }
 }
 
 impl MechanismSpec {

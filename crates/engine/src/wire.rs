@@ -416,7 +416,6 @@ impl Codec {
                 service::Response::Stats {
                     tenants,
                     artifact_builds,
-                    solver,
                     durability,
                 } => {
                     // Durability health is always reported so clients can
@@ -429,11 +428,8 @@ impl Codec {
                         None => ("no".to_string(), 0, 0),
                     };
                     let mut out = format!(
-                        "ok stats builds={artifact_builds} solves={} factored={} \
-                         durable={durable} wal_bytes={wal_bytes} \
-                         last_snapshot={last_snapshot} tenants={}",
-                        solver.solves,
-                        solver.sparse_factorizations,
+                        "ok stats builds={artifact_builds} durable={durable} \
+                         wal_bytes={wal_bytes} last_snapshot={last_snapshot} tenants={}",
                         tenants.len()
                     );
                     for t in tenants {
@@ -905,9 +901,6 @@ mod tests {
         assert!(answer.starts_with("ok answer 2 "), "{answer}");
         let stats = ok(&service, "stats acme");
         assert!(stats.contains("acme spent=0.5"), "{stats}");
-        // Solver observability flows through the stats verb.
-        assert!(stats.contains("solves="), "{stats}");
-        assert!(stats.contains("factored="), "{stats}");
         // Durability fields are always present; in-memory answers no/0/0.
         assert!(stats.contains("durable=no"), "{stats}");
         assert!(stats.contains("wal_bytes=0"), "{stats}");

@@ -8,12 +8,8 @@
 //! The paper's machinery needs, concretely:
 //!
 //! * workload matrices and their products (dense + CSR sparse),
-//! * Moore–Penrose pseudoinverses for the matrix mechanism `M_A(W, x) =
-//!   Wx + WA⁺ Lap(Δ_A/ε)` (Eq. 2),
-//! * the same reconstruction at k = 65 536 without any dense k×k object:
-//!   a natural-order sparse Cholesky factor of the normal equations `AᵀA`
-//!   (directly, or after a rotation into the dyadic Haar basis), solved
-//!   per release in O(nnz(L)),
+//! * Moore–Penrose pseudoinverses for the dense reference matrix
+//!   mechanism `M_A(W, x) = Wx + WA⁺ Lap(Δ_A/ε)` (Eq. 2),
 //! * right inverses `P_G⁻¹ = P_Gᵀ (P_G P_Gᵀ)⁻¹` of policy incidence
 //!   matrices (Section 4.4), where `P_G P_Gᵀ` is a grounded graph Laplacian
 //!   (Cholesky when small, conjugate gradient when sparse/large),
@@ -30,7 +26,6 @@ pub mod dense;
 pub mod eigen;
 pub mod lu;
 pub mod sparse;
-pub mod sparse_cholesky;
 pub mod svd;
 
 pub use cg::{conjugate_gradient, CgOptions, CgSolution};
@@ -39,7 +34,6 @@ pub use dense::{add_vec, axpy, dot, norm1, norm2, norm_inf, sub_vec, ColView, Ma
 pub use eigen::{eigenvalues, eigh, jacobi_eigh, sqrt_psd, SymmetricEigen};
 pub use lu::Lu;
 pub use sparse::{SparseMatrix, TripletBuilder};
-pub use sparse_cholesky::{dyadic_haar_basis, haar_rotate, SparseCholesky};
 pub use svd::{
     is_pseudoinverse, pseudoinverse, pseudoinverse_eigen, pseudoinverse_with_method, rank,
     singular_values, PinvMethod,
@@ -86,22 +80,6 @@ pub enum LinalgError {
         /// The iteration budget that was exhausted.
         iterations: usize,
     },
-    /// A sparse factorization was refused because its predicted cost
-    /// exceeds the caller's budget: the factor fill nnz(L) (the symbolic
-    /// pass aborts early, so `predicted_at_least` is a lower bound on the
-    /// true fill), or the work of forming the Gram matrix to factor.
-    FillBudgetExceeded {
-        /// The predicted cost when the budget check failed.
-        predicted_at_least: usize,
-        /// The budget that was exceeded.
-        cap: usize,
-    },
-    /// CSR arrays handed to [`SparseMatrix::from_csr`] break the
-    /// canonical form.
-    InvalidCsr {
-        /// Which invariant failed.
-        reason: &'static str,
-    },
 }
 
 impl std::fmt::Display for LinalgError {
@@ -126,16 +104,6 @@ impl std::fmt::Display for LinalgError {
             LinalgError::NoConvergence { what, iterations } => {
                 write!(f, "{what} did not converge within {iterations} iterations")
             }
-            LinalgError::FillBudgetExceeded {
-                predicted_at_least,
-                cap,
-            } => {
-                write!(
-                    f,
-                    "cholesky budget exceeded: ≥{predicted_at_least} predicted, cap {cap}"
-                )
-            }
-            LinalgError::InvalidCsr { reason } => write!(f, "invalid CSR matrix: {reason}"),
         }
     }
 }

@@ -10,33 +10,18 @@
 //! [`SparseMatrix`] is classic three-array CSR: `indptr` (length
 //! `rows + 1`), `indices` (column of each stored value, ascending within a
 //! row), and `values`, with no explicit zeros, so structural equality
-//! (`PartialEq`) means numerical equality. Matrices come from one of two
-//! constructors:
-//!
-//! * [`TripletBuilder`] accepts `(row, col, value)` pushes in any order —
-//!   including repeats of the same coordinate — and canonicalizes on
-//!   [`TripletBuilder::build`]: duplicates are summed, and entries whose
-//!   sum is exactly `0.0` are dropped. This is what lets incidence
-//!   assembly push one triplet per edge endpoint without pre-deduping.
-//! * [`SparseMatrix::from_csr`] takes the three arrays of a matrix whose
-//!   builder already emits rows in order (the dyadic strategies, the Haar
-//!   basis, its rotation), checks the invariants in one O(nnz) pass, and
-//!   stores them as given: no triplet list and no sort.
+//! (`PartialEq`) means numerical equality. Matrices come from
+//! [`TripletBuilder`], which accepts `(row, col, value)` pushes in any
+//! order — including repeats of the same coordinate — and canonicalizes
+//! on [`TripletBuilder::build`]: duplicates are summed, and entries whose
+//! sum is exactly `0.0` are dropped. This is what lets incidence assembly
+//! push one triplet per edge endpoint without pre-deduping.
 //!
 //! ## Kernels
 //!
 //! Everything on the plan-derivation hot path is O(nnz) per application:
-//! [`SparseMatrix::matvec`] / [`SparseMatrix::matvec_transpose`] (plus
-//! allocation-free `_into` variants for solver inner loops),
-//! [`SparseMatrix::col_sq_norms`] (the diagonal of `AᵀA`), and
-//! [`SparseMatrix::max_col_l1`] (the L1 sensitivity `Δ_A`).
-//! [`SparseMatrix::gram_lower`] materializes the lower triangle of `AᵀA`,
-//! the only half a Cholesky factorization reads, and costs
-//! O(Σᵢ nnz(rowᵢ)²) — fine for bounded-row-degree inputs like incidence
-//! matrices, but a dense trap for strategies with a full row (e.g. the
-//! hierarchical root); the matrix mechanism rotates such strategies into
-//! the [`crate::dyadic_haar_basis`] first ([`crate::haar_rotate`]), where
-//! the gram is sparse.
+//! [`SparseMatrix::matvec`] / [`SparseMatrix::matvec_transpose`], plus
+//! allocation-free `_into` variants for solver inner loops.
 
 use crate::dense::Matrix;
 use crate::LinalgError;
@@ -143,50 +128,15 @@ impl SparseMatrix {
     }
 
     /// Sparse identity of size `n`.
+    #[cfg(test)]
     pub fn identity(n: usize) -> Self {
-        SparseMatrix::from_csr(n, n, (0..=n).collect(), (0..n).collect(), vec![1.0; n])
-            .expect("the identity is canonical CSR")
-    }
-
-    /// Assembles a matrix from its CSR arrays, checking the canonical form
-    /// in one O(nnz) pass: `indptr` has `rows + 1` nondecreasing entries
-    /// from `0` to `nnz`, every row's column indices ascend strictly and
-    /// stay below `cols`, and no stored value is `0.0`. The arrays are
-    /// kept as given, so a builder that sizes them exactly leaves no
-    /// growth slack behind.
-    pub fn from_csr(
-        rows: usize,
-        cols: usize,
-        indptr: Vec<usize>,
-        indices: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Result<SparseMatrix, LinalgError> {
-        let invalid = |reason| Err(LinalgError::InvalidCsr { reason });
-        if indptr.len() != rows + 1 || indptr[0] != 0 {
-            return invalid("indptr must hold rows + 1 offsets starting at 0");
+        SparseMatrix {
+            rows: n,
+            cols: n,
+            indptr: (0..=n).collect(),
+            indices: (0..n).collect(),
+            values: vec![1.0; n],
         }
-        if indptr[rows] != indices.len() || values.len() != indices.len() {
-            return invalid("indptr, indices and values disagree on nnz");
-        }
-        for w in indptr.windows(2) {
-            if w[0] > w[1] || w[1] > indices.len() {
-                return invalid("indptr must be nondecreasing");
-            }
-            let row = &indices[w[0]..w[1]];
-            if row.windows(2).any(|p| p[0] >= p[1]) || row.last().is_some_and(|&j| j >= cols) {
-                return invalid("column indices must ascend within a row and stay below cols");
-            }
-        }
-        if values.contains(&0.0) {
-            return invalid("explicit zeros are not stored");
-        }
-        Ok(SparseMatrix {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        })
     }
 
     /// Number of rows.
@@ -219,6 +169,7 @@ impl SparseMatrix {
     }
 
     /// Number of nonzeros in row `i`.
+    #[cfg(test)]
     pub fn row_nnz(&self, i: usize) -> usize {
         self.indptr[i + 1] - self.indptr[i]
     }
@@ -308,77 +259,8 @@ impl SparseMatrix {
         Ok(())
     }
 
-    /// The lower triangle of the Gram matrix `AᵀA`, diagonal included, as
-    /// CSR — the half [`crate::SparseCholesky::factor`] reads.
-    ///
-    /// Row `i` accumulates `A[r, i]·A[r, j]` for `j ≤ i` over the rows `r`
-    /// of column `i` in ascending order, the summation order of
-    /// `self.transpose().matmul(self)`, so every entry it keeps is
-    /// bit-identical to that product's, and an entry that cancels to
-    /// exactly `0.0` is dropped the same way. The cost is
-    /// O(Σᵢ nnz(rowᵢ)²): O(nnz) for bounded-row-degree inputs (incidence
-    /// matrices, θ-spanner rows), but a strategy with one dense row (the
-    /// hierarchical root, the Haar total row) makes `AᵀA` itself dense —
-    /// for those, form the gram of the strategy rotated into the
-    /// [`crate::dyadic_haar_basis`] ([`crate::haar_rotate`]) instead.
-    pub fn gram_lower(&self) -> SparseMatrix {
-        let at = self.transpose();
-        let n = self.cols;
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        let mut acc = vec![0.0f64; n];
-        let mut occupied = vec![false; n];
-        let mut touched: Vec<usize> = Vec::new();
-        for i in 0..n {
-            for (r, v) in at.row(i) {
-                for (j, w) in self.row(r) {
-                    if j > i {
-                        break; // columns ascend: the rest is upper triangle
-                    }
-                    if !occupied[j] {
-                        occupied[j] = true;
-                        touched.push(j);
-                    }
-                    acc[j] += v * w;
-                }
-            }
-            touched.sort_unstable();
-            for &j in &touched {
-                if acc[j] != 0.0 {
-                    indices.push(j);
-                    values.push(acc[j]);
-                }
-                acc[j] = 0.0;
-                occupied[j] = false;
-            }
-            touched.clear();
-            indptr.push(indices.len());
-        }
-        SparseMatrix {
-            rows: n,
-            cols: n,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// Per-column squared L2 norms — the diagonal of `AᵀA`, computed in
-    /// O(nnz) without materializing the Gram matrix.
-    pub fn col_sq_norms(&self) -> Vec<f64> {
-        let mut norms = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            for (j, v) in self.row(i) {
-                norms[j] += v * v;
-            }
-        }
-        norms
-    }
-
     /// Fraction of entries stored: `nnz / (rows * cols)` (0 for an empty
-    /// shape). The engine's plan-path chooser keys off this.
+    /// shape).
     pub fn density(&self) -> f64 {
         let cells = self.rows * self.cols;
         if cells == 0 {
@@ -493,6 +375,7 @@ impl SparseMatrix {
 
     /// Maximum column L1 norm (the unbounded-DP sensitivity of the matrix
     /// viewed as a query workload).
+    #[cfg(test)]
     pub fn max_col_l1(&self) -> f64 {
         let mut norms = vec![0.0; self.cols];
         for i in 0..self.rows {
@@ -676,62 +559,6 @@ mod tests {
         assert_eq!(yt, m.matvec_transpose(&x).unwrap());
         assert!(m.matvec_into(&x, &mut [0.0; 2]).is_err());
         assert!(m.matvec_transpose_into(&[1.0], &mut yt).is_err());
-    }
-
-    #[test]
-    fn gram_matches_dense_reference() {
-        let m = small();
-        let dense = m.to_dense();
-        let expected = dense.transpose().matmul(&dense).unwrap();
-        let g = m.gram_lower();
-        // A gram of a matrix with an empty row/col stays square.
-        assert_eq!((g.rows(), g.cols()), (3, 3));
-        for i in 0..3 {
-            for j in 0..3 {
-                let want = if j <= i { expected[(i, j)] } else { 0.0 };
-                assert!((g.get(i, j) - want).abs() < 1e-12, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn col_sq_norms_is_gram_diagonal() {
-        let m = small();
-        let g = m.gram_lower();
-        let sq = m.col_sq_norms();
-        for (j, &s) in sq.iter().enumerate() {
-            assert!((g.get(j, j) - s).abs() < 1e-12);
-        }
-        assert_eq!(sq, vec![10.0, 16.0, 4.0]);
-    }
-
-    #[test]
-    fn from_csr_checks_the_canonical_form() {
-        let m = small();
-        let rebuilt = SparseMatrix::from_csr(
-            3,
-            3,
-            vec![0, 2, 2, 4],
-            vec![0, 2, 0, 1],
-            vec![1.0, 2.0, 3.0, 4.0],
-        )
-        .unwrap();
-        assert_eq!(rebuilt, m);
-        let bad = |indptr: Vec<usize>, indices: Vec<usize>, values: Vec<f64>| {
-            matches!(
-                SparseMatrix::from_csr(2, 3, indptr, indices, values),
-                Err(LinalgError::InvalidCsr { .. })
-            )
-        };
-        assert!(bad(vec![0, 1], vec![0], vec![1.0])); // too few offsets
-        assert!(bad(vec![1, 1, 1], vec![0], vec![1.0])); // not from 0
-        assert!(bad(vec![0, 1, 2], vec![0, 1], vec![1.0])); // nnz disagree
-        assert!(bad(vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0])); // decreasing
-        assert!(bad(vec![0, 2, 2], vec![1, 0], vec![1.0, 1.0])); // unsorted
-        assert!(bad(vec![0, 2, 2], vec![1, 1], vec![1.0, 1.0])); // repeated
-        assert!(bad(vec![0, 1, 1], vec![3], vec![1.0])); // column out of range
-        assert!(bad(vec![0, 1, 1], vec![0], vec![0.0])); // explicit zero
-        assert_eq!(SparseMatrix::identity(0).nnz(), 0);
     }
 
     #[test]

@@ -1,23 +1,29 @@
 //! The hierarchical mechanism of Hay et al. \[10\].
 //!
-//! A binary interval tree over the domain: every node's count receives
-//! `Lap(h/ε)` noise (`h` = number of levels = sensitivity, since one record
-//! touches one node per level), then a weighted least-squares pass enforces
-//! consistency (each parent equals the sum of its children). Consistent
-//! leaf estimates answer any range query with `O(log³k/ε²)` error.
-//!
-//! This is the O(k log k) estimator counterpart of the explicit
-//! [`crate::matrix::hierarchical_strategy`] matrix.
+//! A binary interval tree over the domain padded to `n =
+//! k.next_power_of_two()` cells: every node's count receives `Lap(h/ε)`
+//! noise (`h = log₂ n + 1` levels = sensitivity, since one record
+//! touches one node per level), and the consistent least-squares
+//! estimate of the leaves is fitted from all `2n − 1` noisy counts.
+//! Hay et al. compute it in two passes, weighting a node at height `ℓ`
+//! (leaves at 0) by `α_ℓ = 2^ℓ / (2^(ℓ+1) − 1)` on the way up; here the
+//! same estimate comes from the hierarchical tree solve
+//! ([`MatrixStrategyKind::Hierarchical`]), the matrix mechanism on
+//! [`crate::matrix::hierarchical_strategy`]`(n)`. Consistent leaf
+//! estimates answer any range query with `O(log³k/ε²)` error.
 
 use rand::Rng;
 
 use blowfish_core::Epsilon;
 
-use crate::noise::laplace_vec;
+use crate::tree_solve::MatrixStrategyKind;
 use crate::MechanismError;
 
 /// Releases a consistent noisy histogram via the binary hierarchical
-/// mechanism under unbounded ε-DP (sensitivity = tree height).
+/// mechanism under unbounded ε-DP (sensitivity = tree height): the first
+/// `x.len()` cells of the hierarchical matrix-mechanism release over `x`
+/// zero-padded to a power of two. The noise is `2n − 1` Laplace draws
+/// at scale `h/ε`, one per tree node in heap order (root first).
 ///
 /// The returned leaves answer range queries through prefix sums with the
 /// classic polylogarithmic error.
@@ -31,54 +37,11 @@ pub fn hierarchical_histogram<R: Rng + ?Sized>(
             what: "empty histogram",
         });
     }
-    let k = x.len();
-    let n = k.next_power_of_two();
-    let levels = n.trailing_zeros() as usize + 1; // root .. leaves
-    let scale = levels as f64 / eps.value();
-
-    // Perfect binary tree in heap layout: node 1 is the root, nodes
-    // n..2n are leaves. true_count[v] = sum of x over v's leaf interval.
-    let mut tree = vec![0.0; 2 * n];
-    tree[n..n + k].copy_from_slice(x);
-    for v in (1..n).rev() {
-        tree[v] = tree[2 * v] + tree[2 * v + 1];
-    }
-    // Noisy observations.
-    let noise = laplace_vec(rng, scale, 2 * n - 1);
-    let mut noisy = vec![0.0; 2 * n];
-    for v in 1..2 * n {
-        noisy[v] = tree[v] + noise[v - 1];
-    }
-
-    // Bottom-up weighted combination (Hay et al. §4.1): for a node at
-    // height ℓ (leaves at ℓ=0),
-    //   z_v = α_ℓ · ỹ_v + (1 − α_ℓ)(z_left + z_right),
-    //   α_ℓ = (4^ℓ − 2^ℓ) / (4^ℓ − 1).
-    let mut z = noisy.clone();
-    let mut height = 1usize;
-    let mut level_start = n / 2; // first node index of this height
-    while level_start >= 1 {
-        let pow2 = (1u64 << height) as f64;
-        let pow4 = pow2 * pow2;
-        let alpha = (pow4 - pow2) / (pow4 - 1.0);
-        for v in level_start..(2 * level_start) {
-            z[v] = alpha * noisy[v] + (1.0 - alpha) * (z[2 * v] + z[2 * v + 1]);
-        }
-        height += 1;
-        level_start /= 2;
-    }
-
-    // Top-down consistency: distribute each node's discrepancy equally
-    // between its children.
-    let mut h = vec![0.0; 2 * n];
-    h[1] = z[1];
-    for v in 1..n {
-        let adjust = (h[v] - z[2 * v] - z[2 * v + 1]) / 2.0;
-        h[2 * v] = z[2 * v] + adjust;
-        h[2 * v + 1] = z[2 * v + 1] + adjust;
-    }
-
-    Ok(h[n..n + k].to_vec())
+    let mut padded = x.to_vec();
+    padded.resize(x.len().next_power_of_two(), 0.0);
+    let mut est = MatrixStrategyKind::Hierarchical.reconstruct(&padded, eps, rng);
+    est.truncate(x.len());
+    Ok(est)
 }
 
 /// Analytic per-range-query error order for the hierarchical mechanism:
@@ -170,6 +133,33 @@ mod tests {
         assert!(
             hierarchical_range_error_order(1024, eps) > hierarchical_range_error_order(64, eps)
         );
+    }
+
+    #[test]
+    fn matches_the_dense_least_squares_reference() {
+        // The padded tree's least-squares fit: the dense matrix mechanism
+        // on H_n from the same seed draws the same 2n − 1 values.
+        use crate::matrix::hierarchical_strategy;
+        use crate::MatrixMechanism;
+        use blowfish_linalg::Matrix;
+        let eps = Epsilon::new(0.6).unwrap();
+        for k in [3usize, 5, 16, 100] {
+            let n = k.next_power_of_two();
+            let x: Vec<f64> = (0..k).map(|i| (i * 7 % 5) as f64).collect();
+            let mut padded = x.clone();
+            padded.resize(n, 0.0);
+            let reference = MatrixMechanism::new(Matrix::identity(n), hierarchical_strategy(n))
+                .unwrap()
+                .run(&padded, eps, &mut StdRng::seed_from_u64(k as u64))
+                .unwrap();
+            let est =
+                hierarchical_histogram(&x, eps, &mut StdRng::seed_from_u64(k as u64)).unwrap();
+            assert_eq!(est.len(), k);
+            let scale = 1.0 + reference.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+            for (i, (e, r)) in est.iter().zip(&reference).enumerate() {
+                assert!((e - r).abs() <= 1e-9 * scale, "k={k} cell {i}: {e} vs {r}");
+            }
+        }
     }
 
     #[test]

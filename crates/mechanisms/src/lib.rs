@@ -12,13 +12,12 @@
 //!   graph-distance mechanism witnessing the Theorem 4.4 negative result.
 //! * [`matrix`] — the matrix mechanism framework (Li et al. \[15\], Eq. 2)
 //!   with identity / hierarchical / wavelet strategy matrices.
-//! * [`sparse_matrix`] — the same framework over CSR strategies with the
-//!   pseudoinverse *applied* per release by a [`GramSolver`]: a cached
-//!   natural-order sparse Cholesky factor of `AᵀA`, or of its
-//!   Haar-rotated gram, with a typed refusal for strategies over its
-//!   budgets (O(nnz) memory; the engine's serving path at every k).
-//! * [`hierarchical`] — the Hay et al. \[10\] binary-tree estimator with
-//!   weighted least-squares consistency.
+//! * [`tree_solve`] — the three strategies a served matrix-mechanism id
+//!   can name ([`MatrixStrategyKind`]), with `A⁺` applied per release by
+//!   a closed-form two-pass solve on the dyadic tree: O(rows), no plan
+//!   (the engine's serving path at every k).
+//! * [`hierarchical`] — the Hay et al. \[10\] binary-tree estimator,
+//!   the hierarchical tree solve on the padded domain.
 //! * [`privelet`] — Privelet \[20\]: Haar wavelet noise in 1 and d
 //!   dimensions (`O(log³k/ε²)` per range query), the paper's data-oblivious
 //!   DP baseline.
@@ -39,7 +38,7 @@ pub mod laplace;
 pub mod matrix;
 pub mod noise;
 pub mod privelet;
-pub mod sparse_matrix;
+pub mod tree_solve;
 
 pub use consistency::{
     consistent_prefix_estimate, isotonic_non_decreasing, isotonic_non_decreasing_with_floor,
@@ -56,10 +55,7 @@ pub use privelet::{
     haar_forward, haar_generalized_sensitivity, haar_inverse, haar_weights, privelet_histogram,
     privelet_histogram_1d, privelet_histogram_planned, privelet_range_error_order, HaarPlan,
 };
-pub use sparse_matrix::{
-    hierarchical_strategy_sparse, identity_strategy_sparse, wavelet_strategy_sparse, GramSolver,
-    SparseMatrixMechanism,
-};
+pub use tree_solve::MatrixStrategyKind;
 
 /// Errors reported by mechanism construction or execution.
 #[derive(Clone, Debug, PartialEq)]

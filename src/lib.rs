@@ -18,15 +18,15 @@
 //! This facade crate re-exports the workspace:
 //!
 //! * [`linalg`] — dense/sparse linear algebra built from scratch
-//!   (dense and natural-order sparse Cholesky, LU, symmetric
-//!   eigensolvers, SVD, CG for grounded Laplacians).
+//!   (dense Cholesky, LU, symmetric eigensolvers, SVD, CG for grounded
+//!   Laplacians).
 //! * [`core`] — domains, workloads, policy graphs, the `P_G`
 //!   transformation (Cases I/II/III), sensitivities, spanners, neighbor
 //!   enumeration, error measurement, and the durable multi-tenant ε
 //!   [`Ledger`](core::Ledger).
-//! * [`mechanisms`] — Laplace, matrix mechanism (dense reference + CSR
-//!   with one cached sparse Cholesky factor of the direct or
-//!   Haar-rotated gram), hierarchical (Hay), Privelet
+//! * [`mechanisms`] — Laplace, matrix mechanism (dense reference +
+//!   the closed-form tree solve that serves the identity, hierarchical
+//!   and wavelet strategies at every k), hierarchical (Hay), Privelet
 //!   (1-D/d-D, planned via `HaarPlan`), DAWA, isotonic consistency, and
 //!   the Theorem 4.4 graph-distance witness distribution.
 //! * [`strategies`] — the Section-5 policy-aware algorithms (line, θ-line,
@@ -36,7 +36,7 @@
 //! * [`engine`] — the serving stack: the
 //!   [`MechanismSpec`](engine::MechanismSpec) registry, the lock-striped
 //!   [`PlanCache`](engine::PlanCache) of per-policy artifacts (incidence,
-//!   spanners, Haar plans, matrix-mechanism plans), the
+//!   spanners, Haar plans), the
 //!   [`Session`](engine::Session)/planner serving fitted
 //!   [`Estimate`](strategies::Estimate)s at O(1) per range query, and the
 //!   concurrent budget-metered multi-tenant

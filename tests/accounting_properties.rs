@@ -1,7 +1,6 @@
 //! Property tests for the budget-accounting layer:
 //!
 //! * sequential composition — admitted charges *sum* onto the account;
-//! * parallel composition — a disjoint-cell group costs its *max*;
 //! * `for_stretch`/`split` round-trips — scaling down by ℓ (or into n
 //!   parts) and re-multiplying recovers the original ε;
 //! * safety — a [`Ledger`] account never goes negative, never exceeds
@@ -35,17 +34,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_spends_max(parts in prop_vec(0.001f64..1.0, 1usize..8)) {
-        let ledger = Ledger::new();
-        ledger.open("t", Epsilon::new(10.0).unwrap()).unwrap();
-        let eps: Vec<Epsilon> = parts.iter().map(|&p| Epsilon::new(p).unwrap()).collect();
-        let receipt = ledger.charge_parallel("t", "cells", &eps).unwrap();
-        let max = parts.iter().cloned().fold(0.0, f64::max);
-        prop_assert!((receipt.amount - max).abs() < 1e-12);
-        prop_assert!((ledger.spent("t").unwrap() - max).abs() < 1e-12);
-    }
-
-    #[test]
     fn stretch_and_split_round_trip(e in 0.01f64..5.0, l in 1usize..40) {
         let eps = Epsilon::new(e).unwrap();
         // ε/ℓ scaled back up by ℓ recovers ε (Corollary 4.6 both ways).
@@ -55,11 +43,6 @@ proptest! {
         // (sum) also recovers ε.
         let part = eps.split(l).unwrap();
         prop_assert!((part.value() * l as f64 - e).abs() < 1e-9 * e.max(1.0));
-        // And the ledger's stretched charge debits exactly ℓ·(ε/ℓ).
-        let ledger = Ledger::new();
-        ledger.open("t", Epsilon::new(10.0).unwrap()).unwrap();
-        let receipt = ledger.charge_stretched("t", "lemma-4.5", down, l).unwrap();
-        prop_assert!((receipt.amount - e).abs() < 1e-9 * e.max(1.0));
     }
 
     #[test]

@@ -212,13 +212,12 @@ fn estimates_answer_like_the_answering_helpers() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The session-served matrix mechanism (CSR strategy, `A⁺` applied
-    /// through the cached gram solver) must reproduce the dense
-    /// materialized-A⁺ reference mechanism to ≤1e-9 relative, for every
-    /// strategy kind, any domain size, and any seed. Transformational
-    /// equivalence makes this checkable: both draw the identical Laplace
-    /// vector from the same seed, so the only divergence left is the
-    /// solver.
+    /// The session-served matrix mechanism (`A⁺` applied by the
+    /// closed-form tree solve) must reproduce the dense materialized-A⁺
+    /// reference mechanism to ≤1e-9 relative, for every strategy kind,
+    /// any domain size, and any seed. Transformational equivalence makes
+    /// this checkable: both draw the identical Laplace vector from the
+    /// same seed, so the only divergence left is the solver.
     #[test]
     fn matrix_hist_sparse_and_dense_paths_agree(
         k in 2usize..160,
@@ -240,7 +239,6 @@ proptest! {
             .unwrap()
             .run(x.counts(), eps, &mut StdRng::seed_from_u64(seed))
             .unwrap();
-        prop_assert_eq!(session.cache().stats().sparse_matrix_builds(), 1);
         for (d, s) in dense.iter().zip(&sparse) {
             prop_assert!(
                 (d - s).abs() <= 1e-9 * (1.0 + d.abs()),

@@ -4,109 +4,14 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use blowfish_privacy::linalg::{
-    conjugate_gradient, dyadic_haar_basis, eigh, haar_rotate, is_pseudoinverse, jacobi_eigh,
-    pseudoinverse, pseudoinverse_eigen, pseudoinverse_with_method, singular_values, CgOptions,
-    Cholesky, Lu, Matrix, PinvMethod, SparseCholesky, SparseMatrix, TripletBuilder,
-};
-use blowfish_privacy::mechanisms::{
-    hierarchical_strategy_sparse, identity_strategy_sparse, wavelet_strategy_sparse,
+    conjugate_gradient, eigh, is_pseudoinverse, jacobi_eigh, pseudoinverse, pseudoinverse_eigen,
+    pseudoinverse_with_method, singular_values, CgOptions, Cholesky, Lu, Matrix, PinvMethod,
+    SparseMatrix, TripletBuilder,
 };
 
 fn matrix_from(data: &[f64], n: usize, m: usize) -> Matrix {
     Matrix::from_vec(n, m, data[..n * m].to_vec()).expect("length matches")
-}
-
-/// The lower triangle, diagonal included, of a square dense matrix as
-/// CSR.
-fn lower_triangle(g: &Matrix) -> SparseMatrix {
-    let mut b = TripletBuilder::new(g.rows(), g.cols());
-    for i in 0..g.rows() {
-        for j in 0..=i {
-            b.push(i, j, g[(i, j)]);
-        }
-    }
-    b.build()
-}
-
-/// Checks `haar_rotate(a)` against the dense product `a·Q` with the
-/// dense Haar basis, row by row over the nonzero cells of `a` (the
-/// skipped terms are exact zeros): every entry within
-/// `1e-12·(1 + ‖row‖₁)`, and, for the integer-valued inputs used here,
-/// an entry stored exactly where the dense product exceeds `1e-9` in
-/// magnitude — the rotation keeps no rounding residue.
-fn assert_rotation_matches_dense(a: &SparseMatrix, what: &str) {
-    let k = a.cols();
-    let q = dyadic_haar_basis(k).to_dense();
-    let b = haar_rotate(a);
-    assert_eq!((b.rows(), b.cols()), (a.rows(), k), "{what}");
-    let (mut want, mut got, mut stored) = (vec![0.0; k], vec![0.0; k], vec![false; k]);
-    for r in 0..a.rows() {
-        want.fill(0.0);
-        for (i, v) in a.row(r) {
-            for (w, &qv) in want.iter_mut().zip(q.row(i)) {
-                *w += v * qv;
-            }
-        }
-        got.fill(0.0);
-        stored.fill(false);
-        for (c, v) in b.row(r) {
-            got[c] = v;
-            stored[c] = true;
-        }
-        let l1: f64 = a.row(r).map(|(_, v)| v.abs()).sum();
-        for c in 0..k {
-            let (g, w) = (got[c], want[c]);
-            assert!(
-                (g - w).abs() <= 1e-12 * (1.0 + l1),
-                "{what} row {r} col {c}: {g} vs {w}"
-            );
-            assert_eq!(
-                stored[c],
-                w.abs() > 1e-9,
-                "{what} row {r} col {c}: stored {}, dense {w}",
-                stored[c]
-            );
-        }
-    }
-}
-
-#[test]
-fn haar_rotation_of_every_strategy_matches_the_dense_product() {
-    for k in 1..=300 {
-        assert_rotation_matches_dense(&identity_strategy_sparse(k), &format!("identity k={k}"));
-        assert_rotation_matches_dense(
-            &hierarchical_strategy_sparse(k),
-            &format!("hierarchical k={k}"),
-        );
-        assert_rotation_matches_dense(&wavelet_strategy_sparse(k), &format!("wavelet k={k}"));
-    }
-}
-
-#[test]
-fn haar_rotation_of_random_runs_matches_the_dense_product() {
-    // Rows made of runs of one value in {−2, −1, 1, 2}, with zero gaps
-    // between some runs: the shape the rotation walks.
-    let mut rng = StdRng::seed_from_u64(0x4A_A12);
-    for k in 1..=300 {
-        let rows = 4;
-        let mut b = TripletBuilder::new(rows, k);
-        for r in 0..rows {
-            let mut pos = 0;
-            while pos < k {
-                let len = rng.gen_range(1..k.min(40) + 1).min(k - pos);
-                let v = [-2.0, -1.0, 0.0, 1.0, 2.0][rng.gen_range(0..5usize)];
-                for c in pos..pos + len {
-                    b.push(r, c, v);
-                }
-                pos += len;
-            }
-        }
-        assert_rotation_matches_dense(&b.build(), &format!("random runs k={k}"));
-    }
 }
 
 proptest! {
@@ -329,66 +234,6 @@ proptest! {
         prop_assert!(sparse.approx_eq(&dense, 1e-9));
     }
 
-    /// Sparse `gram_lower` (the lower triangle of AᵀA as CSR) and
-    /// `col_sq_norms` (its diagonal) agree with the dense gram kernel,
-    /// pinning the CSR assembly the same way
-    /// `gram_kernels_match_naive_reference` pins the dense one.
-    #[test]
-    fn sparse_gram_matches_dense_reference(
-        data in vec(-2.0f64..2.0, 48),
-        rows in 1usize..9,
-    ) {
-        let cols = (48 / rows.max(1)).clamp(1, 8);
-        let a = matrix_from(&data, rows, cols);
-        let sp = SparseMatrix::from_dense(&a);
-        let dense_gram = a.gram();
-        let lower = sp.gram_lower().to_dense();
-        for i in 0..cols {
-            for j in 0..cols {
-                let want = if j <= i { dense_gram[(i, j)] } else { 0.0 };
-                prop_assert!((lower[(i, j)] - want).abs() < 1e-9, "({i},{j})");
-            }
-        }
-        let diag = sp.col_sq_norms();
-        for (j, d) in diag.iter().enumerate() {
-            prop_assert!((d - dense_gram[(j, j)]).abs() < 1e-9);
-        }
-    }
-
-    /// `gram_lower` is the lower triangle of `transpose().matmul()` bit
-    /// for bit — same stored pattern, same summation order — on random
-    /// sparse matrices with an empty row and an empty column.
-    #[test]
-    fn gram_lower_is_the_lower_triangle_of_the_full_product(
-        data in vec(-2.0f64..2.0, 144),
-        mask in vec(0usize..3, 144),
-        rows in 1usize..13,
-        cols in 1usize..13,
-        empty in (0usize..12, 0usize..12),
-    ) {
-        let mut b = TripletBuilder::new(rows, cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                if mask[i * 12 + j] == 0 && i != empty.0 % rows && j != empty.1 % cols {
-                    b.push(i, j, data[i * 12 + j]);
-                }
-            }
-        }
-        let a = b.build();
-        let full = a.transpose().matmul(&a).unwrap();
-        let lower = a.gram_lower();
-        prop_assert_eq!((lower.rows(), lower.cols()), (cols, cols));
-        for i in 0..cols {
-            let want: Vec<(usize, u64)> = full
-                .row(i)
-                .filter(|&(j, _)| j <= i)
-                .map(|(j, v)| (j, v.to_bits()))
-                .collect();
-            let got: Vec<(usize, u64)> = lower.row(i).map(|(j, v)| (j, v.to_bits())).collect();
-            prop_assert_eq!(got, want);
-        }
-    }
-
     /// Sparse `matvec` / `matvec_transpose` (and their `_into` variants)
     /// agree with dense products.
     #[test]
@@ -415,45 +260,6 @@ proptest! {
         for j in 0..cols {
             prop_assert!((td[j] - ts[j]).abs() < 1e-9);
             prop_assert!(ts[j] == ti[j]);
-        }
-    }
-
-    /// Sparse Cholesky on random SPD matrices: `L Lᵀ` reconstructs the
-    /// input, and solves match the dense Cholesky reference.
-    #[test]
-    fn sparse_cholesky_reconstructs_and_solves_random_spd(
-        data in vec(-1.0f64..1.0, 49),
-        b in vec(-2.0f64..2.0, 7),
-    ) {
-        let n = 7;
-        let a = matrix_from(&data, n, n);
-        // G = AᵀA + 2I: SPD and well conditioned.
-        let mut g = a.gram();
-        for i in 0..n {
-            g[(i, i)] += 2.0;
-        }
-        let chol = SparseCholesky::factor(&SparseMatrix::from_dense(&g), None).unwrap();
-        // The factorization reads only the lower triangle: factoring it
-        // alone gives the same factor, bit for bit.
-        let from_lower = SparseCholesky::factor(&lower_triangle(&g), None).unwrap();
-        prop_assert_eq!(from_lower.l_matrix(), chol.l_matrix());
-        // L Lᵀ = G entrywise.
-        let l = chol.l_matrix();
-        let llt = l.matmul(&l.transpose()).unwrap().to_dense();
-        for i in 0..n {
-            for j in 0..n {
-                let want = g[(i, j)];
-                prop_assert!(
-                    (llt[(i, j)] - want).abs() < 1e-9,
-                    "({i},{j}): {} vs {want}", llt[(i, j)]
-                );
-            }
-        }
-        // Solve agrees with the dense factorization.
-        let dense = Cholesky::factor(&g).unwrap().solve(&b[..n]).unwrap();
-        let sparse = chol.solve(&b[..n]).unwrap();
-        for (u, v) in sparse.iter().zip(&dense) {
-            prop_assert!((u - v).abs() < 1e-9, "{u} vs {v}");
         }
     }
 }
