@@ -1,5 +1,5 @@
 //! Criterion benchmarks of the transformational-equivalence machinery:
-//! `P_G` construction, query transformation, and the `x_G` solvers.
+//! `P_G` construction, query transformation, and the tree solve for `x_G`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -34,19 +34,6 @@ fn bench_transform(c: &mut Criterion) {
     let reduced = inc.reduce_database(&x).expect("reduce");
     group.bench_function(BenchmarkId::new("solve_tree_line", 4096), |b| {
         b.iter(|| inc.solve_tree(&reduced).expect("tree"));
-    });
-
-    // Min-norm (CG) solve on a 40x40 grid policy.
-    let grid = PolicyGraph::distance_threshold(Domain::square(40), 1).expect("valid");
-    let ginc = Incidence::new(&grid).expect("incidence");
-    let gx = DataVector::new(
-        Domain::square(40),
-        (0..1600).map(|i| (i % 11) as f64).collect(),
-    )
-    .expect("shape");
-    let greduced = ginc.reduce_database(&gx).expect("reduce");
-    group.bench_function(BenchmarkId::new("min_norm_grid", 40 * 40), |b| {
-        b.iter(|| ginc.min_norm_solution(&greduced).expect("cg"));
     });
 
     // Query transformation: a range query through P_G.

@@ -15,9 +15,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use blowfish_core::{
-    measure_error, DataVector, Domain, Epsilon, ErrorReport, RangeQuery, Workload,
-};
+use blowfish_core::{measure_error, DataVector, Domain, Epsilon, ErrorReport, RangeQuery};
 use blowfish_data::{aggregate_1d, dataset, DatasetId};
 use blowfish_engine::{Policy, Session, Task};
 use blowfish_strategies::{true_ranges_1d, true_ranges_2d, Estimate, Mechanism};
@@ -276,18 +274,6 @@ pub fn panel_description(name: &str, cfg: &Config) -> String {
     )
 }
 
-/// Convenience: the Workload object (not used in the hot loops, which go
-/// through prefix sums, but exported for tests and examples).
-pub fn random_workload_1d(
-    k: usize,
-    queries: usize,
-    seed: u64,
-) -> Result<(Workload, Vec<RangeQuery>), BenchError> {
-    let d = Domain::one_dim(k);
-    let mut rng = StdRng::seed_from_u64(seed);
-    Ok(Workload::random_ranges(&d, queries, &mut rng)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,9 +372,6 @@ mod tests {
     fn helpers() {
         let cfg = tiny();
         assert!(panel_description("Hist", &cfg).contains("ε=1"));
-        let (w, specs) = random_workload_1d(16, 5, 3).unwrap();
-        assert_eq!(w.len(), 5);
-        assert_eq!(specs.len(), 5);
         assert_ne!(hash("a"), hash("b"));
     }
 }

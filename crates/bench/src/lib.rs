@@ -36,7 +36,7 @@ pub use error::BenchError;
 pub use experiments::{
     hist_panel, measure_bench, panel_description, range1d_panel, range2d_panel, theta_panel, Config,
 };
-pub use report::{print_panel, print_ratio, sci, Measurement};
+pub use report::{print_panel, sci, Measurement};
 
 /// Whether quick mode (`BLOWFISH_BENCH_QUICK`) is active — benches, the
 /// workload simulator, and CI steps share the criterion shim's single

@@ -69,26 +69,6 @@ pub fn print_panel(title: &str, columns: &[String], rows: &[Measurement]) {
     }
 }
 
-/// Prints a free-form comparison line (winner + factor), the "shape"
-/// summary EXPERIMENTS.md records.
-pub fn print_ratio(label: &str, a_name: &str, a: f64, b_name: &str, b: f64) {
-    if a <= b {
-        println!(
-            "  {label}: {a_name} wins by {:.1}x ({} vs {})",
-            b / a,
-            sci(a),
-            sci(b)
-        );
-    } else {
-        println!(
-            "  {label}: {b_name} wins by {:.1}x ({} vs {})",
-            a / b,
-            sci(b),
-            sci(a)
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +99,5 @@ mod tests {
         ];
         // Just ensure it does not panic with missing cells.
         print_panel("test", &["A".into(), "B".into(), "C".into()], &rows);
-        print_ratio("x", "a", 1.0, "b", 10.0);
-        print_ratio("x", "a", 10.0, "b", 1.0);
     }
 }

@@ -602,11 +602,6 @@ impl Ledger {
         Ledger::durable(dir, LedgerDurability::default())
     }
 
-    /// Whether this ledger persists to a state directory.
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
-    }
-
     /// Persistence health (policy, WAL size, snapshot generation), or
     /// `None` for an in-memory ledger.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
@@ -855,25 +850,14 @@ impl Ledger {
         self.with_account(tenant, |a| (a.total.value() - a.spent).max(0.0))
     }
 
-    /// Registered total budget of a tenant.
-    pub fn total(&self, tenant: &str) -> Result<f64, CoreError> {
-        self.with_account(tenant, |a| a.total.value())
-    }
-
     /// The most recent `(label, ε)` charges of a tenant, oldest first —
     /// a bounded ring of the latest [`MAX_HISTORY`] entries (`spent` and
-    /// [`Ledger::charge_count`] keep exact lifetime totals regardless of
-    /// truncation). Clones the retained entries — for dashboards and
-    /// tests; hot paths that only need the count should use
-    /// [`Ledger::charge_count`].
+    /// the [`Ledger::snapshot`] charge count keep exact lifetime totals
+    /// regardless of truncation). Clones the retained entries — for
+    /// dashboards and tests; hot paths that only need the count should
+    /// use [`Ledger::snapshot`].
     pub fn history(&self, tenant: &str) -> Result<Vec<(String, f64)>, CoreError> {
         self.with_account(tenant, |a| a.history.iter().cloned().collect())
-    }
-
-    /// Lifetime number of admitted charges on a tenant's account —
-    /// O(1), exact even once [`Ledger::history`] has truncated.
-    pub fn charge_count(&self, tenant: &str) -> Result<usize, CoreError> {
-        self.with_account(tenant, |a| a.charges)
     }
 
     /// One consistent view of a tenant account (total, spent, remaining,
@@ -890,6 +874,7 @@ impl Ledger {
     }
 
     /// Registered tenant ids, sorted.
+    #[cfg(test)]
     pub fn tenants(&self) -> Vec<String> {
         let mut ids: Vec<String> = Vec::new();
         for stripe in &self.stripes {
@@ -1070,7 +1055,7 @@ mod tests {
         }
         assert!((ledger.spent("t").unwrap() - 1.0).abs() < 1e-12);
         assert_eq!(ledger.history("t").unwrap().len(), 2);
-        assert_eq!(ledger.charge_count("t").unwrap(), 2);
+        assert_eq!(ledger.snapshot("t").unwrap().charges, 2);
     }
 
     #[test]
@@ -1088,7 +1073,7 @@ mod tests {
         assert_eq!(history[0].0, "c50", "oldest retained entry");
         assert_eq!(history.last().unwrap().0, format!("c{}", n - 1));
         // …while lifetime accounting stays exact.
-        assert_eq!(ledger.charge_count("t").unwrap(), n);
+        assert_eq!(ledger.snapshot("t").unwrap().charges, n);
         assert!((ledger.spent("t").unwrap() - n as f64).abs() < 1e-6);
     }
 
@@ -1260,7 +1245,7 @@ mod tests {
             recovered.spent("t").unwrap().to_bits(),
             (0..20).fold(0.0f64, |acc, _| acc + 0.5).to_bits()
         );
-        assert_eq!(recovered.charge_count("t").unwrap(), 20);
+        assert_eq!(recovered.snapshot("t").unwrap().charges, 20);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1337,7 +1322,7 @@ mod tests {
         // Charge "b" was torn; the durable prefix (open + charge "a")
         // survives exactly.
         assert_eq!(recovered.spent("t").unwrap().to_bits(), 0.25f64.to_bits());
-        assert_eq!(recovered.charge_count("t").unwrap(), 1);
+        assert_eq!(recovered.snapshot("t").unwrap().charges, 1);
         // The ledger keeps serving after tail truncation.
         recovered
             .charge("t", "c", Epsilon::new(0.5).unwrap())
@@ -1384,7 +1369,7 @@ mod tests {
         // Only the open and the admitted charge were logged.
         assert_eq!(img.records.len(), 2);
         let (recovered, _) = Ledger::recover(&dir).unwrap();
-        assert_eq!(recovered.charge_count("t").unwrap(), 1);
+        assert_eq!(recovered.snapshot("t").unwrap().charges, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

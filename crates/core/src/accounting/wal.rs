@@ -343,13 +343,6 @@ pub enum WalTail {
     },
 }
 
-impl WalTail {
-    /// Whether recovery had to drop any bytes.
-    pub fn is_clean(&self) -> bool {
-        matches!(self, WalTail::Clean)
-    }
-}
-
 /// The decoded contents of one WAL file.
 #[derive(Clone, Debug)]
 pub struct WalImage {
@@ -628,7 +621,7 @@ mod tests {
         let img = read_wal(&dir.join(WAL_FILE)).unwrap().unwrap();
         assert_eq!(img.generation, 7);
         assert_eq!(img.records, recs);
-        assert!(img.tail.is_clean());
+        assert!(matches!(img.tail, WalTail::Clean));
         assert_eq!(img.valid_bytes, w.bytes());
         fs::remove_dir_all(&dir).unwrap();
     }

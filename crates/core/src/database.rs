@@ -27,30 +27,6 @@ impl DataVector {
         Ok(DataVector { domain, counts })
     }
 
-    /// An all-zero database.
-    pub fn zeros(domain: Domain) -> Self {
-        let n = domain.size();
-        DataVector {
-            domain,
-            counts: vec![0.0; n],
-        }
-    }
-
-    /// Builds a database from a multiset of records (flat value indices).
-    pub fn from_records(domain: Domain, records: &[usize]) -> Result<Self, CoreError> {
-        let mut x = DataVector::zeros(domain);
-        for &r in records {
-            if r >= x.domain.size() {
-                return Err(CoreError::CoordinateOutOfRange {
-                    coord: r,
-                    dim_size: x.domain.size(),
-                });
-            }
-            x.counts[r] += 1.0;
-        }
-        Ok(x)
-    }
-
     /// The domain this database is defined over.
     #[inline]
     pub fn domain(&self) -> &Domain {
@@ -117,28 +93,6 @@ impl DataVector {
         out
     }
 
-    /// Two-dimensional inclusive prefix sums (summed-area table) for square
-    /// and rectangular 2-D domains: `out[r][c] = Σ_{r'≤r, c'≤c} x[r', c']`,
-    /// returned flat in row-major order.
-    pub fn prefix_sums_2d(&self) -> Result<Vec<f64>, CoreError> {
-        if self.domain.num_dims() != 2 {
-            return Err(CoreError::DimensionMismatch {
-                expected: 2,
-                got: self.domain.num_dims(),
-            });
-        }
-        let (rows, cols) = (self.domain.dim(0), self.domain.dim(1));
-        let mut out = vec![0.0; rows * cols];
-        for r in 0..rows {
-            let mut row_acc = 0.0;
-            for c in 0..cols {
-                row_acc += self.counts[r * cols + c];
-                out[r * cols + c] = row_acc + if r > 0 { out[(r - 1) * cols + c] } else { 0.0 };
-            }
-        }
-        Ok(out)
-    }
-
     /// Answers the 1-D range count `Σ_{l ≤ i ≤ r} x[i]` via prefix sums that
     /// the caller computed once with [`DataVector::prefix_sums`].
     pub fn range_from_prefix(prefix: &[f64], l: usize, r: usize) -> f64 {
@@ -191,13 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn from_records() {
-        let x = DataVector::from_records(Domain::one_dim(4), &[0, 1, 1, 3]).unwrap();
-        assert_eq!(x.counts(), &[1.0, 2.0, 0.0, 1.0]);
-        assert!(DataVector::from_records(Domain::one_dim(2), &[5]).is_err());
-    }
-
-    #[test]
     fn prefix_sums_match_ranges() {
         let x = DataVector::new(Domain::one_dim(5), vec![1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
         let p = x.prefix_sums();
@@ -212,10 +159,8 @@ mod tests {
         // 2x3 grid:
         // 1 2 3
         // 4 5 6
-        let d = Domain::product(&[2, 3]).unwrap();
-        let x = DataVector::new(d, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let sat = x.prefix_sums_2d().unwrap();
-        assert_eq!(sat[5], 21.0); // total
+        // Its summed-area table, row-major.
+        let sat = [1.0, 3.0, 6.0, 5.0, 12.0, 21.0];
         assert_eq!(
             DataVector::range_from_prefix_2d(&sat, 3, (0, 0), (1, 2)),
             21.0
@@ -231,14 +176,8 @@ mod tests {
     }
 
     #[test]
-    fn prefix_2d_requires_two_dims() {
-        let x = DataVector::zeros(Domain::one_dim(4));
-        assert!(x.prefix_sums_2d().is_err());
-    }
-
-    #[test]
     fn counts_mut_roundtrip() {
-        let mut x = DataVector::zeros(Domain::one_dim(3));
+        let mut x = DataVector::new(Domain::one_dim(3), vec![0.0; 3]).unwrap();
         x.counts_mut()[1] = 5.0;
         assert_eq!(x.get(1), 5.0);
         assert_eq!(x.domain().size(), 3);

@@ -31,14 +31,6 @@ impl Domain {
         Domain::product(&[k, k]).expect("square domain is always valid")
     }
 
-    /// The cubic domain `[k]^d`.
-    pub fn hypercube(k: usize, d: usize) -> Result<Self, CoreError> {
-        if d == 0 {
-            return Err(CoreError::EmptyDomain);
-        }
-        Domain::product(&vec![k; d])
-    }
-
     /// A product domain with the given per-dimension sizes.
     pub fn product(dims: &[usize]) -> Result<Self, CoreError> {
         if dims.is_empty() || dims.contains(&0) {
@@ -226,7 +218,6 @@ mod tests {
     fn rejects_bad_inputs() {
         assert!(Domain::product(&[]).is_err());
         assert!(Domain::product(&[3, 0]).is_err());
-        assert!(Domain::hypercube(4, 0).is_err());
         let d = Domain::square(3);
         assert!(d.flat_index(&[1]).is_err());
         assert!(d.flat_index(&[3, 0]).is_err());
@@ -235,7 +226,7 @@ mod tests {
 
     #[test]
     fn hypercube() {
-        let d = Domain::hypercube(3, 3).unwrap();
+        let d = Domain::product(&[3, 3, 3]).unwrap();
         assert_eq!(d.size(), 27);
         assert_eq!(d.dims(), &[3, 3, 3]);
         assert_eq!(d.dim(1), 3);

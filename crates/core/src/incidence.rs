@@ -17,7 +17,7 @@
 //!   grounded through ⊥. Reconstruction uses the per-component totals,
 //!   which the policy itself deems disclosable (Appendix E discussion).
 
-use blowfish_linalg::{conjugate_gradient, CgOptions, SparseMatrix, TripletBuilder};
+use blowfish_linalg::{SparseMatrix, TripletBuilder};
 
 use crate::database::DataVector;
 use crate::policy::{PolicyGraph, Vtx};
@@ -39,8 +39,6 @@ pub struct GroundedEdge {
 /// replaced by ⊥ and how original vertices map to matrix rows.
 #[derive(Clone, Debug)]
 pub struct Grounding {
-    /// Original vertex ids replaced by ⊥ (one per ⊥-less component), sorted.
-    replaced: Vec<usize>,
     /// Original vertex id → row index (`None` when replaced).
     row_of: Vec<Option<usize>>,
     /// Row index → original vertex id.
@@ -117,18 +115,12 @@ impl Grounding {
             }
         }
         Ok(Grounding {
-            replaced,
             row_of,
             orig_of_row,
             component_of,
             replacement_of_component,
             components,
         })
-    }
-
-    /// The replaced vertices (original ids), sorted.
-    pub fn replaced(&self) -> &[usize] {
-        &self.replaced
     }
 
     /// Row of original vertex `u`, or `None` if it was replaced by ⊥.
@@ -154,11 +146,6 @@ impl Grounding {
     /// Number of connected components.
     pub fn num_components(&self) -> usize {
         self.components.len()
-    }
-
-    /// Members (original ids) of component `c`.
-    pub fn component(&self, c: usize) -> &[usize] {
-        &self.components[c]
     }
 
     /// The vertex replaced by ⊥ in component `c`, if any.
@@ -271,11 +258,6 @@ impl Incidence {
     /// The grounding bookkeeping.
     pub fn grounding(&self) -> &Grounding {
         &self.grounding
-    }
-
-    /// The grounded edges (original edge order).
-    pub fn edges(&self) -> &[GroundedEdge] {
-        &self.edges
     }
 
     /// `P_G` as a CSR matrix (`num_rows × num_edges`).
@@ -533,126 +515,6 @@ impl Incidence {
         }
         b.build()
     }
-
-    /// The minimum-norm solution `x_G = P_Gᵀ (P_G P_Gᵀ)⁻¹ x′` — the
-    /// canonical right inverse of Section 4.4 — computed with conjugate
-    /// gradient on the grounded Laplacian.
-    pub fn min_norm_solution(&self, reduced: &[f64]) -> Result<Vec<f64>, CoreError> {
-        if reduced.len() != self.num_rows() {
-            return Err(CoreError::DataShapeMismatch {
-                domain_size: self.num_rows(),
-                data_len: reduced.len(),
-            });
-        }
-        // Fast path: unique solution on trees.
-        if let Ok(sol) = self.solve_tree(reduced) {
-            return Ok(sol);
-        }
-        let l = self.laplacian();
-        let y = conjugate_gradient(&l, reduced, CgOptions::default()).map_err(CoreError::Linalg)?;
-        Ok(self.p.matvec_transpose(&y.x)?)
-    }
-
-    /// *A* particular solution of `P_G x_G = x′`: route all mass along a
-    /// BFS spanning tree of the grounded graph (zero on non-tree edges).
-    ///
-    /// Any particular solution yields exactly the same answers and noise
-    /// distribution for data-independent (matrix-mechanism) strategies —
-    /// see DESIGN.md §6 — and this one costs O(|V| + |E|) instead of a
-    /// linear solve.
-    pub fn particular_solution(&self, reduced: &[f64]) -> Result<Vec<f64>, CoreError> {
-        if reduced.len() != self.num_rows() {
-            return Err(CoreError::DataShapeMismatch {
-                domain_size: self.num_rows(),
-                data_len: reduced.len(),
-            });
-        }
-        let rows = self.num_rows();
-        // BFS from ⊥ (virtual root) across grounded edges.
-        let mut parent_edge: Vec<Option<usize>> = vec![None; rows];
-        let mut visited = vec![false; rows];
-        let mut queue = std::collections::VecDeque::new();
-        // Seed: all rows with a ⊥-edge.
-        for (j, e) in self.edges.iter().enumerate() {
-            if e.v_row.is_none() && !visited[e.u_row] {
-                visited[e.u_row] = true;
-                parent_edge[e.u_row] = Some(j);
-                queue.push_back(e.u_row);
-            }
-        }
-        // Adjacency over value rows.
-        while let Some(r) = queue.pop_front() {
-            for &(j, _) in &self.incident[r] {
-                let e = self.edges[j];
-                let other = match e.v_row {
-                    Some(vr) if vr != r => vr,
-                    Some(_) if e.u_row != r => e.u_row,
-                    _ => continue,
-                };
-                if !visited[other] {
-                    visited[other] = true;
-                    parent_edge[other] = Some(j);
-                    queue.push_back(other);
-                }
-            }
-        }
-        if visited.iter().any(|&v| !v) {
-            // Should be impossible after grounding, but guard anyway.
-            return Err(CoreError::NotConnectedToBottom);
-        }
-        // `child_of_edge[j] = Some(r)` when tree edge j connects row r to
-        // its parent; non-tree edges stay None and carry zero mass.
-        let mut child_of_edge: Vec<Option<usize>> = vec![None; self.num_edges()];
-        for (r, pe) in parent_edge.iter().enumerate() {
-            if let Some(j) = pe {
-                child_of_edge[*j] = Some(r);
-            }
-        }
-        // Process rows children-first: reverse BFS order.
-        let mut order = Vec::with_capacity(rows);
-        {
-            let mut visited2 = vec![false; rows];
-            let mut q2 = std::collections::VecDeque::new();
-            for (j, e) in self.edges.iter().enumerate() {
-                if e.v_row.is_none() && parent_edge[e.u_row] == Some(j) && !visited2[e.u_row] {
-                    visited2[e.u_row] = true;
-                    q2.push_back(e.u_row);
-                }
-            }
-            while let Some(r) = q2.pop_front() {
-                order.push(r);
-                for &(j, _) in &self.incident[r] {
-                    let e = self.edges[j];
-                    let other = match e.v_row {
-                        Some(vr) if vr != r => vr,
-                        Some(_) if e.u_row != r => e.u_row,
-                        _ => continue,
-                    };
-                    if !visited2[other] && parent_edge[other] == Some(j) {
-                        visited2[other] = true;
-                        q2.push_back(other);
-                    }
-                }
-            }
-        }
-        let mut x_g = vec![0.0; self.num_edges()];
-        for &r in order.iter().rev() {
-            let j = parent_edge[r].expect("every row has a parent edge");
-            let mut rhs = reduced[r];
-            let mut sign = 0.0;
-            for &(e, s) in &self.incident[r] {
-                if e == j {
-                    sign = s;
-                } else if matches!(child_of_edge[e], Some(child) if child != r) {
-                    // Parent edge of a child of r — already solved.
-                    rhs -= s * x_g[e];
-                }
-            }
-            debug_assert!(sign != 0.0);
-            x_g[j] = rhs / sign;
-        }
-        Ok(x_g)
-    }
 }
 
 #[cfg(test)]
@@ -665,10 +527,27 @@ mod tests {
         Incidence::new(&PolicyGraph::line(k).unwrap()).unwrap()
     }
 
+    /// The vertices replaced by ⊥, sorted.
+    fn replaced(g: &Grounding) -> Vec<usize> {
+        let mut out: Vec<usize> = (0..g.num_components())
+            .filter_map(|c| g.replacement(c))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// The minimum-norm solution `x_G = P_Gᵀ (P_G P_Gᵀ)⁻¹ x′`, by a dense
+    /// Cholesky of the grounded Laplacian.
+    fn min_norm_x_g(inc: &Incidence, reduced: &[f64]) -> Vec<f64> {
+        let l = blowfish_linalg::Cholesky::factor(&inc.laplacian().to_dense()).unwrap();
+        let y = l.solve(reduced).unwrap();
+        inc.matrix().matvec_transpose(&y).unwrap()
+    }
+
     #[test]
     fn line_grounding_replaces_rightmost() {
         let inc = line_incidence(5);
-        assert_eq!(inc.grounding().replaced(), &[4]);
+        assert_eq!(replaced(inc.grounding()), &[4]);
         assert_eq!(inc.num_rows(), 4);
         assert_eq!(inc.num_edges(), 4);
         assert!(inc.is_tree());
@@ -711,7 +590,7 @@ mod tests {
     fn star_policy_is_identity() {
         // Unbounded DP: P_G = I_k (each value has exactly a ⊥-edge).
         let inc = Incidence::new(&PolicyGraph::star(4).unwrap()).unwrap();
-        assert!(inc.grounding().replaced().is_empty());
+        assert!(replaced(inc.grounding()).is_empty());
         assert!(inc.is_tree());
         let p = inc.matrix().to_dense();
         assert!(p.approx_eq(&blowfish_linalg::Matrix::identity(4), 0.0));
@@ -763,7 +642,7 @@ mod tests {
         )
         .unwrap();
         let reduced = inc.reduce_database(&x).unwrap();
-        let x_g = inc.min_norm_solution(&reduced).unwrap();
+        let x_g = min_norm_x_g(&inc, &reduced);
         let totals = inc.component_totals(&x).unwrap();
         let (wg, consts) = inc.transform_workload(&w).unwrap();
         let truth = w.answer(x.counts()).unwrap();
@@ -781,17 +660,43 @@ mod tests {
     }
 
     #[test]
-    fn particular_solution_also_preserves_answers() {
-        let k = 6;
-        let g = PolicyGraph::theta_line(k, 3).unwrap();
-        let inc = Incidence::new(&g).unwrap();
-        let x = DataVector::new(Domain::one_dim(k), vec![2.0, 7.0, 1.0, 8.0, 2.0, 8.0]).unwrap();
+    fn any_particular_solution_gives_the_same_answers() {
+        // θ-line is not a tree, so P_G x_G = x′ has many solutions. Adding
+        // a circulation c (P_G c = 0) to the min-norm one changes no
+        // transformed answer: every q_G = q′·P_G lies in the row space of
+        // P_G, which is orthogonal to c.
+        let k = 8;
+        let inc = Incidence::new(&PolicyGraph::theta_line(k, 2).unwrap()).unwrap();
+        assert!(!inc.is_tree());
+        let x = DataVector::new(
+            Domain::one_dim(k),
+            vec![3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0],
+        )
+        .unwrap();
         let reduced = inc.reduce_database(&x).unwrap();
-        let x_g = inc.particular_solution(&reduced).unwrap();
-        // P x_G = x′ exactly.
-        let back = inc.apply(&x_g).unwrap();
-        for (a, b) in back.iter().zip(&reduced) {
+        let x_g = min_norm_x_g(&inc, &reduced);
+        // Signed indicator of the triangle 0 → 1 → 2 → 0.
+        let mut c = vec![0.0; inc.num_edges()];
+        for (a, b) in [(0, 1), (1, 2), (2, 0)] {
+            let (j, e) = inc
+                .edges
+                .iter()
+                .enumerate()
+                .find(|(_, e)| {
+                    (e.u_row, e.v_row) == (a, Some(b)) || (e.u_row, e.v_row) == (b, Some(a))
+                })
+                .unwrap();
+            c[j] = if e.u_row == a { 5.0 } else { -5.0 };
+        }
+        assert!(inc.apply(&c).unwrap().iter().all(|&v| v == 0.0));
+        let other: Vec<f64> = x_g.iter().zip(&c).map(|(a, b)| a + b).collect();
+        for (a, b) in inc.apply(&other).unwrap().iter().zip(&reduced) {
             assert!((a - b).abs() < 1e-9);
+        }
+        let (wg, _) = inc.transform_workload(&Workload::all_ranges_1d(k)).unwrap();
+        for q in wg.queries() {
+            let (a, b) = (q.answer(&x_g).unwrap(), q.answer(&other).unwrap());
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
     }
 
@@ -804,7 +709,7 @@ mod tests {
         let counts: Vec<f64> = (0..25).map(|i| (i % 7) as f64).collect();
         let x = DataVector::new(d, counts).unwrap();
         let reduced = inc.reduce_database(&x).unwrap();
-        let x_g = inc.min_norm_solution(&reduced).unwrap();
+        let x_g = min_norm_x_g(&inc, &reduced);
         let back = inc.apply(&x_g).unwrap();
         for (a, b) in back.iter().zip(&reduced) {
             assert!((a - b).abs() < 1e-6);
@@ -822,7 +727,7 @@ mod tests {
         let g = PolicyGraph::from_edges(d.clone(), edges, "2comp").unwrap();
         let inc = Incidence::new(&g).unwrap();
         // One replacement per component: vertices 1 and 3.
-        assert_eq!(inc.grounding().replaced(), &[1, 3]);
+        assert_eq!(replaced(inc.grounding()), &[1, 3]);
         assert_eq!(inc.num_rows(), 2);
         assert_eq!(inc.num_edges(), 2);
         assert!(inc.is_tree());
@@ -837,7 +742,7 @@ mod tests {
         let x_g = inc.solve_tree(&reduced).unwrap();
         let truth = w.answer(x.counts()).unwrap();
         for i in 0..4 {
-            let mut ans = wg.query(i).answer(&x_g).unwrap();
+            let mut ans = wg.queries()[i].answer(&x_g).unwrap();
             for &(c, coeff) in &consts[i] {
                 ans += coeff * totals[c];
             }
@@ -858,7 +763,7 @@ mod tests {
         let g = PolicyGraph::from_edges(d.clone(), edges, "isolated").unwrap();
         let inc = Incidence::new(&g).unwrap();
         // Components {0,1} and {2}; replacements 1 and 2.
-        assert_eq!(inc.grounding().replaced(), &[1, 2]);
+        assert_eq!(replaced(inc.grounding()), &[1, 2]);
         let x = DataVector::new(d, vec![4.0, 2.0, 9.0]).unwrap();
         let totals = inc.component_totals(&x).unwrap();
         assert_eq!(totals, vec![6.0, 9.0]);
@@ -884,7 +789,7 @@ mod tests {
     fn custom_grounding_candidate() {
         let g = PolicyGraph::line(5).unwrap();
         let grounding = Grounding::with_candidates(&g, &[0]).unwrap();
-        assert_eq!(grounding.replaced(), &[0]);
+        assert_eq!(replaced(&grounding), &[0]);
         let inc = Incidence::with_grounding(&g, grounding).unwrap();
         assert!(inc.is_tree());
         // Now x_G should be suffix sums instead of prefix sums.
@@ -910,7 +815,7 @@ mod tests {
         // min-norm solution still satisfies P x_G = x′.
         let x = DataVector::new(Domain::one_dim(4), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let reduced = inc.reduce_database(&x).unwrap();
-        let x_g = inc.min_norm_solution(&reduced).unwrap();
+        let x_g = min_norm_x_g(&inc, &reduced);
         let back = inc.apply(&x_g).unwrap();
         for (a, b) in back.iter().zip(&reduced) {
             assert!((a - b).abs() < 1e-8);

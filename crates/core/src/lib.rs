@@ -17,8 +17,7 @@
 //! * [`incidence`] — the transformation matrix `P_G` (Section 4.4) with the
 //!   Case I/II/III constructions, query transformation `W → W_G = W·P_G`
 //!   (with Case II constant corrections), and database transformation
-//!   `x → x_G` (exact O(k) tree solve, min-norm CG solve, and spanning-tree
-//!   particular solutions).
+//!   `x → x_G` (exact O(k) tree solve).
 //! * [`sensitivity`] — Definitions 2.3/4.1 and the Lemma 4.7 equality
 //!   `Δ_W(G) = Δ_{W_G}`.
 //! * [`neighbors`] — DP and Blowfish neighbor enumeration (Definitions 2.1,
@@ -47,9 +46,10 @@
 //! // Transformational equivalence: answers agree in vertex and edge space.
 //! let x_g = pg.solve_tree(&pg.reduce_database(&x).unwrap()).unwrap();
 //! let totals = pg.component_totals(&x).unwrap();
-//! let t = pg.transform_query(w.query(0)).unwrap();
+//! let q = &w.queries()[0];
+//! let t = pg.transform_query(q).unwrap();
 //! let edge_answer = t.edge_query.answer(&x_g).unwrap();
-//! assert_eq!(t.reconstruct(edge_answer, &totals), w.query(0).answer(x.counts()).unwrap());
+//! assert_eq!(t.reconstruct(edge_answer, &totals), q.answer(x.counts()).unwrap());
 //! ```
 
 pub mod accounting;
@@ -57,7 +57,6 @@ pub mod database;
 pub mod domain;
 pub mod error_measure;
 pub mod incidence;
-pub mod metric;
 pub mod neighbors;
 pub mod policy;
 pub mod query;
@@ -73,19 +72,18 @@ pub use database::DataVector;
 pub use domain::Domain;
 pub use error_measure::{measure_error, mse_per_query, ErrorReport};
 pub use incidence::{GroundedEdge, Grounding, Incidence, TransformedQuery};
-pub use metric::PolicyMetric;
 pub use neighbors::{
     are_blowfish_neighbors, blowfish_neighbors, dp_neighbors_unbounded, l1_distance,
 };
 pub use policy::{PolicyEdge, PolicyGraph, Vtx};
 pub use query::LinearQuery;
-pub use sensitivity::{l1_sensitivity_bounded, l1_sensitivity_unbounded, policy_sensitivity};
+pub use sensitivity::{l1_sensitivity_unbounded, policy_sensitivity};
 pub use spanner::{
     bfs_spanning_tree, theta_grid_spanner, theta_line_spanner, ThetaGridSpanner, ThetaLineSpanner,
 };
 pub use workload::{
-    all_range_specs, random_range_specs, range_gram, range_gram_1d, sample_query, sample_query_mix,
-    QueryKind, QueryMix, RangeQuery, Workload,
+    random_range_specs, range_gram, range_gram_1d, sample_query, sample_query_mix, QueryKind,
+    QueryMix, RangeQuery, Workload,
 };
 
 /// One-stop imports for downstream crates and examples.
@@ -154,9 +152,6 @@ pub enum CoreError {
     },
     /// The policy graph has no edges.
     EmptyPolicy,
-    /// A vertex with no incident edge makes `P_G` rank-deficient: the
-    /// policy provides no guarantee for that value.
-    IsolatedVertex,
     /// A tree-only operation was invoked on a non-tree policy.
     NotATree,
     /// The grounded graph failed to reach every vertex from ⊥.
@@ -251,12 +246,6 @@ impl std::fmt::Display for CoreError {
             CoreError::InvalidEdge { reason } => write!(f, "invalid policy edge: {reason}"),
             CoreError::InvalidTheta { theta } => write!(f, "invalid θ = {theta}"),
             CoreError::EmptyPolicy => write!(f, "policy graph has no edges"),
-            CoreError::IsolatedVertex => {
-                write!(
-                    f,
-                    "policy graph has an isolated vertex (P_G would be rank-deficient)"
-                )
-            }
             CoreError::NotATree => write!(f, "operation requires a tree policy graph"),
             CoreError::NotConnectedToBottom => {
                 write!(f, "grounded policy graph is not connected through ⊥")

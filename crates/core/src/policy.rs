@@ -169,7 +169,7 @@ impl PolicyGraph {
         if theta == 0 {
             return Err(CoreError::InvalidTheta { theta });
         }
-        let domain = Domain::one_dim(k);
+        let domain = Domain::product(&[k])?;
         let mut edges =
             Vec::with_capacity((1..=theta.min(k.saturating_sub(1))).map(|d| k - d).sum());
         for u in 0..k {
@@ -218,7 +218,7 @@ impl PolicyGraph {
     /// The complete graph over `T` — bounded differential privacy
     /// (Section 3: `E = {(u, v) | ∀u, v ∈ T}`).
     pub fn complete(k: usize) -> Result<Self, CoreError> {
-        let domain = Domain::one_dim(k);
+        let domain = Domain::product(&[k])?;
         let mut edges = Vec::with_capacity(k * (k - 1) / 2);
         for u in 0..k {
             for v in (u + 1)..k {
@@ -231,7 +231,7 @@ impl PolicyGraph {
     /// The star over ⊥ — unbounded differential privacy (Section 3:
     /// `E = {(u, ⊥) | ∀u ∈ T}`).
     pub fn star(k: usize) -> Result<Self, CoreError> {
-        let domain = Domain::one_dim(k);
+        let domain = Domain::product(&[k])?;
         let edges = (0..k)
             .map(|u| PolicyEdge::new(Vtx::Value(u), Vtx::Bottom))
             .collect::<Result<Vec<_>, _>>()?;
@@ -246,7 +246,7 @@ impl PolicyGraph {
                 reason: "cycle needs at least 3 vertices",
             });
         }
-        let domain = Domain::one_dim(k);
+        let domain = Domain::product(&[k])?;
         let mut edges = Vec::with_capacity(k);
         for u in 0..k - 1 {
             edges.push(PolicyEdge::new(Vtx::Value(u), Vtx::Value(u + 1))?);
@@ -341,11 +341,6 @@ impl PolicyGraph {
         }
         self.edges.hash(&mut h);
         h.finish()
-    }
-
-    /// Degree of a value vertex (counting a ⊥-edge if present).
-    pub fn degree(&self, u: usize) -> usize {
-        self.adj[u].len()
     }
 
     /// Neighbors of value vertex `u` as `(neighbor, edge index)` pairs,
@@ -512,8 +507,8 @@ mod tests {
         assert!(!g.has_bottom());
         assert!(g.is_connected());
         assert!(g.is_tree());
-        assert_eq!(g.degree(0), 1);
-        assert_eq!(g.degree(2), 2);
+        assert_eq!(g.neighbors(0).len(), 1);
+        assert_eq!(g.neighbors(2).len(), 2);
         assert_eq!(g.distance(0, 4), Some(4));
     }
 

@@ -37,14 +37,6 @@ impl LinearQuery {
         })
     }
 
-    /// The all-zero query.
-    pub fn zero(arity: usize) -> Self {
-        LinearQuery {
-            arity,
-            entries: Vec::new(),
-        }
-    }
-
     /// The counting query selecting exactly the cells in `indices`
     /// (coefficient 1 each).
     pub fn counting(arity: usize, indices: &[usize]) -> Result<Self, CoreError> {
@@ -96,12 +88,6 @@ impl LinearQuery {
             .unwrap_or(0.0)
     }
 
-    /// Whether all coefficients are 0/1 (a *linear counting query*,
-    /// Section 2 — the hypothesis of Lemma 5.1).
-    pub fn is_counting(&self) -> bool {
-        self.entries.iter().all(|&(_, v)| v == 1.0)
-    }
-
     /// Evaluates `q · x`.
     pub fn answer(&self, x: &[f64]) -> Result<f64, CoreError> {
         if x.len() != self.arity {
@@ -111,33 +97,6 @@ impl LinearQuery {
             });
         }
         Ok(self.entries.iter().map(|&(i, v)| v * x[i]).sum())
-    }
-
-    /// Densifies into a length-`arity` coefficient vector.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.arity];
-        for &(i, v) in &self.entries {
-            out[i] = v;
-        }
-        out
-    }
-
-    /// `self + scale * other` (both must share the arity).
-    pub fn add_scaled(&self, other: &LinearQuery, scale: f64) -> Result<LinearQuery, CoreError> {
-        if self.arity != other.arity {
-            return Err(CoreError::DataShapeMismatch {
-                domain_size: self.arity,
-                data_len: other.arity,
-            });
-        }
-        let mut entries = self.entries.clone();
-        entries.extend(other.entries.iter().map(|&(i, v)| (i, v * scale)));
-        LinearQuery::new(self.arity, entries)
-    }
-
-    /// L1 norm of the coefficient vector.
-    pub fn norm1(&self) -> f64 {
-        self.entries.iter().map(|&(_, v)| v.abs()).sum()
     }
 
     /// Splits the query support into maximal runs of *consecutive* indices,
@@ -180,10 +139,9 @@ mod tests {
     #[test]
     fn range_and_prefix() {
         let q = LinearQuery::range(6, 2, 4).unwrap();
-        assert_eq!(q.to_dense(), vec![0.0, 0.0, 1.0, 1.0, 1.0, 0.0]);
-        assert!(q.is_counting());
+        assert_eq!(q.entries(), &[(2, 1.0), (3, 1.0), (4, 1.0)]);
         let p = LinearQuery::prefix(4, 2).unwrap();
-        assert_eq!(p.to_dense(), vec![1.0, 1.0, 1.0, 0.0]);
+        assert_eq!(p.entries(), &[(0, 1.0), (1, 1.0), (2, 1.0)]);
         assert!(LinearQuery::range(4, 3, 2).is_err());
         assert!(LinearQuery::range(4, 0, 4).is_err());
     }
@@ -202,17 +160,6 @@ mod tests {
         assert_eq!(q.coeff(1), 2.0);
         assert_eq!(q.coeff(4), -3.0);
         assert_eq!(q.coeff(0), 0.0);
-        assert!(!q.is_counting());
-        assert_eq!(q.norm1(), 5.0);
-    }
-
-    #[test]
-    fn add_scaled() {
-        let a = LinearQuery::range(4, 0, 2).unwrap();
-        let b = LinearQuery::range(4, 2, 3).unwrap();
-        // a - b = [1, 1, 0, -1]
-        let c = a.add_scaled(&b, -1.0).unwrap();
-        assert_eq!(c.to_dense(), vec![1.0, 1.0, 0.0, -1.0]);
     }
 
     #[test]
@@ -229,9 +176,6 @@ mod tests {
     #[test]
     fn point_and_zero() {
         let p = LinearQuery::point(3, 1).unwrap();
-        assert_eq!(p.to_dense(), vec![0.0, 1.0, 0.0]);
-        let z = LinearQuery::zero(3);
-        assert_eq!(z.nnz(), 0);
-        assert_eq!(z.answer(&[1.0, 2.0, 3.0]).unwrap(), 0.0);
+        assert_eq!(p.entries(), &[(1, 1.0)]);
     }
 }

@@ -3,8 +3,6 @@
 //! * [`l1_sensitivity_unbounded`] — Definition 2.3 under unbounded DP
 //!   neighbors (add/remove one record): `Δ_W = max_j ‖W e_j‖₁`, the largest
 //!   column L1 norm.
-//! * [`l1_sensitivity_bounded`] — bounded DP neighbors (replace one record):
-//!   `max_{u,v} ‖W (e_u − e_v)‖₁`.
 //! * [`policy_sensitivity`] — Definition 4.1, the policy-specific
 //!   sensitivity `Δ_W(G)`: the maximum over policy edges of the change in
 //!   workload answers when one record moves along that edge.
@@ -69,20 +67,6 @@ pub fn l1_sensitivity_unbounded(w: &Workload) -> f64 {
     norms.into_iter().fold(0.0_f64, f64::max)
 }
 
-/// Bounded-DP L1 sensitivity: `max_{u ≠ v} ‖W (e_u − e_v)‖₁`.
-/// O(k²·colnnz); intended for moderate domain sizes.
-pub fn l1_sensitivity_bounded(w: &Workload) -> f64 {
-    let cols = columns(w);
-    let k = w.arity();
-    let mut worst = 0.0_f64;
-    for u in 0..k {
-        for v in (u + 1)..k {
-            worst = worst.max(col_diff_norm1(&cols[u], &cols[v]));
-        }
-    }
-    worst
-}
-
 /// Policy-specific sensitivity `Δ_W(G)` (Definition 4.1): maximum over the
 /// policy edges of the answer change induced by moving one record along the
 /// edge (`‖W(e_u − e_v)‖₁` for value edges, `‖W e_u‖₁` for ⊥-edges).
@@ -122,9 +106,10 @@ mod tests {
     #[test]
     fn bounded_vs_unbounded() {
         // For the identity workload, replacing a record changes two cells:
-        // bounded sensitivity 2, unbounded 1.
+        // bounded sensitivity (the complete-graph policy) 2, unbounded 1.
         let w = Workload::identity(5);
-        assert_eq!(l1_sensitivity_bounded(&w), 2.0);
+        let complete = PolicyGraph::complete(5).unwrap();
+        assert_eq!(policy_sensitivity(&w, &complete).unwrap(), 2.0);
         assert_eq!(l1_sensitivity_unbounded(&w), 1.0);
     }
 

@@ -133,23 +133,6 @@ pub struct ThetaGridSpanner {
 }
 
 impl ThetaGridSpanner {
-    /// Flat domain index of the red vertex of red-grid cell `(a, b)`.
-    pub fn red_vertex(&self, k: usize, a: usize, b: usize) -> usize {
-        ((a + 1) * self.block - 1) * k + ((b + 1) * self.block - 1)
-    }
-
-    /// Edge index of the horizontal red edge between red cells `(a, b)` and
-    /// `(a, b+1)`.
-    pub fn horizontal_red_edge(&self, a: usize, b: usize) -> usize {
-        self.num_internal + a * (self.red_k - 1) + b
-    }
-
-    /// Edge index of the vertical red edge between red cells `(a, b)` and
-    /// `(a+1, b)`.
-    pub fn vertical_red_edge(&self, a: usize, b: usize) -> usize {
-        self.num_internal + self.red_k * (self.red_k - 1) + b * (self.red_k - 1) + a
-    }
-
     /// Certifies the Lemma 4.5 stretch of this spanner against
     /// `G^θ_{k²}`, in closed form: non-red vertices are degree-1 leaves
     /// hanging off their block's red corner, and the red corners form an
@@ -322,7 +305,7 @@ mod tests {
         let sp = theta_line_spanner(10, 3).unwrap();
         let g = &sp.graph;
         // Vertex 0 and 1 connect only to 2.
-        assert_eq!(g.degree(0), 1);
+        assert_eq!(g.neighbors(0).len(), 1);
         assert!(g.neighbors(0).iter().any(|&(v, _)| v == 2));
         // Red path 2-5-8 exists.
         assert!(g.neighbors(2).iter().any(|&(v, _)| v == 5));
@@ -408,17 +391,15 @@ mod tests {
     #[test]
     fn theta_grid_red_edge_indexing() {
         let sp = theta_grid_spanner(6, 4).unwrap();
-        let k = 6;
-        // Red vertex of cell (0,0) is (1,1) → flat 7.
-        assert_eq!(sp.red_vertex(k, 0, 0), 7);
-        // Horizontal edge (0,0)-(0,1) connects red 7 and red (1,3)=9.
-        let he = sp.horizontal_red_edge(0, 0);
-        let e = sp.graph.edges()[he];
+        // Red vertex of cell (0,0) is (1,1) → flat 7. The first external
+        // edge is the horizontal (0,0)-(0,1), connecting red 7 and red
+        // (1,3)=9.
+        let e = sp.graph.edges()[sp.num_internal];
         assert_eq!(e.u, 7);
         assert_eq!(e.v, Vtx::Value(9));
-        // Vertical edge (0,0)-(1,0) connects red 7 and red (3,1)=19.
-        let ve = sp.vertical_red_edge(0, 0);
-        let e = sp.graph.edges()[ve];
+        // The vertical (0,0)-(1,0) follows all red_k·(red_k−1) horizontal
+        // edges and connects red 7 and red (3,1)=19.
+        let e = sp.graph.edges()[sp.num_internal + sp.red_k * (sp.red_k - 1)];
         assert_eq!(e.u, 7);
         assert_eq!(e.v, Vtx::Value(19));
     }

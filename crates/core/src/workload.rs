@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use blowfish_linalg::{Matrix, SparseMatrix, TripletBuilder};
+use blowfish_linalg::Matrix;
 
 use crate::domain::Domain;
 use crate::query::LinearQuery;
@@ -165,8 +165,8 @@ impl Workload {
     }
 
     /// All d-dimensional range queries `R_{k^d}` over `domain`. Beware: the
-    /// count is `Π_d k_d(k_d+1)/2`; use only on small domains (as the
-    /// Figure-10 lower bounds do).
+    /// count is `Π_d k_d(k_d+1)/2`; use only on small domains.
+    #[cfg(test)]
     pub fn all_ranges(domain: &Domain) -> Result<Self, CoreError> {
         let specs = all_range_specs(domain);
         let queries = specs
@@ -217,15 +217,6 @@ impl Workload {
         Ok(Workload { arity: k, queries })
     }
 
-    /// The total-count query `n = Σ x[i]` as a single-query workload.
-    pub fn total(k: usize) -> Self {
-        let q = LinearQuery::counting(k, &(0..k).collect::<Vec<_>>()).expect("indices in range");
-        Workload {
-            arity: k,
-            queries: vec![q],
-        }
-    }
-
     /// Domain size the queries are defined over.
     #[inline]
     pub fn arity(&self) -> usize {
@@ -249,12 +240,6 @@ impl Workload {
         &self.queries
     }
 
-    /// Query `i`.
-    #[inline]
-    pub fn query(&self, i: usize) -> &LinearQuery {
-        &self.queries[i]
-    }
-
     /// Evaluates every query against `x`.
     pub fn answer(&self, x: &[f64]) -> Result<Vec<f64>, CoreError> {
         self.queries.iter().map(|q| q.answer(x)).collect()
@@ -269,30 +254,6 @@ impl Workload {
             }
         }
         m
-    }
-
-    /// Converts into a CSR sparse matrix.
-    pub fn to_sparse_matrix(&self) -> SparseMatrix {
-        let mut b = TripletBuilder::new(self.queries.len(), self.arity);
-        for (i, q) in self.queries.iter().enumerate() {
-            for &(j, v) in q.entries() {
-                b.push(i, j, v);
-            }
-        }
-        b.build()
-    }
-
-    /// Appends the all-zero column required when a policy graph contains ⊥
-    /// (Definition 3.1 discussion: "we add a zero column vector 0 into the
-    /// workload W to correspond to the dummy value ⊥").
-    pub fn with_zero_column(&self) -> Workload {
-        let arity = self.arity + 1;
-        let queries = self
-            .queries
-            .iter()
-            .map(|q| LinearQuery::new(arity, q.entries().to_vec()).expect("indices still in range"))
-            .collect();
-        Workload { arity, queries }
     }
 }
 
@@ -455,6 +416,7 @@ pub fn sample_query_mix<R: Rng + ?Sized>(
 }
 
 /// Enumerates all range specs over `domain`.
+#[cfg(test)]
 pub fn all_range_specs(domain: &Domain) -> Vec<RangeQuery> {
     let d = domain.num_dims();
     // Per-dimension list of (lo, hi) pairs; the workload is their product.
@@ -598,8 +560,8 @@ mod tests {
         let k = 16;
         let w = Workload::dyadic_ranges_1d(k);
         assert_eq!(w.len(), 2 * k - 1);
-        let m = w.to_sparse_matrix();
-        assert_eq!(m.nnz(), k * (k.ilog2() as usize + 1));
+        let nnz: usize = w.queries().iter().map(LinearQuery::nnz).sum();
+        assert_eq!(nnz, k * (k.ilog2() as usize + 1));
         // First query is the full range; answers match brute force.
         let x: Vec<f64> = (0..k).map(|i| i as f64).collect();
         let ans = w.answer(&x).unwrap();
@@ -642,7 +604,6 @@ mod tests {
         assert_eq!(r.volume(), 4);
         assert_eq!(r.cells(&d).unwrap(), vec![5, 6, 9, 10]);
         let q = r.to_linear_query(&d).unwrap();
-        assert!(q.is_counting());
         assert_eq!(q.nnz(), 4);
     }
 
@@ -700,32 +661,6 @@ mod tests {
         let explicit = w.to_dense_matrix().gram();
         let closed = range_gram(&d).unwrap();
         assert!(closed.approx_eq(&explicit, 1e-9));
-    }
-
-    #[test]
-    fn with_zero_column_extends_arity() {
-        let w = Workload::identity(3).with_zero_column();
-        assert_eq!(w.arity(), 4);
-        let m = w.to_dense_matrix();
-        assert_eq!(m.shape(), (3, 4));
-        for i in 0..3 {
-            assert_eq!(m[(i, 3)], 0.0);
-        }
-    }
-
-    #[test]
-    fn total_workload() {
-        let w = Workload::total(4);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.answer(&[1.0, 2.0, 3.0, 4.0]).unwrap(), vec![10.0]);
-    }
-
-    #[test]
-    fn sparse_dense_agree() {
-        let w = Workload::all_ranges_1d(4);
-        let dm = w.to_dense_matrix();
-        let sm = w.to_sparse_matrix();
-        assert!(sm.to_dense().approx_eq(&dm, 0.0));
     }
 
     #[test]

@@ -30,31 +30,6 @@ pub fn aggregate_1d(x: &DataVector, new_k: usize) -> Result<DataVector, DataErro
     Ok(DataVector::new(Domain::one_dim(new_k), counts).expect("length matches"))
 }
 
-/// Aggregates a square 2-D histogram to a coarser `new_k × new_k` grid by
-/// summing square blocks. Requires `new_k` to divide the current side.
-pub fn aggregate_2d(x: &DataVector, new_k: usize) -> Result<DataVector, DataError> {
-    let d = x.domain();
-    if d.num_dims() != 2 || d.dim(0) != d.dim(1) {
-        return Err(DataError::BadAggregation {
-            what: "aggregate_2d requires a square two-dimensional domain",
-        });
-    }
-    let k = d.dim(0);
-    if new_k == 0 || !k.is_multiple_of(new_k) {
-        return Err(DataError::BadAggregation {
-            what: "new grid side must divide the current side",
-        });
-    }
-    let factor = k / new_k;
-    let mut counts = vec![0.0; new_k * new_k];
-    for r in 0..k {
-        for c in 0..k {
-            counts[(r / factor) * new_k + (c / factor)] += x.get(r * k + c);
-        }
-    }
-    Ok(DataVector::new(Domain::square(new_k), counts).expect("length matches"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,22 +49,11 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_2d_sums_blocks() {
-        let x = DataVector::new(Domain::square(4), (0..16).map(|v| v as f64).collect()).unwrap();
-        let a = aggregate_2d(&x, 2).unwrap();
-        // Top-left block: 0+1+4+5 = 10; top-right: 2+3+6+7 = 18; etc.
-        assert_eq!(a.counts(), &[10.0, 18.0, 42.0, 50.0]);
-        assert_eq!(a.total(), x.total());
-    }
-
-    #[test]
     fn rejects_bad_factors() {
         let x = DataVector::new(Domain::one_dim(8), vec![0.0; 8]).unwrap();
         assert!(aggregate_1d(&x, 3).is_err());
         assert!(aggregate_1d(&x, 0).is_err());
         let x2 = DataVector::new(Domain::square(4), vec![0.0; 16]).unwrap();
-        assert!(aggregate_2d(&x2, 3).is_err());
         assert!(aggregate_1d(&x2, 2).is_err());
-        assert!(aggregate_2d(&x, 2).is_err());
     }
 }

@@ -19,12 +19,12 @@ pub mod synthetic;
 pub mod table1;
 pub mod twitter;
 
-pub use aggregate::{aggregate_1d, aggregate_2d};
+pub use aggregate::aggregate_1d;
 pub use synthetic::{generate_1d, scenario_population, Shape, SyntheticSpec};
 pub use table1::{
     dataset, dataset_with_seed, paper_stats, table1_rows, DatasetId, PaperStats, Table1Row,
 };
-pub use twitter::{twitter_all, twitter_grid, TWITTER_SCALE};
+pub use twitter::{twitter_grid, TWITTER_SCALE};
 
 /// Box–Muller normal shared across generator modules.
 pub(crate) fn synthetic_normal<R: rand::Rng + ?Sized>(rng: &mut R) -> f64 {

@@ -110,20 +110,17 @@ pub fn twitter_grid(k: usize, seed: u64) -> DataVector {
     bin(&sample_points(seed), k)
 }
 
-/// All three Table-1 resolutions from one point set, in the order
-/// (T100, T50, T25).
-pub fn twitter_all(seed: u64) -> (DataVector, DataVector, DataVector) {
-    let pts = sample_points(seed);
-    (bin(&pts, 100), bin(&pts, 50), bin(&pts, 25))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn exact_scale_and_aggregation_consistency() {
-        let (t100, t50, t25) = twitter_all(1);
+        let (t100, t50, t25) = (
+            twitter_grid(100, 1),
+            twitter_grid(50, 1),
+            twitter_grid(25, 1),
+        );
         assert_eq!(t100.total() as usize, TWITTER_SCALE);
         assert_eq!(t50.total() as usize, TWITTER_SCALE);
         assert_eq!(t25.total() as usize, TWITTER_SCALE);
@@ -141,7 +138,11 @@ mod tests {
 
     #[test]
     fn sparsity_near_table_1() {
-        let (t100, t50, t25) = twitter_all(1);
+        let (t100, t50, t25) = (
+            twitter_grid(100, 1),
+            twitter_grid(50, 1),
+            twitter_grid(25, 1),
+        );
         // Paper: 84.93 / 69.24 / 43.20 — allow a tolerance band; the
         // qualitative requirement is "sparser at finer resolution".
         let (z100, z50, z25) = (t100.percent_zero(), t50.percent_zero(), t25.percent_zero());

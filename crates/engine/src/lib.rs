@@ -20,7 +20,7 @@
 //!   batches across cores. The [`wire`] module gives the same API a
 //!   newline-delimited text form (the `blowfish-serve` bin).
 //! * [`Session`] — binds `(Domain, policy, ε)`, classifies the policy
-//!   graph ([`Policy::from_graph`]), memoizes mechanisms against its
+//!   graph ([`Policy`]), memoizes mechanisms against its
 //!   plan cache, and plans the paper-recommended strategy per [`Task`].
 //!   Standalone sessions own a private cache and are unmetered (ε is a
 //!   per-release parameter, the one-shot experiment shape); a `Service`
@@ -37,8 +37,7 @@
 //! Blowfish strategy by stable id), [`PlanCache`] (lock-striped,
 //! structurally-hash-keyed artifact store with [`plan::PlanStats`]
 //! build counters proving derive-once behaviour under concurrency), and
-//! [`parallel`] (scoped-thread fan-out with output bit-identical to the
-//! serial path).
+//! [`parallel`] (order-preserving scoped-thread fan-out).
 //!
 //! ## Quickstart: one session
 //!
@@ -104,12 +103,12 @@ pub mod spec;
 pub mod wire;
 
 pub use net::{LineSession, NetConfig, NetStats, TcpServer, MAX_LINE_BYTES};
-pub use parallel::{fit_cells, fit_cells_serial, parallel_map, FitCell};
+pub use parallel::parallel_map;
 pub use plan::{PlanCache, PlanStats};
 pub use service::{Replayed, Request, Response, Service, TenantConfig, TenantStats};
 pub use session::{Fitted, Plan, Policy, Session};
 pub use spec::{MatrixStrategyKind, MechanismSpec, Task};
-pub use wire::{handle_line, Codec, WireError, WireReply, PROTOCOL_VERSION};
+pub use wire::{Codec, WireError, WireReply, PROTOCOL_VERSION};
 
 use blowfish_core::CoreError;
 use blowfish_mechanisms::MechanismError;

@@ -1,36 +1,15 @@
 //! Scoped-thread fan-out for the serve path.
 //!
-//! Figure panels and multi-policy serving sessions decompose into
-//! *cells* — one `(mechanism spec, seed)` pair fitted `trials` times —
-//! that are mutually independent: each cell owns a freshly seeded RNG, and
-//! the shared [`Session`] state is thread-safe: every expensive artifact
-//! derives exactly once under the [`crate::PlanCache`] locks, distinct
-//! specs build concurrently, and same-spec races resolve to one memoized
-//! instance via entry-based insertion (see [`Session::mechanism`]).
-//!
-//! [`parallel_map`] is the primitive: an order-preserving map over a slice
-//! using `std::thread::scope` workers pulling indices from an atomic
-//! counter. [`fit_cells`] builds on it to fan a session's cells across
-//! cores; because every cell's randomness is derived from its own seed —
-//! never from a shared stream — the output is **bit-identical** to the
-//! serial reference [`fit_cells_serial`] (asserted by the seeded
-//! equivalence tests below and in `tests/engine_equivalence.rs`).
-//!
-//! Fanning out *sessions* (one per policy) works the same way: sessions
-//! are `Sync`, so `parallel_map(&sessions, |_, s| …)` serves multi-policy
-//! deployments from one thread pool.
+//! [`parallel_map`] is an order-preserving map over a slice using
+//! `std::thread::scope` workers pulling indices from an atomic counter.
+//! [`Service::handle_many`](crate::Service::handle_many) fans a request
+//! batch across cores with it, and the experiment harness fans figure
+//! panels the same way: [`Session`](crate::Session) and
+//! [`Service`](crate::Service) are `Sync`, so every expensive artifact
+//! still derives exactly once under the [`crate::PlanCache`] locks.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use blowfish_core::DataVector;
-use blowfish_strategies::Estimate;
-
-use crate::spec::MechanismSpec;
-use crate::{EngineError, Session};
 
 /// Applies `f` to every element of `items` across scoped worker threads
 /// (at most `available_parallelism`, at most one per item), preserving
@@ -77,86 +56,9 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// One independent unit of panel/serving work: a mechanism spec fitted
-/// from its own deterministic seed.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FitCell {
-    /// The mechanism to serve.
-    pub spec: MechanismSpec,
-    /// Seed of the cell's private RNG (one `StdRng` per cell; trials
-    /// within a cell draw from it sequentially, exactly like the serial
-    /// experiment harness).
-    pub seed: u64,
-}
-
-/// Fits every cell `trials` times against `x`, fanned out across cores.
-///
-/// Mechanisms are resolved through the session memo *before* spawning, so
-/// `PlanStats` build counters read deterministically; the fits themselves
-/// run in parallel. Output is bit-identical to [`fit_cells_serial`].
-pub fn fit_cells(
-    session: &Session,
-    x: &DataVector,
-    trials: usize,
-    cells: &[FitCell],
-) -> Result<Vec<Vec<Estimate>>, EngineError> {
-    let mechanisms = resolve(session, cells)?;
-    parallel_map(cells, |i, cell| {
-        let mut rng = StdRng::seed_from_u64(cell.seed);
-        (0..trials)
-            .map(|_| Ok(mechanisms[i].fit(x, &mut rng)?))
-            .collect::<Result<Vec<Estimate>, EngineError>>()
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Serial reference for [`fit_cells`]: same cells, same seeds, one thread.
-pub fn fit_cells_serial(
-    session: &Session,
-    x: &DataVector,
-    trials: usize,
-    cells: &[FitCell],
-) -> Result<Vec<Vec<Estimate>>, EngineError> {
-    let mechanisms = resolve(session, cells)?;
-    cells
-        .iter()
-        .enumerate()
-        .map(|(i, cell)| {
-            let mut rng = StdRng::seed_from_u64(cell.seed);
-            (0..trials)
-                .map(|_| Ok(mechanisms[i].fit(x, &mut rng)?))
-                .collect()
-        })
-        .collect()
-}
-
-fn resolve(
-    session: &Session,
-    cells: &[FitCell],
-) -> Result<Vec<std::sync::Arc<dyn blowfish_strategies::Mechanism>>, EngineError> {
-    cells
-        .iter()
-        .map(|cell| session.mechanism(&cell.spec))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::Task;
-    use blowfish_core::{Domain, Epsilon, PolicyGraph};
-
-    fn session_and_data() -> (Session, DataVector) {
-        let graph = PolicyGraph::theta_line(64, 4).unwrap();
-        let session = Session::new(&graph, Epsilon::new(0.8).unwrap()).unwrap();
-        let x = DataVector::new(
-            Domain::one_dim(64),
-            (0..64).map(|i| ((i * 13) % 7) as f64).collect(),
-        )
-        .unwrap();
-        (session, x)
-    }
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -168,46 +70,5 @@ mod tests {
         assert_eq!(out, items.iter().map(|v| v * 2).collect::<Vec<usize>>());
         let empty: Vec<usize> = Vec::new();
         assert!(parallel_map(&empty, |_, &v| v).is_empty());
-    }
-
-    #[test]
-    fn parallel_fits_are_bit_identical_to_serial() {
-        let (session, x) = session_and_data();
-        let cells: Vec<FitCell> = session
-            .registry(Task::Range1d)
-            .unwrap()
-            .into_iter()
-            .enumerate()
-            .map(|(i, spec)| FitCell {
-                spec,
-                seed: 0xC0FFEE ^ (i as u64),
-            })
-            .collect();
-        let par = fit_cells(&session, &x, 3, &cells).unwrap();
-        let ser = fit_cells_serial(&session, &x, 3, &cells).unwrap();
-        assert_eq!(par.len(), ser.len());
-        for (p_cell, s_cell) in par.iter().zip(&ser) {
-            assert_eq!(p_cell.len(), 3);
-            for (p, s) in p_cell.iter().zip(s_cell) {
-                assert_eq!(p.histogram(), s.histogram(), "parallel ≠ serial fit");
-            }
-        }
-        // Artifact derivation stayed derive-once under concurrency.
-        assert_eq!(session.cache().stats().theta_line_builds(), 1);
-    }
-
-    #[test]
-    fn fit_cells_propagates_build_errors() {
-        let (session, x) = session_and_data();
-        // A weaker spec is rejected by the session's coverage check.
-        let cells = vec![FitCell {
-            spec: MechanismSpec::ThetaLine {
-                theta: 2,
-                estimator: blowfish_strategies::ThetaEstimator::Laplace,
-            },
-            seed: 1,
-        }];
-        assert!(fit_cells(&session, &x, 1, &cells).is_err());
-        assert!(fit_cells_serial(&session, &x, 1, &cells).is_err());
     }
 }

@@ -354,11 +354,6 @@ impl TimerWheel {
         }
     }
 
-    /// Number of scheduled candidates.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether no candidates are scheduled (an empty wheel needs no
     /// wakeups at all).
     pub fn is_empty(&self) -> bool {
@@ -501,7 +496,7 @@ mod tests {
 
         wheel.schedule(1, Duration::from_millis(150));
         wheel.schedule(2, Duration::from_millis(450));
-        assert_eq!(wheel.len(), 2);
+        assert_eq!(wheel.len, 2);
         // Before the first tick nothing fires.
         let mut fired = Vec::new();
         wheel.poll(t0 + Duration::from_millis(50), &mut fired);
@@ -515,7 +510,7 @@ mod tests {
         assert_eq!(fired, vec![2]);
         assert!(wheel.is_empty());
         wheel.schedule(2, Duration::from_millis(100));
-        assert_eq!(wheel.len(), 1);
+        assert_eq!(wheel.len, 1);
         assert!(wheel
             .next_timeout(t0 + Duration::from_millis(510))
             .is_some());

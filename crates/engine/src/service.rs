@@ -168,9 +168,8 @@ pub enum Response {
     },
 }
 
-/// One request's outcome from a trace replay ([`Service::replay`] /
-/// [`Service::replay_parallel`]): the response plus the wall-clock
-/// serving latency of just that request.
+/// One request's outcome from a trace replay ([`Service::replay`]): the
+/// response plus the wall-clock serving latency of just that request.
 #[derive(Clone, Debug)]
 pub struct Replayed {
     /// The request's outcome — requests succeed or fail independently.
@@ -178,13 +177,6 @@ pub struct Replayed {
     /// Wall-clock nanoseconds spent inside [`Service::handle`] for this
     /// request (measurement only — never part of deterministic scoring).
     pub latency_ns: u64,
-}
-
-impl Replayed {
-    /// Whether the request was served successfully.
-    pub fn is_ok(&self) -> bool {
-        self.response.is_ok()
-    }
 }
 
 /// A long-running, concurrent, budget-metered multi-tenant engine
@@ -230,8 +222,8 @@ impl Service {
     /// Onboards a tenant: classifies its policy, opens (or — after a
     /// recovery — re-attaches) its ledger account, and registers its
     /// data. Rejects a duplicate id (budgets are append-only), data
-    /// whose domain does not match the policy graph, and unsupported
-    /// policies. Re-attaching requires the bit-identical total budget
+    /// whose domain does not match the policy graph, non-finite counts,
+    /// and unsupported policies. Re-attaching requires the bit-identical total budget
     /// the account was durably opened with; the recovered spend is kept
     /// as-is, so a tenant cannot shed charges by crashing the service.
     pub fn add_tenant(&self, config: TenantConfig) -> Result<(), EngineError> {
@@ -241,6 +233,11 @@ impl Service {
                     "tenant {}: data domain does not match the policy graph domain",
                     config.id
                 ),
+            });
+        }
+        if !config.data.counts().iter().all(|c| c.is_finite()) {
+            return Err(EngineError::BadRequest {
+                what: format!("tenant {}: data counts must be finite", config.id),
             });
         }
         // Build the session first so a rejected policy leaves no orphan
@@ -396,19 +393,6 @@ impl Service {
     /// entry point.
     pub fn replay(&self, requests: &[Request]) -> Vec<Replayed> {
         requests.iter().map(|r| self.timed_handle(r)).collect()
-    }
-
-    /// Replays a trace fanned across cores ([`parallel_map`]), preserving
-    /// request order in the result vector. Latencies are captured per
-    /// request. Unlike [`Service::replay`], *admission order* under a
-    /// near-exhausted budget is scheduling-dependent: the **count** of
-    /// admitted fits per tenant stays deterministic when all of a
-    /// tenant's fits request the same ε (the ledger admits exactly
-    /// ⌊budget/ε⌋ of them in any interleaving), but *which* requests get
-    /// the rejections may differ run to run. Use for throughput
-    /// measurement; score utility from the serial replay.
-    pub fn replay_parallel(&self, requests: &[Request]) -> Vec<Replayed> {
-        parallel_map(requests, |_, request| self.timed_handle(request))
     }
 
     fn timed_handle(&self, request: &Request) -> Replayed {
@@ -671,15 +655,6 @@ mod tests {
         let service = service_with_tenant("acme", 1.5);
         let replayed = service.replay(&trace);
         assert_eq!(replayed.len(), trace.len());
-        // The parallel variant preserves order and the admitted count.
-        let service = service_with_tenant("acme", 1.5);
-        let par = service.replay_parallel(&trace);
-        assert_eq!(par.len(), trace.len());
-        let par_admitted = par
-            .iter()
-            .filter(|r| matches!(r.response, Ok(Response::Fitted { .. })))
-            .count();
-        assert_eq!(par_admitted, 3);
     }
 
     #[test]

@@ -58,14 +58,6 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// Recognizes the policy family of a graph: distance-threshold
-    /// families by their edge structure, any other tree by connectivity.
-    /// Non-tree graphs outside the θ families are rejected — the engine
-    /// has no exact strategy for them (Theorem 4.4's negative result).
-    pub fn from_graph(graph: &PolicyGraph) -> Result<Policy, EngineError> {
-        classify_graph(graph).map(|(policy, _)| policy)
-    }
-
     /// Human-readable family name.
     pub fn name(&self) -> String {
         match self {
@@ -167,11 +159,6 @@ impl Plan {
         &self.spec
     }
 
-    /// The live mechanism.
-    pub fn mechanism(&self) -> &Arc<dyn Mechanism> {
-        &self.mechanism
-    }
-
     /// Fits the planned mechanism to a database, producing a query-ready
     /// [`Estimate`].
     pub fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, EngineError> {
@@ -210,7 +197,7 @@ pub struct Session {
 
 impl Session {
     /// Opens a standalone session for a policy graph over a private
-    /// cache, recognizing its family ([`Policy::from_graph`]).
+    /// cache, recognizing its [`Policy`] family.
     pub fn new(graph: &PolicyGraph, eps: Epsilon) -> Result<Self, EngineError> {
         Session::with_cache(graph, eps, Arc::new(PlanCache::new()))
     }
@@ -361,13 +348,6 @@ impl Session {
         self.meter.as_ref().map(|m| m.tenant.as_str())
     }
 
-    /// Remaining ledger budget of the metered tenant; `None` when
-    /// unmetered (standalone sessions spend freely).
-    pub fn budget_remaining(&self) -> Option<f64> {
-        let meter = self.meter.as_ref()?;
-        meter.ledger.remaining(&meter.tenant).ok()
-    }
-
     /// The session domain.
     pub fn domain(&self) -> &Domain {
         &self.domain
@@ -376,13 +356,6 @@ impl Session {
     /// The recognized policy family.
     pub fn policy(&self) -> &Policy {
         &self.policy
-    }
-
-    /// The per-release Blowfish grant ε (baselines are served at ε/2).
-    /// On a metered session this is how much one Blowfish fit *requests*;
-    /// the attached ledger decides whether it is admitted.
-    pub fn epsilon(&self) -> Epsilon {
-        self.eps
     }
 
     /// The shared artifact cache.
@@ -674,26 +647,30 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn classify(graph: &PolicyGraph) -> Result<Policy, EngineError> {
+        classify_graph(graph).map(|(policy, _)| policy)
+    }
+
     #[test]
     fn policy_detection_theta_families() {
         let line = PolicyGraph::line(32).unwrap();
         assert!(matches!(
-            Policy::from_graph(&line).unwrap(),
+            classify(&line).unwrap(),
             Policy::Theta1d { theta: 1 }
         ));
         let g4 = PolicyGraph::theta_line(64, 4).unwrap();
         assert!(matches!(
-            Policy::from_graph(&g4).unwrap(),
+            classify(&g4).unwrap(),
             Policy::Theta1d { theta: 4 }
         ));
         let grid = PolicyGraph::distance_threshold(Domain::square(6), 1).unwrap();
         assert!(matches!(
-            Policy::from_graph(&grid).unwrap(),
+            classify(&grid).unwrap(),
             Policy::Theta2d { theta: 1 }
         ));
         let tgrid = PolicyGraph::distance_threshold(Domain::square(6), 3).unwrap();
         assert!(matches!(
-            Policy::from_graph(&tgrid).unwrap(),
+            classify(&tgrid).unwrap(),
             Policy::Theta2d { theta: 3 }
         ));
     }
@@ -701,17 +678,14 @@ mod tests {
     #[test]
     fn policy_detection_tree_and_rejection() {
         let star = PolicyGraph::star(8).unwrap();
-        assert!(matches!(
-            Policy::from_graph(&star).unwrap(),
-            Policy::Tree { .. }
-        ));
+        assert!(matches!(classify(&star).unwrap(), Policy::Tree { .. }));
         // The cycle is not a θ family and not a tree.
         let cycle = PolicyGraph::cycle(8).unwrap();
-        assert!(Policy::from_graph(&cycle).is_err());
+        assert!(classify(&cycle).is_err());
         // The complete graph K_k IS G^θ with θ = k−1.
         let complete = PolicyGraph::complete(6).unwrap();
         assert!(matches!(
-            Policy::from_graph(&complete).unwrap(),
+            classify(&complete).unwrap(),
             Policy::Theta1d { theta: 5 }
         ));
     }
@@ -830,7 +804,7 @@ mod tests {
         let m = s.mechanism(&MechanismSpec::Laplace).unwrap();
         let mut a = StdRng::seed_from_u64(5);
         let mut b = StdRng::seed_from_u64(5);
-        let via_session = m.fit(&x, &mut a).unwrap().into_histogram();
+        let via_session = m.fit(&x, &mut a).unwrap().histogram().to_vec();
         let via_free = blowfish_strategies::dp_laplace(&x, eps.half(), &mut b).unwrap();
         assert_eq!(via_session, via_free);
     }
@@ -909,7 +883,7 @@ mod tests {
         let charge = fitted.charge.unwrap();
         assert!((charge.amount - 0.25).abs() < 1e-12);
         assert!(free.charge.is_none());
-        assert!((metered.budget_remaining().unwrap() - 0.75).abs() < 1e-12);
+        assert!((ledger.remaining("t").unwrap() - 0.75).abs() < 1e-12);
         assert_eq!(metered.tenant(), Some("t"));
         assert_eq!(plain.tenant(), None);
 
@@ -1042,7 +1016,8 @@ mod tests {
                         .unwrap()
                         .fit(&x, &mut StdRng::seed_from_u64(k as u64))
                         .unwrap()
-                        .into_histogram()
+                        .histogram()
+                        .to_vec()
                 };
                 let hist = fit(MechanismSpec::MatrixHist { strategy });
                 let range = fit(MechanismSpec::MatrixRange { strategy });

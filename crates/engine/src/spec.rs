@@ -172,7 +172,8 @@ impl MechanismSpec {
     }
 
     /// Enumerates every known spec at a representative threshold —
-    /// the registry's full catalogue, used by docs and tests.
+    /// the registry's full catalogue, used by tests.
+    #[cfg(test)]
     pub fn all(theta: usize) -> Vec<MechanismSpec> {
         let mut out = vec![
             MechanismSpec::Laplace,

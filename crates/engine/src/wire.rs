@@ -44,8 +44,7 @@
 //! [`Codec::encode_request`] render responses and requests back to
 //! protocol lines (so the same codec drives both servers and clients;
 //! `decode(encode_request(r))` round-trips). [`Codec::serve`] composes
-//! the three for one input line, and the legacy [`handle_line`] is a
-//! thin wrapper over a fresh stateless codec.
+//! the three for one input line.
 
 use blowfish_core::{DataVector, Domain, Epsilon, PolicyGraph, RangeQuery};
 
@@ -243,15 +242,7 @@ impl From<blowfish_core::CoreError> for WireError {
     }
 }
 
-impl WireError {
-    /// Whether this is the typed budget-exhaustion rejection.
-    pub fn is_budget_exhausted(&self) -> bool {
-        matches!(self, WireError::Engine(e) if e.is_budget_exhausted())
-    }
-}
-
-/// Outcome of feeding one input line to [`Codec::serve`] /
-/// [`handle_line`].
+/// Outcome of feeding one input line to [`Codec::serve`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum WireReply {
     /// A response line to write back (`ok …` or `err …`).
@@ -281,11 +272,6 @@ impl Codec {
     /// connection, leading with the protocol version.
     pub fn banner() -> String {
         format!("ok {PROTOCOL_VERSION} ready (newline-delimited requests; `help` lists commands)")
-    }
-
-    /// The connection's current default tenant (set by `use`).
-    pub fn default_tenant(&self) -> Option<&str> {
-        self.default_tenant.as_deref()
     }
 
     /// Parses one protocol line into a typed [`Request`]. `Ok(None)`
@@ -322,12 +308,12 @@ impl Codec {
             "fit" => {
                 let (tenant, args) = self.tenant_and_args(&rest, "fit")?;
                 let handle = arg(&args, "as")
-                    .ok_or_else(|| bad_err("fit needs as=<handle>"))?
+                    .ok_or_else(|| bad("fit needs as=<handle>"))?
                     .to_string();
                 let spec = match arg(&args, "mech") {
                     Some(mech) => Some(
                         MechanismSpec::parse(mech)
-                            .ok_or_else(|| bad_err(&format!("unknown mechanism id {mech}")))?,
+                            .ok_or_else(|| bad(&format!("unknown mechanism id {mech}")))?,
                     ),
                     None => None,
                 };
@@ -338,10 +324,10 @@ impl Codec {
                 // fully predictable noise. The caller owns seed policy
                 // (fresh entropy in production, fixed seeds for
                 // reproducibility).
-                let seed_token = arg(&args, "seed").ok_or_else(|| bad_err("fit needs seed=<n>"))?;
+                let seed_token = arg(&args, "seed").ok_or_else(|| bad("fit needs seed=<n>"))?;
                 let seed = seed_token
                     .parse()
-                    .map_err(|_| bad_err(&format!("bad seed {seed_token}")))?;
+                    .map_err(|_| bad(&format!("bad seed {seed_token}")))?;
                 Request::Fit {
                     tenant,
                     spec,
@@ -353,7 +339,7 @@ impl Codec {
             "answer" => {
                 let (tenant, args) = self.tenant_and_args(&rest, "answer")?;
                 let handle = arg(&args, "from")
-                    .ok_or_else(|| bad_err("answer needs from=<handle>"))?
+                    .ok_or_else(|| bad("answer needs from=<handle>"))?
                     .to_string();
                 let ranges = args
                     .iter()
@@ -569,15 +555,15 @@ impl Codec {
     fn decode_tenant(&self, rest: &[&str]) -> Result<Request, WireError> {
         let (id, args) = self.tenant_and_args(rest, "tenant")?;
         let policy_token = arg(&args, "policy")
-            .ok_or_else(|| bad_err("tenant needs policy=<spec>"))?
+            .ok_or_else(|| bad("tenant needs policy=<spec>"))?
             .to_string();
         let graph = parse_policy(&policy_token)?;
-        let eps = parse_epsilon(arg(&args, "eps").ok_or_else(|| bad_err("tenant needs eps=<ε>"))?)?;
+        let eps = parse_epsilon(arg(&args, "eps").ok_or_else(|| bad("tenant needs eps=<ε>"))?)?;
         let budget =
-            parse_epsilon(arg(&args, "budget").ok_or_else(|| bad_err("tenant needs budget=<ε>"))?)?;
+            parse_epsilon(arg(&args, "budget").ok_or_else(|| bad("tenant needs budget=<ε>"))?)?;
         let data = parse_data(
             graph.domain(),
-            arg(&args, "data").ok_or_else(|| bad_err("tenant needs data=<v,v,…|uniform:<v>>"))?,
+            arg(&args, "data").ok_or_else(|| bad("tenant needs data=<v,v,…|uniform:<v>>"))?,
         )?;
         Ok(Request::Tenant {
             config: Box::new(TenantConfig {
@@ -668,13 +654,6 @@ pub fn serve_request(service: &Service, request: &Request) -> Result<Response, W
     }
 }
 
-/// Parses and serves one protocol line against a service with no
-/// connection state — the legacy entry point, now a thin compat wrapper
-/// over a fresh [`Codec`]. Never panics on malformed input.
-pub fn handle_line(service: &Service, line: &str) -> WireReply {
-    Codec::new().serve(service, line)
-}
-
 impl From<&service::Request> for Request {
     /// The wire form of an engine request (used by load generators to
     /// render typed traces onto a socket).
@@ -723,11 +702,6 @@ fn bad(what: &str) -> WireError {
     WireError::BadRequest {
         what: what.to_string(),
     }
-}
-
-// Closure-friendly alias (`ok_or_else` wants a zero-arg constructor).
-fn bad_err(what: &str) -> WireError {
-    bad(what)
 }
 
 /// Looks up `key=` in the argument tokens.
@@ -807,13 +781,13 @@ fn parse_policy(token: &str) -> Result<PolicyGraph, WireError> {
         ["grid", n] => {
             let k = k(n)?;
             fits(k.saturating_mul(k).saturating_mul(2))?;
-            PolicyGraph::distance_threshold(Domain::square(k), 1)
+            PolicyGraph::distance_threshold(Domain::product(&[k, k])?, 1)
         }
         ["theta-grid", n, t] => {
             let (k, t) = (k(n)?, theta(t)?);
             // Per cell, canonical offsets with |δ|₁ ≤ θ number ≤ 2θ(θ+1).
             fits(k.saturating_mul(k).saturating_mul(2 * t * (t + 1)))?;
-            PolicyGraph::distance_threshold(Domain::square(k), t)
+            PolicyGraph::distance_threshold(Domain::product(&[k, k])?, t)
         }
         ["star", n] => PolicyGraph::star(k(n)?),
         ["complete", n] => {
@@ -849,7 +823,7 @@ fn parse_raw_range(token: &str) -> Result<RawRange, WireError> {
     for dim in token.split('x') {
         let (a, b) = dim
             .split_once("..")
-            .ok_or_else(|| bad_err(&format!("bad range {token} (want lo..hi)")))?;
+            .ok_or_else(|| bad(&format!("bad range {token} (want lo..hi)")))?;
         lo.push(
             a.parse()
                 .map_err(|_| bad(&format!("bad range bound {a}")))?,
@@ -867,7 +841,7 @@ mod tests {
     use super::*;
 
     fn ok(service: &Service, line: &str) -> String {
-        match handle_line(service, line) {
+        match Codec::new().serve(service, line) {
             WireReply::Reply(r) => {
                 assert!(r.starts_with("ok "), "expected ok for {line:?}, got {r}");
                 r
@@ -877,7 +851,7 @@ mod tests {
     }
 
     fn err(service: &Service, line: &str) -> String {
-        match handle_line(service, line) {
+        match Codec::new().serve(service, line) {
             WireReply::Reply(r) => {
                 assert!(r.starts_with("err "), "expected err for {line:?}, got {r}");
                 r
@@ -908,6 +882,52 @@ mod tests {
         // Explicit mechanism id path (a baseline charges ε/2).
         let fit2 = ok(&service, "fit acme as=r2 mech=dp-laplace seed=1");
         assert!(fit2.contains("charged=0.25"), "{fit2}");
+    }
+
+    #[test]
+    fn zero_size_policies_are_typed_errors() {
+        // A zero-size domain must come back as a typed error: a panic
+        // would kill a stdio server or a TCP reactor thread.
+        let service = Service::new();
+        let mut codec = Codec::new();
+        for policy in [
+            "line:0",
+            "theta-line:0:2",
+            "star:0",
+            "complete:0",
+            "grid:0",
+            "theta-grid:0:2",
+        ] {
+            let line = format!("tenant t policy={policy} eps=0.5 budget=1 data=uniform:1");
+            let reply = codec.serve(&service, &line);
+            assert!(
+                matches!(&reply, WireReply::Reply(r) if r.starts_with("err ")),
+                "{policy}: {reply:?}"
+            );
+        }
+        let reply = codec.serve(
+            &service,
+            "tenant t policy=line:4 eps=0.5 budget=1 data=uniform:1",
+        );
+        assert_eq!(
+            reply,
+            WireReply::Reply("ok tenant t policy=G^1_4 cells=4".into())
+        );
+    }
+
+    #[test]
+    fn non_finite_tenant_data_is_rejected() {
+        let service = Service::new();
+        err(
+            &service,
+            "tenant a policy=line:4 eps=0.5 budget=1 data=uniform:nan",
+        );
+        err(
+            &service,
+            "tenant b policy=line:4 eps=0.5 budget=1 data=1,inf,2,3",
+        );
+        let stats = ok(&service, "stats");
+        assert!(stats.contains("tenants=0"), "{stats}");
     }
 
     #[test]
@@ -1029,13 +1049,13 @@ mod tests {
         // `use ghost` is rejected and leaves no default behind.
         let ghost = codec.serve(&service, "use ghost");
         assert!(matches!(&ghost, WireReply::Reply(r) if r.starts_with("err unknown tenant")));
-        assert_eq!(codec.default_tenant(), None);
+        assert_eq!(codec.default_tenant.as_deref(), None);
         // After `use acme`, the tenant id is implied.
         assert_eq!(
             codec.serve(&service, "use acme"),
             WireReply::Reply("ok use acme".to_string())
         );
-        assert_eq!(codec.default_tenant(), Some("acme"));
+        assert_eq!(codec.default_tenant.as_deref(), Some("acme"));
         let fit = codec.serve(&service, "fit as=r1 seed=1");
         assert!(
             matches!(&fit, WireReply::Reply(r) if r.starts_with("ok fit r1 ")),
@@ -1049,9 +1069,8 @@ mod tests {
         // Explicit ids still win over the default.
         let ghost_fit = codec.serve(&service, "fit ghost as=r2 seed=2");
         assert!(matches!(&ghost_fit, WireReply::Reply(r) if r.starts_with("err unknown tenant")));
-        // The legacy stateless wrapper never carries a default across
-        // calls.
-        let stateless = handle_line(&service, "fit as=r9 seed=9");
+        // A fresh connection's codec carries no default.
+        let stateless = Codec::new().serve(&service, "fit as=r9 seed=9");
         assert!(matches!(&stateless, WireReply::Reply(r) if r.starts_with("err ")));
     }
 
@@ -1131,11 +1150,14 @@ mod tests {
     #[test]
     fn blank_comment_and_quit_lines() {
         let service = Service::new();
-        assert_eq!(handle_line(&service, ""), WireReply::Silent);
-        assert_eq!(handle_line(&service, "  # a comment"), WireReply::Silent);
-        assert_eq!(handle_line(&service, "quit"), WireReply::Quit);
+        assert_eq!(Codec::new().serve(&service, ""), WireReply::Silent);
+        assert_eq!(
+            Codec::new().serve(&service, "  # a comment"),
+            WireReply::Silent
+        );
+        assert_eq!(Codec::new().serve(&service, "quit"), WireReply::Quit);
         assert!(matches!(
-            handle_line(&service, "help"),
+            Codec::new().serve(&service, "help"),
             WireReply::Reply(r) if r.starts_with("ok help")
         ));
         // The typed pipeline agrees: quit decodes, and even dispatching

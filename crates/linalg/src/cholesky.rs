@@ -1,9 +1,8 @@
 //! Dense Cholesky factorization for symmetric positive-definite systems.
 //!
 //! This is the planning kernel behind the matrix-mechanism pseudoinverse
-//! (`A⁺` via the normal equations, see [`crate::svd::pseudoinverse`]) and
-//! small grounded-Laplacian solves where the conjugate-gradient route is
-//! unnecessary. The factorization is the row-oriented Cholesky–Crout
+//! (`A⁺` via the normal equations, see [`crate::svd::pseudoinverse`]).
+//! The factorization is the row-oriented Cholesky–Crout
 //! variant whose inner loops are unrolled [`dot`] products over row
 //! prefixes, and the triangular substitutions run *right-looking* so both
 //! the forward and backward passes only ever touch contiguous rows of `L`
@@ -50,11 +49,6 @@ impl Cholesky {
             lrow[i] = diag.sqrt();
         }
         Ok(Cholesky { l })
-    }
-
-    /// The lower-triangular factor.
-    pub fn l(&self) -> &Matrix {
-        &self.l
     }
 
     /// Solves `A x = b` via forward/backward substitution.
@@ -150,15 +144,6 @@ impl Cholesky {
     pub fn inverse(&self) -> Result<Matrix, LinalgError> {
         self.solve_matrix(&Matrix::identity(self.l.rows()))
     }
-
-    /// `det(A) = prod(L_ii)^2`.
-    pub fn determinant(&self) -> f64 {
-        let mut d = 1.0;
-        for i in 0..self.l.rows() {
-            d *= self.l[(i, i)];
-        }
-        d * d
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +159,7 @@ mod tests {
     fn factor_reconstructs() {
         let a = spd3();
         let ch = Cholesky::factor(&a).unwrap();
-        let l = ch.l();
+        let l = &ch.l;
         let rec = l.matmul(&l.transpose()).unwrap();
         assert!(rec.approx_eq(&a, 1e-10));
     }
@@ -212,13 +197,6 @@ mod tests {
     fn rejects_non_square() {
         let a = Matrix::zeros(2, 3);
         assert!(Cholesky::factor(&a).is_err());
-    }
-
-    #[test]
-    fn determinant() {
-        let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.determinant() - 24.0).abs() < 1e-10);
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //!   the FP add chain is not the bottleneck;
 //! * [`Matrix::col_view`] is an allocation-free column view for callers
 //!   that must read a strided column without copying (e.g. the
-//!   eigenvector permutation in `jacobi_eigh`); the former `Vec`-returning
-//!   [`Matrix::col`] inner-loop call sites (LU/Cholesky block solves) were
-//!   instead restructured to transpose-once / right-looking row sweeps.
+//!   eigenvector permutation in `jacobi_eigh`); the LU/Cholesky block
+//!   solves use transpose-once / right-looking row sweeps instead.
 //!
 //! The straightforward implementations are kept as [`Matrix::matmul_naive`]
 //! and [`Matrix::gram_naive`]; property tests
@@ -89,6 +88,7 @@ impl Matrix {
     }
 
     /// Builds a diagonal matrix from `diag`.
+    #[cfg(test)]
     pub fn from_diag(diag: &[f64]) -> Self {
         let n = diag.len();
         let mut m = Matrix::zeros(n, n);
@@ -134,12 +134,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copies column `j` into a new vector. Hot loops should prefer the
-    /// allocation-free [`Matrix::col_view`].
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        self.col_view(j).iter().collect()
-    }
-
     /// Allocation-free view of column `j` (strided access into the
     /// row-major buffer).
     ///
@@ -156,14 +150,7 @@ impl Matrix {
             data: &self.data,
             stride: self.cols,
             offset: j,
-            len: self.rows,
         }
-    }
-
-    /// The underlying row-major buffer.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
     }
 
     /// Mutable access to the underlying row-major buffer (used by the
@@ -171,11 +158,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns the row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Matrix transpose.
@@ -202,26 +184,6 @@ impl Matrix {
         let mut y = vec![0.0; self.rows];
         for (i, yi) in y.iter_mut().enumerate() {
             *yi = dot(self.row(i), x);
-        }
-        Ok(y)
-    }
-
-    /// Vector-matrix product `x^T * self` (returns a row vector).
-    pub fn vecmat(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if x.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (self.rows, 1),
-                got: (x.len(), 1),
-            });
-        }
-        let mut y = vec![0.0; self.cols];
-        for (i, &xi) in x.iter().enumerate() {
-            if xi == 0.0 {
-                continue;
-            }
-            for (yj, &aij) in y.iter_mut().zip(self.row(i)) {
-                *yj += xi * aij;
-            }
         }
         Ok(y)
     }
@@ -421,53 +383,6 @@ impl Matrix {
                 .zip(&other.data)
                 .all(|(a, b)| (a - b).abs() <= tol)
     }
-
-    /// Horizontally stacks `self` and `other` (same row count).
-    pub fn hstack(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.rows != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (self.rows, other.cols),
-                got: (other.rows, other.cols),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        Ok(out)
-    }
-
-    /// Vertically stacks `self` and `other` (same column count).
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != other.cols {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (other.rows, self.cols),
-                got: (other.rows, other.cols),
-            });
-        }
-        let mut data = Vec::with_capacity((self.rows + other.rows) * self.cols);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Removes column `j`, returning a new matrix (used by the Case II
-    /// bounded-policy reduction that drops a domain value).
-    pub fn drop_col(&self, j: usize) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols - 1);
-        for i in 0..self.rows {
-            let src = self.row(i);
-            let dst = out.row_mut(i);
-            dst[..j].copy_from_slice(&src[..j]);
-            dst[j..].copy_from_slice(&src[j + 1..]);
-        }
-        out
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -569,44 +484,19 @@ impl fmt::Debug for Matrix {
 
 /// An allocation-free, strided view of one matrix column. Created by
 /// [`Matrix::col_view`]; use it wherever a column must be read without
-/// copying (e.g. the eigenvector permutation in `jacobi_eigh`) —
-/// [`Matrix::col`] itself is now a thin copying wrapper over it.
+/// copying (e.g. the eigenvector permutation in `jacobi_eigh`).
 #[derive(Clone, Copy, Debug)]
 pub struct ColView<'a> {
     data: &'a [f64],
     stride: usize,
     offset: usize,
-    len: usize,
 }
 
 impl ColView<'_> {
-    /// Number of entries (the matrix row count).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the column is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Entry `i` of the column.
     #[inline]
     pub fn get(&self, i: usize) -> f64 {
         self.data[self.offset + i * self.stride]
-    }
-
-    /// Iterates the column entries top to bottom.
-    #[inline]
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.data
-            .iter()
-            .skip(self.offset)
-            .step_by(self.stride.max(1))
-            .take(self.len)
-            .copied()
     }
 }
 
@@ -644,39 +534,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// L1 norm of a slice.
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
-/// L2 norm of a slice.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// L-infinity norm of a slice.
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
-}
-
-/// `a - b` elementwise.
-pub fn sub_vec(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
-/// `a + b` elementwise.
-pub fn add_vec(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
-
-/// `a + s * b` elementwise (axpy).
-pub fn axpy(a: &[f64], s: f64, b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x + s * y).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,7 +542,7 @@ mod tests {
     fn zeros_and_identity() {
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.shape(), (2, 3));
-        assert!(z.as_slice().iter().all(|&v| v == 0.0));
+        assert!((0..2).all(|i| z.row(i).iter().all(|&v| v == 0.0)));
 
         let i = Matrix::identity(3);
         assert_eq!(i[(0, 0)], 1.0);
@@ -722,15 +579,6 @@ mod tests {
         let y = m.matvec(&[3.0, 2.0, 1.0]).unwrap();
         assert_eq!(y, vec![5.0, 4.0]);
         assert!(m.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn vecmat_matches_transpose_matvec() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 0.0, 2.0, -1.0, 3.0, 1.0]).unwrap();
-        let x = [2.0, -1.0];
-        let a = m.vecmat(&x).unwrap();
-        let b = m.transpose().matvec(&x).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -798,11 +646,8 @@ mod tests {
     fn col_view_matches_col() {
         let m = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         let v = m.col_view(1);
-        assert_eq!(v.len(), 3);
-        assert!(!v.is_empty());
         assert_eq!(v.get(2), 6.0);
         assert_eq!(v[0], 2.0);
-        assert_eq!(v.iter().collect::<Vec<f64>>(), m.col(1));
     }
 
     #[test]
@@ -820,28 +665,8 @@ mod tests {
     }
 
     #[test]
-    fn stack_and_drop_col() {
-        let a = Matrix::identity(2);
-        let b = Matrix::zeros(2, 1);
-        let h = a.hstack(&b).unwrap();
-        assert_eq!(h.shape(), (2, 3));
-        let v = a.vstack(&a).unwrap();
-        assert_eq!(v.shape(), (4, 2));
-        let d = h.drop_col(1);
-        assert_eq!(d.shape(), (2, 2));
-        assert_eq!(d[(0, 0)], 1.0);
-        assert_eq!(d[(1, 1)], 0.0);
-    }
-
-    #[test]
     fn vector_helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert_eq!(norm1(&[-1.0, 2.0]), 3.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
-        assert_eq!(sub_vec(&[3.0], &[1.0]), vec![2.0]);
-        assert_eq!(add_vec(&[3.0], &[1.0]), vec![4.0]);
-        assert_eq!(axpy(&[1.0], 2.0, &[3.0]), vec![7.0]);
     }
 
     #[test]

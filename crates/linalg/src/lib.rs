@@ -10,9 +10,7 @@
 //! * workload matrices and their products (dense + CSR sparse),
 //! * Moore–Penrose pseudoinverses for the dense reference matrix
 //!   mechanism `M_A(W, x) = Wx + WA⁺ Lap(Δ_A/ε)` (Eq. 2),
-//! * right inverses `P_G⁻¹ = P_Gᵀ (P_G P_Gᵀ)⁻¹` of policy incidence
-//!   matrices (Section 4.4), where `P_G P_Gᵀ` is a grounded graph Laplacian
-//!   (Cholesky when small, conjugate gradient when sparse/large),
+//! * dense Cholesky and LU solves,
 //! * symmetric eigendecompositions and singular values for the Appendix-A
 //!   SVD lower bounds (Figure 10).
 //!
@@ -20,7 +18,6 @@
 //! implemented from scratch and cross-checked by redundant algorithms
 //! (QL vs Jacobi eigensolvers, Cholesky vs LU solves).
 
-pub mod cg;
 pub mod cholesky;
 pub mod dense;
 pub mod eigen;
@@ -28,14 +25,13 @@ pub mod lu;
 pub mod sparse;
 pub mod svd;
 
-pub use cg::{conjugate_gradient, CgOptions, CgSolution};
 pub use cholesky::Cholesky;
-pub use dense::{add_vec, axpy, dot, norm1, norm2, norm_inf, sub_vec, ColView, Matrix};
+pub use dense::{dot, ColView, Matrix};
 pub use eigen::{eigenvalues, eigh, jacobi_eigh, sqrt_psd, SymmetricEigen};
 pub use lu::Lu;
 pub use sparse::{SparseMatrix, TripletBuilder};
 pub use svd::{
-    is_pseudoinverse, pseudoinverse, pseudoinverse_eigen, pseudoinverse_with_method, rank,
+    is_pseudoinverse, pseudoinverse, pseudoinverse_eigen, pseudoinverse_with_method,
     singular_values, PinvMethod,
 };
 
@@ -122,7 +118,7 @@ mod tests {
         };
         assert!(e.to_string().contains("shape mismatch"));
         let e = LinalgError::NoConvergence {
-            what: "cg",
+            what: "jacobi",
             iterations: 10,
         };
         assert!(e.to_string().contains("did not converge"));

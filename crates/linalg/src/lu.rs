@@ -14,8 +14,6 @@ pub struct Lu {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (for determinants).
-    sign: f64,
 }
 
 impl Lu {
@@ -33,7 +31,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         let scale = a.max_abs().max(1.0);
         for col in 0..n {
             // Partial pivot: largest magnitude in this column at/below row.
@@ -51,7 +48,6 @@ impl Lu {
             }
             if pivot_row != col {
                 perm.swap(pivot_row, col);
-                sign = -sign;
                 for j in 0..n {
                     let tmp = lu[(col, j)];
                     lu[(col, j)] = lu[(pivot_row, j)];
@@ -70,7 +66,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Solves `A x = b`.
@@ -129,15 +125,6 @@ impl Lu {
     pub fn inverse(&self) -> Result<Matrix, LinalgError> {
         self.solve_matrix(&Matrix::identity(self.lu.rows()))
     }
-
-    /// Determinant of `A`.
-    pub fn determinant(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.lu.rows() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -170,13 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_known() {
-        let a = Matrix::from_vec(2, 2, vec![3.0, 8.0, 4.0, 6.0]).unwrap();
-        let lu = Lu::factor(&a).unwrap();
-        assert!((lu.determinant() - (-14.0)).abs() < 1e-10);
-    }
-
-    #[test]
     fn rejects_singular() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]).unwrap();
         assert!(matches!(Lu::factor(&a), Err(LinalgError::Singular { .. })));
@@ -189,7 +169,6 @@ mod tests {
         let x = lu.solve(&[2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
-        assert!((lu.determinant() - (-1.0)).abs() < 1e-12);
     }
 
     #[test]

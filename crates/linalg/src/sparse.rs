@@ -20,8 +20,7 @@
 //! ## Kernels
 //!
 //! Everything on the plan-derivation hot path is O(nnz) per application:
-//! [`SparseMatrix::matvec`] / [`SparseMatrix::matvec_transpose`], plus
-//! allocation-free `_into` variants for solver inner loops.
+//! [`SparseMatrix::matvec`] / [`SparseMatrix::matvec_transpose`].
 
 use crate::dense::Matrix;
 use crate::LinalgError;
@@ -51,16 +50,6 @@ impl TripletBuilder {
         if value != 0.0 {
             self.entries.push((row, col, value));
         }
-    }
-
-    /// Number of (uncompressed) entries collected so far.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no entries have been collected.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Compresses the triplets into a CSR matrix, summing duplicate
@@ -122,11 +111,6 @@ pub struct SparseMatrix {
 }
 
 impl SparseMatrix {
-    /// An empty (all-zero) `rows x cols` matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        TripletBuilder::new(rows, cols).build()
-    }
-
     /// Sparse identity of size `n`.
     #[cfg(test)]
     pub fn identity(n: usize) -> Self {
@@ -175,6 +159,7 @@ impl SparseMatrix {
     }
 
     /// Reads entry `(i, j)` (O(row nnz)).
+    #[cfg(test)]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         self.row(i).find(|&(c, _)| c == j).map_or(0.0, |(_, v)| v)
     }
@@ -218,137 +203,6 @@ impl SparseMatrix {
         Ok(y)
     }
 
-    /// Allocation-free `self * x`, writing into `y` (`y.len() == rows`).
-    ///
-    /// The workhorse of iterative solvers: CG calls this once per
-    /// iteration, so the buffers are caller-owned and reused.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), LinalgError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (self.cols, self.rows),
-                got: (x.len(), y.len()),
-            });
-        }
-        for (i, yi) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (j, v) in self.row(i) {
-                acc += v * x[j];
-            }
-            *yi = acc;
-        }
-        Ok(())
-    }
-
-    /// Allocation-free `self^T * x`, writing into `y` (`y.len() == cols`).
-    pub fn matvec_transpose_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), LinalgError> {
-        if x.len() != self.rows || y.len() != self.cols {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (self.rows, self.cols),
-                got: (x.len(), y.len()),
-            });
-        }
-        y.fill(0.0);
-        for (i, &xi) in x.iter().enumerate() {
-            if xi == 0.0 {
-                continue;
-            }
-            for (j, v) in self.row(i) {
-                y[j] += v * xi;
-            }
-        }
-        Ok(())
-    }
-
-    /// Fraction of entries stored: `nnz / (rows * cols)` (0 for an empty
-    /// shape).
-    pub fn density(&self) -> f64 {
-        let cells = self.rows * self.cols;
-        if cells == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / cells as f64
-        }
-    }
-
-    /// Transpose as a new CSR matrix (counting pass, no triplet sort: a
-    /// CSR walk emits each output row's columns in ascending order).
-    pub fn transpose(&self) -> SparseMatrix {
-        let nnz = self.nnz();
-        let mut indptr = vec![0usize; self.cols + 1];
-        for &j in &self.indices {
-            indptr[j + 1] += 1;
-        }
-        for j in 0..self.cols {
-            indptr[j + 1] += indptr[j];
-        }
-        let mut next = indptr.clone();
-        let mut indices = vec![0usize; nnz];
-        let mut values = vec![0.0f64; nnz];
-        for i in 0..self.rows {
-            for (j, v) in self.row(i) {
-                let slot = next[j];
-                indices[slot] = i;
-                values[slot] = v;
-                next[j] += 1;
-            }
-        }
-        SparseMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// Sparse-sparse product `self * other` (CSR x CSR -> CSR).
-    pub fn matmul(&self, other: &SparseMatrix) -> Result<SparseMatrix, LinalgError> {
-        if self.cols != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (self.cols, self.cols),
-                got: (other.rows, other.cols),
-            });
-        }
-        // Sparse accumulation per output row; each row's touched set is
-        // sorted locally and appended, so no global triplet sort.
-        let mut indptr = Vec::with_capacity(self.rows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        let mut acc: Vec<f64> = vec![0.0; other.cols];
-        let mut occupied: Vec<bool> = vec![false; other.cols];
-        let mut touched: Vec<usize> = Vec::new();
-        for i in 0..self.rows {
-            for (k, v) in self.row(i) {
-                for (j, w) in other.row(k) {
-                    if !occupied[j] {
-                        occupied[j] = true;
-                        touched.push(j);
-                    }
-                    acc[j] += v * w;
-                }
-            }
-            touched.sort_unstable();
-            for &j in &touched {
-                if acc[j] != 0.0 {
-                    indices.push(j);
-                    values.push(acc[j]);
-                }
-                acc[j] = 0.0;
-                occupied[j] = false;
-            }
-            touched.clear();
-            indptr.push(indices.len());
-        }
-        Ok(SparseMatrix {
-            rows: self.rows,
-            cols: other.cols,
-            indptr,
-            indices,
-            values,
-        })
-    }
-
     /// Converts to a dense matrix.
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::zeros(self.rows, self.cols);
@@ -358,19 +212,6 @@ impl SparseMatrix {
             }
         }
         m
-    }
-
-    /// Builds a CSR matrix from a dense one, dropping exact zeros.
-    pub fn from_dense(m: &Matrix) -> SparseMatrix {
-        let mut b = TripletBuilder::new(m.rows(), m.cols());
-        for i in 0..m.rows() {
-            for (j, &v) in m.row(i).iter().enumerate() {
-                if v != 0.0 {
-                    b.push(i, j, v);
-                }
-            }
-        }
-        b.build()
     }
 
     /// Maximum column L1 norm (the unbounded-DP sensitivity of the matrix
@@ -384,24 +225,6 @@ impl SparseMatrix {
             }
         }
         norms.into_iter().fold(0.0_f64, f64::max)
-    }
-
-    /// Per-column L1 norms.
-    pub fn col_l1_norms(&self) -> Vec<f64> {
-        let mut norms = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            for (j, v) in self.row(i) {
-                norms[j] += v.abs();
-            }
-        }
-        norms
-    }
-
-    /// Scales all values by `s` in place.
-    pub fn scale_mut(&mut self, s: f64) {
-        for v in &mut self.values {
-            *v *= s;
-        }
     }
 }
 
@@ -495,27 +318,6 @@ mod tests {
         assert_eq!(y, vec![3.0, 0.0, 7.0]);
         let yt = m.matvec_transpose(&[1.0, 1.0, 1.0]).unwrap();
         assert_eq!(yt, vec![4.0, 4.0, 2.0]);
-        let t = m.transpose();
-        assert_eq!(t.get(0, 2), 3.0);
-        assert_eq!(t.get(2, 0), 2.0);
-        // (M^T)^T == M
-        assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn matmul_matches_dense() {
-        let m = small();
-        let p = m.matmul(&m.transpose()).unwrap();
-        let dense = m.to_dense();
-        let expected = dense.matmul(&dense.transpose()).unwrap();
-        assert!(p.to_dense().approx_eq(&expected, 1e-12));
-    }
-
-    #[test]
-    fn dense_roundtrip() {
-        let m = small();
-        let rt = SparseMatrix::from_dense(&m.to_dense());
-        assert_eq!(rt, m);
     }
 
     #[test]
@@ -528,7 +330,6 @@ mod tests {
     #[test]
     fn col_norms() {
         let m = small();
-        assert_eq!(m.col_l1_norms(), vec![4.0, 4.0, 2.0]);
         assert_eq!(m.max_col_l1(), 4.0);
     }
 
@@ -537,34 +338,5 @@ mod tests {
         let m = small();
         assert!(m.matvec(&[1.0]).is_err());
         assert!(m.matvec_transpose(&[1.0]).is_err());
-        assert!(m.matmul(&SparseMatrix::identity(2)).is_err());
-    }
-
-    #[test]
-    fn scale() {
-        let mut m = small();
-        m.scale_mut(2.0);
-        assert_eq!(m.get(2, 1), 8.0);
-    }
-
-    #[test]
-    fn matvec_into_matches_allocating_kernels() {
-        let m = small();
-        let x = [1.0, -2.0, 3.0];
-        let mut y = vec![0.0; 3];
-        m.matvec_into(&x, &mut y).unwrap();
-        assert_eq!(y, m.matvec(&x).unwrap());
-        let mut yt = vec![7.0; 3]; // stale contents must be overwritten
-        m.matvec_transpose_into(&x, &mut yt).unwrap();
-        assert_eq!(yt, m.matvec_transpose(&x).unwrap());
-        assert!(m.matvec_into(&x, &mut [0.0; 2]).is_err());
-        assert!(m.matvec_transpose_into(&[1.0], &mut yt).is_err());
-    }
-
-    #[test]
-    fn density_reports_fill_fraction() {
-        assert_eq!(small().density(), 4.0 / 9.0);
-        assert_eq!(SparseMatrix::zeros(0, 5).density(), 0.0);
-        assert_eq!(SparseMatrix::identity(8).density(), 1.0 / 8.0);
     }
 }

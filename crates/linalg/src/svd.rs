@@ -33,16 +33,6 @@ pub fn singular_values(a: &Matrix) -> Result<Vec<f64>, LinalgError> {
     Ok(vals)
 }
 
-/// Numerical rank: number of singular values above `tol * σ_max`.
-pub fn rank(a: &Matrix, tol: f64) -> Result<usize, LinalgError> {
-    let sv = singular_values(a)?;
-    let smax = sv.first().copied().unwrap_or(0.0);
-    if smax == 0.0 {
-        return Ok(0);
-    }
-    Ok(sv.iter().filter(|&&s| s > tol * smax).count())
-}
-
 /// How [`pseudoinverse_with_method`] derived `A⁺`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PinvMethod {
@@ -173,18 +163,6 @@ mod tests {
         for (x, y) in sv1.iter().zip(&sv2) {
             assert!((x - y).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn rank_detection() {
-        let mut a = Matrix::zeros(3, 3);
-        a[(0, 0)] = 1.0;
-        a[(1, 1)] = 2.0;
-        // Third row is a copy of the first: rank 2.
-        a[(2, 0)] = 1.0;
-        assert_eq!(rank(&a, 1e-9).unwrap(), 2);
-        assert_eq!(rank(&Matrix::identity(4), 1e-9).unwrap(), 4);
-        assert_eq!(rank(&Matrix::zeros(2, 2), 1e-9).unwrap(), 0);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! into pools whose error depends only on the number of *distinct* values.
 //! This is the paper's `Transformed + ConsistentEst` estimator.
 
-use crate::MechanismError;
-
 /// L2 isotonic regression: the closest (in squared error) non-decreasing
 /// sequence to `y`, via Pool-Adjacent-Violators in O(n).
 pub fn isotonic_non_decreasing(y: &[f64]) -> Vec<f64> {
@@ -43,15 +41,6 @@ pub fn isotonic_non_decreasing(y: &[f64]) -> Vec<f64> {
     out
 }
 
-/// L2 isotonic regression additionally clamped below at `floor` (prefix
-/// sums are non-negative, so `floor = 0.0` is the common call).
-pub fn isotonic_non_decreasing_with_floor(y: &[f64], floor: f64) -> Vec<f64> {
-    isotonic_non_decreasing(y)
-        .into_iter()
-        .map(|v| v.max(floor))
-        .collect()
-}
-
 /// Enforces the full prefix-sum structure on a noisy transformed database:
 /// non-decreasing and bounded between 0 and the (public) total `n`.
 pub fn consistent_prefix_estimate(noisy_prefix: &[f64], total: f64) -> Vec<f64> {
@@ -61,60 +50,60 @@ pub fn consistent_prefix_estimate(noisy_prefix: &[f64], total: f64) -> Vec<f64> 
         .collect()
 }
 
-/// Brute-force reference: projects onto the monotone cone by quadratic
-/// search over pool boundaries. Exponential; only for cross-checking PAVA
-/// on tiny inputs in tests.
-#[doc(hidden)]
-pub fn isotonic_brute_force(y: &[f64]) -> Result<Vec<f64>, MechanismError> {
-    if y.len() > 12 {
-        return Err(MechanismError::InvalidParameter {
-            what: "brute-force isotonic limited to n <= 12",
-        });
-    }
-    // Enumerate all partitions into contiguous pools via bitmask of
-    // boundaries; each pool takes its mean; keep monotone-feasible best.
-    let n = y.len();
-    if n == 0 {
-        return Ok(vec![]);
-    }
-    let mut best: Option<(f64, Vec<f64>)> = None;
-    for mask in 0u32..(1 << (n - 1)) {
-        let mut fit = Vec::with_capacity(n);
-        let mut start = 0usize;
-        let mut means = Vec::new();
-        for i in 0..n {
-            let boundary = i + 1 == n || mask & (1 << i) != 0;
-            if boundary {
-                let pool = &y[start..=i];
-                means.push(pool.iter().sum::<f64>() / pool.len() as f64);
-                start = i + 1;
-            }
-        }
-        if means.windows(2).any(|w| w[0] > w[1] + 1e-12) {
-            continue;
-        }
-        let mut idx = 0usize;
-        let mut start = 0usize;
-        for i in 0..n {
-            let boundary = i + 1 == n || mask & (1 << i) != 0;
-            fit.push(means[idx]);
-            if boundary {
-                idx += 1;
-                start = i + 1;
-            }
-        }
-        let _ = start;
-        let cost: f64 = fit.iter().zip(y).map(|(f, v)| (f - v) * (f - v)).sum();
-        if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-            best = Some((cost, fit));
-        }
-    }
-    Ok(best.expect("at least one partition exists").1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MechanismError;
+
+    /// Brute-force reference: projects onto the monotone cone by quadratic
+    /// search over pool boundaries. Exponential; only for cross-checking PAVA
+    /// on tiny inputs in tests.
+    fn isotonic_brute_force(y: &[f64]) -> Result<Vec<f64>, MechanismError> {
+        if y.len() > 12 {
+            return Err(MechanismError::InvalidParameter {
+                what: "brute-force isotonic limited to n <= 12",
+            });
+        }
+        // Enumerate all partitions into contiguous pools via bitmask of
+        // boundaries; each pool takes its mean; keep monotone-feasible best.
+        let n = y.len();
+        if n == 0 {
+            return Ok(vec![]);
+        }
+        let mut best: Option<(f64, Vec<f64>)> = None;
+        for mask in 0u32..(1 << (n - 1)) {
+            let mut fit = Vec::with_capacity(n);
+            let mut start = 0usize;
+            let mut means = Vec::new();
+            for i in 0..n {
+                let boundary = i + 1 == n || mask & (1 << i) != 0;
+                if boundary {
+                    let pool = &y[start..=i];
+                    means.push(pool.iter().sum::<f64>() / pool.len() as f64);
+                    start = i + 1;
+                }
+            }
+            if means.windows(2).any(|w| w[0] > w[1] + 1e-12) {
+                continue;
+            }
+            let mut idx = 0usize;
+            let mut start = 0usize;
+            for i in 0..n {
+                let boundary = i + 1 == n || mask & (1 << i) != 0;
+                fit.push(means[idx]);
+                if boundary {
+                    idx += 1;
+                    start = i + 1;
+                }
+            }
+            let _ = start;
+            let cost: f64 = fit.iter().zip(y).map(|(f, v)| (f - v) * (f - v)).sum();
+            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
+                best = Some((cost, fit));
+            }
+        }
+        Ok(best.expect("at least one partition exists").1)
+    }
 
     #[test]
     fn already_monotone_unchanged() {
@@ -193,8 +182,6 @@ mod tests {
         for w in fit.windows(2) {
             assert!(w[0] <= w[1] + 1e-12);
         }
-        let floored = isotonic_non_decreasing_with_floor(&[-1.0, -2.0], 0.0);
-        assert_eq!(floored, vec![0.0, 0.0]);
     }
 
     #[test]

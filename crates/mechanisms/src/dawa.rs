@@ -104,16 +104,13 @@ pub fn dawa_histogram<R: Rng + ?Sized>(
 /// the L1 deviation around the bucket mean, and `1/ε₂` the expected L1
 /// error a bucket pays for its noisy total. Returns bucket boundaries
 /// `0 = b₀ < b₁ < … = k`.
-pub fn optimal_partition(hist: &[f64], eps2: f64) -> Vec<usize> {
-    optimal_partition_debiased(hist, eps2, 0.0)
-}
-
-/// [`optimal_partition`] with a noise correction: when `hist` is a
-/// (possibly thresholded) Laplace release with per-cell expected noise
-/// magnitude `noise_mean_abs`, the deviation of an interval is debiased by
-/// `noise_mean_abs` per *nonzero* cell (clamped at 0) — exactly-zero cells
-/// carry no noise after thresholding, while surviving cells still wobble
-/// by the Laplace scale.
+///
+/// When `hist` is a (possibly thresholded) Laplace release with per-cell
+/// expected noise magnitude `noise_mean_abs`, the deviation of an interval
+/// is debiased by `noise_mean_abs` per *nonzero* cell (clamped at 0) —
+/// exactly-zero cells carry no noise after thresholding, while surviving
+/// cells still wobble by the Laplace scale. `noise_mean_abs = 0` gives the
+/// plain objective.
 pub fn optimal_partition_debiased(hist: &[f64], eps2: f64, noise_mean_abs: f64) -> Vec<usize> {
     let k = hist.len();
     // Prefix sums (values and nonzero counts) for O(1) interval means and
@@ -176,7 +173,7 @@ mod tests {
         // plateau boundary (power-of-two lengths allowing).
         let mut hist = vec![10.0; 32];
         hist[16..].iter_mut().for_each(|v| *v = 50.0);
-        let b = optimal_partition(&hist, 1.0);
+        let b = optimal_partition_debiased(&hist, 1.0, 0.0);
         assert!(b.contains(&16), "boundaries {b:?} miss the plateau edge");
         assert_eq!(*b.first().unwrap(), 0);
         assert_eq!(*b.last().unwrap(), 32);
@@ -185,7 +182,7 @@ mod tests {
     #[test]
     fn partition_on_uniform_data_prefers_large_buckets() {
         let hist = vec![5.0; 64];
-        let b = optimal_partition(&hist, 0.1);
+        let b = optimal_partition_debiased(&hist, 0.1, 0.0);
         // With zero deviation everywhere and noise cost decreasing in
         // bucket size, a single bucket is optimal.
         assert_eq!(b, vec![0, 64]);
@@ -194,7 +191,7 @@ mod tests {
     #[test]
     fn partition_boundaries_are_well_formed() {
         let hist: Vec<f64> = (0..100).map(|i| ((i * 7) % 13) as f64).collect();
-        let b = optimal_partition(&hist, 0.5);
+        let b = optimal_partition_debiased(&hist, 0.5, 0.0);
         assert_eq!(*b.first().unwrap(), 0);
         assert_eq!(*b.last().unwrap(), 100);
         for w in b.windows(2) {

@@ -44,15 +44,6 @@ pub fn hierarchical_histogram<R: Rng + ?Sized>(
     Ok(est)
 }
 
-/// Analytic per-range-query error order for the hierarchical mechanism:
-/// `O(log³k / ε²)` (a range decomposes into ≤ 2·log k node counts, each
-/// with variance `2·(log k / ε)²`). Returned as the explicit constant-free
-/// product used for shape checks.
-pub fn hierarchical_range_error_order(k: usize, eps: Epsilon) -> f64 {
-    let logk = (k.next_power_of_two().trailing_zeros() as f64 + 1.0).max(1.0);
-    logk.powi(3) / (eps.value() * eps.value())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,14 +116,6 @@ mod tests {
         let eps = Epsilon::new(1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         assert!(hierarchical_histogram(&[], eps, &mut rng).is_err());
-    }
-
-    #[test]
-    fn error_order_monotone() {
-        let eps = Epsilon::new(1.0).unwrap();
-        assert!(
-            hierarchical_range_error_order(1024, eps) > hierarchical_range_error_order(64, eps)
-        );
     }
 
     #[test]

@@ -3,38 +3,16 @@
 //! `L(W, x) = Wx + Lap(Δ_W/ε)^q` satisfies ε-differential privacy with
 //! data-independent error `2·q·Δ_W²/ε²`. It is the base building block of
 //! every strategy in the paper: applied to histograms (`I_k`), to
-//! transformed databases `x_G`, and to bucket totals inside DAWA.
+//! transformed databases `x_G`, and to bucket totals inside DAWA. Each of
+//! those releases a vector directly, so [`laplace_histogram`] is the one
+//! entry point.
 
 use rand::Rng;
 
-use blowfish_core::{Epsilon, Workload};
+use blowfish_core::Epsilon;
 
-use crate::noise::{laplace_variance, laplace_vec};
+use crate::noise::laplace_vec;
 use crate::MechanismError;
-
-/// Releases noisy answers `Wx + Lap(Δ/ε)^q` for an explicit sensitivity Δ
-/// (pass the policy sensitivity `Δ_W(G)` for Blowfish uses, or the DP
-/// sensitivity `Δ_W` for classic uses).
-pub fn laplace_workload<R: Rng + ?Sized>(
-    w: &Workload,
-    x: &[f64],
-    sensitivity: f64,
-    eps: Epsilon,
-    rng: &mut R,
-) -> Result<Vec<f64>, MechanismError> {
-    if sensitivity <= 0.0 {
-        return Err(MechanismError::InvalidParameter {
-            what: "sensitivity must be positive",
-        });
-    }
-    let truth = w.answer(x)?;
-    let scale = sensitivity / eps.value();
-    Ok(truth
-        .into_iter()
-        .zip(laplace_vec(rng, scale, w.len()))
-        .map(|(t, n)| t + n)
-        .collect())
-}
 
 /// Releases the noisy histogram `x + Lap(Δ/ε)^k` (the identity workload
 /// fast path — Δ = 1 under unbounded DP).
@@ -56,20 +34,10 @@ pub fn laplace_histogram<R: Rng + ?Sized>(
         .collect())
 }
 
-/// The analytic data-independent error of the Laplace mechanism
-/// (Theorem 2.1): total `2·q·Δ²/ε²`; divide by `q` for per-query error.
-pub fn laplace_total_error(num_queries: usize, sensitivity: f64, eps: Epsilon) -> f64 {
-    num_queries as f64 * laplace_variance(sensitivity / eps.value())
-}
-
-/// Per-query analytic error `2·Δ²/ε²`.
-pub fn laplace_per_query_error(sensitivity: f64, eps: Epsilon) -> f64 {
-    laplace_variance(sensitivity / eps.value())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::laplace_variance;
     use blowfish_core::mse_per_query;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -78,46 +46,20 @@ mod tests {
     fn unbiased_and_correct_scale() {
         let k = 64;
         let x = vec![10.0; k];
-        let w = Workload::identity(k);
         let eps = Epsilon::new(0.5).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let trials = 400;
         let mut total_sq = 0.0;
         for _ in 0..trials {
-            let est = laplace_workload(&w, &x, 1.0, eps, &mut rng).unwrap();
-            total_sq += mse_per_query(&w.answer(&x).unwrap(), &est).unwrap();
+            let est = laplace_histogram(&x, 1.0, eps, &mut rng).unwrap();
+            total_sq += mse_per_query(&x, &est).unwrap();
         }
         let measured = total_sq / trials as f64;
-        let expected = laplace_per_query_error(1.0, eps); // 2/0.25 = 8
+        let expected = laplace_variance(1.0 / eps.value()); // 2/0.25 = 8
         assert!(
             (measured - expected).abs() / expected < 0.1,
             "measured {measured} vs expected {expected}"
         );
-    }
-
-    #[test]
-    fn histogram_matches_workload_path() {
-        // Same seed => identical noise for the identity workload.
-        let x = vec![1.0, 2.0, 3.0];
-        let eps = Epsilon::new(1.0).unwrap();
-        let a = laplace_histogram(&x, 1.0, eps, &mut StdRng::seed_from_u64(5)).unwrap();
-        let b = laplace_workload(
-            &Workload::identity(3),
-            &x,
-            1.0,
-            eps,
-            &mut StdRng::seed_from_u64(5),
-        )
-        .unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn error_formula() {
-        let eps = Epsilon::new(2.0).unwrap();
-        // 2 q Δ²/ε² = 2·10·9/4
-        assert!((laplace_total_error(10, 3.0, eps) - 45.0).abs() < 1e-12);
-        assert!((laplace_per_query_error(3.0, eps) - 4.5).abs() < 1e-12);
     }
 
     #[test]
@@ -126,13 +68,13 @@ mod tests {
         let eps = Epsilon::new(1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         assert!(laplace_histogram(&x, 0.0, eps, &mut rng).is_err());
-        assert!(laplace_workload(&Workload::identity(1), &x, -1.0, eps, &mut rng).is_err());
+        assert!(laplace_histogram(&x, -1.0, eps, &mut rng).is_err());
     }
 
     #[test]
     fn cumulative_workload_noise_scales_with_sensitivity() {
-        // C_k has sensitivity k: with the correct calibration the noise is
-        // k× larger per query than the identity's.
+        // C_k has sensitivity k: calibrated at Δ = k, the noise is k×
+        // larger per query than the identity's (Δ = 1).
         let k = 16;
         let x = vec![0.0; k];
         let eps = Epsilon::new(1.0).unwrap();
@@ -141,9 +83,8 @@ mod tests {
         let mut id_err = 0.0;
         let mut cum_err = 0.0;
         for _ in 0..trials {
-            let id = laplace_workload(&Workload::identity(k), &x, 1.0, eps, &mut rng).unwrap();
-            let cum =
-                laplace_workload(&Workload::cumulative(k), &x, k as f64, eps, &mut rng).unwrap();
+            let id = laplace_histogram(&x, 1.0, eps, &mut rng).unwrap();
+            let cum = laplace_histogram(&x, k as f64, eps, &mut rng).unwrap();
             id_err += id.iter().map(|v| v * v).sum::<f64>();
             cum_err += cum.iter().map(|v| v * v).sum::<f64>();
         }

@@ -5,9 +5,8 @@
 //! Ding, VLDB 2015*) composes its policy-aware strategies from, implemented
 //! from scratch:
 //!
-//! * [`noise`] — seeded Laplace / two-sided-geometric samplers.
-//! * [`laplace`](mod@laplace) — the Laplace mechanism (Theorem 2.1) with
-//!   analytic error.
+//! * [`noise`] — seeded Laplace samplers.
+//! * [`laplace`](mod@laplace) — the Laplace mechanism (Theorem 2.1).
 //! * [`exponential`] — the exact output distribution of the
 //!   graph-distance mechanism witnessing the Theorem 4.4 negative result.
 //! * [`matrix`] — the matrix mechanism framework (Li et al. \[15\], Eq. 2)
@@ -40,20 +39,16 @@ pub mod noise;
 pub mod privelet;
 pub mod tree_solve;
 
-pub use consistency::{
-    consistent_prefix_estimate, isotonic_non_decreasing, isotonic_non_decreasing_with_floor,
-};
-pub use dawa::{dawa_histogram, optimal_partition, DawaOptions};
+pub use consistency::{consistent_prefix_estimate, isotonic_non_decreasing};
+pub use dawa::{dawa_histogram, DawaOptions};
 pub use exponential::graph_distance_distribution;
-pub use hierarchical::{hierarchical_histogram, hierarchical_range_error_order};
-pub use laplace::{
-    laplace_histogram, laplace_per_query_error, laplace_total_error, laplace_workload,
-};
+pub use hierarchical::hierarchical_histogram;
+pub use laplace::laplace_histogram;
 pub use matrix::{hierarchical_strategy, identity_strategy, wavelet_strategy, MatrixMechanism};
-pub use noise::{laplace, laplace_variance, laplace_vec, two_sided_geometric};
+pub use noise::{laplace, laplace_variance, laplace_vec};
 pub use privelet::{
     haar_forward, haar_generalized_sensitivity, haar_inverse, haar_weights, privelet_histogram,
-    privelet_histogram_1d, privelet_histogram_planned, privelet_range_error_order, HaarPlan,
+    privelet_histogram_1d, privelet_histogram_planned, HaarPlan,
 };
 pub use tree_solve::MatrixStrategyKind;
 

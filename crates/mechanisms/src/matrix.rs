@@ -77,16 +77,6 @@ impl MatrixMechanism {
         })
     }
 
-    /// The workload `W`.
-    pub fn workload(&self) -> &Matrix {
-        &self.w
-    }
-
-    /// The strategy `A`.
-    pub fn strategy(&self) -> &Matrix {
-        &self.strategy
-    }
-
     /// The strategy sensitivity `Δ_A`.
     pub fn delta_a(&self) -> f64 {
         self.delta_a
@@ -115,12 +105,6 @@ impl MatrixMechanism {
         let scale = self.delta_a / eps.value();
         let raw = laplace_vec(rng, scale, self.strategy.rows());
         Ok(self.reconstruction.matvec(&raw)?)
-    }
-
-    /// Expected squared error of query `i`:
-    /// `2 (Δ_A/ε)² ‖(W A⁺)ᵢ‖₂²`.
-    pub fn query_error(&self, i: usize, eps: Epsilon) -> f64 {
-        laplace_variance(self.delta_a / eps.value()) * self.reconstruction.row_sq_norm(i)
     }
 
     /// Expected total squared error over all queries (Definition 2.4's
@@ -325,7 +309,7 @@ mod tests {
         let mm = MatrixMechanism::new(w, hierarchical_strategy(k)).unwrap();
         let eps = Epsilon::new(0.5).unwrap();
         let x = vec![3.0; k];
-        let truth = mm.workload().matvec(&x).unwrap();
+        let truth = mm.w.matvec(&x).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
         let trials = 300;
         let mut acc = 0.0;
@@ -384,8 +368,8 @@ mod tests {
         let eps = Epsilon::new(1.0).unwrap();
         let x1 = vec![0.0; k];
         let x2 = vec![100.0; k];
-        let t1 = mm.workload().matvec(&x1).unwrap();
-        let t2 = mm.workload().matvec(&x2).unwrap();
+        let t1 = mm.w.matvec(&x1).unwrap();
+        let t2 = mm.w.matvec(&x2).unwrap();
         let e1 = mm.run(&x1, eps, &mut StdRng::seed_from_u64(7)).unwrap();
         let e2 = mm.run(&x2, eps, &mut StdRng::seed_from_u64(7)).unwrap();
         for i in 0..e1.len() {

@@ -1,8 +1,7 @@
 //! Noise primitives.
 //!
 //! Seeded, explicit-RNG samplers for the Laplace distribution (the paper's
-//! `Lap(σ)` of Section 2) and the two-sided geometric distribution (its
-//! integer-valued analogue). Every mechanism in this crate takes its RNG as
+//! `Lap(σ)` of Section 2). Every mechanism in this crate takes its RNG as
 //! an argument so experiments are exactly reproducible.
 
 use rand::Rng;
@@ -22,35 +21,6 @@ pub fn laplace<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
 /// paper's `Lap(σ)^m`.
 pub fn laplace_vec<R: Rng + ?Sized>(rng: &mut R, scale: f64, n: usize) -> Vec<f64> {
     (0..n).map(|_| laplace(rng, scale)).collect()
-}
-
-/// Draws one sample from the two-sided geometric distribution with
-/// parameter `alpha = exp(-ε/Δ)`: `Pr[X = z] ∝ alpha^{|z|}`. The integer
-/// analogue of the Laplace mechanism (Ghosh–Roughgarden–Sundararajan).
-pub fn two_sided_geometric<R: Rng + ?Sized>(rng: &mut R, alpha: f64) -> i64 {
-    debug_assert!((0.0..1.0).contains(&alpha));
-    if alpha == 0.0 {
-        return 0;
-    }
-    // Sample magnitude from a geometric, sign uniformly; resample the
-    // zero-splitting mass correctly: Pr[0] = (1-α)/(1+α).
-    let p_zero = (1.0 - alpha) / (1.0 + alpha);
-    if rng.gen::<f64>() < p_zero {
-        return 0;
-    }
-    // Magnitude ≥ 1, geometric with success prob (1-α).
-    let mut magnitude = 1i64;
-    while rng.gen::<f64>() < alpha {
-        magnitude += 1;
-        if magnitude > 1 << 40 {
-            break; // numerically impossible in practice; guard regardless
-        }
-    }
-    if rng.gen::<bool>() {
-        magnitude
-    } else {
-        -magnitude
-    }
 }
 
 /// Variance of `Lap(scale)`: `2·scale²`. Used by analytic error formulas
@@ -89,33 +59,6 @@ mod tests {
         let pos = (0..n).filter(|_| laplace(&mut rng, 1.0) > 0.0).count();
         let frac = pos as f64 / n as f64;
         assert!((frac - 0.5).abs() < 0.01, "positive fraction {frac}");
-    }
-
-    #[test]
-    fn geometric_zero_mass() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let alpha = 0.5;
-        let n = 100_000;
-        let zeros = (0..n)
-            .filter(|_| two_sided_geometric(&mut rng, alpha) == 0)
-            .count();
-        let frac = zeros as f64 / n as f64;
-        let expected = (1.0 - alpha) / (1.0 + alpha); // 1/3
-        assert!(
-            (frac - expected).abs() < 0.01,
-            "zero mass {frac} vs {expected}"
-        );
-    }
-
-    #[test]
-    fn geometric_symmetric_and_integer() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let sum: i64 = (0..50_000)
-            .map(|_| two_sided_geometric(&mut rng, 0.7))
-            .sum();
-        // Mean should be near zero: |sum| well below n·std.
-        assert!(sum.abs() < 5_000, "sum {sum} suggests asymmetry");
-        assert_eq!(two_sided_geometric(&mut rng, 0.0), 0);
     }
 
     #[test]

@@ -143,26 +143,6 @@ impl HaarPlan {
             padded_size,
         })
     }
-
-    /// The histogram shape this plan serves.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// The power-of-two padded shape the transform runs over.
-    pub fn padded_dims(&self) -> &[usize] {
-        &self.padded_dims
-    }
-
-    /// The generalized Haar sensitivity ρ.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
-    /// The per-coefficient weight tensor over the padded domain.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
 }
 
 /// The 1-D Privelet mechanism: releases a noisy histogram whose range
@@ -274,13 +254,6 @@ pub fn privelet_histogram_planned<R: Rng + ?Sized>(
     let mut out = vec![0.0; plan.size];
     copy_block(&buf, padded_dims, &mut out, dims);
     Ok(out)
-}
-
-/// Analytic order of Privelet's per-range-query error: `log³k/ε²` (used by
-/// shape tests and the Figure-3 table; constants omitted).
-pub fn privelet_range_error_order(k: usize, eps: Epsilon) -> f64 {
-    let logk = (k.next_power_of_two().trailing_zeros() as f64 + 1.0).max(1.0);
-    logk.powi(3) / (eps.value() * eps.value())
 }
 
 /// Copies the common block between two row-major buffers whose shapes
@@ -487,12 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn error_order_helper() {
-        let eps = Epsilon::new(0.1).unwrap();
-        assert!(privelet_range_error_order(4096, eps) > privelet_range_error_order(512, eps));
-    }
-
-    #[test]
     fn planned_matches_unplanned_bit_for_bit() {
         let eps = Epsilon::new(0.7).unwrap();
         for dims in [vec![37usize], vec![8, 8], vec![5, 6]] {
@@ -510,10 +477,10 @@ mod tests {
     #[test]
     fn plan_accessors_and_validation() {
         let plan = HaarPlan::new(&[5, 6]).unwrap();
-        assert_eq!(plan.dims(), &[5, 6]);
-        assert_eq!(plan.padded_dims(), &[8, 8]);
-        assert_eq!(plan.rho(), 16.0);
-        assert_eq!(plan.weights().len(), 64);
+        assert_eq!(plan.dims, &[5, 6]);
+        assert_eq!(plan.padded_dims, &[8, 8]);
+        assert_eq!(plan.rho, 16.0);
+        assert_eq!(plan.weights.len(), 64);
         assert!(HaarPlan::new(&[]).is_err());
         assert!(HaarPlan::new(&[4, 0]).is_err());
         // Wrong input length against a valid plan.

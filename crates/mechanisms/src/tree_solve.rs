@@ -35,7 +35,6 @@ use rand::Rng;
 use blowfish_core::Epsilon;
 
 use crate::noise::laplace_vec;
-use crate::MechanismError;
 
 /// Strategy matrices the matrix-mechanism ids plan with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -88,18 +87,6 @@ impl MatrixStrategyKind {
             MatrixStrategyKind::Identity => 1.0,
             _ => (k.next_power_of_two().trailing_zeros() + 1) as f64,
         }
-    }
-
-    /// Applies `A⁺` to one value per strategy row, returning the
-    /// least-squares cell values. A `y` of the wrong length is a typed
-    /// error.
-    pub fn apply_pinv(self, k: usize, y: &[f64]) -> Result<Vec<f64>, MechanismError> {
-        if y.len() != self.rows(k) {
-            return Err(MechanismError::InvalidParameter {
-                what: "strategy answers must have one value per strategy row",
-            });
-        }
-        Ok(self.pinv(k, y))
     }
 
     /// Releases the noisy domain estimate `x̂ = x + A⁺·Lap(Δ_A/ε)^rows`
@@ -376,7 +363,8 @@ mod tests {
         let h = hierarchical_strategy_sparse(k);
         // Each of the k columns appears once per level: height = log2(k)+1.
         assert_eq!(h.nnz(), k * 11);
-        assert!(h.col_l1_norms().iter().all(|&c| c == 11.0));
+        let col_sums = h.matvec_transpose(&vec![1.0; h.rows()]).unwrap();
+        assert!(col_sums.iter().all(|&c| c == 11.0));
         assert_eq!(MatrixStrategyKind::Hierarchical.sensitivity(k), 11.0);
         assert_eq!(MatrixStrategyKind::Hierarchical.rows(k), 2 * k - 1);
     }
@@ -420,7 +408,7 @@ mod tests {
                 .run(&x, eps, &mut StdRng::seed_from_u64(5))
                 .unwrap();
             let xhat = kind.reconstruct(&x, eps, &mut StdRng::seed_from_u64(5));
-            let via_xhat = w.to_sparse_matrix().matvec(&xhat).unwrap();
+            let via_xhat = w.answer(&xhat).unwrap();
             assert_eq!(via_xhat.len(), run.len());
             for (a, b) in run.iter().zip(&via_xhat) {
                 assert!(
@@ -442,7 +430,7 @@ mod tests {
             for kind in DYADIC {
                 let a = sparse_strategy(kind, k);
                 let y: Vec<f64> = (0..a.rows()).map(|_| rng.gen_range(-5.0..5.0)).collect();
-                let x = kind.apply_pinv(k, &y).unwrap();
+                let x = kind.pinv(k, &y);
                 let mut r = a.matvec(&x).unwrap();
                 for (ri, yi) in r.iter_mut().zip(&y) {
                     *ri -= yi;
@@ -455,23 +443,11 @@ mod tests {
                 );
 
                 let v: Vec<f64> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let back = kind.apply_pinv(k, &a.matvec(&v).unwrap()).unwrap();
+                let back = kind.pinv(k, &a.matvec(&v).unwrap());
                 for (b, vi) in back.iter().zip(&v) {
                     assert!((b - vi).abs() <= 1e-9, "{kind:?} k={k}: {b} vs {vi}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn apply_pinv_rejects_a_wrong_length_typed() {
-        for kind in ALL {
-            assert!(matches!(
-                kind.apply_pinv(5, &vec![0.0; kind.rows(5) + 1]),
-                Err(MechanismError::InvalidParameter { .. })
-            ));
-            let empty = kind.apply_pinv(0, &vec![0.0; kind.rows(0)]).unwrap();
-            assert!(empty.is_empty());
         }
     }
 }

@@ -349,7 +349,7 @@ mod tests {
         assert_eq!(mech.name(), "Laplace");
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
-        let via_trait = mech.fit(&x, &mut a).unwrap().into_histogram();
+        let via_trait = mech.fit(&x, &mut a).unwrap().histogram().to_vec();
         let via_free = dp_laplace(&x, eps, &mut b).unwrap();
         assert_eq!(via_trait, via_free);
     }

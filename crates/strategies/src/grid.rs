@@ -217,14 +217,6 @@ fn grid_histogram_impl<R: Rng + ?Sized>(
     Ok(out)
 }
 
-/// Analytic per-query error order of the 2-D grid strategy
-/// (Theorem 5.4, d = 2): `O(log³k/ε²)` — a log³k factor below DP-Privelet's
-/// `O(log⁶k/ε²)` on 2-D ranges.
-pub fn grid_error_order(k: usize, eps: Epsilon) -> f64 {
-    let logk = (k.next_power_of_two().trailing_zeros() as f64 + 1.0).max(1.0);
-    2.0 * logk.powi(3) / (eps.value() * eps.value())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,12 +354,6 @@ mod tests {
             err_large / err_small < 10.0,
             "large-range error {err_large} vs small {err_small}"
         );
-    }
-
-    #[test]
-    fn error_order_helper() {
-        let eps = Epsilon::new(1.0).unwrap();
-        assert!(grid_error_order(100, eps) > grid_error_order(25, eps));
     }
 
     #[test]

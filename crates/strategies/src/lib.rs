@@ -40,17 +40,14 @@ pub use baselines::{
     dp_dawa_1d, dp_dawa_2d, dp_laplace, dp_privelet_1d, dp_privelet_nd, DawaBaseline1d,
     DawaBaseline2d, LaplaceBaseline, PriveletBaseline1d, PriveletBaselineNd,
 };
-pub use grid::{grid_blowfish_histogram, grid_error_order, GridMechanism, GridPlans};
+pub use grid::{grid_blowfish_histogram, GridMechanism, GridPlans};
 pub use line1d::{
-    line_blowfish_histogram, line_range_error, tree_blowfish_histogram, LineMechanism,
-    TreeEstimator, TreeMechanism,
+    line_blowfish_histogram, tree_blowfish_histogram, LineMechanism, TreeEstimator, TreeMechanism,
 };
 pub use lower_bounds::{p_eps_delta, svd_lower_bound, svd_lower_bound_unbounded_dp};
 pub use mechanism::{Estimate, Mechanism};
-pub use theta_grid::{theta_grid_error_order, ThetaGridMechanism, ThetaGridStrategy};
-pub use theta_line::{
-    theta_line_error_order, ThetaEstimator, ThetaLineMechanism, ThetaLineStrategy,
-};
+pub use theta_grid::{ThetaGridMechanism, ThetaGridStrategy};
+pub use theta_line::{ThetaEstimator, ThetaLineMechanism, ThetaLineStrategy};
 
 /// Errors reported by strategy construction or execution.
 #[derive(Clone, Debug, PartialEq)]

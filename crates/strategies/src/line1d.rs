@@ -115,11 +115,6 @@ impl LineMechanism {
         LineMechanism { eps, estimator }
     }
 
-    /// The chosen edge-space estimator.
-    pub fn estimator(&self) -> TreeEstimator {
-        self.estimator
-    }
-
     /// Releases the histogram estimate `x̂` over the full domain (generic
     /// over the RNG).
     pub fn fit_histogram<R: Rng + ?Sized>(
@@ -205,11 +200,6 @@ impl TreeMechanism {
         })
     }
 
-    /// The shared incidence.
-    pub fn incidence(&self) -> &Arc<Incidence> {
-        &self.incidence
-    }
-
     /// Releases the histogram estimate (generic over the RNG).
     pub fn fit_histogram<R: Rng + ?Sized>(
         &self,
@@ -286,6 +276,7 @@ pub fn tree_blowfish_histogram<R: Rng + ?Sized>(
 
 /// Analytic per-query error of Algorithm 1 on `R_k` (Theorem 5.2): each
 /// range is the difference of at most two noisy prefixes, `≈ 2·(2/ε²)`.
+#[cfg(test)]
 pub fn line_range_error(eps: Epsilon) -> f64 {
     2.0 * blowfish_mechanisms::laplace_variance(1.0 / eps.value())
 }

@@ -80,24 +80,9 @@ impl Estimate {
         })
     }
 
-    /// The domain the estimate lives over.
-    pub fn domain(&self) -> &Domain {
-        &self.domain
-    }
-
     /// The raw histogram estimate `x̂`.
     pub fn histogram(&self) -> &[f64] {
         &self.histogram
-    }
-
-    /// Consumes the estimate, returning the raw histogram.
-    pub fn into_histogram(self) -> Vec<f64> {
-        self.histogram
-    }
-
-    /// The estimated total `Σ x̂`.
-    pub fn total(&self) -> f64 {
-        self.histogram.iter().sum()
     }
 
     /// Answers one range query — O(1) for 1-D/2-D domains.
@@ -235,10 +220,9 @@ mod tests {
             est.answer_all(&specs).unwrap(),
             answer_ranges_1d(&hist, &specs).unwrap()
         );
-        assert_eq!(est.total(), 23.0);
+        assert_eq!(est.histogram().iter().sum::<f64>(), 23.0);
         assert_eq!(est.histogram(), hist.as_slice());
-        assert_eq!(est.domain().size(), 6);
-        assert_eq!(est.into_histogram(), hist);
+        assert_eq!(est.domain.size(), 6);
     }
 
     #[test]
@@ -259,7 +243,7 @@ mod tests {
 
     #[test]
     fn estimate_3d_falls_back_to_direct_sums() {
-        let d = Domain::hypercube(3, 3).unwrap();
+        let d = Domain::product(&[3, 3, 3]).unwrap();
         let hist: Vec<f64> = (0..27).map(|v| v as f64).collect();
         let est = Estimate::new(&d, hist.clone()).unwrap();
         let q = RangeQuery::new(&d, vec![0, 0, 0], vec![2, 2, 2]).unwrap();

@@ -34,7 +34,6 @@ use crate::StrategyError;
 #[derive(Clone, Debug)]
 pub struct ThetaGridStrategy {
     k: usize,
-    theta: usize,
     /// Block side `s = max(θ/2, 1)`.
     block: usize,
     /// Red grid dimension `m = k/s`.
@@ -74,7 +73,6 @@ impl ThetaGridStrategy {
         };
         Ok(ThetaGridStrategy {
             k,
-            theta,
             block: s,
             red_k: k / s,
             stretch,
@@ -84,11 +82,6 @@ impl ThetaGridStrategy {
     /// The certified stretch ℓ.
     pub fn stretch(&self) -> usize {
         self.stretch
-    }
-
-    /// The policy threshold θ this strategy was built for.
-    pub fn theta(&self) -> usize {
-        self.theta
     }
 
     /// The block side `s`.
@@ -210,11 +203,6 @@ impl ThetaGridMechanism {
         ThetaGridMechanism { strategy, eps }
     }
 
-    /// The shared prepared strategy.
-    pub fn strategy(&self) -> &Arc<ThetaGridStrategy> {
-        &self.strategy
-    }
-
     /// Releases the histogram estimate (generic over the RNG).
     pub fn fit_histogram<R: Rng + ?Sized>(
         &self,
@@ -237,14 +225,6 @@ impl Mechanism for ThetaGridMechanism {
     fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
         Estimate::new(x.domain(), self.fit_histogram(x, rng)?)
     }
-}
-
-/// Analytic per-query error order of the θ-grid strategy (Theorem 5.6,
-/// d = 2): `d³·log^{3(d−1)}k·log³θ / ε²`.
-pub fn theta_grid_error_order(k: usize, theta: usize, eps: Epsilon) -> f64 {
-    let logk = (k.next_power_of_two().trailing_zeros() as f64 + 1.0).max(1.0);
-    let logt = (theta.next_power_of_two().trailing_zeros() as f64 + 1.0).max(1.0);
-    8.0 * logk.powi(3) * logt.powi(3) / (eps.value() * eps.value())
 }
 
 #[cfg(test)]
@@ -389,11 +369,5 @@ mod tests {
         assert!(strat.histogram(&wrong, eps, &mut rng).is_err());
         let one_d = DataVector::new(Domain::one_dim(64), vec![0.0; 64]).unwrap();
         assert!(strat.histogram(&one_d, eps, &mut rng).is_err());
-    }
-
-    #[test]
-    fn error_order_helper() {
-        let eps = Epsilon::new(1.0).unwrap();
-        assert!(theta_grid_error_order(100, 8, eps) > theta_grid_error_order(100, 2, eps));
     }
 }

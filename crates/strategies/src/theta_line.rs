@@ -79,11 +79,6 @@ impl ThetaLineStrategy {
         })
     }
 
-    /// The certified stretch ℓ (≤ 3 by Theorem 5.5).
-    pub fn stretch(&self) -> usize {
-        self.spanner.stretch
-    }
-
     /// The spanner.
     pub fn spanner(&self) -> &ThetaLineSpanner {
         &self.spanner
@@ -151,11 +146,6 @@ impl ThetaLineMechanism {
         }
     }
 
-    /// The shared prepared strategy.
-    pub fn strategy(&self) -> &Arc<ThetaLineStrategy> {
-        &self.strategy
-    }
-
     /// Releases the histogram estimate (generic over the RNG).
     pub fn fit_histogram<R: Rng + ?Sized>(
         &self,
@@ -180,13 +170,6 @@ impl Mechanism for ThetaLineMechanism {
     }
 }
 
-/// Analytic per-query error order of the Theorem 5.5 strategy:
-/// `O(log³θ / ε²)` (with the ε/3 stretch cost folded in by the caller).
-pub fn theta_line_error_order(theta: usize, eps: Epsilon) -> f64 {
-    let logt = ((theta.next_power_of_two().trailing_zeros() as f64) + 1.0).max(1.0);
-    logt.powi(3) / (eps.value() * eps.value())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +185,7 @@ mod tests {
     #[test]
     fn construction_and_stretch() {
         let s = ThetaLineStrategy::new(64, 4).unwrap();
-        assert!(s.stretch() <= 3);
+        assert!(s.spanner.stretch <= 3);
         assert!(ThetaLineStrategy::new(4, 4).is_err());
     }
 
@@ -338,11 +321,5 @@ mod tests {
             blowfish < dp,
             "Blowfish θ-strategy {blowfish} vs ε/2-DP Privelet {dp}"
         );
-    }
-
-    #[test]
-    fn error_order_helper() {
-        let eps = Epsilon::new(1.0).unwrap();
-        assert!(theta_line_error_order(16, eps) > theta_line_error_order(2, eps));
     }
 }

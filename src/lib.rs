@@ -18,8 +18,7 @@
 //! This facade crate re-exports the workspace:
 //!
 //! * [`linalg`] — dense/sparse linear algebra built from scratch
-//!   (dense Cholesky, LU, symmetric eigensolvers, SVD, CG for grounded
-//!   Laplacians).
+//!   (dense Cholesky, LU, symmetric eigensolvers, SVD).
 //! * [`core`] — domains, workloads, policy graphs, the `P_G`
 //!   transformation (Cases I/II/III), sensitivities, spanners, neighbor
 //!   enumeration, error measurement, and the durable multi-tenant ε
@@ -91,9 +90,9 @@ pub mod prelude {
     };
     pub use blowfish_data::{dataset, DatasetId};
     pub use blowfish_engine::{
-        fit_cells, fit_cells_serial, parallel_map, Codec, FitCell, Fitted, MatrixStrategyKind,
-        MechanismSpec, NetConfig, NetStats, Plan, PlanCache, Policy, Request, Response, Service,
-        Session, Task, TcpServer, TenantConfig, TenantStats, WireError, PROTOCOL_VERSION,
+        parallel_map, Codec, Fitted, MatrixStrategyKind, MechanismSpec, NetConfig, NetStats, Plan,
+        PlanCache, Policy, Request, Response, Service, Session, Task, TcpServer, TenantConfig,
+        TenantStats, WireError, PROTOCOL_VERSION,
     };
     pub use blowfish_mechanisms::{
         dawa_histogram, hierarchical_histogram, isotonic_non_decreasing, laplace_histogram,

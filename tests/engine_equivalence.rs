@@ -36,7 +36,7 @@ fn fit_via_engine(
 ) -> Vec<f64> {
     let mech = session.mechanism_at(spec, eps).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    mech.fit(x, &mut rng).unwrap().into_histogram()
+    mech.fit(x, &mut rng).unwrap().histogram().to_vec()
 }
 
 #[test]
@@ -262,7 +262,7 @@ fn session_budget_convention_matches_experiment_harness() {
     let mut a = StdRng::seed_from_u64(5);
     let mut b = StdRng::seed_from_u64(5);
     assert_eq!(
-        base.fit(&x, &mut a).unwrap().into_histogram(),
+        base.fit(&x, &mut a).unwrap().histogram().to_vec(),
         dp_laplace(&x, eps.half(), &mut b).unwrap()
     );
 
@@ -272,7 +272,7 @@ fn session_budget_convention_matches_experiment_harness() {
     let mut a = StdRng::seed_from_u64(6);
     let mut b = StdRng::seed_from_u64(6);
     assert_eq!(
-        blowfish.fit(&x, &mut a).unwrap().into_histogram(),
+        blowfish.fit(&x, &mut a).unwrap().histogram().to_vec(),
         line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut b).unwrap()
     );
 }

@@ -5,13 +5,23 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use blowfish_privacy::linalg::{
-    conjugate_gradient, eigh, is_pseudoinverse, jacobi_eigh, pseudoinverse, pseudoinverse_eigen,
-    pseudoinverse_with_method, singular_values, CgOptions, Cholesky, Lu, Matrix, PinvMethod,
-    SparseMatrix, TripletBuilder,
+    eigh, is_pseudoinverse, jacobi_eigh, pseudoinverse, pseudoinverse_eigen,
+    pseudoinverse_with_method, singular_values, Cholesky, Lu, Matrix, PinvMethod, SparseMatrix,
+    TripletBuilder,
 };
 
 fn matrix_from(data: &[f64], n: usize, m: usize) -> Matrix {
     Matrix::from_vec(n, m, data[..n * m].to_vec()).expect("length matches")
+}
+
+fn sparse_from(m: &Matrix) -> SparseMatrix {
+    let mut b = TripletBuilder::new(m.rows(), m.cols());
+    for i in 0..m.rows() {
+        for (j, &v) in m.row(i).iter().enumerate() {
+            b.push(i, j, v);
+        }
+    }
+    b.build()
 }
 
 proptest! {
@@ -70,8 +80,6 @@ proptest! {
         for (u, v) in back.iter().zip(&rhs) {
             prop_assert!((u - v).abs() < 1e-7);
         }
-        // Determinant is positive for SPD.
-        prop_assert!(ch.determinant() > 0.0);
     }
 
     /// LU solves any well-conditioned square system (diagonally dominated
@@ -109,38 +117,6 @@ proptest! {
         }
     }
 
-    /// CG agrees with Cholesky on sparse SPD systems (grounded Laplacians
-    /// of random trees).
-    #[test]
-    fn cg_matches_cholesky_on_laplacians(
-        parents in vec(0usize..6, 7),
-        rhs in vec(-4.0f64..4.0, 8),
-    ) {
-        // Random tree on 8 vertices (vertex i+1 attaches to parents[i] % (i+1)),
-        // grounded at vertex 0.
-        let n = 8;
-        let mut b = TripletBuilder::new(n, n);
-        let mut deg = vec![0.0; n];
-        for (i, &praw) in parents.iter().enumerate() {
-            let child = i + 1;
-            let parent = praw % child;
-            b.push(child, parent, -1.0);
-            b.push(parent, child, -1.0);
-            deg[child] += 1.0;
-            deg[parent] += 1.0;
-        }
-        deg[0] += 1.0; // ⊥-edge grounds vertex 0
-        for (i, d) in deg.iter().enumerate() {
-            b.push(i, i, *d);
-        }
-        let l: SparseMatrix = b.build();
-        let cg = conjugate_gradient(&l, &rhs, CgOptions::default()).unwrap();
-        let ch = Cholesky::factor(&l.to_dense()).unwrap();
-        let direct = ch.solve(&rhs).unwrap();
-        for (u, v) in cg.x.iter().zip(&direct) {
-            prop_assert!((u - v).abs() < 1e-6, "{u} vs {v}");
-        }
-    }
 
     /// The register-blocked matmul is bit-close (≤ 1e-9) to the naive
     /// i-k-j reference across random shapes straddling the unroll
@@ -203,39 +179,9 @@ proptest! {
         prop_assert!(is_pseudoinverse(&a, &p, 1e-6));
     }
 
-    /// Sparse matmul agrees with dense matmul.
-    #[test]
-    fn sparse_dense_matmul_agree(a in vec(-2.0f64..2.0, 12), b in vec(-2.0f64..2.0, 12)) {
-        let ad = matrix_from(&a, 3, 4);
-        let bd = matrix_from(&b, 4, 3);
-        let asp = SparseMatrix::from_dense(&ad);
-        let bsp = SparseMatrix::from_dense(&bd);
-        let dense = ad.matmul(&bd).unwrap();
-        let sparse = asp.matmul(&bsp).unwrap().to_dense();
-        prop_assert!(sparse.approx_eq(&dense, 1e-9));
-    }
 
-    /// Sparse matmul agrees with dense matmul across random shapes, not
-    /// just one fixed 3×4 instance.
-    #[test]
-    fn sparse_dense_matmul_agree_random_shapes(
-        data in vec(-2.0f64..2.0, 128),
-        m in 1usize..7,
-        k in 1usize..7,
-        p in 1usize..7,
-    ) {
-        let ad = matrix_from(&data, m, k);
-        let bd = matrix_from(&data[m * k..], k, p);
-        let dense = ad.matmul(&bd).unwrap();
-        let sparse = SparseMatrix::from_dense(&ad)
-            .matmul(&SparseMatrix::from_dense(&bd))
-            .unwrap()
-            .to_dense();
-        prop_assert!(sparse.approx_eq(&dense, 1e-9));
-    }
 
-    /// Sparse `matvec` / `matvec_transpose` (and their `_into` variants)
-    /// agree with dense products.
+    /// Sparse `matvec` / `matvec_transpose` agree with dense products.
     #[test]
     fn sparse_matvec_transpose_matches_dense(
         data in vec(-2.0f64..2.0, 42),
@@ -244,22 +190,16 @@ proptest! {
     ) {
         let cols = (42 / rows.max(1)).clamp(1, 6);
         let a = matrix_from(&data, rows, cols);
-        let sp = SparseMatrix::from_dense(&a);
+        let sp = sparse_from(&a);
         let yd = a.matvec(&x[..cols]).unwrap();
         let ys = sp.matvec(&x[..cols]).unwrap();
-        let mut yi = vec![0.0; rows];
-        sp.matvec_into(&x[..cols], &mut yi).unwrap();
         for i in 0..rows {
             prop_assert!((yd[i] - ys[i]).abs() < 1e-9);
-            prop_assert!(ys[i] == yi[i]);
         }
         let td = a.transpose().matvec(&x[..rows]).unwrap();
         let ts = sp.matvec_transpose(&x[..rows]).unwrap();
-        let mut ti = vec![0.0; cols];
-        sp.matvec_transpose_into(&x[..rows], &mut ti).unwrap();
         for j in 0..cols {
             prop_assert!((td[j] - ts[j]).abs() < 1e-9);
-            prop_assert!(ts[j] == ti[j]);
         }
     }
 }

@@ -229,7 +229,7 @@ fn budget_admits_exactly_floor_budget_over_eps_releases_under_racing() {
 
 #[test]
 fn wire_protocol_drives_a_service_end_to_end() {
-    use blowfish_privacy::engine::{handle_line, WireReply};
+    use blowfish_privacy::engine::{Codec, WireReply};
     let service = Service::new();
     let script = [
         "# onboarding",
@@ -241,7 +241,7 @@ fn wire_protocol_drives_a_service_end_to_end() {
     ];
     let mut replies = Vec::new();
     for line in script {
-        match handle_line(&service, line) {
+        match Codec::new().serve(&service, line) {
             WireReply::Reply(r) => replies.push(r),
             WireReply::Silent => {}
             WireReply::Quit => panic!("unexpected quit"),
