@@ -10,6 +10,13 @@
 //! * **mixed** — alternating releases and 200-query answer batches
 //!   against stored estimates (the `answer_many` O(1)-per-query path).
 //!
+//! Beside them, `wire_answer_32_1d` and `wire_answer_32_2d` time one
+//! `answer` line with 32 ranges through `Codec::serve` — parse, tenant
+//! lookup, validation, answers and the rendered reply — against a
+//! `line:256` and a `grid:16` tenant that already hold an estimate: the
+//! per-line cost of the wire path, which the 200-query `answer_many`
+//! batches above do not see.
+//!
 //! Each workload is served twice: sequentially (`Service::handle` in a
 //! loop — one client thread) and fanned across cores
 //! (`Service::handle_many` → `parallel_map` — N client threads against
@@ -26,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use blowfish_core::{DataVector, Domain, Epsilon, PolicyGraph};
-use blowfish_engine::{MechanismSpec, Request, Service, Task, TenantConfig};
+use blowfish_engine::{Codec, MechanismSpec, Request, Service, Task, TenantConfig, WireReply};
 use blowfish_strategies::ThetaEstimator;
 
 const TENANTS: usize = 4;
@@ -95,6 +102,40 @@ fn mixed_requests(n: usize) -> Vec<Request> {
         .collect()
 }
 
+/// A service with a `line:256` tenant `line` and a `grid:16` tenant
+/// `grid`, each onboarded and fitted as `h` over the wire.
+fn wire_service(codec: &mut Codec) -> Service {
+    let service = Service::new();
+    for line in [
+        "tenant line policy=line:256 eps=0.5 budget=4 data=uniform:3",
+        "tenant grid policy=grid:16 eps=0.5 budget=4 data=uniform:2",
+        "fit line as=h seed=1 task=range1d",
+        "fit grid as=h seed=2 task=range2d",
+    ] {
+        match codec.serve(&service, line) {
+            WireReply::Reply(reply) if reply.starts_with("ok ") => {}
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+    service
+}
+
+/// An `answer` line with 32 seeded random ranges over `domain`.
+fn answer_line(tenant: &str, domain: &Domain) -> String {
+    let mut rng = StdRng::seed_from_u64(32);
+    let mut line = format!("answer {tenant} from=h");
+    for q in blowfish_core::random_range_specs(domain, 32, &mut rng) {
+        let dims: Vec<String> =
+            q.lo.iter()
+                .zip(&q.hi)
+                .map(|(lo, hi)| format!("{lo}..{hi}"))
+                .collect();
+        line.push(' ');
+        line.push_str(&dims.join("x"));
+    }
+    line
+}
+
 fn serve_serial(service: &Service, requests: &[Request]) -> usize {
     let mut ok = 0;
     for request in requests {
@@ -137,6 +178,26 @@ fn bench_service(c: &mut Criterion) {
     g.bench_function("mixed_512_parallel", |b| {
         b.iter(|| black_box(serve_parallel(&service, &mixed)))
     });
+
+    let mut codec = Codec::new();
+    let wire = wire_service(&mut codec);
+    for (id, tenant, domain) in [
+        ("wire_answer_32_1d", "line", Domain::one_dim(256)),
+        (
+            "wire_answer_32_2d",
+            "grid",
+            Domain::product(&[16, 16]).expect("domain"),
+        ),
+    ] {
+        let line = answer_line(tenant, &domain);
+        match codec.serve(&wire, &line) {
+            WireReply::Reply(reply) if reply.starts_with("ok answer 32 ") => {}
+            other => panic!("{line}: {other:?}"),
+        }
+        g.bench_function(id, |b| {
+            b.iter(|| black_box(codec.serve(&wire, black_box(&line))))
+        });
+    }
 
     g.finish();
 

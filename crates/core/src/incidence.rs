@@ -188,8 +188,10 @@ pub struct Incidence {
     edges: Vec<GroundedEdge>,
     /// `P_G` in CSR form: `num_rows × num_edges`.
     p: SparseMatrix,
-    /// Per-row list of incident edge indices with their sign.
-    incident: Vec<Vec<(usize, f64)>>,
+    /// The leaf-peeling order [`Incidence::solve_tree`] follows, derived
+    /// once at construction; `None` when the grounded graph is not a
+    /// forest of ⊥-rooted trees.
+    tree_order: Option<Vec<(usize, usize)>>,
 }
 
 impl Incidence {
@@ -238,20 +240,19 @@ impl Incidence {
         }
         let rows = grounding.num_rows();
         let mut b = TripletBuilder::new(rows, edges.len());
-        let mut incident = vec![Vec::new(); rows];
         for (j, e) in edges.iter().enumerate() {
             b.push(e.u_row, j, 1.0);
-            incident[e.u_row].push((j, 1.0));
             if let Some(vr) = e.v_row {
                 b.push(vr, j, -1.0);
-                incident[vr].push((j, -1.0));
             }
         }
+        let p = b.build();
+        let tree_order = tree_order(&p, &edges);
         Ok(Incidence {
             grounding,
             edges,
-            p: b.build(),
-            incident,
+            p,
+            tree_order,
         })
     }
 
@@ -278,7 +279,7 @@ impl Incidence {
     /// Whether `P_G` is square — i.e. the grounded graph is a forest of
     /// ⊥-rooted trees, the regime of the strong Theorem 4.3 equivalence.
     pub fn is_tree(&self) -> bool {
-        self.num_rows() == self.num_edges() && self.try_tree_order().is_some()
+        self.tree_order.is_some()
     }
 
     // ------------------------------------------------------------------
@@ -432,46 +433,9 @@ impl Incidence {
     // Solving P_G · x_G = x′.
     // ------------------------------------------------------------------
 
-    /// Peeling order for tree-structured `P_G`: a sequence of
-    /// `(row, edge)` pairs such that when processed in order, each row has
-    /// exactly one yet-unsolved incident edge. `None` when the grounded
-    /// graph is not a forest of ⊥-rooted trees. (This is exactly the
-    /// inductive argument in the proof of Lemma D.2.)
-    fn try_tree_order(&self) -> Option<Vec<(usize, usize)>> {
-        if self.num_rows() != self.num_edges() {
-            return None;
-        }
-        let rows = self.num_rows();
-        let mut unsolved: Vec<usize> = self.incident.iter().map(Vec::len).collect();
-        let mut edge_done = vec![false; self.num_edges()];
-        let mut row_done = vec![false; rows];
-        let mut queue: Vec<usize> = (0..rows).filter(|&r| unsolved[r] == 1).collect();
-        let mut order = Vec::with_capacity(rows);
-        while let Some(r) = queue.pop() {
-            if row_done[r] {
-                continue;
-            }
-            // Find this row's single unsolved edge.
-            let &(j, _) = self.incident[r].iter().find(|&&(j, _)| !edge_done[j])?;
-            order.push((r, j));
-            edge_done[j] = true;
-            row_done[r] = true;
-            let e = self.edges[j];
-            for other in [Some(e.u_row), e.v_row].into_iter().flatten() {
-                if !row_done[other] {
-                    unsolved[other] -= 1;
-                    if unsolved[other] == 1 {
-                        queue.push(other);
-                    }
-                }
-            }
-        }
-        (order.len() == rows).then_some(order)
-    }
-
     /// The unique solution of `P_G x_G = x′` when `G` is (grounded-)tree
-    /// structured: O(k) leaf-peeling (subtree sums). Errors with
-    /// [`CoreError::NotATree`] otherwise.
+    /// structured: O(k) leaf-peeling (subtree sums) in one pass over the
+    /// stored peel order. Errors with [`CoreError::NotATree`] otherwise.
     pub fn solve_tree(&self, reduced: &[f64]) -> Result<Vec<f64>, CoreError> {
         if reduced.len() != self.num_rows() {
             return Err(CoreError::DataShapeMismatch {
@@ -479,23 +443,23 @@ impl Incidence {
                 data_len: reduced.len(),
             });
         }
-        let order = self.try_tree_order().ok_or(CoreError::NotATree)?;
+        let order = self.tree_order.as_deref().ok_or(CoreError::NotATree)?;
+        // `rhs[r]` is `x′[r]` minus the terms of row r's edges solved so
+        // far; when row r is peeled, its one unsolved edge carries the rest.
+        let mut rhs = reduced.to_vec();
         let mut x_g = vec![0.0; self.num_edges()];
-        let mut solved = vec![false; self.num_edges()];
-        for (r, j) in order {
-            let mut rhs = reduced[r];
-            let mut sign = 0.0;
-            for &(e, s) in &self.incident[r] {
-                if e == j {
-                    sign = s;
-                } else {
-                    debug_assert!(solved[e]);
-                    rhs -= s * x_g[e];
+        for &(r, j) in order {
+            let e = self.edges[j];
+            if r == e.u_row {
+                // Row r holds +1 and the other endpoint, if any, −1.
+                x_g[j] = rhs[r];
+                if let Some(vr) = e.v_row {
+                    rhs[vr] += x_g[j];
                 }
+            } else {
+                x_g[j] = -rhs[r];
+                rhs[e.u_row] -= x_g[j];
             }
-            debug_assert!(sign != 0.0);
-            x_g[j] = rhs / sign;
-            solved[j] = true;
         }
         Ok(x_g)
     }
@@ -515,6 +479,43 @@ impl Incidence {
         }
         b.build()
     }
+}
+
+/// Peeling order for a square `P_G`: a sequence of `(row, edge)` pairs
+/// such that when processed in order, each row has exactly one yet-unsolved
+/// incident edge. `None` when the grounded graph is not a forest of
+/// ⊥-rooted trees. (This is exactly the inductive argument in the proof of
+/// Lemma D.2.) Row r's incident edges are the nonzeros of `P_G`'s row r.
+fn tree_order(p: &SparseMatrix, edges: &[GroundedEdge]) -> Option<Vec<(usize, usize)>> {
+    if p.rows() != p.cols() {
+        return None;
+    }
+    let rows = p.rows();
+    let mut unsolved: Vec<usize> = (0..rows).map(|r| p.row(r).count()).collect();
+    let mut edge_done = vec![false; edges.len()];
+    let mut row_done = vec![false; rows];
+    let mut queue: Vec<usize> = (0..rows).filter(|&r| unsolved[r] == 1).collect();
+    let mut order = Vec::with_capacity(rows);
+    while let Some(r) = queue.pop() {
+        if row_done[r] {
+            continue;
+        }
+        // Find this row's single unsolved edge.
+        let (j, _) = p.row(r).find(|&(j, _)| !edge_done[j])?;
+        order.push((r, j));
+        edge_done[j] = true;
+        row_done[r] = true;
+        let e = edges[j];
+        for other in [Some(e.u_row), e.v_row].into_iter().flatten() {
+            if !row_done[other] {
+                unsolved[other] -= 1;
+                if unsolved[other] == 1 {
+                    queue.push(other);
+                }
+            }
+        }
+    }
+    (order.len() == rows).then_some(order)
 }
 
 #[cfg(test)]

@@ -28,6 +28,15 @@ pub struct RangeQuery {
 impl RangeQuery {
     /// Creates a range, validating `lo ≤ hi` within `domain`.
     pub fn new(domain: &Domain, lo: Vec<usize>, hi: Vec<usize>) -> Result<Self, CoreError> {
+        RangeQuery::check(domain, &lo, &hi)?;
+        Ok(RangeQuery { lo, hi })
+    }
+
+    /// The validation behind [`RangeQuery::new`], on borrowed bounds and
+    /// without allocating: the dimension count first, then `lo ≤ hi <
+    /// dim` per axis in order, so the first failing check names the
+    /// error.
+    pub fn check(domain: &Domain, lo: &[usize], hi: &[usize]) -> Result<(), CoreError> {
         if lo.len() != domain.num_dims() || hi.len() != domain.num_dims() {
             return Err(CoreError::DimensionMismatch {
                 expected: domain.num_dims(),
@@ -43,7 +52,7 @@ impl RangeQuery {
                 });
             }
         }
-        Ok(RangeQuery { lo, hi })
+        Ok(())
     }
 
     /// 1-D convenience constructor.
@@ -62,9 +71,15 @@ impl RangeQuery {
 
     /// Materializes the covered flat indices (row-major order).
     pub fn cells(&self, domain: &Domain) -> Result<Vec<usize>, CoreError> {
+        RangeQuery::cells_in(domain, &self.lo, &self.hi)
+    }
+
+    /// [`RangeQuery::cells`] on borrowed bounds.
+    pub fn cells_in(domain: &Domain, lo: &[usize], hi: &[usize]) -> Result<Vec<usize>, CoreError> {
         let d = domain.num_dims();
-        let mut out = Vec::with_capacity(self.volume());
-        let mut cur = self.lo.clone();
+        let volume = lo.iter().zip(hi).map(|(&l, &h)| h - l + 1).product();
+        let mut out = Vec::with_capacity(volume);
+        let mut cur = lo.to_vec();
         loop {
             out.push(domain.flat_index(&cur)?);
             // Odometer increment over the box.
@@ -74,11 +89,11 @@ impl RangeQuery {
                     return Ok(out);
                 }
                 dim -= 1;
-                if cur[dim] < self.hi[dim] {
+                if cur[dim] < hi[dim] {
                     cur[dim] += 1;
                     break;
                 }
-                cur[dim] = self.lo[dim];
+                cur[dim] = lo[dim];
             }
         }
     }

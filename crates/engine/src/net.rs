@@ -215,38 +215,59 @@ impl LineSession {
     /// reply line per complete request line. Counts served requests in
     /// `stats`; answers the TCP-only `stats net` introspection line
     /// locally. Input after a close decision is discarded.
+    ///
+    /// Linear in the bytes received: the buffered partial line was
+    /// scanned by earlier calls, so only the new bytes are searched for
+    /// line ends; lines are served in place, and what is left is moved to
+    /// the front of the buffer once per call.
     pub fn ingest(&mut self, bytes: &[u8], service: &Service, stats: &NetStats) {
         if self.closing {
             return;
         }
-        self.rbuf.extend_from_slice(bytes);
-        while let Some(pos) = self.rbuf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = self.rbuf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes[..pos]);
-            let line = line.trim_end_matches('\r');
-            if line.trim() == "stats net" {
-                stats.requests.fetch_add(1, Ordering::SeqCst);
-                self.push_line(&stats.wire_line());
-                continue;
+        let mut rbuf = std::mem::take(&mut self.rbuf);
+        let mut scan = rbuf.len();
+        rbuf.extend_from_slice(bytes);
+        let mut start = 0;
+        while let Some(len) = rbuf[scan..].iter().position(|&b| b == b'\n') {
+            let end = scan + len;
+            if !self.serve_line(&rbuf[start..end], service, stats) {
+                // `quit`: whatever follows it is discarded with `rbuf`.
+                return;
             }
-            match self.codec.serve(service, line) {
-                WireReply::Reply(reply) => {
-                    stats.requests.fetch_add(1, Ordering::SeqCst);
-                    self.push_line(&reply);
-                }
-                WireReply::Silent => {}
-                WireReply::Quit => {
-                    self.closing = true;
-                    self.rbuf.clear();
-                    return;
-                }
-            }
+            start = end + 1;
+            scan = start;
         }
-        if self.rbuf.len() > MAX_LINE_BYTES {
+        rbuf.drain(..start);
+        if rbuf.len() > MAX_LINE_BYTES {
             self.push_line("err line-too-long (request line limit exceeded)");
             self.closing = true;
-            self.rbuf.clear();
+            return;
         }
+        self.rbuf = rbuf;
+    }
+
+    /// Serves one framed line (without its `\n`); `false` once the client
+    /// asked to quit.
+    fn serve_line(&mut self, line: &[u8], service: &Service, stats: &NetStats) -> bool {
+        let line = String::from_utf8_lossy(line);
+        let line = line.trim_end_matches('\r');
+        if line.trim() == "stats net" {
+            stats.requests.fetch_add(1, Ordering::SeqCst);
+            self.push_line(&stats.wire_line());
+            return true;
+        }
+        match self.codec.serve(service, line) {
+            WireReply::Reply(reply) => {
+                stats.requests.fetch_add(1, Ordering::SeqCst);
+                self.push_line(&reply);
+            }
+            WireReply::Silent => {}
+            WireReply::Quit => {
+                self.closing = true;
+                return false;
+            }
+        }
+        true
     }
 
     /// The peer closed its write half (or the socket died): finish
@@ -987,6 +1008,47 @@ mod tests {
         drop(stream);
         assert_eq!(server.stats().requests.load(Ordering::SeqCst), total as u64);
         assert!(server.shutdown(Duration::from_secs(5)));
+    }
+
+    #[test]
+    fn ingest_is_linear_in_the_bytes_received() {
+        // A 128 KiB request line arriving one byte per read, then about
+        // 280 KiB of short pipelined lines in one read. Framing that
+        // rescans the partial line on every read is quadratic here and
+        // takes over 9 s in a release build; linear framing takes about
+        // 0.1 s in a debug build.
+        let setup = "tenant acme policy=line:8 eps=0.5 budget=2 data=uniform:1\n\
+                     use acme\nfit as=h seed=3\n";
+        let long_line = format!("answer from=h 0..7{}2..5 1..1\n", " ".repeat(128 * 1024));
+        let burst = format!("\n#{}\nanswer from=h 1..3 0..7\n", "-".repeat(40)).repeat(4096);
+
+        let service = Service::new();
+        let stats = NetStats::default();
+        let mut session = LineSession::new();
+        session.ingest(setup.as_bytes(), &service, &stats);
+        let start = Instant::now();
+        for byte in long_line.as_bytes() {
+            session.ingest(std::slice::from_ref(byte), &service, &stats);
+        }
+        session.ingest(burst.as_bytes(), &service, &stats);
+        let elapsed = start.elapsed();
+
+        let twin = Service::new();
+        let mut codec = Codec::new();
+        let mut expected = Codec::banner();
+        expected.push('\n');
+        for line in [setup, &long_line, &burst].concat().lines() {
+            if let WireReply::Reply(reply) = codec.serve(&twin, line) {
+                expected.push_str(&reply);
+                expected.push('\n');
+            }
+        }
+        assert!(session.output() == expected.as_bytes(), "replies differ");
+        assert!(!session.closing());
+        assert!(
+            elapsed < Duration::from_millis(900),
+            "ingest took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -15,8 +15,12 @@
 //!   rejects the request with the typed `CoreError::BudgetExhausted`
 //!   before any noise is drawn);
 //! * [`Request::Answer`] — answer a batch of range queries against a
-//!   stored estimate through the O(1)-per-query
-//!   [`Estimate::answer_many`] path;
+//!   stored estimate in O(1) per query from its prefix tables. The typed
+//!   request and the wire's `answer` line share one path: one tenant
+//!   lookup, every range checked against the tenant's domain (so a bad
+//!   range is reported before a missing handle), then one batched
+//!   [`Estimate::answer_ranges`]. It allocates only the result vector,
+//!   whatever the range count;
 //! * [`Request::Stats`] — inspect budgets, stored estimates, and plan
 //!   cache build counters.
 //!
@@ -297,8 +301,7 @@ impl Service {
         Ok(())
     }
 
-    /// The domain a tenant's data and queries live over (needed by wire
-    /// codecs to parse range queries against the right shape).
+    /// The domain a tenant's data and queries live over.
     pub fn tenant_domain(&self, id: &str) -> Result<blowfish_core::Domain, EngineError> {
         Ok(self.tenant(id)?.session.domain().clone())
     }
@@ -356,23 +359,48 @@ impl Service {
                 tenant,
                 handle,
                 queries,
-            } => {
-                let tenant = self.tenant(tenant)?;
-                let estimate = tenant
-                    .estimates
-                    .lock()
-                    .expect("tenant estimates lock")
-                    .get(handle)
-                    .cloned()
-                    .ok_or_else(|| EngineError::UnknownEstimate {
-                        handle: handle.clone(),
-                    })?;
-                Ok(Response::Answers {
-                    values: estimate.answer_many(queries)?,
-                })
-            }
+            } => Ok(Response::Answers {
+                values: self.answer(
+                    tenant,
+                    handle,
+                    queries.iter().map(|q| (q.lo.as_slice(), q.hi.as_slice())),
+                )?,
+            }),
             Request::Stats { tenant } => self.stats(tenant.as_deref()),
         }
+    }
+
+    /// The one answer path, behind both [`Request::Answer`] and the wire's
+    /// `answer` line: ranges come as `(lo, hi)` inclusive bounds. It looks
+    /// the tenant up once, checks every range against the tenant's domain
+    /// with [`RangeQuery::check`] before it looks the handle up (so a bad
+    /// range wins over a missing estimate), and answers the batch through
+    /// [`Estimate::answer_ranges`]. Over 1-D and 2-D domains the result
+    /// vector is its only allocation.
+    pub(crate) fn answer<'q, I>(
+        &self,
+        tenant: &str,
+        handle: &str,
+        ranges: I,
+    ) -> Result<Vec<f64>, EngineError>
+    where
+        I: Iterator<Item = (&'q [usize], &'q [usize])> + Clone,
+    {
+        let tenant = self.tenant(tenant)?;
+        let domain = tenant.session.domain();
+        for (lo, hi) in ranges.clone() {
+            RangeQuery::check(domain, lo, hi)?;
+        }
+        let estimate = tenant
+            .estimates
+            .lock()
+            .expect("tenant estimates lock")
+            .get(handle)
+            .cloned()
+            .ok_or_else(|| EngineError::UnknownEstimate {
+                handle: handle.to_string(),
+            })?;
+        Ok(estimate.answer_ranges(ranges)?)
     }
 
     /// Serves a request batch across cores ([`parallel_map`]), preserving

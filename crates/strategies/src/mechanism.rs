@@ -85,49 +85,83 @@ impl Estimate {
         &self.histogram
     }
 
-    /// Answers one range query — O(1) for 1-D/2-D domains.
+    /// Answers one range query — O(1) for 1-D/2-D domains — as a batch
+    /// of one through [`Estimate::answer_ranges`].
     ///
     /// `RangeQuery`'s fields are public, so bounds are re-validated here
     /// (`lo ≤ hi` per axis, `hi` within the domain) rather than trusting
     /// construction-time invariants.
     pub fn answer(&self, q: &RangeQuery) -> Result<f64, StrategyError> {
-        match self.domain.num_dims() {
-            1 => self.answer_1d(self.domain.dim(0), q),
-            2 => self.answer_2d(self.domain.dim(0), self.domain.dim(1), q),
-            _ => {
-                let cells = q.cells(&self.domain)?;
-                Ok(cells.into_iter().map(|c| self.histogram[c]).sum())
-            }
-        }
+        Ok(self.answer_many(std::slice::from_ref(q))?[0])
     }
 
-    /// Validates and answers one 1-D query against the prefix sums. The
-    /// single shared body behind [`Estimate::answer`] and
-    /// [`Estimate::answer_many`], so the two entry points cannot diverge.
+    /// Answers a batch of range queries through
+    /// [`Estimate::answer_ranges`].
+    pub fn answer_many(&self, specs: &[RangeQuery]) -> Result<Vec<f64>, StrategyError> {
+        self.answer_ranges(specs.iter().map(|q| (q.lo.as_slice(), q.hi.as_slice())))
+    }
+
+    /// Answers a batch of ranges given as inclusive per-dimension `(lo,
+    /// hi)` bounds, with the dimensionality dispatch hoisted out of the
+    /// per-range loop: one match, then a tight validate-and-difference
+    /// loop over the prefix table. Every answer entry point, the
+    /// service's included, comes through here; over 1-D and 2-D domains
+    /// the result vector is its only allocation.
+    pub fn answer_ranges<'q>(
+        &self,
+        ranges: impl IntoIterator<Item = (&'q [usize], &'q [usize])>,
+    ) -> Result<Vec<f64>, StrategyError> {
+        let ranges = ranges.into_iter();
+        let mut out = Vec::with_capacity(ranges.size_hint().0);
+        match self.domain.num_dims() {
+            1 => {
+                let k = self.domain.dim(0);
+                for (lo, hi) in ranges {
+                    out.push(self.answer_1d(k, lo, hi)?);
+                }
+            }
+            2 => {
+                let (rows, cols) = (self.domain.dim(0), self.domain.dim(1));
+                for (lo, hi) in ranges {
+                    out.push(self.answer_2d(rows, cols, lo, hi)?);
+                }
+            }
+            _ => {
+                for (lo, hi) in ranges {
+                    let cells = RangeQuery::cells_in(&self.domain, lo, hi)?;
+                    out.push(cells.into_iter().map(|c| self.histogram[c]).sum());
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Validates and answers one 1-D range against the prefix sums.
     #[inline]
-    fn answer_1d(&self, k: usize, q: &RangeQuery) -> Result<f64, StrategyError> {
-        if q.lo.len() != 1 || q.hi.len() != 1 || q.lo[0] > q.hi[0] || q.hi[0] >= k {
+    fn answer_1d(&self, k: usize, lo: &[usize], hi: &[usize]) -> Result<f64, StrategyError> {
+        if lo.len() != 1 || hi.len() != 1 || lo[0] > hi[0] || hi[0] >= k {
             return Err(StrategyError::BadQuery {
                 what: "1-D range answering requires 1-D in-range specs",
             });
         }
-        Ok(DataVector::range_from_prefix(
-            &self.prefix,
-            q.lo[0],
-            q.hi[0],
-        ))
+        Ok(DataVector::range_from_prefix(&self.prefix, lo[0], hi[0]))
     }
 
-    /// Validates and answers one 2-D query against the summed-area table
-    /// (shared body, see [`Estimate::answer_1d`]).
+    /// Validates and answers one 2-D range against the summed-area table.
     #[inline]
-    fn answer_2d(&self, rows: usize, cols: usize, q: &RangeQuery) -> Result<f64, StrategyError> {
-        if q.lo.len() != 2
-            || q.hi.len() != 2
-            || q.lo[0] > q.hi[0]
-            || q.lo[1] > q.hi[1]
-            || q.hi[0] >= rows
-            || q.hi[1] >= cols
+    fn answer_2d(
+        &self,
+        rows: usize,
+        cols: usize,
+        lo: &[usize],
+        hi: &[usize],
+    ) -> Result<f64, StrategyError> {
+        if lo.len() != 2
+            || hi.len() != 2
+            || lo[0] > hi[0]
+            || lo[1] > hi[1]
+            || hi[0] >= rows
+            || hi[1] >= cols
         {
             return Err(StrategyError::BadQuery {
                 what: "2-D range answering requires 2-D in-range specs",
@@ -136,39 +170,9 @@ impl Estimate {
         Ok(DataVector::range_from_prefix_2d(
             &self.prefix,
             cols,
-            (q.lo[0], q.lo[1]),
-            (q.hi[0], q.hi[1]),
+            (lo[0], lo[1]),
+            (hi[0], hi[1]),
         ))
-    }
-
-    /// Answers a batch of range queries with the dimensionality dispatch
-    /// hoisted out of the per-query loop: one match, then a tight
-    /// validate-and-difference loop over the prefix table. Produces
-    /// exactly the same values (and the same errors) as calling
-    /// [`Estimate::answer`] per query — both delegate to the same
-    /// per-query bodies.
-    pub fn answer_many(&self, specs: &[RangeQuery]) -> Result<Vec<f64>, StrategyError> {
-        let mut out = Vec::with_capacity(specs.len());
-        match self.domain.num_dims() {
-            1 => {
-                let k = self.domain.dim(0);
-                for q in specs {
-                    out.push(self.answer_1d(k, q)?);
-                }
-            }
-            2 => {
-                let (rows, cols) = (self.domain.dim(0), self.domain.dim(1));
-                for q in specs {
-                    out.push(self.answer_2d(rows, cols, q)?);
-                }
-            }
-            _ => {
-                for q in specs {
-                    out.push(self.answer(q)?);
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Answers a batch of range queries (alias of [`Estimate::answer_many`],

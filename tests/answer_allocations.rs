@@ -1,0 +1,113 @@
+//! The wire `answer` path makes a number of heap allocations that does
+//! not grow with the line's range count: the ranges are parsed into one
+//! flat buffer, validated and answered without building a query per
+//! range, and the values are written into one pre-sized reply.
+//!
+//! A counting global allocator needs a test binary of its own: every
+//! other test in a shared binary would count too. The counter is
+//! per-thread, so the harness's own threads do not disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use blowfish_privacy::engine::{Codec, WireReply};
+use blowfish_privacy::prelude::*;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the slot may already be gone while a thread exits.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to the system allocator unchanged; the
+// counter is a const-initialised thread-local `Cell` without a
+// destructor, so touching it neither allocates nor re-enters the
+// allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's guarantees for `alloc` are passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` and `layout` come from this allocator, which
+        // hands out the system allocator's blocks.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (including reallocations) the calling thread makes
+/// while serving `line`; the reply must be an `ok answer` line.
+fn allocations_of(codec: &mut Codec, service: &Service, line: &str) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    let reply = codec.serve(service, line);
+    let after = ALLOCATIONS.with(Cell::get);
+    match &reply {
+        WireReply::Reply(r) if r.starts_with("ok answer ") => {}
+        other => panic!("{line}: {other:?}"),
+    }
+    drop(reply);
+    after - before
+}
+
+/// An `answer` line with `n` ranges cycling through `ranges`.
+fn answer_line(tenant: &str, ranges: &[&str], n: usize) -> String {
+    let mut line = format!("answer {tenant} from=h");
+    for r in ranges.iter().cycle().take(n) {
+        line.push(' ');
+        line.push_str(r);
+    }
+    line
+}
+
+#[test]
+fn answer_allocations_do_not_grow_with_the_range_count() {
+    let service = Service::new();
+    let mut codec = Codec::new();
+    for line in [
+        "tenant acme policy=line:256 eps=0.5 budget=4 data=uniform:3",
+        "tenant geo policy=grid:16 eps=0.5 budget=4 data=uniform:2",
+        "fit acme as=h seed=1",
+        "fit geo as=h seed=2",
+    ] {
+        match codec.serve(&service, line) {
+            WireReply::Reply(r) if r.starts_with("ok ") => {}
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+    let one_d = ["0..255", "17..17", "3..200", "0..9", "128..255", "40..41"];
+    let two_d = ["0..15x0..15", "3..3x7..7", "0..0x0..15", "2..11x5..9"];
+    for (tenant, ranges) in [("acme", &one_d[..]), ("geo", &two_d[..])] {
+        // Warm up once so that no one-off set-up is counted.
+        allocations_of(&mut codec, &service, &answer_line(tenant, ranges, 1));
+        let counts: Vec<usize> = [1, 8, 32]
+            .iter()
+            .map(|&n| allocations_of(&mut codec, &service, &answer_line(tenant, ranges, n)))
+            .collect();
+        assert!(
+            counts.iter().all(|&c| c == counts[0]),
+            "{tenant}: allocations for 1, 8 and 32 ranges: {counts:?}"
+        );
+    }
+}

@@ -11,7 +11,10 @@
 //!   guarantee, against a live service so engine dispatch runs too;
 //! * **round-trip** — `decode(encode_request(r))` re-renders to the same
 //!   canonical line for every decodable request, so the client and
-//!   server halves of the codec cannot drift apart.
+//!   server halves of the codec cannot drift apart;
+//! * **pinned answer replies** — the `answer` error lines byte for byte,
+//!   including which error wins on a line with two faults, and seeded
+//!   batches whose wire replies equal the typed `Service::handle` path's.
 
 use blowfish_privacy::engine::wire;
 use blowfish_privacy::prelude::*;
@@ -162,6 +165,119 @@ proptest! {
                      {canonical:?} vs {rendered:?}"
                 );
             }
+        }
+    }
+}
+
+/// Replies to `answer` lines, byte for byte: the error of each faulty
+/// line, which error wins when a line has more than one fault (the range
+/// is checked before the handle), and, for seeded random batches, the
+/// same reply as the typed `Service::handle` path for the same queries.
+#[test]
+fn answer_replies_are_pinned_byte_for_byte() {
+    use blowfish_privacy::engine::Request as EngineRequest;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let service = Service::new();
+    let mut codec = Codec::new();
+    for line in [
+        "tenant acme policy=line:16 eps=0.5 budget=4 data=uniform:3",
+        "tenant geo policy=grid:4 eps=0.5 budget=4 data=uniform:2",
+        "fit acme as=h seed=1",
+        "fit geo as=h seed=2",
+    ] {
+        match codec.serve(&service, line) {
+            wire::WireReply::Reply(r) if r.starts_with("ok ") => {}
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+    let pinned = [
+        (
+            "answer acme from=h 3..1",
+            "err core error: invalid range [3, 1] over 16 values",
+        ),
+        (
+            "answer acme from=h 0..99",
+            "err core error: invalid range [0, 99] over 16 values",
+        ),
+        (
+            "answer acme from=h 0..3x1..4",
+            "err core error: expected 1 dimensions, got 2",
+        ),
+        (
+            "answer acme from=h 0..1x0..1x0..1",
+            "err core error: expected 1 dimensions, got 3",
+        ),
+        (
+            "answer acme from=nope 0..99",
+            "err core error: invalid range [0, 99] over 16 values",
+        ),
+        (
+            "answer acme from=nope 0..3",
+            "err no estimate stored under handle nope",
+        ),
+        (
+            "answer geo from=h 0..3",
+            "err core error: expected 2 dimensions, got 1",
+        ),
+        (
+            "answer geo from=h 0..3x0..4",
+            "err core error: invalid range [0, 4] over 4 values",
+        ),
+        ("answer ghost from=h 0..3", "err unknown tenant ghost"),
+        (
+            "answer acme from=h 0..15 3..9 x",
+            "err bad request: bad range x (want lo..hi)",
+        ),
+        (
+            "answer acme from=h 0..15 3..a",
+            "err bad request: bad range bound a",
+        ),
+        (
+            "answer acme from=h",
+            "err bad request: answer needs at least one <lo>..<hi> range",
+        ),
+    ];
+    for (line, want) in pinned {
+        assert_eq!(
+            codec.serve(&service, line),
+            wire::WireReply::Reply(want.to_string()),
+            "{line}"
+        );
+    }
+
+    let mut rng = StdRng::seed_from_u64(18);
+    for (tenant, domain) in [
+        ("acme", Domain::one_dim(16)),
+        ("geo", Domain::product(&[4, 4]).unwrap()),
+    ] {
+        for n in (1..=32).step_by(3) {
+            let queries = blowfish_privacy::core::random_range_specs(&domain, n, &mut rng);
+            let mut line = format!("answer {tenant} from=h");
+            for q in &queries {
+                let dims: Vec<String> =
+                    q.lo.iter()
+                        .zip(&q.hi)
+                        .map(|(lo, hi)| format!("{lo}..{hi}"))
+                        .collect();
+                line.push(' ');
+                line.push_str(&dims.join("x"));
+            }
+            let typed = service
+                .handle(&EngineRequest::Answer {
+                    tenant: tenant.to_string(),
+                    handle: "h".to_string(),
+                    queries,
+                })
+                .unwrap();
+            let want = Codec::encode(&wire::Response::Engine(typed));
+            assert!(want.starts_with(&format!("ok answer {n} ")), "{want}");
+            assert_eq!(
+                codec.serve(&service, &line),
+                wire::WireReply::Reply(want),
+                "{line}"
+            );
         }
     }
 }
