@@ -17,10 +17,10 @@
 //! per-line cost of the wire path, which the 200-query `answer_many`
 //! batches above do not see.
 //!
-//! Each workload is served twice: sequentially (`Service::handle` in a
-//! loop — one client thread) and fanned across cores
-//! (`Service::handle_many` → `parallel_map` — N client threads against
-//! the same `&Service`). After measuring, the bench *asserts* that
+//! Each workload is served twice, every request through
+//! `wire::serve_request`: sequentially in a loop (one client thread) and
+//! fanned across cores with `parallel_map` (N client threads against the
+//! same `&Service`). After measuring, the bench *asserts* that
 //! multi-threaded fit throughput is at least 2x single-threaded (when
 //! ≥ 4 cores are available), and that `PlanStats` still shows the shared
 //! artifact was derived exactly once under all that concurrency — so a
@@ -33,7 +33,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use blowfish_core::{DataVector, Domain, Epsilon, PolicyGraph};
-use blowfish_engine::{Codec, MechanismSpec, Request, Service, Task, TenantConfig, WireReply};
+use blowfish_engine::wire::{serve_request, RawRanges};
+use blowfish_engine::{
+    parallel_map, Codec, MechanismSpec, Request, Service, Task, TenantConfig, WireReply,
+};
 use blowfish_strategies::ThetaEstimator;
 
 const TENANTS: usize = 4;
@@ -85,7 +88,7 @@ fn fit_requests(n: usize) -> Vec<Request> {
 fn mixed_requests(n: usize) -> Vec<Request> {
     let d = Domain::one_dim(K);
     let mut qrng = StdRng::seed_from_u64(42);
-    let queries = blowfish_core::random_range_specs(&d, 200, &mut qrng);
+    let ranges = RawRanges::from_queries(&blowfish_core::random_range_specs(&d, 200, &mut qrng));
     (0..n)
         .map(|i| {
             if i % 2 == 0 {
@@ -95,7 +98,7 @@ fn mixed_requests(n: usize) -> Vec<Request> {
                     tenant: tenant_id(i),
                     // The warm-up fitted handle h<t> for tenant-<t>.
                     handle: format!("h{}", i % TENANTS),
-                    queries: queries.clone(),
+                    ranges: ranges.clone(),
                 }
             }
         })
@@ -139,14 +142,14 @@ fn answer_line(tenant: &str, domain: &Domain) -> String {
 fn serve_serial(service: &Service, requests: &[Request]) -> usize {
     let mut ok = 0;
     for request in requests {
-        service.handle(request).expect("request");
+        serve_request(service, request).expect("request");
         ok += 1;
     }
     ok
 }
 
 fn serve_parallel(service: &Service, requests: &[Request]) -> usize {
-    let results = service.handle_many(requests);
+    let results = parallel_map(requests, |_, request| serve_request(service, request));
     let ok = results.iter().filter(|r| r.is_ok()).count();
     assert_eq!(ok, requests.len(), "all bench requests must be admitted");
     ok
@@ -160,7 +163,7 @@ fn bench_service(c: &mut Criterion) {
     // Warm-up: derive the one shared artifact and store an answerable
     // estimate h<t> per tenant, so answer requests always resolve.
     for request in fit_requests(TENANTS) {
-        service.handle(&request).expect("warm-up fit");
+        serve_request(&service, &request).expect("warm-up fit");
     }
 
     let fits = fit_requests(REQUESTS);

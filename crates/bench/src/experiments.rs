@@ -193,7 +193,7 @@ pub fn range1d_panel(cfg: &Config) -> Result<Vec<Measurement>, BenchError> {
             trials: cfg.trials,
             seed_base: cfg.seed ^ hash(id.name()),
         }
-        .run(|est| Ok(est.answer_all(&specs)?), &mut out)?;
+        .run(|est| Ok(est.answer_many(&specs)?), &mut out)?;
     }
     Ok(out)
 }
@@ -224,7 +224,7 @@ pub fn theta_panel(cfg: &Config) -> Result<Vec<Measurement>, BenchError> {
             trials: cfg.trials,
             seed_base: cfg.seed ^ k as u64,
         }
-        .run(|est| Ok(est.answer_all(&specs)?), &mut out)?;
+        .run(|est| Ok(est.answer_many(&specs)?), &mut out)?;
     }
     Ok(out)
 }
@@ -251,7 +251,7 @@ pub fn range2d_panel(cfg: &Config) -> Result<Vec<Measurement>, BenchError> {
             trials: cfg.trials,
             seed_base: cfg.seed ^ k as u64,
         }
-        .run(|est| Ok(est.answer_all(&specs)?), &mut out)?;
+        .run(|est| Ok(est.answer_many(&specs)?), &mut out)?;
     }
     Ok(out)
 }

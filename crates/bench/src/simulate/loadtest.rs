@@ -45,8 +45,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use blowfish_core::overdraw_slack;
-use blowfish_engine::wire::{self, Codec};
-use blowfish_engine::{NetConfig, Request, Service, TcpServer};
+use blowfish_engine::{Codec, NetConfig, Request, Service, TcpServer};
 
 use crate::report::snapshot::JsonValue;
 use crate::simulate::scenario::{PolicyFamily, Scenario};
@@ -365,7 +364,7 @@ pub fn run_load(
     // (exercising the codec's client half), and later collect `stats`.
     let mut setup = connect(&addr)?;
     for tenant in &trace.tenants {
-        let line = Codec::encode_request(&wire::Request::Tenant {
+        let line = Codec::encode_request(&Request::Tenant {
             config: Box::new(tenant.config.clone()),
             policy_token: policy_token(scenario, tenant.family),
         });
@@ -388,34 +387,25 @@ pub fn run_load(
         .collect();
     let mut batches: Vec<Vec<(String, Expect)>> = vec![Vec::new(); connections];
     for (i, request) in trace.requests.iter().enumerate() {
-        let (tenant, expect) = match request {
+        let expect = match request {
             Request::Fit { tenant, .. } => {
                 let t = index_of[tenant.as_str()];
-                (
-                    tenant,
-                    Expect::Fit {
-                        tenant: t,
-                        charge: trace.tenants[t].charge_per_fit(),
-                    },
-                )
+                Expect::Fit {
+                    tenant: t,
+                    charge: trace.tenants[t].charge_per_fit(),
+                }
             }
-            Request::Answer {
-                tenant, queries, ..
-            } => (
-                tenant,
-                Expect::Answer {
-                    tenant: index_of[tenant.as_str()],
-                    queries: queries.len(),
-                },
-            ),
+            Request::Answer { tenant, ranges, .. } => Expect::Answer {
+                tenant: index_of[tenant.as_str()],
+                queries: ranges.len(),
+            },
             other => {
                 return Err(LoadError::Setup(format!(
                     "trace contains an unservable request kind: {other:?}"
                 )))
             }
         };
-        let _ = tenant;
-        let line = Codec::encode_request(&wire::Request::from(request));
+        let line = Codec::encode_request(request);
         batches[i % connections].push((line, expect));
     }
 

@@ -4,9 +4,9 @@
 //! this module turns the multi-tenant [`Service`](blowfish_engine::Service)
 //! layer into something that can be *stress-scored*: deterministic,
 //! seeded traces of mixed traffic are generated from composable
-//! [`Scenario`] axes, replayed through
-//! [`Service::replay`](blowfish_engine::Service::replay), and scored
-//! against exact oracles. The flow:
+//! [`Scenario`] axes, replayed in order through
+//! [`wire::serve_request`](blowfish_engine::wire::serve_request), and
+//! scored against exact oracles. The flow:
 //!
 //! ```text
 //! Scenario ──generate()──▶ Trace ──score()──▶ SimReport (JSON)
@@ -58,7 +58,7 @@ pub use loadtest::{
 };
 pub use scenario::{ArrivalPattern, PolicyFamily, Scenario, SpecChoice};
 pub use score::{
-    run, run_with_recovery, score, score_outcomes, RecoveryRun, SimReport, SimTiming, TenantScore,
-    UTILITY_FACTOR, UTILITY_MIN_SAMPLES,
+    run, run_with_recovery, score, RecoveryRun, SimReport, SimTiming, TenantScore, UTILITY_FACTOR,
+    UTILITY_MIN_SAMPLES,
 };
 pub use trace::{generate, Trace, TraceTenant, SIM_HANDLE};

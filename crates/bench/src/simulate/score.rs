@@ -19,7 +19,8 @@
 //! * **response sanity** — answers are finite, failures are the typed
 //!   errors the oracle predicted, nothing else.
 //!
-//! Scoring replays serially ([`Service::replay`]), so every check —
+//! Scoring replays serially, each request through
+//! [`serve_request`] on the calling thread, so every check —
 //! including which requests are rejected against a tightening budget —
 //! is deterministic: the [`SimReport`]'s deterministic section is
 //! f64-identical across runs of the same seed. Wall-clock throughput and
@@ -34,7 +35,8 @@ use std::time::Instant;
 use blowfish_core::{
     overdraw_slack, Domain, FsyncPolicy, Ledger, LedgerDurability, RangeQuery, RecoveryReport,
 };
-use blowfish_engine::{EngineError, MechanismSpec, Replayed, Request, Response, Service};
+use blowfish_engine::wire::{serve_request, Request, Response, WireError};
+use blowfish_engine::{EngineError, MechanismSpec, Service};
 use blowfish_strategies::TreeEstimator;
 
 use crate::report::snapshot::JsonValue;
@@ -306,6 +308,32 @@ struct TenantTally {
     expected_var_count: usize,
 }
 
+/// One request's outcome from [`replay`], with the wall-clock time spent
+/// serving it (measurement only, never part of deterministic scoring).
+struct Outcome {
+    response: Result<Response, WireError>,
+    latency_ns: u64,
+}
+
+/// Serves `requests` in order on the calling thread, timing each call.
+/// Served strictly sequentially, everything order-dependent — which fits
+/// are admitted against a tightening budget, which handles exist when an
+/// answer arrives — is deterministic: replaying a trace against a freshly
+/// built service always gives f64-identical responses.
+fn replay(service: &Service, requests: &[Request]) -> Vec<Outcome> {
+    requests
+        .iter()
+        .map(|request| {
+            let start = Instant::now();
+            let response = serve_request(service, request);
+            Outcome {
+                response,
+                latency_ns: start.elapsed().as_nanos() as u64,
+            }
+        })
+        .collect()
+}
+
 /// Generates, replays, and scores a scenario end to end.
 pub fn run(scenario: &Scenario) -> Result<SimReport, BenchError> {
     let trace = generate(scenario)?;
@@ -323,7 +351,7 @@ pub fn score(scenario: &Scenario, trace: &Trace) -> Result<SimReport, BenchError
 
     // Serial replay: deterministic outcomes, per-request latencies.
     let started = Instant::now();
-    let replayed = service.replay(&trace.requests);
+    let replayed = replay(&service, &trace.requests);
     let wall_ns = started.elapsed().as_nanos() as u64;
     score_outcomes(scenario, trace, &replayed, &service, wall_ns)
 }
@@ -383,7 +411,7 @@ pub fn run_with_recovery(
         for tenant in &trace.tenants {
             service.add_tenant(tenant.config.clone())?;
         }
-        service.replay(&trace.requests[..kill_at])
+        replay(&service, &trace.requests[..kill_at])
     };
 
     // Second life: recover, re-attach every tenant, restore the
@@ -418,7 +446,7 @@ pub fn run_with_recovery(
         };
         service.restore_estimate(tenant, *spec, *task, *seed, handle)?;
     }
-    let suffix = service.replay(&trace.requests[kill_at..]);
+    let suffix = replay(&service, &trace.requests[kill_at..]);
     let wall_ns = started.elapsed().as_nanos() as u64;
 
     let mut outcomes = prefix;
@@ -434,10 +462,10 @@ pub fn run_with_recovery(
 /// Scores an already-replayed outcome sequence against the trace's
 /// oracles, reconciling ledger state through `service` — the shared
 /// back half of [`score`] and [`run_with_recovery`].
-pub fn score_outcomes(
+fn score_outcomes(
     scenario: &Scenario,
     trace: &Trace,
-    replayed: &[Replayed],
+    replayed: &[Outcome],
     service: &Service,
     wall_ns: u64,
 ) -> Result<SimReport, BenchError> {
@@ -482,7 +510,7 @@ pub fn score_outcomes(
                             ));
                         }
                     }
-                    Err(e) if e.is_budget_exhausted() => {
+                    Err(WireError::Engine(e)) if e.is_budget_exhausted() => {
                         tally.fits_rejected += 1;
                         if oracle_admits {
                             violations.push(format!(
@@ -499,9 +527,7 @@ pub fn score_outcomes(
                     )),
                 }
             }
-            Request::Answer {
-                tenant, queries, ..
-            } => {
+            Request::Answer { tenant, ranges, .. } => {
                 let info = by_id[tenant.as_str()];
                 let tally = tallies.get_mut(tenant.as_str()).expect("known tenant");
                 tally.answers_requested += 1;
@@ -516,22 +542,23 @@ pub fn score_outcomes(
                                 "request {index}: {tenant} answered before any fit was admitted"
                             ));
                         }
-                        if values.len() != queries.len() {
+                        if values.len() != ranges.len() {
                             violations.push(format!(
                                 "request {index}: {tenant} returned {} answers for {} queries",
                                 values.len(),
-                                queries.len()
+                                ranges.len()
                             ));
                             continue;
                         }
                         let domain = info.config.graph.domain();
-                        for (q, &value) in queries.iter().zip(values) {
+                        for (range, &value) in ranges.iter().zip(values) {
                             if !value.is_finite() {
                                 violations.push(format!(
                                     "request {index}: {tenant} produced a non-finite answer"
                                 ));
                                 continue;
                             }
+                            let q = range.into_query(domain)?;
                             let truth = q
                                 .to_linear_query(domain)?
                                 .answer(info.config.data.counts())?;
@@ -539,7 +566,7 @@ pub fn score_outcomes(
                             tally.queries_answered += 1;
                             if let Some(spec) = &info.spec {
                                 if let Some(var) =
-                                    closed_form_query_var(spec, info.config.eps.value(), domain, q)
+                                    closed_form_query_var(spec, info.config.eps.value(), domain, &q)
                                 {
                                     tally.expected_var_sum += var;
                                     tally.expected_var_count += 1;
@@ -553,7 +580,10 @@ pub fn score_outcomes(
                                 "request {index}: {tenant} answer failed with {e} despite \
                                  an admitted fit"
                             ));
-                        } else if !matches!(e, EngineError::UnknownEstimate { .. }) {
+                        } else if !matches!(
+                            e,
+                            WireError::Engine(EngineError::UnknownEstimate { .. })
+                        ) {
                             // With no admitted fit the *only* acceptable
                             // failure is the typed unknown-estimate
                             // rejection — anything else is a regression
@@ -792,7 +822,7 @@ mod tests {
         for tenant in &trace.tenants {
             service.add_tenant(tenant.config.clone()).unwrap();
         }
-        let replayed = service.replay(&trace.requests);
+        let replayed = replay(&service, &trace.requests);
         assert!(replayed.iter().all(|r| r.response.is_ok()));
         // And the scorer holds it to the same gates as every scenario.
         let report = score(&scenario, &trace).unwrap();

@@ -1,14 +1,18 @@
 //! Deterministic trace expansion: a [`Scenario`] becomes a concrete
-//! tenant population plus a typed [`Request`] stream, as a pure function
-//! of the scenario seed. Same seed ⇒ byte-identical trace (the seeded
-//! round-trip tests pin this with `Debug`-formatting equality).
+//! tenant population plus a stream of wire [`Request`]s, as a pure
+//! function of the scenario seed. Same seed ⇒ byte-identical trace (the
+//! seeded round-trip tests pin this with `Debug`-formatting equality).
+//! The scorer serves the stream in process through
+//! [`serve_request`](blowfish_engine::wire::serve_request), and the load
+//! test sends the same requests over a socket.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use blowfish_core::{sample_query_mix, Domain, Epsilon, PolicyGraph};
 use blowfish_data::scenario_population;
-use blowfish_engine::{MatrixStrategyKind, MechanismSpec, Request, Task, TenantConfig};
+use blowfish_engine::wire::{RawRanges, Request};
+use blowfish_engine::{MatrixStrategyKind, MechanismSpec, Task, TenantConfig};
 use blowfish_strategies::TreeEstimator;
 
 use crate::simulate::scenario::{ArrivalPattern, PolicyFamily, Scenario, SpecChoice};
@@ -231,7 +235,7 @@ pub fn generate(scenario: &Scenario) -> Result<Trace, BenchError> {
             requests.push(Request::Answer {
                 tenant: tenant.config.id.clone(),
                 handle: SIM_HANDLE.to_string(),
-                queries,
+                ranges: RawRanges::from_queries(&queries),
             });
         }
     }
@@ -286,6 +290,23 @@ mod tests {
                     other => panic!("unexpected request kind {other:?}"),
                 };
                 assert!(ids.contains(tenant.as_str()));
+            }
+        }
+    }
+
+    #[test]
+    fn fits_and_answers_round_trip_through_the_codec() {
+        // The load test sends these requests over a socket as
+        // `Codec::encode_request` renders them, so each must decode back
+        // to itself.
+        use blowfish_engine::Codec;
+        let codec = Codec::new();
+        for scenario in Scenario::quick_catalog() {
+            let trace = generate(&scenario).unwrap();
+            for request in &trace.requests {
+                let line = Codec::encode_request(request);
+                let decoded = codec.decode(&line).unwrap().unwrap();
+                assert_eq!(format!("{decoded:?}"), format!("{request:?}"), "{line}");
             }
         }
     }

@@ -205,7 +205,7 @@ pub fn overdraw_slack(total: f64) -> f64 {
 /// Receipt for one successful [`Ledger`] charge.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Charge {
-    /// The ε actually debited (after parallel-max / stretch scaling).
+    /// The ε debited: exactly the `eps` passed to [`Ledger::charge`].
     pub amount: f64,
     /// Cumulative tenant spend after this charge.
     pub spent: f64,

@@ -14,10 +14,12 @@
 //!   shared `Arc<`[`PlanCache`]`>` (artifacts derive exactly once across
 //!   all tenants), **one** thread-safe [`Ledger`](blowfish_core::Ledger)
 //!   (per-tenant cumulative ε accounts), and a [`Session`] per tenant
-//!   with the tenant's registered data. Clients speak the typed
-//!   [`Request`]/[`Response`] API ([`service::Request::Plan`] /
-//!   `Fit` / `Answer` / `Stats`); [`Service::handle_many`] fans request
-//!   batches across cores. The [`wire`] module gives the same API a
+//!   with the tenant's registered data. It has one `&self` method per
+//!   verb ([`Service::add_tenant`], [`Service::plan`], [`Service::fit`],
+//!   [`Service::answer`], [`Service::stats`]), callable from any number
+//!   of threads. The [`wire`] module's [`Request`]/[`Response`] are the
+//!   engine's request and response types: [`wire::serve_request`]
+//!   dispatches each request to its method, and [`Codec`] gives them a
 //!   newline-delimited text form (the `blowfish-serve` bin).
 //! * [`Session`] — binds `(Domain, policy, ε)`, classifies the policy
 //!   graph ([`Policy`]), memoizes mechanisms against its
@@ -71,7 +73,7 @@
 //!
 //! ```
 //! use blowfish_core::{DataVector, Domain, Epsilon, PolicyGraph};
-//! use blowfish_engine::{Request, Service, Task, TenantConfig};
+//! use blowfish_engine::{Service, Task, TenantConfig};
 //!
 //! let service = Service::new();
 //! service.add_tenant(TenantConfig {
@@ -82,14 +84,14 @@
 //!     data: DataVector::new(Domain::one_dim(16), vec![3.0; 16]).unwrap(),
 //! }).unwrap();
 //!
-//! let fit = |seed, handle: &str| Request::Fit {
-//!     tenant: "acme".into(), spec: None, task: Task::Histogram,
-//!     seed, handle: handle.into(),
-//! };
-//! assert!(service.handle(&fit(1, "a")).is_ok());
-//! assert!(service.handle(&fit(2, "b")).is_ok());
+//! let fit = |seed, handle| service.fit("acme", None, Task::Histogram, seed, handle);
+//! assert!(fit(1, "a").is_ok());
+//! assert!(fit(2, "b").is_ok());
 //! // The third release would exceed the account: typed rejection.
-//! assert!(service.handle(&fit(3, "c")).unwrap_err().is_budget_exhausted());
+//! assert!(fit(3, "c").unwrap_err().is_budget_exhausted());
+//! // Stored releases stay answerable: budgets meter releases, not reads.
+//! let whole = service.answer("acme", "a", [(&[0][..], &[15][..])].into_iter()).unwrap();
+//! assert!(whole[0].is_finite());
 //! ```
 
 pub mod net;
@@ -105,10 +107,10 @@ pub mod wire;
 pub use net::{LineSession, NetConfig, NetStats, TcpServer, MAX_LINE_BYTES};
 pub use parallel::parallel_map;
 pub use plan::{PlanCache, PlanStats};
-pub use service::{Replayed, Request, Response, Service, TenantConfig, TenantStats};
+pub use service::{Service, TenantConfig, TenantStats};
 pub use session::{Fitted, Plan, Policy, Session};
 pub use spec::{MatrixStrategyKind, MechanismSpec, Task};
-pub use wire::{Codec, WireError, WireReply, PROTOCOL_VERSION};
+pub use wire::{Codec, Request, Response, WireError, WireReply, PROTOCOL_VERSION};
 
 use blowfish_core::CoreError;
 use blowfish_mechanisms::MechanismError;

@@ -2,11 +2,12 @@
 //!
 //! [`parallel_map`] is an order-preserving map over a slice using
 //! `std::thread::scope` workers pulling indices from an atomic counter.
-//! [`Service::handle_many`](crate::Service::handle_many) fans a request
-//! batch across cores with it, and the experiment harness fans figure
-//! panels the same way: [`Session`](crate::Session) and
-//! [`Service`](crate::Service) are `Sync`, so every expensive artifact
-//! still derives exactly once under the [`crate::PlanCache`] locks.
+//! The service benchmark fans request batches across cores with it, each
+//! served through [`wire::serve_request`](crate::wire::serve_request),
+//! and the experiment harness fans figure panels the same way:
+//! [`Session`](crate::Session) and [`Service`](crate::Service) are
+//! `Sync`, so every expensive artifact still derives exactly once under
+//! the [`crate::PlanCache`] locks.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;

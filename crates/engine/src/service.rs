@@ -4,53 +4,52 @@
 //! shared [`PlanCache`] (every tenant's artifacts derive exactly once,
 //! across tenants), one thread-safe [`Ledger`] (per-tenant cumulative ε
 //! accounts under sequential composition), and a map of per-tenant
-//! [`Session`]s with their registered private data. Clients speak the
-//! typed [`Request`]/[`Response`] API:
+//! [`Session`]s with their registered private data. It has one method per
+//! verb of the [`wire`](crate::wire) protocol, which
+//! [`wire::serve_request`](crate::wire::serve_request) dispatches to:
 //!
-//! * [`Request::Plan`] — ask the planner for the paper-recommended
+//! * [`Service::add_tenant`] — onboard a tenant with its policy, grant,
+//!   budget and data;
+//! * [`Service::plan`] — ask the planner for the paper-recommended
 //!   strategy for a task under the tenant's policy;
-//! * [`Request::Fit`] — release a fitted estimate from the tenant's data
+//! * [`Service::fit`] — release a fitted estimate from the tenant's data
 //!   under a deterministic seed, drawing the mechanism's exact reported
 //!   ε from the tenant's ledger account first (an exhausted account
 //!   rejects the request with the typed `CoreError::BudgetExhausted`
 //!   before any noise is drawn);
-//! * [`Request::Answer`] — answer a batch of range queries against a
-//!   stored estimate in O(1) per query from its prefix tables. The typed
-//!   request and the wire's `answer` line share one path: one tenant
+//! * [`Service::answer`] — answer a batch of ranges against a stored
+//!   estimate in O(1) per range from its prefix tables: one tenant
 //!   lookup, every range checked against the tenant's domain (so a bad
 //!   range is reported before a missing handle), then one batched
 //!   [`Estimate::answer_ranges`]. It allocates only the result vector,
 //!   whatever the range count;
-//! * [`Request::Stats`] — inspect budgets, stored estimates, and plan
-//!   cache build counters.
+//! * [`Service::stats`] — inspect budgets and stored estimates.
 //!
-//! [`Service::handle`] serves one request from `&self`; the service is
-//! `Sync`, so N client threads drive one `Arc<Service>` concurrently —
-//! [`Service::handle_many`] fans a request batch across cores with
-//! [`parallel_map`]. On the **warm path** (plans already cached) interior
-//! locks are held only for O(1) map/account updates, never across
-//! mechanism work, so fits for different tenants (and different specs of
-//! one tenant) run fully in parallel while the ledger still guarantees
-//! no account is ever jointly overdrawn. Cold plans are the exception by
-//! design: the shared [`PlanCache`] builds an artifact *under its stripe
-//! lock* to keep derivation exactly-once, so two cold keys that land on
-//! the same stripe serialize their first build (warm lookups on other
-//! stripes are unaffected).
+//! Every method takes `&self` and the service is `Sync`, so N client
+//! threads drive one `Arc<Service>` concurrently. On the **warm path**
+//! (plans already cached) interior locks are held only for O(1)
+//! map/account updates, never across mechanism work, so fits for
+//! different tenants (and different specs of one tenant) run fully in
+//! parallel while the ledger still guarantees no account is ever jointly
+//! overdrawn. Cold plans are the exception by design: the shared
+//! [`PlanCache`] builds an artifact *under its stripe lock* to keep
+//! derivation exactly-once, so two cold keys that land on the same
+//! stripe serialize their first build (warm lookups on other stripes are
+//! unaffected).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use blowfish_core::{DataVector, DurabilityStats, Epsilon, Ledger, PolicyGraph, RangeQuery};
+use blowfish_core::{Charge, DataVector, Epsilon, Ledger, PolicyGraph, RangeQuery};
 use blowfish_strategies::Estimate;
 
 use crate::plan::PlanCache;
 use crate::session::Session;
 use crate::spec::{MechanismSpec, Task};
-use crate::{parallel_map, EngineError};
+use crate::EngineError;
 
 /// Everything needed to onboard one tenant.
 #[derive(Clone, Debug)]
@@ -76,50 +75,7 @@ struct Tenant {
     estimates: Mutex<HashMap<String, Arc<Estimate>>>,
 }
 
-/// A typed request against a [`Service`].
-#[derive(Clone, Debug)]
-pub enum Request {
-    /// Ask the planner for the recommended strategy for `task`.
-    Plan {
-        /// Target tenant.
-        tenant: String,
-        /// The workload class to plan for.
-        task: Task,
-    },
-    /// Fit a mechanism to the tenant's registered data and store the
-    /// estimate under `handle` (replacing any previous estimate there).
-    Fit {
-        /// Target tenant.
-        tenant: String,
-        /// Explicit mechanism, or `None` to use the planner default for
-        /// `task`.
-        spec: Option<MechanismSpec>,
-        /// Planner task used when `spec` is `None`.
-        task: Task,
-        /// Seed of the fit's private RNG — fits are deterministic per
-        /// `(tenant, spec, seed)`, which is what the seeded equivalence
-        /// tests pin against a standalone [`Session`].
-        seed: u64,
-        /// Name the stored estimate is answerable under.
-        handle: String,
-    },
-    /// Answer a batch of range queries from a stored estimate.
-    Answer {
-        /// Target tenant.
-        tenant: String,
-        /// Handle of a previously fitted estimate.
-        handle: String,
-        /// The queries, answered in order.
-        queries: Vec<RangeQuery>,
-    },
-    /// Budget/cache statistics for one tenant (or all tenants).
-    Stats {
-        /// Restrict to one tenant; `None` reports every tenant.
-        tenant: Option<String>,
-    },
-}
-
-/// One tenant's row in a [`Response::Stats`].
+/// One tenant's row of [`Service::stats`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct TenantStats {
     /// Tenant id.
@@ -134,53 +90,6 @@ pub struct TenantStats {
     pub fits: usize,
     /// Number of stored (answerable) estimates.
     pub estimates: usize,
-}
-
-/// A typed response from a [`Service`].
-#[derive(Clone, Debug)]
-pub enum Response {
-    /// The planner's chosen spec.
-    Planned {
-        /// The recommended mechanism.
-        spec: MechanismSpec,
-    },
-    /// A fit was admitted, charged, and stored.
-    Fitted {
-        /// Handle the estimate is stored under.
-        handle: String,
-        /// The ε actually debited for this release.
-        charged: f64,
-        /// Tenant spend after the charge.
-        spent: f64,
-        /// Tenant budget remaining after the charge.
-        remaining: f64,
-    },
-    /// Answers to a query batch, in request order.
-    Answers {
-        /// One value per query.
-        values: Vec<f64>,
-    },
-    /// Budget and cache statistics.
-    Stats {
-        /// One row per reported tenant, sorted by id.
-        tenants: Vec<TenantStats>,
-        /// Total artifact derivations in the shared plan cache.
-        artifact_builds: usize,
-        /// Write-ahead-log health when the ledger is durable; `None`
-        /// for a purely in-memory service.
-        durability: Option<DurabilityStats>,
-    },
-}
-
-/// One request's outcome from a trace replay ([`Service::replay`]): the
-/// response plus the wall-clock serving latency of just that request.
-#[derive(Clone, Debug)]
-pub struct Replayed {
-    /// The request's outcome — requests succeed or fail independently.
-    pub response: Result<Response, EngineError>,
-    /// Wall-clock nanoseconds spent inside [`Service::handle`] for this
-    /// request (measurement only — never part of deterministic scoring).
-    pub latency_ns: u64,
 }
 
 /// A long-running, concurrent, budget-metered multi-tenant engine
@@ -227,22 +136,27 @@ impl Service {
     /// recovery — re-attaches) its ledger account, and registers its
     /// data. Rejects a duplicate id (budgets are append-only), data
     /// whose domain does not match the policy graph, non-finite counts,
-    /// and unsupported policies. Re-attaching requires the bit-identical total budget
-    /// the account was durably opened with; the recovered spend is kept
-    /// as-is, so a tenant cannot shed charges by crashing the service.
+    /// counts whose absolute total overflows (no release of them would
+    /// have finite prefix sums), and unsupported policies, all before any
+    /// account exists.
+    /// Re-attaching requires the bit-identical total budget the account
+    /// was durably opened with; the recovered spend is kept as-is, so a
+    /// tenant cannot shed charges by crashing the service.
     pub fn add_tenant(&self, config: TenantConfig) -> Result<(), EngineError> {
+        let bad = |what: &str| {
+            Err(EngineError::BadRequest {
+                what: format!("tenant {}: {what}", config.id),
+            })
+        };
         if config.data.domain() != config.graph.domain() {
-            return Err(EngineError::BadRequest {
-                what: format!(
-                    "tenant {}: data domain does not match the policy graph domain",
-                    config.id
-                ),
-            });
+            return bad("data domain does not match the policy graph domain");
         }
-        if !config.data.counts().iter().all(|c| c.is_finite()) {
-            return Err(EngineError::BadRequest {
-                what: format!("tenant {}: data counts must be finite", config.id),
-            });
+        let counts = config.data.counts();
+        if !counts.iter().all(|c| c.is_finite()) {
+            return bad("data counts must be finite");
+        }
+        if !counts.iter().map(|c| c.abs()).sum::<f64>().is_finite() {
+            return bad("the total of |count| must be finite");
         }
         // Build the session first so a rejected policy leaves no orphan
         // ledger account.
@@ -267,6 +181,33 @@ impl Service {
         Ok(())
     }
 
+    /// The planner's recommended mechanism for `task` under the tenant's
+    /// policy.
+    pub fn plan(&self, tenant: &str, task: Task) -> Result<MechanismSpec, EngineError> {
+        Ok(*self.tenant(tenant)?.session.plan(task)?.spec())
+    }
+
+    /// Fits `spec` (or, when `None`, the planner's choice for `task`) to
+    /// the tenant's registered data and stores the estimate under
+    /// `handle`, replacing any previous estimate there. The fit's exact ε
+    /// is debited first, so an exhausted account rejects it before any
+    /// noise is drawn; a fit that fails after the debit, such as a
+    /// release refused for a non-finite value, stays charged and stores
+    /// nothing. Fits are deterministic per `(tenant, spec, seed)`, which
+    /// is what the seeded equivalence tests pin against a standalone
+    /// [`Session`]. Returns the ledger receipt.
+    pub fn fit(
+        &self,
+        tenant: &str,
+        spec: Option<MechanismSpec>,
+        task: Task,
+        seed: u64,
+        handle: &str,
+    ) -> Result<Charge, EngineError> {
+        let charge = self.release(tenant, spec, task, seed, handle, true)?;
+        Ok(charge.expect("service sessions are metered"))
+    }
+
     /// Re-materializes an already-charged release after a crash,
     /// without touching the ledger. Fits are deterministic per
     /// `(tenant, spec, seed)`, so re-running the fit through the
@@ -284,21 +225,44 @@ impl Service {
         seed: u64,
         handle: &str,
     ) -> Result<(), EngineError> {
+        self.release(tenant, spec, task, seed, handle, false)
+            .map(drop)
+    }
+
+    /// The shared body of [`Service::fit`] (`charged`: through the
+    /// ledger) and [`Service::restore_estimate`] (not charged): resolves
+    /// the spec, seeds the RNG, fits, and stores the estimate under
+    /// `handle`.
+    fn release(
+        &self,
+        tenant: &str,
+        spec: Option<MechanismSpec>,
+        task: Task,
+        seed: u64,
+        handle: &str,
+        charged: bool,
+    ) -> Result<Option<Charge>, EngineError> {
         let tenant = self.tenant(tenant)?;
         let spec = match spec {
             Some(spec) => spec,
             None => *tenant.session.plan(task)?.spec(),
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let estimate = tenant
-            .session
-            .fit_unmetered(&spec, &tenant.data, &mut rng)?;
+        let (estimate, charge) = if charged {
+            let fitted = tenant.session.fit(&spec, &tenant.data, &mut rng)?;
+            (fitted.estimate, fitted.charge)
+        } else {
+            let estimate = tenant
+                .session
+                .fit_unmetered(&spec, &tenant.data, &mut rng)?;
+            (estimate, None)
+        };
         tenant
             .estimates
             .lock()
             .expect("tenant estimates lock")
             .insert(handle.to_string(), Arc::new(estimate));
-        Ok(())
+        Ok(charge)
     }
 
     /// The domain a tenant's data and queries live over.
@@ -319,65 +283,14 @@ impl Service {
         ids
     }
 
-    /// Serves one request. `&self` — the service is `Sync`, so any number
-    /// of client threads may call this concurrently on one `Arc<Service>`.
-    pub fn handle(&self, request: &Request) -> Result<Response, EngineError> {
-        match request {
-            Request::Plan { tenant, task } => {
-                let tenant = self.tenant(tenant)?;
-                let plan = tenant.session.plan(*task)?;
-                Ok(Response::Planned { spec: *plan.spec() })
-            }
-            Request::Fit {
-                tenant,
-                spec,
-                task,
-                seed,
-                handle,
-            } => {
-                let tenant = self.tenant(tenant)?;
-                let spec = match spec {
-                    Some(spec) => *spec,
-                    None => *tenant.session.plan(*task)?.spec(),
-                };
-                let mut rng = StdRng::seed_from_u64(*seed);
-                let fitted = tenant.session.fit(&spec, &tenant.data, &mut rng)?;
-                let charge = fitted.charge.expect("service sessions are metered");
-                tenant
-                    .estimates
-                    .lock()
-                    .expect("tenant estimates lock")
-                    .insert(handle.clone(), Arc::new(fitted.estimate));
-                Ok(Response::Fitted {
-                    handle: handle.clone(),
-                    charged: charge.amount,
-                    spent: charge.spent,
-                    remaining: charge.remaining,
-                })
-            }
-            Request::Answer {
-                tenant,
-                handle,
-                queries,
-            } => Ok(Response::Answers {
-                values: self.answer(
-                    tenant,
-                    handle,
-                    queries.iter().map(|q| (q.lo.as_slice(), q.hi.as_slice())),
-                )?,
-            }),
-            Request::Stats { tenant } => self.stats(tenant.as_deref()),
-        }
-    }
-
-    /// The one answer path, behind both [`Request::Answer`] and the wire's
-    /// `answer` line: ranges come as `(lo, hi)` inclusive bounds. It looks
-    /// the tenant up once, checks every range against the tenant's domain
-    /// with [`RangeQuery::check`] before it looks the handle up (so a bad
-    /// range wins over a missing estimate), and answers the batch through
+    /// The one answer path, behind the wire's `answer` line: ranges come
+    /// as `(lo, hi)` inclusive bounds. It looks the tenant up once, checks
+    /// every range against the tenant's domain with [`RangeQuery::check`]
+    /// before it looks the handle up (so a bad range wins over a missing
+    /// estimate), and answers the batch through
     /// [`Estimate::answer_ranges`]. Over 1-D and 2-D domains the result
     /// vector is its only allocation.
-    pub(crate) fn answer<'q, I>(
+    pub fn answer<'q, I>(
         &self,
         tenant: &str,
         handle: &str,
@@ -403,47 +316,10 @@ impl Service {
         Ok(estimate.answer_ranges(ranges)?)
     }
 
-    /// Serves a request batch across cores ([`parallel_map`]), preserving
-    /// request order in the result vector. Each request succeeds or fails
-    /// independently; the ledger's atomic check-and-charge keeps
-    /// concurrent fits from jointly overdrawing any account.
-    pub fn handle_many(&self, requests: &[Request]) -> Vec<Result<Response, EngineError>> {
-        parallel_map(requests, |_, request| self.handle(request))
-    }
-
-    /// Replays a trace **in order on the calling thread**, capturing the
-    /// per-request serving latency. Because requests are served strictly
-    /// sequentially, everything order-dependent — which fits are admitted
-    /// against a tightening budget, which handles exist when an answer
-    /// arrives — is fully deterministic: replaying the same trace against
-    /// a freshly built service always produces f64-identical responses
-    /// (latencies, of course, vary). This is the trace simulator's scoring
-    /// entry point.
-    pub fn replay(&self, requests: &[Request]) -> Vec<Replayed> {
-        requests.iter().map(|r| self.timed_handle(r)).collect()
-    }
-
-    fn timed_handle(&self, request: &Request) -> Replayed {
-        let start = Instant::now();
-        let response = self.handle(request);
-        Replayed {
-            response,
-            latency_ns: start.elapsed().as_nanos() as u64,
-        }
-    }
-
-    fn tenant(&self, id: &str) -> Result<Arc<Tenant>, EngineError> {
-        self.tenants
-            .read()
-            .expect("service tenants lock")
-            .get(id)
-            .cloned()
-            .ok_or_else(|| EngineError::UnknownTenant {
-                tenant: id.to_string(),
-            })
-    }
-
-    fn stats(&self, only: Option<&str>) -> Result<Response, EngineError> {
+    /// Budget rows for one tenant, or for every tenant sorted by id. The
+    /// service-wide counters a `stats` reply adds come from
+    /// [`Service::cache`] and [`Service::ledger`].
+    pub fn stats(&self, only: Option<&str>) -> Result<Vec<TenantStats>, EngineError> {
         let ids = match only {
             Some(id) => vec![id.to_string()],
             None => self.tenants(),
@@ -468,17 +344,26 @@ impl Service {
                 id,
             });
         }
-        Ok(Response::Stats {
-            tenants: rows,
-            artifact_builds: self.cache.stats().total_builds(),
-            durability: self.ledger.durability_stats(),
-        })
+        Ok(rows)
+    }
+
+    fn tenant(&self, id: &str) -> Result<Arc<Tenant>, EngineError> {
+        self.tenants
+            .read()
+            .expect("service tenants lock")
+            .get(id)
+            .cloned()
+            .ok_or_else(|| EngineError::UnknownTenant {
+                tenant: id.to_string(),
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel_map;
+    use crate::wire::{self, serve_request, RawRanges};
     use blowfish_core::Domain;
 
     fn service_with_tenant(id: &str, budget: f64) -> Service {
@@ -495,95 +380,51 @@ mod tests {
         service
     }
 
+    /// Answers 1-D `(lo, hi)` ranges through [`Service::answer`].
+    fn answer_1d(
+        service: &Service,
+        handle: &str,
+        ranges: &[(usize, usize)],
+    ) -> Result<Vec<f64>, EngineError> {
+        let bounds: Vec<([usize; 1], [usize; 1])> =
+            ranges.iter().map(|&(lo, hi)| ([lo], [hi])).collect();
+        service.answer(
+            "acme",
+            handle,
+            bounds.iter().map(|(lo, hi)| (&lo[..], &hi[..])),
+        )
+    }
+
     #[test]
     fn plan_fit_answer_round_trip() {
         let service = service_with_tenant("acme", 2.0);
-        let planned = service
-            .handle(&Request::Plan {
-                tenant: "acme".into(),
-                task: Task::Range1d,
-            })
+        let spec = service.plan("acme", Task::Range1d).unwrap();
+        let charge = service
+            .fit("acme", Some(spec), Task::Range1d, 7, "release-1")
             .unwrap();
-        let spec = match planned {
-            Response::Planned { spec } => spec,
-            other => panic!("expected Planned, got {other:?}"),
-        };
-        let fitted = service
-            .handle(&Request::Fit {
-                tenant: "acme".into(),
-                spec: Some(spec),
-                task: Task::Range1d,
-                seed: 7,
-                handle: "release-1".into(),
-            })
-            .unwrap();
-        match fitted {
-            Response::Fitted {
-                charged,
-                spent,
-                remaining,
-                ..
-            } => {
-                assert!((charged - 0.5).abs() < 1e-12);
-                assert!((spent - 0.5).abs() < 1e-12);
-                assert!((remaining - 1.5).abs() < 1e-12);
-            }
-            other => panic!("expected Fitted, got {other:?}"),
-        }
-        let d = Domain::one_dim(16);
-        let answers = service
-            .handle(&Request::Answer {
-                tenant: "acme".into(),
-                handle: "release-1".into(),
-                queries: vec![
-                    RangeQuery::one_dim(&d, 0, 15).unwrap(),
-                    RangeQuery::one_dim(&d, 3, 9).unwrap(),
-                ],
-            })
-            .unwrap();
-        match answers {
-            Response::Answers { values } => {
-                assert_eq!(values.len(), 2);
-                assert!(values.iter().all(|v| v.is_finite()));
-            }
-            other => panic!("expected Answers, got {other:?}"),
-        }
-        match service.handle(&Request::Stats { tenant: None }).unwrap() {
-            Response::Stats {
-                tenants,
-                artifact_builds,
-                durability,
-            } => {
-                assert_eq!(tenants.len(), 1);
-                assert_eq!(tenants[0].fits, 1);
-                assert_eq!(tenants[0].estimates, 1);
-                // The line-policy Laplace-consistent fit needs no cached
-                // artifact class, so builds may legitimately be zero —
-                // just assert the counter is readable.
-                let _ = artifact_builds;
-                // An in-memory service reports no durability stats.
-                assert!(durability.is_none());
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
+        assert!((charge.amount - 0.5).abs() < 1e-12);
+        assert!((charge.spent - 0.5).abs() < 1e-12);
+        assert!((charge.remaining - 1.5).abs() < 1e-12);
+        let values = answer_1d(&service, "release-1", &[(0, 15), (3, 9)]).unwrap();
+        assert_eq!(values.len(), 2);
+        assert!(values.iter().all(|v| v.is_finite()));
+        let tenants = service.stats(None).unwrap();
+        assert_eq!(tenants.len(), 1);
+        assert_eq!(tenants[0].fits, 1);
+        assert_eq!(tenants[0].estimates, 1);
+        // An in-memory service reports no durability stats.
+        assert!(service.ledger().durability_stats().is_none());
     }
 
     #[test]
     fn unknown_tenants_and_estimates_are_typed_errors() {
         let service = service_with_tenant("acme", 1.0);
         assert!(matches!(
-            service.handle(&Request::Plan {
-                tenant: "ghost".into(),
-                task: Task::Histogram,
-            }),
+            service.plan("ghost", Task::Histogram),
             Err(EngineError::UnknownTenant { .. })
         ));
         assert!(matches!(
-            service.handle(&Request::Answer {
-                tenant: "acme".into(),
-                handle: "never-fitted".into(),
-                queries: vec![],
-            }),
+            answer_1d(&service, "never-fitted", &[]),
             Err(EngineError::UnknownEstimate { .. })
         ));
     }
@@ -619,70 +460,18 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_typed_and_final() {
         let service = service_with_tenant("acme", 1.0);
-        let fit = |seed: u64, handle: &str| {
-            service.handle(&Request::Fit {
-                tenant: "acme".into(),
-                spec: None,
-                task: Task::Histogram,
-                seed,
-                handle: handle.into(),
-            })
-        };
+        let fit =
+            |seed: u64, handle: &str| service.fit("acme", None, Task::Histogram, seed, handle);
         assert!(fit(1, "a").is_ok());
         assert!(fit(2, "b").is_ok());
         let err = fit(3, "c").unwrap_err();
         assert!(err.is_budget_exhausted(), "got {err:?}");
         // The rejected fit stored nothing and spent nothing further.
         assert!(matches!(
-            service.handle(&Request::Answer {
-                tenant: "acme".into(),
-                handle: "c".into(),
-                queries: vec![],
-            }),
+            answer_1d(&service, "c", &[]),
             Err(EngineError::UnknownEstimate { .. })
         ));
         assert!((service.ledger().spent("acme").unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn replay_is_deterministic_and_order_faithful() {
-        let trace: Vec<Request> = (0..8)
-            .map(|i| {
-                if i % 3 == 2 {
-                    Request::Answer {
-                        tenant: "acme".into(),
-                        handle: "h".into(),
-                        queries: vec![RangeQuery::one_dim(&Domain::one_dim(16), 2, 11).unwrap()],
-                    }
-                } else {
-                    Request::Fit {
-                        tenant: "acme".into(),
-                        spec: None,
-                        task: Task::Histogram,
-                        seed: i,
-                        handle: "h".into(),
-                    }
-                }
-            })
-            .collect();
-        // Budget admits exactly 3 of the 6 fits (⌊1.5/0.5⌋ = 3).
-        let run = |budget: f64| -> Vec<String> {
-            let service = service_with_tenant("acme", budget);
-            service
-                .replay(&trace)
-                .into_iter()
-                .map(|r| format!("{:?}", r.response))
-                .collect()
-        };
-        let a = run(1.5);
-        let b = run(1.5);
-        assert_eq!(a, b, "serial replay must be deterministic");
-        let admitted = a.iter().filter(|s| s.contains("Fitted")).count();
-        assert_eq!(admitted, 3, "ledger admits exactly ⌊budget/ε⌋ fits");
-        // Latencies are captured for every request.
-        let service = service_with_tenant("acme", 1.5);
-        let replayed = service.replay(&trace);
-        assert_eq!(replayed.len(), trace.len());
     }
 
     #[test]
@@ -696,11 +485,7 @@ mod tests {
             budget: Epsilon::new(2.0).unwrap(),
             data: DataVector::new(Domain::one_dim(16), vec![3.0; 16]).unwrap(),
         };
-        let d = Domain::one_dim(16);
-        let queries = vec![
-            RangeQuery::one_dim(&d, 0, 15).unwrap(),
-            RangeQuery::one_dim(&d, 3, 9).unwrap(),
-        ];
+        let ranges = [(0, 15), (3, 9)];
         // First life: durable service, one charged fit, then "crash"
         // (drop without any graceful shutdown).
         let (before, spent_before) = {
@@ -709,26 +494,8 @@ mod tests {
             assert!(report.is_clean());
             let service = Service::with_ledger(Arc::new(ledger));
             service.add_tenant(config()).unwrap();
-            service
-                .handle(&Request::Fit {
-                    tenant: "acme".into(),
-                    spec: None,
-                    task: Task::Range1d,
-                    seed: 41,
-                    handle: "h".into(),
-                })
-                .unwrap();
-            let answers = match service
-                .handle(&Request::Answer {
-                    tenant: "acme".into(),
-                    handle: "h".into(),
-                    queries: queries.clone(),
-                })
-                .unwrap()
-            {
-                Response::Answers { values } => values,
-                other => panic!("expected Answers, got {other:?}"),
-            };
+            service.fit("acme", None, Task::Range1d, 41, "h").unwrap();
+            let answers = answer_1d(&service, "h", &ranges).unwrap();
             (answers, service.ledger().spent("acme").unwrap())
         };
         // Second life: recover, re-onboard (attach), restore the release.
@@ -750,58 +517,59 @@ mod tests {
             spent_before.to_bits()
         );
         // ...and the estimate answers f64-identically to the first life.
-        let after = match service
-            .handle(&Request::Answer {
-                tenant: "acme".into(),
-                handle: "h".into(),
-                queries,
-            })
-            .unwrap()
-        {
-            Response::Answers { values } => values,
-            other => panic!("expected Answers, got {other:?}"),
-        };
+        let after = answer_1d(&service, "h", &ranges).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&after), bits(&before));
-        // Stats now reports the durable ledger's WAL health.
-        match service.handle(&Request::Stats { tenant: None }).unwrap() {
-            Response::Stats { durability, .. } => {
-                let stats = durability.expect("durable service reports stats");
-                assert!(stats.wal_bytes > 0);
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
+        // The durable ledger reports its WAL health.
+        let stats = service
+            .ledger()
+            .durability_stats()
+            .expect("durable service reports stats");
+        assert!(stats.wal_bytes > 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn handle_many_preserves_order_and_isolates_failures() {
+    fn parallel_serving_preserves_order_and_isolates_failures() {
         let service = service_with_tenant("acme", 10.0);
-        let requests: Vec<Request> = (0..6)
-            .map(|i| {
-                if i == 3 {
-                    Request::Plan {
-                        tenant: "ghost".into(),
-                        task: Task::Histogram,
-                    }
-                } else {
-                    Request::Fit {
-                        tenant: "acme".into(),
-                        spec: None,
-                        task: Task::Histogram,
-                        seed: i,
-                        handle: format!("h{i}"),
-                    }
-                }
+        let requests: Vec<wire::Request> = (0..6)
+            .map(|i| match i {
+                3 => wire::Request::Plan {
+                    tenant: "ghost".into(),
+                    task: Task::Histogram,
+                },
+                5 => wire::Request::Answer {
+                    tenant: "acme".into(),
+                    handle: "h0".into(),
+                    ranges: RawRanges::from_queries(&[RangeQuery::one_dim(
+                        &Domain::one_dim(16),
+                        0,
+                        15,
+                    )
+                    .unwrap()]),
+                },
+                _ => wire::Request::Fit {
+                    tenant: "acme".into(),
+                    spec: None,
+                    task: Task::Histogram,
+                    seed: i,
+                    handle: format!("h{i}"),
+                },
             })
             .collect();
-        let results = service.handle_many(&requests);
+        // The answer may race ahead of the fit it reads, so fit h0 first.
+        serve_request(&service, &requests[0]).unwrap();
+        let results = parallel_map(&requests, |_, r| serve_request(&service, r));
         assert_eq!(results.len(), 6);
         for (i, r) in results.iter().enumerate() {
-            if i == 3 {
-                assert!(matches!(r, Err(EngineError::UnknownTenant { .. })));
-            } else {
-                assert!(r.is_ok(), "request {i}: {r:?}");
+            match (i, r) {
+                (3, Err(wire::WireError::Engine(EngineError::UnknownTenant { .. }))) => {}
+                (5, Ok(wire::Response::Answers { values })) => assert_eq!(values.len(), 1),
+                (3 | 5, other) => panic!("request {i}: {other:?}"),
+                (_, Ok(wire::Response::Fitted { handle, .. })) => {
+                    assert_eq!(handle, &format!("h{i}"))
+                }
+                (_, other) => panic!("request {i}: {other:?}"),
             }
         }
     }

@@ -1,6 +1,8 @@
-//! The versioned, connection-oriented wire API for the [`Service`]
-//! request protocol — what `blowfish-serve` speaks over stdin/stdout and
-//! (through [`crate::net`]) over TCP.
+//! The versioned, connection-oriented wire API of a [`Service`] — what
+//! `blowfish-serve` speaks over stdin/stdout and (through [`crate::net`])
+//! over TCP. Its [`Request`] and [`Response`] are the engine's only
+//! request and response types, and [`serve_request`] is the only
+//! dispatch: it calls the one [`Service`] method of each verb.
 //!
 //! The protocol is newline-delimited text, version `blowfish/1`
 //! ([`PROTOCOL_VERSION`]): one request per line, one response line per
@@ -44,7 +46,9 @@
 //! [`Codec::encode_request`] render responses and requests back to
 //! protocol lines (so the same codec drives both servers and clients;
 //! `decode(encode_request(r))` round-trips). [`Codec::serve`] composes
-//! the three for one input line.
+//! the three for one input line. In-process drivers, such as the trace
+//! simulator and the service benchmark, build [`Request`]s directly and
+//! call [`serve_request`].
 //!
 //! ## The answer path
 //!
@@ -52,10 +56,9 @@
 //! traffic that grows without bound, and their path does no heap work
 //! per range. [`Codec::decode`] parses every range token into one flat
 //! [`RawRanges`] buffer; [`serve_request`] hands the borrowed bounds to
-//! the service's one answer path, the same one the typed
-//! [`service::Request::Answer`] takes, which checks each range against
-//! the tenant's domain and answers the batch from the estimate's prefix
-//! tables; [`Codec::encode`] writes the values into one pre-sized reply.
+//! [`Service::answer`], which checks each range against the tenant's
+//! domain and answers the batch from the estimate's prefix tables;
+//! [`Codec::encode`] writes the values into one pre-sized reply.
 //! A line makes six heap allocations whatever its range count. Through
 //! [`Codec::serve`] a 32-range line takes about 11.6 µs over a
 //! `line:256` tenant and 14.6 µs over a `grid:16` one
@@ -65,9 +68,9 @@
 
 use std::fmt::Write as _;
 
-use blowfish_core::{DataVector, Domain, Epsilon, PolicyGraph, RangeQuery};
+use blowfish_core::{DataVector, Domain, DurabilityStats, Epsilon, PolicyGraph, RangeQuery};
 
-use crate::service::{self, Service, TenantConfig};
+use crate::service::{Service, TenantConfig, TenantStats};
 use crate::spec::{MechanismSpec, Task};
 use crate::EngineError;
 
@@ -178,6 +181,27 @@ pub struct RawRanges {
 }
 
 impl RawRanges {
+    /// The bounds of `queries`, in order: how an in-process caller builds
+    /// the ranges of an `answer` request.
+    pub fn from_queries(queries: &[RangeQuery]) -> RawRanges {
+        let words = queries.iter().map(|q| 2 + q.lo.len() + q.hi.len()).sum();
+        let mut flat = Vec::with_capacity(words);
+        for q in queries {
+            flat.extend_from_slice(&[q.lo.len(), q.hi.len()]);
+            flat.extend_from_slice(&q.lo);
+            flat.extend_from_slice(&q.hi);
+        }
+        RawRanges {
+            flat,
+            len: queries.len(),
+        }
+    }
+
+    /// The number of ranges.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
     /// Whether there are no ranges.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -189,13 +213,6 @@ impl RawRanges {
             rest: &self.flat,
             left: self.len,
         }
-    }
-
-    fn push(&mut self, lo: &[usize], hi: &[usize]) {
-        self.flat.extend_from_slice(&[lo.len(), hi.len()]);
-        self.flat.extend_from_slice(lo);
-        self.flat.extend_from_slice(hi);
-        self.len += 1;
     }
 }
 
@@ -257,8 +274,37 @@ pub enum Response {
         /// Domain size of the tenant's data.
         cells: usize,
     },
-    /// Any engine-level response (plan/fit/answer/stats).
-    Engine(service::Response),
+    /// The planner's chosen spec.
+    Planned {
+        /// The recommended mechanism.
+        spec: MechanismSpec,
+    },
+    /// A fit was admitted, charged, and stored.
+    Fitted {
+        /// Handle the estimate is stored under.
+        handle: String,
+        /// The ε actually debited for this release.
+        charged: f64,
+        /// Tenant spend after the charge.
+        spent: f64,
+        /// Tenant budget remaining after the charge.
+        remaining: f64,
+    },
+    /// Answers to a range batch, in request order.
+    Answers {
+        /// One value per range.
+        values: Vec<f64>,
+    },
+    /// Budget and cache statistics.
+    Stats {
+        /// One row per reported tenant, sorted by id.
+        tenants: Vec<TenantStats>,
+        /// Total artifact derivations in the shared plan cache.
+        artifact_builds: usize,
+        /// Write-ahead-log health when the ledger is durable; `None`
+        /// for a purely in-memory service.
+        durability: Option<DurabilityStats>,
+    },
 }
 
 /// Typed failure of decoding or serving one protocol line. Rendered to
@@ -464,56 +510,54 @@ impl Codec {
             Response::TenantAdded { id, policy, cells } => {
                 format!("ok tenant {id} policy={policy} cells={cells}")
             }
-            Response::Engine(response) => match response {
-                service::Response::Planned { spec } => format!("ok plan {}", spec.id()),
-                service::Response::Fitted {
-                    handle,
-                    charged,
-                    spent,
-                    remaining,
-                } => {
-                    format!("ok fit {handle} charged={charged} spent={spent} remaining={remaining}")
+            Response::Planned { spec } => format!("ok plan {}", spec.id()),
+            Response::Fitted {
+                handle,
+                charged,
+                spent,
+                remaining,
+            } => {
+                format!("ok fit {handle} charged={charged} spent={spent} remaining={remaining}")
+            }
+            Response::Answers { values } => {
+                // 24 bytes a value hold the space, sign, point and 17
+                // significant digits of a count with room to spare, so
+                // a reply is written without regrowing; a longer
+                // value only regrows the string.
+                let mut out = String::with_capacity(32 + 24 * values.len());
+                write!(out, "ok answer {}", values.len()).expect("writing to a String");
+                for v in values {
+                    write!(out, " {v}").expect("writing to a String");
                 }
-                service::Response::Answers { values } => {
-                    // 24 bytes a value hold the space, sign, point and 17
-                    // significant digits of a count with room to spare, so
-                    // a reply is written without regrowing; a longer
-                    // value only regrows the string.
-                    let mut out = String::with_capacity(32 + 24 * values.len());
-                    write!(out, "ok answer {}", values.len()).expect("writing to a String");
-                    for v in values {
-                        write!(out, " {v}").expect("writing to a String");
-                    }
-                    out
+                out
+            }
+            Response::Stats {
+                tenants,
+                artifact_builds,
+                durability,
+            } => {
+                // Durability health is always reported so clients can
+                // key off the fields unconditionally: an in-memory
+                // service answers `durable=no wal_bytes=0
+                // last_snapshot=0`, a durable one names its fsync
+                // policy and current WAL/snapshot position.
+                let (durable, wal_bytes, last_snapshot) = match durability {
+                    Some(d) => (d.policy.to_string(), d.wal_bytes, d.snapshot_generation),
+                    None => ("no".to_string(), 0, 0),
+                };
+                let mut out = format!(
+                    "ok stats builds={artifact_builds} durable={durable} \
+                     wal_bytes={wal_bytes} last_snapshot={last_snapshot} tenants={}",
+                    tenants.len()
+                );
+                for t in tenants {
+                    out.push_str(&format!(
+                        " | {} spent={} remaining={} fits={} estimates={}",
+                        t.id, t.spent, t.remaining, t.fits, t.estimates
+                    ));
                 }
-                service::Response::Stats {
-                    tenants,
-                    artifact_builds,
-                    durability,
-                } => {
-                    // Durability health is always reported so clients can
-                    // key off the fields unconditionally: an in-memory
-                    // service answers `durable=no wal_bytes=0
-                    // last_snapshot=0`, a durable one names its fsync
-                    // policy and current WAL/snapshot position.
-                    let (durable, wal_bytes, last_snapshot) = match durability {
-                        Some(d) => (d.policy.to_string(), d.wal_bytes, d.snapshot_generation),
-                        None => ("no".to_string(), 0, 0),
-                    };
-                    let mut out = format!(
-                        "ok stats builds={artifact_builds} durable={durable} \
-                         wal_bytes={wal_bytes} last_snapshot={last_snapshot} tenants={}",
-                        tenants.len()
-                    );
-                    for t in tenants {
-                        out.push_str(&format!(
-                            " | {} spent={} remaining={} fits={} estimates={}",
-                            t.id, t.spent, t.remaining, t.fits, t.estimates
-                        ));
-                    }
-                    out
-                }
-            },
+                out
+            }
         }
     }
 
@@ -694,83 +738,36 @@ pub fn serve_request(service: &Service, request: &Request) -> Result<Response, W
             service.add_tenant(config.as_ref().clone())?;
             Ok(Response::TenantAdded { id, policy, cells })
         }
-        Request::Plan { tenant, task } => Ok(Response::Engine(service.handle(
-            &service::Request::Plan {
-                tenant: tenant.clone(),
-                task: *task,
-            },
-        )?)),
+        Request::Plan { tenant, task } => Ok(Response::Planned {
+            spec: service.plan(tenant, *task)?,
+        }),
         Request::Fit {
             tenant,
             spec,
             task,
             seed,
             handle,
-        } => Ok(Response::Engine(service.handle(
-            &service::Request::Fit {
-                tenant: tenant.clone(),
-                spec: *spec,
-                task: *task,
-                seed: *seed,
+        } => {
+            let charge = service.fit(tenant, *spec, *task, *seed, handle)?;
+            Ok(Response::Fitted {
                 handle: handle.clone(),
-            },
-        )?)),
+                charged: charge.amount,
+                spent: charge.spent,
+                remaining: charge.remaining,
+            })
+        }
         Request::Answer {
             tenant,
             handle,
             ranges,
-        } => Ok(Response::Engine(service::Response::Answers {
+        } => Ok(Response::Answers {
             values: service.answer(tenant, handle, ranges.iter().map(|r| (r.lo, r.hi)))?,
-        })),
-        Request::Stats { tenant } => Ok(Response::Engine(service.handle(
-            &service::Request::Stats {
-                tenant: tenant.clone(),
-            },
-        )?)),
-    }
-}
-
-impl From<&service::Request> for Request {
-    /// The wire form of an engine request (used by load generators to
-    /// render typed traces onto a socket).
-    fn from(request: &service::Request) -> Request {
-        match request {
-            service::Request::Plan { tenant, task } => Request::Plan {
-                tenant: tenant.clone(),
-                task: *task,
-            },
-            service::Request::Fit {
-                tenant,
-                spec,
-                task,
-                seed,
-                handle,
-            } => Request::Fit {
-                tenant: tenant.clone(),
-                spec: *spec,
-                task: *task,
-                seed: *seed,
-                handle: handle.clone(),
-            },
-            service::Request::Answer {
-                tenant,
-                handle,
-                queries,
-            } => {
-                let mut ranges = RawRanges::default();
-                for q in queries {
-                    ranges.push(&q.lo, &q.hi);
-                }
-                Request::Answer {
-                    tenant: tenant.clone(),
-                    handle: handle.clone(),
-                    ranges,
-                }
-            }
-            service::Request::Stats { tenant } => Request::Stats {
-                tenant: tenant.clone(),
-            },
-        }
+        }),
+        Request::Stats { tenant } => Ok(Response::Stats {
+            tenants: service.stats(tenant.as_deref())?,
+            artifact_builds: service.cache().stats().total_builds(),
+            durability: service.ledger().durability_stats(),
+        }),
     }
 }
 
@@ -1026,6 +1023,40 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_releases_are_refused() {
+        let service = Service::new();
+        // A tiny ε overflows the Laplace scale: each fit is charged, its
+        // NaN/inf release is refused, and nothing is stored.
+        for (tenant, eps, mechs) in [
+            ("h", "1e-308", &["", " mech=dp-laplace"][..]),
+            ("m", "1e-307", &[" mech=mm-hist-hierarchical"][..]),
+        ] {
+            ok(
+                &service,
+                &format!("tenant {tenant} policy=line:16 eps={eps} budget=1 data=uniform:3"),
+            );
+            for mech in mechs {
+                let e = err(&service, &format!("fit {tenant} as=x seed=1{mech}"));
+                assert!(e.contains("non-finite"), "{e}");
+                assert_eq!(
+                    err(&service, &format!("answer {tenant} from=x 0..15 3..4 0..0")),
+                    "err no estimate stored under handle x"
+                );
+            }
+            let stats = ok(&service, &format!("stats {tenant}"));
+            let fits = format!(" fits={} estimates=0", mechs.len());
+            assert!(stats.ends_with(&fits), "{stats}");
+        }
+        // Counts that are each finite but whose total overflows are
+        // refused at onboarding, before any ledger account exists.
+        err(
+            &service,
+            "tenant j policy=line:16 eps=0.5 budget=1 data=uniform:1e308",
+        );
+        assert!(service.ledger().spent("j").is_err());
+    }
+
+    #[test]
     fn durable_service_reports_wal_health_over_the_wire() {
         let dir =
             std::env::temp_dir().join(format!("blowfish-wire-durable-{}", std::process::id()));
@@ -1197,23 +1228,20 @@ mod tests {
             let again = codec.decode(&rendered).unwrap().unwrap();
             assert_eq!(Codec::encode_request(&again), rendered);
         }
-        // Engine requests convert into wire requests that serve
-        // identically.
-        let service = Service::new();
-        ok(
-            &service,
-            "tenant acme policy=line:4 eps=0.5 budget=2 data=1,2,3,4",
-        );
-        let engine_request = service::Request::Fit {
+        // Ranges built in process from queries render as decoded ones do.
+        let d = Domain::product(&[4, 4]).unwrap();
+        let request = Request::Answer {
             tenant: "acme".into(),
-            spec: None,
-            task: Task::Range1d,
-            seed: 3,
-            handle: "w".into(),
+            handle: "r1".into(),
+            ranges: RawRanges::from_queries(&[
+                RangeQuery::new(&d, vec![0, 1], vec![3, 2]).unwrap(),
+                RangeQuery::new(&d, vec![2, 2], vec![2, 3]).unwrap(),
+            ]),
         };
-        let wire_request = Request::from(&engine_request);
-        let reply = ok(&service, &Codec::encode_request(&wire_request));
-        assert!(reply.starts_with("ok fit w charged=0.5"), "{reply}");
+        let line = "answer acme from=r1 0..3x1..2 2..2x2..3";
+        assert_eq!(Codec::encode_request(&request), line);
+        let decoded = codec.decode(line).unwrap().unwrap();
+        assert_eq!(format!("{decoded:?}"), format!("{request:?}"));
     }
 
     #[test]

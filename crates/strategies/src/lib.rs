@@ -63,6 +63,9 @@ pub enum StrategyError {
     Mechanism(blowfish_mechanisms::MechanismError),
     /// An error from the linear-algebra substrate.
     Linalg(blowfish_linalg::LinalgError),
+    /// A release has a NaN or infinite value, for example from a noise
+    /// scale that overflowed at a tiny ε; it is refused, never stored.
+    NonFiniteRelease,
 }
 
 impl std::fmt::Display for StrategyError {
@@ -72,6 +75,7 @@ impl std::fmt::Display for StrategyError {
             StrategyError::Core(e) => write!(f, "core error: {e}"),
             StrategyError::Mechanism(e) => write!(f, "mechanism error: {e}"),
             StrategyError::Linalg(e) => write!(f, "linear algebra error: {e}"),
+            StrategyError::NonFiniteRelease => write!(f, "non-finite release (NaN or inf)"),
         }
     }
 }

@@ -41,7 +41,9 @@ pub struct Estimate {
 
 impl Estimate {
     /// Wraps a histogram estimate over `domain`, building the answering
-    /// tables.
+    /// tables. Refuses a histogram with a non-finite cell or prefix-table
+    /// entry ([`StrategyError::NonFiniteRelease`]): some of its range
+    /// answers would be NaN or infinite.
     pub fn new(domain: &Domain, histogram: Vec<f64>) -> Result<Self, StrategyError> {
         if histogram.len() != domain.size() {
             return Err(StrategyError::BadQuery {
@@ -73,6 +75,9 @@ impl Estimate {
             }
             _ => Vec::new(),
         };
+        if !histogram.iter().chain(&prefix).all(|v| v.is_finite()) {
+            return Err(StrategyError::NonFiniteRelease);
+        }
         Ok(Estimate {
             domain: domain.clone(),
             histogram,
@@ -174,12 +179,6 @@ impl Estimate {
             (hi[0], hi[1]),
         ))
     }
-
-    /// Answers a batch of range queries (alias of [`Estimate::answer_many`],
-    /// kept for source compatibility).
-    pub fn answer_all(&self, specs: &[RangeQuery]) -> Result<Vec<f64>, StrategyError> {
-        self.answer_many(specs)
-    }
 }
 
 /// One differentially private (or Blowfish-private) histogram release
@@ -221,7 +220,7 @@ mod tests {
             RangeQuery::one_dim(&d, 3, 3).unwrap(),
         ];
         assert_eq!(
-            est.answer_all(&specs).unwrap(),
+            est.answer_many(&specs).unwrap(),
             answer_ranges_1d(&hist, &specs).unwrap()
         );
         assert_eq!(est.histogram().iter().sum::<f64>(), 23.0);
@@ -240,7 +239,7 @@ mod tests {
             RangeQuery::new(&d, vec![2, 0], vec![2, 0]).unwrap(),
         ];
         assert_eq!(
-            est.answer_all(&specs).unwrap(),
+            est.answer_many(&specs).unwrap(),
             answer_ranges_2d(&hist, 4, 4, &specs).unwrap()
         );
     }
@@ -268,6 +267,14 @@ mod tests {
         let d1 = Domain::one_dim(2);
         let spec1d = RangeQuery::one_dim(&d1, 0, 1).unwrap();
         assert!(est2.answer(&spec1d).is_err());
+        // A NaN cell, or finite cells whose prefix sums overflow, make a
+        // release whose answers are not finite: refused.
+        for hist in [vec![1.0, f64::NAN, 1.0, 1.0], vec![f64::MAX; 4]] {
+            assert!(matches!(
+                Estimate::new(&d, hist),
+                Err(StrategyError::NonFiniteRelease)
+            ));
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn main() {
     let truth = true_ranges_1d(&x, &specs).expect("truth");
     let mut rng = StdRng::seed_from_u64(2);
     let estimate = plan.fit(&x, &mut rng).expect("fit");
-    let answers = estimate.answer_all(&specs).expect("answers");
+    let answers = estimate.answer_many(&specs).expect("answers");
     let mse = mse_per_query(&truth, &answers).expect("mse");
     println!(
         "planned strategy: {:.3} MSE/query over {} ranges",
@@ -56,7 +56,7 @@ fn main() {
         let mech = session.mechanism(&spec).expect("mechanism");
         let mut rng = StdRng::seed_from_u64(3);
         let est = mech.fit(&x, &mut rng).expect("fit");
-        let ans = est.answer_all(&specs).expect("answers");
+        let ans = est.answer_many(&specs).expect("answers");
         let mse = mse_per_query(&truth, &ans).expect("mse");
         let kind = if spec.is_baseline() {
             "ε/2-DP  "

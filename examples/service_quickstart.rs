@@ -42,114 +42,74 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- The planner picks each tenant's paper-recommended strategy.
     for (tenant, task) in [("payroll", Task::Range1d), ("mobility", Task::Range2d)] {
-        if let Response::Planned { spec } = service.handle(&Request::Plan {
-            tenant: tenant.into(),
-            task,
-        })? {
-            println!(
-                "{tenant:>9}: planner recommends {} ({})",
-                spec.id(),
-                spec.label()
-            );
-        }
+        let spec = service.plan(tenant, task)?;
+        println!(
+            "{tenant:>9}: planner recommends {} ({})",
+            spec.id(),
+            spec.label()
+        );
     }
 
     // --- Interleaved fits and answers across the two tenants.
-    let fit = |tenant: &str, task, seed, handle: &str| Request::Fit {
-        tenant: tenant.into(),
-        spec: None,
-        task,
-        seed,
-        handle: handle.into(),
-    };
     for (tenant, task, seed, handle) in [
         ("payroll", Task::Range1d, 1, "q1"),
         ("mobility", Task::Range2d, 2, "week1"),
         ("payroll", Task::Range1d, 3, "q2"),
         ("mobility", Task::Range2d, 4, "week2"),
     ] {
-        match service.handle(&fit(tenant, task, seed, handle))? {
-            Response::Fitted {
-                handle,
-                charged,
-                remaining,
-                ..
-            } => println!(
-                "{tenant:>9}: released {handle:<6} charged ε={charged:.2}, ε remaining {remaining:.2}"
-            ),
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-
-    let d1 = Domain::one_dim(16);
-    if let Response::Answers { values } = service.handle(&Request::Answer {
-        tenant: "payroll".into(),
-        handle: "q1".into(),
-        queries: vec![
-            RangeQuery::one_dim(&d1, 0, 7)?,
-            RangeQuery::one_dim(&d1, 8, 15)?,
-        ],
-    })? {
+        let charge = service.fit(tenant, None, task, seed, handle)?;
         println!(
-            "  payroll: q1 lower/upper halves ≈ {:.1} / {:.1}",
-            values[0], values[1]
+            "{tenant:>9}: released {handle:<6} charged ε={:.2}, ε remaining {:.2}",
+            charge.amount, charge.remaining
         );
     }
-    if let Response::Answers { values } = service.handle(&Request::Answer {
-        tenant: "mobility".into(),
-        handle: "week2".into(),
-        queries: vec![RangeQuery::new(&grid, vec![2, 2], vec![5, 5])?],
-    })? {
-        println!(" mobility: downtown 4×4 block ≈ {:.1} visits", values[0]);
-    }
+
+    // Ranges are inclusive `(lo, hi)` bounds, one entry per dimension.
+    let halves = [(&[0][..], &[7][..]), (&[8][..], &[15][..])];
+    let values = service.answer("payroll", "q1", halves.into_iter())?;
+    println!(
+        "  payroll: q1 lower/upper halves ≈ {:.1} / {:.1}",
+        values[0], values[1]
+    );
+    let block = [(&[2, 2][..], &[5, 5][..])];
+    let values = service.answer("mobility", "week2", block.into_iter())?;
+    println!(" mobility: downtown 4×4 block ≈ {:.1} visits", values[0]);
 
     // --- The third payroll release overdraws ε = 1.0: typed rejection.
     let rejected = service
-        .handle(&fit("payroll", Task::Range1d, 5, "q3"))
+        .fit("payroll", None, Task::Range1d, 5, "q3")
         .expect_err("the third 0.4 release must not fit in a 1.0 budget");
     assert!(rejected.is_budget_exhausted());
     println!("  payroll: third release rejected — {rejected}");
 
     // Isolation: mobility's account is untouched by payroll's exhaustion.
-    match service.handle(&Request::Fit {
-        tenant: "mobility".into(),
-        spec: Some(MechanismSpec::Grid),
-        task: Task::Range2d,
-        seed: 6,
-        handle: "week3".into(),
-    })? {
-        Response::Fitted { remaining, .. } => {
-            println!(" mobility: still serving, ε remaining {remaining:.2}")
-        }
-        other => panic!("unexpected response {other:?}"),
-    }
+    let charge = service.fit(
+        "mobility",
+        Some(MechanismSpec::Grid),
+        Task::Range2d,
+        6,
+        "week3",
+    )?;
+    println!(
+        " mobility: still serving, ε remaining {:.2}",
+        charge.remaining
+    );
 
     // Earlier payroll releases stay answerable after exhaustion — the
     // budget meters *new* releases, not queries against old ones.
-    if let Response::Answers { values } = service.handle(&Request::Answer {
-        tenant: "payroll".into(),
-        handle: "q2".into(),
-        queries: vec![RangeQuery::one_dim(&d1, 4, 6)?],
-    })? {
-        println!(
-            "  payroll: q2 still answerable post-exhaustion ({:.1})",
-            values[0]
-        );
-    }
+    let values = service.answer("payroll", "q2", [(&[4][..], &[6][..])].into_iter())?;
+    println!(
+        "  payroll: q2 still answerable post-exhaustion ({:.1})",
+        values[0]
+    );
 
-    if let Response::Stats {
-        tenants,
-        artifact_builds,
-        ..
-    } = service.handle(&Request::Stats { tenant: None })?
-    {
-        println!("--- ledger ({artifact_builds} shared artifacts built) ---");
-        for t in tenants {
-            println!(
-                "{:>9}: {} — spent ε={:.2}, remaining ε={:.2}, {} releases, {} stored estimates",
-                t.id, t.policy, t.spent, t.remaining, t.fits, t.estimates
-            );
-        }
+    let builds = service.cache().stats().total_builds();
+    println!("--- ledger ({builds} shared artifacts built) ---");
+    for t in service.stats(None)? {
+        println!(
+            "{:>9}: {} — spent ε={:.2}, remaining ε={:.2}, {} releases, {} stored estimates",
+            t.id, t.policy, t.spent, t.remaining, t.fits, t.estimates
+        );
     }
     Ok(())
 }

@@ -175,7 +175,7 @@ fn theta_grid_mechanism_matches_strategy_call() {
 
 #[test]
 fn estimates_answer_like_the_answering_helpers() {
-    // The serve path must be bit-identical too: Estimate::answer_all vs
+    // The serve path must be bit-identical too: Estimate::answer_many vs
     // answer_ranges_* on the same raw histogram.
     let k = 64;
     let x = db_1d(k);
@@ -191,7 +191,7 @@ fn estimates_answer_like_the_answering_helpers() {
     let mut rng = StdRng::seed_from_u64(77);
     let est = mech.fit(&x, &mut rng).unwrap();
     assert_eq!(
-        est.answer_all(&specs).unwrap(),
+        est.answer_many(&specs).unwrap(),
         answer_ranges_1d(est.histogram(), &specs).unwrap()
     );
 
@@ -204,7 +204,7 @@ fn estimates_answer_like_the_answering_helpers() {
     let mut rng = StdRng::seed_from_u64(78);
     let est2 = mech2.fit(&x2, &mut rng).unwrap();
     assert_eq!(
-        est2.answer_all(&specs2).unwrap(),
+        est2.answer_many(&specs2).unwrap(),
         answer_ranges_2d(est2.histogram(), 16, 16, &specs2).unwrap()
     );
 }

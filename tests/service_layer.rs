@@ -65,16 +65,9 @@ fn service_routed_fits_match_standalone_sessions_exactly() {
     for (i, spec) in specs.iter().enumerate() {
         let seed = 1000 + i as u64;
         let handle = format!("h{i}");
-        let fitted = service
-            .handle(&Request::Fit {
-                tenant: "acme".into(),
-                spec: *spec,
-                task: Task::Histogram,
-                seed,
-                handle: handle.clone(),
-            })
+        service
+            .fit("acme", *spec, Task::Histogram, seed, &handle)
             .unwrap();
-        assert!(matches!(fitted, Response::Fitted { .. }));
         // Read the stored release back through the serving path as the
         // full prefix family [0, i]: prefix sums determine the histogram
         // exactly, so bitwise-equal prefixes ⇔ bitwise-equal fits, and
@@ -83,17 +76,13 @@ fn service_routed_fits_match_standalone_sessions_exactly() {
         let queries: Vec<RangeQuery> = (0..k)
             .map(|i| RangeQuery::one_dim(&d, 0, i).unwrap())
             .collect();
-        let via_service: Vec<f64> = match service
-            .handle(&Request::Answer {
-                tenant: "acme".into(),
-                handle,
-                queries: queries.clone(),
-            })
-            .unwrap()
-        {
-            Response::Answers { values } => values,
-            other => panic!("expected Answers, got {other:?}"),
-        };
+        let via_service = service
+            .answer(
+                "acme",
+                &handle,
+                queries.iter().map(|q| (&q.lo[..], &q.hi[..])),
+            )
+            .unwrap();
         let spec = spec.unwrap_or_else(|| *standalone.plan(Task::Histogram).unwrap().spec());
         let mut rng = StdRng::seed_from_u64(seed);
         let direct = standalone.fit(&spec, &x, &mut rng).unwrap();
@@ -123,23 +112,14 @@ fn eight_threads_hammering_one_service_build_each_plan_once() {
         for t in 0..8usize {
             let service = Arc::clone(&service);
             scope.spawn(move || {
-                let d = Domain::one_dim(64);
                 for i in 0..30usize {
-                    let tenant = tenants[(t + i) % 3].to_string();
+                    let tenant = tenants[(t + i) % 3];
                     let handle = format!("w{t}");
-                    let fitted = service.handle(&Request::Fit {
-                        tenant: tenant.clone(),
-                        spec: None,
-                        task: Task::Histogram,
-                        seed: (t * 1000 + i) as u64,
-                        handle: handle.clone(),
-                    });
+                    let seed = (t * 1000 + i) as u64;
+                    let fitted = service.fit(tenant, None, Task::Histogram, seed, &handle);
                     assert!(fitted.is_ok(), "fit failed: {fitted:?}");
-                    let answers = service.handle(&Request::Answer {
-                        tenant,
-                        handle,
-                        queries: vec![RangeQuery::one_dim(&d, 0, 63).unwrap()],
-                    });
+                    let whole = [(&[0][..], &[63][..])];
+                    let answers = service.answer(tenant, &handle, whole.into_iter());
                     assert!(answers.is_ok(), "answer failed: {answers:?}");
                 }
             });
@@ -169,21 +149,21 @@ fn budget_admits_exactly_floor_budget_over_eps_releases_under_racing() {
     // ε = 0.3 against a 1.0 budget: exactly 3 of 24 racing releases may
     // be admitted, whatever the thread interleaving.
     let service = Arc::new(service_with_theta_tenant("acme", 32, 2, 0.3, 1.0));
-    let requests: Vec<Request> = (0..24)
-        .map(|i| Request::Fit {
-            tenant: "acme".into(),
-            spec: None,
-            task: Task::Histogram,
-            seed: i,
-            handle: format!("h{i}"),
-        })
-        .collect();
-    let results: Vec<Result<Response, EngineError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = requests
+    let seeds: Vec<u64> = (0..24).collect();
+    let results: Vec<Result<Charge, EngineError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = seeds
             .chunks(3)
             .map(|chunk| {
                 let service = Arc::clone(&service);
-                scope.spawn(move || chunk.iter().map(|r| service.handle(r)).collect::<Vec<_>>())
+                scope.spawn(move || {
+                    chunk
+                        .iter()
+                        .map(|&seed| {
+                            let handle = format!("h{seed}");
+                            service.fit("acme", None, Task::Histogram, seed, &handle)
+                        })
+                        .collect::<Vec<_>>()
+                })
             })
             .collect();
         handles
@@ -217,13 +197,7 @@ fn budget_admits_exactly_floor_budget_over_eps_releases_under_racing() {
     assert!((ledger.spent("acme").unwrap() - 0.9).abs() < 1e-9);
     assert!(ledger.remaining("acme").unwrap() >= 0.0);
     // Post-exhaustion fits keep failing; stored releases keep answering.
-    let again = service.handle(&Request::Fit {
-        tenant: "acme".into(),
-        spec: None,
-        task: Task::Histogram,
-        seed: 99,
-        handle: "late".into(),
-    });
+    let again = service.fit("acme", None, Task::Histogram, 99, "late");
     assert!(again.unwrap_err().is_budget_exhausted());
 }
 

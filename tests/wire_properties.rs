@@ -14,7 +14,9 @@
 //!   server halves of the codec cannot drift apart;
 //! * **pinned answer replies** — the `answer` error lines byte for byte,
 //!   including which error wins on a line with two faults, and seeded
-//!   batches whose wire replies equal the typed `Service::handle` path's.
+//!   batches whose wire replies equal `Service::answer`'s values;
+//! * **pinned session transcript** — every other verb's replies and
+//!   typed errors, byte for byte.
 
 use blowfish_privacy::engine::wire;
 use blowfish_privacy::prelude::*;
@@ -172,10 +174,9 @@ proptest! {
 /// Replies to `answer` lines, byte for byte: the error of each faulty
 /// line, which error wins when a line has more than one fault (the range
 /// is checked before the handle), and, for seeded random batches, the
-/// same reply as the typed `Service::handle` path for the same queries.
+/// values `Service::answer` returns for the same queries.
 #[test]
 fn answer_replies_are_pinned_byte_for_byte() {
-    use blowfish_privacy::engine::Request as EngineRequest;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -264,14 +265,10 @@ fn answer_replies_are_pinned_byte_for_byte() {
                 line.push(' ');
                 line.push_str(&dims.join("x"));
             }
-            let typed = service
-                .handle(&EngineRequest::Answer {
-                    tenant: tenant.to_string(),
-                    handle: "h".to_string(),
-                    queries,
-                })
+            let values = service
+                .answer(tenant, "h", queries.iter().map(|q| (&q.lo[..], &q.hi[..])))
                 .unwrap();
-            let want = Codec::encode(&wire::Response::Engine(typed));
+            let want = Codec::encode(&wire::Response::Answers { values });
             assert!(want.starts_with(&format!("ok answer {n} ")), "{want}");
             assert_eq!(
                 codec.serve(&service, &line),
@@ -279,5 +276,88 @@ fn answer_replies_are_pinned_byte_for_byte() {
                 "{line}"
             );
         }
+    }
+}
+
+/// A scripted session, every reply byte for byte: negotiation, `help`,
+/// onboarding, `use`, planning, fits by planner and by `mech=`, budget
+/// exhaustion, `stats <id>` and `stats`, an unknown verb, and the typed
+/// error of each rejected line (unsupported version, duplicate tenant,
+/// unknown tenant on `plan`/`fit`/`stats`/`use`, bad `task=`, unknown
+/// `mech=`).
+#[test]
+fn session_transcript_is_pinned_byte_for_byte() {
+    // Each request line is followed by its reply.
+    let transcript = "\
+hello
+ok hello blowfish/1
+hello blowfish/1
+ok hello blowfish/1
+hello blowfish/2
+err unsupported-version blowfish/2 (this server speaks blowfish/1)
+help
+ok help blowfish/1 commands: hello|tenant|use|plan|fit|answer|stats|help|quit (see the blowfish-engine wire module docs for syntax)
+tenant acme policy=line:16 eps=0.5 budget=1.25 data=uniform:3
+ok tenant acme policy=G^1_16 cells=16
+tenant geo policy=grid:4 eps=0.5 budget=4 data=uniform:2
+ok tenant geo policy=G^1_{k^2} cells=16
+tenant acme policy=line:16 eps=0.5 budget=1 data=uniform:3
+err core error: tenant acme is already registered
+plan acme task=range1d
+ok plan line-laplace-consistent
+plan acme
+ok plan line-laplace-consistent
+plan geo task=range2d
+ok plan grid
+plan ghost task=hist
+err unknown tenant ghost
+plan acme task=cubes
+err bad request: unknown task cubes
+fit acme as=r1 seed=7 task=range1d
+ok fit r1 charged=0.5 spent=0.5 remaining=0.75
+fit acme as=r2 seed=8 mech=dp-laplace
+ok fit r2 charged=0.25 spent=0.75 remaining=0.5
+fit ghost as=r1 seed=1
+err unknown tenant ghost
+fit acme as=r3 seed=9 mech=no-such-mech
+err bad request: unknown mechanism id no-such-mech
+fit acme as=r3 seed=9 task=cubes
+err bad request: unknown task cubes
+use ghost
+err unknown tenant ghost
+use geo
+ok use geo
+fit as=g1 seed=3 task=range2d
+ok fit g1 charged=0.5 spent=0.5 remaining=3.5
+fit as=g2 seed=4 mech=dp-laplace
+ok fit g2 charged=0.25 spent=0.75 remaining=3.25
+plan task=range2d
+ok plan grid
+fit acme as=r4 seed=10
+ok fit r4 charged=0.5 spent=1.25 remaining=0
+fit acme as=r5 seed=11
+err core error: budget exhausted for tenant acme: spent 1.25 of 1.25, requested 0.5
+stats acme
+ok stats builds=1 durable=no wal_bytes=0 last_snapshot=0 tenants=1 | acme spent=1.25 remaining=0 fits=3 estimates=3
+stats geo
+ok stats builds=1 durable=no wal_bytes=0 last_snapshot=0 tenants=1 | geo spent=0.75 remaining=3.25 fits=2 estimates=2
+stats ghost
+err unknown tenant ghost
+stats
+ok stats builds=1 durable=no wal_bytes=0 last_snapshot=0 tenants=2 | acme spent=1.25 remaining=0 fits=3 estimates=3 | geo spent=0.75 remaining=3.25 fits=2 estimates=2
+frobnicate now
+err unknown-command frobnicate (accepted: hello|tenant|use|plan|fit|answer|stats|help|quit)";
+    let service = Service::new();
+    let mut codec = Codec::new();
+    let lines: Vec<&str> = transcript.lines().collect();
+    for pair in lines.chunks(2) {
+        let [line, want] = pair else {
+            panic!("unpaired line {pair:?}")
+        };
+        assert_eq!(
+            codec.serve(&service, line),
+            wire::WireReply::Reply(want.to_string()),
+            "{line}"
+        );
     }
 }
