@@ -15,7 +15,11 @@
 //! lookup, validation, answers and the rendered reply — against a
 //! `line:256` and a `grid:16` tenant that already hold an estimate: the
 //! per-line cost of the wire path, which the 200-query `answer_many`
-//! batches above do not see.
+//! batches above do not see. `onboard_theta_line_4096_8` and
+//! `onboard_star_4096` time one `tenant` line with a 4096-value `data=`
+//! list through `Codec::serve` into a fresh `Service`: parse, policy
+//! classification (the star's through its tree incidence), ledger account
+//! and the registered data — the cold start of a joining tenant.
 //!
 //! Each workload is served twice, every request through
 //! `wire::serve_request`: sequentially in a loop (one client thread) and
@@ -54,7 +58,7 @@ fn build_service() -> Service {
     for t in 0..TENANTS {
         let counts: Vec<f64> = (0..K).map(|i| ((i * 13 + t * 7) % 17) as f64).collect();
         service
-            .add_tenant(TenantConfig {
+            .add_tenant(&TenantConfig {
                 id: tenant_id(t),
                 graph: graph.clone(),
                 eps: Epsilon::new(0.5).expect("ε"),
@@ -139,6 +143,16 @@ fn answer_line(tenant: &str, domain: &Domain) -> String {
     line
 }
 
+/// A `tenant` line for `policy` over 4096 cells with an explicit `data=`
+/// list, as a client onboarding real data sends it.
+fn tenant_line(policy: &str) -> String {
+    let data: Vec<String> = (0..4096).map(|i| ((i * 13) % 17).to_string()).collect();
+    format!(
+        "tenant t policy={policy} eps=0.5 budget=4 data={}",
+        data.join(",")
+    )
+}
+
 fn serve_serial(service: &Service, requests: &[Request]) -> usize {
     let mut ok = 0;
     for request in requests {
@@ -199,6 +213,20 @@ fn bench_service(c: &mut Criterion) {
         }
         g.bench_function(id, |b| {
             b.iter(|| black_box(codec.serve(&wire, black_box(&line))))
+        });
+    }
+
+    for (id, policy) in [
+        ("onboard_theta_line_4096_8", "theta-line:4096:8"),
+        ("onboard_star_4096", "star:4096"),
+    ] {
+        let line = tenant_line(policy);
+        match codec.serve(&Service::new(), &line) {
+            WireReply::Reply(reply) if reply.starts_with("ok tenant t ") => {}
+            other => panic!("{policy}: {other:?}"),
+        }
+        g.bench_function(id, |b| {
+            b.iter(|| black_box(codec.serve(&Service::new(), black_box(&line))))
         });
     }
 

@@ -123,7 +123,9 @@ impl Domain {
     ///
     /// Reads each coordinate off the row-major strides, allocating
     /// nothing; an out-of-range index fails as [`Domain::coords`] does,
-    /// `a` first.
+    /// `a` first. The reference the policy tests check generated
+    /// distance-threshold edges against.
+    #[cfg(test)]
     pub fn l1_distance(&self, a: usize, b: usize) -> Result<usize, CoreError> {
         for flat in [a, b] {
             if flat >= self.size {

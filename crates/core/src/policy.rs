@@ -9,6 +9,7 @@
 //! distances, tree tests) used by the transformation machinery.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use crate::domain::Domain;
 use crate::CoreError;
@@ -65,15 +66,94 @@ impl PolicyEdge {
 }
 
 /// A Blowfish policy graph over a [`Domain`].
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The distance-threshold generators — [`PolicyGraph::line`],
+/// [`PolicyGraph::theta_line`], [`PolicyGraph::distance_threshold`] and
+/// [`PolicyGraph::complete`] — record their θ ([`PolicyGraph::theta`]) and
+/// build their edges and adjacency only when a caller first reads them,
+/// so a graph that is only classified costs its domain and name. Every
+/// other graph, [`PolicyGraph::from_edges`] included, is built at
+/// construction. A built graph stores its adjacency flat: one offsets
+/// array over the value vertices and ⊥, and one array of
+/// `(neighbor, edge index)` pairs in which each vertex's run is in
+/// edge-index order.
+///
+/// `==` compares the domain, the name and the edges; `Debug` prints them
+/// and θ, and reads the same whether or not the edges were built before.
+#[derive(Clone)]
 pub struct PolicyGraph {
     domain: Domain,
-    edges: Vec<PolicyEdge>,
-    /// `adj[u]` lists `(neighbor, edge index)`; `neighbor == k` encodes ⊥.
-    adj: Vec<Vec<(usize, usize)>>,
-    /// Adjacency of ⊥: `(value vertex, edge index)` pairs.
-    bottom_adj: Vec<(usize, usize)>,
     name: String,
+    /// θ of a distance-threshold generator; `None` for a graph given by
+    /// its edges.
+    theta: Option<usize>,
+    /// Set at construction, or on first use when `theta` is recorded.
+    built: OnceLock<Built>,
+}
+
+/// The edges of a policy graph and their flat adjacency.
+#[derive(Clone)]
+struct Built {
+    edges: Vec<PolicyEdge>,
+    /// `adj[offsets[u]..offsets[u + 1]]` are vertex `u`'s
+    /// `(neighbor, edge index)` pairs; vertex and neighbor `k` are ⊥.
+    offsets: Vec<usize>,
+    adj: Vec<(usize, usize)>,
+}
+
+impl Built {
+    /// Indexes valid edges over `k` value vertices. Each vertex's degree
+    /// is counted into its offset slot and the counts are summed, so the
+    /// slot holds the end of its run; filling from the last edge back
+    /// then moves every slot to its run's start and leaves each run in
+    /// edge-index order, with no cursor array.
+    fn new(k: usize, mut edges: Vec<PolicyEdge>) -> Built {
+        edges.shrink_to_fit();
+        let end = |e: &PolicyEdge| match e.v {
+            Vtx::Value(v) => v,
+            Vtx::Bottom => k,
+        };
+        let mut offsets = vec![0usize; k + 2];
+        for e in &edges {
+            offsets[e.u] += 1;
+            offsets[end(e)] += 1;
+        }
+        let mut total = 0;
+        for slot in &mut offsets {
+            total += *slot;
+            *slot = total;
+        }
+        let mut adj = vec![(0, 0); total];
+        for (idx, e) in edges.iter().enumerate().rev() {
+            let (a, b) = (e.u, end(e));
+            offsets[a] -= 1;
+            adj[offsets[a]] = (b, idx);
+            offsets[b] -= 1;
+            adj[offsets[b]] = (a, idx);
+        }
+        Built {
+            edges,
+            offsets,
+            adj,
+        }
+    }
+}
+
+impl PartialEq for PolicyGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.domain == other.domain && self.name == other.name && self.edges() == other.edges()
+    }
+}
+
+impl std::fmt::Debug for PolicyGraph {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PolicyGraph")
+            .field("domain", &self.domain)
+            .field("name", &self.name)
+            .field("theta", &self.theta)
+            .field("edges", &self.edges())
+            .finish()
+    }
 }
 
 impl PolicyGraph {
@@ -84,12 +164,12 @@ impl PolicyGraph {
     /// ([`CoreError::InvalidEdge`] `"duplicate edge"`; edges are canonical,
     /// so `(v, u)` repeats `(u, v)`). When the input breaks both rules, the
     /// error is the one an in-order scan meets first. Duplicates are found
-    /// by sorting the `(u, v)` keys once, which is O(E) for input already
-    /// in key order, as the line and θ-line generators emit it; each
-    /// adjacency list is allocated at its exact degree.
+    /// by sorting the `(u, v)` keys once. The graph records no θ, so the
+    /// engine never reads it as a distance-threshold family, whatever its
+    /// edges.
     pub fn from_edges(
         domain: Domain,
-        mut edges: Vec<PolicyEdge>,
+        edges: Vec<PolicyEdge>,
         name: impl Into<String>,
     ) -> Result<Self, CoreError> {
         let k = domain.size();
@@ -118,37 +198,11 @@ impl PolicyGraph {
         if let Some(coord) = first_bad.and_then(|i| out_of_range(&edges[i])) {
             return Err(CoreError::CoordinateOutOfRange { coord, dim_size: k });
         }
-        let mut degree = vec![0usize; k];
-        let mut bottom_degree = 0;
-        for e in &edges {
-            degree[e.u] += 1;
-            match e.v {
-                Vtx::Value(v) => degree[v] += 1,
-                Vtx::Bottom => bottom_degree += 1,
-            }
-        }
-        let mut adj: Vec<Vec<(usize, usize)>> =
-            degree.iter().map(|&d| Vec::with_capacity(d)).collect();
-        let mut bottom_adj = Vec::with_capacity(bottom_degree);
-        for (idx, e) in edges.iter().enumerate() {
-            match e.v {
-                Vtx::Value(v) => {
-                    adj[e.u].push((v, idx));
-                    adj[v].push((e.u, idx));
-                }
-                Vtx::Bottom => {
-                    adj[e.u].push((k, idx));
-                    bottom_adj.push((e.u, idx));
-                }
-            }
-        }
-        edges.shrink_to_fit();
         Ok(PolicyGraph {
             domain,
-            edges,
-            adj,
-            bottom_adj,
             name: name.into(),
+            theta: None,
+            built: OnceLock::from(Built::new(k, edges)),
         })
     }
 
@@ -163,69 +217,47 @@ impl PolicyGraph {
     }
 
     /// The 1-D distance-threshold graph `G^θ_k` (Section 5.1): values at
-    /// distance ≤ θ are connected. Edges are emitted sorted by
-    /// `(left endpoint, right endpoint)`.
+    /// distance ≤ θ are connected. Its edges, built on first use, are
+    /// sorted by `(left endpoint, right endpoint)`.
     pub fn theta_line(k: usize, theta: usize) -> Result<Self, CoreError> {
         if theta == 0 {
             return Err(CoreError::InvalidTheta { theta });
         }
         let domain = Domain::product(&[k])?;
-        let mut edges =
-            Vec::with_capacity((1..=theta.min(k.saturating_sub(1))).map(|d| k - d).sum());
-        for u in 0..k {
-            for v in (u + 1)..k.min(u + theta + 1) {
-                edges.push(PolicyEdge::new(Vtx::Value(u), Vtx::Value(v))?);
-            }
-        }
-        PolicyGraph::from_edges(domain, edges, format!("G^{theta}_{k}"))
+        Ok(PolicyGraph::lazy(domain, theta, format!("G^{theta}_{k}")))
     }
 
     /// The d-dimensional distance-threshold graph `G^θ_{k^d}` (Section 5.1):
     /// vertices are the cells of `domain` and `(u, v) ∈ E` iff the L1
     /// distance between their coordinates is at most θ. For `d = 2` this is
-    /// the paper's grid policy (geo-indistinguishability, Section 3).
+    /// the paper's grid policy (geo-indistinguishability, Section 3). Its
+    /// edges are built on first use.
     pub fn distance_threshold(domain: Domain, theta: usize) -> Result<Self, CoreError> {
         if theta == 0 {
             return Err(CoreError::InvalidTheta { theta });
         }
-        let d = domain.num_dims();
-        // Enumerate canonical nonzero offsets with |δ|₁ ≤ θ whose first
-        // nonzero coordinate is positive, so each unordered pair appears
-        // exactly once.
-        let mut offsets: Vec<Vec<isize>> = Vec::new();
-        let mut cur = vec![0isize; d];
-        enumerate_offsets(&mut offsets, &mut cur, 0, theta as isize);
-        let mut edges = Vec::new();
-        for u in domain.iter() {
-            let cu = domain.coords(u)?;
-            'offsets: for off in &offsets {
-                let mut cv = Vec::with_capacity(d);
-                for (i, &c) in cu.iter().enumerate() {
-                    let nc = c as isize + off[i];
-                    if nc < 0 || nc as usize >= domain.dim(i) {
-                        continue 'offsets;
-                    }
-                    cv.push(nc as usize);
-                }
-                let v = domain.flat_index(&cv)?;
-                edges.push(PolicyEdge::new(Vtx::Value(u), Vtx::Value(v))?);
-            }
-        }
-        let name = format!("G^{theta}_{{k^{d}}}");
-        PolicyGraph::from_edges(domain, edges, name)
+        let name = format!("G^{theta}_{{k^{}}}", domain.num_dims());
+        Ok(PolicyGraph::lazy(domain, theta, name))
     }
 
     /// The complete graph over `T` — bounded differential privacy
-    /// (Section 3: `E = {(u, v) | ∀u, v ∈ T}`).
+    /// (Section 3: `E = {(u, v) | ∀u, v ∈ T}`). It is `G^{k−1}_k` and
+    /// records θ = k − 1 (θ = 1 when k = 1, where neither has an edge);
+    /// its edges are built on first use.
     pub fn complete(k: usize) -> Result<Self, CoreError> {
         let domain = Domain::product(&[k])?;
-        let mut edges = Vec::with_capacity(k * (k - 1) / 2);
-        for u in 0..k {
-            for v in (u + 1)..k {
-                edges.push(PolicyEdge::new(Vtx::Value(u), Vtx::Value(v))?);
-            }
+        Ok(PolicyGraph::lazy(domain, k.max(2) - 1, format!("K_{k}")))
+    }
+
+    /// A distance-threshold graph (θ ≥ 1) whose edges are built on first
+    /// use.
+    fn lazy(domain: Domain, theta: usize, name: String) -> Self {
+        PolicyGraph {
+            domain,
+            name,
+            theta: Some(theta),
+            built: OnceLock::new(),
         }
-        PolicyGraph::from_edges(domain, edges, format!("K_{k}"))
     }
 
     /// The star over ⊥ — unbounded differential privacy (Section 3:
@@ -303,16 +335,26 @@ impl PolicyGraph {
         self.domain.size()
     }
 
-    /// The edges in construction order.
+    /// The edges in construction order. Builds a generator graph's edges
+    /// on the first call.
     #[inline]
     pub fn edges(&self) -> &[PolicyEdge] {
-        &self.edges
+        &self.built().edges
     }
 
     /// Number of edges `|E|`.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.edges().len()
+    }
+
+    /// The distance threshold θ a generator recorded: `Some` for
+    /// [`PolicyGraph::line`], [`PolicyGraph::theta_line`],
+    /// [`PolicyGraph::distance_threshold`] and [`PolicyGraph::complete`],
+    /// `None` for every other graph. Reading it builds nothing.
+    #[inline]
+    pub fn theta(&self) -> Option<usize> {
+        self.theta
     }
 
     /// Human-readable policy name (e.g. `G^1_1024`).
@@ -322,7 +364,7 @@ impl PolicyGraph {
 
     /// Whether any edge touches ⊥.
     pub fn has_bottom(&self) -> bool {
-        !self.bottom_adj.is_empty()
+        !self.bottom_neighbors().is_empty()
     }
 
     /// A canonical structural hash of the graph: a deterministic digest of
@@ -339,19 +381,31 @@ impl PolicyGraph {
         for d in 0..self.domain.num_dims() {
             self.domain.dim(d).hash(&mut h);
         }
-        self.edges.hash(&mut h);
+        self.edges().hash(&mut h);
         h.finish()
     }
 
-    /// Neighbors of value vertex `u` as `(neighbor, edge index)` pairs,
-    /// where `neighbor == num_values()` encodes ⊥.
+    /// Neighbors of value vertex `u` as `(neighbor, edge index)` pairs in
+    /// edge-index order, where `neighbor == num_values()` encodes ⊥; `u ==
+    /// num_values()` gives ⊥'s own, as [`PolicyGraph::bottom_neighbors`].
     pub fn neighbors(&self, u: usize) -> &[(usize, usize)] {
-        &self.adj[u]
+        let built = self.built();
+        &built.adj[built.offsets[u]..built.offsets[u + 1]]
     }
 
     /// The `(value vertex, edge index)` pairs adjacent to ⊥.
     pub fn bottom_neighbors(&self) -> &[(usize, usize)] {
-        &self.bottom_adj
+        self.neighbors(self.num_values())
+    }
+
+    /// The edges and adjacency, built on first use for a generator graph.
+    fn built(&self) -> &Built {
+        self.built.get_or_init(|| {
+            let theta = self
+                .theta
+                .expect("a graph without a recorded θ is built at construction");
+            Built::new(self.domain.size(), theta_edges(&self.domain, theta))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -369,12 +423,7 @@ impl PolicyGraph {
         q.push_back(start);
         while let Some(u) = q.pop_front() {
             let du = dist[u];
-            let nexts = if u == k {
-                &self.bottom_adj
-            } else {
-                &self.adj[u]
-            };
-            for &(v, _) in nexts {
+            for &(v, _) in self.neighbors(u) {
                 if dist[v] == usize::MAX {
                     dist[v] = du + 1;
                     q.push_back(v);
@@ -403,7 +452,7 @@ impl PolicyGraph {
                 continue;
             }
             // Skip an isolated ⊥ slot when no ⊥-edges exist.
-            if s == k && self.bottom_adj.is_empty() {
+            if s == k && self.bottom_neighbors().is_empty() {
                 continue;
             }
             let c = out.len();
@@ -415,12 +464,7 @@ impl PolicyGraph {
                 if u < k {
                     members.push(u);
                 }
-                let nexts = if u == k {
-                    &self.bottom_adj
-                } else {
-                    &self.adj[u]
-                };
-                for &(v, _) in nexts {
+                for &(v, _) in self.neighbors(u) {
                     if comp[v] == usize::MAX {
                         comp[v] = c;
                         q.push_back(v);
@@ -455,7 +499,7 @@ impl PolicyGraph {
         // Cache BFS runs from repeated sources.
         let mut cache: std::collections::HashMap<usize, Vec<usize>> =
             std::collections::HashMap::new();
-        for e in &self.edges {
+        for e in self.edges() {
             let d = match e.v {
                 Vtx::Value(v) => {
                     let dists = cache.entry(e.u).or_insert_with(|| other.bfs_distances(e.u));
@@ -475,25 +519,90 @@ impl PolicyGraph {
     }
 }
 
-/// Recursive enumeration of canonical offsets for
-/// [`PolicyGraph::distance_threshold`]: fills `out` with all vectors of L1
-/// norm in `1..=budget` whose first nonzero coordinate is positive.
-fn enumerate_offsets(out: &mut Vec<Vec<isize>>, cur: &mut Vec<isize>, dim: usize, budget: isize) {
-    if dim == cur.len() {
-        if cur.iter().any(|&c| c != 0) {
-            // Canonical: first nonzero coordinate positive.
-            let first = cur.iter().find(|&&c| c != 0).copied().unwrap_or(0);
-            if first > 0 {
-                out.push(cur.clone());
+/// The edges of `G^θ` over `domain`: for each cell `u` in flat order and
+/// each canonical offset δ in turn, the edge `(u, u + δ)` when `u + δ` is
+/// in bounds. Offsets are those [`enumerate_offsets`] lists, so each
+/// unordered pair appears once, and the exact edge count is known before
+/// any is pushed.
+fn theta_edges(domain: &Domain, theta: usize) -> Vec<PolicyEdge> {
+    let dims = domain.dims();
+    let d = dims.len();
+    let mut offsets = Vec::new();
+    enumerate_offsets(&mut offsets, &mut vec![0; d], dims, 0, theta);
+    // Row-major with the first nonzero coordinate positive: every step
+    // moves to a larger flat index.
+    let steps: Vec<usize> = offsets
+        .chunks(d)
+        .map(|off| {
+            let stride = |i: usize| dims[i + 1..].iter().product::<usize>() as isize;
+            off.iter()
+                .enumerate()
+                .map(|(i, &o)| o * stride(i))
+                .sum::<isize>() as usize
+        })
+        .collect();
+    let count = offsets
+        .chunks(d)
+        .map(|off| {
+            off.iter()
+                .zip(dims)
+                .map(|(&o, &n)| n - o.unsigned_abs())
+                .product::<usize>()
+        })
+        .sum();
+    let mut edges = Vec::with_capacity(count);
+    let mut coords = vec![0usize; d];
+    for u in 0..domain.size() {
+        for (off, &step) in offsets.chunks(d).zip(&steps) {
+            let in_bounds = off
+                .iter()
+                .zip(&coords)
+                .zip(dims)
+                .all(|((&o, &c), &n)| c.checked_add_signed(o).is_some_and(|c| c < n));
+            if in_bounds {
+                edges.push(PolicyEdge {
+                    u,
+                    v: Vtx::Value(u + step),
+                });
             }
+        }
+        // Advance `coords` to cell u + 1, last dimension fastest.
+        for (c, &n) in coords.iter_mut().zip(dims).rev() {
+            *c += 1;
+            if *c < n {
+                break;
+            }
+            *c = 0;
+        }
+    }
+    debug_assert_eq!(edges.len(), count);
+    edges
+}
+
+/// Appends to `out`, `cur.len()` coordinates apiece and in lexicographic
+/// order, every offset of L1 norm `1..=budget` whose first nonzero
+/// coordinate is positive. Coordinate `i` stays within `±(dims[i] − 1)`:
+/// a longer step never lands in the domain, so clipping drops no edge
+/// and keeps a large θ from enumerating offsets that cannot fit.
+fn enumerate_offsets(
+    out: &mut Vec<isize>,
+    cur: &mut [isize],
+    dims: &[usize],
+    dim: usize,
+    budget: usize,
+) {
+    if dim == cur.len() {
+        if cur.iter().find(|&&c| c != 0).is_some_and(|&c| c > 0) {
+            out.extend_from_slice(cur);
         }
         return;
     }
-    for v in -budget..=budget {
+    let reach = budget.min(dims[dim] - 1) as isize;
+    for v in -reach..=reach {
         cur[dim] = v;
-        enumerate_offsets(out, cur, dim + 1, budget - v.abs());
-        cur[dim] = 0;
+        enumerate_offsets(out, cur, dims, dim + 1, budget - v.unsigned_abs());
     }
+    cur[dim] = 0;
 }
 
 #[cfg(test)]
@@ -721,6 +830,102 @@ mod tests {
         for e in a.edges() {
             assert!(b.edges().contains(e));
         }
+    }
+
+    /// Every generator graph with 1-D k ≤ 64 and θ ≤ 10, 2-D and 3-D
+    /// shapes with sides ≤ 8 and θ ≤ 5, and `complete(k ≤ 12)`: the edges
+    /// it builds on first use are every pair at L1 distance ≤ θ in
+    /// `(u, v)` order, each adjacency run lists its vertex's edges in
+    /// edge-index order, and the graph behaves exactly like the same
+    /// edges given to `from_edges`.
+    #[test]
+    fn generator_graphs_built_on_first_use_match_eager_graphs() {
+        let mut graphs = Vec::new();
+        for k in 1..=64 {
+            for theta in 1..=10 {
+                graphs.push((PolicyGraph::theta_line(k, theta).unwrap(), theta));
+            }
+        }
+        let mut shapes: Vec<Vec<usize>> = (1..=8)
+            .flat_map(|r| (1..=8).map(move |c| vec![r, c]))
+            .collect();
+        shapes.extend([vec![2, 3, 2], vec![1, 4, 3], vec![3, 1, 1]]);
+        for dims in shapes {
+            for theta in 1..=5 {
+                let domain = Domain::product(&dims).unwrap();
+                graphs.push((
+                    PolicyGraph::distance_threshold(domain, theta).unwrap(),
+                    theta,
+                ));
+            }
+        }
+        for k in 1..=12 {
+            graphs.push((PolicyGraph::complete(k).unwrap(), k.max(2) - 1));
+        }
+        for (g, theta) in graphs {
+            let unbuilt = g.clone();
+            let debug = format!("{g:?}");
+            let d = g.domain();
+            let pairs: Vec<PolicyEdge> = (0..d.size())
+                .flat_map(|u| (u + 1..d.size()).map(move |v| (u, v)))
+                .filter(|&(u, v)| d.l1_distance(u, v).unwrap() <= theta)
+                .map(|(u, v)| PolicyEdge::new(Vtx::Value(u), Vtx::Value(v)).unwrap())
+                .collect();
+            assert_eq!(g.edges(), &pairs[..], "{}", g.name());
+            assert_eq!(
+                format!("{g:?}"),
+                debug,
+                "Debug must not depend on the build"
+            );
+            let eager = PolicyGraph::from_edges(d.clone(), g.edges().to_vec(), g.name()).unwrap();
+            assert_eq!(g, eager);
+            assert_eq!(eager, g);
+            assert_eq!(eager, unbuilt);
+            assert_eq!(g.num_edges(), eager.num_edges());
+            let k = g.num_values();
+            for u in 0..=k {
+                let runs: Vec<(usize, usize)> = pairs
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, e)| match e.v {
+                        Vtx::Value(v) if e.u == u => Some((v, i)),
+                        Vtx::Value(v) if v == u => Some((e.u, i)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(g.neighbors(u), &runs[..], "{} vertex {u}", g.name());
+                assert_eq!(g.neighbors(u), eager.neighbors(u));
+            }
+            assert_eq!(g.bottom_neighbors(), eager.bottom_neighbors());
+            assert!(g.bottom_neighbors().is_empty());
+            assert_eq!(g.components(), eager.components());
+            assert_eq!(g.is_tree(), eager.is_tree());
+            assert_eq!(g.structural_hash(), eager.structural_hash());
+            assert_eq!(unbuilt.structural_hash(), eager.structural_hash());
+            assert_eq!(g.bfs_distances(0), eager.bfs_distances(0));
+            assert_eq!(g.theta(), Some(theta));
+            assert_eq!(eager.theta(), None);
+        }
+    }
+
+    #[test]
+    fn flat_adjacency_keeps_bottom_runs_in_edge_order() {
+        // ⊥ edges interleaved with value edges: each run, ⊥'s included,
+        // lists its edges in index order.
+        let e = |a: usize, b: Vtx| PolicyEdge::new(Vtx::Value(a), b).unwrap();
+        let edges = vec![
+            e(2, Vtx::Bottom),
+            e(0, Vtx::Value(2)),
+            e(0, Vtx::Bottom),
+            e(1, Vtx::Value(2)),
+        ];
+        let g = PolicyGraph::from_edges(Domain::one_dim(3), edges, "mixed").unwrap();
+        assert_eq!(g.neighbors(0), &[(2, 1), (3, 2)]);
+        assert_eq!(g.neighbors(1), &[(2, 3)]);
+        assert_eq!(g.neighbors(2), &[(3, 0), (0, 1), (1, 3)]);
+        assert_eq!(g.bottom_neighbors(), &[(2, 0), (0, 2)]);
+        assert!(g.has_bottom());
+        assert_eq!(g.bfs_distances(1), vec![2, 0, 1, 2]);
     }
 
     #[test]

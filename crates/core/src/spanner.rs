@@ -263,12 +263,7 @@ pub fn bfs_spanning_tree(g: &PolicyGraph, root: usize) -> Result<PolicyGraph, Co
     visited[root] = true;
     q.push_back(root);
     while let Some(u) = q.pop_front() {
-        let nexts = if u == k {
-            g.bottom_neighbors()
-        } else {
-            g.neighbors(u)
-        };
-        for &(v, _) in nexts {
+        for &(v, _) in g.neighbors(u) {
             if !visited[v] {
                 visited[v] = true;
                 let a = if u == k { Vtx::Bottom } else { Vtx::Value(u) };

@@ -134,15 +134,15 @@ impl Service {
 
     /// Onboards a tenant: classifies its policy, opens (or — after a
     /// recovery — re-attaches) its ledger account, and registers its
-    /// data. Rejects a duplicate id (budgets are append-only), data
-    /// whose domain does not match the policy graph, non-finite counts,
-    /// counts whose absolute total overflows (no release of them would
-    /// have finite prefix sums), and unsupported policies, all before any
-    /// account exists.
+    /// data, the one part of `config` the service copies. Rejects a
+    /// duplicate id (budgets are append-only), data whose domain does not
+    /// match the policy graph, non-finite counts, counts whose absolute
+    /// total overflows (no release of them would have finite prefix
+    /// sums), and unsupported policies, all before any account exists.
     /// Re-attaching requires the bit-identical total budget the account
     /// was durably opened with; the recovered spend is kept as-is, so a
     /// tenant cannot shed charges by crashing the service.
-    pub fn add_tenant(&self, config: TenantConfig) -> Result<(), EngineError> {
+    pub fn add_tenant(&self, config: &TenantConfig) -> Result<(), EngineError> {
         let bad = |what: &str| {
             Err(EngineError::BadRequest {
                 what: format!("tenant {}: {what}", config.id),
@@ -164,7 +164,7 @@ impl Service {
             .metered(Arc::clone(&self.ledger), config.id.clone());
         let tenant = Arc::new(Tenant {
             session,
-            data: config.data,
+            data: config.data.clone(),
             estimates: Mutex::new(HashMap::new()),
         });
         // Duplicate detection must consult the *service* map, not the
@@ -173,11 +173,13 @@ impl Service {
         let mut tenants = self.tenants.write().expect("service tenants lock");
         if tenants.contains_key(&config.id) {
             return Err(EngineError::Core(
-                blowfish_core::CoreError::DuplicateTenant { tenant: config.id },
+                blowfish_core::CoreError::DuplicateTenant {
+                    tenant: config.id.clone(),
+                },
             ));
         }
         self.ledger.open_or_attach(&config.id, config.budget)?;
-        tenants.insert(config.id, tenant);
+        tenants.insert(config.id.clone(), tenant);
         Ok(())
     }
 
@@ -369,7 +371,7 @@ mod tests {
     fn service_with_tenant(id: &str, budget: f64) -> Service {
         let service = Service::new();
         service
-            .add_tenant(TenantConfig {
+            .add_tenant(&TenantConfig {
                 id: id.to_string(),
                 graph: PolicyGraph::line(16).unwrap(),
                 eps: Epsilon::new(0.5).unwrap(),
@@ -432,7 +434,7 @@ mod tests {
     #[test]
     fn duplicate_and_mismatched_tenants_are_rejected() {
         let service = service_with_tenant("acme", 1.0);
-        let dup = service.add_tenant(TenantConfig {
+        let dup = service.add_tenant(&TenantConfig {
             id: "acme".into(),
             graph: PolicyGraph::line(16).unwrap(),
             eps: Epsilon::new(0.5).unwrap(),
@@ -445,7 +447,7 @@ mod tests {
                 blowfish_core::CoreError::DuplicateTenant { .. }
             ))
         ));
-        let mismatch = service.add_tenant(TenantConfig {
+        let mismatch = service.add_tenant(&TenantConfig {
             id: "other".into(),
             graph: PolicyGraph::line(16).unwrap(),
             eps: Epsilon::new(0.5).unwrap(),
@@ -493,7 +495,7 @@ mod tests {
                 Ledger::durable(&dir, blowfish_core::LedgerDurability::default()).unwrap();
             assert!(report.is_clean());
             let service = Service::with_ledger(Arc::new(ledger));
-            service.add_tenant(config()).unwrap();
+            service.add_tenant(&config()).unwrap();
             service.fit("acme", None, Task::Range1d, 41, "h").unwrap();
             let answers = answer_1d(&service, "h", &ranges).unwrap();
             (answers, service.ledger().spent("acme").unwrap())
@@ -502,7 +504,7 @@ mod tests {
         let (ledger, report) = Ledger::recover(&dir).unwrap();
         assert!(report.is_clean(), "{report:?}");
         let service = Service::with_ledger(Arc::new(ledger));
-        service.add_tenant(config()).unwrap();
+        service.add_tenant(&config()).unwrap();
         assert_eq!(
             service.ledger().spent("acme").unwrap().to_bits(),
             spent_before.to_bits(),

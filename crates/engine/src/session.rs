@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 
 use rand::RngCore;
 
-use blowfish_core::{Charge, DataVector, Domain, Epsilon, Ledger, PolicyGraph, Vtx};
+use blowfish_core::{Charge, DataVector, Domain, Epsilon, Ledger, PolicyGraph};
 use blowfish_strategies::{
     DawaBaseline1d, DawaBaseline2d, Estimate, GridMechanism, LaplaceBaseline, LineMechanism,
     Mechanism, PriveletBaseline1d, PriveletBaselineNd, StrategyError, ThetaEstimator,
@@ -73,28 +73,27 @@ impl Policy {
 /// Recognizes a graph's policy family; for tree policies, also returns
 /// the incidence built during classification so callers (the session) can
 /// seed their plan cache instead of deriving `P_G` a second time.
+///
+/// A graph with a recorded θ ([`PolicyGraph::theta`]) is classified in
+/// O(1), without building its edges: θ beyond the domain's diameter
+/// Σ(dim − 1) connects nothing more, so θ′ = min(θ, diameter), and over at
+/// most two dimensions a θ′ ≥ 1 makes it `Theta1d`/`Theta2d { θ′ }`.
+/// Every other graph — a θ graph over one cell or over three or more
+/// dimensions, and any graph given by its edges, even one with a θ
+/// family's edges — is served only if its incidence is a tree.
 fn classify_graph(
     graph: &PolicyGraph,
 ) -> Result<(Policy, Option<Arc<blowfish_core::Incidence>>), EngineError> {
     let domain = graph.domain();
-    let all_value_edges = graph.edges().iter().all(|e| !e.touches_bottom());
-    if all_value_edges && domain.num_dims() <= 2 && graph.num_edges() > 0 {
-        // Candidate θ: the largest L1 distance spanned by an edge.
-        let mut theta = 0usize;
-        for e in graph.edges() {
-            if let Vtx::Value(v) = e.v {
-                theta = theta.max(domain.l1_distance(e.u, v)?);
-            }
-        }
-        if theta > 0 && graph.num_edges() == expected_theta_edges(domain, theta) {
-            let policy = match domain.num_dims() {
-                1 => Policy::Theta1d { theta },
-                _ => Policy::Theta2d { theta },
-            };
-            return Ok((policy, None));
+    if let Some(theta) = graph.theta() {
+        let diameter: usize = domain.dims().iter().map(|&n| n - 1).sum();
+        let theta = theta.min(diameter);
+        match domain.num_dims() {
+            1 if theta >= 1 => return Ok((Policy::Theta1d { theta }, None)),
+            2 if theta >= 1 => return Ok((Policy::Theta2d { theta }, None)),
+            _ => {}
         }
     }
-    // Fall back to the generic tree machinery.
     let inc = Arc::new(blowfish_core::Incidence::new(graph)?);
     if inc.is_tree() {
         let policy = Policy::Tree {
@@ -105,44 +104,6 @@ fn classify_graph(
     Err(EngineError::UnsupportedPolicy {
         what: "policy graph is neither a distance-threshold family nor a tree",
     })
-}
-
-/// Number of edges of `G^θ` over `domain` (1-D or 2-D): for each
-/// canonical offset `δ` with `|δ|₁ ≤ θ`, the number of in-bounds
-/// placements.
-fn expected_theta_edges(domain: &Domain, theta: usize) -> usize {
-    let t = theta as isize;
-    match domain.num_dims() {
-        1 => {
-            let k = domain.dim(0) as isize;
-            (1..=t.min(k - 1)).map(|d| (k - d) as usize).sum()
-        }
-        2 => {
-            let (rows, cols) = (domain.dim(0) as isize, domain.dim(1) as isize);
-            let mut count = 0usize;
-            // Canonical offsets: first nonzero coordinate positive.
-            for dr in 0..=t {
-                let rem = t - dr;
-                let dc_range: Vec<isize> = if dr == 0 {
-                    (1..=rem).collect()
-                } else {
-                    (-rem..=rem).collect()
-                };
-                for dc in dc_range {
-                    if dr == 0 && dc == 0 {
-                        continue;
-                    }
-                    let fits_r = rows - dr;
-                    let fits_c = cols - dc.abs();
-                    if fits_r > 0 && fits_c > 0 {
-                        count += (fits_r * fits_c) as usize;
-                    }
-                }
-            }
-            count
-        }
-        _ => 0,
-    }
 }
 
 /// A planned strategy: the chosen spec plus its live mechanism, sharing
@@ -690,24 +651,48 @@ mod tests {
         ));
     }
 
+    /// The family name of `graph`'s classification, or `refused`.
+    fn family(graph: &PolicyGraph) -> String {
+        classify(graph).map_or_else(|_| "refused".to_string(), |p| p.name())
+    }
+
     #[test]
-    fn expected_edge_counts_match_constructions() {
-        for (k, theta) in [(16usize, 1usize), (16, 3), (9, 8)] {
-            let g = PolicyGraph::theta_line(k, theta).unwrap();
-            assert_eq!(
-                g.num_edges(),
-                expected_theta_edges(&Domain::one_dim(k), theta),
-                "1-D k={k} θ={theta}"
-            );
+    fn generator_edge_cases_classify_by_clamped_theta() {
+        let grid = |dims: &[usize], theta| {
+            PolicyGraph::distance_threshold(Domain::product(dims).unwrap(), theta).unwrap()
+        };
+        for (graph, expected) in [
+            // θ at or beyond the diameter connects every pair.
+            (PolicyGraph::theta_line(5, 4).unwrap(), "G^4_k"),
+            (PolicyGraph::theta_line(5, 9).unwrap(), "G^4_k"),
+            (PolicyGraph::complete(2).unwrap(), "G¹_k (line)"),
+            (grid(&[3, 3], 7), "G^4_{k²}"),
+            // A 1 × n grid is a 2-D family of θ ≤ n − 1.
+            (grid(&[1, 6], 1), "G¹_{k²} (grid)"),
+            (grid(&[1, 6], 9), "G^5_{k²}"),
+            // One cell has no edge: a single-vertex tree.
+            (PolicyGraph::line(1).unwrap(), "tree policy G^1_1"),
+            (PolicyGraph::complete(1).unwrap(), "tree policy K_1"),
+            (grid(&[1, 1], 2), "tree policy G^2_{k^2}"),
+            // Three dimensions: served only as a tree.
+            (grid(&[1, 1, 4], 1), "tree policy G^1_{k^3}"),
+            (grid(&[2, 2, 2], 1), "refused"),
+        ] {
+            assert_eq!(family(&graph), expected, "{}", graph.name());
         }
-        for (k, theta) in [(5usize, 1usize), (5, 2), (6, 3)] {
-            let g = PolicyGraph::distance_threshold(Domain::square(k), theta).unwrap();
-            assert_eq!(
-                g.num_edges(),
-                expected_theta_edges(&Domain::square(k), theta),
-                "2-D k={k} θ={theta}"
-            );
-        }
+    }
+
+    #[test]
+    fn graphs_given_by_edges_are_served_only_as_trees() {
+        let line = PolicyGraph::line(6).unwrap();
+        let path = PolicyGraph::from_edges(Domain::one_dim(6), line.edges().to_vec(), "path");
+        assert_eq!(family(&path.unwrap()), "tree policy path");
+        let theta2 = PolicyGraph::theta_line(6, 2).unwrap();
+        let edges = PolicyGraph::from_edges(Domain::one_dim(6), theta2.edges().to_vec(), "G2");
+        assert!(matches!(
+            classify(&edges.unwrap()),
+            Err(EngineError::UnsupportedPolicy { .. })
+        ));
     }
 
     #[test]

@@ -732,11 +732,12 @@ pub fn serve_request(service: &Service, request: &Request) -> Result<Response, W
             })
         }
         Request::Tenant { config, .. } => {
-            let id = config.id.clone();
-            let policy = config.graph.name().to_string();
-            let cells = config.data.domain().size();
-            service.add_tenant(config.as_ref().clone())?;
-            Ok(Response::TenantAdded { id, policy, cells })
+            service.add_tenant(config)?;
+            Ok(Response::TenantAdded {
+                id: config.id.clone(),
+                policy: config.graph.name().to_string(),
+                cells: config.data.domain().size(),
+            })
         }
         Request::Plan { tenant, task } => Ok(Response::Planned {
             spec: service.plan(tenant, *task)?,
@@ -809,12 +810,17 @@ fn parse_epsilon(token: &str) -> Result<Epsilon, WireError> {
 }
 
 /// Untrusted-input caps for wire-constructed policies: one request line
-/// must not be able to allocate an unbounded graph and take the server
-/// down (`complete:<k>` alone is k(k−1)/2 edges; a θ-grid enumerates
-/// O(k²θ²) edge candidates). `MAX_WIRE_K`/`MAX_WIRE_THETA` bound the raw
-/// parameters; `MAX_WIRE_EDGES` bounds a cheap per-family upper estimate
-/// of the edge count before anything is built. Generous for every
-/// workload in the paper, far below allocation-failure territory.
+/// must not be able to make the server build an unbounded graph and take
+/// it down. Onboarding a distance-threshold tenant builds no edges (it is
+/// classified from its recorded θ); a star builds its k edges and tree
+/// incidence at once. The caps bound what a later build can produce, such
+/// as the line graph and incidence of a `mech=tree-laplace` fit on a line
+/// tenant, or any caller reading a wire graph's edges (`complete:<k>`
+/// alone is k(k−1)/2 edges; a θ-grid has up to 2θ(θ+1) per cell), and
+/// the k or k² cells of the tenant's data. `MAX_WIRE_K`/`MAX_WIRE_THETA`
+/// bound the raw parameters; `MAX_WIRE_EDGES` bounds a cheap per-family
+/// upper estimate of the edge count. Generous for every workload in the
+/// paper, far below allocation-failure territory.
 const MAX_WIRE_K: usize = 4096;
 const MAX_WIRE_THETA: usize = 64;
 const MAX_WIRE_EDGES: usize = 1 << 22;
@@ -1054,6 +1060,37 @@ mod tests {
             "tenant j policy=line:16 eps=0.5 budget=1 data=uniform:1e308",
         );
         assert!(service.ledger().spent("j").is_err());
+    }
+
+    #[test]
+    fn releases_whose_range_answers_can_overflow_are_refused() {
+        let service = Service::new();
+        // Every cell and table entry of these releases is finite, but a
+        // difference of prefix sums (1-D) or a signed sum of summed-area
+        // entries (2-D) of them is not: `8..15` and `1..3x1..3` would
+        // answer inf.
+        for (tenant, policy, eps, ranges) in [
+            ("a", "line:16", "1.2e-307", "8..15 0..15 0..7"),
+            ("b", "grid:4", "1e-307", "0..3x0..3 1..3x1..3 2..3x0..1"),
+        ] {
+            ok(
+                &service,
+                &format!("tenant {tenant} policy={policy} eps={eps} budget=1 data=uniform:3"),
+            );
+            assert_eq!(
+                err(
+                    &service,
+                    &format!("fit {tenant} as=x seed=5 mech=dp-laplace")
+                ),
+                "err strategy error: non-finite release (NaN or inf)"
+            );
+            assert_eq!(
+                err(&service, &format!("answer {tenant} from=x {ranges}")),
+                "err no estimate stored under handle x"
+            );
+            let stats = ok(&service, &format!("stats {tenant}"));
+            assert!(stats.ends_with(" fits=1 estimates=0"), "{stats}");
+        }
     }
 
     #[test]

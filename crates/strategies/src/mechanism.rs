@@ -41,16 +41,19 @@ pub struct Estimate {
 
 impl Estimate {
     /// Wraps a histogram estimate over `domain`, building the answering
-    /// tables. Refuses a histogram with a non-finite cell or prefix-table
-    /// entry ([`StrategyError::NonFiniteRelease`]): some of its range
-    /// answers would be NaN or infinite.
+    /// tables. Refuses ([`StrategyError::NonFiniteRelease`]) a histogram
+    /// with a non-finite cell, or whose table could give a NaN or infinite
+    /// range answer: a 1-D answer is the difference of two prefix sums and
+    /// a 2-D one a signed sum of four summed-area entries, so the
+    /// histogram is refused unless 2·max|prefix sum| (1-D) or
+    /// 4·max|summed-area entry| (2-D) is finite.
     pub fn new(domain: &Domain, histogram: Vec<f64>) -> Result<Self, StrategyError> {
         if histogram.len() != domain.size() {
             return Err(StrategyError::BadQuery {
                 what: "estimate length must equal the domain size",
             });
         }
-        let prefix = match domain.num_dims() {
+        let (prefix, terms) = match domain.num_dims() {
             1 => {
                 let mut prefix = Vec::with_capacity(histogram.len());
                 let mut acc = 0.0;
@@ -58,7 +61,7 @@ impl Estimate {
                     acc += v;
                     prefix.push(acc);
                 }
-                prefix
+                (prefix, 2.0)
             }
             2 => {
                 let (rows, cols) = (domain.dim(0), domain.dim(1));
@@ -71,11 +74,12 @@ impl Estimate {
                             row_acc + if r > 0 { sat[(r - 1) * cols + c] } else { 0.0 };
                     }
                 }
-                sat
+                (sat, 4.0)
             }
-            _ => Vec::new(),
+            _ => (Vec::new(), 1.0),
         };
-        if !histogram.iter().chain(&prefix).all(|v| v.is_finite()) {
+        let bounded = |v: &f64| (terms * v).is_finite();
+        if !histogram.iter().all(|v| v.is_finite()) || !prefix.iter().all(bounded) {
             return Err(StrategyError::NonFiniteRelease);
         }
         Ok(Estimate {

@@ -1,7 +1,10 @@
 //! The wire `answer` path makes a number of heap allocations that does
 //! not grow with the line's range count: the ranges are parsed into one
 //! flat buffer, validated and answered without building a query per
-//! range, and the values are written into one pre-sized reply.
+//! range, and the values are written into one pre-sized reply. A `tenant`
+//! line makes a number that does not grow with its policy's edge count:
+//! a distance-threshold policy is classified from its recorded θ without
+//! building its edges, and a tree policy's adjacency is flat.
 //!
 //! A counting global allocator needs a test binary of its own: every
 //! other test in a shared binary would count too. The counter is
@@ -58,13 +61,13 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Heap allocations (including reallocations) the calling thread makes
-/// while serving `line`; the reply must be an `ok answer` line.
-fn allocations_of(codec: &mut Codec, service: &Service, line: &str) -> usize {
+/// while serving `line`; the reply must start with `ok <verb> `.
+fn allocations_of(codec: &mut Codec, service: &Service, line: &str, verb: &str) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
     let reply = codec.serve(service, line);
     let after = ALLOCATIONS.with(Cell::get);
     match &reply {
-        WireReply::Reply(r) if r.starts_with("ok answer ") => {}
+        WireReply::Reply(r) if r.starts_with(&format!("ok {verb} ")) => {}
         other => panic!("{line}: {other:?}"),
     }
     drop(reply);
@@ -100,14 +103,41 @@ fn answer_allocations_do_not_grow_with_the_range_count() {
     let two_d = ["0..15x0..15", "3..3x7..7", "0..0x0..15", "2..11x5..9"];
     for (tenant, ranges) in [("acme", &one_d[..]), ("geo", &two_d[..])] {
         // Warm up once so that no one-off set-up is counted.
-        allocations_of(&mut codec, &service, &answer_line(tenant, ranges, 1));
+        let line = |n| answer_line(tenant, ranges, n);
+        allocations_of(&mut codec, &service, &line(1), "answer");
         let counts: Vec<usize> = [1, 8, 32]
             .iter()
-            .map(|&n| allocations_of(&mut codec, &service, &answer_line(tenant, ranges, n)))
+            .map(|&n| allocations_of(&mut codec, &service, &line(n), "answer"))
             .collect();
         assert!(
             counts.iter().all(|&c| c == counts[0]),
             "{tenant}: allocations for 1, 8 and 32 ranges: {counts:?}"
+        );
+    }
+}
+
+#[test]
+fn onboarding_allocations_do_not_grow_with_the_policy() {
+    let service = Service::new();
+    let mut codec = Codec::new();
+    // The distance-threshold policies span 4 095 to 523 776 edges; the
+    // star's tree incidence is built at onboarding, so it allocates more.
+    for (i, (policy, limit)) in [
+        ("line:4096", 64),
+        ("theta-line:4096:8", 64),
+        ("grid:64", 64),
+        ("theta-grid:64:2", 64),
+        ("complete:1024", 64),
+        ("star:4096", 256),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let line = format!("tenant t{i} policy={policy} eps=1 budget=1 data=uniform:1");
+        let count = allocations_of(&mut codec, &service, &line, "tenant");
+        assert!(
+            count <= limit,
+            "{policy}: {count} allocations (limit {limit})"
         );
     }
 }
