@@ -125,10 +125,11 @@ fn bench_engine(c: &mut Criterion) {
     // every cold request derives a fresh Haar plan pair, the cached
     // session derived exactly one across all its fits (asserted below via
     // PlanStats) — but at k = 64 the plan pair is ~2·64 weights while the
-    // fit itself runs 2(k−1) = 126 length-64 Privelet transforms, so the
-    // hoisted work is ~0.1% of a fit and invisible next to run-to-run
-    // noise. The distinction is therefore asserted structurally, not by
-    // timing.
+    // fit itself runs 2(k−1) = 126 length-64 Privelet passes. A plan holds
+    // only those weights: both kinds of fit run every pass in one set of
+    // work buffers, so the hoisted work is ~0.1% of a fit and invisible
+    // next to run-to-run noise. The distinction is therefore asserted
+    // structurally, not by timing.
     {
         let mut cold_builds = 0;
         let mut rng = StdRng::seed_from_u64(4);

@@ -20,6 +20,11 @@
 //! list through `Codec::serve` into a fresh `Service`: parse, policy
 //! classification (the star's through its tree incidence), ledger account
 //! and the registered data — the cold start of a joining tenant.
+//! `fit_grid_128` and `fit_theta_grid_64_4` time one planner-default
+//! `fit` line through `Codec::serve` against a warm `grid:128` and
+//! `theta-grid:64:4` tenant: ledger charge, the 2-D release (254 and 64
+//! layer plus 62 red-grid Privelet passes), the estimate's summed-area
+//! table and the stored handle.
 //!
 //! Each workload is served twice, every request through
 //! `wire::serve_request`: sequentially in a loop (one client thread) and
@@ -227,6 +232,26 @@ fn bench_service(c: &mut Criterion) {
         }
         g.bench_function(id, |b| {
             b.iter(|| black_box(codec.serve(&Service::new(), black_box(&line))))
+        });
+    }
+
+    for (id, policy) in [
+        ("fit_grid_128", "grid:128"),
+        ("fit_theta_grid_64_4", "theta-grid:64:4"),
+    ] {
+        let service = Service::new();
+        let fit = "fit t as=h seed=1";
+        for line in [
+            &format!("tenant t policy={policy} eps=0.5 budget=1e12 data=uniform:3"),
+            fit,
+        ] {
+            match codec.serve(&service, line) {
+                WireReply::Reply(reply) if reply.starts_with("ok ") => {}
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+        g.bench_function(id, |b| {
+            b.iter(|| black_box(codec.serve(&service, black_box(fit))))
         });
     }
 

@@ -57,20 +57,29 @@ impl Grounding {
     /// component with ⊥ — mirroring Example 4.1, which replaces the
     /// rightmost node of the line graph.
     pub fn new(graph: &PolicyGraph) -> Result<Self, CoreError> {
-        let defaults: Vec<usize> = graph
-            .components()
+        let components = graph.components();
+        let defaults: Vec<usize> = components
             .iter()
             .map(|c| *c.last().expect("components are non-empty"))
             .collect();
-        Grounding::with_candidates(graph, &defaults)
+        Grounding::from_components(graph, components, &defaults)
     }
 
     /// Grounds `graph`, choosing the replacement for each ⊥-less component
     /// from `candidates` (any candidate inside the component is used; the
     /// component's largest vertex is the fallback).
     pub fn with_candidates(graph: &PolicyGraph, candidates: &[usize]) -> Result<Self, CoreError> {
+        Grounding::from_components(graph, graph.components(), candidates)
+    }
+
+    /// [`Grounding::with_candidates`] over the already computed
+    /// `graph.components()`.
+    fn from_components(
+        graph: &PolicyGraph,
+        components: Vec<Vec<usize>>,
+        candidates: &[usize],
+    ) -> Result<Self, CoreError> {
         let k = graph.num_values();
-        let components = graph.components();
         if components.is_empty() {
             return Err(CoreError::EmptyPolicy);
         }

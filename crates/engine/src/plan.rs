@@ -136,6 +136,10 @@ fn structurally_equal(a: &PolicyGraph, b: &PolicyGraph) -> bool {
     a.domain() == b.domain() && a.edges() == b.edges()
 }
 
+/// The graphs that share one structural hash, each with its incidence;
+/// a graph is held by the `Arc` its session policy holds.
+type IncidenceBucket = Vec<(Arc<PolicyGraph>, Arc<Incidence>)>;
+
 /// Shared, thread-safe store of precomputed strategy artifacts. One cache
 /// may serve many sessions (the `Service` layer hands every tenant the
 /// same `Arc<PlanCache>`): keys are policy-parameterized, so tenants with
@@ -146,7 +150,7 @@ pub struct PlanCache {
     /// Incidences keyed by [`PolicyGraph::structural_hash`]; each bucket
     /// holds the graphs that hashed there, compared structurally
     /// (collision-checked equality fallback).
-    incidence: Striped<u64, Vec<(PolicyGraph, Arc<Incidence>)>>,
+    incidence: Striped<u64, IncidenceBucket>,
     theta_line: Striped<(usize, usize), Arc<ThetaLineStrategy>>,
     theta_grid: Striped<(usize, usize), Arc<ThetaGridStrategy>>,
     grid_plans: Striped<(usize, usize), GridPlans>,
@@ -167,8 +171,9 @@ impl PlanCache {
     /// The incidence matrix `P_G` of `graph`, derived at most once per
     /// structurally distinct graph: lookup is by canonical structural
     /// hash, with an equality walk over the (almost always singleton)
-    /// collision bucket.
-    pub fn incidence(&self, graph: &PolicyGraph) -> Result<Arc<Incidence>, EngineError> {
+    /// collision bucket. A new entry shares `graph`'s `Arc` rather than
+    /// copying the graph.
+    pub fn incidence(&self, graph: &Arc<PolicyGraph>) -> Result<Arc<Incidence>, EngineError> {
         let key = graph.structural_hash();
         let mut map = self
             .incidence
@@ -181,14 +186,15 @@ impl PlanCache {
         }
         let inc = Arc::new(Incidence::new(graph)?);
         self.stats.incidence.fetch_add(1, Ordering::Relaxed);
-        bucket.push((graph.clone(), Arc::clone(&inc)));
+        bucket.push((Arc::clone(graph), Arc::clone(&inc)));
         Ok(inc)
     }
 
     /// Stores an incidence that was already derived elsewhere (e.g. while
     /// classifying the policy graph), counting the derivation, so the
-    /// first mechanism build does not repeat it.
-    pub(crate) fn seed_incidence(&self, graph: &PolicyGraph, inc: Arc<Incidence>) {
+    /// first mechanism build does not repeat it. The entry shares
+    /// `graph`'s `Arc` (the session policy's) rather than copying it.
+    pub(crate) fn seed_incidence(&self, graph: &Arc<PolicyGraph>, inc: Arc<Incidence>) {
         let key = graph.structural_hash();
         let mut map = self
             .incidence
@@ -200,7 +206,7 @@ impl PlanCache {
             return;
         }
         self.stats.incidence.fetch_add(1, Ordering::Relaxed);
-        bucket.push((graph.clone(), inc));
+        bucket.push((Arc::clone(graph), inc));
     }
 
     /// The prepared `G^θ_k` strategy (spanner, incidence, group Haar
@@ -246,7 +252,7 @@ mod tests {
     #[test]
     fn artifacts_are_derived_once() {
         let cache = PlanCache::new();
-        let g = PolicyGraph::line(16).unwrap();
+        let g = Arc::new(PolicyGraph::line(16).unwrap());
         for _ in 0..5 {
             cache.incidence(&g).unwrap();
             cache.theta_line_strategy(64, 4).unwrap();
@@ -268,8 +274,8 @@ mod tests {
         // Asking for a different policy graph must not serve the first
         // graph's incidence (that would be privacy-unsound).
         let cache = PlanCache::new();
-        let line = PolicyGraph::line(8).unwrap();
-        let star = PolicyGraph::star(8).unwrap();
+        let line = Arc::new(PolicyGraph::line(8).unwrap());
+        let star = Arc::new(PolicyGraph::star(8).unwrap());
         let a = cache.incidence(&line).unwrap();
         let b = cache.incidence(&star).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
@@ -346,10 +352,11 @@ mod tests {
         // A renamed but structurally identical graph must hit the same
         // cache slot — Incidence is a pure function of (domain, edges).
         let cache = PlanCache::new();
-        let line = PolicyGraph::line(8).unwrap();
-        let renamed =
+        let line = Arc::new(PolicyGraph::line(8).unwrap());
+        let renamed = Arc::new(
             PolicyGraph::from_edges(line.domain().clone(), line.edges().to_vec(), "renamed-line")
-                .unwrap();
+                .unwrap(),
+        );
         assert_eq!(line.structural_hash(), renamed.structural_hash());
         let a = cache.incidence(&line).unwrap();
         let b = cache.incidence(&renamed).unwrap();
@@ -363,10 +370,10 @@ mod tests {
         // stripe locks must resolve every race to exactly one build per
         // distinct artifact, with no deadlock.
         let cache = Arc::new(PlanCache::new());
-        let graphs: Vec<PolicyGraph> = vec![
-            PolicyGraph::line(16).unwrap(),
-            PolicyGraph::star(16).unwrap(),
-            PolicyGraph::theta_line(16, 3).unwrap(),
+        let graphs: Vec<Arc<PolicyGraph>> = vec![
+            Arc::new(PolicyGraph::line(16).unwrap()),
+            Arc::new(PolicyGraph::star(16).unwrap()),
+            Arc::new(PolicyGraph::theta_line(16, 3).unwrap()),
         ];
         std::thread::scope(|scope| {
             for _ in 0..8 {

@@ -48,7 +48,8 @@ pub use matrix::{hierarchical_strategy, identity_strategy, wavelet_strategy, Mat
 pub use noise::{laplace, laplace_variance, laplace_vec};
 pub use privelet::{
     haar_forward, haar_generalized_sensitivity, haar_inverse, haar_weights, privelet_histogram,
-    privelet_histogram_1d, privelet_histogram_planned, HaarPlan,
+    privelet_histogram_1d, privelet_histogram_planned, privelet_planned_into, HaarPlan,
+    PriveletWork,
 };
 pub use tree_solve::MatrixStrategyKind;
 

@@ -12,6 +12,10 @@
 //! The d-dimensional variant applies the 1-D transform along each axis
 //! (standard tensor decomposition); weights multiply and the generalized
 //! sensitivity becomes `Π_axes (1 + log₂ k_axis)`.
+//!
+//! Every release runs through one body, [`privelet_planned_into`]: a
+//! [`HaarPlan`] holds the shape's weights, a [`PriveletWork`] the buffers
+//! the passes run in, and the caller's slice receives the estimate.
 
 use rand::Rng;
 
@@ -24,9 +28,14 @@ use crate::MechanismError;
 /// average/semi-difference convention: layout `[c₀ | 1 | 2 | 4 | …]` where
 /// the segment `[2^{j−1}, 2^j)` holds the level-j detail coefficients.
 pub fn haar_forward(x: &mut [f64]) {
+    haar_forward_with(x, &mut vec![0.0; x.len()]);
+}
+
+/// [`haar_forward`] through a caller's scratch buffer of `x.len()` values
+/// (its contents are overwritten before they are read).
+fn haar_forward_with(x: &mut [f64], scratch: &mut [f64]) {
     let n = x.len();
-    debug_assert!(n.is_power_of_two());
-    let mut scratch = vec![0.0; n];
+    debug_assert!(n.is_power_of_two() && scratch.len() == n);
     let mut len = n;
     while len > 1 {
         let half = len / 2;
@@ -43,9 +52,13 @@ pub fn haar_forward(x: &mut [f64]) {
 
 /// Inverse of [`haar_forward`].
 pub fn haar_inverse(x: &mut [f64]) {
+    haar_inverse_with(x, &mut vec![0.0; x.len()]);
+}
+
+/// [`haar_inverse`] through a caller's scratch buffer of `x.len()` values.
+fn haar_inverse_with(x: &mut [f64], scratch: &mut [f64]) {
     let n = x.len();
-    debug_assert!(n.is_power_of_two());
-    let mut scratch = vec![0.0; n];
+    debug_assert!(n.is_power_of_two() && scratch.len() == n);
     let mut len = 2;
     while len <= n {
         let half = len / 2;
@@ -90,9 +103,10 @@ pub fn haar_generalized_sensitivity(n: usize) -> f64 {
 /// Deriving the weight tensor costs a full pass over the padded domain per
 /// axis; a plan computes it once so repeated releases over the same shape
 /// (trials, serving loops, per-row calls inside the grid strategies) skip
-/// the re-derivation. [`privelet_histogram`] remains a thin wrapper that
-/// builds a throwaway plan, and produces bit-identical output for a fixed
-/// seed.
+/// the re-derivation. A plan holds no work buffers: a release runs in the
+/// caller's [`PriveletWork`], so one plan may serve many threads at once.
+/// [`privelet_histogram`] remains a thin wrapper that builds a throwaway
+/// plan, and produces bit-identical output for a fixed seed.
 #[derive(Clone, Debug)]
 pub struct HaarPlan {
     dims: Vec<usize>,
@@ -124,15 +138,11 @@ impl HaarPlan {
             let n = padded_dims[axis];
             rho *= haar_generalized_sensitivity(n);
             let axis_w = haar_weights(n);
-            for_each_line(
-                &padded_dims,
-                axis,
-                |line_idx: &mut dyn FnMut(usize) -> usize| {
-                    for (i, w) in axis_w.iter().enumerate() {
-                        weights[line_idx(i)] *= w;
-                    }
-                },
-            );
+            for_each_line(&padded_dims, axis, |base, stride| {
+                for (i, w) in axis_w.iter().enumerate() {
+                    weights[base + i * stride] *= w;
+                }
+            });
         }
         Ok(HaarPlan {
             dims: dims.to_vec(),
@@ -143,6 +153,28 @@ impl HaarPlan {
             padded_size,
         })
     }
+}
+
+/// The work buffers a planned Privelet release runs in: the padded
+/// coefficient buffer, one line buffer and one Haar scratch buffer. Each
+/// grows to the largest plan it meets and is then reused by every later
+/// line, axis and release, so a caller that keeps one across many
+/// releases (the grid strategies' per-row passes, θ-line's groups)
+/// allocates them a constant number of times.
+#[derive(Debug, Default)]
+pub struct PriveletWork {
+    padded: Vec<f64>,
+    line: Vec<f64>,
+    scratch: Vec<f64>,
+}
+
+/// The first `len` values of `buf`, growing it (with zeros) if it is
+/// shorter. What a previous release left there is not cleared.
+fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
 }
 
 /// The 1-D Privelet mechanism: releases a noisy histogram whose range
@@ -160,7 +192,7 @@ pub fn privelet_histogram_1d<R: Rng + ?Sized>(
 ///
 /// Thin wrapper building a throwaway [`HaarPlan`]; callers releasing many
 /// histograms over one shape should build the plan once and use
-/// [`privelet_histogram_planned`].
+/// [`privelet_histogram_planned`] or [`privelet_planned_into`].
 pub fn privelet_histogram<R: Rng + ?Sized>(
     x: &[f64],
     dims: &[usize],
@@ -174,55 +206,60 @@ pub fn privelet_histogram<R: Rng + ?Sized>(
 /// Runs the Privelet mechanism against a prepared [`HaarPlan`], skipping
 /// the per-call weight/padding derivation. Bit-for-bit identical to
 /// [`privelet_histogram`] for the same seed.
+///
+/// Thin wrapper over [`privelet_planned_into`] with fresh work buffers
+/// and a fresh output: callers releasing many histograms in a row should
+/// call that with buffers they keep.
 pub fn privelet_histogram_planned<R: Rng + ?Sized>(
     plan: &HaarPlan,
     x: &[f64],
     eps: Epsilon,
     rng: &mut R,
 ) -> Result<Vec<f64>, MechanismError> {
+    let mut out = vec![0.0; plan.size];
+    privelet_planned_into(plan, x, eps, rng, &mut PriveletWork::default(), &mut out)?;
+    Ok(out)
+}
+
+/// The one Privelet release body: transforms `x` (row-major, the plan's
+/// shape) along every axis, adds `Lap(ρ / (ε · weight))` to each padded
+/// coefficient in row-major order, inverts the transform and writes the
+/// unpadded estimate into `out`. It runs in `work`, reusing its padded,
+/// line and scratch buffers for every line, so a release allocates
+/// nothing once `work` has met a plan this size. The output is
+/// bit-identical to [`privelet_histogram`] for the same seed. `x` and
+/// `out` must both hold the product of the plan's dims.
+pub fn privelet_planned_into<R: Rng + ?Sized>(
+    plan: &HaarPlan,
+    x: &[f64],
+    eps: Epsilon,
+    rng: &mut R,
+    work: &mut PriveletWork,
+    out: &mut [f64],
+) -> Result<(), MechanismError> {
     if x.len() != plan.size {
         return Err(MechanismError::InvalidParameter {
             what: "histogram length must equal the product of dims",
         });
     }
-    let dims = &plan.dims;
-    let padded_dims = &plan.padded_dims;
-
-    // Copy into the padded row-major buffer.
-    let mut buf = vec![0.0; plan.padded_size];
-    copy_block(x, dims, &mut buf, padded_dims);
-
-    // 1-D fast path: the buffer *is* the single line, so transform it in
-    // place — no per-line scratch copies. Same operations in the same
-    // order as the generic path, hence bit-identical output; this is the
-    // inner loop of the grid strategies (2(k−1) planned calls per fit).
-    if padded_dims.len() == 1 {
-        haar_forward(&mut buf);
-        for (c, &w) in buf.iter_mut().zip(&plan.weights) {
-            *c += laplace(rng, plan.rho / (eps.value() * w));
-        }
-        haar_inverse(&mut buf);
-        buf.truncate(plan.size);
-        return Ok(buf);
+    if out.len() != plan.size {
+        return Err(MechanismError::InvalidParameter {
+            what: "output length must equal the product of dims",
+        });
     }
+    // Contiguous lines (the last axis) are transformed in place; only the
+    // others go through the line buffer.
+    let dims = &plan.padded_dims;
+    let longest = |dims: &[usize]| dims.iter().copied().max().unwrap_or(0);
+    let buf = grown(&mut work.padded, plan.padded_size);
+    let line = grown(&mut work.line, longest(&dims[..dims.len() - 1]));
+    let scratch = grown(&mut work.scratch, longest(dims));
 
-    // Forward transform along each axis (weights come from the plan).
-    for axis in 0..padded_dims.len() {
-        let n = padded_dims[axis];
-        for_each_line(
-            padded_dims,
-            axis,
-            |line_idx: &mut dyn FnMut(usize) -> usize| {
-                let mut line = vec![0.0; n];
-                for (i, v) in line.iter_mut().enumerate() {
-                    *v = buf[line_idx(i)];
-                }
-                haar_forward(&mut line);
-                for (i, v) in line.into_iter().enumerate() {
-                    buf[line_idx(i)] = v;
-                }
-            },
-        );
+    // Copy into the zeroed padded buffer; transform along each axis.
+    buf.fill(0.0);
+    copy_block(x, &plan.dims, buf, dims);
+    for axis in 0..dims.len() {
+        haar_along(buf, dims, axis, line, scratch, haar_forward_with);
     }
 
     // Noise each coefficient: Lap(ρ / (ε · weight)).
@@ -231,102 +268,74 @@ pub fn privelet_histogram_planned<R: Rng + ?Sized>(
     }
 
     // Inverse transform along axes (order does not matter for a tensor
-    // transform; reverse for symmetry).
-    for axis in (0..padded_dims.len()).rev() {
-        let n = padded_dims[axis];
-        for_each_line(
-            padded_dims,
-            axis,
-            |line_idx: &mut dyn FnMut(usize) -> usize| {
-                let mut line = vec![0.0; n];
-                for (i, v) in line.iter_mut().enumerate() {
-                    *v = buf[line_idx(i)];
-                }
-                haar_inverse(&mut line);
-                for (i, v) in line.into_iter().enumerate() {
-                    buf[line_idx(i)] = v;
-                }
-            },
-        );
+    // transform; reverse for symmetry), then truncate the padding.
+    for axis in (0..dims.len()).rev() {
+        haar_along(buf, dims, axis, line, scratch, haar_inverse_with);
     }
+    copy_block(buf, dims, out, &plan.dims);
+    Ok(())
+}
 
-    // Truncate padding.
-    let mut out = vec![0.0; plan.size];
-    copy_block(&buf, padded_dims, &mut out, dims);
-    Ok(out)
+/// Runs `haar` (an analysis or a synthesis through a scratch buffer) on
+/// every line of `buf` along `axis`: a contiguous line in place, any
+/// other gathered into `line` and scattered back.
+fn haar_along(
+    buf: &mut [f64],
+    dims: &[usize],
+    axis: usize,
+    line: &mut [f64],
+    scratch: &mut [f64],
+    haar: fn(&mut [f64], &mut [f64]),
+) {
+    let n = dims[axis];
+    let scratch = &mut scratch[..n];
+    for_each_line(dims, axis, |base, stride| {
+        if stride == 1 {
+            return haar(&mut buf[base..base + n], scratch);
+        }
+        let line = &mut line[..n];
+        for (i, v) in line.iter_mut().enumerate() {
+            *v = buf[base + i * stride];
+        }
+        haar(line, scratch);
+        for (i, &v) in line.iter().enumerate() {
+            buf[base + i * stride] = v;
+        }
+    });
 }
 
 /// Copies the common block between two row-major buffers whose shapes
-/// differ only by trailing padding per dimension; iteration is over the
-/// smaller shape in each dimension.
+/// differ only by trailing padding per dimension: the smaller shape in
+/// each dimension, one innermost run at a time.
 fn copy_block(src: &[f64], src_dims: &[usize], dst: &mut [f64], dst_dims: &[usize]) {
-    let small_dims: Vec<usize> = src_dims
-        .iter()
-        .zip(dst_dims)
-        .map(|(&a, &b)| a.min(b))
-        .collect();
-    let d = small_dims.len();
-    let mut coords = vec![0usize; d];
-    let flat = |coords: &[usize], dims: &[usize]| -> usize {
-        let mut idx = 0;
-        for (c, k) in coords.iter().zip(dims) {
-            idx = idx * k + c;
-        }
-        idx
-    };
-    loop {
-        let (si, di) = (flat(&coords, src_dims), flat(&coords, dst_dims));
-        dst[di] = src[si];
-        // Odometer.
-        let mut dim = d;
-        loop {
-            if dim == 0 {
-                return;
-            }
-            dim -= 1;
-            coords[dim] += 1;
-            if coords[dim] < small_dims[dim] {
-                break;
-            }
-            coords[dim] = 0;
-        }
+    let (rows, src_rest, dst_rest) = (src_dims[0].min(dst_dims[0]), &src_dims[1..], &dst_dims[1..]);
+    if src_rest.is_empty() {
+        dst[..rows].copy_from_slice(&src[..rows]);
+        return;
+    }
+    let src_stride: usize = src_rest.iter().product();
+    let dst_stride: usize = dst_rest.iter().product();
+    for r in 0..rows {
+        copy_block(
+            &src[r * src_stride..(r + 1) * src_stride],
+            src_rest,
+            &mut dst[r * dst_stride..(r + 1) * dst_stride],
+            dst_rest,
+        );
     }
 }
 
-/// Invokes `f` once per 1-D line along `axis` of a row-major array with
-/// the given dims. `f` receives a closure mapping position-on-line to the
-/// flat index.
-fn for_each_line<F>(dims: &[usize], axis: usize, mut f: F)
-where
-    F: FnMut(&mut dyn FnMut(usize) -> usize),
-{
-    let d = dims.len();
-    // Stride of the axis in row-major layout.
+/// Invokes `f(base, stride)` once per 1-D line along `axis` of a row-major
+/// array with the given dims, in row-major order of the other
+/// coordinates: position `i` of the line is the flat index
+/// `base + i · stride`.
+fn for_each_line(dims: &[usize], axis: usize, mut f: impl FnMut(usize, usize)) {
     let stride: usize = dims[axis + 1..].iter().product();
-    // Iterate over all coordinates with the axis fixed at 0.
-    let mut coords = vec![0usize; d];
-    loop {
-        // Base flat index of this line.
-        let mut base = 0usize;
-        for (i, (&c, &k)) in coords.iter().zip(dims).enumerate() {
-            base = base * k + if i == axis { 0 } else { c };
-        }
-        f(&mut |i: usize| base + i * stride);
-        // Odometer skipping the axis dimension.
-        let mut dim = d;
-        loop {
-            if dim == 0 {
-                return;
-            }
-            dim -= 1;
-            if dim == axis {
-                continue;
-            }
-            coords[dim] += 1;
-            if coords[dim] < dims[dim] {
-                break;
-            }
-            coords[dim] = 0;
+    let outer: usize = dims[..axis].iter().product();
+    let block = dims[axis] * stride;
+    for o in 0..outer {
+        for i in 0..stride {
+            f(o * block + i, stride);
         }
     }
 }
@@ -487,5 +496,36 @@ mod tests {
         let eps = Epsilon::new(1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         assert!(privelet_histogram_planned(&plan, &[1.0; 4], eps, &mut rng).is_err());
+        // Wrong output length.
+        let mut work = PriveletWork::default();
+        let mut out = [0.0; 4];
+        assert!(
+            privelet_planned_into(&plan, &[1.0; 30], eps, &mut rng, &mut work, &mut out).is_err()
+        );
+    }
+
+    #[test]
+    fn one_work_serves_plans_of_every_shape() {
+        // What one release leaves in the work buffers must not reach the
+        // next, whether it grows them or runs in a prefix of them.
+        let eps = Epsilon::new(0.7).unwrap();
+        let mut work = PriveletWork::default();
+        for dims in [
+            vec![8usize, 8],
+            vec![37],
+            vec![3],
+            vec![5, 6],
+            vec![2, 33],
+            vec![8, 8],
+        ] {
+            let size: usize = dims.iter().product();
+            let x: Vec<f64> = (0..size).map(|i| ((i * 5) % 11) as f64).collect();
+            let plan = HaarPlan::new(&dims).unwrap();
+            let mut out = vec![0.0; size];
+            let mut rng = StdRng::seed_from_u64(9);
+            privelet_planned_into(&plan, &x, eps, &mut rng, &mut work, &mut out).unwrap();
+            let fresh = privelet_histogram(&x, &dims, eps, &mut StdRng::seed_from_u64(9)).unwrap();
+            assert_eq!(out, fresh, "dims {dims:?}");
+        }
     }
 }

@@ -17,13 +17,19 @@
 //! edge group with Privelet, and map back through `x̂ = P_G·x̃_G` with the
 //! Case II corner reconstruction. Summing `x̂` over a box is then exactly
 //! the paper's 4-boundary-run answer (interior noise telescopes away).
+//!
+//! A release holds the edge estimates in two flat row-major buffers, one
+//! row per edge row (vertical edges) and one per edge column (horizontal
+//! edges), and runs all `rows + cols − 2` Privelet passes in one
+//! [`PriveletWork`], so it makes the same handful of allocations whatever
+//! the grid's side.
 
 use std::sync::Arc;
 
 use rand::{Rng, RngCore};
 
 use blowfish_core::{DataVector, Epsilon};
-use blowfish_mechanisms::{privelet_histogram_planned, HaarPlan};
+use blowfish_mechanisms::{privelet_planned_into, HaarPlan, PriveletWork};
 
 use crate::mechanism::{Estimate, Mechanism};
 use crate::StrategyError;
@@ -115,7 +121,13 @@ impl GridMechanism {
                 &local_plans
             }
         };
-        grid_histogram_impl(x, self.eps, plans, rng)
+        grid_histogram_impl(
+            x.counts(),
+            self.eps,
+            plans,
+            &mut PriveletWork::default(),
+            rng,
+        )
     }
 }
 
@@ -143,44 +155,43 @@ pub fn grid_blowfish_histogram<R: Rng + ?Sized>(
     GridMechanism::new(eps).fit_histogram(x, rng)
 }
 
-/// Shared strategy body against prepared plans.
-fn grid_histogram_impl<R: Rng + ?Sized>(
-    x: &DataVector,
+/// Shared strategy body against prepared plans, over the row-major
+/// counts of a `rows × cols` grid; every Privelet pass runs in `work`.
+pub(crate) fn grid_histogram_impl<R: Rng + ?Sized>(
+    counts: &[f64],
     eps: Epsilon,
     plans: &GridPlans,
+    work: &mut PriveletWork,
     rng: &mut R,
 ) -> Result<Vec<f64>, StrategyError> {
     let (rows, cols) = plans.shape();
-    let n = x.total();
-    let at = |r: usize, c: usize| x.get(r * cols + c);
+    let n: f64 = counts.iter().sum();
+    let at = |r: usize, c: usize| counts[r * cols + c];
 
     // True edge values of the canonical solution.
     // Vertical edge between rows (i, i+1) in column j carries the column
-    // prefix V(i, j) = Σ_{r ≤ i} x[r, j]; estimated per edge-row i.
-    let mut v_est: Vec<Vec<f64>> = Vec::with_capacity(rows - 1);
+    // prefix V(i, j) = Σ_{r ≤ i} x[r, j]; estimated per edge-row i into
+    // row i of `v_est`, (rows − 1) × cols.
+    let mut v_est = vec![0.0; (rows - 1) * cols];
     let mut col_prefix = vec![0.0; cols];
-    for i in 0..rows - 1 {
+    for (i, v_row) in v_est.chunks_exact_mut(cols).enumerate() {
         for (j, cp) in col_prefix.iter_mut().enumerate() {
             *cp += at(i, j);
         }
-        v_est.push(privelet_histogram_planned(
-            &plans.row,
-            &col_prefix,
-            eps,
-            rng,
-        )?);
+        privelet_planned_into(&plans.row, &col_prefix, eps, rng, work, v_row)?;
     }
 
     // Horizontal edge between columns (j, j+1) in row i carries 0 except
     // in the bottom row, where it carries the cumulative column total
-    // H(j) = Σ_{c ≤ j} Σ_r x[r, c]; estimated per edge-column j.
-    let mut h_est: Vec<Vec<f64>> = Vec::with_capacity(cols - 1);
+    // H(j) = Σ_{c ≤ j} Σ_r x[r, c]; estimated per edge-column j into row
+    // j of `h_est`, (cols − 1) × rows.
+    let mut h_est = vec![0.0; (cols - 1) * rows];
+    let mut column = vec![0.0; rows];
     let mut cum_total = 0.0;
-    for j in 0..cols - 1 {
+    for (j, h_col) in h_est.chunks_exact_mut(rows).enumerate() {
         cum_total += (0..rows).map(|r| at(r, j)).sum::<f64>();
-        let mut column = vec![0.0; rows];
         column[rows - 1] = cum_total;
-        h_est.push(privelet_histogram_planned(&plans.col, &column, eps, rng)?);
+        privelet_planned_into(&plans.col, &column, eps, rng, work, h_col)?;
     }
 
     // Map back: x̂(i, j) = Ṽ(i, j) − Ṽ(i−1, j) + H̃(i, j) − H̃(i, j−1)
@@ -190,14 +201,14 @@ fn grid_histogram_impl<R: Rng + ?Sized>(
         if i < 0 || i as usize >= rows - 1 {
             0.0
         } else {
-            v_est[i as usize][j]
+            v_est[i as usize * cols + j]
         }
     };
     let h_at = |i: usize, j: isize| -> f64 {
         if j < 0 || j as usize >= cols - 1 {
             0.0
         } else {
-            h_est[j as usize][i]
+            h_est[j as usize * rows + i]
         }
     };
     let mut out = vec![0.0; rows * cols];

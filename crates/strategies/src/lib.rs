@@ -32,6 +32,8 @@ pub mod grid;
 pub mod line1d;
 pub mod lower_bounds;
 pub mod mechanism;
+#[cfg(test)]
+mod reference;
 pub mod theta_grid;
 pub mod theta_line;
 

@@ -17,16 +17,22 @@
 //! Everything is scaled by the certified stretch ℓ (Corollary 4.6) so the
 //! result is `(ε, G^θ_{k²})`-Blowfish private, with per-query error
 //! `O(d³·log^{3(d−1)}k·log³θ/ε²)` (Theorem 5.6).
+//!
+//! [`ThetaGridStrategy::new`] derives every Haar plan a release needs —
+//! the red grid's [`GridPlans`] and one plan per layer direction — so a
+//! fit builds none. A release reuses one layer buffer, one layer estimate
+//! and one [`PriveletWork`] across all `2m` layers and the red grid, so it
+//! makes the same handful of allocations whatever `k` and θ.
 
 use std::sync::Arc;
 
 use rand::{Rng, RngCore};
 
 use blowfish_core::spanner::theta_grid_spanner;
-use blowfish_core::{DataVector, Domain, Epsilon};
-use blowfish_mechanisms::privelet_histogram;
+use blowfish_core::{DataVector, Epsilon};
+use blowfish_mechanisms::{privelet_planned_into, HaarPlan, PriveletWork};
 
-use crate::grid::grid_blowfish_histogram;
+use crate::grid::{grid_histogram_impl, GridPlans};
 use crate::mechanism::{Estimate, Mechanism};
 use crate::StrategyError;
 
@@ -40,6 +46,12 @@ pub struct ThetaGridStrategy {
     red_k: usize,
     /// Certified stretch ℓ of the spanner (Lemma 4.5).
     stretch: usize,
+    /// Haar plans of the red `m × m` grid; for `s = 1` that is the
+    /// policy's own grid.
+    red_plans: GridPlans,
+    /// Haar plans of one horizontal (`s × k`) and one vertical (`k × s`)
+    /// layer of internal edges; `None` when `s = 1`, which has none.
+    layer_plans: Option<(HaarPlan, HaarPlan)>,
 }
 
 impl ThetaGridStrategy {
@@ -47,7 +59,8 @@ impl ThetaGridStrategy {
     /// the block side to divide `k`. The spanner stretch is certified on a
     /// reduced instance with the same block geometry (stretch is a local
     /// property of the block pattern; the tests cross-check this against
-    /// direct certification).
+    /// direct certification). The red grid's and the layers' Haar plans
+    /// are derived here too.
     pub fn new(k: usize, theta: usize) -> Result<Self, StrategyError> {
         if theta == 0 {
             return Err(StrategyError::BadQuery {
@@ -71,11 +84,18 @@ impl ThetaGridStrategy {
             let spanner = theta_grid_spanner(kc, theta)?;
             spanner.certify_stretch(theta)?
         };
+        let layer_plans = if s == 1 {
+            None
+        } else {
+            Some((HaarPlan::new(&[s, k])?, HaarPlan::new(&[k, s])?))
+        };
         Ok(ThetaGridStrategy {
             k,
             block: s,
             red_k: k / s,
             stretch,
+            red_plans: GridPlans::new(k / s, k / s)?,
+            layer_plans,
         })
     }
 
@@ -103,10 +123,12 @@ impl ThetaGridStrategy {
             });
         }
         let eps_eff = eps.for_stretch(self.stretch)?;
-        if self.block == 1 {
-            // Degenerate: H = G¹ grid; delegate with the scaled budget.
-            return grid_blowfish_histogram(x, eps_eff, rng);
-        }
+        let mut work = PriveletWork::default();
+        let Some((h_plan, v_plan)) = &self.layer_plans else {
+            // Degenerate: H = G¹ grid; the grid strategy with the scaled
+            // budget.
+            return grid_histogram_impl(x.counts(), eps_eff, &self.red_plans, &mut work, rng);
+        };
         let k = self.k;
         let s = self.block;
         let m = self.red_k;
@@ -115,34 +137,31 @@ impl ThetaGridStrategy {
 
         // --- Internal edges: per-layer 2-D Privelet, ε_eff/2 per
         // direction (d = 2 budget split; layers within a direction are
-        // disjoint → parallel composition).
+        // disjoint → parallel composition). A horizontal layer's estimate
+        // is a contiguous block of `est_h`, so it is written there
+        // directly; a vertical one goes through `est` and is scattered.
         let eps_layer = eps_eff.split(2)?;
+        let mut layer = vec![0.0; s * k];
+        let mut est = vec![0.0; k * s];
         let mut est_h = vec![0.0; k * k];
-        for a in 0..m {
-            let mut layer = vec![0.0; s * k];
+        for (a, est_layer) in est_h.chunks_exact_mut(s * k).enumerate() {
             for dr in 0..s {
                 for c in 0..k {
                     let r = a * s + dr;
                     layer[dr * k + c] = if is_red(r, c) { 0.0 } else { at(r, c) };
                 }
             }
-            let est = privelet_histogram(&layer, &[s, k], eps_layer, rng)?;
-            for dr in 0..s {
-                for c in 0..k {
-                    est_h[(a * s + dr) * k + c] = est[dr * k + c];
-                }
-            }
+            privelet_planned_into(h_plan, &layer, eps_layer, rng, &mut work, est_layer)?;
         }
         let mut est_v = vec![0.0; k * k];
         for b in 0..m {
-            let mut layer = vec![0.0; k * s];
             for r in 0..k {
                 for dc in 0..s {
                     let c = b * s + dc;
                     layer[r * s + dc] = if is_red(r, c) { 0.0 } else { at(r, c) };
                 }
             }
-            let est = privelet_histogram(&layer, &[k, s], eps_layer, rng)?;
+            privelet_planned_into(v_plan, &layer, eps_layer, rng, &mut work, &mut est)?;
             for r in 0..k {
                 for dc in 0..s {
                     est_v[r * k + (b * s + dc)] = est[r * s + dc];
@@ -158,9 +177,7 @@ impl ThetaGridStrategy {
                 blocks[(r / s) * m + (c / s)] += at(r, c);
             }
         }
-        let block_db =
-            DataVector::new(Domain::square(m), blocks).expect("block histogram matches red domain");
-        let block_est = grid_blowfish_histogram(&block_db, eps_eff, rng)?;
+        let block_est = grid_histogram_impl(&blocks, eps_eff, &self.red_plans, &mut work, rng)?;
 
         // --- Reconstruction: non-red cells take their internal-edge
         // estimate (averaging the two independent layer estimates); red
@@ -230,7 +247,8 @@ impl Mechanism for ThetaGridMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blowfish_core::{mse_per_query, Workload};
+    use crate::grid::grid_blowfish_histogram;
+    use blowfish_core::{mse_per_query, Domain, Workload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

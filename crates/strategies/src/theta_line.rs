@@ -19,7 +19,7 @@ use rand::{Rng, RngCore};
 use blowfish_core::spanner::{theta_line_spanner, ThetaLineSpanner};
 use blowfish_core::{DataVector, Epsilon, Incidence};
 use blowfish_mechanisms::{
-    dawa_histogram, laplace_histogram, privelet_histogram_planned, DawaOptions, HaarPlan,
+    dawa_histogram, laplace_histogram, privelet_planned_into, DawaOptions, HaarPlan, PriveletWork,
 };
 
 use crate::mechanism::{Estimate, Mechanism};
@@ -102,8 +102,10 @@ impl ThetaLineStrategy {
             ThetaEstimator::Dawa => dawa_histogram(&x_g, eps_eff, DawaOptions::default(), rng)?,
             ThetaEstimator::GroupPrivelet => {
                 // Disjoint groups → parallel composition: each group gets
-                // the full ε_eff.
+                // the full ε_eff. Each group's estimate is written in
+                // place, every pass in one set of work buffers.
                 let mut out = vec![0.0; x_g.len()];
+                let mut work = PriveletWork::default();
                 for &(start, end) in &self.spanner.groups {
                     // The incidence preserves the spanner's edge order and
                     // count (grounding rewrites columns, never drops them),
@@ -114,8 +116,14 @@ impl ThetaLineStrategy {
                             .ok_or(StrategyError::BadQuery {
                                 what: "spanner group length missing from the prepared Haar plans",
                             })?;
-                    let est = privelet_histogram_planned(plan, &x_g[start..end], eps_eff, rng)?;
-                    out[start..end].copy_from_slice(&est);
+                    privelet_planned_into(
+                        plan,
+                        &x_g[start..end],
+                        eps_eff,
+                        rng,
+                        &mut work,
+                        &mut out[start..end],
+                    )?;
                 }
                 out
             }

@@ -4,7 +4,11 @@
 //! range, and the values are written into one pre-sized reply. A `tenant`
 //! line makes a number that does not grow with its policy's edge count:
 //! a distance-threshold policy is classified from its recorded θ without
-//! building its edges, and a tree policy's adjacency is flat.
+//! building its edges, and a tree policy's adjacency is flat. A warm `fit`
+//! line makes a number that does not grow with the domain: the 2-D
+//! strategies keep their edge estimates in flat buffers and run every
+//! Privelet pass in one set of work buffers, and θ-grid's Haar plans are
+//! derived when its strategy is built.
 //!
 //! A counting global allocator needs a test binary of its own: every
 //! other test in a shared binary would count too. The counter is
@@ -121,14 +125,16 @@ fn onboarding_allocations_do_not_grow_with_the_policy() {
     let service = Service::new();
     let mut codec = Codec::new();
     // The distance-threshold policies span 4 095 to 523 776 edges; the
-    // star's tree incidence is built at onboarding, so it allocates more.
+    // star's tree incidence is built at onboarding, so it allocates more
+    // (108 measured: the graph is copied once, into the policy's `Arc`
+    // that the plan cache shares, and its components are found once).
     for (i, (policy, limit)) in [
         ("line:4096", 64),
         ("theta-line:4096:8", 64),
         ("grid:64", 64),
         ("theta-grid:64:2", 64),
         ("complete:1024", 64),
-        ("star:4096", 256),
+        ("star:4096", 120),
     ]
     .into_iter()
     .enumerate()
@@ -140,4 +146,51 @@ fn onboarding_allocations_do_not_grow_with_the_policy() {
             "{policy}: {count} allocations (limit {limit})"
         );
     }
+}
+
+#[test]
+fn fit_allocations_do_not_grow_with_the_domain() {
+    const LIMIT: usize = 48;
+    let service = Service::new();
+    let mut codec = Codec::new();
+    let mut counts = Vec::new();
+    // Every planner default at two sizes, then the Privelet baselines and
+    // θ-line's group-Privelet estimator.
+    for (i, (policy, mech)) in [
+        ("line:256", ""),
+        ("line:4096", ""),
+        ("theta-line:256:4", ""),
+        ("theta-line:4096:4", ""),
+        ("star:256", ""),
+        ("star:4096", ""),
+        ("grid:16", ""),
+        ("grid:128", ""),
+        ("theta-grid:16:2", ""),
+        ("theta-grid:64:2", ""),
+        ("theta-grid:16:4", ""),
+        ("theta-grid:64:4", ""),
+        ("line:4096", " mech=dp-privelet-1d"),
+        ("grid:128", " mech=dp-privelet-nd"),
+        ("theta-line:4096:4", " mech=theta-line-4-group-privelet"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let tenant = format!("tenant t{i} policy={policy} eps=0.5 budget=100 data=uniform:3");
+        allocations_of(&mut codec, &service, &tenant, "tenant");
+        // The first fit builds the mechanism and its plans, the second
+        // replaces a stored estimate: count the third.
+        let fit = |seed: u64| format!("fit t{i} as=h seed={seed}{mech}");
+        allocations_of(&mut codec, &service, &fit(1), "fit");
+        allocations_of(&mut codec, &service, &fit(2), "fit");
+        counts.push((
+            policy,
+            mech,
+            allocations_of(&mut codec, &service, &fit(3), "fit"),
+        ));
+    }
+    assert!(
+        counts.iter().all(|&(_, _, count)| count <= LIMIT),
+        "allocations per warm fit line (limit {LIMIT}): {counts:?}"
+    );
 }
