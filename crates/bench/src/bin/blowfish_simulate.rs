@@ -33,10 +33,10 @@
 //! once against a durable ledger under `--state-dir` with the replay
 //! cut dead at request index N (`seeded` derives the cut point from the
 //! scenario seed) and recovered into a second service that finishes the
-//! trace. Under the default `per-charge` fsync the recovered run's
-//! deterministic report must be **byte-identical** to the uninterrupted
-//! one; any divergence (or gate violation in either run) exits nonzero.
-//! This is the CI `crash-recovery` gate.
+//! trace. Under every `--fsync` policy (default `per-charge`) the
+//! recovered run's deterministic report must be **byte-identical** to
+//! the uninterrupted one; any divergence (or gate violation in either
+//! run) exits nonzero. This is the CI `crash-recovery` gate.
 
 use blowfish_bench::simulate::{run, run_with_recovery, Scenario, SimReport};
 use blowfish_bench::{quick_mode, sci};
@@ -214,8 +214,8 @@ fn usage(problem: &str) -> i32 {
 }
 
 /// Runs the kill/recover replay for one scenario and holds it against
-/// the uninterrupted report: both must pass every gate, and under
-/// per-charge fsync the deterministic sections must be byte-identical.
+/// the uninterrupted report: both must pass every gate, and the
+/// deterministic sections must be byte-identical.
 /// On divergence the recovered deterministic report (and the state
 /// directory) are left on disk for artifact upload.
 fn check_recovery(
@@ -263,8 +263,7 @@ fn check_recovery(
         }
         return Ok(false);
     }
-    let identical = recovered.report.deterministic_json() == uninterrupted.deterministic_json();
-    if fsync == FsyncPolicy::PerCharge && !identical {
+    if recovered.report.deterministic_json() != uninterrupted.deterministic_json() {
         println!(
             "  RECOVERY VIOLATION: recovered deterministic report diverged from the \
              uninterrupted replay"
@@ -278,11 +277,9 @@ fn check_recovery(
         }
         return Ok(false);
     }
-    if identical {
-        println!("  crash-recovery: deterministic report is byte-identical after recovery");
-        // A clean pass leaves nothing to inspect.
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    println!("  crash-recovery: deterministic report is byte-identical after recovery");
+    // A clean pass leaves nothing to inspect.
+    let _ = std::fs::remove_dir_all(&dir);
     Ok(true)
 }
 

@@ -135,7 +135,6 @@ fn build_state(dir: &Path) -> Result<(), CoreError> {
     let config = LedgerDurability {
         fsync: FsyncPolicy::PerCharge,
         snapshot_every: 0,
-        ..LedgerDurability::default()
     };
     let (ledger, _) = Ledger::durable(dir, config)?;
     for tenant in TENANTS {

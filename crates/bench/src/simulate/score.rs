@@ -383,12 +383,10 @@ pub struct RecoveryRun {
 /// releases are never re-charged), and replays the suffix. The stitched
 /// outcome sequence is scored exactly like an uninterrupted run.
 ///
-/// Under [`FsyncPolicy::PerCharge`] every acknowledged charge survives
-/// the kill, so the stitched report's deterministic section is
-/// f64-identical to the uninterrupted replay — the crash-recovery CI
-/// gate. Batched/off policies may lose staged-but-unsynced acks (by
-/// documented design), in which case the scorer's reconciliation gates
-/// flag the divergence rather than hiding it.
+/// Under every [`FsyncPolicy`] each acknowledged charge is in the log
+/// before its ack, so it survives the kill and the stitched report's
+/// deterministic section is f64-identical to the uninterrupted replay —
+/// the crash-recovery CI gate.
 pub fn run_with_recovery(
     scenario: &Scenario,
     state_dir: &Path,

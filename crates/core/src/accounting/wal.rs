@@ -49,18 +49,30 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// as corruption rather than an attempt to allocate gigabytes.
 const MAX_PAYLOAD: u32 = 1 << 20;
 
-/// When `fsync` is issued relative to charge acknowledgement.
+/// When `fdatasync` runs relative to record acknowledgement.
+///
+/// The crash contract, under every policy: each record is written to
+/// `wal.log` (one `write(2)`) before its account mutates and before it
+/// is acknowledged, so a killed process loses no acknowledged open or
+/// charge — the kernel holds the written pages. The policies differ
+/// only in what a **power loss** may take, which no test here can
+/// exercise:
+///
+/// * [`PerCharge`](FsyncPolicy::PerCharge) — nothing;
+/// * [`Batched(n)`](FsyncPolicy::Batched) — at most the last `n − 1`
+///   acknowledged records;
+/// * [`Off`](FsyncPolicy::Off) — every record since the last sync (a
+///   log rotation or [`Ledger::flush`](super::Ledger::flush)).
+///
+/// What survives is always a prefix of what was acknowledged: never a
+/// reordering, never a partial record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` before every charge acknowledgement: an acked charge
-    /// survives power loss. Slowest; the strict durability mode.
+    /// `fdatasync` before every acknowledgement. Slowest.
     PerCharge,
-    /// `fsync` once every `n` appended records: bounded data loss of at
-    /// most the last `n` acked charges on power failure (none on clean
-    /// process death, since appends still reach the page cache).
+    /// `fdatasync` on every `n`-th record, before its acknowledgement.
     Batched(usize),
-    /// Never `fsync` from the hot path: survives process crashes (the
-    /// kernel holds the pages) but not power loss. Fastest.
+    /// `fdatasync` only at log rotation and `flush`. Fastest.
     Off,
 }
 
@@ -266,29 +278,33 @@ const TAG_OPEN: u8 = 1;
 const TAG_CHARGE: u8 = 2;
 
 impl WalRecord {
-    /// Appends the framed record (`len + crc + payload`) to `buf`.
-    pub fn encode_frame(&self, buf: &mut Vec<u8>) {
-        let mut payload = Vec::with_capacity(64);
+    /// Appends the framed record (`len + crc + payload`) to `buf`,
+    /// encoding the payload in place behind a framing placeholder.
+    fn encode_frame(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
+        buf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
         match self {
             WalRecord::Open { tenant, total } => {
-                payload.push(TAG_OPEN);
-                put_str(&mut payload, tenant);
-                put_f64_bits(&mut payload, *total);
+                buf.push(TAG_OPEN);
+                put_str(buf, tenant);
+                put_f64_bits(buf, *total);
             }
             WalRecord::Charge {
                 tenant,
                 label,
                 amount,
             } => {
-                payload.push(TAG_CHARGE);
-                put_str(&mut payload, tenant);
-                put_str(&mut payload, label);
-                put_f64_bits(&mut payload, *amount);
+                buf.push(TAG_CHARGE);
+                put_str(buf, tenant);
+                put_str(buf, label);
+                put_f64_bits(buf, *amount);
             }
         }
-        put_u32(buf, payload.len() as u32);
-        put_u32(buf, crc32(&payload));
-        buf.extend_from_slice(&payload);
+        let payload_start = start + FRAME_HEADER_LEN;
+        let len = (buf.len() - payload_start) as u32;
+        let crc = crc32(&buf[payload_start..]);
+        buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        buf[start + 4..payload_start].copy_from_slice(&crc.to_le_bytes());
     }
 
     fn decode(payload: &[u8]) -> Result<WalRecord, CoreError> {
@@ -471,6 +487,8 @@ pub struct WalWriter {
     bytes: u64,
     /// Records appended since the last fsync (batched policy).
     unsynced: usize,
+    /// Frame encoding buffer, reused by every append.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -496,6 +514,7 @@ impl WalWriter {
             policy,
             bytes: WAL_HEADER_LEN,
             unsynced: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -523,6 +542,7 @@ impl WalWriter {
             policy,
             bytes: valid_bytes,
             unsynced: 0,
+            frame: Vec::new(),
         };
         use std::io::Seek;
         writer
@@ -532,26 +552,21 @@ impl WalWriter {
         Ok(writer)
     }
 
-    /// Appends pre-encoded frames. `durable_ack` forces an fsync before
-    /// returning (the per-charge acknowledgement path); otherwise the
-    /// batched policy counts records and syncs on threshold.
-    pub fn append(
-        &mut self,
-        frames: &[u8],
-        records: usize,
-        durable_ack: bool,
-    ) -> Result<(), CoreError> {
+    /// Writes `rec` to the log in one `write`, then syncs when the
+    /// policy calls for it (see [`FsyncPolicy`]).
+    pub fn append(&mut self, rec: &WalRecord) -> Result<(), CoreError> {
+        self.frame.clear();
+        rec.encode_frame(&mut self.frame);
         self.file
-            .write_all(frames)
+            .write_all(&self.frame)
             .map_err(|e| io_err("append wal", &self.path, e))?;
-        self.bytes += frames.len() as u64;
-        self.unsynced += records;
-        let sync = durable_ack
-            || match self.policy {
-                FsyncPolicy::PerCharge => true,
-                FsyncPolicy::Batched(n) => self.unsynced >= n,
-                FsyncPolicy::Off => false,
-            };
+        self.bytes += self.frame.len() as u64;
+        self.unsynced += 1;
+        let sync = match self.policy {
+            FsyncPolicy::PerCharge => true,
+            FsyncPolicy::Batched(n) => self.unsynced >= n,
+            FsyncPolicy::Off => false,
+        };
         if sync {
             self.sync()?;
         }
@@ -611,13 +626,22 @@ mod tests {
                 amount: f64::from_bits(0x3FB9_9999_9999_999A),
             },
         ];
-        let mut buf = Vec::new();
-        for r in &recs {
-            r.encode_frame(&mut buf);
-        }
         let dir = tmpdir("roundtrip");
         let mut w = WalWriter::rotate(&dir, 7, FsyncPolicy::Off).unwrap();
-        w.append(&buf, recs.len(), false).unwrap();
+        for r in &recs {
+            w.append(r).unwrap();
+        }
+        // The first frame, built by hand from the format above.
+        let mut payload = vec![TAG_OPEN];
+        put_str(&mut payload, "acme");
+        put_f64_bits(&mut payload, 0.1 + 0.2);
+        let mut frame = Vec::new();
+        put_u32(&mut frame, payload.len() as u32);
+        put_u32(&mut frame, crc32(&payload));
+        frame.extend_from_slice(&payload);
+        let bytes = fs::read(dir.join(WAL_FILE)).unwrap();
+        let header = WAL_HEADER_LEN as usize;
+        assert_eq!(&bytes[header..header + frame.len()], &frame[..]);
         let img = read_wal(&dir.join(WAL_FILE)).unwrap().unwrap();
         assert_eq!(img.generation, 7);
         assert_eq!(img.records, recs);
@@ -630,16 +654,14 @@ mod tests {
     fn torn_tail_is_detected_and_prefix_kept() {
         let dir = tmpdir("torn");
         let mut w = WalWriter::rotate(&dir, 0, FsyncPolicy::Off).unwrap();
-        let mut buf = Vec::new();
         for i in 0..3 {
-            WalRecord::Charge {
+            w.append(&WalRecord::Charge {
                 tenant: "t".to_string(),
                 label: format!("c{i}"),
                 amount: 0.5,
-            }
-            .encode_frame(&mut buf);
+            })
+            .unwrap();
         }
-        w.append(&buf, 3, false).unwrap();
         let full = w.bytes();
         drop(w);
         // Cut the file mid-final-record.
@@ -664,16 +686,14 @@ mod tests {
     fn flipped_checksum_byte_is_corrupt_not_a_panic() {
         let dir = tmpdir("badcrc");
         let mut w = WalWriter::rotate(&dir, 0, FsyncPolicy::Off).unwrap();
-        let mut buf = Vec::new();
         for i in 0..2 {
-            WalRecord::Charge {
+            w.append(&WalRecord::Charge {
                 tenant: "t".to_string(),
                 label: format!("c{i}"),
                 amount: 0.25,
-            }
-            .encode_frame(&mut buf);
+            })
+            .unwrap();
         }
-        w.append(&buf, 2, false).unwrap();
         drop(w);
         let path = dir.join(WAL_FILE);
         let bounds = wal_frame_bounds(&path).unwrap();

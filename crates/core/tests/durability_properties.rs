@@ -15,9 +15,12 @@
 //! * the recovered ledger stays live: a fresh charge is admitted and
 //!   folds on top of the recovered spend.
 //!
-//! Runs with per-charge fsync so every acked record is on disk in
-//! issue order — which is what makes "the durable prefix" a
-//! well-defined, globally ordered object the test can fold itself.
+//! Each case draws its fsync policy from all three. Every policy writes
+//! a record to the log before acknowledging it, so after a kill the log
+//! holds every acked record in issue order — which is what makes "the
+//! durable prefix" a well-defined, globally ordered object the test can
+//! fold itself. The policies differ only in what a power loss may take,
+//! which no test here can cause.
 
 use std::collections::HashMap;
 use std::fs;
@@ -30,6 +33,12 @@ use proptest::prelude::*;
 
 const TENANTS: &[&str] = &["acme", "zeta", "nile"];
 const BUDGET: f64 = 1e6;
+/// `Batched(4)` syncs inside most scripts, so both of its branches run.
+const POLICIES: [FsyncPolicy; 3] = [
+    FsyncPolicy::PerCharge,
+    FsyncPolicy::Batched(4),
+    FsyncPolicy::Off,
+];
 
 /// One scripted action against the live ledger.
 #[derive(Debug, Clone, Copy)]
@@ -67,14 +76,13 @@ impl DurableModel {
     }
 }
 
-/// Replays `ops` against a durable per-charge ledger in `dir`, then
+/// Replays `ops` against a durable ledger in `dir` under `fsync`, then
 /// drops it without flushing (the state a SIGKILL leaves). Returns the
 /// durable model mirroring what reached the disk.
-fn run_script(dir: &Path, ops: &[Op]) -> DurableModel {
+fn run_script(dir: &Path, fsync: FsyncPolicy, ops: &[Op]) -> DurableModel {
     let config = LedgerDurability {
-        fsync: FsyncPolicy::PerCharge,
+        fsync,
         snapshot_every: 0,
-        ..LedgerDurability::default()
     };
     let (ledger, _) = Ledger::durable(dir, config).expect("fresh durable ledger");
     let mut model = DurableModel {
@@ -118,6 +126,7 @@ proptest! {
         case in 0u64..1_000_000,
         picks in proptest::collection::vec((0usize..16, 0u8..12), 1..24),
         cut_pick in 0.0f64..1.0,
+        policy in 0usize..POLICIES.len(),
     ) {
         // Decode the picks into an op script. Roughly 1 in 8 ops is a
         // snapshot, so scripts mix zero, one, and several truncations.
@@ -135,7 +144,7 @@ proptest! {
             std::process::id()
         ));
         let _ = fs::remove_dir_all(&dir);
-        let model = run_script(&dir, &ops);
+        let model = run_script(&dir, POLICIES[policy], &ops);
 
         // Crash: cut the WAL at an arbitrary byte offset in
         // [0, file_len]. Frame bounds are read *before* the cut — they

@@ -89,19 +89,19 @@ const STRIPES: usize = 16;
 /// cold key is derived exactly once no matter how many threads race it,
 /// while keys on different stripes build fully in parallel.
 #[derive(Debug)]
-struct Striped<K, V> {
+struct LockStriped<K, V> {
     stripes: Vec<Mutex<HashMap<K, V>>>,
 }
 
-impl<K, V> Default for Striped<K, V> {
+impl<K, V> Default for LockStriped<K, V> {
     fn default() -> Self {
-        Striped {
+        LockStriped {
             stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
         }
     }
 }
 
-impl<K: Eq + Hash, V: Clone> Striped<K, V> {
+impl<K: Eq + Hash, V: Clone> LockStriped<K, V> {
     fn stripe(&self, key: &K) -> &Mutex<HashMap<K, V>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
@@ -150,10 +150,10 @@ pub struct PlanCache {
     /// Incidences keyed by [`PolicyGraph::structural_hash`]; each bucket
     /// holds the graphs that hashed there, compared structurally
     /// (collision-checked equality fallback).
-    incidence: Striped<u64, IncidenceBucket>,
-    theta_line: Striped<(usize, usize), Arc<ThetaLineStrategy>>,
-    theta_grid: Striped<(usize, usize), Arc<ThetaGridStrategy>>,
-    grid_plans: Striped<(usize, usize), GridPlans>,
+    incidence: LockStriped<u64, IncidenceBucket>,
+    theta_line: LockStriped<(usize, usize), Arc<ThetaLineStrategy>>,
+    theta_grid: LockStriped<(usize, usize), Arc<ThetaGridStrategy>>,
+    grid_plans: LockStriped<(usize, usize), GridPlans>,
     stats: PlanStats,
 }
 

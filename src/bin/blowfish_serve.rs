@@ -154,9 +154,9 @@ fn main() {
         Some(addr) => serve_tcp(Arc::clone(&service), &addr, args.config),
         None => serve_stdio(&service),
     }
-    // Push any batched WAL records to disk before exiting; a kill that
-    // skips this loses only un-fsynced acks, exactly as the policy
-    // advertises.
+    // Sync the WAL before exiting, so a power loss after a clean stop
+    // takes nothing under any policy. Every acked record is already in
+    // the log, so a kill that skips this loses no acked charge.
     if let Err(e) = service.ledger().flush() {
         eprintln!("blowfish-serve: final WAL flush failed: {e}");
         std::process::exit(1);
