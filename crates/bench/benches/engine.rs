@@ -3,8 +3,9 @@
 //! Three questions, matching the serving story:
 //!
 //! 1. **cold vs cached plan** — how much a fit costs when the policy
-//!    artifacts (θ-line spanner + incidence, grid Haar plans) are
-//!    re-derived per request vs served from a session's [`PlanCache`];
+//!    artifacts (a tree policy's incidence, θ-line stretch and group Haar
+//!    plans, grid Haar plans) are re-derived per request vs served from a
+//!    session's [`PlanCache`];
 //! 2. **serve path** — answering 10,000 random ranges from one fitted
 //!    `Estimate` (prefix sums: O(1) per query);
 //! 3. **plan cost in isolation** — building the session artifacts.
@@ -24,10 +25,10 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use blowfish_core::{DataVector, Domain, Epsilon};
+use blowfish_core::{DataVector, Domain, Epsilon, PolicyGraph};
 use blowfish_engine::{MatrixStrategyKind, MechanismSpec, Policy, Session};
 use blowfish_mechanisms::{hierarchical_strategy, identity_strategy, MatrixMechanism};
-use blowfish_strategies::ThetaEstimator;
+use blowfish_strategies::{ThetaEstimator, TreeEstimator};
 
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
@@ -67,7 +68,7 @@ fn bench_engine(c: &mut Criterion) {
     assert_eq!(
         session.cache().stats().theta_line_builds(),
         1,
-        "cached fits must not re-derive the spanner/incidence artifact"
+        "cached fits must not re-derive the θ-line strategy"
     );
 
     // Plan cost in isolation.
@@ -78,6 +79,34 @@ fn bench_engine(c: &mut Criterion) {
             black_box(s.mechanism(&spec).expect("mechanism"))
         })
     });
+
+    // --- Tree policy over star:512 (the Section 4 incidence `P_G`, cached
+    // vs re-derived). A θ-line plan holds no graph or incidence and costs
+    // about one fit, so the cache layer's cold/cached invariant is
+    // asserted here, on an artifact that still dominates a cold fit.
+    let kt = 512;
+    let star = PolicyGraph::star(kt).expect("star");
+    let xt = DataVector::new(Domain::one_dim(kt), vec![2.0; kt]).expect("uniform");
+    let tree_spec = MechanismSpec::Tree(TreeEstimator::Laplace);
+    g.bench_function(BenchmarkId::new("tree_cold_plan_fit", kt), |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        b.iter(|| {
+            let s = Session::new(&star, eps).expect("session");
+            let m = s.mechanism(&tree_spec).expect("mechanism");
+            black_box(m.fit(&xt, &mut rng).expect("fit"))
+        })
+    });
+    let tsession = Session::new(&star, eps).expect("session");
+    let tmech = tsession.mechanism(&tree_spec).expect("mechanism");
+    g.bench_function(BenchmarkId::new("tree_cached_plan_fit", kt), |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        b.iter(|| black_box(tmech.fit(&xt, &mut rng).expect("fit")))
+    });
+    assert_eq!(
+        tsession.cache().stats().incidence_builds(),
+        1,
+        "cached tree fits must not re-derive the incidence"
+    );
 
     // Serve: 10,000 random ranges from one fitted estimate — the batched
     // `answer_many` entry point (one dimensionality dispatch per batch)
@@ -232,12 +261,16 @@ fn bench_engine(c: &mut Criterion) {
         eprintln!("bench snapshot written to {}", path.display());
     }
 
-    // Perf invariants: the cache layer must keep paying off. These fail
-    // the bench binary (and the CI `BLOWFISH_BENCH_QUICK=1` smoke step)
-    // if cached-plan serving regresses to cold-plan cost. Margins are
-    // deliberately loose — 2x against a ~7x measured θ-line ratio and 5x
-    // against a ~55x measured pinv ratio (post-optimization; see
-    // BENCH_plan.json) — so noisy quick-mode timings cannot flake.
+    // Perf invariants: the cache layer must keep paying off, and a θ-line
+    // plan must stay cheap. These fail the bench binary (and the CI
+    // `BLOWFISH_BENCH_QUICK=1` smoke step) if cached-plan serving
+    // regresses to cold-plan cost or a θ-line plan to its old spanner and
+    // incidence build. Margins are deliberately loose — 2x against a
+    // 3–5x measured tree ratio, 5x against a ~55x measured pinv ratio
+    // (post-optimization; see BENCH_plan.json), and a θ-line plan, new
+    // session included, under 2x a cached fit where it measures about 1x
+    // (the old spanner and incidence build measured ~4.5x) — so noisy
+    // quick-mode timings cannot flake.
     //
     // NOTE: `is_test_mode`/`mean_ns` are extensions of the offline
     // criterion *shim* — when swapping the real criterion crate in,
@@ -249,12 +282,20 @@ fn bench_engine(c: &mut Criterion) {
                 .unwrap_or_else(|| panic!("no timing for {id}"))
         };
         let (cold, cached) = (
-            mean("engine/theta_line_cold_plan_fit/512"),
-            mean("engine/theta_line_cached_plan_fit/512"),
+            mean("engine/tree_cold_plan_fit/512"),
+            mean("engine/tree_cached_plan_fit/512"),
         );
         assert!(
             cached * 2.0 < cold,
-            "θ-line cached fit ({cached:.0} ns) no longer clearly beats cold plan+fit ({cold:.0} ns)"
+            "tree cached fit ({cached:.0} ns) no longer clearly beats cold plan+fit ({cold:.0} ns)"
+        );
+        let (plan, cached) = (
+            mean("engine/theta_line_plan_only/512"),
+            mean("engine/theta_line_cached_plan_fit/512"),
+        );
+        assert!(
+            plan < cached * 2.0,
+            "θ-line plan ({plan:.0} ns) is no longer cheap next to a cached fit ({cached:.0} ns)"
         );
         let (cold, cached) = (
             mean("engine/pinv_cold_plan_release/64"),

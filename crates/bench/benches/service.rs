@@ -63,7 +63,7 @@ fn build_service() -> Service {
     for t in 0..TENANTS {
         let counts: Vec<f64> = (0..K).map(|i| ((i * 13 + t * 7) % 17) as f64).collect();
         service
-            .add_tenant(&TenantConfig {
+            .add_tenant(TenantConfig {
                 id: tenant_id(t),
                 graph: graph.clone(),
                 eps: Epsilon::new(0.5).expect("ε"),

@@ -346,7 +346,7 @@ pub fn run(scenario: &Scenario) -> Result<SimReport, BenchError> {
 pub fn score(scenario: &Scenario, trace: &Trace) -> Result<SimReport, BenchError> {
     let service = Service::new();
     for tenant in &trace.tenants {
-        service.add_tenant(&tenant.config)?;
+        service.add_tenant(tenant.config.clone())?;
     }
 
     // Serial replay: deterministic outcomes, per-request latencies.
@@ -407,7 +407,7 @@ pub fn run_with_recovery(
         let (ledger, _) = Ledger::durable(state_dir, durability)?;
         let service = Service::with_ledger(Arc::new(ledger));
         for tenant in &trace.tenants {
-            service.add_tenant(&tenant.config)?;
+            service.add_tenant(tenant.config.clone())?;
         }
         replay(&service, &trace.requests[..kill_at])
     };
@@ -417,7 +417,7 @@ pub fn run_with_recovery(
     let (ledger, recovery) = Ledger::durable(state_dir, durability)?;
     let service = Service::with_ledger(Arc::new(ledger));
     for tenant in &trace.tenants {
-        service.add_tenant(&tenant.config)?;
+        service.add_tenant(tenant.config.clone())?;
     }
     // Last admitted fit per (tenant, handle) wins — exactly the estimate
     // the first life would still be holding at the cut.
@@ -818,7 +818,7 @@ mod tests {
         let trace = generate(&scenario).unwrap();
         let service = Service::new();
         for tenant in &trace.tenants {
-            service.add_tenant(&tenant.config).unwrap();
+            service.add_tenant(tenant.config.clone()).unwrap();
         }
         let replayed = replay(&service, &trace.requests);
         assert!(replayed.iter().all(|r| r.response.is_ok()));

@@ -79,7 +79,8 @@ pub use policy::{PolicyEdge, PolicyGraph, Vtx};
 pub use query::LinearQuery;
 pub use sensitivity::{l1_sensitivity_unbounded, policy_sensitivity};
 pub use spanner::{
-    bfs_spanning_tree, theta_grid_spanner, theta_line_spanner, ThetaGridSpanner, ThetaLineSpanner,
+    bfs_spanning_tree, theta_grid_spanner, theta_line_spanner, theta_line_stretch,
+    ThetaGridSpanner, ThetaLineSpanner,
 };
 pub use workload::{
     random_range_specs, range_gram, range_gram_1d, sample_query, sample_query_mix, QueryKind,

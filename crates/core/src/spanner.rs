@@ -43,12 +43,7 @@ pub struct ThetaLineSpanner {
 /// trailing vertices attach to the last red vertex (to their left) — the
 /// only deviation from the figure, which assumes `θ | k`.
 pub fn theta_line_spanner(k: usize, theta: usize) -> Result<ThetaLineSpanner, CoreError> {
-    if theta == 0 {
-        return Err(CoreError::InvalidTheta { theta });
-    }
-    if k <= theta {
-        return Err(CoreError::InvalidTheta { theta });
-    }
+    let stretch = theta_line_stretch(k, theta)?;
     let nred = k / theta;
     let red = |i: usize| (i + 1) * theta - 1;
     let mut edges = Vec::with_capacity(k - 1);
@@ -76,11 +71,6 @@ pub fn theta_line_spanner(k: usize, theta: usize) -> Result<ThetaLineSpanner, Co
     }
     debug_assert_eq!(edges.len(), k - 1);
     let graph = PolicyGraph::from_edges(Domain::one_dim(k), edges, format!("H^{theta}_{k}"))?;
-    // Certify the stretch against G^θ_k (Lemma 4.5's hypothesis) in closed
-    // form: O(kθ) instead of materializing G^θ_k and running one BFS per
-    // vertex. Cross-checked against `PolicyGraph::stretch_through` in the
-    // tests.
-    let stretch = certified_theta_line_stretch(k, theta, nred);
     Ok(ThetaLineSpanner {
         graph,
         theta,
@@ -89,14 +79,23 @@ pub fn theta_line_spanner(k: usize, theta: usize) -> Result<ThetaLineSpanner, Co
     })
 }
 
-/// Exact stretch of `H^θ_k` against `G^θ_k`, from the spanner's tree
-/// structure: every non-red vertex is a leaf hanging off its block's red
-/// vertex (trailing vertices off the last red vertex), and the red
-/// vertices form a path. The unique tree path between `u` and `v` is
-/// therefore `u → red(u) → … → red(v) → v`, of length
+/// Exact stretch of `H^θ_k` against `G^θ_k` (Lemma 4.5's ℓ), certified
+/// in closed form without building either graph: O(kθ) arithmetic
+/// instead of materializing `G^θ_k` and running one BFS per vertex.
+/// Requires `k > θ ≥ 1`. Cross-checked against
+/// `PolicyGraph::stretch_through` in the tests.
+///
+/// Every non-red vertex is a leaf hanging off its block's red vertex
+/// (trailing vertices off the last red vertex), and the red vertices form
+/// a path. The unique tree path between `u` and `v` is therefore
+/// `u → red(u) → … → red(v) → v`, of length
 /// `[u not red] + |ridx(u) − ridx(v)| + [v not red]`; the stretch is the
 /// maximum over the `G^θ_k` edges, i.e. all pairs with `|u − v| ≤ θ`.
-fn certified_theta_line_stretch(k: usize, theta: usize, nred: usize) -> usize {
+pub fn theta_line_stretch(k: usize, theta: usize) -> Result<usize, CoreError> {
+    if theta == 0 || k <= theta {
+        return Err(CoreError::InvalidTheta { theta });
+    }
+    let nred = k / theta;
     // Index of the red vertex `u` attaches to (or is): block u/θ, clamped
     // so trailing vertices attach to the last red vertex.
     let ridx = |u: usize| (u / theta).min(nred - 1);
@@ -110,7 +109,7 @@ fn certified_theta_line_stretch(k: usize, theta: usize, nred: usize) -> usize {
             worst = worst.max(d);
         }
     }
-    worst
+    Ok(worst)
 }
 
 /// The 2-D spanner `H^θ_{k²}` of Section 5.3.2 with its internal/external

@@ -76,7 +76,7 @@
 //! use blowfish_engine::{Service, Task, TenantConfig};
 //!
 //! let service = Service::new();
-//! service.add_tenant(&TenantConfig {
+//! service.add_tenant(TenantConfig {
 //!     id: "acme".into(),
 //!     graph: PolicyGraph::line(16).unwrap(),
 //!     eps: Epsilon::new(0.5).unwrap(),      // per-release grant

@@ -1,10 +1,13 @@
 //! The plan cache: per-policy artifacts derived once, served many times.
 //!
 //! Every policy-aware strategy leans on artifacts that are pure functions
-//! of `(domain, policy)` — the incidence matrix `P_G`, the `H^θ` spanners
-//! with their certified stretch, and Haar wavelet plans. (The matrix
-//! mechanism needs none: its strategies are trees, and each release
-//! applies `A⁺` in closed form.) Before the engine existed each
+//! of `(domain, policy)` — the incidence matrix `P_G` of a tree policy,
+//! the certified stretch of the `H^θ` spanners, and Haar wavelet plans.
+//! (The matrix mechanism needs none: its strategies are trees, and each
+//! release applies `A⁺` in closed form. Nor does a θ-line strategy keep
+//! its spanner: `H^θ_k`'s shape is fixed, so its edge values and `P_G`
+//! are two closed-form passes, and a cached θ-line entry is a few
+//! hundred bytes.) Before the engine existed each
 //! invocation re-derived them; a [`PlanCache`] materializes each
 //! artifact exactly once and hands out `Arc` clones across fits, trials,
 //! and mechanisms.
@@ -54,7 +57,7 @@ impl PlanStats {
         self.incidence.load(Ordering::Relaxed)
     }
 
-    /// θ-line strategies (spanner + incidence + group Haar plans) built.
+    /// θ-line strategies (certified stretch + group Haar plans) built.
     pub fn theta_line_builds(&self) -> usize {
         self.theta_line.load(Ordering::Relaxed)
     }
@@ -209,7 +212,7 @@ impl PlanCache {
         bucket.push((Arc::clone(graph), inc));
     }
 
-    /// The prepared `G^θ_k` strategy (spanner, incidence, group Haar
+    /// The prepared `G^θ_k` strategy (certified stretch and group Haar
     /// plans), derived at most once per `(k, θ)`.
     pub fn theta_line_strategy(
         &self,

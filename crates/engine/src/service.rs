@@ -134,24 +134,31 @@ impl Service {
 
     /// Onboards a tenant: classifies its policy, opens (or — after a
     /// recovery — re-attaches) its ledger account, and registers its
-    /// data, the one part of `config` the service copies. Rejects a
-    /// duplicate id (budgets are append-only), data whose domain does not
-    /// match the policy graph, non-finite counts, counts whose absolute
-    /// total overflows (no release of them would have finite prefix
-    /// sums), and unsupported policies, all before any account exists.
-    /// Re-attaching requires the bit-identical total budget the account
-    /// was durably opened with; the recovered spend is kept as-is, so a
-    /// tenant cannot shed charges by crashing the service.
-    pub fn add_tenant(&self, config: &TenantConfig) -> Result<(), EngineError> {
+    /// data, which is moved in rather than copied. Rejects a duplicate id
+    /// (budgets are append-only), data whose domain does not match the
+    /// policy graph, non-finite counts, counts whose absolute total
+    /// overflows (no release of them would have finite prefix sums), and
+    /// unsupported policies, all before any account exists. Re-attaching
+    /// requires the bit-identical total budget the account was durably
+    /// opened with; the recovered spend is kept as-is, so a tenant cannot
+    /// shed charges by crashing the service.
+    pub fn add_tenant(&self, config: TenantConfig) -> Result<(), EngineError> {
+        let TenantConfig {
+            id,
+            graph,
+            eps,
+            budget,
+            data,
+        } = config;
         let bad = |what: &str| {
             Err(EngineError::BadRequest {
-                what: format!("tenant {}: {what}", config.id),
+                what: format!("tenant {id}: {what}"),
             })
         };
-        if config.data.domain() != config.graph.domain() {
+        if data.domain() != graph.domain() {
             return bad("data domain does not match the policy graph domain");
         }
-        let counts = config.data.counts();
+        let counts = data.counts();
         if !counts.iter().all(|c| c.is_finite()) {
             return bad("data counts must be finite");
         }
@@ -160,26 +167,24 @@ impl Service {
         }
         // Build the session first so a rejected policy leaves no orphan
         // ledger account.
-        let session = Session::with_cache(&config.graph, config.eps, Arc::clone(&self.cache))?
-            .metered(Arc::clone(&self.ledger), config.id.clone());
+        let session = Session::with_cache(&graph, eps, Arc::clone(&self.cache))?
+            .metered(Arc::clone(&self.ledger), id.clone());
         let tenant = Arc::new(Tenant {
             session,
-            data: config.data.clone(),
+            data,
             estimates: Mutex::new(HashMap::new()),
         });
         // Duplicate detection must consult the *service* map, not the
         // ledger: after `Ledger::recover` the account legitimately
         // pre-exists and is attached rather than re-opened.
         let mut tenants = self.tenants.write().expect("service tenants lock");
-        if tenants.contains_key(&config.id) {
+        if tenants.contains_key(&id) {
             return Err(EngineError::Core(
-                blowfish_core::CoreError::DuplicateTenant {
-                    tenant: config.id.clone(),
-                },
+                blowfish_core::CoreError::DuplicateTenant { tenant: id },
             ));
         }
-        self.ledger.open_or_attach(&config.id, config.budget)?;
-        tenants.insert(config.id.clone(), tenant);
+        self.ledger.open_or_attach(&id, budget)?;
+        tenants.insert(id, tenant);
         Ok(())
     }
 
@@ -371,7 +376,7 @@ mod tests {
     fn service_with_tenant(id: &str, budget: f64) -> Service {
         let service = Service::new();
         service
-            .add_tenant(&TenantConfig {
+            .add_tenant(TenantConfig {
                 id: id.to_string(),
                 graph: PolicyGraph::line(16).unwrap(),
                 eps: Epsilon::new(0.5).unwrap(),
@@ -434,7 +439,7 @@ mod tests {
     #[test]
     fn duplicate_and_mismatched_tenants_are_rejected() {
         let service = service_with_tenant("acme", 1.0);
-        let dup = service.add_tenant(&TenantConfig {
+        let dup = service.add_tenant(TenantConfig {
             id: "acme".into(),
             graph: PolicyGraph::line(16).unwrap(),
             eps: Epsilon::new(0.5).unwrap(),
@@ -447,7 +452,7 @@ mod tests {
                 blowfish_core::CoreError::DuplicateTenant { .. }
             ))
         ));
-        let mismatch = service.add_tenant(&TenantConfig {
+        let mismatch = service.add_tenant(TenantConfig {
             id: "other".into(),
             graph: PolicyGraph::line(16).unwrap(),
             eps: Epsilon::new(0.5).unwrap(),
@@ -495,7 +500,7 @@ mod tests {
                 Ledger::durable(&dir, blowfish_core::LedgerDurability::default()).unwrap();
             assert!(report.is_clean());
             let service = Service::with_ledger(Arc::new(ledger));
-            service.add_tenant(&config()).unwrap();
+            service.add_tenant(config()).unwrap();
             service.fit("acme", None, Task::Range1d, 41, "h").unwrap();
             let answers = answer_1d(&service, "h", &ranges).unwrap();
             (answers, service.ledger().spent("acme").unwrap())
@@ -504,7 +509,7 @@ mod tests {
         let (ledger, report) = Ledger::recover(&dir).unwrap();
         assert!(report.is_clean(), "{report:?}");
         let service = Service::with_ledger(Arc::new(ledger));
-        service.add_tenant(&config()).unwrap();
+        service.add_tenant(config()).unwrap();
         assert_eq!(
             service.ledger().spent("acme").unwrap().to_bits(),
             spent_before.to_bits(),

@@ -66,6 +66,7 @@
 //! 2-vCPU VM); rendering the values with Rust's `{}` for `f64` is about
 //! a third of that.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use blowfish_core::{DataVector, Domain, DurabilityStats, Epsilon, PolicyGraph, RangeQuery};
@@ -652,9 +653,9 @@ impl Codec {
         match self.decode(line) {
             Ok(None) => WireReply::Silent,
             Ok(Some(Request::Quit)) => WireReply::Quit,
-            Ok(Some(request)) => match serve_request(service, &request) {
+            Ok(Some(request)) => match serve_request(service, request) {
                 Ok(response) => {
-                    if let Request::Use { tenant } = &request {
+                    if let Response::Using { tenant } = &response {
                         self.default_tenant = Some(tenant.clone());
                     }
                     WireReply::Reply(Codec::encode(&response))
@@ -712,8 +713,19 @@ impl Codec {
 /// Dispatches one typed request against a service, producing the typed
 /// response. Engine-level rejections (unknown tenant, exhausted budget,
 /// bad ranges) come back as [`WireError::Engine`].
-pub fn serve_request(service: &Service, request: &Request) -> Result<Response, WireError> {
-    match request {
+///
+/// The request may be owned or borrowed. An owned `tenant` request moves
+/// its config, parsed counts and all, into the service; a borrowed one
+/// (a trace or a test replaying requests) is copied.
+pub fn serve_request<'r>(
+    service: &Service,
+    request: impl Into<Cow<'r, Request>>,
+) -> Result<Response, WireError> {
+    let request = match request.into() {
+        Cow::Owned(Request::Tenant { config, .. }) => return add_tenant(service, *config),
+        request => request,
+    };
+    match &*request {
         Request::Hello { version } => match version {
             Some(v) if v != PROTOCOL_VERSION => Err(WireError::UnsupportedVersion {
                 requested: v.clone(),
@@ -731,14 +743,7 @@ pub fn serve_request(service: &Service, request: &Request) -> Result<Response, W
                 tenant: tenant.clone(),
             })
         }
-        Request::Tenant { config, .. } => {
-            service.add_tenant(config)?;
-            Ok(Response::TenantAdded {
-                id: config.id.clone(),
-                policy: config.graph.name().to_string(),
-                cells: config.data.domain().size(),
-            })
-        }
+        Request::Tenant { config, .. } => add_tenant(service, TenantConfig::clone(config)),
         Request::Plan { tenant, task } => Ok(Response::Planned {
             spec: service.plan(tenant, *task)?,
         }),
@@ -770,6 +775,29 @@ pub fn serve_request(service: &Service, request: &Request) -> Result<Response, W
             durability: service.ledger().durability_stats(),
         }),
     }
+}
+
+impl<'r> From<&'r Request> for Cow<'r, Request> {
+    fn from(request: &'r Request) -> Self {
+        Cow::Borrowed(request)
+    }
+}
+
+impl From<Request> for Cow<'_, Request> {
+    fn from(request: Request) -> Self {
+        Cow::Owned(request)
+    }
+}
+
+/// Onboards a tenant and describes it in the reply.
+fn add_tenant(service: &Service, config: TenantConfig) -> Result<Response, WireError> {
+    let added = Response::TenantAdded {
+        id: config.id.clone(),
+        policy: config.graph.name().to_string(),
+        cells: config.data.domain().size(),
+    };
+    service.add_tenant(config)?;
+    Ok(added)
 }
 
 fn bad(what: &str) -> WireError {
@@ -980,6 +1008,27 @@ mod tests {
         // Explicit mechanism id path (a baseline charges ε/2).
         let fit2 = ok(&service, "fit acme as=r2 mech=dp-laplace seed=1");
         assert!(fit2.contains("charged=0.25"), "{fit2}");
+    }
+
+    #[test]
+    fn theta_line_ids_serve_at_theta_one() {
+        // H^1_k is the line: its first group has no leaf edges, and every
+        // estimator must still release (and be charged) over it.
+        let service = Service::new();
+        ok(
+            &service,
+            "tenant a policy=line:16 eps=1 budget=10 data=uniform:2",
+        );
+        for estimator in ["laplace", "group-privelet", "dawa"] {
+            let fit = ok(
+                &service,
+                &format!("fit a as=h seed=1 task=hist mech=theta-line-1-{estimator}"),
+            );
+            assert!(fit.starts_with("ok fit h charged=1"), "{fit}");
+            let answer = ok(&service, "answer a from=h 0..15");
+            assert!(answer.starts_with("ok answer 1 "), "{answer}");
+        }
+        assert!(ok(&service, "stats a").contains("a spent=3"));
     }
 
     #[test]

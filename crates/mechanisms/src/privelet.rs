@@ -153,6 +153,11 @@ impl HaarPlan {
             padded_size,
         })
     }
+
+    /// The unpadded histogram shape the plan was derived for.
+    pub fn dims(&self) -> &[usize] {
+        &self.dims
+    }
 }
 
 /// The work buffers a planned Privelet release runs in: the padded

@@ -14,11 +14,13 @@
 //! produce bit-identical output for a fixed seed. Range answers come from
 //! the fitted [`Estimate`] or [`crate::answering`].
 
+use std::sync::OnceLock;
+
 use rand::{Rng, RngCore};
 
 use blowfish_core::{DataVector, Epsilon};
 use blowfish_mechanisms::{
-    dawa_histogram, laplace_histogram, privelet_histogram, privelet_histogram_1d, DawaOptions,
+    dawa_histogram, laplace_histogram, privelet_histogram_planned, DawaOptions, HaarPlan,
 };
 
 use crate::mechanism::{Estimate, Mechanism};
@@ -60,16 +62,41 @@ impl Mechanism for LaplaceBaseline {
     }
 }
 
-/// The ε-DP Privelet baseline over a 1-D domain.
-#[derive(Clone, Copy, Debug)]
+/// The Haar plan a Privelet baseline keeps in `cell`, derived for `dims`
+/// at its first fit. A baseline serves the shape of its first fit only:
+/// a later fit of another shape is refused.
+fn first_fit_plan<'a>(
+    cell: &'a OnceLock<HaarPlan>,
+    dims: &[usize],
+) -> Result<&'a HaarPlan, StrategyError> {
+    if cell.get().is_none() {
+        // A racing first fit may set it first, with an equal plan.
+        let _ = cell.set(HaarPlan::new(dims)?);
+    }
+    let plan = cell.get().expect("the plan was set above");
+    if plan.dims() != dims {
+        return Err(StrategyError::BadQuery {
+            what: "a Privelet baseline serves the shape of its first fit only",
+        });
+    }
+    Ok(plan)
+}
+
+/// The ε-DP Privelet baseline over a 1-D domain. Its Haar plan is
+/// derived at the first fit and kept for every later one.
+#[derive(Clone, Debug)]
 pub struct PriveletBaseline1d {
     eps: Epsilon,
+    plan: OnceLock<HaarPlan>,
 }
 
 impl PriveletBaseline1d {
     /// Binds the budget.
     pub fn new(eps: Epsilon) -> Self {
-        PriveletBaseline1d { eps }
+        PriveletBaseline1d {
+            eps,
+            plan: OnceLock::new(),
+        }
     }
 
     /// Releases the noisy histogram (generic over the RNG).
@@ -78,7 +105,8 @@ impl PriveletBaseline1d {
         x: &DataVector,
         rng: &mut R,
     ) -> Result<Vec<f64>, StrategyError> {
-        Ok(privelet_histogram_1d(x.counts(), self.eps, rng)?)
+        let plan = first_fit_plan(&self.plan, &[x.len()])?;
+        Ok(privelet_histogram_planned(plan, x.counts(), self.eps, rng)?)
     }
 }
 
@@ -96,16 +124,21 @@ impl Mechanism for PriveletBaseline1d {
     }
 }
 
-/// The ε-DP Privelet baseline over a multi-dimensional domain.
-#[derive(Clone, Copy, Debug)]
+/// The ε-DP Privelet baseline over a multi-dimensional domain. Its Haar
+/// plan is derived at the first fit and kept for every later one.
+#[derive(Clone, Debug)]
 pub struct PriveletBaselineNd {
     eps: Epsilon,
+    plan: OnceLock<HaarPlan>,
 }
 
 impl PriveletBaselineNd {
     /// Binds the budget.
     pub fn new(eps: Epsilon) -> Self {
-        PriveletBaselineNd { eps }
+        PriveletBaselineNd {
+            eps,
+            plan: OnceLock::new(),
+        }
     }
 
     /// Releases the noisy histogram (generic over the RNG).
@@ -114,12 +147,8 @@ impl PriveletBaselineNd {
         x: &DataVector,
         rng: &mut R,
     ) -> Result<Vec<f64>, StrategyError> {
-        Ok(privelet_histogram(
-            x.counts(),
-            x.domain().dims(),
-            self.eps,
-            rng,
-        )?)
+        let plan = first_fit_plan(&self.plan, x.domain().dims())?;
+        Ok(privelet_histogram_planned(plan, x.counts(), self.eps, rng)?)
     }
 }
 
@@ -324,6 +353,25 @@ mod tests {
                 assert!((e - t).abs() < 5.0, "estimate {e} vs truth {t}");
             }
         }
+    }
+
+    #[test]
+    fn privelet_baselines_serve_the_shape_of_their_first_fit() {
+        let eps = Epsilon::new(0.5).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let one_d = PriveletBaseline1d::new(eps);
+        one_d.fit_histogram(&db_1d(vec![1.0; 8]), &mut rng).unwrap();
+        one_d.fit_histogram(&db_1d(vec![2.0; 8]), &mut rng).unwrap();
+        assert!(one_d
+            .fit_histogram(&db_1d(vec![1.0; 16]), &mut rng)
+            .is_err());
+        // Same cell count, transposed shape: the kept plan does not fit.
+        let grid = |dims: &[usize]| {
+            DataVector::new(Domain::product(dims).unwrap(), vec![1.0; 24]).unwrap()
+        };
+        let n_d = PriveletBaselineNd::new(eps);
+        n_d.fit_histogram(&grid(&[4, 6]), &mut rng).unwrap();
+        assert!(n_d.fit_histogram(&grid(&[6, 4]), &mut rng).is_err());
     }
 
     #[test]

@@ -1,15 +1,21 @@
 //! Reference releases for the bit-identity tests: the per-pass-allocating
-//! Privelet, grid, θ-grid and θ-line group-Privelet bodies that the flat
-//! kernels replaced, kept verbatim in their arithmetic and draw order.
+//! Privelet, grid and θ-grid bodies that the flat kernels replaced, kept
+//! verbatim in their arithmetic and draw order, and the θ-line release
+//! through the generic `Incidence` path that the closed-form θ-line
+//! kernel replaced.
 //! Every Privelet pass here derives its own weights and allocates its own
 //! padded, line and scratch vectors, so nothing is shared with the
 //! planned code in `blowfish-mechanisms` except the sampler.
 
 use rand::Rng;
 
-use blowfish_core::spanner::theta_line_spanner;
-use blowfish_core::{DataVector, Epsilon, Incidence};
-use blowfish_mechanisms::{haar_generalized_sensitivity, haar_weights, laplace};
+use blowfish_core::{DataVector, Epsilon, Incidence, ThetaLineSpanner};
+use blowfish_mechanisms::{
+    dawa_histogram, haar_generalized_sensitivity, haar_weights, laplace, laplace_histogram,
+    DawaOptions,
+};
+
+use crate::ThetaEstimator;
 
 fn haar_forward(x: &mut [f64]) {
     let n = x.len();
@@ -324,24 +330,34 @@ fn theta_grid<R: Rng + ?Sized>(
     out
 }
 
-/// The θ-line group-Privelet release over a 1-D database: one fresh
-/// Privelet estimate per spanner group, copied into the edge vector.
-fn theta_line_group_privelet<R: Rng + ?Sized>(
+/// The θ-line release through the generic `Incidence` path over the
+/// materialized `H^θ_k`: `solve_tree` for the edge values, the estimator
+/// over the whole edge vector (Laplace, DAWA) or one fresh Privelet
+/// estimate per non-empty spanner group, then `apply` and
+/// `reconstruct_database`.
+fn theta_line<R: Rng + ?Sized>(
+    spanner: &ThetaLineSpanner,
+    incidence: &Incidence,
     x: &DataVector,
-    theta: usize,
     eps: Epsilon,
+    estimator: ThetaEstimator,
     rng: &mut R,
 ) -> Vec<f64> {
-    let spanner = theta_line_spanner(x.len(), theta).unwrap();
-    let incidence = Incidence::new(&spanner.graph).unwrap();
     let eps_eff = eps.for_stretch(spanner.stretch).unwrap();
     let reduced = incidence.reduce_database(x).unwrap();
     let x_g = incidence.solve_tree(&reduced).unwrap();
-    let mut x_tilde = vec![0.0; x_g.len()];
-    for &(start, end) in &spanner.groups {
-        let est = privelet(&x_g[start..end], &[end - start], eps_eff, rng);
-        x_tilde[start..end].copy_from_slice(&est);
-    }
+    let x_tilde = match estimator {
+        ThetaEstimator::Laplace => laplace_histogram(&x_g, 1.0, eps_eff, rng).unwrap(),
+        ThetaEstimator::Dawa => dawa_histogram(&x_g, eps_eff, DawaOptions::default(), rng).unwrap(),
+        ThetaEstimator::GroupPrivelet => {
+            let mut x_tilde = vec![0.0; x_g.len()];
+            for &(start, end) in spanner.groups.iter().filter(|(s, e)| s < e) {
+                let est = privelet(&x_g[start..end], &[end - start], eps_eff, rng);
+                x_tilde[start..end].copy_from_slice(&est);
+            }
+            x_tilde
+        }
+    };
     let est_reduced = incidence.apply(&x_tilde).unwrap();
     let totals = incidence.component_totals(x).unwrap();
     incidence
@@ -353,7 +369,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
 
-    use blowfish_core::{DataVector, Domain, Epsilon};
+    use blowfish_core::{theta_line_spanner, DataVector, Domain, Epsilon, Incidence};
 
     use crate::{
         grid_blowfish_histogram, GridMechanism, GridPlans, PriveletBaselineNd, ThetaEstimator,
@@ -372,6 +388,13 @@ mod tests {
         DataVector::new(Domain::product(dims).unwrap(), counts).unwrap()
     }
 
+    fn assert_same_bits(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what} cell {i}: {g} vs {w}");
+        }
+    }
+
     /// Runs both releases from the same seed and asserts equal bits and
     /// equal draw counts (the generators end in the same state).
     fn assert_bit_identical(
@@ -382,14 +405,7 @@ mod tests {
         for seed in SEEDS {
             let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             let (got, want) = (new(&mut a), reference(&mut b));
-            assert_eq!(got.len(), want.len(), "{what} seed {seed}");
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "{what} seed {seed} cell {i}: {g} vs {w}"
-                );
-            }
+            assert_same_bits(&format!("{what} seed {seed}"), &got, &want);
             assert_eq!(
                 a.next_u64(),
                 b.next_u64(),
@@ -451,6 +467,8 @@ mod tests {
         let (k, theta) = (100, 4);
         let x = data(&[k]);
         let strat = ThetaLineStrategy::new(k, theta).unwrap();
+        let spanner = theta_line_spanner(k, theta).unwrap();
+        let incidence = Incidence::new(&spanner.graph).unwrap();
         assert_bit_identical(
             "θ-line group-privelet k=100",
             |rng| {
@@ -458,7 +476,53 @@ mod tests {
                     .histogram(&x, eps, ThetaEstimator::GroupPrivelet, rng)
                     .unwrap()
             },
-            |rng| super::theta_line_group_privelet(&x, theta, eps, rng),
+            |rng| {
+                super::theta_line(
+                    &spanner,
+                    &incidence,
+                    &x,
+                    eps,
+                    ThetaEstimator::GroupPrivelet,
+                    rng,
+                )
+            },
         );
+    }
+
+    /// The closed-form θ-line kernel against the `Incidence` path over
+    /// the materialized spanner, bit for bit: its edge values, and its
+    /// releases under every estimator from equal seeds (one per case),
+    /// over every shape of `H^θ_k` (θ | k and not, one block, θ = 1) and
+    /// two large k.
+    #[test]
+    fn theta_line_kernel_matches_the_incidence_path_bit_for_bit() {
+        let eps = Epsilon::new(0.9).unwrap();
+        for theta in 1..=9 {
+            for k in (theta + 1..=90).chain([2048, 4096]) {
+                let x = data(&[k]);
+                let strat = ThetaLineStrategy::new(k, theta).unwrap();
+                let spanner = theta_line_spanner(k, theta).unwrap();
+                let incidence = Incidence::new(&spanner.graph).unwrap();
+                assert_eq!(strat.stretch(), spanner.stretch, "k={k} θ={theta}");
+                let reduced = incidence.reduce_database(&x).unwrap();
+                let want = incidence.solve_tree(&reduced).unwrap();
+                let got = strat.edge_values(&x).unwrap();
+                assert_same_bits(&format!("x_G k={k} θ={theta}"), &got, &want);
+                for estimator in [
+                    ThetaEstimator::Laplace,
+                    ThetaEstimator::GroupPrivelet,
+                    ThetaEstimator::Dawa,
+                ] {
+                    let what = format!("{estimator:?} k={k} θ={theta}");
+                    let seed = (k * 10 + theta) as u64;
+                    let mut a = StdRng::seed_from_u64(seed);
+                    let mut b = StdRng::seed_from_u64(seed);
+                    let got = strat.histogram(&x, eps, estimator, &mut a).unwrap();
+                    let want = super::theta_line(&spanner, &incidence, &x, eps, estimator, &mut b);
+                    assert_same_bits(&what, &got, &want);
+                    assert_eq!(a.next_u64(), b.next_u64(), "{what}: draw counts");
+                }
+            }
+        }
     }
 }

@@ -10,14 +10,30 @@
 //! composition across disjoint groups) by Privelet — giving
 //! `O(log³θ/ε²)` per range query — or by Laplace / DAWA for the
 //! data-dependent variants of Figure 8d.
+//!
+//! The shape of `H^θ_k` is fixed, so the strategy never builds it: the
+//! red vertices `(i+1)θ − 1` form a path, every other cell is a leaf of
+//! its block's red vertex, and the `k mod θ` trailing cells are leaves of
+//! the last red vertex. The edge values `x_G` are each leaf's count plus
+//! running block totals, one linear pass like the line policy's prefix
+//! sums (Example 4.1), and `P_G` maps the estimates back in another. A
+//! strategy holds k, θ, the certified stretch and the Haar plans of its
+//! at most three group lengths: a few hundred bytes whatever k.
+//!
+//! Both passes replay the arithmetic order of the generic [`Incidence`]
+//! path over [`theta_line_spanner`]'s graph (`solve_tree`, `apply` and
+//! `reconstruct_database`, with the rightmost cell grounded), so releases
+//! are bit-identical to it; the tests sweep the two against each other.
+//!
+//! [`Incidence`]: blowfish_core::Incidence
+//! [`theta_line_spanner`]: blowfish_core::theta_line_spanner
 
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::{Rng, RngCore};
 
-use blowfish_core::spanner::{theta_line_spanner, ThetaLineSpanner};
-use blowfish_core::{DataVector, Epsilon, Incidence};
+use blowfish_core::{theta_line_stretch, CoreError, DataVector, Epsilon};
 use blowfish_mechanisms::{
     dawa_histogram, laplace_histogram, privelet_planned_into, DawaOptions, HaarPlan, PriveletWork,
 };
@@ -47,15 +63,24 @@ impl ThetaEstimator {
     }
 }
 
-/// A prepared `G^θ_k` strategy: the `H^θ_k` spanner, its incidence matrix,
-/// and the certified stretch that scales the budget (Corollary 4.6).
+/// A prepared `G^θ_k` strategy: the shape of the `H^θ_k` spanner, the
+/// certified stretch that scales the budget (Corollary 4.6), and the
+/// group-Privelet Haar plans.
+///
+/// The spanner's edges are numbered as [`blowfish_core::theta_line_spanner`]
+/// numbers them. Edge `e < last_red` belongs to cell `e`: the leaf edge of
+/// a non-red cell, or the path edge leaving red cell `e` to the right.
+/// Edge `e ≥ last_red` joins the last red vertex to trailing cell `e + 1`.
 #[derive(Clone, Debug)]
 pub struct ThetaLineStrategy {
-    spanner: ThetaLineSpanner,
-    incidence: Incidence,
-    /// Haar plans for the per-group Privelet estimator, keyed by group
-    /// length — derived once at construction so fits never re-plan.
-    group_plans: HashMap<usize, HaarPlan>,
+    k: usize,
+    theta: usize,
+    /// Certified stretch ℓ of `H^θ_k` (Lemma 4.5).
+    stretch: usize,
+    /// Haar plans for the per-group Privelet estimator, one per distinct
+    /// non-empty group length (θ − 1, θ and k mod θ) — derived once at
+    /// construction so fits never re-plan.
+    group_plans: Vec<HaarPlan>,
 }
 
 impl ThetaLineStrategy {
@@ -63,25 +88,139 @@ impl ThetaLineStrategy {
     /// (`k > θ ≥ 1`). Certifies the spanner stretch and derives the
     /// per-group Haar plans as part of construction.
     pub fn new(k: usize, theta: usize) -> Result<Self, StrategyError> {
-        let spanner = theta_line_spanner(k, theta)?;
-        let incidence = Incidence::new(&spanner.graph)?;
-        let mut group_plans = HashMap::new();
-        for &(start, end) in &spanner.groups {
-            let len = end - start;
-            if let std::collections::hash_map::Entry::Vacant(e) = group_plans.entry(len) {
-                e.insert(HaarPlan::new(&[len])?);
+        let stretch = theta_line_stretch(k, theta)?;
+        // Group 0 holds block 0's θ − 1 leaf edges, every later block's
+        // group its path edge and θ − 1 leaf edges, and the trailing group
+        // the k mod θ trailing edges. An empty group (the first when
+        // θ = 1, the trailing one when θ | k) is never released.
+        let middle = if k / theta > 1 { theta } else { 0 };
+        let mut group_plans: Vec<HaarPlan> = Vec::with_capacity(3);
+        for len in [theta - 1, middle, k % theta] {
+            if len > 0 && !group_plans.iter().any(|p| p.dims() == [len]) {
+                group_plans.push(HaarPlan::new(&[len])?);
             }
         }
         Ok(ThetaLineStrategy {
-            spanner,
-            incidence,
+            k,
+            theta,
+            stretch,
             group_plans,
         })
     }
 
-    /// The spanner.
-    pub fn spanner(&self) -> &ThetaLineSpanner {
-        &self.spanner
+    /// The certified stretch ℓ.
+    pub fn stretch(&self) -> usize {
+        self.stretch
+    }
+
+    /// The last red vertex, `⌊k/θ⌋·θ − 1`: the grounded cell `k − 1`
+    /// itself when θ | k.
+    fn last_red(&self) -> usize {
+        self.k / self.theta * self.theta - 1
+    }
+
+    /// The edges of group `g`: one group per red vertex (its path edge in,
+    /// then its block's leaf edges), then the trailing edges when θ ∤ k.
+    fn group(&self, g: usize) -> Range<usize> {
+        (g * self.theta).saturating_sub(1)..((g + 1) * self.theta - 1).min(self.k - 1)
+    }
+
+    /// The `H^θ_k` edge values `x_G` that the strategy measures, in the
+    /// spanner's edge order: the unique solution of `P_G x_G = x′` with
+    /// cell `k − 1` grounded. A leaf edge carries its cell's count and a
+    /// trailing edge the negated count of its trailing cell. The edge
+    /// leaving red vertex `r` toward the grounded cell carries the total
+    /// of every cell through `r`'s block, with the trailing cells for the
+    /// last red vertex.
+    pub fn edge_values(&self, x: &DataVector) -> Result<Vec<f64>, StrategyError> {
+        let (k, theta) = (self.k, self.theta);
+        if x.len() != k {
+            return Err(CoreError::DataShapeMismatch {
+                domain_size: k,
+                data_len: x.len(),
+            }
+            .into());
+        }
+        let x = x.counts();
+        let last_red = self.last_red();
+        let mut x_g = vec![0.0; k - 1];
+        let mut left: Option<f64> = None;
+        for r in (theta - 1..=last_red).step_by(theta) {
+            let leaves = r + 1 - theta..r;
+            x_g[leaves.clone()].copy_from_slice(&x[leaves.clone()]);
+            if r == k - 1 {
+                break;
+            }
+            // `Incidence::solve_tree` peels the trailing cells, then each
+            // block's leaves, both in descending order, and then the red
+            // path from left to right: a red vertex's value is
+            // ((x[r] + trailing) + leaves) + the previous path value.
+            let mut v = x[r];
+            if r == last_red {
+                for &t in x[r + 1..k - 1].iter().rev() {
+                    v += t;
+                }
+            }
+            for &l in x[leaves].iter().rev() {
+                v += l;
+            }
+            if let Some(p) = left {
+                v += p;
+            }
+            left = Some(v);
+            x_g[if r == last_red { k - 2 } else { r }] = v;
+        }
+        for e in last_red..k.saturating_sub(2) {
+            x_g[e] = -x[e + 1];
+        }
+        Ok(x_g)
+    }
+
+    /// Maps edge estimates back to a histogram: `P_G x̃`, then the
+    /// grounded cell from the public total. It replays `Incidence::apply`
+    /// and `reconstruct_database`: each row adds its ±1 entries in
+    /// ascending edge order starting from 0.0 (so a −0.0 estimate comes
+    /// out as +0.0, as it does there), and the last cell is the
+    /// left-to-right total minus the other cells, taken in order.
+    fn reconstruct(&self, x: &[f64], x_tilde: &[f64]) -> Vec<f64> {
+        let (k, theta) = (self.k, self.theta);
+        let last_red = self.last_red();
+        let mut est = vec![0.0; k];
+        for (r, cell) in est[..k - 1].iter_mut().enumerate() {
+            *cell = if r > last_red {
+                // A trailing cell: −1 on its trailing edge.
+                0.0 - x_tilde[r - 1]
+            } else if r % theta != theta - 1 {
+                // A leaf: +1 on its own edge.
+                0.0 + x_tilde[r]
+            } else {
+                // A red vertex: −1 on its group's edges, +1 on the edges
+                // leaving it (its path edge, or every trailing edge).
+                let g = r / theta;
+                let out = if r == last_red {
+                    self.group(g + 1)
+                } else {
+                    r..r + 1
+                };
+                let mut acc = 0.0;
+                for &v in &x_tilde[self.group(g)] {
+                    acc -= v;
+                }
+                for &v in &x_tilde[out] {
+                    acc += v;
+                }
+                acc
+            };
+        }
+        let mut last = 0.0;
+        for &v in x {
+            last += v;
+        }
+        for &v in &est[..k - 1] {
+            last -= v;
+        }
+        est[k - 1] = last;
+        est
     }
 
     /// Produces the `(ε, G^θ_k)`-Blowfish histogram estimate `x̂`:
@@ -94,9 +233,8 @@ impl ThetaLineStrategy {
         estimator: ThetaEstimator,
         rng: &mut R,
     ) -> Result<Vec<f64>, StrategyError> {
-        let eps_eff = eps.for_stretch(self.spanner.stretch)?;
-        let reduced = self.incidence.reduce_database(x)?;
-        let x_g = self.incidence.solve_tree(&reduced)?;
+        let eps_eff = eps.for_stretch(self.stretch)?;
+        let x_g = self.edge_values(x)?;
         let x_tilde = match estimator {
             ThetaEstimator::Laplace => laplace_histogram(&x_g, 1.0, eps_eff, rng)?,
             ThetaEstimator::Dawa => dawa_histogram(&x_g, eps_eff, DawaOptions::default(), rng)?,
@@ -106,37 +244,37 @@ impl ThetaLineStrategy {
                 // place, every pass in one set of work buffers.
                 let mut out = vec![0.0; x_g.len()];
                 let mut work = PriveletWork::default();
-                for &(start, end) in &self.spanner.groups {
-                    // The incidence preserves the spanner's edge order and
-                    // count (grounding rewrites columns, never drops them),
-                    // so group index ranges apply to x_G directly.
-                    let plan =
-                        self.group_plans
-                            .get(&(end - start))
-                            .ok_or(StrategyError::BadQuery {
-                                what: "spanner group length missing from the prepared Haar plans",
-                            })?;
+                for g in 0..self.k.div_ceil(self.theta) {
+                    let group = self.group(g);
+                    if group.is_empty() {
+                        continue;
+                    }
+                    let plan = self
+                        .group_plans
+                        .iter()
+                        .find(|p| p.dims() == [group.len()])
+                        .ok_or(StrategyError::BadQuery {
+                            what: "spanner group length missing from the prepared Haar plans",
+                        })?;
                     privelet_planned_into(
                         plan,
-                        &x_g[start..end],
+                        &x_g[group.clone()],
                         eps_eff,
                         rng,
                         &mut work,
-                        &mut out[start..end],
+                        &mut out[group],
                     )?;
                 }
                 out
             }
         };
-        let est_reduced = self.incidence.apply(&x_tilde)?;
-        let totals = self.incidence.component_totals(x)?;
-        Ok(self.incidence.reconstruct_database(&est_reduced, &totals)?)
+        Ok(self.reconstruct(x.counts(), &x_tilde))
     }
 }
 
 /// The θ-line strategy as a [`Mechanism`]: a shared prepared
-/// [`ThetaLineStrategy`] (spanner + incidence + Haar plans, built once by
-/// the plan cache) with the budget and edge-space estimator bound in.
+/// [`ThetaLineStrategy`] (stretch and group Haar plans, built once by the
+/// plan cache) with the budget and edge-space estimator bound in.
 #[derive(Clone, Debug)]
 pub struct ThetaLineMechanism {
     strategy: Arc<ThetaLineStrategy>,
@@ -193,7 +331,7 @@ mod tests {
     #[test]
     fn construction_and_stretch() {
         let s = ThetaLineStrategy::new(64, 4).unwrap();
-        assert!(s.spanner.stretch <= 3);
+        assert!(s.stretch() <= 3);
         assert!(ThetaLineStrategy::new(4, 4).is_err());
     }
 

@@ -66,8 +66,8 @@ fn main() {
         println!("  [{kind}] {:<28} {mse:>12.3} MSE/query", spec.label());
     }
 
-    // The spanner/incidence artifact was derived exactly once for the
-    // whole sweep — that is the engine's job.
+    // The θ-line strategy (certified stretch and group Haar plans) was
+    // derived exactly once for the whole sweep — that is the engine's job.
     let stats = session.cache().stats();
     println!(
         "\nplan cache: {} θ-line build(s), {} total artifact build(s) across the sweep",

@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let salary: Vec<f64> = vec![
         5., 9., 14., 21., 30., 41., 33., 25., 18., 12., 8., 5., 3., 2., 1., 1.,
     ];
-    service.add_tenant(&TenantConfig {
+    service.add_tenant(TenantConfig {
         id: "payroll".into(),
         graph: PolicyGraph::line(16)?,
         eps: Epsilon::new(0.4)?,
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     let grid = Domain::square(8);
     let visits: Vec<f64> = (0..64).map(|i| ((i * 7) % 11) as f64).collect();
-    service.add_tenant(&TenantConfig {
+    service.add_tenant(TenantConfig {
         id: "mobility".into(),
         graph: PolicyGraph::distance_threshold(grid.clone(), 1)?,
         eps: Epsilon::new(0.5)?,

@@ -8,11 +8,12 @@
 //! line makes a number that does not grow with the domain: the 2-D
 //! strategies keep their edge estimates in flat buffers and run every
 //! Privelet pass in one set of work buffers, and θ-grid's Haar plans are
-//! derived when its strategy is built.
+//! derived when its strategy is built. A θ-line plan keeps the same few
+//! hundred bytes whatever k: it holds no spanner graph or incidence.
 //!
 //! A counting global allocator needs a test binary of its own: every
-//! other test in a shared binary would count too. The counter is
-//! per-thread, so the harness's own threads do not disturb it.
+//! other test in a shared binary would count too. The counters are
+//! per-thread, so the harness's own threads do not disturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,6 +25,8 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 fn count_one() {
@@ -31,31 +34,39 @@ fn count_one() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn count_bytes(allocated: usize, freed: usize) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + allocated as isize - freed as isize));
+}
+
 // SAFETY: every method forwards to the system allocator unchanged; the
-// counter is a const-initialised thread-local `Cell` without a
-// destructor, so touching it neither allocates nor re-enters the
+// counters are const-initialised thread-local `Cell`s without a
+// destructor, so touching them neither allocates nor re-enters the
 // allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size(), 0);
         // SAFETY: the caller's guarantees for `alloc` are passed on.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size(), 0);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        count_bytes(new_size, layout.size());
         // SAFETY: `ptr` and `layout` come from this allocator, which
         // hands out the system allocator's blocks.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(0, layout.size());
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -193,4 +204,24 @@ fn fit_allocations_do_not_grow_with_the_domain() {
         counts.iter().all(|&(_, _, count)| count <= LIMIT),
         "allocations per warm fit line (limit {LIMIT}): {counts:?}"
     );
+}
+
+#[test]
+fn theta_line_plans_keep_the_same_bytes_whatever_k() {
+    // The heap a plan-cache entry keeps: the shared strategy and what it
+    // owns. The parent design kept the spanner graph and its incidence,
+    // 770 552 bytes at (4096, 4).
+    let kept = |k: usize| {
+        let before = LIVE_BYTES.with(Cell::get);
+        let plan = std::sync::Arc::new(ThetaLineStrategy::new(k, 4).unwrap());
+        let kept = LIVE_BYTES.with(Cell::get) - before;
+        drop(plan);
+        kept
+    };
+    let (small, large) = (kept(256), kept(4096));
+    assert_eq!(
+        small, large,
+        "bytes kept by a (256, 4) and a (4096, 4) plan"
+    );
+    assert!(large < 4096, "a (4096, 4) plan keeps {large} bytes");
 }

@@ -31,7 +31,7 @@ fn theta_line_data(k: usize) -> DataVector {
 fn service_with_theta_tenant(id: &str, k: usize, theta: usize, eps: f64, budget: f64) -> Service {
     let service = Service::new();
     service
-        .add_tenant(&TenantConfig {
+        .add_tenant(TenantConfig {
             id: id.to_string(),
             graph: PolicyGraph::theta_line(k, theta).unwrap(),
             eps: Epsilon::new(eps).unwrap(),
@@ -98,7 +98,7 @@ fn eight_threads_hammering_one_service_build_each_plan_once() {
     let service = Arc::new(Service::new());
     for (id, theta) in [("a", 2), ("b", 2), ("c", 5)] {
         service
-            .add_tenant(&TenantConfig {
+            .add_tenant(TenantConfig {
                 id: id.to_string(),
                 graph: PolicyGraph::theta_line(64, theta).unwrap(),
                 eps: Epsilon::new(0.5).unwrap(),

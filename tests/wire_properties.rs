@@ -125,7 +125,7 @@ proptest! {
     fn token_soup_never_panics_the_codec(picks in prop_vec(0usize..FRAGMENTS.len(), 0usize..8)) {
         let service = Service::new();
         service
-            .add_tenant(&TenantConfig {
+            .add_tenant(TenantConfig {
                 id: "acme".to_string(),
                 graph: PolicyGraph::line(16).unwrap(),
                 eps: Epsilon::new(0.5).unwrap(),
