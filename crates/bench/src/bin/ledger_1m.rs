@@ -7,7 +7,7 @@
 //!   a small factor of ns/charge at 10k tenants (lock-striped hash
 //!   segments have no per-tenant scan anywhere on the charge path);
 //! * **bounded memory** — resident-set growth per opened account must
-//!   stay under a fixed byte budget (no hidden per-tenant history
+//!   stay under a fixed byte budget (no hidden per-tenant
 //!   pre-allocation or quadratic index).
 //!
 //! Both bounds are asserted in-process (`--check`, the CI mode) and the
@@ -29,10 +29,9 @@ use blowfish_core::{Epsilon, Ledger};
 const O1_FACTOR: f64 = 4.0;
 
 /// Memory assertion: bytes of RSS growth per opened account. An account
-/// is an id string, an f64 pair, a counter, and an empty history ring
-/// inside a striped hash map — comfortably under 400 B; 1024 B catches
-/// a per-tenant pre-allocation regression while ignoring allocator
-/// slack.
+/// is an id string, an f64 pair and a counter inside a striped hash map
+/// — comfortably under 400 B; 1024 B catches a per-tenant
+/// pre-allocation regression while ignoring allocator slack.
 const MAX_BYTES_PER_TENANT: f64 = 1024.0;
 
 fn main() {

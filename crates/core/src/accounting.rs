@@ -230,27 +230,19 @@ pub struct AccountSnapshot {
     pub charges: usize,
 }
 
-/// Most recent charges retained per account for [`Ledger::history`]. The
-/// ledger is the long-running service's accounting backbone: an
-/// unbounded per-fit log would grow resident memory forever under
-/// sustained traffic, so the log is a ring of the latest entries while
-/// `spent`/`charges` keep exact lifetime totals.
-pub const MAX_HISTORY: usize = 1024;
-
 /// Number of lock-striped account segments in a [`Ledger`] — tenants
 /// hash to a stripe, so concurrent charges to different tenants take
 /// different locks (the engine `PlanCache` uses the same pattern).
 pub const LEDGER_STRIPES: usize = 16;
 
-/// One tenant's privacy account.
+/// One tenant's privacy account: exact lifetime totals. Charge labels
+/// are written to the WAL of a durable ledger and kept nowhere else.
 #[derive(Clone, Debug)]
 struct Account {
     total: Epsilon,
     spent: f64,
-    /// Lifetime count of admitted charges (history may be truncated).
+    /// Lifetime count of admitted charges.
     charges: usize,
-    /// The most recent ≤ [`MAX_HISTORY`] charges, oldest first.
-    history: std::collections::VecDeque<(String, f64)>,
 }
 
 impl Account {
@@ -259,15 +251,7 @@ impl Account {
             total,
             spent: 0.0,
             charges: 0,
-            history: std::collections::VecDeque::new(),
         }
-    }
-
-    fn push_history(&mut self, label: String, amount: f64) {
-        if self.history.len() == MAX_HISTORY {
-            self.history.pop_front();
-        }
-        self.history.push_back((label, amount));
     }
 }
 
@@ -366,7 +350,7 @@ impl Durable {
     /// caller holds the tenant's stripe lock and before it mutates the
     /// account. Lock order is stripe → WAL, everywhere. A failed append
     /// poisons durability (fail-stop).
-    fn persist(&self, rec: &WalRecord) -> Result<(), CoreError> {
+    fn persist(&self, rec: &WalRecord<&str>) -> Result<(), CoreError> {
         self.check_healthy()?;
         if let Err(e) = self.wal.lock().expect("wal lock").append(rec) {
             self.poisoned.store(true, Ordering::Relaxed);
@@ -470,7 +454,6 @@ impl Ledger {
                         total,
                         spent: t.spent,
                         charges: t.charges as usize,
-                        history: snapshot::history_ring(t.history.clone()),
                     },
                 );
                 if prev.is_some() {
@@ -547,11 +530,7 @@ impl Ledger {
                                     stripe.insert(tenant.clone(), Account::fresh(total));
                                 }
                             }
-                            WalRecord::Charge {
-                                tenant,
-                                label,
-                                amount,
-                            } => {
+                            WalRecord::Charge { tenant, amount, .. } => {
                                 match stripes[stripe_index(tenant)].get_mut(tenant) {
                                     Some(account) => {
                                         // Replay applies the identical f64
@@ -560,7 +539,6 @@ impl Ledger {
                                         // charge was already admitted.
                                         account.spent += amount;
                                         account.charges += 1;
-                                        account.push_history(label.clone(), *amount);
                                     }
                                     None => report.warnings.push(format!(
                                         "replay: charge against unknown tenant {tenant} ignored"
@@ -641,7 +619,7 @@ impl Ledger {
         }
         if let Some(d) = &self.durable {
             d.persist(&WalRecord::Open {
-                tenant: tenant.to_string(),
+                tenant,
                 total: total.value(),
             })?;
         }
@@ -654,7 +632,9 @@ impl Ledger {
     /// Charges `eps` to `tenant` under sequential composition. On success
     /// returns the [`Charge`] receipt; when the remaining budget cannot
     /// cover it, returns [`CoreError::BudgetExhausted`] and leaves the
-    /// account untouched.
+    /// account untouched. `label` names the release (the engine passes
+    /// the spec id); a durable ledger writes it into the charge's WAL
+    /// record, and nothing else keeps it.
     pub fn charge(&self, tenant: &str, label: &str, eps: Epsilon) -> Result<Charge, CoreError> {
         self.debit(tenant, label, eps.value())
     }
@@ -664,6 +644,8 @@ impl Ledger {
     /// requires) *before* the in-memory account mutates — an acked
     /// charge is always at least as durable as the policy promises, and
     /// a WAL failure rejects the charge without mutating the account.
+    /// The record is encoded from the borrowed `tenant` and `label`, so
+    /// a warm charge makes no heap allocation.
     fn debit(&self, tenant: &str, label: &str, amount: f64) -> Result<Charge, CoreError> {
         let mut stripe = self.stripes[stripe_index(tenant)]
             .lock()
@@ -683,15 +665,14 @@ impl Ledger {
         }
         if let Some(d) = &self.durable {
             d.persist(&WalRecord::Charge {
-                tenant: tenant.to_string(),
-                label: label.to_string(),
+                tenant,
+                label,
                 amount,
             })?;
         }
         let account = stripe.get_mut(tenant).expect("account vanished");
         account.spent = new_spent;
         account.charges += 1;
-        account.push_history(label.to_string(), amount);
         let receipt = Charge {
             amount,
             spent: new_spent,
@@ -744,7 +725,6 @@ impl Ledger {
                     total: a.total.value(),
                     spent: a.spent,
                     charges: a.charges as u64,
-                    history: a.history.iter().cloned().collect(),
                 })
             })
             .collect();
@@ -792,16 +772,6 @@ impl Ledger {
     /// Remaining budget of a tenant (never negative).
     pub fn remaining(&self, tenant: &str) -> Result<f64, CoreError> {
         self.with_account(tenant, |a| (a.total.value() - a.spent).max(0.0))
-    }
-
-    /// The most recent `(label, ε)` charges of a tenant, oldest first —
-    /// a bounded ring of the latest [`MAX_HISTORY`] entries (`spent` and
-    /// the [`Ledger::snapshot`] charge count keep exact lifetime totals
-    /// regardless of truncation). Clones the retained entries — for
-    /// dashboards and tests; hot paths that only need the count should
-    /// use [`Ledger::snapshot`].
-    pub fn history(&self, tenant: &str) -> Result<Vec<(String, f64)>, CoreError> {
-        self.with_account(tenant, |a| a.history.iter().cloned().collect())
     }
 
     /// One consistent view of a tenant account (total, spent, remaining,
@@ -997,27 +967,7 @@ mod tests {
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
         assert!((ledger.spent("t").unwrap() - 1.0).abs() < 1e-12);
-        assert_eq!(ledger.history("t").unwrap().len(), 2);
         assert_eq!(ledger.snapshot("t").unwrap().charges, 2);
-    }
-
-    #[test]
-    fn history_is_a_bounded_ring_while_totals_stay_exact() {
-        let ledger = Ledger::new();
-        ledger.open("t", Epsilon::new(1e9).unwrap()).unwrap();
-        let eps = Epsilon::new(1.0).unwrap();
-        let n = MAX_HISTORY + 50;
-        for i in 0..n {
-            ledger.charge("t", &format!("c{i}"), eps).unwrap();
-        }
-        // The log keeps only the newest MAX_HISTORY entries…
-        let history = ledger.history("t").unwrap();
-        assert_eq!(history.len(), MAX_HISTORY);
-        assert_eq!(history[0].0, "c50", "oldest retained entry");
-        assert_eq!(history.last().unwrap().0, format!("c{}", n - 1));
-        // …while lifetime accounting stays exact.
-        assert_eq!(ledger.snapshot("t").unwrap().charges, n);
-        assert!((ledger.spent("t").unwrap() - n as f64).abs() < 1e-6);
     }
 
     #[test]
@@ -1135,12 +1085,9 @@ mod tests {
         let (recovered, report) = Ledger::recover(&dir).unwrap();
         assert!(report.is_clean(), "warnings: {:?}", report.warnings);
         assert_eq!(report.wal_records_replayed, 5 + 20);
+        // Spend and charge counts survive bit for bit.
         assert_bit_identical(&snapshots_of(&baseline), &snapshots_of(&recovered));
-        // History survives too.
-        assert_eq!(
-            recovered.history("tenant-0").unwrap(),
-            baseline.history("tenant-0").unwrap()
-        );
+        assert_eq!(recovered.snapshot("tenant-0").unwrap().charges, 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1165,6 +1112,75 @@ mod tests {
         assert_eq!(report.snapshot_tenants, 1);
         assert_eq!(report.wal_records_replayed, 1);
         assert_bit_identical(&snapshots_of(&baseline), &snapshots_of(&recovered));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshots_with_history_entries_recover_their_totals() {
+        // Earlier versions wrote each account's latest `(label, ε)`
+        // charges into its snapshot frame. Such a snapshot, laid out by
+        // hand here, recovers to bit-identical totals, and the next
+        // snapshot drops the entries.
+        use wal::{crc32, put_f64_bits, put_str, put_u32, put_u64};
+        let dir = state_dir("history-snap");
+        std::fs::create_dir_all(&dir).unwrap();
+        let history = [("dp-laplace", 0.1), ("mm-range-wavelet", 0.2)];
+        let mut bytes = b"BFSNAP/1".to_vec();
+        put_u64(&mut bytes, 5); // generation
+        put_u64(&mut bytes, 2); // tenant count
+        for (tenant, total, spent, entries) in [
+            ("acme", 2.5, 0.1 + 0.2, &history[..]),
+            ("zeta", 1.0, 0.0, &[][..]),
+        ] {
+            let mut payload = Vec::new();
+            put_str(&mut payload, tenant);
+            put_f64_bits(&mut payload, total);
+            put_f64_bits(&mut payload, spent);
+            put_u64(&mut payload, entries.len() as u64);
+            put_u32(&mut payload, entries.len() as u32);
+            for (label, amount) in entries {
+                put_str(&mut payload, label);
+                put_f64_bits(&mut payload, *amount);
+            }
+            put_u32(&mut bytes, payload.len() as u32);
+            put_u32(&mut bytes, crc32(&payload));
+            bytes.extend_from_slice(&payload);
+        }
+        std::fs::write(dir.join(SNAPSHOT_FILE), &bytes).unwrap();
+        drop(wal::WalWriter::rotate(&dir, 5, FsyncPolicy::Off).unwrap());
+
+        let (recovered, report) = Ledger::recover(&dir).unwrap();
+        assert!(report.is_clean(), "{:?}", report.warnings);
+        assert_eq!(report.snapshot_generation, Some(5));
+        assert_eq!(report.snapshot_tenants, 2);
+        let expected = vec![
+            (
+                "acme".to_string(),
+                AccountSnapshot {
+                    total: 2.5,
+                    spent: 0.1 + 0.2,
+                    remaining: 2.5 - (0.1 + 0.2),
+                    charges: 2,
+                },
+            ),
+            (
+                "zeta".to_string(),
+                AccountSnapshot {
+                    total: 1.0,
+                    spent: 0.0,
+                    remaining: 1.0,
+                    charges: 0,
+                },
+            ),
+        ];
+        assert_bit_identical(&expected, &snapshots_of(&recovered));
+        assert_eq!(recovered.snapshot_now().unwrap(), 6);
+        drop(recovered);
+        let rewritten = std::fs::metadata(dir.join(SNAPSHOT_FILE)).unwrap().len();
+        let entry_bytes: usize = history.iter().map(|(l, _)| 4 + l.len() + 8).sum();
+        assert_eq!(rewritten as usize, bytes.len() - entry_bytes);
+        let (again, _) = Ledger::recover(&dir).unwrap();
+        assert_bit_identical(&expected, &snapshots_of(&again));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

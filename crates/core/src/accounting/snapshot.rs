@@ -20,12 +20,16 @@
 //!                  history_len:u32 (label:str amount:f64)*
 //! ```
 //!
+//! `history_len` is always written as 0: an account keeps only its
+//! totals, and charge labels live in the WAL alone. Entries that older
+//! snapshots carry there are validated and skipped on read, so those
+//! snapshots still recover to the same totals.
+//!
 //! Unlike a torn WAL *tail* (expected after a crash, recovered by
 //! truncation), a snapshot that fails validation has no usable durable
 //! prefix — budgets would silently reset for the missing tenants — so
 //! it is always a hard typed error, never a partial recovery.
 
-use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::Path;
@@ -50,8 +54,6 @@ pub struct SnapshotTenant {
     pub spent: f64,
     /// Lifetime admitted-charge count.
     pub charges: u64,
-    /// The retained history ring, oldest first.
-    pub history: Vec<(String, f64)>,
 }
 
 /// A complete decoded snapshot.
@@ -77,11 +79,8 @@ pub fn write_snapshot(dir: &Path, image: &SnapshotImage) -> Result<(), CoreError
         put_f64_bits(&mut payload, t.total);
         put_f64_bits(&mut payload, t.spent);
         put_u64(&mut payload, t.charges);
-        put_u32(&mut payload, t.history.len() as u32);
-        for (label, amount) in &t.history {
-            put_str(&mut payload, label);
-            put_f64_bits(&mut payload, *amount);
-        }
+        // history_len: no entries (see the format above).
+        put_u32(&mut payload, 0);
         put_u32(&mut buf, payload.len() as u32);
         put_u32(&mut buf, crc32(&payload));
         buf.extend_from_slice(&payload);
@@ -142,12 +141,9 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotImage>, CoreError> {
         let total = c.get_f64_bits()?;
         let spent = c.get_f64_bits()?;
         let charges = c.get_u64()?;
-        let hlen = c.get_u32()? as usize;
-        let mut history = Vec::with_capacity(hlen);
-        for _ in 0..hlen {
-            let label = c.get_str()?;
-            let amount = c.get_f64_bits()?;
-            history.push((label, amount));
+        for _ in 0..c.get_u32()? {
+            c.get_str()?;
+            c.get_f64_bits()?;
         }
         c.finish()?;
         tenants.push(SnapshotTenant {
@@ -155,7 +151,6 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotImage>, CoreError> {
             total,
             spent,
             charges,
-            history,
         });
     }
     if pos != bytes.len() {
@@ -168,11 +163,6 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotImage>, CoreError> {
         generation,
         tenants,
     }))
-}
-
-/// Converts a captured history ring back into the account's VecDeque.
-pub(super) fn history_ring(entries: Vec<(String, f64)>) -> VecDeque<(String, f64)> {
-    entries.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -196,14 +186,12 @@ mod tests {
                     total: 2.5,
                     spent: 0.1 + 0.2,
                     charges: 2,
-                    history: vec![("a".to_string(), 0.1), ("b".to_string(), 0.2)],
                 },
                 SnapshotTenant {
                     tenant: "zeta".to_string(),
                     total: 1.0,
                     spent: 0.0,
                     charges: 0,
-                    history: vec![],
                 },
             ],
         }

@@ -253,22 +253,24 @@ pub(super) fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> CoreEr
 // Records
 // ---------------------------------------------------------------------------
 
-/// One budget-affecting event, as persisted.
+/// One budget-affecting event, as persisted. Decoded records own their
+/// strings; the ledger logs a record over borrowed ones
+/// (`WalRecord<&str>`), so logging a charge allocates nothing.
 #[derive(Clone, Debug, PartialEq)]
-pub enum WalRecord {
+pub enum WalRecord<S = String> {
     /// A tenant account was opened with `total` budget.
     Open {
         /// Tenant id.
-        tenant: String,
+        tenant: S,
         /// Registered total budget (bit-exact).
         total: f64,
     },
     /// A charge of `amount` was admitted against `tenant`.
     Charge {
         /// Tenant id.
-        tenant: String,
+        tenant: S,
         /// The charge label (mechanism/spec id).
-        label: String,
+        label: S,
         /// The debited ε (bit-exact).
         amount: f64,
     },
@@ -277,7 +279,7 @@ pub enum WalRecord {
 const TAG_OPEN: u8 = 1;
 const TAG_CHARGE: u8 = 2;
 
-impl WalRecord {
+impl<S: AsRef<str>> WalRecord<S> {
     /// Appends the framed record (`len + crc + payload`) to `buf`,
     /// encoding the payload in place behind a framing placeholder.
     fn encode_frame(&self, buf: &mut Vec<u8>) {
@@ -286,7 +288,7 @@ impl WalRecord {
         match self {
             WalRecord::Open { tenant, total } => {
                 buf.push(TAG_OPEN);
-                put_str(buf, tenant);
+                put_str(buf, tenant.as_ref());
                 put_f64_bits(buf, *total);
             }
             WalRecord::Charge {
@@ -295,8 +297,8 @@ impl WalRecord {
                 amount,
             } => {
                 buf.push(TAG_CHARGE);
-                put_str(buf, tenant);
-                put_str(buf, label);
+                put_str(buf, tenant.as_ref());
+                put_str(buf, label.as_ref());
                 put_f64_bits(buf, *amount);
             }
         }
@@ -306,7 +308,9 @@ impl WalRecord {
         buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
         buf[start + 4..payload_start].copy_from_slice(&crc.to_le_bytes());
     }
+}
 
+impl WalRecord {
     fn decode(payload: &[u8]) -> Result<WalRecord, CoreError> {
         let mut c = Cursor::new(payload, "wal record");
         let tag = c.take(1)?[0];
@@ -554,7 +558,7 @@ impl WalWriter {
 
     /// Writes `rec` to the log in one `write`, then syncs when the
     /// policy calls for it (see [`FsyncPolicy`]).
-    pub fn append(&mut self, rec: &WalRecord) -> Result<(), CoreError> {
+    pub fn append<S: AsRef<str>>(&mut self, rec: &WalRecord<S>) -> Result<(), CoreError> {
         self.frame.clear();
         rec.encode_frame(&mut self.frame);
         self.file

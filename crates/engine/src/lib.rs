@@ -17,20 +17,20 @@
 //!   with the tenant's registered data. It has one `&self` method per
 //!   verb ([`Service::add_tenant`], [`Service::plan`], [`Service::fit`],
 //!   [`Service::answer`], [`Service::stats`]), callable from any number
-//!   of threads. The [`wire`] module's [`Request`]/[`Response`] are the
+//!   of threads. It is the one place a release is charged:
+//!   [`Service::fit`] draws the mechanism's exact reported ε
+//!   ([`blowfish_strategies::Mechanism::epsilon`]) from the tenant's
+//!   ledger account before it fits — over budget means a typed
+//!   `CoreError::BudgetExhausted` rejection *before* any noise is drawn. The [`wire`] module's [`Request`]/[`Response`] are the
 //!   engine's request and response types: [`wire::serve_request`]
 //!   dispatches each request to its method, and [`Codec`] gives them a
 //!   newline-delimited text form (the `blowfish-serve` bin).
 //! * [`Session`] — binds `(Domain, policy, ε)`, classifies the policy
 //!   graph ([`Policy`]), memoizes mechanisms against its
 //!   plan cache, and plans the paper-recommended strategy per [`Task`].
-//!   Standalone sessions own a private cache and are unmetered (ε is a
-//!   per-release parameter, the one-shot experiment shape); a `Service`
-//!   session shares the service cache ([`Session::with_cache`]) and
-//!   draws every [`Session::fit`]'s exact reported ε
-//!   ([`blowfish_strategies::Mechanism::epsilon`]) from its tenant's
-//!   ledger account first — over budget means a typed
-//!   `CoreError::BudgetExhausted` rejection *before* any noise is drawn.
+//!   It tracks no spend. A standalone session owns a private cache (ε is
+//!   a per-release parameter, the one-shot experiment shape); a
+//!   `Service` session shares the service cache ([`Session::with_cache`]).
 //! * [`Plan`] — one chosen spec plus its live mechanism. Fitting
 //!   produces an [`blowfish_strategies::Estimate`] answering 1-D/2-D
 //!   range batches in O(1) per query.
@@ -69,7 +69,7 @@
 //! assert_eq!(lineup.len(), 5);
 //! ```
 //!
-//! ## Quickstart: a metered service
+//! ## Quickstart: a budget-metered service
 //!
 //! ```
 //! use blowfish_core::{DataVector, Domain, Epsilon, PolicyGraph};
@@ -108,7 +108,7 @@ pub use net::{LineSession, NetConfig, NetStats, TcpServer, MAX_LINE_BYTES};
 pub use parallel::parallel_map;
 pub use plan::{PlanCache, PlanStats};
 pub use service::{Service, TenantConfig, TenantStats};
-pub use session::{Fitted, Plan, Policy, Session};
+pub use session::{Plan, Policy, Session};
 pub use spec::{MatrixStrategyKind, MechanismSpec, Task};
 pub use wire::{Codec, Request, Response, WireError, WireReply, PROTOCOL_VERSION};
 

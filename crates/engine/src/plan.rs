@@ -296,7 +296,7 @@ mod tests {
         // solve: nothing is derived into the cache, and the served fit
         // matches the dense reference mechanism built directly from the
         // same seed.
-        use crate::{MatrixStrategyKind, MechanismSpec, Policy, Session};
+        use crate::{MechanismSpec, Policy, Session};
         use blowfish_core::{DataVector, Domain, Epsilon};
         use blowfish_linalg::Matrix;
         use blowfish_mechanisms::{
@@ -317,15 +317,16 @@ mod tests {
         let x =
             DataVector::new(Domain::one_dim(k), (0..k).map(|i| (i % 3) as f64).collect()).unwrap();
         for (strategy, dense) in [
-            (MatrixStrategyKind::Identity, identity_strategy(k)),
-            (MatrixStrategyKind::Hierarchical, hierarchical_strategy(k)),
-            (MatrixStrategyKind::Wavelet, wavelet_strategy(k)),
+            ("identity", identity_strategy(k)),
+            ("hierarchical", hierarchical_strategy(k)),
+            ("wavelet", wavelet_strategy(k)),
         ] {
+            let spec = |id: String| MechanismSpec::parse(&id).unwrap();
             let hist = session
-                .mechanism(&MechanismSpec::MatrixHist { strategy })
+                .mechanism(&spec(format!("mm-hist-{strategy}")))
                 .unwrap();
             session
-                .mechanism(&MechanismSpec::MatrixRange { strategy })
+                .mechanism(&spec(format!("mm-range-{strategy}")))
                 .unwrap();
             let served = hist.fit(&x, &mut StdRng::seed_from_u64(3)).unwrap();
             let reference = MatrixMechanism::new(Matrix::identity(k), dense)
@@ -335,7 +336,7 @@ mod tests {
             for (s, d) in served.histogram().iter().zip(&reference) {
                 assert!(
                     (s - d).abs() <= 1e-9 * (1.0 + d.abs()),
-                    "{strategy:?}: {s} vs {d}"
+                    "{strategy}: {s} vs {d}"
                 );
             }
         }

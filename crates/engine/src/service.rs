@@ -16,7 +16,9 @@
 //!   under a deterministic seed, drawing the mechanism's exact reported
 //!   ε from the tenant's ledger account first (an exhausted account
 //!   rejects the request with the typed `CoreError::BudgetExhausted`
-//!   before any noise is drawn);
+//!   before any noise is drawn). The service is the one place a release
+//!   is charged: a tenant's [`Session`] only classifies its policy, plans
+//!   and memoizes mechanisms;
 //! * [`Service::answer`] — answer a batch of ranges against a stored
 //!   estimate in O(1) per range from its prefix tables: one tenant
 //!   lookup, every range checked against the tenant's domain (so a bad
@@ -68,7 +70,8 @@ pub struct TenantConfig {
     pub data: DataVector,
 }
 
-/// Per-tenant server state: the metered session plus stored releases.
+/// Per-tenant server state: the planning session, the registered data
+/// and the stored releases.
 struct Tenant {
     session: Session,
     data: DataVector,
@@ -167,8 +170,7 @@ impl Service {
         }
         // Build the session first so a rejected policy leaves no orphan
         // ledger account.
-        let session = Session::with_cache(&graph, eps, Arc::clone(&self.cache))?
-            .metered(Arc::clone(&self.ledger), id.clone());
+        let session = Session::with_cache(&graph, eps, Arc::clone(&self.cache))?;
         let tenant = Arc::new(Tenant {
             session,
             data,
@@ -217,13 +219,15 @@ impl Service {
 
     /// Re-materializes an already-charged release after a crash,
     /// without touching the ledger. Fits are deterministic per
-    /// `(tenant, spec, seed)`, so re-running the fit through the
-    /// unmetered path reproduces the pre-crash estimate f64-exactly
-    /// while the recovered account keeps exactly the spend the WAL
-    /// durably acknowledged — charging again here would double-count a
-    /// release the tenant already paid for. Only replay `(spec, seed,
-    /// handle)` triples whose original fit was admitted (present in the
-    /// recovered history); this method does not re-check the budget.
+    /// `(tenant, spec, seed)`, so re-running the fit reproduces the
+    /// pre-crash estimate f64-exactly while the recovered account keeps
+    /// exactly the spend the WAL durably acknowledged. Re-deriving an
+    /// output from recorded coins is post-processing of a release that
+    /// was already paid for (Borgs et al., "Private Algorithms Can Always
+    /// Be Extended"), so charging again here would double-count it. Only
+    /// replay `(spec, seed, handle)` triples whose original fit was
+    /// admitted; this method does not re-check the budget, and no wire
+    /// request reaches it.
     pub fn restore_estimate(
         &self,
         tenant: &str,
@@ -236,34 +240,37 @@ impl Service {
             .map(drop)
     }
 
-    /// The shared body of [`Service::fit`] (`charged`: through the
-    /// ledger) and [`Service::restore_estimate`] (not charged): resolves
-    /// the spec, seeds the RNG, fits, and stores the estimate under
-    /// `handle`.
+    /// The shared body of [`Service::fit`] (`charged`) and
+    /// [`Service::restore_estimate`] (not charged), and the one place a
+    /// release is charged. It resolves the spec and its mechanism with
+    /// one memo lookup, charges the mechanism's exact ε under the spec's
+    /// id, fits from the seeded RNG, and stores the estimate under
+    /// `handle`. A spec the session cannot serve is refused before the
+    /// charge, so it spends nothing.
     fn release(
         &self,
-        tenant: &str,
+        id: &str,
         spec: Option<MechanismSpec>,
         task: Task,
         seed: u64,
         handle: &str,
         charged: bool,
     ) -> Result<Option<Charge>, EngineError> {
-        let tenant = self.tenant(tenant)?;
-        let spec = match spec {
-            Some(spec) => spec,
-            None => *tenant.session.plan(task)?.spec(),
+        let tenant = self.tenant(id)?;
+        let (spec, mechanism) = match spec {
+            Some(spec) => (spec, tenant.session.mechanism(&spec)?),
+            None => {
+                let plan = tenant.session.plan(task)?;
+                (plan.spec, plan.mechanism)
+            }
+        };
+        let charge = if charged {
+            Some(self.ledger.charge(id, &spec.id(), mechanism.epsilon())?)
+        } else {
+            None
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let (estimate, charge) = if charged {
-            let fitted = tenant.session.fit(&spec, &tenant.data, &mut rng)?;
-            (fitted.estimate, fitted.charge)
-        } else {
-            let estimate = tenant
-                .session
-                .fit_unmetered(&spec, &tenant.data, &mut rng)?;
-            (estimate, None)
-        };
+        let estimate = mechanism.fit(&tenant.data, &mut rng)?;
         tenant
             .estimates
             .lock()
@@ -460,8 +467,9 @@ mod tests {
             data: DataVector::new(Domain::one_dim(8), vec![1.0; 8]).unwrap(),
         });
         assert!(matches!(mismatch, Err(EngineError::BadRequest { .. })));
-        // The failed onboardings left no tenant behind.
+        // The failed onboardings left no tenant and no account behind.
         assert_eq!(service.tenants(), vec!["acme"]);
+        assert_eq!(service.ledger().tenant_count(), 1);
     }
 
     #[test]
@@ -471,14 +479,43 @@ mod tests {
             |seed: u64, handle: &str| service.fit("acme", None, Task::Histogram, seed, handle);
         assert!(fit(1, "a").is_ok());
         assert!(fit(2, "b").is_ok());
+        let before = service.ledger().snapshot("acme").unwrap();
         let err = fit(3, "c").unwrap_err();
         assert!(err.is_budget_exhausted(), "got {err:?}");
-        // The rejected fit stored nothing and spent nothing further.
+        // The rejected fit stored nothing and left the account as it was.
         assert!(matches!(
             answer_1d(&service, "c", &[]),
             Err(EngineError::UnknownEstimate { .. })
         ));
-        assert!((service.ledger().spent("acme").unwrap() - 1.0).abs() < 1e-12);
+        assert_eq!(service.ledger().snapshot("acme").unwrap(), before);
+        assert!((before.spent - 1.0).abs() < 1e-12);
+        assert_eq!(before.charges, 2);
+    }
+
+    #[test]
+    fn unservable_fits_are_refused_before_any_charge() {
+        let service = service_with_tenant("acme", 2.0);
+        service.fit("acme", None, Task::Histogram, 1, "a").unwrap();
+        let before = service.ledger().snapshot("acme").unwrap();
+        // Specs the line tenant's session cannot build, and a task its
+        // planner has no default for: each is refused, stores nothing and
+        // spends nothing.
+        for (spec, task) in [
+            (Some(MechanismSpec::Grid), Task::Histogram),
+            (Some(MechanismSpec::Dawa2d), Task::Range2d),
+            (None, Task::Range2d),
+        ] {
+            let err = service.fit("acme", spec, task, 2, "b").unwrap_err();
+            assert!(
+                matches!(err, EngineError::UnsupportedPolicy { .. }),
+                "{spec:?}: {err:?}"
+            );
+        }
+        assert!(matches!(
+            answer_1d(&service, "b", &[]),
+            Err(EngineError::UnknownEstimate { .. })
+        ));
+        assert_eq!(service.ledger().snapshot("acme").unwrap(), before);
     }
 
     #[test]

@@ -8,24 +8,21 @@
 //! paper-recommended strategy for a task; [`Session::registry`] lists the
 //! full Figure 8/9 panel lineup for the session's policy.
 //!
-//! A standalone session owns its cache and is **unmetered**: ε is a
-//! per-release parameter and nothing tracks cumulative spend — exactly
-//! the one-shot experiment shape the figure panels use. The multi-tenant
-//! [`Service`](crate::Service) layer instead constructs sessions over a
-//! *shared* `Arc<PlanCache>` ([`Session::with_cache`]) and attaches a
-//! budget meter ([`Session::metered`]): every [`Session::fit`] then
-//! draws the mechanism's exact reported ε ([`Mechanism::epsilon`]) from
-//! the tenant's [`Ledger`] account *before* releasing, and an exhausted
-//! account rejects the fit with the typed
-//! `CoreError::BudgetExhausted` — ε becomes a metered runtime resource
-//! rather than construction-time state.
+//! A session only classifies, plans and memoizes: ε is the parameter its
+//! mechanisms are built at, and nothing here tracks cumulative spend —
+//! exactly the one-shot experiment shape the figure panels use. The
+//! multi-tenant [`Service`](crate::Service) builds its tenants' sessions
+//! over one *shared* `Arc<PlanCache>` ([`Session::with_cache`]) and
+//! meters releases itself: it charges the exact ε a session's mechanism
+//! reports ([`Mechanism::epsilon`]) to the tenant's ledger account
+//! before it fits.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use rand::RngCore;
 
-use blowfish_core::{Charge, DataVector, Domain, Epsilon, Ledger, PolicyGraph};
+use blowfish_core::{DataVector, Domain, Epsilon, PolicyGraph};
 use blowfish_strategies::{
     DawaBaseline1d, DawaBaseline2d, Estimate, GridMechanism, LaplaceBaseline, LineMechanism,
     Mechanism, PriveletBaseline1d, PriveletBaselineNd, StrategyError, ThetaEstimator,
@@ -110,8 +107,8 @@ fn classify_graph(
 /// the session's plan cache.
 #[derive(Clone)]
 pub struct Plan {
-    spec: MechanismSpec,
-    mechanism: Arc<dyn Mechanism>,
+    pub(crate) spec: MechanismSpec,
+    pub(crate) mechanism: Arc<dyn Mechanism>,
 }
 
 impl Plan {
@@ -127,33 +124,13 @@ impl Plan {
     }
 }
 
-/// A fitted release from a metered [`Session::fit`]: the query-ready
-/// estimate plus the ledger receipt (absent on unmetered sessions).
-#[derive(Clone, Debug)]
-pub struct Fitted {
-    /// The query-ready estimate.
-    pub estimate: Estimate,
-    /// The ledger charge backing this release; `None` when the session
-    /// has no meter attached.
-    pub charge: Option<Charge>,
-}
-
-/// The budget meter of a tenant-owned session: charges against one
-/// tenant's account in a shared [`Ledger`].
-#[derive(Clone, Debug)]
-struct Meter {
-    ledger: Arc<Ledger>,
-    tenant: String,
-}
-
 /// A plan-once/serve-many session over `(Domain, policy, ε)`.
 pub struct Session {
     domain: Domain,
     policy: Policy,
     eps: Epsilon,
     cache: Arc<PlanCache>,
-    mechanisms: Mutex<HashMap<String, Arc<dyn Mechanism>>>,
-    meter: Option<Meter>,
+    mechanisms: Mutex<HashMap<MechanismSpec, Arc<dyn Mechanism>>>,
 }
 
 impl Session {
@@ -179,18 +156,6 @@ impl Session {
             session.cache.seed_incidence(graph, inc);
         }
         Ok(session)
-    }
-
-    /// Attaches a budget meter: every subsequent [`Session::fit`] draws
-    /// the mechanism's reported ε from `tenant`'s account in `ledger`
-    /// before releasing. Builder-style so the `Service` layer reads
-    /// `Session::with_cache(..)?.metered(ledger, tenant)`.
-    pub fn metered(mut self, ledger: Arc<Ledger>, tenant: impl Into<String>) -> Self {
-        self.meter = Some(Meter {
-            ledger,
-            tenant: tenant.into(),
-        });
-        self
     }
 
     /// Opens a standalone session for an already-classified policy family.
@@ -235,78 +200,7 @@ impl Session {
             eps,
             cache,
             mechanisms: Mutex::new(HashMap::new()),
-            meter: None,
         })
-    }
-
-    /// Fits a mechanism to `x`, drawing its exact reported ε from the
-    /// attached ledger first (when metered): the charge is atomic
-    /// check-and-debit, so an exhausted tenant account rejects the
-    /// release with the typed `CoreError::BudgetExhausted` **before** any
-    /// noise is drawn — a rejected fit consumes neither budget nor
-    /// randomness. Unmetered sessions skip straight to the fit, so the
-    /// released values are f64-identical either way for a fixed seed.
-    ///
-    /// `x` is validated against the session domain before anything is
-    /// charged, so a shape mismatch cannot burn budget. Should the
-    /// mechanism itself still fail *after* the debit, the ε stays spent —
-    /// deliberately conservative accounting (the privacy cost of a
-    /// release must never be under-counted), so validate inputs up front
-    /// rather than relying on refunds.
-    pub fn fit(
-        &self,
-        spec: &MechanismSpec,
-        x: &DataVector,
-        rng: &mut dyn RngCore,
-    ) -> Result<Fitted, EngineError> {
-        if x.domain() != &self.domain {
-            return Err(EngineError::BadRequest {
-                what: "data domain does not match the session domain".to_string(),
-            });
-        }
-        let mechanism = self.mechanism(spec)?;
-        let charge = match &self.meter {
-            Some(meter) => Some(meter.ledger.charge(
-                &meter.tenant,
-                &spec.id(),
-                mechanism.epsilon(),
-            )?),
-            None => None,
-        };
-        Ok(Fitted {
-            estimate: mechanism.fit(x, rng)?,
-            charge,
-        })
-    }
-
-    /// Fits a mechanism **without** touching the ledger, even on a
-    /// metered session — the crash-recovery path. A service restoring
-    /// estimates after [`Ledger::recover`] re-runs fits whose ε was
-    /// already durably charged before the crash; re-fitting from the
-    /// same `(spec, seed)` is deterministic post-processing of a
-    /// release that was already paid for (Borgs et al., "Private
-    /// Algorithms Can Always Be Extended": re-deriving an output from
-    /// recorded coins consumes no new budget), so charging again would
-    /// *double-count* the release. Never expose this to client
-    /// requests — it is for replaying already-admitted releases only.
-    pub fn fit_unmetered(
-        &self,
-        spec: &MechanismSpec,
-        x: &DataVector,
-        rng: &mut dyn RngCore,
-    ) -> Result<Estimate, EngineError> {
-        if x.domain() != &self.domain {
-            return Err(EngineError::BadRequest {
-                what: "data domain does not match the session domain".to_string(),
-            });
-        }
-        let mechanism = self.mechanism(spec)?;
-        Ok(mechanism.fit(x, rng)?)
-    }
-
-    /// The tenant this session charges, when a meter is attached.
-    pub fn tenant(&self) -> Option<&str> {
-        self.meter.as_ref().map(|m| m.tenant.as_str())
     }
 
     /// The session domain.
@@ -424,8 +318,7 @@ impl Session {
     /// regardless of such races: they are created under the shared
     /// [`PlanCache`] locks.
     pub fn mechanism(&self, spec: &MechanismSpec) -> Result<Arc<dyn Mechanism>, EngineError> {
-        let id = spec.id();
-        if let Some(m) = self.mechanisms.lock().expect("session lock").get(&id) {
+        if let Some(m) = self.mechanisms.lock().expect("session lock").get(spec) {
             return Ok(Arc::clone(m));
         }
         let eps = if spec.is_baseline() {
@@ -435,7 +328,7 @@ impl Session {
         };
         let built = self.build(spec, eps)?;
         let mut memo = self.mechanisms.lock().expect("session lock");
-        let m = memo.entry(id).or_insert(built);
+        let m = memo.entry(*spec).or_insert(built);
         Ok(Arc::clone(m))
     }
 
@@ -471,7 +364,6 @@ impl Session {
                 | MechanismSpec::Dawa1d
                 | MechanismSpec::Dawa2d
                 | MechanismSpec::MatrixHist { .. }
-                | MechanismSpec::MatrixRange { .. }
                 | MechanismSpec::Tree(_),
                 _,
             ) => Ok(()),
@@ -551,27 +443,23 @@ impl Session {
                 let strat = self.cache.theta_grid_strategy(self.domain.dim(0), *theta)?;
                 Arc::new(ThetaGridMechanism::new(strat, eps))
             }
-            MechanismSpec::MatrixHist { strategy } | MechanismSpec::MatrixRange { strategy } => {
-                Arc::new(ServedMatrixMechanism {
-                    name: spec.id(),
-                    eps,
-                    domain: self.domain.clone(),
-                    kind: *strategy,
-                })
-            }
+            MechanismSpec::MatrixHist { strategy } => Arc::new(ServedMatrixMechanism {
+                name: spec.id(),
+                eps,
+                domain: self.domain.clone(),
+                kind: *strategy,
+            }),
         })
     }
 }
 
-/// The matrix mechanism as a servable [`Mechanism`], for every
-/// matrix-mechanism id: `fit` releases the reconstructed domain estimate
-/// `x̂ = x + A⁺η` through the strategy's closed-form tree solve
-/// ([`MatrixStrategyKind::reconstruct`]). On the histogram workload
-/// `W = I` that is the release itself; on the dyadic range workload
-/// `W = D_k` every answer `W x̂` is a linear function of it, so one
-/// [`Estimate`] serves both, with 2-D domains in their row-major
-/// linearization. `mm-hist-*` and `mm-range-*` over one strategy
-/// therefore release bit-identical estimates from equal seeds.
+/// The matrix mechanism as a servable [`Mechanism`]: `fit` releases the
+/// reconstructed domain estimate `x̂ = x + A⁺η` through the strategy's
+/// closed-form tree solve ([`MatrixStrategyKind::reconstruct`]). On the
+/// histogram workload `W = I` that is the release itself; on the dyadic
+/// range workload `W = D_k` every answer `W x̂` is a linear function of
+/// it, so one [`Estimate`] serves both (the `mm-range-*` ids are
+/// aliases), with 2-D domains in their row-major linearization.
 #[derive(Debug)]
 struct ServedMatrixMechanism {
     name: String,
@@ -603,7 +491,7 @@ mod tests {
     use blowfish_core::Workload;
     use blowfish_linalg::Matrix;
     use blowfish_mechanisms::{
-        hierarchical_strategy, identity_strategy, wavelet_strategy, MatrixMechanism,
+        hierarchical_strategy, identity_strategy, laplace_vec, wavelet_strategy, MatrixMechanism,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -845,38 +733,67 @@ mod tests {
         assert_eq!(m.fit(&x, &mut rng).unwrap().histogram().len(), 8);
     }
 
+    /// A service with one line-policy tenant `t` over `x`, granted `eps`
+    /// per release out of a total budget of 1.0.
+    fn metered_tenant(x: &DataVector, eps: Epsilon) -> crate::Service {
+        let service = crate::Service::new();
+        service
+            .add_tenant(crate::TenantConfig {
+                id: "t".to_string(),
+                graph: PolicyGraph::line(x.domain().size()).unwrap(),
+                eps,
+                budget: Epsilon::new(1.0).unwrap(),
+                data: x.clone(),
+            })
+            .unwrap();
+        service
+    }
+
     #[test]
     fn metered_fits_charge_exact_epsilon_and_stay_bit_identical() {
+        // Releases are metered by the service, which builds its tenant
+        // sessions like any other: a charged fit releases exactly the
+        // floats an unmetered session's mechanism releases from the seed.
         let graph = PolicyGraph::line(16).unwrap();
         let eps = Epsilon::new(0.25).unwrap();
         let x = DataVector::new(Domain::one_dim(16), vec![2.0; 16]).unwrap();
         let spec = MechanismSpec::Line(TreeEstimator::Laplace);
-
-        let ledger = Arc::new(Ledger::new());
-        ledger.open("t", Epsilon::new(1.0).unwrap()).unwrap();
-        let metered = Session::new(&graph, eps)
-            .unwrap()
-            .metered(Arc::clone(&ledger), "t");
+        let service = metered_tenant(&x, eps);
         let plain = Session::new(&graph, eps).unwrap();
 
-        let mut a = StdRng::seed_from_u64(11);
-        let mut b = StdRng::seed_from_u64(11);
-        let fitted = metered.fit(&spec, &x, &mut a).unwrap();
-        let free = plain.fit(&spec, &x, &mut b).unwrap();
-        assert_eq!(fitted.estimate.histogram(), free.estimate.histogram());
+        // The prefix family [0, i] determines a histogram exactly, so
+        // bitwise-equal prefixes are bitwise-equal releases.
+        let prefixes: Vec<([usize; 1], [usize; 1])> = (0..16).map(|i| ([0], [i])).collect();
+        let ranges = || prefixes.iter().map(|(lo, hi)| (&lo[..], &hi[..]));
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+
+        let charge = service
+            .fit("t", Some(spec), Task::Histogram, 11, "a")
+            .unwrap();
+        let free = plain
+            .mechanism(&spec)
+            .unwrap()
+            .fit(&x, &mut StdRng::seed_from_u64(11))
+            .unwrap();
+        assert_eq!(
+            bits(service.answer("t", "a", ranges()).unwrap()),
+            bits(free.answer_ranges(ranges()).unwrap())
+        );
         // Blowfish strategy charges the full grant; receipt is exact.
-        let charge = fitted.charge.unwrap();
         assert!((charge.amount - 0.25).abs() < 1e-12);
-        assert!(free.charge.is_none());
-        assert!((ledger.remaining("t").unwrap() - 0.75).abs() < 1e-12);
-        assert_eq!(metered.tenant(), Some("t"));
-        assert_eq!(plain.tenant(), None);
+        assert!((charge.remaining - 0.75).abs() < 1e-12);
+        assert!((service.ledger().remaining("t").unwrap() - 0.75).abs() < 1e-12);
 
         // A baseline charges the ε/2 it actually consumes, not the grant.
-        let mut c = StdRng::seed_from_u64(12);
-        let base = metered.fit(&MechanismSpec::Laplace, &x, &mut c).unwrap();
-        assert!((base.charge.unwrap().amount - 0.125).abs() < 1e-12);
-        assert_eq!(ledger.history("t").unwrap().len(), 2);
+        let base = service
+            .fit("t", Some(MechanismSpec::Laplace), Task::Histogram, 12, "b")
+            .unwrap();
+        assert!((base.amount - 0.125).abs() < 1e-12);
+        assert_eq!(
+            plain.mechanism(&MechanismSpec::Laplace).unwrap().epsilon(),
+            eps.half()
+        );
+        assert_eq!(service.ledger().snapshot("t").unwrap().charges, 2);
     }
 
     #[test]
@@ -885,44 +802,22 @@ mod tests {
         let eps = Epsilon::new(0.4).unwrap();
         let x = DataVector::new(Domain::one_dim(8), vec![1.0; 8]).unwrap();
         let spec = MechanismSpec::Line(TreeEstimator::Laplace);
-        let ledger = Arc::new(Ledger::new());
-        ledger.open("t", Epsilon::new(1.0).unwrap()).unwrap();
-        let s = Session::new(&graph, eps)
-            .unwrap()
-            .metered(Arc::clone(&ledger), "t");
-        let mut rng = StdRng::seed_from_u64(1);
+        let service = metered_tenant(&x, eps);
+        let fit =
+            |seed: u64, handle: &str| service.fit("t", Some(spec), Task::Histogram, seed, handle);
         // 0.4 + 0.4 fit; the third 0.4 does not.
-        assert!(s.fit(&spec, &x, &mut rng).is_ok());
-        assert!(s.fit(&spec, &x, &mut rng).is_ok());
-        let err = s.fit(&spec, &x, &mut rng).unwrap_err();
+        assert!(fit(1, "a").is_ok());
+        assert!(fit(2, "b").is_ok());
+        let before = service.ledger().snapshot("t").unwrap();
+        let err = fit(3, "c").unwrap_err();
         assert!(err.is_budget_exhausted(), "got {err:?}");
         // The rejection left the account at 0.8 — no partial debit.
-        assert!((ledger.spent("t").unwrap() - 0.8).abs() < 1e-12);
+        assert_eq!(service.ledger().snapshot("t").unwrap(), before);
+        assert!((service.ledger().spent("t").unwrap() - 0.8).abs() < 1e-12);
         // A smaller release still fits in the remaining 0.2.
+        let s = Session::new(&graph, eps).unwrap();
         let small = s.mechanism_at(&spec, Epsilon::new(0.2).unwrap()).unwrap();
         assert!(small.epsilon().value() <= 0.2 + 1e-12);
-    }
-
-    #[test]
-    fn mismatched_data_is_rejected_before_any_charge() {
-        // A fit with wrong-shaped data must fail *without* debiting the
-        // tenant account — budget burns only for admissible releases.
-        let ledger = Arc::new(Ledger::new());
-        ledger.open("t", Epsilon::new(1.0).unwrap()).unwrap();
-        let s = Session::new(&PolicyGraph::line(16).unwrap(), Epsilon::new(0.5).unwrap())
-            .unwrap()
-            .metered(Arc::clone(&ledger), "t");
-        let wrong = DataVector::new(Domain::one_dim(8), vec![1.0; 8]).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let err = s
-            .fit(
-                &MechanismSpec::Line(TreeEstimator::Laplace),
-                &wrong,
-                &mut rng,
-            )
-            .unwrap_err();
-        assert!(matches!(err, EngineError::BadRequest { .. }));
-        assert_eq!(ledger.spent("t").unwrap(), 0.0, "rejected fit spent ε");
     }
 
     #[test]
@@ -953,14 +848,14 @@ mod tests {
             (0..k).map(|i| (i % 11) as f64).collect(),
         )
         .unwrap();
-        for (strategy, dense) in [
-            (MatrixStrategyKind::Identity, identity_strategy(k)),
-            (MatrixStrategyKind::Hierarchical, hierarchical_strategy(k)),
-            (MatrixStrategyKind::Wavelet, wavelet_strategy(k)),
+        for (id, dense) in [
+            ("mm-hist-identity", identity_strategy(k)),
+            ("mm-hist-hierarchical", hierarchical_strategy(k)),
+            ("mm-hist-wavelet", wavelet_strategy(k)),
         ] {
             let session = Session::new(&graph, eps).unwrap();
             let m = session
-                .mechanism(&MechanismSpec::MatrixHist { strategy })
+                .mechanism(&MechanismSpec::parse(id).unwrap())
                 .unwrap();
             // Baseline convention: the matrix mechanism reports ε/2.
             assert_eq!(m.epsilon(), eps.half());
@@ -972,7 +867,7 @@ mod tests {
             for (i, (s, d)) in served.histogram().iter().zip(&reference).enumerate() {
                 assert!(
                     (d - s).abs() <= 1e-9 * (1.0 + d.abs()),
-                    "{strategy:?} cell {i}: dense {d} vs sparse {s}"
+                    "{id} cell {i}: dense {d} vs sparse {s}"
                 );
             }
         }
@@ -980,35 +875,43 @@ mod tests {
 
     #[test]
     fn matrix_ids_agree_at_edge_sizes() {
-        // Every strategy serves the degenerate and power-of-two-boundary
-        // sizes up to the wire's 1-D cap of 4096, and the histogram and
-        // range ids release bit-identical estimates from equal seeds.
+        // Every matrix-mechanism id serves the degenerate and
+        // power-of-two-boundary sizes up to the wire's 1-D cap of 4096,
+        // and each alias releases its target's bits from equal seeds. The
+        // identity strategy (`A⁺ = I`) releases `η + x`, noise first, and
+        // the Laplace mechanism `x + η` from the same draws: f64 addition
+        // commutes, so the bits agree.
         let eps = Epsilon::new(0.7).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for k in [1usize, 2, 3, 5, 17, 87, 88, 128, 129, 511, 512, 513, 4096] {
             let session =
                 Session::with_policy(Domain::one_dim(k), Policy::Theta1d { theta: 1 }, eps)
                     .unwrap();
             let x = DataVector::new(Domain::one_dim(k), (0..k).map(|i| (i % 7) as f64).collect())
                 .unwrap();
-            for strategy in [
-                MatrixStrategyKind::Identity,
-                MatrixStrategyKind::Hierarchical,
-                MatrixStrategyKind::Wavelet,
-            ] {
-                let fit = |spec: MechanismSpec| {
-                    session
-                        .mechanism(&spec)
-                        .unwrap()
-                        .fit(&x, &mut StdRng::seed_from_u64(k as u64))
-                        .unwrap()
-                        .histogram()
-                        .to_vec()
-                };
-                let hist = fit(MechanismSpec::MatrixHist { strategy });
-                let range = fit(MechanismSpec::MatrixRange { strategy });
+            let fit = |id: &str| {
+                session
+                    .mechanism(&MechanismSpec::parse(id).unwrap())
+                    .unwrap()
+                    .fit(&x, &mut StdRng::seed_from_u64(k as u64))
+                    .unwrap()
+                    .histogram()
+                    .to_vec()
+            };
+            for strategy in ["hierarchical", "wavelet"] {
+                let hist = fit(&format!("mm-hist-{strategy}"));
                 assert_eq!(hist.len(), k);
-                assert!(hist.iter().all(|v| v.is_finite()), "{strategy:?} k={k}");
-                assert_eq!(hist, range, "{strategy:?} k={k}");
+                assert!(hist.iter().all(|v| v.is_finite()), "{strategy} k={k}");
+                assert_eq!(bits(&hist), bits(&fit(&format!("mm-range-{strategy}"))));
+            }
+            let noise = laplace_vec(
+                &mut StdRng::seed_from_u64(k as u64),
+                1.0 / eps.half().value(),
+                k,
+            );
+            let identity: Vec<f64> = noise.iter().zip(x.counts()).map(|(n, c)| n + c).collect();
+            for id in ["mm-hist-identity", "mm-range-identity", "dp-laplace"] {
+                assert_eq!(bits(&fit(id)), bits(&identity), "{id} k={k}");
             }
         }
     }
@@ -1064,46 +967,40 @@ mod tests {
 
     #[test]
     fn matrix_range_serves_w_neq_i_at_serving_scale() {
-        // The W ≠ I acceptance path: a dyadic range workload at
-        // k = 16 384 over the hierarchical strategy, releases served
-        // from the reconstructed x̂, identical to the histogram spec's
-        // release over the same strategy from equal seeds.
+        // The W ≠ I acceptance path: the dyadic range id at k = 16 384
+        // resolves to the very mechanism the histogram id memoized, whose
+        // reconstructed x̂ answers every range.
         let k = 16_384;
         let graph = PolicyGraph::theta_line(k, 4).unwrap();
         let eps = Epsilon::new(1.0).unwrap();
         let session = Session::new(&graph, eps).unwrap();
         let range = session
-            .mechanism(&MechanismSpec::MatrixRange {
-                strategy: MatrixStrategyKind::Hierarchical,
-            })
+            .mechanism(&MechanismSpec::parse("mm-range-hierarchical").unwrap())
             .unwrap();
         let hist = session
             .mechanism(&MechanismSpec::MatrixHist {
                 strategy: MatrixStrategyKind::Hierarchical,
             })
             .unwrap();
+        assert!(Arc::ptr_eq(&range, &hist));
         let x = DataVector::new(Domain::one_dim(k), vec![2.0; k]).unwrap();
         for seed in 0..3 {
             let est = range.fit(&x, &mut StdRng::seed_from_u64(seed)).unwrap();
             assert_eq!(est.histogram().len(), k);
             assert!(est.histogram().iter().all(|v| v.is_finite()));
-            let same = hist.fit(&x, &mut StdRng::seed_from_u64(seed)).unwrap();
-            assert_eq!(est.histogram(), same.histogram());
         }
     }
 
     #[test]
     fn matrix_range_fit_answers_ranges_like_direct_releases() {
-        // At reference scale, the Estimate a MatrixRange fit stores must
-        // answer the dyadic workload exactly as the dense reference
+        // At reference scale, the Estimate an `mm-range-*` fit stores
+        // must answer the dyadic workload exactly as the dense reference
         // mechanism's release `W x + W A⁺ η` from equal seeds.
         let k = 64;
         let graph = PolicyGraph::line(k).unwrap();
         let eps = Epsilon::new(0.8).unwrap();
         let session = Session::new(&graph, eps).unwrap();
-        let spec = MechanismSpec::MatrixRange {
-            strategy: MatrixStrategyKind::Hierarchical,
-        };
+        let spec = MechanismSpec::parse("mm-range-hierarchical").unwrap();
         let m = session.mechanism(&spec).unwrap();
         let x =
             DataVector::new(Domain::one_dim(k), (0..k).map(|i| (i % 5) as f64).collect()).unwrap();

@@ -9,6 +9,12 @@
 //! enumerable here, by stable id ([`MechanismSpec::id`] /
 //! [`MechanismSpec::parse`]) and by figure-legend label
 //! ([`MechanismSpec::label`]).
+//!
+//! Four matrix-mechanism ids are aliases that parse to the spec whose
+//! release they equal bit for bit from equal seeds: `mm-range-<s>` to
+//! `mm-hist-<s>` (one reconstructed estimate serves both workloads), and
+//! `mm-hist-identity` and `mm-range-identity` to `dp-laplace` (the
+//! identity strategy adds the same Laplace draws to each cell).
 
 pub use blowfish_mechanisms::MatrixStrategyKind;
 use blowfish_strategies::{ThetaEstimator, TreeEstimator};
@@ -26,7 +32,7 @@ pub enum Task {
 
 /// A named, parameterized mechanism: every baseline and Blowfish strategy
 /// the experiment panels use.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MechanismSpec {
     /// ε-DP Laplace histogram baseline.
     Laplace,
@@ -56,22 +62,15 @@ pub enum MechanismSpec {
         /// Policy threshold θ.
         theta: usize,
     },
-    /// The ε-DP matrix mechanism on the histogram workload `I_k` with a
-    /// named strategy, released as the domain estimate `x̂ = x + A⁺η`.
-    /// Served at every k by the strategy's closed-form tree solve
+    /// The ε-DP matrix mechanism with a named strategy, released as the
+    /// domain estimate `x̂ = x + A⁺η`. Served at every k by the
+    /// strategy's closed-form tree solve
     /// ([`MatrixStrategyKind::reconstruct`]), with nothing to plan or
-    /// cache.
+    /// cache. Every workload answer `W x̂` is a linear function of the
+    /// estimate, so it serves the histogram and the dyadic range
+    /// workloads alike (`mm-range-<s>` parses to this spec).
     MatrixHist {
-        /// Which strategy matrix answers the histogram.
-        strategy: MatrixStrategyKind,
-    },
-    /// The ε-DP matrix mechanism serving a real W ≠ I workload: the
-    /// dyadic 1-D range workload answered from the reconstructed domain
-    /// estimate `x̂ = x + A⁺η`. Served by the same tree solve as
-    /// [`MechanismSpec::MatrixHist`] over the same strategy, so the two
-    /// ids release identical estimates from equal seeds.
-    MatrixRange {
-        /// Which strategy matrix answers the ranges.
+        /// Which strategy matrix answers the workload.
         strategy: MatrixStrategyKind,
     },
 }
@@ -88,9 +87,7 @@ impl MechanismSpec {
             MechanismSpec::Line(e) | MechanismSpec::Tree(e) => e.name(),
             MechanismSpec::ThetaLine { estimator, .. } => estimator.name(),
             MechanismSpec::Grid | MechanismSpec::ThetaGrid { .. } => "Transformed + Privelet",
-            MechanismSpec::MatrixHist { .. } | MechanismSpec::MatrixRange { .. } => {
-                "Matrix Mechanism"
-            }
+            MechanismSpec::MatrixHist { .. } => "Matrix Mechanism",
         }
     }
 
@@ -111,14 +108,16 @@ impl MechanismSpec {
             MechanismSpec::Grid => "grid".into(),
             MechanismSpec::ThetaGrid { theta } => format!("theta-grid-{theta}"),
             MechanismSpec::MatrixHist { strategy } => format!("mm-hist-{}", strategy.id()),
-            MechanismSpec::MatrixRange { strategy } => format!("mm-range-{}", strategy.id()),
         }
     }
 
-    /// Parses a registry id produced by [`MechanismSpec::id`].
+    /// Parses a registry id produced by [`MechanismSpec::id`], or one of
+    /// the matrix-mechanism aliases in the [module docs](self).
     pub fn parse(id: &str) -> Option<MechanismSpec> {
         match id {
-            "dp-laplace" => return Some(MechanismSpec::Laplace),
+            "dp-laplace" | "mm-hist-identity" | "mm-range-identity" => {
+                return Some(MechanismSpec::Laplace)
+            }
             "dp-privelet-1d" => return Some(MechanismSpec::Privelet1d),
             "dp-privelet-nd" => return Some(MechanismSpec::PriveletNd),
             "dp-dawa-1d" => return Some(MechanismSpec::Dawa1d),
@@ -144,15 +143,10 @@ impl MechanismSpec {
                 theta: rest.parse().ok()?,
             });
         }
-        if let Some(rest) = id.strip_prefix("mm-hist-") {
-            return MatrixStrategyKind::parse(rest)
-                .map(|strategy| MechanismSpec::MatrixHist { strategy });
-        }
-        if let Some(rest) = id.strip_prefix("mm-range-") {
-            return MatrixStrategyKind::parse(rest)
-                .map(|strategy| MechanismSpec::MatrixRange { strategy });
-        }
-        None
+        let strategy = id
+            .strip_prefix("mm-hist-")
+            .or_else(|| id.strip_prefix("mm-range-"))?;
+        MatrixStrategyKind::parse(strategy).map(|strategy| MechanismSpec::MatrixHist { strategy })
     }
 
     /// Whether this is an ε/2-DP comparison baseline (Section 6 runs
@@ -167,7 +161,6 @@ impl MechanismSpec {
                 | MechanismSpec::Dawa1d
                 | MechanismSpec::Dawa2d
                 | MechanismSpec::MatrixHist { .. }
-                | MechanismSpec::MatrixRange { .. }
         )
     }
 
@@ -212,12 +205,10 @@ impl MechanismSpec {
             });
         }
         for s in [
-            MatrixStrategyKind::Identity,
             MatrixStrategyKind::Hierarchical,
             MatrixStrategyKind::Wavelet,
         ] {
             out.push(MechanismSpec::MatrixHist { strategy: s });
-            out.push(MechanismSpec::MatrixRange { strategy: s });
         }
         out
     }
@@ -298,7 +289,6 @@ mod tests {
     #[test]
     fn matrix_hist_ids_round_trip() {
         for (kind, id) in [
-            (MatrixStrategyKind::Identity, "mm-hist-identity"),
             (MatrixStrategyKind::Hierarchical, "mm-hist-hierarchical"),
             (MatrixStrategyKind::Wavelet, "mm-hist-wavelet"),
         ] {
@@ -311,17 +301,20 @@ mod tests {
 
     #[test]
     fn matrix_range_ids_round_trip() {
-        for (kind, id) in [
-            (MatrixStrategyKind::Identity, "mm-range-identity"),
-            (MatrixStrategyKind::Hierarchical, "mm-range-hierarchical"),
-            (MatrixStrategyKind::Wavelet, "mm-range-wavelet"),
+        // Each alias parses to its target, whose id round-trips.
+        for (alias, target) in [
+            ("mm-range-hierarchical", "mm-hist-hierarchical"),
+            ("mm-range-wavelet", "mm-hist-wavelet"),
+            ("mm-range-identity", "dp-laplace"),
+            ("mm-hist-identity", "dp-laplace"),
         ] {
-            let spec = MechanismSpec::MatrixRange { strategy: kind };
-            assert_eq!(spec.id(), id);
-            assert_eq!(MechanismSpec::parse(id), Some(spec));
+            let spec = MechanismSpec::parse(alias).unwrap();
+            assert_eq!(spec.id(), target);
+            assert_eq!(MechanismSpec::parse(target), Some(spec));
             assert!(spec.is_baseline());
         }
         assert!(MechanismSpec::parse("mm-range-nope").is_none());
+        assert!(MechanismSpec::parse("mm-range-").is_none());
     }
 
     #[test]

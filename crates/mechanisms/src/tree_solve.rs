@@ -1,14 +1,14 @@
 //! The matrix mechanism's servable strategies, with `A⁺` in closed form.
 //!
-//! The three strategies a matrix-mechanism id can name
+//! The two strategies a matrix-mechanism id can name
 //! ([`MatrixStrategyKind`]) are designs on the clipped dyadic tree over
-//! the `k` cells. With `n = k.next_power_of_two()`, level widths run
+//! the `k` cells. (The identity strategy `A = I` is the Laplace
+//! mechanism, which serves it.) With `n = k.next_power_of_two()`, level widths run
 //! `s = n, n/2, …, 1`; a level's nodes are `(s, lo)` for `lo = 0, s, 2s,
 //! … < k`, covering `[lo, min(lo + s, k))`. Node `(s, lo)` has the child
 //! `(s/2, lo)`, and a second child `(s/2, lo + s/2)` only when
 //! `lo + s/2 < k`.
 //!
-//! * **Identity** — one row per cell, so `A⁺ = I`.
 //! * **Hierarchical** (Hay et al. \[10\]) — one row per node, each the
 //!   node's interval sum, root level first and left to right within a
 //!   level.
@@ -18,10 +18,9 @@
 //!
 //! These are exactly the rows, in the same order, of the dense
 //! [`hierarchical_strategy`](crate::hierarchical_strategy) and
-//! [`wavelet_strategy`](crate::wavelet_strategy), and `Δ_A` (1 for the
-//! identity, `log₂ n + 1` for the other two) is their `max_col_l1`, so a
-//! seed draws the same Laplace noise here as through the dense
-//! [`MatrixMechanism`](crate::MatrixMechanism).
+//! [`wavelet_strategy`](crate::wavelet_strategy), and `Δ_A = log₂ n + 1`
+//! is their `max_col_l1`, so a seed draws the same Laplace noise here as
+//! through the dense [`MatrixMechanism`](crate::MatrixMechanism).
 //!
 //! On a tree, least squares is an exact two-pass elimination in
 //! O(nodes), with no gram, factor or plan. Each node carries `(a, b)`,
@@ -39,8 +38,6 @@ use crate::noise::laplace_vec;
 /// Strategy matrices the matrix-mechanism ids plan with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MatrixStrategyKind {
-    /// `A = I_k` (the Laplace mechanism in matrix-mechanism clothing).
-    Identity,
     /// The binary hierarchical strategy `H_k`.
     Hierarchical,
     /// The Haar wavelet strategy `Y_k`.
@@ -48,11 +45,10 @@ pub enum MatrixStrategyKind {
 }
 
 impl MatrixStrategyKind {
-    /// The stable id fragment (`identity` / `hierarchical` / `wavelet`)
-    /// used in registry ids.
+    /// The stable id fragment (`hierarchical` / `wavelet`) used in
+    /// registry ids.
     pub fn id(self) -> &'static str {
         match self {
-            MatrixStrategyKind::Identity => "identity",
             MatrixStrategyKind::Hierarchical => "hierarchical",
             MatrixStrategyKind::Wavelet => "wavelet",
         }
@@ -61,7 +57,6 @@ impl MatrixStrategyKind {
     /// Parses an id fragment produced by [`MatrixStrategyKind::id`].
     pub fn parse(id: &str) -> Option<MatrixStrategyKind> {
         Some(match id {
-            "identity" => MatrixStrategyKind::Identity,
             "hierarchical" => MatrixStrategyKind::Hierarchical,
             "wavelet" => MatrixStrategyKind::Wavelet,
             _ => return None,
@@ -73,20 +68,15 @@ impl MatrixStrategyKind {
     pub fn rows(self, k: usize) -> usize {
         let start = level_starts(k);
         match self {
-            MatrixStrategyKind::Identity => k,
             MatrixStrategyKind::Hierarchical => start[start.len() - 1],
             MatrixStrategyKind::Wavelet => 1 + start[start.len() - 2],
         }
     }
 
-    /// The strategy sensitivity `Δ_A` over `k` cells: 1 for the identity,
-    /// and the tree height `log₂ n + 1` for the other two, since every
-    /// cell lies in one node per level.
+    /// The strategy sensitivity `Δ_A` over `k` cells: the tree height
+    /// `log₂ n + 1`, since every cell lies in one node per level.
     pub fn sensitivity(self, k: usize) -> f64 {
-        match self {
-            MatrixStrategyKind::Identity => 1.0,
-            _ => (k.next_power_of_two().trailing_zeros() + 1) as f64,
-        }
+        (k.next_power_of_two().trailing_zeros() + 1) as f64
     }
 
     /// Releases the noisy domain estimate `x̂ = x + A⁺·Lap(Δ_A/ε)^rows`
@@ -106,7 +96,6 @@ impl MatrixStrategyKind {
     /// `A⁺y` for a `y` of length `self.rows(k)`.
     fn pinv(self, k: usize, y: &[f64]) -> Vec<f64> {
         match self {
-            MatrixStrategyKind::Identity => y.to_vec(),
             _ if k == 0 => Vec::new(),
             MatrixStrategyKind::Hierarchical => hierarchical_pinv(k, y),
             MatrixStrategyKind::Wavelet => wavelet_pinv(k, y),
@@ -244,19 +233,14 @@ fn wavelet_pinv(k: usize, y: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{hierarchical_strategy, identity_strategy, wavelet_strategy};
+    use crate::matrix::{hierarchical_strategy, wavelet_strategy};
     use crate::MatrixMechanism;
     use blowfish_core::Workload;
     use blowfish_linalg::{Matrix, SparseMatrix, TripletBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    const DYADIC: [MatrixStrategyKind; 2] = [
-        MatrixStrategyKind::Hierarchical,
-        MatrixStrategyKind::Wavelet,
-    ];
-    const ALL: [MatrixStrategyKind; 3] = [
-        MatrixStrategyKind::Identity,
+    const ALL: [MatrixStrategyKind; 2] = [
         MatrixStrategyKind::Hierarchical,
         MatrixStrategyKind::Wavelet,
     ];
@@ -268,15 +252,6 @@ mod tests {
         std::iter::successors((padded >= smallest).then_some(padded), move |&s| {
             (s > smallest).then_some(s / 2)
         })
-    }
-
-    /// The identity strategy `A = I_k` in CSR form.
-    fn identity_strategy_sparse(k: usize) -> SparseMatrix {
-        let mut b = TripletBuilder::new(k, k);
-        for i in 0..k {
-            b.push(i, i, 1.0);
-        }
-        b.build()
     }
 
     /// The hierarchical strategy in CSR form, one row per tree node.
@@ -318,7 +293,6 @@ mod tests {
 
     fn sparse_strategy(kind: MatrixStrategyKind, k: usize) -> SparseMatrix {
         match kind {
-            MatrixStrategyKind::Identity => identity_strategy_sparse(k),
             MatrixStrategyKind::Hierarchical => hierarchical_strategy_sparse(k),
             MatrixStrategyKind::Wavelet => wavelet_strategy_sparse(k),
         }
@@ -326,7 +300,6 @@ mod tests {
 
     fn dense_strategy(kind: MatrixStrategyKind, k: usize) -> Matrix {
         match kind {
-            MatrixStrategyKind::Identity => identity_strategy(k),
             MatrixStrategyKind::Hierarchical => hierarchical_strategy(k),
             MatrixStrategyKind::Wavelet => wavelet_strategy(k),
         }
@@ -396,7 +369,7 @@ mod tests {
     #[test]
     fn reconstruct_matches_run_under_the_workload() {
         // W x̂ from reconstruct() equals the dense mechanism's run() under
-        // W from the same seed: the contract that lets MatrixRange serve
+        // W from the same seed: the contract that lets `mm-range-*` serve
         // answers from the domain estimate.
         let k = 32usize;
         let eps = Epsilon::new(1.3).unwrap();
@@ -427,7 +400,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xCE27);
         let sizes = (1..=1024).chain([2047, 2048, 2049, 4095, 4096, 65_535, 65_536]);
         for k in sizes {
-            for kind in DYADIC {
+            for kind in ALL {
                 let a = sparse_strategy(kind, k);
                 let y: Vec<f64> = (0..a.rows()).map(|_| rng.gen_range(-5.0..5.0)).collect();
                 let x = kind.pinv(k, &y);

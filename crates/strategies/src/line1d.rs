@@ -29,7 +29,7 @@ use crate::mechanism::{Estimate, Mechanism};
 use crate::StrategyError;
 
 /// How to estimate the transformed (edge-space) database of a tree policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TreeEstimator {
     /// Laplace noise per edge value (the data-independent Algorithm 1).
     Laplace,

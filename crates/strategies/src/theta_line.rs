@@ -42,7 +42,7 @@ use crate::mechanism::{Estimate, Mechanism};
 use crate::StrategyError;
 
 /// Edge-space estimator for the θ-line strategy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ThetaEstimator {
     /// Laplace per edge value (`Transformed + Laplace` of Figure 8d).
     Laplace,

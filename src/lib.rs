@@ -24,8 +24,8 @@
 //!   enumeration, error measurement, and the durable multi-tenant ε
 //!   [`Ledger`](core::Ledger).
 //! * [`mechanisms`] — Laplace, matrix mechanism (dense reference +
-//!   the closed-form tree solve that serves the identity, hierarchical
-//!   and wavelet strategies at every k), hierarchical (Hay), Privelet
+//!   the closed-form tree solve that serves the hierarchical and wavelet
+//!   strategies at every k), hierarchical (Hay), Privelet
 //!   (1-D/d-D, planned via `HaarPlan`), DAWA, isotonic consistency, and
 //!   the Theorem 4.4 graph-distance witness distribution.
 //! * [`strategies`] — the Section-5 policy-aware algorithms (line, θ-line,
@@ -90,7 +90,7 @@ pub mod prelude {
     };
     pub use blowfish_data::{dataset, DatasetId};
     pub use blowfish_engine::{
-        parallel_map, Codec, Fitted, MatrixStrategyKind, MechanismSpec, NetConfig, NetStats, Plan,
+        parallel_map, Codec, MatrixStrategyKind, MechanismSpec, NetConfig, NetStats, Plan,
         PlanCache, Policy, Request, Response, Service, Session, Task, TcpServer, TenantConfig,
         TenantStats, WireError, PROTOCOL_VERSION,
     };

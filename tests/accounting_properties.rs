@@ -11,7 +11,6 @@
 use blowfish_privacy::core::CoreError;
 use blowfish_privacy::prelude::*;
 use proptest::prelude::*;
-use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -30,7 +29,7 @@ proptest! {
         }
         prop_assert!((ledger.spent("t").unwrap() - expected).abs() < 1e-9);
         prop_assert!((ledger.remaining("t").unwrap() - (10.0 - expected)).abs() < 1e-9);
-        prop_assert_eq!(ledger.history("t").unwrap().len(), charges.len());
+        prop_assert_eq!(ledger.snapshot("t").unwrap().charges, charges.len());
     }
 
     #[test]
@@ -89,20 +88,28 @@ proptest! {
     }
 
     #[test]
-    fn metered_sessions_inherit_ledger_exactness(n_fits in 1usize..6) {
-        // End-to-end: n admitted session fits charge exactly n·ε.
+    fn service_fits_inherit_ledger_exactness(n_fits in 1usize..6) {
+        // End-to-end: n admitted service fits charge exactly n·ε.
         let eps = 0.15;
-        let ledger = std::sync::Arc::new(Ledger::new());
-        ledger.open("t", Epsilon::new(1.0).unwrap()).unwrap();
-        let session = Session::new(&PolicyGraph::line(16).unwrap(), Epsilon::new(eps).unwrap())
-            .unwrap()
-            .metered(std::sync::Arc::clone(&ledger), "t");
-        let x = DataVector::new(Domain::one_dim(16), vec![2.0; 16]).unwrap();
+        let service = Service::new();
+        service
+            .add_tenant(TenantConfig {
+                id: "t".to_string(),
+                graph: PolicyGraph::line(16).unwrap(),
+                eps: Epsilon::new(eps).unwrap(),
+                budget: Epsilon::new(1.0).unwrap(),
+                data: DataVector::new(Domain::one_dim(16), vec![2.0; 16]).unwrap(),
+            })
+            .unwrap();
         let spec = MechanismSpec::Line(TreeEstimator::Laplace);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(n_fits as u64);
-        for _ in 0..n_fits {
-            session.fit(&spec, &x, &mut rng).unwrap();
+        for i in 0..n_fits {
+            let receipt = service
+                .fit("t", Some(spec), Task::Histogram, i as u64, "h")
+                .unwrap();
+            prop_assert_eq!(receipt.amount, eps);
         }
-        prop_assert!((ledger.spent("t").unwrap() - eps * n_fits as f64).abs() < 1e-9);
+        let account = service.ledger().snapshot("t").unwrap();
+        prop_assert!((account.spent - eps * n_fits as f64).abs() < 1e-9);
+        prop_assert_eq!(account.charges, n_fits);
     }
 }

@@ -9,7 +9,10 @@
 //! strategies keep their edge estimates in flat buffers and run every
 //! Privelet pass in one set of work buffers, and θ-grid's Haar plans are
 //! derived when its strategy is built. A θ-line plan keeps the same few
-//! hundred bytes whatever k: it holds no spanner graph or incidence.
+//! hundred bytes whatever k: it holds no spanner graph or incidence. A
+//! warm ledger charge makes no allocation at all, in memory or durable:
+//! an account holds only its totals, and the WAL encodes the charge from
+//! the borrowed tenant and label into a reused frame buffer.
 //!
 //! A counting global allocator needs a test binary of its own: every
 //! other test in a shared binary would count too. The counters are
@@ -224,4 +227,26 @@ fn theta_line_plans_keep_the_same_bytes_whatever_k() {
         "bytes kept by a (256, 4) and a (4096, 4) plan"
     );
     assert!(large < 4096, "a (4096, 4) plan keeps {large} bytes");
+}
+
+#[test]
+fn warm_charges_allocate_nothing() {
+    let dir = std::env::temp_dir().join(format!("blowfish-charge-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The default durability fsyncs every charge before its receipt.
+    let (durable, _) = Ledger::recover(&dir).unwrap();
+    let eps = Epsilon::new(0.5).unwrap();
+    for (name, ledger) in [("in-memory", Ledger::new()), ("per-charge", durable)] {
+        ledger.open("acme", Epsilon::new(1e6).unwrap()).unwrap();
+        // The first charge sizes the WAL's frame buffer.
+        ledger.charge("acme", "mm-hist-wavelet", eps).unwrap();
+        let before = ALLOCATIONS.with(Cell::get);
+        for _ in 0..64 {
+            ledger.charge("acme", "mm-hist-wavelet", eps).unwrap();
+        }
+        let made = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(made, 0, "{name}: {made} allocations over 64 warm charges");
+        assert_eq!(ledger.snapshot("acme").unwrap().charges, 65);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -225,11 +225,11 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let (kind, strategy) = match kind_ix {
-            0 => (MatrixStrategyKind::Identity, identity_strategy(k)),
-            1 => (MatrixStrategyKind::Hierarchical, hierarchical_strategy(k)),
-            _ => (MatrixStrategyKind::Wavelet, wavelet_strategy(k)),
+            0 => ("identity", identity_strategy(k)),
+            1 => ("hierarchical", hierarchical_strategy(k)),
+            _ => ("wavelet", wavelet_strategy(k)),
         };
-        let spec = MechanismSpec::MatrixHist { strategy: kind };
+        let spec = MechanismSpec::parse(&format!("mm-hist-{kind}")).unwrap();
         let x = db_1d(k);
         let eps = Epsilon::new(0.4).unwrap();
         let session = Session::new(&PolicyGraph::line(k).unwrap(), eps).unwrap();
@@ -242,7 +242,7 @@ proptest! {
         for (d, s) in dense.iter().zip(&sparse) {
             prop_assert!(
                 (d - s).abs() <= 1e-9 * (1.0 + d.abs()),
-                "k={} kind={:?} seed={}: {} vs {}", k, kind, seed, d, s
+                "k={} kind={} seed={}: {} vs {}", k, kind, seed, d, s
             );
         }
     }

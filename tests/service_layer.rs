@@ -1,10 +1,11 @@
 //! Service-layer contracts:
 //!
 //! 1. **Seeded equivalence** — a fit routed through the multi-tenant
-//!    [`Service`] (classify → shared cache → metered session → charge →
-//!    fit) must be f64-identical to the same `(spec, ε, seed)` fit
-//!    through a standalone [`Session`]: metering may gate releases but
-//!    must never perturb them.
+//!    [`Service`] (classify → shared cache → session mechanism → charge
+//!    → fit) must be f64-identical to the same `(spec, ε, seed)` fit
+//!    through a standalone [`Session`], and charge exactly the ε that
+//!    mechanism reports: metering may gate releases but must never
+//!    perturb them.
 //! 2. **Concurrency smoke** — 8 client threads hammering one
 //!    `Arc<Service>` (and one `Arc<PlanCache>` underneath) must finish
 //!    without deadlock, with `PlanStats` proving every plan artifact was
@@ -53,21 +54,30 @@ fn service_routed_fits_match_standalone_sessions_exactly() {
 
     // Explicit Blowfish spec, a baseline (ε/2 path), and the planner
     // default — all three service routes must reproduce the standalone
-    // session's floats bit-for-bit at the same seed.
+    // session's floats bit-for-bit at the same seed, and each receipt
+    // must be the exact ε its mechanism spends: the grant for a Blowfish
+    // strategy, half of it for a baseline.
     let specs = [
-        Some(MechanismSpec::ThetaLine {
-            theta,
-            estimator: ThetaEstimator::Laplace,
-        }),
-        Some(MechanismSpec::Dawa1d),
-        None,
+        (
+            Some(MechanismSpec::ThetaLine {
+                theta,
+                estimator: ThetaEstimator::Laplace,
+            }),
+            eps,
+        ),
+        (Some(MechanismSpec::Dawa1d), eps.half()),
+        (None, eps),
     ];
-    for (i, spec) in specs.iter().enumerate() {
+    let mut spent = 0.0;
+    for (i, (spec, charged)) in specs.iter().enumerate() {
         let seed = 1000 + i as u64;
         let handle = format!("h{i}");
-        service
+        let receipt = service
             .fit("acme", *spec, Task::Histogram, seed, &handle)
             .unwrap();
+        spent += charged.value();
+        assert_eq!(receipt.amount.to_bits(), charged.value().to_bits());
+        assert_eq!(receipt.spent.to_bits(), spent.to_bits());
         // Read the stored release back through the serving path as the
         // full prefix family [0, i]: prefix sums determine the histogram
         // exactly, so bitwise-equal prefixes ⇔ bitwise-equal fits, and
@@ -85,8 +95,10 @@ fn service_routed_fits_match_standalone_sessions_exactly() {
             .unwrap();
         let spec = spec.unwrap_or_else(|| *standalone.plan(Task::Histogram).unwrap().spec());
         let mut rng = StdRng::seed_from_u64(seed);
-        let direct = standalone.fit(&spec, &x, &mut rng).unwrap();
-        let direct_read = direct.estimate.answer_many(&queries).unwrap();
+        let mechanism = standalone.mechanism(&spec).unwrap();
+        assert_eq!(mechanism.epsilon(), *charged);
+        let direct = mechanism.fit(&x, &mut rng).unwrap();
+        let direct_read = direct.answer_many(&queries).unwrap();
         assert_eq!(via_service, direct_read, "spec {spec:?} diverged");
     }
 }
@@ -135,11 +147,9 @@ fn eight_threads_hammering_one_service_build_each_plan_once() {
     let ledger = service.ledger();
     let mut total_fits = 0;
     for id in ["a", "b", "c"] {
-        let history = ledger.history(id).unwrap();
-        assert!(history.iter().all(|(_, eps)| (eps - 0.5).abs() < 1e-12));
-        let spent = ledger.spent(id).unwrap();
-        assert!((spent - 0.5 * history.len() as f64).abs() < 1e-9);
-        total_fits += history.len();
+        let account = ledger.snapshot(id).unwrap();
+        assert!((account.spent - 0.5 * account.charges as f64).abs() < 1e-9);
+        total_fits += account.charges;
     }
     assert_eq!(total_fits, 240);
 }

@@ -361,3 +361,38 @@ err unknown-command frobnicate (accepted: hello|tenant|use|plan|fit|answer|stats
         );
     }
 }
+
+/// Each matrix-mechanism alias id, fitted over the wire, replies and
+/// answers byte for byte as its target id fitted from the same seed on
+/// an identical tenant, over a 1-D and a 2-D domain.
+#[test]
+fn matrix_aliases_answer_like_their_targets() {
+    for (policy, ranges) in [
+        ("line:100", "0..99 3..3 17..64 0..0 50..99 12..87"),
+        ("grid:8", "0..7x0..7 3..3x5..5 1..6x0..2 4..7x2..7"),
+    ] {
+        for (alias, target) in [
+            ("mm-range-hierarchical", "mm-hist-hierarchical"),
+            ("mm-range-wavelet", "mm-hist-wavelet"),
+            ("mm-hist-identity", "dp-laplace"),
+            ("mm-range-identity", "dp-laplace"),
+        ] {
+            let service = Service::new();
+            let mut codec = Codec::new();
+            let mut serve = |line: String| match codec.serve(&service, &line) {
+                wire::WireReply::Reply(r) if r.starts_with("ok ") => r,
+                other => panic!("{line}: {other:?}"),
+            };
+            let [a, b] = [("a", alias), ("b", target)].map(|(tenant, mech)| {
+                serve(format!(
+                    "tenant {tenant} policy={policy} eps=0.5 budget=4 data=uniform:3"
+                ));
+                [
+                    serve(format!("fit {tenant} as=h seed=21 mech={mech}")),
+                    serve(format!("answer {tenant} from=h {ranges}")),
+                ]
+            });
+            assert_eq!(a, b, "{policy}: {alias} against {target}");
+        }
+    }
+}
