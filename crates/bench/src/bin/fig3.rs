@@ -12,15 +12,17 @@
 //!
 //! Flags: `--trials N`, `--queries N`.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use blowfish_bench::{measure_bench, parse_args, sci, BenchError};
-use blowfish_core::{DataVector, Domain, Epsilon};
+use blowfish_bench::{measure_bench, parse_args, sci, true_answers, BenchError};
+use blowfish_core::{DataVector, Domain, Epsilon, RangeQuery};
 use blowfish_strategies::{
-    answer_ranges_1d, answer_ranges_2d, dp_privelet_1d, dp_privelet_nd, grid_blowfish_histogram,
-    line_blowfish_histogram, true_ranges_1d, true_ranges_2d, ThetaEstimator, ThetaGridStrategy,
-    ThetaLineStrategy, TreeEstimator,
+    GridMechanism, GridPlans, LineMechanism, Mechanism, PriveletBaseline1d, PriveletBaselineNd,
+    ThetaEstimator, ThetaGridMechanism, ThetaGridStrategy, ThetaLineMechanism, ThetaLineStrategy,
+    TreeEstimator,
 };
 
 fn main() {
@@ -52,26 +54,21 @@ fn run_all() -> Result<(), BenchError> {
         let d = Domain::one_dim(k);
         let mut qrng = StdRng::seed_from_u64(11);
         let specs = blowfish_core::random_range_specs(&d, queries, &mut qrng);
-        let truth = true_ranges_1d(&x, &specs)?;
+        let truth = true_answers(&x, &specs)?;
+        let run = |mech: &dyn Mechanism| run(trials, &truth, mech, &x, &specs);
 
-        let g1 = run(trials, &truth, |rng| {
-            let h = line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, rng)?;
-            Ok(answer_ranges_1d(&h, &specs)?)
-        })?;
-        let s4 = ThetaLineStrategy::new(k, 4)?;
-        let g4 = run(trials, &truth, |rng| {
-            let h = s4.histogram(&x, eps, ThetaEstimator::GroupPrivelet, rng)?;
-            Ok(answer_ranges_1d(&h, &specs)?)
-        })?;
-        let s16 = ThetaLineStrategy::new(k, 16)?;
-        let g16 = run(trials, &truth, |rng| {
-            let h = s16.histogram(&x, eps, ThetaEstimator::GroupPrivelet, rng)?;
-            Ok(answer_ranges_1d(&h, &specs)?)
-        })?;
-        let dp = run(trials, &truth, |rng| {
-            let h = dp_privelet_1d(&x, eps, rng)?;
-            Ok(answer_ranges_1d(&h, &specs)?)
-        })?;
+        let g1 = run(&LineMechanism::new(eps, TreeEstimator::Laplace))?;
+        let theta = |theta| -> Result<ThetaLineMechanism, BenchError> {
+            let strategy = Arc::new(ThetaLineStrategy::new(k, theta)?);
+            Ok(ThetaLineMechanism::new(
+                strategy,
+                eps,
+                ThetaEstimator::GroupPrivelet,
+            ))
+        };
+        let g4 = run(&theta(4)?)?;
+        let g16 = run(&theta(16)?)?;
+        let dp = run(&PriveletBaseline1d::new(eps))?;
         println!(
             "| {k} | {} | {} | {} | {} |",
             sci(g1),
@@ -90,21 +87,13 @@ fn run_all() -> Result<(), BenchError> {
         let d = Domain::square(k);
         let mut qrng = StdRng::seed_from_u64(13);
         let specs = blowfish_core::random_range_specs(&d, queries, &mut qrng);
-        let truth = true_ranges_2d(&x, &specs)?;
+        let truth = true_answers(&x, &specs)?;
+        let run = |mech: &dyn Mechanism| run(trials, &truth, mech, &x, &specs);
 
-        let g1 = run(trials, &truth, |rng| {
-            let h = grid_blowfish_histogram(&x, eps, rng)?;
-            Ok(answer_ranges_2d(&h, k, k, &specs)?)
-        })?;
-        let s4 = ThetaGridStrategy::new(k, 4)?;
-        let g4 = run(trials, &truth, |rng| {
-            let h = s4.histogram(&x, eps, rng)?;
-            Ok(answer_ranges_2d(&h, k, k, &specs)?)
-        })?;
-        let dp = run(trials, &truth, |rng| {
-            let h = dp_privelet_nd(&x, eps, rng)?;
-            Ok(answer_ranges_2d(&h, k, k, &specs)?)
-        })?;
+        let g1 = run(&GridMechanism::new(eps, GridPlans::new(k, k)?))?;
+        let s4 = Arc::new(ThetaGridStrategy::new(k, 4)?);
+        let g4 = run(&ThetaGridMechanism::new(s4, eps))?;
+        let dp = run(&PriveletBaselineNd::new(eps))?;
         println!("| {k} | {} | {} | {} |", sci(g1), sci(g4), sci(dp));
     }
 
@@ -115,11 +104,18 @@ fn run_all() -> Result<(), BenchError> {
     Ok(())
 }
 
+/// Mean per-query MSE of `trials` fits of `mech` to `x`, each answering
+/// `specs`.
 fn run(
     trials: usize,
     truth: &[f64],
-    mut f: impl FnMut(&mut StdRng) -> Result<Vec<f64>, BenchError>,
+    mech: &dyn Mechanism,
+    x: &DataVector,
+    specs: &[RangeQuery],
 ) -> Result<f64, BenchError> {
     let mut rng = StdRng::seed_from_u64(0xF163);
-    Ok(measure_bench(truth, trials, |_| f(&mut rng))?.mean_mse)
+    let report = measure_bench(truth, trials, |_| {
+        Ok(mech.fit(x, &mut rng)?.answer_many(specs)?)
+    })?;
+    Ok(report.mean_mse)
 }

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 use blowfish_core::{measure_error, DataVector, Domain, Epsilon, ErrorReport, RangeQuery};
 use blowfish_data::{aggregate_1d, dataset, DatasetId};
 use blowfish_engine::{Policy, Session, Task};
-use blowfish_strategies::{true_ranges_1d, true_ranges_2d, Estimate, Mechanism};
+use blowfish_strategies::{Estimate, Mechanism};
 
 use crate::error::BenchError;
 use crate::report::Measurement;
@@ -76,6 +76,12 @@ where
     Ok(measure_error(truth, trials, |_| {
         Ok(next.next().expect("one estimate per trial"))
     })?)
+}
+
+/// The exact answers to `specs` over `x`: an [`Estimate`] of the true
+/// counts, answered like any release.
+pub fn true_answers(x: &DataVector, specs: &[RangeQuery]) -> Result<Vec<f64>, BenchError> {
+    Ok(Estimate::new(x.domain(), x.counts().to_vec())?.answer_many(specs)?)
 }
 
 /// Runs one (dataset, mechanism) cell: `trials` independent fits, each
@@ -182,7 +188,7 @@ pub fn range1d_panel(cfg: &Config) -> Result<Vec<Measurement>, BenchError> {
         let d = Domain::one_dim(x.len());
         let mut qrng = StdRng::seed_from_u64(cfg.seed ^ 0xABCD);
         let specs = blowfish_core::random_range_specs(&d, cfg.queries, &mut qrng);
-        let truth = true_ranges_1d(&x, &specs)?;
+        let truth = true_answers(&x, &specs)?;
         let session = Session::with_policy(d, Policy::Theta1d { theta: 1 }, eps)?;
         PanelColumn {
             session: &session,
@@ -213,7 +219,7 @@ pub fn theta_panel(cfg: &Config) -> Result<Vec<Measurement>, BenchError> {
         let d = Domain::one_dim(k);
         let mut qrng = StdRng::seed_from_u64(cfg.seed ^ 0xDCBA ^ k as u64);
         let specs = blowfish_core::random_range_specs(&d, cfg.queries, &mut qrng);
-        let truth = true_ranges_1d(&x, &specs)?;
+        let truth = true_answers(&x, &specs)?;
         let session = Session::with_policy(d, Policy::Theta1d { theta: 4 }, eps)?;
         PanelColumn {
             session: &session,
@@ -240,7 +246,7 @@ pub fn range2d_panel(cfg: &Config) -> Result<Vec<Measurement>, BenchError> {
         let d = Domain::square(k);
         let mut qrng = StdRng::seed_from_u64(cfg.seed ^ 0x2D2D ^ k as u64);
         let specs: Vec<RangeQuery> = blowfish_core::random_range_specs(&d, cfg.queries, &mut qrng);
-        let truth = true_ranges_2d(&x, &specs)?;
+        let truth = true_answers(&x, &specs)?;
         let session = Session::with_policy(d, Policy::Theta2d { theta: 1 }, eps)?;
         PanelColumn {
             session: &session,

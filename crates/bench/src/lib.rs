@@ -34,7 +34,8 @@ pub mod simulate;
 
 pub use error::BenchError;
 pub use experiments::{
-    hist_panel, measure_bench, panel_description, range1d_panel, range2d_panel, theta_panel, Config,
+    hist_panel, measure_bench, panel_description, range1d_panel, range2d_panel, theta_panel,
+    true_answers, Config,
 };
 pub use report::{print_panel, sci, Measurement};
 

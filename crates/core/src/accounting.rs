@@ -91,9 +91,10 @@ impl Epsilon {
     }
 
     /// Half the budget — the paper's experiments compare `ε/2`-DP baselines
-    /// against `(ε, G)`-Blowfish mechanisms (Section 6).
-    pub fn half(&self) -> Epsilon {
-        Epsilon(self.0 / 2.0)
+    /// against `(ε, G)`-Blowfish mechanisms (Section 6). Refused when
+    /// `ε/2` underflows to 0, as at the smallest subnormal ε.
+    pub fn half(&self) -> Result<Epsilon, CoreError> {
+        Epsilon::new(self.0 / 2.0)
     }
 }
 
@@ -838,8 +839,15 @@ mod tests {
         let e = Epsilon::new(0.9).unwrap();
         assert!((e.split(3).unwrap().value() - 0.3).abs() < 1e-12);
         assert!((e.for_stretch(3).unwrap().value() - 0.3).abs() < 1e-12);
-        assert!((e.half().value() - 0.45).abs() < 1e-12);
+        assert!((e.half().unwrap().value() - 0.45).abs() < 1e-12);
         assert!(e.split(0).is_err());
+        // Half the smallest subnormal ε underflows to 0: refused.
+        let tiny = Epsilon::new(5e-324).unwrap();
+        assert!(tiny.half().is_err());
+        assert_eq!(
+            Epsilon::new(1e-323).unwrap().half().unwrap().value(),
+            5e-324
+        );
         assert!(e.for_stretch(0).is_err());
     }
 

@@ -30,7 +30,8 @@ struct Center {
 ///
 /// The mixture parameters were tuned by randomized search against the
 /// Table 1 zero percentages at all three resolutions simultaneously
-/// (achieved: 83.4 / 71.4 / 43.8 vs published 84.93 / 69.24 / 43.20).
+/// (`table1` measures 82.99 / 71.40 / 43.36 vs published 84.93 / 69.24 /
+/// 43.20).
 fn sample_points(seed: u64) -> Vec<(f64, f64)> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     // Fixed geography (placement seeded separately so the map itself is

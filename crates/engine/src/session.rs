@@ -307,7 +307,8 @@ impl Session {
 
     /// Builds (or returns the memoized) mechanism for a spec at the
     /// session budget — Blowfish strategies at ε, baselines at the
-    /// Section 6 comparison budget ε/2.
+    /// Section 6 comparison budget ε/2. A baseline whose ε/2 underflows
+    /// to 0 is refused here, so the service never charges it.
     ///
     /// Concurrency: the build runs *outside* the memo lock so distinct
     /// specs (the `parallel` fan-out's cold phase) construct in parallel;
@@ -322,7 +323,7 @@ impl Session {
             return Ok(Arc::clone(m));
         }
         let eps = if spec.is_baseline() {
-            self.eps.half()
+            self.eps.half()?
         } else {
             self.eps
         };
@@ -330,17 +331,6 @@ impl Session {
         let mut memo = self.mechanisms.lock().expect("session lock");
         let m = memo.entry(*spec).or_insert(built);
         Ok(Arc::clone(m))
-    }
-
-    /// Builds a mechanism for a spec at an explicit budget, bypassing the
-    /// baseline ε/2 convention and the memo (artifacts still come from
-    /// the shared cache). Used by equivalence tests and custom sweeps.
-    pub fn mechanism_at(
-        &self,
-        spec: &MechanismSpec,
-        eps: Epsilon,
-    ) -> Result<Arc<dyn Mechanism>, EngineError> {
-        self.build(spec, eps)
     }
 
     /// Rejects Blowfish specs whose guarantee does not *cover* the
@@ -431,7 +421,7 @@ impl Session {
                 let plans = self
                     .cache
                     .grid_plans(self.domain.dim(0), self.domain.dim(1))?;
-                Arc::new(GridMechanism::with_plans(eps, plans))
+                Arc::new(GridMechanism::new(eps, plans))
             }
             MechanismSpec::ThetaGrid { theta } => {
                 need_dims(2, "the θ-grid strategy needs a 2-D domain")?;
@@ -444,7 +434,6 @@ impl Session {
                 Arc::new(ThetaGridMechanism::new(strat, eps))
             }
             MechanismSpec::MatrixHist { strategy } => Arc::new(ServedMatrixMechanism {
-                name: spec.id(),
                 eps,
                 domain: self.domain.clone(),
                 kind: *strategy,
@@ -462,17 +451,12 @@ impl Session {
 /// aliases), with 2-D domains in their row-major linearization.
 #[derive(Debug)]
 struct ServedMatrixMechanism {
-    name: String,
     eps: Epsilon,
     domain: Domain,
     kind: MatrixStrategyKind,
 }
 
 impl Mechanism for ServedMatrixMechanism {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn epsilon(&self) -> Epsilon {
         self.eps
     }
@@ -669,8 +653,8 @@ mod tests {
 
     #[test]
     fn baseline_budget_halving() {
-        // A baseline served by the session must match the free function
-        // at ε/2, not ε.
+        // A baseline served by the session must match the mechanism
+        // built directly at ε/2, not ε.
         let eps = Epsilon::new(1.0).unwrap();
         let s = Session::new(&PolicyGraph::line(16).unwrap(), eps).unwrap();
         let x = DataVector::new(Domain::one_dim(16), vec![3.0; 16]).unwrap();
@@ -678,8 +662,19 @@ mod tests {
         let mut a = StdRng::seed_from_u64(5);
         let mut b = StdRng::seed_from_u64(5);
         let via_session = m.fit(&x, &mut a).unwrap().histogram().to_vec();
-        let via_free = blowfish_strategies::dp_laplace(&x, eps.half(), &mut b).unwrap();
-        assert_eq!(via_session, via_free);
+        let direct = LaplaceBaseline::new(eps.half().unwrap());
+        let via_direct = direct.fit(&x, &mut b).unwrap().histogram().to_vec();
+        assert_eq!(via_session, via_direct);
+        // A session ε whose half underflows serves no baseline.
+        let tiny = Session::new(
+            &PolicyGraph::line(16).unwrap(),
+            Epsilon::new(5e-324).unwrap(),
+        )
+        .unwrap();
+        assert!(tiny.mechanism(&MechanismSpec::Laplace).is_err());
+        assert!(tiny
+            .mechanism(&MechanismSpec::Line(TreeEstimator::Laplace))
+            .is_ok());
     }
 
     #[test]
@@ -791,7 +786,7 @@ mod tests {
         assert!((base.amount - 0.125).abs() < 1e-12);
         assert_eq!(
             plain.mechanism(&MechanismSpec::Laplace).unwrap().epsilon(),
-            eps.half()
+            eps.half().unwrap()
         );
         assert_eq!(service.ledger().snapshot("t").unwrap().charges, 2);
     }
@@ -815,8 +810,8 @@ mod tests {
         assert_eq!(service.ledger().snapshot("t").unwrap(), before);
         assert!((service.ledger().spent("t").unwrap() - 0.8).abs() < 1e-12);
         // A smaller release still fits in the remaining 0.2.
-        let s = Session::new(&graph, eps).unwrap();
-        let small = s.mechanism_at(&spec, Epsilon::new(0.2).unwrap()).unwrap();
+        let s = Session::new(&graph, Epsilon::new(0.2).unwrap()).unwrap();
+        let small = s.mechanism(&spec).unwrap();
         assert!(small.epsilon().value() <= 0.2 + 1e-12);
     }
 
@@ -858,11 +853,15 @@ mod tests {
                 .mechanism(&MechanismSpec::parse(id).unwrap())
                 .unwrap();
             // Baseline convention: the matrix mechanism reports ε/2.
-            assert_eq!(m.epsilon(), eps.half());
+            assert_eq!(m.epsilon(), eps.half().unwrap());
             let served = m.fit(&x, &mut StdRng::seed_from_u64(99)).unwrap();
             let reference = MatrixMechanism::new(Matrix::identity(k), dense)
                 .unwrap()
-                .run(x.counts(), eps.half(), &mut StdRng::seed_from_u64(99))
+                .run(
+                    x.counts(),
+                    eps.half().unwrap(),
+                    &mut StdRng::seed_from_u64(99),
+                )
                 .unwrap();
             for (i, (s, d)) in served.histogram().iter().zip(&reference).enumerate() {
                 assert!(
@@ -906,7 +905,7 @@ mod tests {
             }
             let noise = laplace_vec(
                 &mut StdRng::seed_from_u64(k as u64),
-                1.0 / eps.half().value(),
+                1.0 / eps.half().unwrap().value(),
                 k,
             );
             let identity: Vec<f64> = noise.iter().zip(x.counts()).map(|(n, c)| n + c).collect();
@@ -1008,7 +1007,11 @@ mod tests {
         let w = Workload::dyadic_ranges_1d(k);
         let direct = MatrixMechanism::new(w.to_dense_matrix(), hierarchical_strategy(k))
             .unwrap()
-            .run(x.counts(), eps.half(), &mut StdRng::seed_from_u64(21))
+            .run(
+                x.counts(),
+                eps.half().unwrap(),
+                &mut StdRng::seed_from_u64(21),
+            )
             .unwrap();
         let from_est = w.answer(est.histogram()).unwrap();
         assert_eq!(from_est.len(), direct.len());

@@ -1112,6 +1112,55 @@ mod tests {
     }
 
     #[test]
+    fn tiny_epsilons_get_typed_replies_on_every_registry_id() {
+        // Near the smallest subnormal ε a budget share underflows to 0:
+        // DAWA's partition share, or a baseline's ε/2. Every fit still
+        // gets a typed reply, and no fit is charged ε = 0.
+        let aliases = [
+            "mm-hist-identity",
+            "mm-range-identity",
+            "mm-range-hierarchical",
+            "mm-range-wavelet",
+        ];
+        for (policy, theta) in [
+            ("line:16", 4),
+            ("theta-line:64:4", 4),
+            ("star:16", 4),
+            ("grid:8", 2),
+            ("theta-grid:8:2", 2),
+        ] {
+            for eps in ["5e-324", "1e-323", "2e-323"] {
+                // One tenant per fit, so each stats line shows one fit.
+                let service = Service::new();
+                let ids = MechanismSpec::all(theta).into_iter().map(|s| s.id());
+                for (i, id) in ids.chain(aliases.map(String::from)).enumerate() {
+                    ok(
+                        &service,
+                        &format!("tenant t{i} policy={policy} eps={eps} budget=1 data=uniform:3"),
+                    );
+                    let line = format!("fit t{i} as=z seed=5 mech={id}");
+                    match Codec::new().serve(&service, &line) {
+                        WireReply::Reply(r) => assert!(
+                            r.starts_with("ok ") || r.starts_with("err "),
+                            "{policy} ε={eps} {line:?}: {r}"
+                        ),
+                        other => panic!("expected a reply for {line:?}, got {other:?}"),
+                    }
+                    let stats = ok(&service, &format!("stats t{i}"));
+                    let field = |name: &str| -> f64 {
+                        let value = stats.split_whitespace().find_map(|t| t.strip_prefix(name));
+                        value.expect(name).parse().expect(name)
+                    };
+                    assert!(
+                        field("fits=") == 0.0 || field("spent=") > 0.0,
+                        "{policy} ε={eps} {id}: a fit charged nothing: {stats}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn releases_whose_range_answers_can_overflow_are_refused() {
         let service = Service::new();
         // Every cell and table entry of these releases is finite, but a

@@ -62,8 +62,9 @@ pub fn dawa_histogram<R: Rng + ?Sized>(
             what: "partition budget fraction must lie in (0, 1)",
         });
     }
-    let eps1 = Epsilon::new(eps.value() * alpha).expect("positive");
-    let eps2 = Epsilon::new(eps.value() * (1.0 - alpha)).expect("positive");
+    // At a tiny ε either share can underflow to 0: a typed error.
+    let eps1 = Epsilon::new(eps.value() * alpha)?;
+    let eps2 = Epsilon::new(eps.value() * (1.0 - alpha))?;
 
     // Stage (a): ε₁-DP noisy histogram, then a partition by post-processing.
     // Two standard denoising steps before the cost computation:
@@ -279,6 +280,15 @@ mod tests {
             partition_budget_fraction: 1.0,
         };
         assert!(dawa_histogram(&[1.0], eps, bad2, &mut rng).is_err());
+        // ε·α underflows to 0 at the smallest subnormal ε: a typed error,
+        // not a panic.
+        let tiny = Epsilon::new(1e-323).unwrap();
+        assert!(matches!(
+            dawa_histogram(&[1.0; 4], tiny, DawaOptions::default(), &mut rng),
+            Err(MechanismError::Core(
+                blowfish_core::CoreError::InvalidEpsilon { .. }
+            ))
+        ));
     }
 
     #[test]

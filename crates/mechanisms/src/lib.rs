@@ -19,15 +19,17 @@
 //!   the hierarchical tree solve on the padded domain.
 //! * [`privelet`] — Privelet \[20\]: Haar wavelet noise in 1 and d
 //!   dimensions (`O(log³k/ε²)` per range query), the paper's data-oblivious
-//!   DP baseline.
+//!   DP baseline, released by one body against a prepared [`HaarPlan`].
 //! * [`dawa`] — DAWA \[14\] in the three-step form the paper describes
 //!   (private partition → noisy bucket totals → uniform spread), the
 //!   paper's data-dependent DP baseline.
 //! * [`consistency`] — isotonic regression (PAVA) for the
 //!   `Transformed + ConsistentEst` estimator of Section 5.4.2.
 //!
-//! All mechanisms take an explicit `&mut impl Rng`, so experiments are
-//! reproducible bit-for-bit from a seed.
+//! Every sampler draws from the caller's generator, `rng: &mut R` for any
+//! `R: Rng + ?Sized`, so the `&mut dyn RngCore` that the strategies
+//! crate's `Mechanism::fit` receives passes straight through, and a
+//! seeded generator reproduces a release bit for bit.
 
 pub mod consistency;
 pub mod dawa;
@@ -47,9 +49,8 @@ pub use laplace::laplace_histogram;
 pub use matrix::{hierarchical_strategy, identity_strategy, wavelet_strategy, MatrixMechanism};
 pub use noise::{laplace, laplace_variance, laplace_vec};
 pub use privelet::{
-    haar_forward, haar_generalized_sensitivity, haar_inverse, haar_weights, privelet_histogram,
-    privelet_histogram_1d, privelet_histogram_planned, privelet_planned_into, HaarPlan,
-    PriveletWork,
+    haar_forward, haar_generalized_sensitivity, haar_inverse, haar_weights, privelet_planned_into,
+    HaarPlan, PriveletWork,
 };
 pub use tree_solve::MatrixStrategyKind;
 

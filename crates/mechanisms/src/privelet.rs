@@ -105,8 +105,6 @@ pub fn haar_generalized_sensitivity(n: usize) -> f64 {
 /// (trials, serving loops, per-row calls inside the grid strategies) skip
 /// the re-derivation. A plan holds no work buffers: a release runs in the
 /// caller's [`PriveletWork`], so one plan may serve many threads at once.
-/// [`privelet_histogram`] remains a thin wrapper that builds a throwaway
-/// plan, and produces bit-identical output for a fixed seed.
 #[derive(Clone, Debug)]
 pub struct HaarPlan {
     dims: Vec<usize>,
@@ -130,8 +128,8 @@ impl HaarPlan {
         let size: usize = dims.iter().product();
         let padded_dims: Vec<usize> = dims.iter().map(|&d| d.next_power_of_two()).collect();
         let padded_size: usize = padded_dims.iter().product();
-        // Accumulate per-cell weights axis by axis, in the same order the
-        // unplanned mechanism historically did, so values match exactly.
+        // Accumulate per-cell weights axis by axis; the product's order
+        // is fixed, so every plan of a shape holds the same bits.
         let mut weights = vec![1.0; padded_size];
         let mut rho = 1.0;
         for axis in 0..padded_dims.len() {
@@ -182,58 +180,13 @@ fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
     &mut buf[..len]
 }
 
-/// The 1-D Privelet mechanism: releases a noisy histogram whose range
-/// queries have `O(log³k/ε²)` error, under unbounded ε-DP.
-pub fn privelet_histogram_1d<R: Rng + ?Sized>(
-    x: &[f64],
-    eps: Epsilon,
-    rng: &mut R,
-) -> Result<Vec<f64>, MechanismError> {
-    privelet_histogram(x, &[x.len()], eps, rng)
-}
-
-/// The d-dimensional Privelet mechanism over a row-major histogram with
-/// the given `dims`. Pads every dimension to a power of two internally.
-///
-/// Thin wrapper building a throwaway [`HaarPlan`]; callers releasing many
-/// histograms over one shape should build the plan once and use
-/// [`privelet_histogram_planned`] or [`privelet_planned_into`].
-pub fn privelet_histogram<R: Rng + ?Sized>(
-    x: &[f64],
-    dims: &[usize],
-    eps: Epsilon,
-    rng: &mut R,
-) -> Result<Vec<f64>, MechanismError> {
-    let plan = HaarPlan::new(dims)?;
-    privelet_histogram_planned(&plan, x, eps, rng)
-}
-
-/// Runs the Privelet mechanism against a prepared [`HaarPlan`], skipping
-/// the per-call weight/padding derivation. Bit-for-bit identical to
-/// [`privelet_histogram`] for the same seed.
-///
-/// Thin wrapper over [`privelet_planned_into`] with fresh work buffers
-/// and a fresh output: callers releasing many histograms in a row should
-/// call that with buffers they keep.
-pub fn privelet_histogram_planned<R: Rng + ?Sized>(
-    plan: &HaarPlan,
-    x: &[f64],
-    eps: Epsilon,
-    rng: &mut R,
-) -> Result<Vec<f64>, MechanismError> {
-    let mut out = vec![0.0; plan.size];
-    privelet_planned_into(plan, x, eps, rng, &mut PriveletWork::default(), &mut out)?;
-    Ok(out)
-}
-
 /// The one Privelet release body: transforms `x` (row-major, the plan's
 /// shape) along every axis, adds `Lap(ρ / (ε · weight))` to each padded
 /// coefficient in row-major order, inverts the transform and writes the
 /// unpadded estimate into `out`. It runs in `work`, reusing its padded,
 /// line and scratch buffers for every line, so a release allocates
-/// nothing once `work` has met a plan this size. The output is
-/// bit-identical to [`privelet_histogram`] for the same seed. `x` and
-/// `out` must both hold the product of the plan's dims.
+/// nothing once `work` has met a plan this size. `x` and `out` must both
+/// hold the product of the plan's dims.
 pub fn privelet_planned_into<R: Rng + ?Sized>(
     plan: &HaarPlan,
     x: &[f64],
@@ -351,6 +304,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One release of `x` over `dims` through [`privelet_planned_into`],
+    /// with a fresh plan, fresh work buffers and a fresh output.
+    fn release(
+        x: &[f64],
+        dims: &[usize],
+        eps: Epsilon,
+        rng: &mut StdRng,
+    ) -> Result<Vec<f64>, MechanismError> {
+        let plan = HaarPlan::new(dims)?;
+        let mut out = vec![0.0; plan.size];
+        privelet_planned_into(&plan, x, eps, rng, &mut PriveletWork::default(), &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn haar_roundtrip() {
         let orig = vec![3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
@@ -393,7 +360,7 @@ mod tests {
         let trials = 300;
         let mut mean = vec![0.0; k];
         for _ in 0..trials {
-            let est = privelet_histogram_1d(&x, eps, &mut rng).unwrap();
+            let est = release(&x, &[x.len()], eps, &mut rng).unwrap();
             for (m, e) in mean.iter_mut().zip(&est) {
                 *m += e;
             }
@@ -418,7 +385,7 @@ mod tests {
             let truth = k as f64;
             let mut sq = 0.0;
             for _ in 0..trials {
-                let est = privelet_histogram_1d(&x, eps, &mut rng).unwrap();
+                let est = release(&x, &[x.len()], eps, &mut rng).unwrap();
                 let s: f64 = est.iter().sum();
                 sq += (s - truth) * (s - truth);
             }
@@ -440,7 +407,7 @@ mod tests {
         let trials = 200;
         let mut mean = vec![0.0; 64];
         for _ in 0..trials {
-            let est = privelet_histogram(&x, &dims, eps, &mut rng).unwrap();
+            let est = release(&x, &dims, eps, &mut rng).unwrap();
             for (m, e) in mean.iter_mut().zip(&est) {
                 *m += e;
             }
@@ -456,11 +423,11 @@ mod tests {
         let x = vec![1.0; 100];
         let eps = Epsilon::new(1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let est = privelet_histogram_1d(&x, eps, &mut rng).unwrap();
+        let est = release(&x, &[x.len()], eps, &mut rng).unwrap();
         assert_eq!(est.len(), 100);
         // 2-D non-power-of-two.
         let x2 = vec![1.0; 5 * 6];
-        let est2 = privelet_histogram(&x2, &[5, 6], eps, &mut rng).unwrap();
+        let est2 = release(&x2, &[5, 6], eps, &mut rng).unwrap();
         assert_eq!(est2.len(), 30);
     }
 
@@ -468,23 +435,28 @@ mod tests {
     fn rejects_bad_shapes() {
         let eps = Epsilon::new(1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(privelet_histogram(&[1.0; 4], &[], eps, &mut rng).is_err());
-        assert!(privelet_histogram(&[1.0; 4], &[3], eps, &mut rng).is_err());
-        assert!(privelet_histogram(&[1.0; 4], &[2, 0], eps, &mut rng).is_err());
+        assert!(release(&[1.0; 4], &[], eps, &mut rng).is_err());
+        assert!(release(&[1.0; 4], &[3], eps, &mut rng).is_err());
+        assert!(release(&[1.0; 4], &[2, 0], eps, &mut rng).is_err());
     }
 
     #[test]
     fn planned_matches_unplanned_bit_for_bit() {
+        // A plan kept across releases gives the bits of a plan derived
+        // afresh for each release.
         let eps = Epsilon::new(0.7).unwrap();
         for dims in [vec![37usize], vec![8, 8], vec![5, 6]] {
             let size: usize = dims.iter().product();
             let x: Vec<f64> = (0..size).map(|i| ((i * 7) % 13) as f64).collect();
             let plan = HaarPlan::new(&dims).unwrap();
-            let mut rng_a = StdRng::seed_from_u64(11);
-            let mut rng_b = StdRng::seed_from_u64(11);
-            let a = privelet_histogram(&x, &dims, eps, &mut rng_a).unwrap();
-            let b = privelet_histogram_planned(&plan, &x, eps, &mut rng_b).unwrap();
-            assert_eq!(a, b, "dims {dims:?}");
+            let mut work = PriveletWork::default();
+            for seed in [11, 12] {
+                let mut kept = vec![0.0; size];
+                let mut rng = StdRng::seed_from_u64(seed);
+                privelet_planned_into(&plan, &x, eps, &mut rng, &mut work, &mut kept).unwrap();
+                let fresh = release(&x, &dims, eps, &mut StdRng::seed_from_u64(seed)).unwrap();
+                assert_eq!(kept, fresh, "dims {dims:?} seed {seed}");
+            }
         }
     }
 
@@ -500,9 +472,12 @@ mod tests {
         // Wrong input length against a valid plan.
         let eps = Epsilon::new(1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(privelet_histogram_planned(&plan, &[1.0; 4], eps, &mut rng).is_err());
-        // Wrong output length.
         let mut work = PriveletWork::default();
+        let mut out = [0.0; 30];
+        assert!(
+            privelet_planned_into(&plan, &[1.0; 4], eps, &mut rng, &mut work, &mut out).is_err()
+        );
+        // Wrong output length.
         let mut out = [0.0; 4];
         assert!(
             privelet_planned_into(&plan, &[1.0; 30], eps, &mut rng, &mut work, &mut out).is_err()
@@ -529,7 +504,7 @@ mod tests {
             let mut out = vec![0.0; size];
             let mut rng = StdRng::seed_from_u64(9);
             privelet_planned_into(&plan, &x, eps, &mut rng, &mut work, &mut out).unwrap();
-            let fresh = privelet_histogram(&x, &dims, eps, &mut StdRng::seed_from_u64(9)).unwrap();
+            let fresh = release(&x, &dims, eps, &mut StdRng::seed_from_u64(9)).unwrap();
             assert_eq!(out, fresh, "dims {dims:?}");
         }
     }

@@ -9,18 +9,17 @@
 //! * **DAWA** — the data-dependent baseline, 1-D natively and 2-D via
 //!   row-major linearization (substitution documented in DESIGN.md §7).
 //!
-//! Each baseline is a [`Mechanism`] struct with its budget bound in; the
-//! historical free functions (`dp_laplace`, …) remain as thin wrappers and
-//! produce bit-identical output for a fixed seed. Range answers come from
-//! the fitted [`Estimate`] or [`crate::answering`].
+//! Each baseline is a [`Mechanism`] struct with its budget bound in, and
+//! [`Mechanism::fit`] is the one way to run it. Range answers come from
+//! the fitted [`Estimate`].
 
 use std::sync::OnceLock;
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use blowfish_core::{DataVector, Epsilon};
 use blowfish_mechanisms::{
-    dawa_histogram, laplace_histogram, privelet_histogram_planned, DawaOptions, HaarPlan,
+    dawa_histogram, laplace_histogram, privelet_planned_into, DawaOptions, HaarPlan, PriveletWork,
 };
 
 use crate::mechanism::{Estimate, Mechanism};
@@ -37,38 +36,32 @@ impl LaplaceBaseline {
     pub fn new(eps: Epsilon) -> Self {
         LaplaceBaseline { eps }
     }
-
-    /// Releases the noisy histogram (generic over the RNG).
-    pub fn fit_histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
-        Ok(laplace_histogram(x.counts(), 1.0, self.eps, rng)?)
-    }
 }
 
 impl Mechanism for LaplaceBaseline {
-    fn name(&self) -> &str {
-        "Laplace"
-    }
-
     fn epsilon(&self) -> Epsilon {
         self.eps
     }
 
     fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        Estimate::new(x.domain(), self.fit_histogram(x, rng)?)
+        Estimate::new(
+            x.domain(),
+            laplace_histogram(x.counts(), 1.0, self.eps, rng)?,
+        )
     }
 }
 
-/// The Haar plan a Privelet baseline keeps in `cell`, derived for `dims`
-/// at its first fit. A baseline serves the shape of its first fit only:
-/// a later fit of another shape is refused.
-fn first_fit_plan<'a>(
-    cell: &'a OnceLock<HaarPlan>,
+/// Releases `x` through Privelet over `dims`, with the Haar plan a
+/// Privelet baseline keeps in `cell`, derived for `dims` at its first
+/// fit. A baseline serves the shape of its first fit only: a later fit
+/// of another shape is refused.
+fn privelet_fit(
+    cell: &OnceLock<HaarPlan>,
     dims: &[usize],
-) -> Result<&'a HaarPlan, StrategyError> {
+    x: &DataVector,
+    eps: Epsilon,
+    rng: &mut dyn RngCore,
+) -> Result<Estimate, StrategyError> {
     if cell.get().is_none() {
         // A racing first fit may set it first, with an equal plan.
         let _ = cell.set(HaarPlan::new(dims)?);
@@ -79,7 +72,16 @@ fn first_fit_plan<'a>(
             what: "a Privelet baseline serves the shape of its first fit only",
         });
     }
-    Ok(plan)
+    let mut out = vec![0.0; x.len()];
+    privelet_planned_into(
+        plan,
+        x.counts(),
+        eps,
+        rng,
+        &mut PriveletWork::default(),
+        &mut out,
+    )?;
+    Estimate::new(x.domain(), out)
 }
 
 /// The ε-DP Privelet baseline over a 1-D domain. Its Haar plan is
@@ -98,29 +100,15 @@ impl PriveletBaseline1d {
             plan: OnceLock::new(),
         }
     }
-
-    /// Releases the noisy histogram (generic over the RNG).
-    pub fn fit_histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
-        let plan = first_fit_plan(&self.plan, &[x.len()])?;
-        Ok(privelet_histogram_planned(plan, x.counts(), self.eps, rng)?)
-    }
 }
 
 impl Mechanism for PriveletBaseline1d {
-    fn name(&self) -> &str {
-        "Privelet"
-    }
-
     fn epsilon(&self) -> Epsilon {
         self.eps
     }
 
     fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        Estimate::new(x.domain(), self.fit_histogram(x, rng)?)
+        privelet_fit(&self.plan, &[x.len()], x, self.eps, rng)
     }
 }
 
@@ -140,29 +128,15 @@ impl PriveletBaselineNd {
             plan: OnceLock::new(),
         }
     }
-
-    /// Releases the noisy histogram (generic over the RNG).
-    pub fn fit_histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
-        let plan = first_fit_plan(&self.plan, x.domain().dims())?;
-        Ok(privelet_histogram_planned(plan, x.counts(), self.eps, rng)?)
-    }
 }
 
 impl Mechanism for PriveletBaselineNd {
-    fn name(&self) -> &str {
-        "Privelet"
-    }
-
     fn epsilon(&self) -> Epsilon {
         self.eps
     }
 
     fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        Estimate::new(x.domain(), self.fit_histogram(x, rng)?)
+        privelet_fit(&self.plan, x.domain().dims(), x, self.eps, rng)
     }
 }
 
@@ -177,33 +151,16 @@ impl DawaBaseline1d {
     pub fn new(eps: Epsilon) -> Self {
         DawaBaseline1d { eps }
     }
-
-    /// Releases the noisy histogram (generic over the RNG).
-    pub fn fit_histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
-        Ok(dawa_histogram(
-            x.counts(),
-            self.eps,
-            DawaOptions::default(),
-            rng,
-        )?)
-    }
 }
 
 impl Mechanism for DawaBaseline1d {
-    fn name(&self) -> &str {
-        "Dawa"
-    }
-
     fn epsilon(&self) -> Epsilon {
         self.eps
     }
 
     fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        Estimate::new(x.domain(), self.fit_histogram(x, rng)?)
+        let release = dawa_histogram(x.counts(), self.eps, DawaOptions::default(), rng)?;
+        Estimate::new(x.domain(), release)
     }
 }
 
@@ -220,89 +177,22 @@ impl DawaBaseline2d {
     pub fn new(eps: Epsilon) -> Self {
         DawaBaseline2d { eps }
     }
-
-    /// Releases the noisy histogram (generic over the RNG).
-    pub fn fit_histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
-        if x.domain().num_dims() != 2 {
-            return Err(StrategyError::BadQuery {
-                what: "dp_dawa_2d requires a two-dimensional domain",
-            });
-        }
-        Ok(dawa_histogram(
-            x.counts(),
-            self.eps,
-            DawaOptions::default(),
-            rng,
-        )?)
-    }
 }
 
 impl Mechanism for DawaBaseline2d {
-    fn name(&self) -> &str {
-        "Dawa"
-    }
-
     fn epsilon(&self) -> Epsilon {
         self.eps
     }
 
     fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        Estimate::new(x.domain(), self.fit_histogram(x, rng)?)
+        if x.domain().num_dims() != 2 {
+            return Err(StrategyError::BadQuery {
+                what: "the 2-D DAWA baseline requires a two-dimensional domain",
+            });
+        }
+        let release = dawa_histogram(x.counts(), self.eps, DawaOptions::default(), rng)?;
+        Estimate::new(x.domain(), release)
     }
-}
-
-/// ε-DP Laplace histogram baseline — thin wrapper over
-/// [`LaplaceBaseline`].
-pub fn dp_laplace<R: Rng + ?Sized>(
-    x: &DataVector,
-    eps: Epsilon,
-    rng: &mut R,
-) -> Result<Vec<f64>, StrategyError> {
-    LaplaceBaseline::new(eps).fit_histogram(x, rng)
-}
-
-/// ε-DP Privelet baseline over a 1-D domain — thin wrapper over
-/// [`PriveletBaseline1d`].
-pub fn dp_privelet_1d<R: Rng + ?Sized>(
-    x: &DataVector,
-    eps: Epsilon,
-    rng: &mut R,
-) -> Result<Vec<f64>, StrategyError> {
-    PriveletBaseline1d::new(eps).fit_histogram(x, rng)
-}
-
-/// ε-DP Privelet baseline over a multi-dimensional domain — thin wrapper
-/// over [`PriveletBaselineNd`].
-pub fn dp_privelet_nd<R: Rng + ?Sized>(
-    x: &DataVector,
-    eps: Epsilon,
-    rng: &mut R,
-) -> Result<Vec<f64>, StrategyError> {
-    PriveletBaselineNd::new(eps).fit_histogram(x, rng)
-}
-
-/// ε-DP DAWA baseline over a 1-D domain — thin wrapper over
-/// [`DawaBaseline1d`].
-pub fn dp_dawa_1d<R: Rng + ?Sized>(
-    x: &DataVector,
-    eps: Epsilon,
-    rng: &mut R,
-) -> Result<Vec<f64>, StrategyError> {
-    DawaBaseline1d::new(eps).fit_histogram(x, rng)
-}
-
-/// ε-DP DAWA baseline over a 2-D domain — thin wrapper over
-/// [`DawaBaseline2d`].
-pub fn dp_dawa_2d<R: Rng + ?Sized>(
-    x: &DataVector,
-    eps: Epsilon,
-    rng: &mut R,
-) -> Result<Vec<f64>, StrategyError> {
-    DawaBaseline2d::new(eps).fit_histogram(x, rng)
 }
 
 #[cfg(test)]
@@ -317,18 +207,29 @@ mod tests {
         DataVector::new(Domain::one_dim(k), counts).unwrap()
     }
 
+    /// The released histogram of one fit.
+    fn release(mech: &dyn Mechanism, x: &DataVector, rng: &mut StdRng) -> Vec<f64> {
+        mech.fit(x, rng).unwrap().histogram().to_vec()
+    }
+
     #[test]
     fn baselines_return_right_shapes() {
         let x = db_1d(vec![1.0; 32]);
         let eps = Epsilon::new(1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(dp_laplace(&x, eps, &mut rng).unwrap().len(), 32);
-        assert_eq!(dp_privelet_1d(&x, eps, &mut rng).unwrap().len(), 32);
-        assert_eq!(dp_dawa_1d(&x, eps, &mut rng).unwrap().len(), 32);
+        assert_eq!(release(&LaplaceBaseline::new(eps), &x, &mut rng).len(), 32);
+        assert_eq!(
+            release(&PriveletBaseline1d::new(eps), &x, &mut rng).len(),
+            32
+        );
+        assert_eq!(release(&DawaBaseline1d::new(eps), &x, &mut rng).len(), 32);
 
         let x2 = DataVector::new(Domain::square(6), vec![1.0; 36]).unwrap();
-        assert_eq!(dp_privelet_nd(&x2, eps, &mut rng).unwrap().len(), 36);
-        assert_eq!(dp_dawa_2d(&x2, eps, &mut rng).unwrap().len(), 36);
+        assert_eq!(
+            release(&PriveletBaselineNd::new(eps), &x2, &mut rng).len(),
+            36
+        );
+        assert_eq!(release(&DawaBaseline2d::new(eps), &x2, &mut rng).len(), 36);
     }
 
     #[test]
@@ -336,7 +237,7 @@ mod tests {
         let x = db_1d(vec![1.0; 8]);
         let eps = Epsilon::new(1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(dp_dawa_2d(&x, eps, &mut rng).is_err());
+        assert!(DawaBaseline2d::new(eps).fit(&x, &mut rng).is_err());
     }
 
     #[test]
@@ -345,9 +246,9 @@ mod tests {
         let eps = Epsilon::new(50.0).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         for est in [
-            dp_laplace(&x, eps, &mut rng).unwrap(),
-            dp_privelet_1d(&x, eps, &mut rng).unwrap(),
-            dp_dawa_1d(&x, eps, &mut rng).unwrap(),
+            release(&LaplaceBaseline::new(eps), &x, &mut rng),
+            release(&PriveletBaseline1d::new(eps), &x, &mut rng),
+            release(&DawaBaseline1d::new(eps), &x, &mut rng),
         ] {
             for (e, t) in est.iter().zip(x.counts()) {
                 assert!((e - t).abs() < 5.0, "estimate {e} vs truth {t}");
@@ -360,18 +261,16 @@ mod tests {
         let eps = Epsilon::new(0.5).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let one_d = PriveletBaseline1d::new(eps);
-        one_d.fit_histogram(&db_1d(vec![1.0; 8]), &mut rng).unwrap();
-        one_d.fit_histogram(&db_1d(vec![2.0; 8]), &mut rng).unwrap();
-        assert!(one_d
-            .fit_histogram(&db_1d(vec![1.0; 16]), &mut rng)
-            .is_err());
+        one_d.fit(&db_1d(vec![1.0; 8]), &mut rng).unwrap();
+        one_d.fit(&db_1d(vec![2.0; 8]), &mut rng).unwrap();
+        assert!(one_d.fit(&db_1d(vec![1.0; 16]), &mut rng).is_err());
         // Same cell count, transposed shape: the kept plan does not fit.
         let grid = |dims: &[usize]| {
             DataVector::new(Domain::product(dims).unwrap(), vec![1.0; 24]).unwrap()
         };
         let n_d = PriveletBaselineNd::new(eps);
-        n_d.fit_histogram(&grid(&[4, 6]), &mut rng).unwrap();
-        assert!(n_d.fit_histogram(&grid(&[6, 4]), &mut rng).is_err());
+        n_d.fit(&grid(&[4, 6]), &mut rng).unwrap();
+        assert!(n_d.fit(&grid(&[6, 4]), &mut rng).is_err());
     }
 
     #[test]
@@ -384,21 +283,22 @@ mod tests {
             Box::new(DawaBaseline1d::new(eps)),
             Box::new(DawaBaseline2d::new(eps)),
         ];
-        for m in &mechs {
-            assert_eq!(m.epsilon(), eps, "{}", m.name());
+        for (i, m) in mechs.iter().enumerate() {
+            assert_eq!(m.epsilon(), eps, "mechanism {i}");
         }
     }
 
     #[test]
     fn trait_fit_matches_free_function() {
+        // The Laplace baseline's release is the Laplace mechanism's,
+        // draw for draw.
         let x = db_1d(vec![5.0; 16]);
         let eps = Epsilon::new(0.5).unwrap();
         let mech: &dyn Mechanism = &LaplaceBaseline::new(eps);
-        assert_eq!(mech.name(), "Laplace");
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
-        let via_trait = mech.fit(&x, &mut a).unwrap().histogram().to_vec();
-        let via_free = dp_laplace(&x, eps, &mut b).unwrap();
+        let via_trait = release(mech, &x, &mut a);
+        let via_free = laplace_histogram(x.counts(), 1.0, eps, &mut b).unwrap();
         assert_eq!(via_trait, via_free);
     }
 }

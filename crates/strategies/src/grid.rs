@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use blowfish_core::{DataVector, Epsilon};
 use blowfish_mechanisms::{privelet_planned_into, HaarPlan, PriveletWork};
@@ -65,35 +65,27 @@ impl GridPlans {
 
 /// The `(ε, G¹_{k²})`-Blowfish grid strategy (`Transformed + Privelet`,
 /// Theorem 5.4) as a [`Mechanism`]. Works on any `rows × cols`
-/// two-dimensional domain with both sides ≥ 2; optionally carries
-/// precomputed [`GridPlans`] so repeated fits skip the per-call Haar
-/// weight derivation.
+/// two-dimensional domain with both sides ≥ 2, against the prepared
+/// [`GridPlans`] of that shape, so fits never derive Haar weights.
 #[derive(Clone, Debug)]
 pub struct GridMechanism {
     eps: Epsilon,
-    plans: Option<GridPlans>,
+    plans: GridPlans,
 }
 
 impl GridMechanism {
-    /// Binds the budget; plans are derived per fit.
-    pub fn new(eps: Epsilon) -> Self {
-        GridMechanism { eps, plans: None }
+    /// Binds the budget and the plans of the grid it serves.
+    pub fn new(eps: Epsilon, plans: GridPlans) -> Self {
+        GridMechanism { eps, plans }
+    }
+}
+
+impl Mechanism for GridMechanism {
+    fn epsilon(&self) -> Epsilon {
+        self.eps
     }
 
-    /// Binds the budget with precomputed plans (plan-once/serve-many).
-    pub fn with_plans(eps: Epsilon, plans: GridPlans) -> Self {
-        GridMechanism {
-            eps,
-            plans: Some(plans),
-        }
-    }
-
-    /// Releases the histogram estimate (generic over the RNG).
-    pub fn fit_histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
+    fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
         let domain = x.domain();
         if domain.num_dims() != 2 {
             return Err(StrategyError::BadQuery {
@@ -106,63 +98,30 @@ impl GridMechanism {
                 what: "grid strategy requires both dimensions ≥ 2",
             });
         }
-        let local_plans;
-        let plans = match &self.plans {
-            Some(p) => {
-                if p.shape() != (rows, cols) {
-                    return Err(StrategyError::BadQuery {
-                        what: "cached grid plans do not match the database shape",
-                    });
-                }
-                p
-            }
-            None => {
-                local_plans = GridPlans::new(rows, cols)?;
-                &local_plans
-            }
-        };
-        grid_histogram_impl(
+        if self.plans.shape() != (rows, cols) {
+            return Err(StrategyError::BadQuery {
+                what: "cached grid plans do not match the database shape",
+            });
+        }
+        let release = grid_histogram_impl(
             x.counts(),
             self.eps,
-            plans,
+            &self.plans,
             &mut PriveletWork::default(),
             rng,
-        )
+        )?;
+        Estimate::new(domain, release)
     }
-}
-
-impl Mechanism for GridMechanism {
-    fn name(&self) -> &str {
-        "Transformed + Privelet"
-    }
-
-    fn epsilon(&self) -> Epsilon {
-        self.eps
-    }
-
-    fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        Estimate::new(x.domain(), self.fit_histogram(x, rng)?)
-    }
-}
-
-/// The `(ε, G¹_{k²})`-Blowfish histogram estimate — thin wrapper over
-/// [`GridMechanism`].
-pub fn grid_blowfish_histogram<R: Rng + ?Sized>(
-    x: &DataVector,
-    eps: Epsilon,
-    rng: &mut R,
-) -> Result<Vec<f64>, StrategyError> {
-    GridMechanism::new(eps).fit_histogram(x, rng)
 }
 
 /// Shared strategy body against prepared plans, over the row-major
 /// counts of a `rows × cols` grid; every Privelet pass runs in `work`.
-pub(crate) fn grid_histogram_impl<R: Rng + ?Sized>(
+pub(crate) fn grid_histogram_impl(
     counts: &[f64],
     eps: Epsilon,
     plans: &GridPlans,
     work: &mut PriveletWork,
-    rng: &mut R,
+    rng: &mut dyn RngCore,
 ) -> Result<Vec<f64>, StrategyError> {
     let (rows, cols) = plans.shape();
     let n: f64 = counts.iter().sum();
@@ -231,6 +190,8 @@ pub(crate) fn grid_histogram_impl<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::true_answers;
+    use crate::PriveletBaselineNd;
     use blowfish_core::{mse_per_query, Domain, RangeQuery, Workload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -238,6 +199,11 @@ mod tests {
     fn grid_db(k: usize, f: impl Fn(usize, usize) -> f64) -> DataVector {
         let counts = (0..k * k).map(|i| f(i / k, i % k)).collect::<Vec<f64>>();
         DataVector::new(Domain::square(k), counts).unwrap()
+    }
+
+    /// The grid mechanism for a `rows × cols` grid.
+    fn grid(rows: usize, cols: usize, eps: Epsilon) -> GridMechanism {
+        GridMechanism::new(eps, GridPlans::new(rows, cols).unwrap())
     }
 
     #[test]
@@ -248,8 +214,8 @@ mod tests {
         let x = grid_db(5, |r, c| (r * 5 + c) as f64);
         let eps = Epsilon::new(1e8).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let est = grid_blowfish_histogram(&x, eps, &mut rng).unwrap();
-        for (e, t) in est.iter().zip(x.counts()) {
+        let est = grid(5, 5, eps).fit(&x, &mut rng).unwrap();
+        for (e, t) in est.histogram().iter().zip(x.counts()) {
             assert!((e - t).abs() < 1e-3, "{e} vs {t}");
         }
     }
@@ -258,13 +224,14 @@ mod tests {
     fn unbiased_and_total_preserving() {
         let x = grid_db(6, |r, c| ((r * 3 + c * 5) % 7) as f64);
         let eps = Epsilon::new(2.0).unwrap();
+        let mech = grid(6, 6, eps);
         let mut rng = StdRng::seed_from_u64(2);
         let trials = 200;
         let mut mean = vec![0.0; 36];
         for _ in 0..trials {
-            let est = grid_blowfish_histogram(&x, eps, &mut rng).unwrap();
-            assert!((est.iter().sum::<f64>() - x.total()).abs() < 1e-6);
-            for (m, e) in mean.iter_mut().zip(&est) {
+            let est = mech.fit(&x, &mut rng).unwrap();
+            assert!((est.histogram().iter().sum::<f64>() - x.total()).abs() < 1e-6);
+            for (m, e) in mean.iter_mut().zip(est.histogram()) {
                 *m += e;
             }
         }
@@ -288,24 +255,20 @@ mod tests {
         let d = Domain::square(k);
         let mut sp_rng = StdRng::seed_from_u64(3);
         let (_, specs) = Workload::random_ranges(&d, 150, &mut sp_rng).unwrap();
-        let truth = crate::answering::true_ranges_2d(&x, &specs).unwrap();
+        let truth = true_answers(&x, &specs);
+        let (mech, privelet) = (
+            grid(k, k, eps),
+            PriveletBaselineNd::new(eps.half().unwrap()),
+        );
         let mut rng = StdRng::seed_from_u64(4);
         let trials = 40;
         let mut blowfish = 0.0;
         let mut dp = 0.0;
         for _ in 0..trials {
-            let b = grid_blowfish_histogram(&x, eps, &mut rng).unwrap();
-            blowfish += mse_per_query(
-                &truth,
-                &crate::answering::answer_ranges_2d(&b, k, k, &specs).unwrap(),
-            )
-            .unwrap();
-            let p = crate::baselines::dp_privelet_nd(&x, eps.half(), &mut rng).unwrap();
-            dp += mse_per_query(
-                &truth,
-                &crate::answering::answer_ranges_2d(&p, k, k, &specs).unwrap(),
-            )
-            .unwrap();
+            let b = mech.fit(&x, &mut rng).unwrap();
+            blowfish += mse_per_query(&truth, &b.answer_many(&specs).unwrap()).unwrap();
+            let p = privelet.fit(&x, &mut rng).unwrap();
+            dp += mse_per_query(&truth, &p.answer_many(&specs).unwrap()).unwrap();
         }
         assert!(
             blowfish < dp,
@@ -322,8 +285,8 @@ mod tests {
         .unwrap();
         let eps = Epsilon::new(1e8).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let est = grid_blowfish_histogram(&x, eps, &mut rng).unwrap();
-        for (e, t) in est.iter().zip(x.counts()) {
+        let est = grid(3, 7, eps).fit(&x, &mut rng).unwrap();
+        for (e, t) in est.histogram().iter().zip(x.counts()) {
             assert!((e - t).abs() < 1e-3);
         }
     }
@@ -333,9 +296,9 @@ mod tests {
         let eps = Epsilon::new(1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         let x1 = DataVector::new(Domain::one_dim(9), vec![0.0; 9]).unwrap();
-        assert!(grid_blowfish_histogram(&x1, eps, &mut rng).is_err());
+        assert!(grid(3, 3, eps).fit(&x1, &mut rng).is_err());
         let thin = DataVector::new(Domain::product(&[1, 9]).unwrap(), vec![0.0; 9]).unwrap();
-        assert!(grid_blowfish_histogram(&thin, eps, &mut rng).is_err());
+        assert!(grid(1, 9, eps).fit(&thin, &mut rng).is_err());
     }
 
     #[test]
@@ -348,15 +311,14 @@ mod tests {
         let d = Domain::square(k);
         let small = RangeQuery::new(&d, vec![10, 10], vec![13, 13]).unwrap();
         let large = RangeQuery::new(&d, vec![2, 2], vec![29, 29]).unwrap();
+        let mech = grid(k, k, eps);
         let mut rng = StdRng::seed_from_u64(7);
         let trials = 150;
         let mut err_small = 0.0;
         let mut err_large = 0.0;
         for _ in 0..trials {
-            let est = grid_blowfish_histogram(&x, eps, &mut rng).unwrap();
-            let ans =
-                crate::answering::answer_ranges_2d(&est, k, k, &[small.clone(), large.clone()])
-                    .unwrap();
+            let est = mech.fit(&x, &mut rng).unwrap();
+            let ans = est.answer_many(&[small.clone(), large.clone()]).unwrap();
             err_small += ans[0] * ans[0];
             err_large += ans[1] * ans[1];
         }
@@ -369,19 +331,19 @@ mod tests {
 
     #[test]
     fn planned_mechanism_matches_free_function_bit_for_bit() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
+        // A mechanism over cloned (shared) plans, as the plan cache hands
+        // them out, releases the bits of one over plans of its own.
         let x = grid_db(8, |r, c| ((r * 3 + c) % 5) as f64);
         let eps = Epsilon::new(0.5).unwrap();
-        let planned = GridMechanism::with_plans(eps, GridPlans::new(8, 8).unwrap());
-        let mut a = StdRng::seed_from_u64(42);
-        let mut b = StdRng::seed_from_u64(42);
-        let via_planned = planned.fit_histogram(&x, &mut a).unwrap();
-        let via_free = grid_blowfish_histogram(&x, eps, &mut b).unwrap();
-        assert_eq!(via_planned, via_free);
+        let plans = GridPlans::new(8, 8).unwrap();
+        let shared = GridMechanism::new(eps, plans.clone());
+        let own = grid(8, 8, eps);
+        let via_shared = shared.fit(&x, &mut StdRng::seed_from_u64(42)).unwrap();
+        let via_own = own.fit(&x, &mut StdRng::seed_from_u64(42)).unwrap();
+        assert_eq!(via_shared.histogram(), via_own.histogram());
         // Mismatched cached plans are rejected rather than silently wrong.
-        let wrong = GridMechanism::with_plans(eps, GridPlans::new(4, 4).unwrap());
+        let wrong = grid(4, 4, eps);
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(wrong.fit_histogram(&x, &mut rng).is_err());
+        assert!(wrong.fit(&x, &mut rng).is_err());
     }
 }

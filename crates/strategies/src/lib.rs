@@ -18,15 +18,18 @@
 //!   (Laplace, Privelet 1-D/2-D, DAWA 1-D/2-D).
 //! * [`lower_bounds`] — the Appendix A / Corollary A.2 SVD lower bounds
 //!   (Figure 10), with an O(k³) eigenvalue path valid for every policy.
-//! * [`answering`] — O(1)-per-query bulk range answering from histogram
-//!   estimates (prefix sums / summed-area tables).
+//! * [`mechanism`] — the [`Mechanism`] trait every algorithm above
+//!   implements, and the [`Estimate`] that answers its ranges.
 //!
-//! Every strategy returns a histogram estimate `x̂` over the original
-//! domain; by the identity `Σ_{v∈box} (P_G·x̃_G)[v] = q_G·x̃_G` this is
-//! exactly equivalent to answering transformed queries in edge space (see
-//! DESIGN.md §6), while making 10,000-query workloads O(1) per query.
+//! Each algorithm is a struct with its budget and prepared artifacts bound
+//! in, and [`Mechanism::fit`] is the one way to run it. It returns a
+//! histogram estimate `x̂` over the original domain as an [`Estimate`],
+//! the one way to answer ranges: O(1) per query from prefix sums (1-D) or
+//! a summed-area table (2-D), which makes 10,000-query workloads cheap. By
+//! the identity `Σ_{v∈box} (P_G·x̃_G)[v] = q_G·x̃_G` summing `x̂` over a box
+//! is exactly answering the transformed query in edge space (DESIGN.md
+//! §6). A true answer is an [`Estimate`] of the exact counts.
 
-pub mod answering;
 pub mod baselines;
 pub mod grid;
 pub mod line1d;
@@ -37,15 +40,11 @@ mod reference;
 pub mod theta_grid;
 pub mod theta_line;
 
-pub use answering::{answer_ranges_1d, answer_ranges_2d, true_ranges_1d, true_ranges_2d};
 pub use baselines::{
-    dp_dawa_1d, dp_dawa_2d, dp_laplace, dp_privelet_1d, dp_privelet_nd, DawaBaseline1d,
-    DawaBaseline2d, LaplaceBaseline, PriveletBaseline1d, PriveletBaselineNd,
+    DawaBaseline1d, DawaBaseline2d, LaplaceBaseline, PriveletBaseline1d, PriveletBaselineNd,
 };
-pub use grid::{grid_blowfish_histogram, GridMechanism, GridPlans};
-pub use line1d::{
-    line_blowfish_histogram, tree_blowfish_histogram, LineMechanism, TreeEstimator, TreeMechanism,
-};
+pub use grid::{GridMechanism, GridPlans};
+pub use line1d::{LineMechanism, TreeEstimator, TreeMechanism};
 pub use lower_bounds::{p_eps_delta, svd_lower_bound, svd_lower_bound_unbounded_dp};
 pub use mechanism::{Estimate, Mechanism};
 pub use theta_grid::{ThetaGridMechanism, ThetaGridStrategy};

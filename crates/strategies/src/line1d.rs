@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use blowfish_core::{DataVector, Epsilon, Incidence};
 use blowfish_mechanisms::{
@@ -69,12 +69,12 @@ impl TreeEstimator {
 /// Estimates an edge-space vector under unbounded ε-DP with the chosen
 /// estimator. `monotone_total` enables the isotonic variants (pass the
 /// public database total).
-fn estimate_edges<R: Rng + ?Sized>(
+fn estimate_edges(
     x_g: &[f64],
     eps: Epsilon,
     estimator: TreeEstimator,
     monotone_total: Option<f64>,
-    rng: &mut R,
+    rng: &mut dyn RngCore,
 ) -> Result<Vec<f64>, StrategyError> {
     let raw = match estimator {
         TreeEstimator::Laplace | TreeEstimator::LaplaceConsistent => {
@@ -114,14 +114,14 @@ impl LineMechanism {
     pub fn new(eps: Epsilon, estimator: TreeEstimator) -> Self {
         LineMechanism { eps, estimator }
     }
+}
 
-    /// Releases the histogram estimate `x̂` over the full domain (generic
-    /// over the RNG).
-    pub fn fit_histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
+impl Mechanism for LineMechanism {
+    fn epsilon(&self) -> Epsilon {
+        self.eps
+    }
+
+    fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
         let k = x.len();
         if k < 2 {
             return Err(StrategyError::BadQuery {
@@ -141,21 +141,7 @@ impl LineMechanism {
             out.push(x_tilde[i] - x_tilde[i - 1]);
         }
         out.push(n - x_tilde[k - 2]);
-        Ok(out)
-    }
-}
-
-impl Mechanism for LineMechanism {
-    fn name(&self) -> &str {
-        self.estimator.name()
-    }
-
-    fn epsilon(&self) -> Epsilon {
-        self.eps
-    }
-
-    fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        Estimate::new(x.domain(), self.fit_histogram(x, rng)?)
+        Estimate::new(x.domain(), out)
     }
 }
 
@@ -199,79 +185,22 @@ impl TreeMechanism {
             estimator,
         })
     }
-
-    /// Releases the histogram estimate (generic over the RNG).
-    pub fn fit_histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
-        tree_histogram_impl(&self.incidence, x, self.eps, self.estimator, rng)
-    }
 }
 
 impl Mechanism for TreeMechanism {
-    fn name(&self) -> &str {
-        self.estimator.name()
-    }
-
     fn epsilon(&self) -> Epsilon {
         self.eps
     }
 
     fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        Estimate::new(x.domain(), self.fit_histogram(x, rng)?)
+        let inc = &self.incidence;
+        let reduced = inc.reduce_database(x)?;
+        let x_g = inc.solve_tree(&reduced)?;
+        let x_tilde = estimate_edges(&x_g, self.eps, self.estimator, None, rng)?;
+        let est_reduced = inc.apply(&x_tilde)?;
+        let totals = inc.component_totals(x)?;
+        Estimate::new(x.domain(), inc.reconstruct_database(&est_reduced, &totals)?)
     }
-}
-
-/// Shared body of the tree strategy (borrowed incidence, already
-/// validated estimator).
-fn tree_histogram_impl<R: Rng + ?Sized>(
-    inc: &Incidence,
-    x: &DataVector,
-    eps: Epsilon,
-    estimator: TreeEstimator,
-    rng: &mut R,
-) -> Result<Vec<f64>, StrategyError> {
-    let reduced = inc.reduce_database(x)?;
-    let x_g = inc.solve_tree(&reduced)?;
-    let x_tilde = estimate_edges(&x_g, eps, estimator, None, rng)?;
-    let est_reduced = inc.apply(&x_tilde)?;
-    let totals = inc.component_totals(x)?;
-    Ok(inc.reconstruct_database(&est_reduced, &totals)?)
-}
-
-/// The `(ε, G¹_k)`-Blowfish histogram estimate — thin wrapper over
-/// [`LineMechanism`]. Returns `x̂` over the full domain.
-pub fn line_blowfish_histogram<R: Rng + ?Sized>(
-    x: &DataVector,
-    eps: Epsilon,
-    estimator: TreeEstimator,
-    rng: &mut R,
-) -> Result<Vec<f64>, StrategyError> {
-    LineMechanism::new(eps, estimator).fit_histogram(x, rng)
-}
-
-/// The generic tree-policy Blowfish histogram — thin wrapper over the
-/// [`TreeMechanism`] body for a borrowed incidence.
-pub fn tree_blowfish_histogram<R: Rng + ?Sized>(
-    inc: &Incidence,
-    x: &DataVector,
-    eps: Epsilon,
-    estimator: TreeEstimator,
-    rng: &mut R,
-) -> Result<Vec<f64>, StrategyError> {
-    if matches!(
-        estimator,
-        TreeEstimator::LaplaceConsistent
-            | TreeEstimator::DawaConsistent
-            | TreeEstimator::HierarchicalConsistent
-    ) {
-        return Err(StrategyError::BadQuery {
-            what: "isotonic consistency requires a monotone edge order (line policy)",
-        });
-    }
-    tree_histogram_impl(inc, x, eps, estimator, rng)
 }
 
 /// Analytic per-query error of Algorithm 1 on `R_k` (Theorem 5.2): each
@@ -284,6 +213,7 @@ pub fn line_range_error(eps: Epsilon) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::true_answers;
     use blowfish_core::{Domain, PolicyGraph, RangeQuery, Workload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -291,6 +221,11 @@ mod tests {
     fn db(counts: Vec<f64>) -> DataVector {
         let k = counts.len();
         DataVector::new(Domain::one_dim(k), counts).unwrap()
+    }
+
+    /// One line-strategy release of `x`.
+    fn line(x: &DataVector, eps: Epsilon, est: TreeEstimator, rng: &mut StdRng) -> Estimate {
+        LineMechanism::new(eps, est).fit(x, rng).unwrap()
     }
 
     #[test]
@@ -301,10 +236,10 @@ mod tests {
         let trials = 400;
         let mut mean = [0.0; 8];
         for _ in 0..trials {
-            let est = line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut rng).unwrap();
+            let est = line(&x, eps, TreeEstimator::Laplace, &mut rng);
             // The reconstruction forces Σ x̂ = n exactly.
-            assert!((est.iter().sum::<f64>() - x.total()).abs() < 1e-9);
-            for (m, e) in mean.iter_mut().zip(&est) {
+            assert!((est.histogram().iter().sum::<f64>() - x.total()).abs() < 1e-9);
+            for (m, e) in mean.iter_mut().zip(est.histogram()) {
                 *m += e;
             }
         }
@@ -335,12 +270,11 @@ mod tests {
                     RangeQuery::one_dim(&d, l, l + k / 4).unwrap()
                 })
                 .collect();
-            let truth = crate::answering::true_ranges_1d(&x, &specs).unwrap();
+            let truth = true_answers(&x, &specs);
             let mut acc = 0.0;
             for _ in 0..trials {
-                let est =
-                    line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut rng).unwrap();
-                let ans = crate::answering::answer_ranges_1d(&est, &specs).unwrap();
+                let est = line(&x, eps, TreeEstimator::Laplace, &mut rng);
+                let ans = est.answer_many(&specs).unwrap();
                 acc += blowfish_core::mse_per_query(&truth, &ans).unwrap();
             }
             errors.push(acc / trials as f64);
@@ -368,24 +302,15 @@ mod tests {
         let d = Domain::one_dim(k);
         let mut sp_rng = StdRng::seed_from_u64(99);
         let (_, specs) = Workload::random_ranges(&d, 200, &mut sp_rng).unwrap();
-        let truth = crate::answering::true_ranges_1d(&x, &specs).unwrap();
+        let truth = true_answers(&x, &specs);
         let trials = 60;
         let mut raw = 0.0;
         let mut cons = 0.0;
         for _ in 0..trials {
-            let a = line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut rng).unwrap();
-            let b = line_blowfish_histogram(&x, eps, TreeEstimator::LaplaceConsistent, &mut rng)
-                .unwrap();
-            raw += blowfish_core::mse_per_query(
-                &truth,
-                &crate::answering::answer_ranges_1d(&a, &specs).unwrap(),
-            )
-            .unwrap();
-            cons += blowfish_core::mse_per_query(
-                &truth,
-                &crate::answering::answer_ranges_1d(&b, &specs).unwrap(),
-            )
-            .unwrap();
+            let a = line(&x, eps, TreeEstimator::Laplace, &mut rng);
+            let b = line(&x, eps, TreeEstimator::LaplaceConsistent, &mut rng);
+            raw += blowfish_core::mse_per_query(&truth, &a.answer_many(&specs).unwrap()).unwrap();
+            cons += blowfish_core::mse_per_query(&truth, &b.answer_many(&specs).unwrap()).unwrap();
         }
         assert!(cons < raw, "consistency did not help: {cons} vs {raw}");
     }
@@ -396,8 +321,8 @@ mod tests {
         let eps = Epsilon::new(1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         for est in [TreeEstimator::Dawa, TreeEstimator::DawaConsistent] {
-            let e = line_blowfish_histogram(&x, eps, est, &mut rng).unwrap();
-            assert_eq!(e.len(), 8);
+            let e = line(&x, eps, est, &mut rng);
+            assert_eq!(e.histogram().len(), 8);
         }
     }
 
@@ -408,15 +333,15 @@ mod tests {
         // direct differencing).
         let x = db(vec![3.0, 1.0, 4.0, 1.0, 5.0, 9.0]);
         let g = PolicyGraph::line(6).unwrap();
-        let inc = Incidence::new(&g).unwrap();
+        let inc = Arc::new(Incidence::new(&g).unwrap());
         let eps = Epsilon::new(2.0).unwrap();
+        let tree = TreeMechanism::new(inc, eps, TreeEstimator::Laplace).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let trials = 300;
         let mut mean = [0.0; 6];
         for _ in 0..trials {
-            let est =
-                tree_blowfish_histogram(&inc, &x, eps, TreeEstimator::Laplace, &mut rng).unwrap();
-            for (m, e) in mean.iter_mut().zip(&est) {
+            let est = tree.fit(&x, &mut rng).unwrap();
+            for (m, e) in mean.iter_mut().zip(est.histogram()) {
                 *m += e;
             }
         }
@@ -428,15 +353,16 @@ mod tests {
 
     #[test]
     fn tree_strategy_rejects_consistency() {
-        let x = db(vec![1.0; 4]);
         let g = PolicyGraph::line(4).unwrap();
-        let inc = Incidence::new(&g).unwrap();
+        let inc = Arc::new(Incidence::new(&g).unwrap());
         let eps = Epsilon::new(1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(6);
-        assert!(
-            tree_blowfish_histogram(&inc, &x, eps, TreeEstimator::LaplaceConsistent, &mut rng)
-                .is_err()
-        );
+        for est in [
+            TreeEstimator::LaplaceConsistent,
+            TreeEstimator::DawaConsistent,
+            TreeEstimator::HierarchicalConsistent,
+        ] {
+            assert!(TreeMechanism::new(Arc::clone(&inc), eps, est).is_err());
+        }
     }
 
     #[test]
@@ -444,7 +370,8 @@ mod tests {
         let x = db(vec![1.0]);
         let eps = Epsilon::new(1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        assert!(line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut rng).is_err());
+        let mech = LineMechanism::new(eps, TreeEstimator::Laplace);
+        assert!(mech.fit(&x, &mut rng).is_err());
     }
 
     #[test]
@@ -455,10 +382,9 @@ mod tests {
         let trials = 300;
         let mut mean = [0.0; 8];
         for _ in 0..trials {
-            let est =
-                line_blowfish_histogram(&x, eps, TreeEstimator::Hierarchical, &mut rng).unwrap();
-            assert!((est.iter().sum::<f64>() - x.total()).abs() < 1e-6);
-            for (m, e) in mean.iter_mut().zip(&est) {
+            let est = line(&x, eps, TreeEstimator::Hierarchical, &mut rng);
+            assert!((est.histogram().iter().sum::<f64>() - x.total()).abs() < 1e-6);
+            for (m, e) in mean.iter_mut().zip(est.histogram()) {
                 *m += e;
             }
         }
@@ -467,9 +393,8 @@ mod tests {
             assert!((avg - x.get(i)).abs() < 1.5, "cell {i}: {avg}");
         }
         // Consistent variant also runs.
-        let est = line_blowfish_histogram(&x, eps, TreeEstimator::HierarchicalConsistent, &mut rng)
-            .unwrap();
-        assert_eq!(est.len(), 8);
+        let est = line(&x, eps, TreeEstimator::HierarchicalConsistent, &mut rng);
+        assert_eq!(est.histogram().len(), 8);
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! The uniform mechanism abstraction: one object-safe trait in front of
 //! every baseline and Blowfish strategy in this crate.
 //!
-//! Historically each algorithm was a differently-shaped free function
-//! (`line_blowfish_histogram`, `dp_dawa_1d`, `ThetaGridStrategy::run`, …)
-//! and callers glued them together with ad-hoc closures. The
-//! [`Mechanism`] trait fixes one shape — `fit(&self, x, rng) ->
-//! Estimate` — and [`Estimate`] carries the prefix-sum / summed-area
-//! machinery so batched range workloads are answered in O(1) per query
-//! after a single O(k) preparation pass.
+//! [`Mechanism::fit`] is the one way to run an algorithm: `fit(&self, x,
+//! rng) -> Estimate`, with the budget and any prepared artifacts bound
+//! into the implementing struct. [`Estimate`] is the one way to answer
+//! ranges: it carries the prefix-sum / summed-area machinery, so batched
+//! range workloads are answered in O(1) per query after a single O(k)
+//! preparation pass. A true answer is an [`Estimate`] of the exact
+//! counts.
 //!
 //! Transformational equivalence (Section 4 of the paper) is what makes
 //! this uniformity sound: every strategy, policy-aware or not, ultimately
 //! releases a histogram estimate `x̂` over the original domain, so one
-//! trait covers the whole zoo. The concrete implementors live next to
-//! their algorithms ([`crate::baselines`], [`crate::line1d`],
+//! trait covers the whole zoo (DESIGN.md §6). The concrete implementors
+//! live next to their algorithms ([`crate::baselines`], [`crate::line1d`],
 //! [`crate::grid`], [`crate::theta_line`], [`crate::theta_grid`]); the
 //! `blowfish-engine` crate builds the registry/planner layer on top.
 
@@ -27,9 +27,7 @@ use crate::StrategyError;
 /// answering.
 ///
 /// For 1-D domains the constructor materializes prefix sums, for 2-D a
-/// summed-area table — the same machinery as [`crate::answering`], so
-/// answers are bit-identical to `answer_ranges_1d`/`answer_ranges_2d` on
-/// the raw histogram. Domains with three or more dimensions fall back to
+/// summed-area table. Domains with three or more dimensions fall back to
 /// direct summation (O(volume) per query).
 #[derive(Clone, Debug)]
 pub struct Estimate {
@@ -193,9 +191,6 @@ impl Estimate {
 /// Randomness comes in as `&mut dyn RngCore` so a single seeded generator
 /// can drive heterogeneous mechanism sets reproducibly.
 pub trait Mechanism: Send + Sync {
-    /// Display name matching the paper's figure legends.
-    fn name(&self) -> &str;
-
     /// The privacy budget one [`Mechanism::fit`] actually consumes — the
     /// ε of the mechanism's own guarantee at the policy it was built for
     /// (stretch/split scaling is already folded in internally by each
@@ -207,25 +202,104 @@ pub trait Mechanism: Send + Sync {
     fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError>;
 }
 
+/// The exact answers to `specs` over `x`: an [`Estimate`] of the true
+/// counts, the truth the strategy tests measure error against.
+#[cfg(test)]
+pub(crate) fn true_answers(x: &DataVector, specs: &[RangeQuery]) -> Vec<f64> {
+    let exact = Estimate::new(x.domain(), x.counts().to_vec()).unwrap();
+    exact.answer_many(specs).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::answering::{answer_ranges_1d, answer_ranges_2d};
     use blowfish_core::Domain;
+
+    /// Direct cell sums of every range in `specs` over a row-major
+    /// histogram: an independent computation of the answers, exact in f64
+    /// for integer-valued histograms.
+    fn direct_sums(d: &Domain, hist: &[f64], specs: &[RangeQuery]) -> Vec<f64> {
+        specs
+            .iter()
+            .map(|q| {
+                RangeQuery::cells_in(d, &q.lo, &q.hi)
+                    .unwrap()
+                    .into_iter()
+                    .map(|c| hist[c])
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// Every range over a 1-D domain of `k` cells.
+    fn all_ranges_1d(d: &Domain, k: usize) -> Vec<RangeQuery> {
+        (0..k)
+            .flat_map(|lo| (lo..k).map(move |hi| (lo, hi)))
+            .map(|(lo, hi)| RangeQuery::one_dim(d, lo, hi).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn ranges_1d_match_direct_sums() {
+        let d = Domain::one_dim(4);
+        let est = Estimate::new(&d, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let specs = vec![
+            RangeQuery::one_dim(&d, 0, 3).unwrap(),
+            RangeQuery::one_dim(&d, 1, 2).unwrap(),
+            RangeQuery::one_dim(&d, 2, 2).unwrap(),
+        ];
+        assert_eq!(est.answer_many(&specs).unwrap(), vec![10.0, 5.0, 3.0]);
+    }
+
+    #[test]
+    fn ranges_2d_match_direct_sums() {
+        // 3x3: 0..8
+        let d = Domain::square(3);
+        let est = Estimate::new(&d, (0..9).map(|v| v as f64).collect()).unwrap();
+        let specs = vec![
+            RangeQuery::new(&d, vec![0, 0], vec![2, 2]).unwrap(),
+            RangeQuery::new(&d, vec![1, 1], vec![2, 2]).unwrap(),
+            RangeQuery::new(&d, vec![0, 1], vec![1, 1]).unwrap(),
+        ];
+        assert_eq!(est.answer_many(&specs).unwrap(), vec![36.0, 24.0, 5.0]);
+    }
+
+    #[test]
+    fn true_answer_helpers() {
+        // A true answer is an estimate of the exact counts.
+        let x = DataVector::new(Domain::one_dim(3), vec![5.0, 0.0, 2.0]).unwrap();
+        let specs = vec![RangeQuery::one_dim(x.domain(), 0, 2).unwrap()];
+        assert_eq!(true_answers(&x, &specs), vec![7.0]);
+
+        let x2 = DataVector::new(Domain::square(2), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let specs2 = vec![RangeQuery::new(x2.domain(), vec![0, 0], vec![1, 1]).unwrap()];
+        assert_eq!(true_answers(&x2, &specs2), vec![10.0]);
+    }
+
+    #[test]
+    fn shape_validation() {
+        let d2 = Domain::square(2);
+        let spec2d = RangeQuery::new(&d2, vec![0, 0], vec![1, 1]).unwrap();
+        let one_d = Estimate::new(&Domain::one_dim(2), vec![1.0, 2.0]).unwrap();
+        assert!(one_d.answer(&spec2d).is_err());
+        assert!(Estimate::new(&d2, vec![1.0; 3]).is_err());
+        let d1 = Domain::one_dim(5);
+        let spec1d = RangeQuery::one_dim(&d1, 0, 4).unwrap();
+        let two_d = Estimate::new(&d2, vec![1.0; 4]).unwrap();
+        assert!(two_d.answer(&spec1d).is_err());
+        // 1-D spec out of range for a shorter estimate.
+        assert!(one_d.answer(&spec1d).is_err());
+    }
 
     #[test]
     fn estimate_matches_answering_helpers_1d() {
         let d = Domain::one_dim(6);
         let hist = vec![3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
         let est = Estimate::new(&d, hist.clone()).unwrap();
-        let specs = vec![
-            RangeQuery::one_dim(&d, 0, 5).unwrap(),
-            RangeQuery::one_dim(&d, 2, 4).unwrap(),
-            RangeQuery::one_dim(&d, 3, 3).unwrap(),
-        ];
+        let specs = all_ranges_1d(&d, 6);
         assert_eq!(
             est.answer_many(&specs).unwrap(),
-            answer_ranges_1d(&hist, &specs).unwrap()
+            direct_sums(&d, &hist, &specs)
         );
         assert_eq!(est.histogram().iter().sum::<f64>(), 23.0);
         assert_eq!(est.histogram(), hist.as_slice());
@@ -237,14 +311,23 @@ mod tests {
         let d = Domain::square(4);
         let hist: Vec<f64> = (0..16).map(|v| v as f64).collect();
         let est = Estimate::new(&d, hist.clone()).unwrap();
-        let specs = vec![
-            RangeQuery::new(&d, vec![0, 0], vec![3, 3]).unwrap(),
-            RangeQuery::new(&d, vec![1, 1], vec![2, 3]).unwrap(),
-            RangeQuery::new(&d, vec![2, 0], vec![2, 0]).unwrap(),
-        ];
+        // Every box of the 4x4 grid.
+        let sides: Vec<(usize, usize)> = (0..4)
+            .flat_map(|lo| (lo..4).map(move |hi| (lo, hi)))
+            .collect();
+        let specs: Vec<RangeQuery> = sides
+            .iter()
+            .flat_map(|&(r0, r1)| {
+                let d = &d;
+                sides
+                    .iter()
+                    .map(move |&(c0, c1)| RangeQuery::new(d, vec![r0, c0], vec![r1, c1]).unwrap())
+            })
+            .collect();
+        assert_eq!(specs.len(), 100);
         assert_eq!(
             est.answer_many(&specs).unwrap(),
-            answer_ranges_2d(&hist, 4, 4, &specs).unwrap()
+            direct_sums(&d, &hist, &specs)
         );
     }
 
@@ -257,6 +340,10 @@ mod tests {
         assert_eq!(est.answer(&q).unwrap(), hist.iter().sum::<f64>());
         let q2 = RangeQuery::new(&d, vec![1, 1, 1], vec![1, 1, 1]).unwrap();
         assert_eq!(est.answer(&q2).unwrap(), hist[13]);
+        // A box, against cell-by-cell sums over the row-major layout.
+        let q3 = RangeQuery::new(&d, vec![0, 1, 1], vec![1, 2, 2]).unwrap();
+        let by_hand: f64 = [4, 5, 7, 8, 13, 14, 16, 17].iter().map(|&c| hist[c]).sum();
+        assert_eq!(est.answer(&q3).unwrap(), by_hand);
     }
 
     #[test]

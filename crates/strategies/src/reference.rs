@@ -371,9 +371,11 @@ mod tests {
 
     use blowfish_core::{theta_line_spanner, DataVector, Domain, Epsilon, Incidence};
 
+    use std::sync::Arc;
+
     use crate::{
-        grid_blowfish_histogram, GridMechanism, GridPlans, PriveletBaselineNd, ThetaEstimator,
-        ThetaGridStrategy, ThetaLineStrategy,
+        GridMechanism, GridPlans, Mechanism, PriveletBaselineNd, ThetaEstimator,
+        ThetaGridMechanism, ThetaGridStrategy, ThetaLineMechanism, ThetaLineStrategy,
     };
 
     const SEEDS: std::ops::Range<u64> = 0..20;
@@ -386,6 +388,11 @@ mod tests {
             .map(|i| ((i * 7919) % 23) as f64 + (i % 5) as f64 * 0.37)
             .collect();
         DataVector::new(Domain::product(dims).unwrap(), counts).unwrap()
+    }
+
+    /// The released histogram of one production fit.
+    fn release(mech: &dyn Mechanism, x: &DataVector, rng: &mut StdRng) -> Vec<f64> {
+        mech.fit(x, rng).unwrap().histogram().to_vec()
     }
 
     fn assert_same_bits(what: &str, got: &[f64], want: &[f64]) {
@@ -419,15 +426,10 @@ mod tests {
         let eps = Epsilon::new(0.7).unwrap();
         for (rows, cols) in [(16, 16), (5, 7), (3, 33)] {
             let x = data(&[rows, cols]);
-            let planned = GridMechanism::with_plans(eps, GridPlans::new(rows, cols).unwrap());
+            let mech = GridMechanism::new(eps, GridPlans::new(rows, cols).unwrap());
             assert_bit_identical(
                 &format!("grid {rows}x{cols}"),
-                |rng| planned.fit_histogram(&x, rng).unwrap(),
-                |rng| super::grid(x.counts(), rows, cols, eps, rng),
-            );
-            assert_bit_identical(
-                &format!("unplanned grid {rows}x{cols}"),
-                |rng| grid_blowfish_histogram(&x, eps, rng).unwrap(),
+                |rng| release(&mech, &x, rng),
                 |rng| super::grid(x.counts(), rows, cols, eps, rng),
             );
         }
@@ -438,10 +440,11 @@ mod tests {
         let eps = Epsilon::new(0.9).unwrap();
         for (k, theta) in [(16, 2), (16, 4), (18, 6)] {
             let x = data(&[k, k]);
-            let strat = ThetaGridStrategy::new(k, theta).unwrap();
+            let strat = Arc::new(ThetaGridStrategy::new(k, theta).unwrap());
+            let mech = ThetaGridMechanism::new(Arc::clone(&strat), eps);
             assert_bit_identical(
                 &format!("θ-grid {k}:{theta}"),
-                |rng| strat.histogram(&x, eps, rng).unwrap(),
+                |rng| release(&mech, &x, rng),
                 |rng| super::theta_grid(&x, strat.block(), strat.stretch(), eps, rng),
             );
         }
@@ -455,7 +458,7 @@ mod tests {
             let mech = PriveletBaselineNd::new(eps);
             assert_bit_identical(
                 &format!("dp-privelet-nd {dims:?}"),
-                |rng| mech.fit_histogram(&x, rng).unwrap(),
+                |rng| release(&mech, &x, rng),
                 |rng| super::privelet(x.counts(), &dims, eps, rng),
             );
         }
@@ -466,16 +469,13 @@ mod tests {
         let eps = Epsilon::new(0.8).unwrap();
         let (k, theta) = (100, 4);
         let x = data(&[k]);
-        let strat = ThetaLineStrategy::new(k, theta).unwrap();
+        let strat = Arc::new(ThetaLineStrategy::new(k, theta).unwrap());
+        let mech = ThetaLineMechanism::new(strat, eps, ThetaEstimator::GroupPrivelet);
         let spanner = theta_line_spanner(k, theta).unwrap();
         let incidence = Incidence::new(&spanner.graph).unwrap();
         assert_bit_identical(
             "θ-line group-privelet k=100",
-            |rng| {
-                strat
-                    .histogram(&x, eps, ThetaEstimator::GroupPrivelet, rng)
-                    .unwrap()
-            },
+            |rng| release(&mech, &x, rng),
             |rng| {
                 super::theta_line(
                     &spanner,
@@ -500,7 +500,7 @@ mod tests {
         for theta in 1..=9 {
             for k in (theta + 1..=90).chain([2048, 4096]) {
                 let x = data(&[k]);
-                let strat = ThetaLineStrategy::new(k, theta).unwrap();
+                let strat = Arc::new(ThetaLineStrategy::new(k, theta).unwrap());
                 let spanner = theta_line_spanner(k, theta).unwrap();
                 let incidence = Incidence::new(&spanner.graph).unwrap();
                 assert_eq!(strat.stretch(), spanner.stretch, "k={k} θ={theta}");
@@ -517,7 +517,8 @@ mod tests {
                     let seed = (k * 10 + theta) as u64;
                     let mut a = StdRng::seed_from_u64(seed);
                     let mut b = StdRng::seed_from_u64(seed);
-                    let got = strat.histogram(&x, eps, estimator, &mut a).unwrap();
+                    let mech = ThetaLineMechanism::new(Arc::clone(&strat), eps, estimator);
+                    let got = release(&mech, &x, &mut a);
                     let want = super::theta_line(&spanner, &incidence, &x, eps, estimator, &mut b);
                     assert_same_bits(&what, &got, &want);
                     assert_eq!(a.next_u64(), b.next_u64(), "{what}: draw counts");

@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use blowfish_core::spanner::theta_grid_spanner;
 use blowfish_core::{DataVector, Epsilon};
@@ -108,30 +108,50 @@ impl ThetaGridStrategy {
     pub fn block(&self) -> usize {
         self.block
     }
+}
+
+/// The θ-grid strategy as a [`Mechanism`]: a shared prepared
+/// [`ThetaGridStrategy`] (block geometry + certified stretch, built once
+/// by the plan cache) with the budget bound in.
+#[derive(Clone, Debug)]
+pub struct ThetaGridMechanism {
+    strategy: Arc<ThetaGridStrategy>,
+    eps: Epsilon,
+}
+
+impl ThetaGridMechanism {
+    /// Binds a prepared strategy and budget.
+    pub fn new(strategy: Arc<ThetaGridStrategy>, eps: Epsilon) -> Self {
+        ThetaGridMechanism { strategy, eps }
+    }
+}
+
+impl Mechanism for ThetaGridMechanism {
+    fn epsilon(&self) -> Epsilon {
+        self.eps
+    }
 
     /// The `(ε, G^θ_{k²})`-Blowfish histogram estimate.
-    pub fn histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        eps: Epsilon,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
+    fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
+        let strategy = &self.strategy;
         let domain = x.domain();
-        if domain.num_dims() != 2 || domain.dim(0) != self.k || domain.dim(1) != self.k {
+        if domain.num_dims() != 2 || domain.dim(0) != strategy.k || domain.dim(1) != strategy.k {
             return Err(StrategyError::BadQuery {
                 what: "database domain does not match the strategy's k × k grid",
             });
         }
-        let eps_eff = eps.for_stretch(self.stretch)?;
+        let eps_eff = self.eps.for_stretch(strategy.stretch)?;
         let mut work = PriveletWork::default();
-        let Some((h_plan, v_plan)) = &self.layer_plans else {
+        let Some((h_plan, v_plan)) = &strategy.layer_plans else {
             // Degenerate: H = G¹ grid; the grid strategy with the scaled
             // budget.
-            return grid_histogram_impl(x.counts(), eps_eff, &self.red_plans, &mut work, rng);
+            let release =
+                grid_histogram_impl(x.counts(), eps_eff, &strategy.red_plans, &mut work, rng)?;
+            return Estimate::new(domain, release);
         };
-        let k = self.k;
-        let s = self.block;
-        let m = self.red_k;
+        let k = strategy.k;
+        let s = strategy.block;
+        let m = strategy.red_k;
         let at = |r: usize, c: usize| x.get(r * k + c);
         let is_red = |r: usize, c: usize| r % s == s - 1 && c % s == s - 1;
 
@@ -177,7 +197,7 @@ impl ThetaGridStrategy {
                 blocks[(r / s) * m + (c / s)] += at(r, c);
             }
         }
-        let block_est = grid_histogram_impl(&blocks, eps_eff, &self.red_plans, &mut work, rng)?;
+        let block_est = grid_histogram_impl(&blocks, eps_eff, &strategy.red_plans, &mut work, rng)?;
 
         // --- Reconstruction: non-red cells take their internal-edge
         // estimate (averaging the two independent layer estimates); red
@@ -201,53 +221,15 @@ impl ThetaGridStrategy {
                 out[red_r * k + red_c] = block_est[a * m + b] - members;
             }
         }
-        Ok(out)
-    }
-}
-
-/// The θ-grid strategy as a [`Mechanism`]: a shared prepared
-/// [`ThetaGridStrategy`] (block geometry + certified stretch, built once
-/// by the plan cache) with the budget bound in.
-#[derive(Clone, Debug)]
-pub struct ThetaGridMechanism {
-    strategy: Arc<ThetaGridStrategy>,
-    eps: Epsilon,
-}
-
-impl ThetaGridMechanism {
-    /// Binds a prepared strategy and budget.
-    pub fn new(strategy: Arc<ThetaGridStrategy>, eps: Epsilon) -> Self {
-        ThetaGridMechanism { strategy, eps }
-    }
-
-    /// Releases the histogram estimate (generic over the RNG).
-    pub fn fit_histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
-        self.strategy.histogram(x, self.eps, rng)
-    }
-}
-
-impl Mechanism for ThetaGridMechanism {
-    fn name(&self) -> &str {
-        "Transformed + Privelet"
-    }
-
-    fn epsilon(&self) -> Epsilon {
-        self.eps
-    }
-
-    fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        Estimate::new(x.domain(), self.fit_histogram(x, rng)?)
+        Estimate::new(domain, out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::grid_blowfish_histogram;
+    use crate::mechanism::true_answers;
+    use crate::{GridMechanism, PriveletBaselineNd};
     use blowfish_core::{mse_per_query, Domain, Workload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -255,6 +237,11 @@ mod tests {
     fn grid_db(k: usize, f: impl Fn(usize, usize) -> f64) -> DataVector {
         let counts = (0..k * k).map(|i| f(i / k, i % k)).collect::<Vec<f64>>();
         DataVector::new(Domain::square(k), counts).unwrap()
+    }
+
+    /// The θ-grid mechanism for `G^θ_{k²}` at `eps`.
+    fn mech(k: usize, theta: usize, eps: Epsilon) -> ThetaGridMechanism {
+        ThetaGridMechanism::new(Arc::new(ThetaGridStrategy::new(k, theta).unwrap()), eps)
     }
 
     #[test]
@@ -293,11 +280,10 @@ mod tests {
     #[test]
     fn exact_at_negligible_noise() {
         let x = grid_db(8, |r, c| (r * 8 + c) as f64);
-        let strat = ThetaGridStrategy::new(8, 4).unwrap();
         let eps = Epsilon::new(1e8).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let est = strat.histogram(&x, eps, &mut rng).unwrap();
-        for (e, t) in est.iter().zip(x.counts()) {
+        let est = mech(8, 4, eps).fit(&x, &mut rng).unwrap();
+        for (e, t) in est.histogram().iter().zip(x.counts()) {
             assert!((e - t).abs() < 1e-2, "{e} vs {t}");
         }
     }
@@ -305,14 +291,13 @@ mod tests {
     #[test]
     fn unbiased_under_noise() {
         let x = grid_db(8, |r, c| ((r + 2 * c) % 5) as f64);
-        let strat = ThetaGridStrategy::new(8, 4).unwrap();
-        let eps = Epsilon::new(4.0).unwrap();
+        let mechanism = mech(8, 4, Epsilon::new(4.0).unwrap());
         let mut rng = StdRng::seed_from_u64(2);
         let trials = 150;
         let mut mean = vec![0.0; 64];
         for _ in 0..trials {
-            let est = strat.histogram(&x, eps, &mut rng).unwrap();
-            for (m, e) in mean.iter_mut().zip(&est) {
+            let est = mechanism.fit(&x, &mut rng).unwrap();
+            for (m, e) in mean.iter_mut().zip(est.histogram()) {
                 *m += e;
             }
         }
@@ -330,13 +315,13 @@ mod tests {
     fn degenerate_theta_matches_grid_with_scaled_budget() {
         // θ=1 → stretch 1 → identical to the plain grid strategy.
         let x = grid_db(6, |r, c| (r * c) as f64);
-        let strat = ThetaGridStrategy::new(6, 1).unwrap();
         let eps = Epsilon::new(1.0).unwrap();
-        let a = strat
-            .histogram(&x, eps, &mut StdRng::seed_from_u64(3))
+        let a = mech(6, 1, eps)
+            .fit(&x, &mut StdRng::seed_from_u64(3))
             .unwrap();
-        let b = grid_blowfish_histogram(&x, eps, &mut StdRng::seed_from_u64(3)).unwrap();
-        assert_eq!(a, b);
+        let grid = GridMechanism::new(eps, GridPlans::new(6, 6).unwrap());
+        let b = grid.fit(&x, &mut StdRng::seed_from_u64(3)).unwrap();
+        assert_eq!(a.histogram(), b.histogram());
     }
 
     #[test]
@@ -346,29 +331,24 @@ mod tests {
         // on moderate grids.
         let k = 16;
         let x = grid_db(k, |_, _| 2.0);
-        let strat = ThetaGridStrategy::new(k, 4).unwrap();
         let eps = Epsilon::new(1.0).unwrap();
+        let (mechanism, privelet) = (
+            mech(k, 4, eps),
+            PriveletBaselineNd::new(eps.half().unwrap()),
+        );
         let d = Domain::square(k);
         let mut sp_rng = StdRng::seed_from_u64(4);
         let (_, specs) = Workload::random_ranges(&d, 100, &mut sp_rng).unwrap();
-        let truth = crate::answering::true_ranges_2d(&x, &specs).unwrap();
+        let truth = true_answers(&x, &specs);
         let mut rng = StdRng::seed_from_u64(5);
         let trials = 30;
         let mut blowfish = 0.0;
         let mut dp = 0.0;
         for _ in 0..trials {
-            let b = strat.histogram(&x, eps, &mut rng).unwrap();
-            blowfish += mse_per_query(
-                &truth,
-                &crate::answering::answer_ranges_2d(&b, k, k, &specs).unwrap(),
-            )
-            .unwrap();
-            let p = crate::baselines::dp_privelet_nd(&x, eps.half(), &mut rng).unwrap();
-            dp += mse_per_query(
-                &truth,
-                &crate::answering::answer_ranges_2d(&p, k, k, &specs).unwrap(),
-            )
-            .unwrap();
+            let b = mechanism.fit(&x, &mut rng).unwrap();
+            blowfish += mse_per_query(&truth, &b.answer_many(&specs).unwrap()).unwrap();
+            let p = privelet.fit(&x, &mut rng).unwrap();
+            dp += mse_per_query(&truth, &p.answer_many(&specs).unwrap()).unwrap();
         }
         // The strategy pays stretch and budget splits; on a small grid it
         // may not dominate, but it must stay within a small factor.
@@ -380,12 +360,11 @@ mod tests {
 
     #[test]
     fn wrong_domain_rejected() {
-        let strat = ThetaGridStrategy::new(8, 4).unwrap();
-        let eps = Epsilon::new(1.0).unwrap();
+        let mechanism = mech(8, 4, Epsilon::new(1.0).unwrap());
         let mut rng = StdRng::seed_from_u64(6);
         let wrong = grid_db(6, |_, _| 0.0);
-        assert!(strat.histogram(&wrong, eps, &mut rng).is_err());
+        assert!(mechanism.fit(&wrong, &mut rng).is_err());
         let one_d = DataVector::new(Domain::one_dim(64), vec![0.0; 64]).unwrap();
-        assert!(strat.histogram(&one_d, eps, &mut rng).is_err());
+        assert!(mechanism.fit(&one_d, &mut rng).is_err());
     }
 }

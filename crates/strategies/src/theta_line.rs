@@ -31,7 +31,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use blowfish_core::{theta_line_stretch, CoreError, DataVector, Epsilon};
 use blowfish_mechanisms::{
@@ -222,54 +222,6 @@ impl ThetaLineStrategy {
         est[k - 1] = last;
         est
     }
-
-    /// Produces the `(ε, G^θ_k)`-Blowfish histogram estimate `x̂`:
-    /// estimates the `H^θ_k` edge values at budget `ε/ℓ`, and maps back
-    /// through `P_G` (Case II reconstruction from the public total).
-    pub fn histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        eps: Epsilon,
-        estimator: ThetaEstimator,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
-        let eps_eff = eps.for_stretch(self.stretch)?;
-        let x_g = self.edge_values(x)?;
-        let x_tilde = match estimator {
-            ThetaEstimator::Laplace => laplace_histogram(&x_g, 1.0, eps_eff, rng)?,
-            ThetaEstimator::Dawa => dawa_histogram(&x_g, eps_eff, DawaOptions::default(), rng)?,
-            ThetaEstimator::GroupPrivelet => {
-                // Disjoint groups → parallel composition: each group gets
-                // the full ε_eff. Each group's estimate is written in
-                // place, every pass in one set of work buffers.
-                let mut out = vec![0.0; x_g.len()];
-                let mut work = PriveletWork::default();
-                for g in 0..self.k.div_ceil(self.theta) {
-                    let group = self.group(g);
-                    if group.is_empty() {
-                        continue;
-                    }
-                    let plan = self
-                        .group_plans
-                        .iter()
-                        .find(|p| p.dims() == [group.len()])
-                        .ok_or(StrategyError::BadQuery {
-                            what: "spanner group length missing from the prepared Haar plans",
-                        })?;
-                    privelet_planned_into(
-                        plan,
-                        &x_g[group.clone()],
-                        eps_eff,
-                        rng,
-                        &mut work,
-                        &mut out[group],
-                    )?;
-                }
-                out
-            }
-        };
-        Ok(self.reconstruct(x.counts(), &x_tilde))
-    }
 }
 
 /// The θ-line strategy as a [`Mechanism`]: a shared prepared
@@ -291,34 +243,62 @@ impl ThetaLineMechanism {
             estimator,
         }
     }
-
-    /// Releases the histogram estimate (generic over the RNG).
-    pub fn fit_histogram<R: Rng + ?Sized>(
-        &self,
-        x: &DataVector,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, StrategyError> {
-        self.strategy.histogram(x, self.eps, self.estimator, rng)
-    }
 }
 
 impl Mechanism for ThetaLineMechanism {
-    fn name(&self) -> &str {
-        self.estimator.name()
-    }
-
     fn epsilon(&self) -> Epsilon {
         self.eps
     }
 
+    /// Produces the `(ε, G^θ_k)`-Blowfish histogram estimate `x̂`:
+    /// estimates the `H^θ_k` edge values at budget `ε/ℓ`, and maps back
+    /// through `P_G` (Case II reconstruction from the public total).
     fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        Estimate::new(x.domain(), self.fit_histogram(x, rng)?)
+        let strategy = &self.strategy;
+        let eps_eff = self.eps.for_stretch(strategy.stretch)?;
+        let x_g = strategy.edge_values(x)?;
+        let x_tilde = match self.estimator {
+            ThetaEstimator::Laplace => laplace_histogram(&x_g, 1.0, eps_eff, rng)?,
+            ThetaEstimator::Dawa => dawa_histogram(&x_g, eps_eff, DawaOptions::default(), rng)?,
+            ThetaEstimator::GroupPrivelet => {
+                // Disjoint groups → parallel composition: each group gets
+                // the full ε_eff. Each group's estimate is written in
+                // place, every pass in one set of work buffers.
+                let mut out = vec![0.0; x_g.len()];
+                let mut work = PriveletWork::default();
+                for g in 0..strategy.k.div_ceil(strategy.theta) {
+                    let group = strategy.group(g);
+                    if group.is_empty() {
+                        continue;
+                    }
+                    let plan = strategy
+                        .group_plans
+                        .iter()
+                        .find(|p| p.dims() == [group.len()])
+                        .ok_or(StrategyError::BadQuery {
+                            what: "spanner group length missing from the prepared Haar plans",
+                        })?;
+                    privelet_planned_into(
+                        plan,
+                        &x_g[group.clone()],
+                        eps_eff,
+                        rng,
+                        &mut work,
+                        &mut out[group],
+                    )?;
+                }
+                out
+            }
+        };
+        Estimate::new(x.domain(), strategy.reconstruct(x.counts(), &x_tilde))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::true_answers;
+    use crate::PriveletBaseline1d;
     use blowfish_core::{mse_per_query, Domain, RangeQuery, Workload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -326,6 +306,12 @@ mod tests {
     fn db(counts: Vec<f64>) -> DataVector {
         let k = counts.len();
         DataVector::new(Domain::one_dim(k), counts).unwrap()
+    }
+
+    /// The θ-line mechanism for `G^θ_k` at `eps` with `estimator`.
+    fn mech(k: usize, theta: usize, eps: Epsilon, estimator: ThetaEstimator) -> ThetaLineMechanism {
+        let strategy = Arc::new(ThetaLineStrategy::new(k, theta).unwrap());
+        ThetaLineMechanism::new(strategy, eps, estimator)
     }
 
     #[test]
@@ -340,19 +326,19 @@ mod tests {
         let x = db(vec![
             4.0, 1.0, 0.0, 7.0, 2.0, 5.0, 3.0, 8.0, 0.0, 6.0, 1.0, 2.0,
         ]);
-        let strat = ThetaLineStrategy::new(12, 3).unwrap();
         let eps = Epsilon::new(2.0).unwrap();
         for (seed, est) in [
             (1u64, ThetaEstimator::Laplace),
             (2, ThetaEstimator::GroupPrivelet),
         ] {
+            let mechanism = mech(12, 3, eps, est);
             let mut rng = StdRng::seed_from_u64(seed);
             let trials = 300;
             let mut mean = [0.0; 12];
             for _ in 0..trials {
-                let e = strat.histogram(&x, eps, est, &mut rng).unwrap();
-                assert!((e.iter().sum::<f64>() - x.total()).abs() < 1e-6);
-                for (m, v) in mean.iter_mut().zip(&e) {
+                let e = mechanism.fit(&x, &mut rng).unwrap();
+                assert!((e.histogram().iter().sum::<f64>() - x.total()).abs() < 1e-6);
+                for (m, v) in mean.iter_mut().zip(e.histogram()) {
                     *m += v;
                 }
             }
@@ -375,19 +361,17 @@ mod tests {
         let mut errors = Vec::new();
         for k in [128usize, 1024] {
             let x = db(vec![1.0; k]);
-            let strat = ThetaLineStrategy::new(k, 4).unwrap();
+            let m = mech(k, 4, eps, ThetaEstimator::Laplace);
             let d = Domain::one_dim(k);
             let mut sp_rng = StdRng::seed_from_u64(42);
             let (_, specs) = Workload::random_ranges(&d, 100, &mut sp_rng).unwrap();
-            let truth = crate::answering::true_ranges_1d(&x, &specs).unwrap();
+            let truth = true_answers(&x, &specs);
             let mut rng = StdRng::seed_from_u64(9);
             let trials = 100;
             let mut acc = 0.0;
             for _ in 0..trials {
-                let est = strat
-                    .histogram(&x, eps, ThetaEstimator::Laplace, &mut rng)
-                    .unwrap();
-                let ans = crate::answering::answer_ranges_1d(&est, &specs).unwrap();
+                let est = m.fit(&x, &mut rng).unwrap();
+                let ans = est.answer_many(&specs).unwrap();
                 acc += mse_per_query(&truth, &ans).unwrap();
             }
             errors.push(acc / trials as f64);
@@ -404,7 +388,6 @@ mod tests {
         // With (near-)zero noise the strategy must answer ranges exactly —
         // verifying the P_G reconstruction end to end.
         let x = db(vec![3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0]);
-        let strat = ThetaLineStrategy::new(9, 3).unwrap();
         let eps = Epsilon::new(1e7).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let d = Domain::one_dim(9);
@@ -414,14 +397,14 @@ mod tests {
             RangeQuery::one_dim(&d, 4, 4).unwrap(),
             RangeQuery::one_dim(&d, 7, 8).unwrap(),
         ];
-        let truth = crate::answering::true_ranges_1d(&x, &specs).unwrap();
+        let truth = true_answers(&x, &specs);
         for est_kind in [
             ThetaEstimator::Laplace,
             ThetaEstimator::GroupPrivelet,
             ThetaEstimator::Dawa,
         ] {
-            let est = strat.histogram(&x, eps, est_kind, &mut rng).unwrap();
-            let ans = crate::answering::answer_ranges_1d(&est, &specs).unwrap();
+            let est = mech(9, 3, eps, est_kind).fit(&x, &mut rng).unwrap();
+            let ans = est.answer_many(&specs).unwrap();
             for (a, t) in ans.iter().zip(&truth) {
                 assert!((a - t).abs() < 0.1, "{est_kind:?}: answer {a} vs truth {t}");
             }
@@ -438,30 +421,21 @@ mod tests {
         let theta = 4;
         let x = db(vec![2.0; k]);
         let eps = Epsilon::new(1.0).unwrap();
-        let strat = ThetaLineStrategy::new(k, theta).unwrap();
+        let m = mech(k, theta, eps, ThetaEstimator::GroupPrivelet);
+        let privelet = PriveletBaseline1d::new(eps.half().unwrap());
         let d = Domain::one_dim(k);
         let mut sp_rng = StdRng::seed_from_u64(5);
         let (_, specs) = Workload::random_ranges(&d, 100, &mut sp_rng).unwrap();
-        let truth = crate::answering::true_ranges_1d(&x, &specs).unwrap();
+        let truth = true_answers(&x, &specs);
         let mut rng = StdRng::seed_from_u64(6);
         let trials = 40;
         let mut blowfish = 0.0;
         let mut dp = 0.0;
         for _ in 0..trials {
-            let b = strat
-                .histogram(&x, eps, ThetaEstimator::GroupPrivelet, &mut rng)
-                .unwrap();
-            blowfish += mse_per_query(
-                &truth,
-                &crate::answering::answer_ranges_1d(&b, &specs).unwrap(),
-            )
-            .unwrap();
-            let p = crate::baselines::dp_privelet_1d(&x, eps.half(), &mut rng).unwrap();
-            dp += mse_per_query(
-                &truth,
-                &crate::answering::answer_ranges_1d(&p, &specs).unwrap(),
-            )
-            .unwrap();
+            let b = m.fit(&x, &mut rng).unwrap();
+            blowfish += mse_per_query(&truth, &b.answer_many(&specs).unwrap()).unwrap();
+            let p = privelet.fit(&x, &mut rng).unwrap();
+            dp += mse_per_query(&truth, &p.answer_many(&specs).unwrap()).unwrap();
         }
         assert!(
             blowfish < dp,

@@ -38,7 +38,9 @@ fn main() {
     let d = Domain::one_dim(k);
     let mut qrng = StdRng::seed_from_u64(1);
     let (_, specs) = Workload::random_ranges(&d, 10_000, &mut qrng).expect("specs");
-    let truth = true_ranges_1d(&x, &specs).expect("truth");
+    // The true answers: an estimate of the exact counts.
+    let exact = Estimate::new(&d, x.counts().to_vec()).expect("finite counts");
+    let truth = exact.answer_many(&specs).expect("truth");
     let mut rng = StdRng::seed_from_u64(2);
     let estimate = plan.fit(&x, &mut rng).expect("fit");
     let answers = estimate.answer_many(&specs).expect("answers");

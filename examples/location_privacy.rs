@@ -10,6 +10,8 @@
 //!
 //! Run with: `cargo run --release --example location_privacy`
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,35 +46,40 @@ fn main() {
     let domain = Domain::square(k);
     let mut qrng = StdRng::seed_from_u64(17);
     let (_, specs) = Workload::random_ranges(&domain, 300, &mut qrng).expect("valid domain");
-    let truth = true_ranges_2d(&x, &specs).expect("truth");
+    // The true answers: an estimate of the exact counts.
+    let exact = Estimate::new(&domain, x.counts().to_vec()).expect("finite counts");
+    let truth = exact.answer_many(&specs).expect("truth");
 
     // (ε, G¹_{k²})-Blowfish: protect single-cell moves.
+    let grid = GridMechanism::new(eps, GridPlans::new(k, k).expect("k >= 1"));
     let mut rng = StdRng::seed_from_u64(1);
     let g1 = measure_error(&truth, trials, |_| {
-        let est = grid_blowfish_histogram(&x, eps, &mut rng).expect("grid strategy");
-        Ok(answer_ranges_2d(&est, k, k, &specs).expect("answers"))
+        let est = grid.fit(&x, &mut rng).expect("grid strategy");
+        Ok(est.answer_many(&specs).expect("answers"))
     })
     .expect("trials > 0");
 
     // (ε, G⁴_{k²})-Blowfish: protect moves up to distance 4 (a few blocks).
-    let theta = ThetaGridStrategy::new(k, 4).expect("block divides k");
+    let theta = Arc::new(ThetaGridStrategy::new(k, 4).expect("block divides k"));
     println!(
         "G⁴ spanner: block side {}, certified stretch {}",
         theta.block(),
         theta.stretch()
     );
+    let theta = ThetaGridMechanism::new(theta, eps);
     let mut rng2 = StdRng::seed_from_u64(2);
     let g4 = measure_error(&truth, trials, |_| {
-        let est = theta.histogram(&x, eps, &mut rng2).expect("theta strategy");
-        Ok(answer_ranges_2d(&est, k, k, &specs).expect("answers"))
+        let est = theta.fit(&x, &mut rng2).expect("theta strategy");
+        Ok(est.answer_many(&specs).expect("answers"))
     })
     .expect("trials > 0");
 
     // ε/2-DP Privelet baseline.
+    let privelet = PriveletBaselineNd::new(eps.half().expect("ε/2 > 0"));
     let mut rng3 = StdRng::seed_from_u64(3);
     let dp = measure_error(&truth, trials, |_| {
-        let est = dp_privelet_nd(&x, eps.half(), &mut rng3).expect("privelet");
-        Ok(answer_ranges_2d(&est, k, k, &specs).expect("answers"))
+        let est = privelet.fit(&x, &mut rng3).expect("privelet");
+        Ok(est.answer_many(&specs).expect("answers"))
     })
     .expect("trials > 0");
 

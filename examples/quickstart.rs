@@ -44,32 +44,35 @@ fn main() {
     let domain = Domain::one_dim(k);
     let mut qrng = StdRng::seed_from_u64(7);
     let (_, specs) = Workload::random_ranges(&domain, 200, &mut qrng).expect("valid domain");
-    let truth = true_ranges_1d(&x, &specs).expect("truth");
+    // The true answers: an estimate of the exact counts.
+    let exact = Estimate::new(&domain, x.counts().to_vec()).expect("finite counts");
+    let truth = exact.answer_many(&specs).expect("truth");
 
     let trials = 25;
 
     // (ε, G¹)-Blowfish: Laplace on prefix sums (Algorithm 1 of the paper).
+    let line = LineMechanism::new(eps, TreeEstimator::Laplace);
     let blowfish = measure_error(&truth, trials, |_| {
-        let est = line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut rng)
-            .expect("line strategy");
-        Ok(answer_ranges_1d(&est, &specs).expect("answers"))
+        let est = line.fit(&x, &mut rng).expect("line strategy");
+        Ok(est.answer_many(&specs).expect("answers"))
     })
     .expect("trials > 0");
 
     // The same, with isotonic consistency post-processing (Section 5.4).
+    let line_consistent = LineMechanism::new(eps, TreeEstimator::LaplaceConsistent);
     let mut rng2 = StdRng::seed_from_u64(43);
     let consistent = measure_error(&truth, trials, |_| {
-        let est = line_blowfish_histogram(&x, eps, TreeEstimator::LaplaceConsistent, &mut rng2)
-            .expect("line strategy");
-        Ok(answer_ranges_1d(&est, &specs).expect("answers"))
+        let est = line_consistent.fit(&x, &mut rng2).expect("line strategy");
+        Ok(est.answer_many(&specs).expect("answers"))
     })
     .expect("trials > 0");
 
     // ε/2-DP Privelet baseline (the paper's comparison protocol).
+    let privelet = PriveletBaseline1d::new(eps.half().expect("ε/2 > 0"));
     let mut rng3 = StdRng::seed_from_u64(44);
     let dp = measure_error(&truth, trials, |_| {
-        let est = dp_privelet_1d(&x, eps.half(), &mut rng3).expect("privelet");
-        Ok(answer_ranges_1d(&est, &specs).expect("answers"))
+        let est = privelet.fit(&x, &mut rng3).expect("privelet");
+        Ok(est.answer_many(&specs).expect("answers"))
     })
     .expect("trials > 0");
 

@@ -51,23 +51,29 @@ fn main() {
         eps.value()
     );
     for est in estimators {
+        let line = LineMechanism::new(eps, est);
         let mut rng = StdRng::seed_from_u64(0x5A1A ^ est as u64);
         let report = measure_error(&truth, trials, |_| {
-            Ok(line_blowfish_histogram(&x, eps, est, &mut rng).expect("line strategy"))
+            let release = line.fit(&x, &mut rng).expect("line strategy");
+            Ok(release.histogram().to_vec())
         })
         .expect("trials > 0");
         println!("  {:<30} {:>14.1}", est.name(), report.mean_mse);
     }
 
     // DP baselines at ε/2 per the paper's protocol.
+    let half = eps.half().expect("ε/2 > 0");
+    let (laplace, dawa) = (LaplaceBaseline::new(half), DawaBaseline1d::new(half));
     let mut rng = StdRng::seed_from_u64(99);
     let lap = measure_error(&truth, trials, |_| {
-        Ok(dp_laplace(&x, eps.half(), &mut rng).expect("laplace"))
+        let release = laplace.fit(&x, &mut rng).expect("laplace");
+        Ok(release.histogram().to_vec())
     })
     .expect("trials > 0");
     let mut rng2 = StdRng::seed_from_u64(100);
     let dawa = measure_error(&truth, trials, |_| {
-        Ok(dp_dawa_1d(&x, eps.half(), &mut rng2).expect("dawa"))
+        let release = dawa.fit(&x, &mut rng2).expect("dawa");
+        Ok(release.histogram().to_vec())
     })
     .expect("trials > 0");
     println!("  {:<30} {:>14.1}", "ε/2-DP Laplace", lap.mean_mse);

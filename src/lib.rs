@@ -64,15 +64,17 @@
 //!
 //! // (ε, G¹)-Blowfish release: Θ(1/ε²) per range query (Theorem 5.2),
 //! // versus O(log³k/ε²) for the best ε-DP baseline.
-//! let estimate = line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut rng).unwrap();
-//! assert_eq!(estimate.len(), 16);
+//! let line = LineMechanism::new(eps, TreeEstimator::Laplace);
+//! let estimate = line.fit(&x, &mut rng).unwrap();
+//! assert_eq!(estimate.histogram().len(), 16);
 //! // Totals are preserved exactly (the policy treats n as public).
-//! assert!((estimate.iter().sum::<f64>() - x.total()).abs() < 1e-9);
+//! let all = RangeQuery::one_dim(x.domain(), 0, 15).unwrap();
+//! assert!((estimate.answer(&all).unwrap() - x.total()).abs() < 1e-9);
 //! ```
 //!
 //! See the `examples/` directory for complete scenarios (location privacy
 //! on grids, salary histograms with consistency, policy exploration, lower
-//! bounds) and DESIGN.md / EXPERIMENTS.md for the experiment index.
+//! bounds) and DESIGN.md for the map from paper sections to modules.
 
 pub use blowfish_core as core;
 pub use blowfish_data as data;
@@ -96,14 +98,13 @@ pub mod prelude {
     };
     pub use blowfish_mechanisms::{
         dawa_histogram, hierarchical_histogram, isotonic_non_decreasing, laplace_histogram,
-        privelet_histogram, privelet_histogram_1d, privelet_histogram_planned, DawaOptions,
-        HaarPlan, MatrixMechanism,
+        DawaOptions, HaarPlan, MatrixMechanism,
     };
     pub use blowfish_strategies::{
-        answer_ranges_1d, answer_ranges_2d, dp_dawa_1d, dp_laplace, dp_privelet_1d, dp_privelet_nd,
-        grid_blowfish_histogram, line_blowfish_histogram, svd_lower_bound,
-        svd_lower_bound_unbounded_dp, true_ranges_1d, true_ranges_2d, Estimate, Mechanism,
-        ThetaEstimator, ThetaGridStrategy, ThetaLineStrategy, TreeEstimator,
+        svd_lower_bound, svd_lower_bound_unbounded_dp, DawaBaseline1d, DawaBaseline2d, Estimate,
+        GridMechanism, GridPlans, LaplaceBaseline, LineMechanism, Mechanism, PriveletBaseline1d,
+        PriveletBaselineNd, ThetaEstimator, ThetaGridMechanism, ThetaGridStrategy,
+        ThetaLineMechanism, ThetaLineStrategy, TreeEstimator, TreeMechanism,
     };
 }
 

@@ -1,6 +1,8 @@
 //! End-to-end experiments-in-miniature: the orderings the paper's
 //! evaluation reports, verified at test scale.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -8,6 +10,32 @@ use blowfish_privacy::prelude::*;
 
 fn uniform_1d(k: usize, v: f64) -> DataVector {
     DataVector::new(Domain::one_dim(k), vec![v; k]).unwrap()
+}
+
+/// The released histogram of one fit of `mech` to `x`.
+fn release(mech: &dyn Mechanism, x: &DataVector, rng: &mut StdRng) -> Vec<f64> {
+    mech.fit(x, rng).unwrap().histogram().to_vec()
+}
+
+/// The answers to `specs` of one fit of `mech` to `x`.
+fn answers(
+    mech: &dyn Mechanism,
+    x: &DataVector,
+    specs: &[RangeQuery],
+    rng: &mut StdRng,
+) -> Vec<f64> {
+    mech.fit(x, rng).unwrap().answer_many(specs).unwrap()
+}
+
+/// The exact answers to `specs`: an estimate of the true counts.
+fn true_answers(x: &DataVector, specs: &[RangeQuery]) -> Vec<f64> {
+    let exact = Estimate::new(x.domain(), x.counts().to_vec()).unwrap();
+    exact.answer_many(specs).unwrap()
+}
+
+/// The ε/2 budget of a baseline.
+fn half(eps: Epsilon) -> Epsilon {
+    eps.half().unwrap()
 }
 
 fn mse_of<F>(truth: &[f64], trials: usize, mut f: F) -> f64
@@ -27,19 +55,15 @@ fn blowfish_beats_dp_on_1d_ranges() {
     let d = Domain::one_dim(k);
     let mut qrng = StdRng::seed_from_u64(1);
     let (_, specs) = Workload::random_ranges(&d, 300, &mut qrng).unwrap();
-    let truth = true_ranges_1d(&x, &specs).unwrap();
+    let truth = true_answers(&x, &specs);
     let trials = 30;
 
+    let line = LineMechanism::new(eps, TreeEstimator::Laplace);
     let mut r1 = StdRng::seed_from_u64(2);
-    let blowfish = mse_of(&truth, trials, || {
-        let h = line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut r1).unwrap();
-        answer_ranges_1d(&h, &specs).unwrap()
-    });
+    let blowfish = mse_of(&truth, trials, || answers(&line, &x, &specs, &mut r1));
+    let dp = PriveletBaseline1d::new(half(eps));
     let mut r2 = StdRng::seed_from_u64(3);
-    let privelet = mse_of(&truth, trials, || {
-        let h = dp_privelet_1d(&x, eps.half(), &mut r2).unwrap();
-        answer_ranges_1d(&h, &specs).unwrap()
-    });
+    let privelet = mse_of(&truth, trials, || answers(&dp, &x, &specs, &mut r2));
     assert!(
         blowfish * 10.0 < privelet,
         "expected ≥10x gap: blowfish {blowfish} vs privelet {privelet}"
@@ -56,14 +80,12 @@ fn hist_factor_two_calibration() {
     let truth = x.counts().to_vec();
     let trials = 60;
 
+    let line = LineMechanism::new(eps, TreeEstimator::Laplace);
     let mut r1 = StdRng::seed_from_u64(4);
-    let blowfish = mse_of(&truth, trials, || {
-        line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut r1).unwrap()
-    });
+    let blowfish = mse_of(&truth, trials, || release(&line, &x, &mut r1));
+    let dp = LaplaceBaseline::new(half(eps));
     let mut r2 = StdRng::seed_from_u64(5);
-    let laplace = mse_of(&truth, trials, || {
-        dp_laplace(&x, eps.half(), &mut r2).unwrap()
-    });
+    let laplace = mse_of(&truth, trials, || release(&dp, &x, &mut r2));
     let ratio = laplace / blowfish;
     assert!(
         (1.5..3.0).contains(&ratio),
@@ -80,19 +102,15 @@ fn blowfish_beats_dp_on_2d_ranges() {
     let d = Domain::square(k);
     let mut qrng = StdRng::seed_from_u64(6);
     let (_, specs) = Workload::random_ranges(&d, 200, &mut qrng).unwrap();
-    let truth = true_ranges_2d(&x, &specs).unwrap();
+    let truth = true_answers(&x, &specs);
     let trials = 20;
 
+    let grid = GridMechanism::new(eps, GridPlans::new(k, k).unwrap());
     let mut r1 = StdRng::seed_from_u64(7);
-    let blowfish = mse_of(&truth, trials, || {
-        let h = grid_blowfish_histogram(&x, eps, &mut r1).unwrap();
-        answer_ranges_2d(&h, k, k, &specs).unwrap()
-    });
+    let blowfish = mse_of(&truth, trials, || answers(&grid, &x, &specs, &mut r1));
+    let dp = PriveletBaselineNd::new(half(eps));
     let mut r2 = StdRng::seed_from_u64(8);
-    let privelet = mse_of(&truth, trials, || {
-        let h = dp_privelet_nd(&x, eps.half(), &mut r2).unwrap();
-        answer_ranges_2d(&h, k, k, &specs).unwrap()
-    });
+    let privelet = mse_of(&truth, trials, || answers(&dp, &x, &specs, &mut r2));
     assert!(
         blowfish < privelet,
         "blowfish {blowfish} vs privelet {privelet}"
@@ -112,21 +130,17 @@ fn theta_error_flat_dp_grows() {
         let d = Domain::one_dim(k);
         let mut qrng = StdRng::seed_from_u64(9);
         let (_, specs) = Workload::random_ranges(&d, 150, &mut qrng).unwrap();
-        let truth = true_ranges_1d(&x, &specs).unwrap();
-        let strat = ThetaLineStrategy::new(k, 4).unwrap();
+        let truth = true_answers(&x, &specs);
+        let strat = Arc::new(ThetaLineStrategy::new(k, 4).unwrap());
+        let theta = ThetaLineMechanism::new(strat, eps, ThetaEstimator::Laplace);
 
         let mut r1 = StdRng::seed_from_u64(10);
         blowfish_errors.push(mse_of(&truth, trials, || {
-            let h = strat
-                .histogram(&x, eps, ThetaEstimator::Laplace, &mut r1)
-                .unwrap();
-            answer_ranges_1d(&h, &specs).unwrap()
+            answers(&theta, &x, &specs, &mut r1)
         }));
+        let dp = PriveletBaseline1d::new(half(eps));
         let mut r2 = StdRng::seed_from_u64(11);
-        dp_errors.push(mse_of(&truth, trials, || {
-            let h = dp_privelet_1d(&x, eps.half(), &mut r2).unwrap();
-            answer_ranges_1d(&h, &specs).unwrap()
-        }));
+        dp_errors.push(mse_of(&truth, trials, || answers(&dp, &x, &specs, &mut r2)));
     }
     let blowfish_growth = blowfish_errors[1] / blowfish_errors[0];
     let dp_growth = dp_errors[1] / dp_errors[0];
@@ -156,17 +170,14 @@ fn data_dependent_variants_on_sparse_vs_dense() {
     counts[40] = 5000.0;
     counts[400] = 2500.0;
     let sparse = DataVector::new(d.clone(), counts).unwrap();
-    let truth = true_ranges_1d(&sparse, &specs).unwrap();
+    let truth = true_answers(&sparse, &specs);
+    let line = LineMechanism::new(eps, TreeEstimator::Laplace);
+    let line_consistent = LineMechanism::new(eps, TreeEstimator::LaplaceConsistent);
     let mut r1 = StdRng::seed_from_u64(13);
-    let plain = mse_of(&truth, trials, || {
-        let h = line_blowfish_histogram(&sparse, eps, TreeEstimator::Laplace, &mut r1).unwrap();
-        answer_ranges_1d(&h, &specs).unwrap()
-    });
+    let plain = mse_of(&truth, trials, || answers(&line, &sparse, &specs, &mut r1));
     let mut r2 = StdRng::seed_from_u64(14);
     let consistent = mse_of(&truth, trials, || {
-        let h = line_blowfish_histogram(&sparse, eps, TreeEstimator::LaplaceConsistent, &mut r2)
-            .unwrap();
-        answer_ranges_1d(&h, &specs).unwrap()
+        answers(&line_consistent, &sparse, &specs, &mut r2)
     });
     assert!(
         consistent < plain,
@@ -175,17 +186,12 @@ fn data_dependent_variants_on_sparse_vs_dense() {
 
     // Dense: uniform data — consistency must not blow up.
     let dense = uniform_1d(k, 50.0);
-    let truth_d = true_ranges_1d(&dense, &specs).unwrap();
+    let truth_d = true_answers(&dense, &specs);
     let mut r3 = StdRng::seed_from_u64(15);
-    let plain_d = mse_of(&truth_d, trials, || {
-        let h = line_blowfish_histogram(&dense, eps, TreeEstimator::Laplace, &mut r3).unwrap();
-        answer_ranges_1d(&h, &specs).unwrap()
-    });
+    let plain_d = mse_of(&truth_d, trials, || answers(&line, &dense, &specs, &mut r3));
     let mut r4 = StdRng::seed_from_u64(16);
     let consistent_d = mse_of(&truth_d, trials, || {
-        let h = line_blowfish_histogram(&dense, eps, TreeEstimator::LaplaceConsistent, &mut r4)
-            .unwrap();
-        answer_ranges_1d(&h, &specs).unwrap()
+        answers(&line_consistent, &dense, &specs, &mut r4)
     });
     assert!(
         consistent_d < plain_d * 3.0,
@@ -206,9 +212,13 @@ fn dawa_wins_on_sparse_table1_data() {
         let x = dataset(id);
         let truth = x.counts().to_vec();
         let mut r1 = StdRng::seed_from_u64(17);
-        let lap = mse_of(&truth, trials, || dp_laplace(&x, eps, &mut r1).unwrap());
+        let lap = mse_of(&truth, trials, || {
+            release(&LaplaceBaseline::new(eps), &x, &mut r1)
+        });
         let mut r2 = StdRng::seed_from_u64(18);
-        let dawa = mse_of(&truth, trials, || dp_dawa_1d(&x, eps, &mut r2).unwrap());
+        let dawa = mse_of(&truth, trials, || {
+            release(&DawaBaseline1d::new(eps), &x, &mut r2)
+        });
         assert!(
             dawa < lap,
             "DAWA should beat Laplace on dataset {:?} at ε=1: {dawa} vs {lap}",

@@ -1,10 +1,14 @@
 //! Seeded equivalence: every registry-dispatched mechanism must reproduce
-//! the corresponding pre-refactor free-function output **bit-for-bit**
-//! for a fixed seed — the refactor's no-behavior-change contract.
+//! the directly constructed mechanism **bit-for-bit** for a fixed seed —
+//! the registry adds dispatch, memoization and plan caching, nothing else.
+//! A session builds a baseline at ε/2 and a Blowfish strategy at ε, so
+//! each comparison constructs its mechanism at that budget.
 //!
 //! Covers 1-D (line and θ-line policies) and 2-D (grid and θ-grid) at
 //! two ε values each, plus the answering path (a fitted `Estimate` must
-//! answer ranges exactly like `answer_ranges_*` on the raw histogram).
+//! answer ranges exactly like direct cell sums).
+
+use std::sync::Arc;
 
 use blowfish_privacy::linalg::Matrix;
 use blowfish_privacy::mechanisms::{hierarchical_strategy, identity_strategy, wavelet_strategy};
@@ -25,16 +29,15 @@ fn db_2d(k: usize) -> DataVector {
     DataVector::new(Domain::square(k), counts).unwrap()
 }
 
-/// Fits a spec through the engine at an explicit ε and returns the raw
+/// Fits a spec through the session's registry and returns the raw
 /// histogram.
-fn fit_via_engine(
-    session: &Session,
-    spec: &MechanismSpec,
-    x: &DataVector,
-    eps: Epsilon,
-    seed: u64,
-) -> Vec<f64> {
-    let mech = session.mechanism_at(spec, eps).unwrap();
+fn fit_via_engine(session: &Session, spec: &MechanismSpec, x: &DataVector, seed: u64) -> Vec<f64> {
+    let mech = session.mechanism(spec).unwrap();
+    fit_direct(mech.as_ref(), x, seed)
+}
+
+/// Fits a directly constructed mechanism and returns the raw histogram.
+fn fit_direct(mech: &dyn Mechanism, x: &DataVector, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     mech.fit(x, &mut rng).unwrap().histogram().to_vec()
 }
@@ -49,21 +52,19 @@ fn line_policy_mechanisms_match_free_functions() {
         let session = Session::new(&graph, eps).unwrap();
         let seed = 100 + i as u64;
 
-        let via = fit_via_engine(&session, &MechanismSpec::Laplace, &x, eps, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        assert_eq!(via, dp_laplace(&x, eps, &mut rng).unwrap(), "laplace ε={e}");
+        let half = eps.half().unwrap();
 
-        let via = fit_via_engine(&session, &MechanismSpec::Privelet1d, &x, eps, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        assert_eq!(
-            via,
-            dp_privelet_1d(&x, eps, &mut rng).unwrap(),
-            "privelet ε={e}"
-        );
+        let via = fit_via_engine(&session, &MechanismSpec::Laplace, &x, seed);
+        let direct = fit_direct(&LaplaceBaseline::new(half), &x, seed);
+        assert_eq!(via, direct, "laplace ε={e}");
 
-        let via = fit_via_engine(&session, &MechanismSpec::Dawa1d, &x, eps, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        assert_eq!(via, dp_dawa_1d(&x, eps, &mut rng).unwrap(), "dawa ε={e}");
+        let via = fit_via_engine(&session, &MechanismSpec::Privelet1d, &x, seed);
+        let direct = fit_direct(&PriveletBaseline1d::new(half), &x, seed);
+        assert_eq!(via, direct, "privelet ε={e}");
+
+        let via = fit_via_engine(&session, &MechanismSpec::Dawa1d, &x, seed);
+        let direct = fit_direct(&DawaBaseline1d::new(half), &x, seed);
+        assert_eq!(via, direct, "dawa ε={e}");
 
         for est in [
             TreeEstimator::Laplace,
@@ -73,13 +74,9 @@ fn line_policy_mechanisms_match_free_functions() {
             TreeEstimator::Hierarchical,
             TreeEstimator::HierarchicalConsistent,
         ] {
-            let via = fit_via_engine(&session, &MechanismSpec::Line(est), &x, eps, seed);
-            let mut rng = StdRng::seed_from_u64(seed);
-            assert_eq!(
-                via,
-                line_blowfish_histogram(&x, eps, est, &mut rng).unwrap(),
-                "line {est:?} ε={e}"
-            );
+            let via = fit_via_engine(&session, &MechanismSpec::Line(est), &x, seed);
+            let direct = fit_direct(&LineMechanism::new(eps, est), &x, seed);
+            assert_eq!(via, direct, "line {est:?} ε={e}");
         }
     }
 }
@@ -90,7 +87,7 @@ fn theta_line_mechanisms_match_strategy_calls() {
     let theta = 4;
     let x = db_1d(k);
     let graph = PolicyGraph::theta_line(k, theta).unwrap();
-    let strat = ThetaLineStrategy::new(k, theta).unwrap();
+    let strat = Arc::new(ThetaLineStrategy::new(k, theta).unwrap());
     for (i, &e) in EPSILONS.iter().enumerate() {
         let eps = Epsilon::new(e).unwrap();
         let session = Session::new(&graph, eps).unwrap();
@@ -104,13 +101,9 @@ fn theta_line_mechanisms_match_strategy_calls() {
                 theta,
                 estimator: est,
             };
-            let via = fit_via_engine(&session, &spec, &x, eps, seed);
-            let mut rng = StdRng::seed_from_u64(seed);
-            assert_eq!(
-                via,
-                strat.histogram(&x, eps, est, &mut rng).unwrap(),
-                "θ-line {est:?} ε={e}"
-            );
+            let via = fit_via_engine(&session, &spec, &x, seed);
+            let mech = ThetaLineMechanism::new(Arc::clone(&strat), eps, est);
+            assert_eq!(via, fit_direct(&mech, &x, seed), "θ-line {est:?} ε={e}");
         }
     }
 }
@@ -125,30 +118,20 @@ fn grid_mechanisms_match_free_functions() {
             Session::with_policy(Domain::square(k), Policy::Theta2d { theta: 1 }, eps).unwrap();
         let seed = 300 + i as u64;
 
-        let via = fit_via_engine(&session, &MechanismSpec::PriveletNd, &x, eps, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        assert_eq!(
-            via,
-            dp_privelet_nd(&x, eps, &mut rng).unwrap(),
-            "privelet-nd ε={e}"
-        );
+        let half = eps.half().unwrap();
 
-        let via = fit_via_engine(&session, &MechanismSpec::Dawa2d, &x, eps, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        assert_eq!(
-            via,
-            blowfish_privacy::strategies::dp_dawa_2d(&x, eps, &mut rng).unwrap(),
-            "dawa-2d ε={e}"
-        );
+        let via = fit_via_engine(&session, &MechanismSpec::PriveletNd, &x, seed);
+        let direct = fit_direct(&PriveletBaselineNd::new(half), &x, seed);
+        assert_eq!(via, direct, "privelet-nd ε={e}");
 
-        // The cached-plan grid mechanism vs the plan-per-call free fn.
-        let via = fit_via_engine(&session, &MechanismSpec::Grid, &x, eps, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        assert_eq!(
-            via,
-            grid_blowfish_histogram(&x, eps, &mut rng).unwrap(),
-            "grid ε={e}"
-        );
+        let via = fit_via_engine(&session, &MechanismSpec::Dawa2d, &x, seed);
+        let direct = fit_direct(&DawaBaseline2d::new(half), &x, seed);
+        assert_eq!(via, direct, "dawa-2d ε={e}");
+
+        // The plan-cached grid mechanism vs one over plans of its own.
+        let via = fit_via_engine(&session, &MechanismSpec::Grid, &x, seed);
+        let grid = GridMechanism::new(eps, GridPlans::new(k, k).unwrap());
+        assert_eq!(via, fit_direct(&grid, &x, seed), "grid ε={e}");
     }
 }
 
@@ -157,26 +140,35 @@ fn theta_grid_mechanism_matches_strategy_call() {
     let k = 12;
     let theta = 4;
     let x = db_2d(k);
-    let strat = ThetaGridStrategy::new(k, theta).unwrap();
+    let strat = Arc::new(ThetaGridStrategy::new(k, theta).unwrap());
     for (i, &e) in EPSILONS.iter().enumerate() {
         let eps = Epsilon::new(e).unwrap();
         let session =
             Session::with_policy(Domain::square(k), Policy::Theta2d { theta }, eps).unwrap();
         let seed = 400 + i as u64;
-        let via = fit_via_engine(&session, &MechanismSpec::ThetaGrid { theta }, &x, eps, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        assert_eq!(
-            via,
-            strat.histogram(&x, eps, &mut rng).unwrap(),
-            "θ-grid ε={e}"
-        );
+        let via = fit_via_engine(&session, &MechanismSpec::ThetaGrid { theta }, &x, seed);
+        let mech = ThetaGridMechanism::new(Arc::clone(&strat), eps);
+        assert_eq!(via, fit_direct(&mech, &x, seed), "θ-grid ε={e}");
     }
+}
+
+/// Direct cell sums of every range in `specs` over a row-major
+/// histogram, exact in f64 for integer-valued histograms.
+fn direct_sums(d: &Domain, hist: &[f64], specs: &[RangeQuery]) -> Vec<f64> {
+    specs
+        .iter()
+        .map(|q| {
+            let cells = RangeQuery::cells_in(d, &q.lo, &q.hi).unwrap();
+            cells.into_iter().map(|c| hist[c]).sum()
+        })
+        .collect()
 }
 
 #[test]
 fn estimates_answer_like_the_answering_helpers() {
-    // The serve path must be bit-identical too: Estimate::answer_many vs
-    // answer_ranges_* on the same raw histogram.
+    // The serve path answers exactly: a session-fitted release, rounded
+    // to an integer-valued histogram, answers each range with its direct
+    // cell sum, bit for bit; the unrounded release within rounding.
     let k = 64;
     let x = db_1d(k);
     let eps = Epsilon::new(0.5).unwrap();
@@ -190,10 +182,6 @@ fn estimates_answer_like_the_answering_helpers() {
         .unwrap();
     let mut rng = StdRng::seed_from_u64(77);
     let est = mech.fit(&x, &mut rng).unwrap();
-    assert_eq!(
-        est.answer_many(&specs).unwrap(),
-        answer_ranges_1d(est.histogram(), &specs).unwrap()
-    );
 
     let x2 = db_2d(16);
     let s2 = Session::with_policy(Domain::square(16), Policy::Theta2d { theta: 1 }, eps).unwrap();
@@ -203,10 +191,19 @@ fn estimates_answer_like_the_answering_helpers() {
     let mech2 = s2.mechanism(&MechanismSpec::Grid).unwrap();
     let mut rng = StdRng::seed_from_u64(78);
     let est2 = mech2.fit(&x2, &mut rng).unwrap();
-    assert_eq!(
-        est2.answer_many(&specs2).unwrap(),
-        answer_ranges_2d(est2.histogram(), 16, 16, &specs2).unwrap()
-    );
+
+    for (d, est, specs) in [(&d, &est, &specs), (&d2, &est2, &specs2)] {
+        let rounded: Vec<f64> = est.histogram().iter().map(|v| v.round()).collect();
+        let exact = Estimate::new(d, rounded.clone()).unwrap();
+        assert_eq!(
+            exact.answer_many(specs).unwrap(),
+            direct_sums(d, &rounded, specs)
+        );
+        let direct = direct_sums(d, est.histogram(), specs);
+        for (a, b) in est.answer_many(specs).unwrap().iter().zip(&direct) {
+            assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "{a} vs {b}");
+        }
+    }
 }
 
 proptest! {
@@ -234,10 +231,10 @@ proptest! {
         let eps = Epsilon::new(0.4).unwrap();
         let session = Session::new(&PolicyGraph::line(k).unwrap(), eps).unwrap();
 
-        let sparse = fit_via_engine(&session, &spec, &x, eps, seed);
+        let sparse = fit_via_engine(&session, &spec, &x, seed);
         let dense = MatrixMechanism::new(Matrix::identity(k), strategy)
             .unwrap()
-            .run(x.counts(), eps, &mut StdRng::seed_from_u64(seed))
+            .run(x.counts(), eps.half().unwrap(), &mut StdRng::seed_from_u64(seed))
             .unwrap();
         for (d, s) in dense.iter().zip(&sparse) {
             prop_assert!(
@@ -258,21 +255,12 @@ fn session_budget_convention_matches_experiment_harness() {
     let graph = PolicyGraph::line(k).unwrap();
     let session = Session::new(&graph, eps).unwrap();
 
-    let base = session.mechanism(&MechanismSpec::Laplace).unwrap();
-    let mut a = StdRng::seed_from_u64(5);
-    let mut b = StdRng::seed_from_u64(5);
-    assert_eq!(
-        base.fit(&x, &mut a).unwrap().histogram().to_vec(),
-        dp_laplace(&x, eps.half(), &mut b).unwrap()
-    );
+    let base = fit_via_engine(&session, &MechanismSpec::Laplace, &x, 5);
+    let laplace = LaplaceBaseline::new(eps.half().unwrap());
+    assert_eq!(base, fit_direct(&laplace, &x, 5));
 
-    let blowfish = session
-        .mechanism(&MechanismSpec::Line(TreeEstimator::Laplace))
-        .unwrap();
-    let mut a = StdRng::seed_from_u64(6);
-    let mut b = StdRng::seed_from_u64(6);
-    assert_eq!(
-        blowfish.fit(&x, &mut a).unwrap().histogram().to_vec(),
-        line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut b).unwrap()
-    );
+    let spec = MechanismSpec::Line(TreeEstimator::Laplace);
+    let blowfish = fit_via_engine(&session, &spec, &x, 6);
+    let line = LineMechanism::new(eps, TreeEstimator::Laplace);
+    assert_eq!(blowfish, fit_direct(&line, &x, 6));
 }

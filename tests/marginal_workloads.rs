@@ -49,17 +49,19 @@ fn grid_strategy_answers_marginals_well() {
     let eps = Epsilon::new(0.5).unwrap();
     let trials = 25;
 
+    let grid = GridMechanism::new(eps, GridPlans::new(k, k).unwrap());
     let mut rng = StdRng::seed_from_u64(1);
     let blowfish = measure_error(&truth, trials, |_| {
-        let est = grid_blowfish_histogram(&x, eps, &mut rng).unwrap();
-        Ok(w.answer(&est).unwrap())
+        let est = grid.fit(&x, &mut rng).unwrap();
+        Ok(w.answer(est.histogram()).unwrap())
     })
     .unwrap();
 
+    let laplace = LaplaceBaseline::new(eps.half().unwrap());
     let mut rng2 = StdRng::seed_from_u64(2);
     let dp = measure_error(&truth, trials, |_| {
-        let est = dp_laplace(&x, eps.half(), &mut rng2).unwrap();
-        Ok(w.answer(&est).unwrap())
+        let est = laplace.fit(&x, &mut rng2).unwrap();
+        Ok(w.answer(est.histogram()).unwrap())
     })
     .unwrap();
 
@@ -106,8 +108,9 @@ fn line_marginals_match_histogram_pipeline() {
     assert_eq!(w.len(), k);
     let eps = Epsilon::new(1e7).unwrap(); // negligible noise
     let mut rng = StdRng::seed_from_u64(3);
-    let est = line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut rng).unwrap();
-    let ans = w.answer(&est).unwrap();
+    let line = LineMechanism::new(eps, TreeEstimator::Laplace);
+    let est = line.fit(&x, &mut rng).unwrap();
+    let ans = w.answer(est.histogram()).unwrap();
     let truth = w.answer(x.counts()).unwrap();
     for (a, t) in ans.iter().zip(&truth) {
         assert!((a - t).abs() < 1e-3);

@@ -137,11 +137,12 @@ fn statistical_ratio_check_line_strategy() {
     let hi = 8.0;
     let mut hx = vec![0.0_f64; bins];
     let mut hy = vec![0.0_f64; bins];
+    let line = LineMechanism::new(eps, TreeEstimator::Laplace);
     let mut rng = StdRng::seed_from_u64(123);
     for _ in 0..samples {
-        let ex = line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut rng).unwrap();
-        let ey = line_blowfish_histogram(&y, eps, TreeEstimator::Laplace, &mut rng).unwrap();
-        for (h, v) in [(&mut hx, ex[0]), (&mut hy, ey[0])] {
+        let ex = line.fit(&x, &mut rng).unwrap();
+        let ey = line.fit(&y, &mut rng).unwrap();
+        for (h, v) in [(&mut hx, ex.histogram()[0]), (&mut hy, ey.histogram()[0])] {
             let b = (((v - lo) / (hi - lo)) * bins as f64).floor();
             let b = (b.max(0.0) as usize).min(bins - 1);
             h[b] += 1.0;

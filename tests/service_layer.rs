@@ -65,7 +65,7 @@ fn service_routed_fits_match_standalone_sessions_exactly() {
             }),
             eps,
         ),
-        (Some(MechanismSpec::Dawa1d), eps.half()),
+        (Some(MechanismSpec::Dawa1d), eps.half().unwrap()),
         (None, eps),
     ];
     let mut spent = 0.0;

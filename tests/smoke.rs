@@ -32,7 +32,9 @@ fn quickstart_flow_end_to_end() {
     let mut rng = StdRng::seed_from_u64(42);
 
     for estimator in [TreeEstimator::Laplace, TreeEstimator::LaplaceConsistent] {
-        let est = line_blowfish_histogram(&x, eps, estimator, &mut rng).expect("line strategy");
+        let line = LineMechanism::new(eps, estimator);
+        let release = line.fit(&x, &mut rng).expect("line strategy");
+        let est = release.histogram();
         assert_eq!(est.len(), k);
         // The line policy treats the total count n as public knowledge, so
         // the release must preserve it exactly (not just in expectation).
@@ -55,20 +57,23 @@ fn quickstart_range_queries_beat_dp_baseline() {
     let domain = Domain::one_dim(k);
     let mut qrng = StdRng::seed_from_u64(7);
     let (_, specs) = Workload::random_ranges(&domain, 200, &mut qrng).expect("valid domain");
-    let truth = true_ranges_1d(&x, &specs).expect("truth");
+    let exact = Estimate::new(&domain, x.counts().to_vec()).expect("finite counts");
+    let truth = exact.answer_many(&specs).expect("truth");
 
     let trials = 25;
+    let line = LineMechanism::new(eps, TreeEstimator::Laplace);
     let mut rng = StdRng::seed_from_u64(42);
     let blowfish = measure_error(&truth, trials, |_| {
-        let est = line_blowfish_histogram(&x, eps, TreeEstimator::Laplace, &mut rng).expect("line");
-        Ok(answer_ranges_1d(&est, &specs).expect("answers"))
+        let est = line.fit(&x, &mut rng).expect("line");
+        Ok(est.answer_many(&specs).expect("answers"))
     })
     .expect("trials > 0");
 
+    let privelet = PriveletBaseline1d::new(eps.half().expect("ε/2 > 0"));
     let mut rng2 = StdRng::seed_from_u64(44);
     let dp = measure_error(&truth, trials, |_| {
-        let est = dp_privelet_1d(&x, eps.half(), &mut rng2).expect("privelet");
-        Ok(answer_ranges_1d(&est, &specs).expect("answers"))
+        let est = privelet.fit(&x, &mut rng2).expect("privelet");
+        Ok(est.answer_many(&specs).expect("answers"))
     })
     .expect("trials > 0");
 
