@@ -34,7 +34,8 @@ fn bench_strategies(c: &mut Criterion) {
 
     let theta = Arc::new(ThetaLineStrategy::new(4096, 4).expect("k > θ"));
     group.bench_function(BenchmarkId::new("theta4_group_privelet", 4096), |b| {
-        let mech = ThetaLineMechanism::new(Arc::clone(&theta), eps, ThetaEstimator::GroupPrivelet);
+        let mech = ThetaLineMechanism::new(Arc::clone(&theta), eps, ThetaEstimator::GroupPrivelet)
+            .expect("ε/ℓ > 0");
         let mut rng = StdRng::seed_from_u64(3);
         b.iter(|| mech.fit(&x1d, &mut rng).expect("theta"));
     });

@@ -92,7 +92,7 @@ fn ablation_theta_inner(eps: Epsilon, trials: usize, queries: usize) -> Result<(
             ThetaEstimator::GroupPrivelet,
             ThetaEstimator::Dawa,
         ] {
-            let mech = ThetaLineMechanism::new(Arc::clone(&strat), eps, est);
+            let mech = ThetaLineMechanism::new(Arc::clone(&strat), eps, est)?;
             let mut rng = StdRng::seed_from_u64(2);
             let mse = avg_mse(&truth, trials, || {
                 Ok(mech.fit(&x, &mut rng)?.answer_many(&specs)?)
@@ -123,7 +123,7 @@ fn ablation_spanner_choice(eps: Epsilon, trials: usize, queries: usize) -> Resul
     // Bespoke spanner.
     let sp = theta_line_spanner(k, theta)?;
     let strat = Arc::new(ThetaLineStrategy::new(k, theta)?);
-    let mech = ThetaLineMechanism::new(strat, eps, ThetaEstimator::Laplace);
+    let mech = ThetaLineMechanism::new(strat, eps, ThetaEstimator::Laplace)?;
     let mut rng = StdRng::seed_from_u64(4);
     let bespoke = avg_mse(&truth, trials, || {
         Ok(mech.fit(&x, &mut rng)?.answer_many(&specs)?)

@@ -64,7 +64,7 @@ fn run_all() -> Result<(), BenchError> {
                 strategy,
                 eps,
                 ThetaEstimator::GroupPrivelet,
-            ))
+            )?)
         };
         let g4 = run(&theta(4)?)?;
         let g16 = run(&theta(16)?)?;
@@ -92,7 +92,7 @@ fn run_all() -> Result<(), BenchError> {
 
         let g1 = run(&GridMechanism::new(eps, GridPlans::new(k, k)?))?;
         let s4 = Arc::new(ThetaGridStrategy::new(k, 4)?);
-        let g4 = run(&ThetaGridMechanism::new(s4, eps))?;
+        let g4 = run(&ThetaGridMechanism::new(s4, eps)?)?;
         let dp = run(&PriveletBaselineNd::new(eps))?;
         println!("| {k} | {} | {} | {} |", sci(g1), sci(g4), sci(dp));
     }

@@ -20,12 +20,19 @@
 //!   is charged: a tenant's [`Session`] only classifies its policy, plans
 //!   and memoizes mechanisms;
 //! * [`Service::answer`] — answer a batch of ranges against a stored
-//!   estimate in O(1) per range from its prefix tables: one tenant
-//!   lookup, every range checked against the tenant's domain (so a bad
-//!   range is reported before a missing handle), then one batched
-//!   [`Estimate::answer_ranges`]. It allocates only the result vector,
+//!   release in O(1) per range from its range table: one tenant lookup,
+//!   every range checked against the tenant's domain (so a bad range is
+//!   reported before a missing handle), then one batched
+//!   [`RangeTable::answer_ranges`]. It allocates only the result vector,
 //!   whatever the range count;
-//! * [`Service::stats`] — inspect budgets and stored estimates.
+//! * [`Service::stats`] — inspect budgets and stored releases.
+//!
+//! A stored release is only its [`RangeTable`]: the fit's
+//! [`Estimate`](blowfish_strategies::Estimate) turns its histogram buffer
+//! into the prefix sums (1-D) or summed-area table (2-D) in place
+//! ([`into_table`](blowfish_strategies::Estimate::into_table)), because
+//! no reply reads the histogram itself. A release over a k-cell domain
+//! keeps k floats, allocated once.
 //!
 //! Every method takes `&self` and the service is `Sync`, so N client
 //! threads drive one `Arc<Service>` concurrently. On the **warm path**
@@ -46,7 +53,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use blowfish_core::{Charge, DataVector, Epsilon, Ledger, PolicyGraph, RangeQuery};
-use blowfish_strategies::Estimate;
+use blowfish_strategies::RangeTable;
 
 use crate::plan::PlanCache;
 use crate::session::Session;
@@ -71,11 +78,11 @@ pub struct TenantConfig {
 }
 
 /// Per-tenant server state: the planning session, the registered data
-/// and the stored releases.
+/// and the stored releases' range tables, by handle.
 struct Tenant {
     session: Session,
     data: DataVector,
-    estimates: Mutex<HashMap<String, Arc<Estimate>>>,
+    releases: Mutex<HashMap<String, Arc<RangeTable>>>,
 }
 
 /// One tenant's row of [`Service::stats`].
@@ -91,7 +98,7 @@ pub struct TenantStats {
     pub remaining: f64,
     /// Number of admitted releases (ledger charges).
     pub fits: usize,
-    /// Number of stored (answerable) estimates.
+    /// Number of stored (answerable) releases.
     pub estimates: usize,
 }
 
@@ -174,7 +181,7 @@ impl Service {
         let tenant = Arc::new(Tenant {
             session,
             data,
-            estimates: Mutex::new(HashMap::new()),
+            releases: Mutex::new(HashMap::new()),
         });
         // Duplicate detection must consult the *service* map, not the
         // ledger: after `Ledger::recover` the account legitimately
@@ -197,12 +204,12 @@ impl Service {
     }
 
     /// Fits `spec` (or, when `None`, the planner's choice for `task`) to
-    /// the tenant's registered data and stores the estimate under
-    /// `handle`, replacing any previous estimate there. The fit's exact ε
-    /// is debited first, so an exhausted account rejects it before any
-    /// noise is drawn; a fit that fails after the debit, such as a
-    /// release refused for a non-finite value, stays charged and stores
-    /// nothing. Fits are deterministic per `(tenant, spec, seed)`, which
+    /// the tenant's registered data and stores the release's range table
+    /// under `handle`, replacing any previous release there. The fit's
+    /// exact ε is debited first, so an exhausted account rejects it
+    /// before any noise is drawn; a fit that fails after the debit, such
+    /// as a release refused for a non-finite value, stays charged and
+    /// stores nothing. Fits are deterministic per `(tenant, spec, seed)`, which
     /// is what the seeded equivalence tests pin against a standalone
     /// [`Session`]. Returns the ledger receipt.
     pub fn fit(
@@ -244,9 +251,11 @@ impl Service {
     /// [`Service::restore_estimate`] (not charged), and the one place a
     /// release is charged. It resolves the spec and its mechanism with
     /// one memo lookup, charges the mechanism's exact ε under the spec's
-    /// id, fits from the seeded RNG, and stores the estimate under
-    /// `handle`. A spec the session cannot serve is refused before the
-    /// charge, so it spends nothing.
+    /// id, fits from the seeded RNG, and stores the estimate's range
+    /// table under `handle`, built in place. A spec the session cannot
+    /// serve is refused before the charge, so it spends nothing. A
+    /// handle that is already stored keeps its key, so replacing a
+    /// release allocates no new one.
     fn release(
         &self,
         id: &str,
@@ -270,12 +279,14 @@ impl Service {
             None
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let estimate = mechanism.fit(&tenant.data, &mut rng)?;
-        tenant
-            .estimates
-            .lock()
-            .expect("tenant estimates lock")
-            .insert(handle.to_string(), Arc::new(estimate));
+        let table = Arc::new(mechanism.fit(&tenant.data, &mut rng)?.into_table());
+        let mut releases = tenant.releases.lock().expect("tenant releases lock");
+        match releases.get_mut(handle) {
+            Some(stored) => *stored = table,
+            None => {
+                releases.insert(handle.to_string(), table);
+            }
+        }
         Ok(charge)
     }
 
@@ -301,8 +312,8 @@ impl Service {
     /// as `(lo, hi)` inclusive bounds. It looks the tenant up once, checks
     /// every range against the tenant's domain with [`RangeQuery::check`]
     /// before it looks the handle up (so a bad range wins over a missing
-    /// estimate), and answers the batch through
-    /// [`Estimate::answer_ranges`]. Over 1-D and 2-D domains the result
+    /// release), and answers the batch through
+    /// [`RangeTable::answer_ranges`]. Over 1-D and 2-D domains the result
     /// vector is its only allocation.
     pub fn answer<'q, I>(
         &self,
@@ -318,16 +329,16 @@ impl Service {
         for (lo, hi) in ranges.clone() {
             RangeQuery::check(domain, lo, hi)?;
         }
-        let estimate = tenant
-            .estimates
+        let table = tenant
+            .releases
             .lock()
-            .expect("tenant estimates lock")
+            .expect("tenant releases lock")
             .get(handle)
             .cloned()
             .ok_or_else(|| EngineError::UnknownEstimate {
                 handle: handle.to_string(),
             })?;
-        Ok(estimate.answer_ranges(ranges)?)
+        Ok(table.answer_ranges(ranges)?)
     }
 
     /// Budget rows for one tenant, or for every tenant sorted by id. The
@@ -350,11 +361,7 @@ impl Service {
                 spent: account.spent,
                 remaining: account.remaining,
                 fits: account.charges,
-                estimates: tenant
-                    .estimates
-                    .lock()
-                    .expect("tenant estimates lock")
-                    .len(),
+                estimates: tenant.releases.lock().expect("tenant releases lock").len(),
                 id,
             });
         }

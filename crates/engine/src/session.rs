@@ -414,7 +414,7 @@ impl Session {
             MechanismSpec::ThetaLine { theta, estimator } => {
                 need_dims(1, "the θ-line strategy needs a 1-D domain")?;
                 let strat = self.cache.theta_line_strategy(self.domain.dim(0), *theta)?;
-                Arc::new(ThetaLineMechanism::new(strat, eps, *estimator))
+                Arc::new(ThetaLineMechanism::new(strat, eps, *estimator)?)
             }
             MechanismSpec::Grid => {
                 need_dims(2, "the grid strategy needs a 2-D domain")?;
@@ -431,7 +431,7 @@ impl Session {
                     });
                 }
                 let strat = self.cache.theta_grid_strategy(self.domain.dim(0), *theta)?;
-                Arc::new(ThetaGridMechanism::new(strat, eps))
+                Arc::new(ThetaGridMechanism::new(strat, eps)?)
             }
             MechanismSpec::MatrixHist { strategy } => Arc::new(ServedMatrixMechanism {
                 eps,

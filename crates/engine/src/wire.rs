@@ -57,7 +57,7 @@
 //! per range. [`Codec::decode`] parses every range token into one flat
 //! [`RawRanges`] buffer; [`serve_request`] hands the borrowed bounds to
 //! [`Service::answer`], which checks each range against the tenant's
-//! domain and answers the batch from the estimate's prefix tables;
+//! domain and answers the batch from the stored release's range table;
 //! [`Codec::encode`] writes the values into one pre-sized reply.
 //! A line makes six heap allocations whatever its range count. Through
 //! [`Codec::serve`] a 32-range line takes about 11.6 µs over a
@@ -1114,8 +1114,12 @@ mod tests {
     #[test]
     fn tiny_epsilons_get_typed_replies_on_every_registry_id() {
         // Near the smallest subnormal ε a budget share underflows to 0:
-        // DAWA's partition share, or a baseline's ε/2. Every fit still
-        // gets a typed reply, and no fit is charged ε = 0.
+        // DAWA's partition share, a baseline's ε/2, θ-line's ε/ℓ or
+        // θ-grid's ε/ℓ and ε/(2ℓ). Every fit still gets a typed reply, and
+        // no fit is charged ε = 0. The θ shares are derived when their
+        // mechanism is built, so a θ fit refused for one is not charged
+        // at all; a θ release refused for a non-finite value drew its
+        // noise, so it stays charged.
         let aliases = [
             "mm-hist-identity",
             "mm-range-identity",
@@ -1139,13 +1143,14 @@ mod tests {
                         &format!("tenant t{i} policy={policy} eps={eps} budget=1 data=uniform:3"),
                     );
                     let line = format!("fit t{i} as=z seed=5 mech={id}");
-                    match Codec::new().serve(&service, &line) {
-                        WireReply::Reply(r) => assert!(
-                            r.starts_with("ok ") || r.starts_with("err "),
-                            "{policy} ε={eps} {line:?}: {r}"
-                        ),
+                    let reply = match Codec::new().serve(&service, &line) {
+                        WireReply::Reply(r) => r,
                         other => panic!("expected a reply for {line:?}, got {other:?}"),
-                    }
+                    };
+                    assert!(
+                        reply.starts_with("ok ") || reply.starts_with("err "),
+                        "{policy} ε={eps} {line:?}: {reply}"
+                    );
                     let stats = ok(&service, &format!("stats t{i}"));
                     let field = |name: &str| -> f64 {
                         let value = stats.split_whitespace().find_map(|t| t.strip_prefix(name));
@@ -1155,6 +1160,17 @@ mod tests {
                         field("fits=") == 0.0 || field("spent=") > 0.0,
                         "{policy} ε={eps} {id}: a fit charged nothing: {stats}"
                     );
+                    let theta_id = id.starts_with("theta-line-") || id.starts_with("theta-grid-");
+                    if theta_id
+                        && !id.ends_with("-dawa")
+                        && reply.starts_with("err ")
+                        && !reply.contains("non-finite release")
+                    {
+                        assert!(
+                            field("fits=") == 0.0 && field("spent=") == 0.0,
+                            "{policy} ε={eps} {id}: a refused θ fit was charged: {reply} | {stats}"
+                        );
+                    }
                 }
             }
         }

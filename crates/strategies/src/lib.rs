@@ -19,7 +19,8 @@
 //! * [`lower_bounds`] — the Appendix A / Corollary A.2 SVD lower bounds
 //!   (Figure 10), with an O(k³) eigenvalue path valid for every policy.
 //! * [`mechanism`] — the [`Mechanism`] trait every algorithm above
-//!   implements, and the [`Estimate`] that answers its ranges.
+//!   implements, the [`Estimate`] that answers its ranges, and the
+//!   [`RangeTable`] a served release keeps.
 //!
 //! Each algorithm is a struct with its budget and prepared artifacts bound
 //! in, and [`Mechanism::fit`] is the one way to run it. It returns a
@@ -28,7 +29,10 @@
 //! a summed-area table (2-D), which makes 10,000-query workloads cheap. By
 //! the identity `Σ_{v∈box} (P_G·x̃_G)[v] = q_G·x̃_G` summing `x̂` over a box
 //! is exactly answering the transformed query in edge space (DESIGN.md
-//! §6). A true answer is an [`Estimate`] of the exact counts.
+//! §6). That table is all answering reads, so [`Estimate::into_table`]
+//! builds it in place over `x̂`'s own buffer for a caller that keeps
+//! releases, such as the engine's service. A true answer is an
+//! [`Estimate`] of the exact counts.
 
 pub mod baselines;
 pub mod grid;
@@ -46,7 +50,7 @@ pub use baselines::{
 pub use grid::{GridMechanism, GridPlans};
 pub use line1d::{LineMechanism, TreeEstimator, TreeMechanism};
 pub use lower_bounds::{p_eps_delta, svd_lower_bound, svd_lower_bound_unbounded_dp};
-pub use mechanism::{Estimate, Mechanism};
+pub use mechanism::{Estimate, Mechanism, RangeTable};
 pub use theta_grid::{ThetaGridMechanism, ThetaGridStrategy};
 pub use theta_line::{ThetaEstimator, ThetaLineMechanism, ThetaLineStrategy};
 

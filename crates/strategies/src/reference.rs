@@ -441,7 +441,7 @@ mod tests {
         for (k, theta) in [(16, 2), (16, 4), (18, 6)] {
             let x = data(&[k, k]);
             let strat = Arc::new(ThetaGridStrategy::new(k, theta).unwrap());
-            let mech = ThetaGridMechanism::new(Arc::clone(&strat), eps);
+            let mech = ThetaGridMechanism::new(Arc::clone(&strat), eps).unwrap();
             assert_bit_identical(
                 &format!("θ-grid {k}:{theta}"),
                 |rng| release(&mech, &x, rng),
@@ -470,7 +470,7 @@ mod tests {
         let (k, theta) = (100, 4);
         let x = data(&[k]);
         let strat = Arc::new(ThetaLineStrategy::new(k, theta).unwrap());
-        let mech = ThetaLineMechanism::new(strat, eps, ThetaEstimator::GroupPrivelet);
+        let mech = ThetaLineMechanism::new(strat, eps, ThetaEstimator::GroupPrivelet).unwrap();
         let spanner = theta_line_spanner(k, theta).unwrap();
         let incidence = Incidence::new(&spanner.graph).unwrap();
         assert_bit_identical(
@@ -517,7 +517,7 @@ mod tests {
                     let seed = (k * 10 + theta) as u64;
                     let mut a = StdRng::seed_from_u64(seed);
                     let mut b = StdRng::seed_from_u64(seed);
-                    let mech = ThetaLineMechanism::new(Arc::clone(&strat), eps, estimator);
+                    let mech = ThetaLineMechanism::new(Arc::clone(&strat), eps, estimator).unwrap();
                     let got = release(&mech, &x, &mut a);
                     let want = super::theta_line(&spanner, &incidence, &x, eps, estimator, &mut b);
                     assert_same_bits(&what, &got, &want);

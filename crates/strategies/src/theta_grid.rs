@@ -117,12 +117,31 @@ impl ThetaGridStrategy {
 pub struct ThetaGridMechanism {
     strategy: Arc<ThetaGridStrategy>,
     eps: Epsilon,
+    /// The spanner budget `ε/ℓ`.
+    eps_eff: Epsilon,
+    /// Each layer direction's share `ε/(2ℓ)`; `None` when `s = 1`,
+    /// which has no layers.
+    eps_layer: Option<Epsilon>,
 }
 
 impl ThetaGridMechanism {
-    /// Binds a prepared strategy and budget.
-    pub fn new(strategy: Arc<ThetaGridStrategy>, eps: Epsilon) -> Self {
-        ThetaGridMechanism { strategy, eps }
+    /// Binds a prepared strategy and budget. Derives the budget shares a
+    /// release spends (`ε/ℓ`, and `ε/(2ℓ)` per layer direction when the
+    /// strategy has layers) here, so a budget whose share underflows to 0
+    /// is refused before any release is charged for it.
+    pub fn new(strategy: Arc<ThetaGridStrategy>, eps: Epsilon) -> Result<Self, StrategyError> {
+        let eps_eff = eps.for_stretch(strategy.stretch)?;
+        let eps_layer = strategy
+            .layer_plans
+            .as_ref()
+            .map(|_| eps_eff.split(2))
+            .transpose()?;
+        Ok(ThetaGridMechanism {
+            strategy,
+            eps,
+            eps_eff,
+            eps_layer,
+        })
     }
 }
 
@@ -140,9 +159,10 @@ impl Mechanism for ThetaGridMechanism {
                 what: "database domain does not match the strategy's k × k grid",
             });
         }
-        let eps_eff = self.eps.for_stretch(strategy.stretch)?;
+        let eps_eff = self.eps_eff;
         let mut work = PriveletWork::default();
-        let Some((h_plan, v_plan)) = &strategy.layer_plans else {
+        let (Some((h_plan, v_plan)), Some(eps_layer)) = (&strategy.layer_plans, self.eps_layer)
+        else {
             // Degenerate: H = G¹ grid; the grid strategy with the scaled
             // budget.
             let release =
@@ -160,7 +180,6 @@ impl Mechanism for ThetaGridMechanism {
         // disjoint → parallel composition). A horizontal layer's estimate
         // is a contiguous block of `est_h`, so it is written there
         // directly; a vertical one goes through `est` and is scattered.
-        let eps_layer = eps_eff.split(2)?;
         let mut layer = vec![0.0; s * k];
         let mut est = vec![0.0; k * s];
         let mut est_h = vec![0.0; k * k];
@@ -241,7 +260,7 @@ mod tests {
 
     /// The θ-grid mechanism for `G^θ_{k²}` at `eps`.
     fn mech(k: usize, theta: usize, eps: Epsilon) -> ThetaGridMechanism {
-        ThetaGridMechanism::new(Arc::new(ThetaGridStrategy::new(k, theta).unwrap()), eps)
+        ThetaGridMechanism::new(Arc::new(ThetaGridStrategy::new(k, theta).unwrap()), eps).unwrap()
     }
 
     #[test]

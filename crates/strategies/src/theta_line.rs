@@ -231,17 +231,26 @@ impl ThetaLineStrategy {
 pub struct ThetaLineMechanism {
     strategy: Arc<ThetaLineStrategy>,
     eps: Epsilon,
+    /// The edge-space budget `ε/ℓ`.
+    eps_eff: Epsilon,
     estimator: ThetaEstimator,
 }
 
 impl ThetaLineMechanism {
-    /// Binds a prepared strategy, budget, and estimator.
-    pub fn new(strategy: Arc<ThetaLineStrategy>, eps: Epsilon, estimator: ThetaEstimator) -> Self {
-        ThetaLineMechanism {
+    /// Binds a prepared strategy, budget, and estimator. Derives the
+    /// edge-space budget `ε/ℓ` here, so a budget whose share underflows
+    /// to 0 is refused before any release is charged for it.
+    pub fn new(
+        strategy: Arc<ThetaLineStrategy>,
+        eps: Epsilon,
+        estimator: ThetaEstimator,
+    ) -> Result<Self, StrategyError> {
+        Ok(ThetaLineMechanism {
+            eps_eff: eps.for_stretch(strategy.stretch)?,
             strategy,
             eps,
             estimator,
-        }
+        })
     }
 }
 
@@ -254,8 +263,7 @@ impl Mechanism for ThetaLineMechanism {
     /// estimates the `H^θ_k` edge values at budget `ε/ℓ`, and maps back
     /// through `P_G` (Case II reconstruction from the public total).
     fn fit(&self, x: &DataVector, rng: &mut dyn RngCore) -> Result<Estimate, StrategyError> {
-        let strategy = &self.strategy;
-        let eps_eff = self.eps.for_stretch(strategy.stretch)?;
+        let (strategy, eps_eff) = (&self.strategy, self.eps_eff);
         let x_g = strategy.edge_values(x)?;
         let x_tilde = match self.estimator {
             ThetaEstimator::Laplace => laplace_histogram(&x_g, 1.0, eps_eff, rng)?,
@@ -311,7 +319,7 @@ mod tests {
     /// The θ-line mechanism for `G^θ_k` at `eps` with `estimator`.
     fn mech(k: usize, theta: usize, eps: Epsilon, estimator: ThetaEstimator) -> ThetaLineMechanism {
         let strategy = Arc::new(ThetaLineStrategy::new(k, theta).unwrap());
-        ThetaLineMechanism::new(strategy, eps, estimator)
+        ThetaLineMechanism::new(strategy, eps, estimator).unwrap()
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn main() {
         theta.block(),
         theta.stretch()
     );
-    let theta = ThetaGridMechanism::new(theta, eps);
+    let theta = ThetaGridMechanism::new(theta, eps).expect("ε/ℓ > 0");
     let mut rng2 = StdRng::seed_from_u64(2);
     let g4 = measure_error(&truth, trials, |_| {
         let est = theta.fit(&x, &mut rng2).expect("theta strategy");

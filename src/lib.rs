@@ -103,7 +103,7 @@ pub mod prelude {
     pub use blowfish_strategies::{
         svd_lower_bound, svd_lower_bound_unbounded_dp, DawaBaseline1d, DawaBaseline2d, Estimate,
         GridMechanism, GridPlans, LaplaceBaseline, LineMechanism, Mechanism, PriveletBaseline1d,
-        PriveletBaselineNd, ThetaEstimator, ThetaGridMechanism, ThetaGridStrategy,
+        PriveletBaselineNd, RangeTable, ThetaEstimator, ThetaGridMechanism, ThetaGridStrategy,
         ThetaLineMechanism, ThetaLineStrategy, TreeEstimator, TreeMechanism,
     };
 }

@@ -8,11 +8,13 @@
 //! line makes a number that does not grow with the domain: the 2-D
 //! strategies keep their edge estimates in flat buffers and run every
 //! Privelet pass in one set of work buffers, and θ-grid's Haar plans are
-//! derived when its strategy is built. A θ-line plan keeps the same few
-//! hundred bytes whatever k: it holds no spanner graph or incidence. A
-//! warm ledger charge makes no allocation at all, in memory or durable:
-//! an account holds only its totals, and the WAL encodes the charge from
-//! the borrowed tenant and label into a reused frame buffer.
+//! derived when its strategy is built, and a fit that replaces a stored
+//! handle allocates no new key. A stored release keeps one table of k
+//! floats, built in place over the fit's histogram. A θ-line plan keeps
+//! the same few hundred bytes whatever k: it holds no spanner graph or
+//! incidence. A warm ledger charge makes no allocation at all, in memory
+//! or durable: an account holds only its totals, and the WAL encodes the
+//! charge from the borrowed tenant and label into a reused frame buffer.
 //!
 //! A counting global allocator needs a test binary of its own: every
 //! other test in a shared binary would count too. The counters are
@@ -164,7 +166,7 @@ fn onboarding_allocations_do_not_grow_with_the_policy() {
 
 #[test]
 fn fit_allocations_do_not_grow_with_the_domain() {
-    const LIMIT: usize = 48;
+    const LIMIT: usize = 32;
     let service = Service::new();
     let mut codec = Codec::new();
     let mut counts = Vec::new();
@@ -207,6 +209,52 @@ fn fit_allocations_do_not_grow_with_the_domain() {
         counts.iter().all(|&(_, _, count)| count <= LIMIT),
         "allocations per warm fit line (limit {LIMIT}): {counts:?}"
     );
+}
+
+#[test]
+fn a_stored_release_keeps_one_table_of_k_floats() {
+    // A release is stored as its range table alone, built in place over
+    // the fit's histogram buffer. A fit under a new handle keeps the k
+    // floats of that table plus a constant: the table's header and
+    // domain, its `Arc` and the handle's key. Keeping the histogram too
+    // would keep 2k floats. A fit that replaces a handle keeps nothing
+    // more.
+    const CONSTANT: isize = 512;
+    let service = Service::new();
+    let mut codec = Codec::new();
+    let mut kept_bytes = |line: &str| {
+        let before = LIVE_BYTES.with(Cell::get);
+        allocations_of(&mut codec, &service, line, "fit");
+        LIVE_BYTES.with(Cell::get) - before
+    };
+    let mut onboard = Codec::new();
+    for (i, (policy, k)) in [
+        ("line:4096", 4096),
+        ("theta-line:4096:4", 4096),
+        ("star:4096", 4096),
+        ("grid:128", 128 * 128),
+        ("theta-grid:64:2", 64 * 64),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let tenant = format!("tenant t{i} policy={policy} eps=0.5 budget=100 data=uniform:3");
+        allocations_of(&mut onboard, &service, &tenant, "tenant");
+        let fit = |handle: &str, seed: u64| format!("fit t{i} as={handle} seed={seed}");
+        // The first fit builds the mechanism and its plans.
+        kept_bytes(&fit("h", 1));
+        let table = 8 * k as isize;
+        let added = kept_bytes(&fit("n", 2));
+        assert!(
+            (table..table + CONSTANT).contains(&added),
+            "{policy}: a new handle keeps {added} bytes, the table is {table}"
+        );
+        let replaced = kept_bytes(&fit("n", 3));
+        assert_eq!(
+            replaced, 0,
+            "{policy}: replacing a handle keeps {replaced} bytes"
+        );
+    }
 }
 
 #[test]

@@ -132,7 +132,7 @@ fn theta_error_flat_dp_grows() {
         let (_, specs) = Workload::random_ranges(&d, 150, &mut qrng).unwrap();
         let truth = true_answers(&x, &specs);
         let strat = Arc::new(ThetaLineStrategy::new(k, 4).unwrap());
-        let theta = ThetaLineMechanism::new(strat, eps, ThetaEstimator::Laplace);
+        let theta = ThetaLineMechanism::new(strat, eps, ThetaEstimator::Laplace).unwrap();
 
         let mut r1 = StdRng::seed_from_u64(10);
         blowfish_errors.push(mse_of(&truth, trials, || {

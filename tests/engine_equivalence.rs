@@ -102,7 +102,7 @@ fn theta_line_mechanisms_match_strategy_calls() {
                 estimator: est,
             };
             let via = fit_via_engine(&session, &spec, &x, seed);
-            let mech = ThetaLineMechanism::new(Arc::clone(&strat), eps, est);
+            let mech = ThetaLineMechanism::new(Arc::clone(&strat), eps, est).unwrap();
             assert_eq!(via, fit_direct(&mech, &x, seed), "θ-line {est:?} ε={e}");
         }
     }
@@ -147,7 +147,7 @@ fn theta_grid_mechanism_matches_strategy_call() {
             Session::with_policy(Domain::square(k), Policy::Theta2d { theta }, eps).unwrap();
         let seed = 400 + i as u64;
         let via = fit_via_engine(&session, &MechanismSpec::ThetaGrid { theta }, &x, seed);
-        let mech = ThetaGridMechanism::new(Arc::clone(&strat), eps);
+        let mech = ThetaGridMechanism::new(Arc::clone(&strat), eps).unwrap();
         assert_eq!(via, fit_direct(&mech, &x, seed), "θ-grid ε={e}");
     }
 }
