@@ -416,7 +416,7 @@ impl Ledger {
     /// Opens (or creates) a **durable** ledger backed by `dir`,
     /// recovering whatever state the directory holds: the last snapshot
     /// is loaded, the WAL stamped with the same generation is replayed
-    /// on top (truncating a torn/checksum-failing tail back to the last
+    /// on top (zeroing a torn/checksum-failing tail past the last
     /// durable prefix), and the log is reopened for append. Returns the
     /// ledger plus a [`RecoveryReport`] describing what was found.
     ///
@@ -549,7 +549,7 @@ impl Ledger {
                         }
                         report.wal_records_replayed += 1;
                     }
-                    wal::WalWriter::reopen(dir, img.valid_bytes, config.fsync)?
+                    wal::WalWriter::reopen(dir, &img, config.fsync)?
                 }
             }
         };
@@ -1246,8 +1246,9 @@ mod tests {
             .unwrap();
         let stats = durable.durability_stats().unwrap();
         assert!(stats.wal_bytes > wal::WAL_HEADER_LEN, "{stats:?}");
-        let on_disk = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
-        assert_eq!(on_disk, stats.wal_bytes);
+        let on_disk = wal::read_wal(&dir.join(WAL_FILE)).unwrap().unwrap();
+        assert_eq!(on_disk.valid_bytes, stats.wal_bytes);
+        assert_eq!(on_disk.records.len(), 2);
         drop(durable);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1293,9 +1294,9 @@ mod tests {
         durable
             .charge("t", "b", Epsilon::new(0.25).unwrap())
             .unwrap();
+        let len = durable.durability_stats().unwrap().wal_bytes;
         drop(durable);
         let wal_path = dir.join(WAL_FILE);
-        let len = std::fs::metadata(&wal_path).unwrap().len();
         let f = std::fs::OpenOptions::new()
             .write(true)
             .open(&wal_path)
@@ -1310,10 +1311,90 @@ mod tests {
         // survives exactly.
         assert_eq!(recovered.spent("t").unwrap().to_bits(), 0.25f64.to_bits());
         assert_eq!(recovered.snapshot("t").unwrap().charges, 1);
-        // The ledger keeps serving after tail truncation.
+        // The ledger keeps serving after the tail is zeroed.
         recovered
             .charge("t", "c", Epsilon::new(0.5).unwrap())
             .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn chunkless_log_reopens_grows_and_keeps_appending() {
+        // A log whose file ends at its last frame, as before the file
+        // grew in chunks: cutting a fresh log's zero tail lays one out.
+        let dir = state_dir("chunkless");
+        let (durable, _) = Ledger::durable(&dir, cfg(FsyncPolicy::PerCharge, 0)).unwrap();
+        durable.open("t", Epsilon::new(1.0).unwrap()).unwrap();
+        durable
+            .charge("t", "a", Epsilon::new(0.1).unwrap())
+            .unwrap();
+        let len = durable.durability_stats().unwrap().wal_bytes;
+        drop(durable);
+        let wal_path = dir.join(WAL_FILE);
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&wal_path)
+            .unwrap();
+        f.set_len(len).unwrap();
+        drop(f);
+
+        let (recovered, report) = Ledger::recover(&dir).unwrap();
+        assert!(report.is_clean(), "{:?}", report.warnings);
+        assert_eq!(report.wal_records_replayed, 2);
+        assert_eq!(recovered.durability_stats().unwrap().wal_bytes, len);
+        for (label, eps) in [("b", 0.2), ("c", 0.3)] {
+            recovered
+                .charge("t", label, Epsilon::new(eps).unwrap())
+                .unwrap();
+            // The first append past the file's end grew it to a chunk.
+            let file_len = std::fs::metadata(&wal_path).unwrap().len();
+            assert_eq!(file_len, wal::WAL_CHUNK);
+        }
+        let expected = snapshots_of(&recovered);
+        drop(recovered);
+        let (again, report) = Ledger::recover(&dir).unwrap();
+        assert!(report.is_clean(), "{:?}", report.warnings);
+        assert_eq!(report.wal_records_replayed, 4);
+        assert_bit_identical(&expected, &snapshots_of(&again));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_wal_write_fail_stops_the_ledger() {
+        let dir = state_dir("fail-stop");
+        let (durable, _) = Ledger::durable(&dir, cfg(FsyncPolicy::PerCharge, 0)).unwrap();
+        let eps = Epsilon::new(0.25).unwrap();
+        durable.open("t", Epsilon::new(1.0).unwrap()).unwrap();
+        durable.charge("t", "a", eps).unwrap();
+        let before = durable.snapshot("t").unwrap();
+        *durable.durable.as_ref().unwrap().wal.lock().unwrap() =
+            wal::WalWriter::on_full_device(FsyncPolicy::PerCharge);
+        // The charge that cannot be logged is refused and spends nothing.
+        match durable.charge("t", "b", eps) {
+            Err(CoreError::Durability { op, detail, .. }) => {
+                assert_eq!(op, "append wal");
+                assert!(!detail.contains("fail-stopped"), "{detail}");
+            }
+            other => panic!("expected a durability error, got {other:?}"),
+        }
+        assert_eq!(durable.snapshot("t").unwrap(), before);
+        // From then on every open, charge and flush is refused.
+        let fail_stopped = |r: Result<(), CoreError>| {
+            matches!(r, Err(CoreError::Durability { detail, .. })
+                if detail.contains("fail-stopped"))
+        };
+        assert!(fail_stopped(durable.open("u", Epsilon::new(1.0).unwrap())));
+        assert!(fail_stopped(durable.charge("t", "c", eps).map(drop)));
+        assert!(fail_stopped(durable.flush()));
+        assert_eq!(durable.snapshot("t").unwrap(), before);
+        assert!(matches!(
+            durable.spent("u"),
+            Err(CoreError::UnknownTenant { .. })
+        ));
+        drop(durable);
+        let (recovered, report) = Ledger::recover(&dir).unwrap();
+        assert!(report.is_clean(), "{:?}", report.warnings);
+        assert_eq!(recovered.snapshot("t").unwrap(), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -11,7 +11,7 @@
 //! ## On-disk format
 //!
 //! ```text
-//! wal.log := header record*
+//! wal.log := header record* zero*
 //! header  := magic [8]  = "BFWAL/1\n"
 //!            generation [8] = u64 LE   -- snapshot generation this log extends
 //! record  := len [4] = u32 LE          -- payload byte length
@@ -24,15 +24,21 @@
 //!   f64           := to_bits() as u64 LE (bit-exact round trip)
 //! ```
 //!
+//! The file's size is a whole number of [`WAL_CHUNK`]-byte chunks,
+//! grown with `set_len` and left sparse, so writing a record does not
+//! change the file size and a per-charge `fdatasync` has no size to
+//! commit. The log ends where every remaining byte is zero; its length,
+//! not the file's, is what [`WalWriter::bytes`] reports.
+//!
 //! A crash can leave a *torn tail* — a partially written final record.
 //! [`read_wal`] stops at the first incomplete or checksum-failing
-//! record, reports the tail state, and recovery truncates the file back
-//! to the last durable prefix. A torn tail is expected after a crash
-//! and is a warning; a corrupt file *header* means the log cannot be
+//! record, reports the tail state, and recovery zeroes the file past
+//! the last durable prefix. A torn tail is expected after a crash and
+//! is a warning; a corrupt file *header* means the log cannot be
 //! attributed to any snapshot generation and is a typed error.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::CoreError;
@@ -45,6 +51,8 @@ const WAL_MAGIC: &[u8; 8] = b"BFWAL/1\n";
 pub const WAL_HEADER_LEN: u64 = 16;
 /// Bytes of `len + crc` framing before each record payload.
 pub const FRAME_HEADER_LEN: usize = 8;
+/// `wal.log` grows by whole chunks of this many bytes.
+pub const WAL_CHUNK: u64 = 64 * 1024;
 /// Upper bound on a single record payload; anything larger is treated
 /// as corruption rather than an attempt to allocate gigabytes.
 const MAX_PAYLOAD: u32 = 1 << 20;
@@ -343,14 +351,15 @@ impl WalRecord {
 /// State of the WAL's final bytes after a scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalTail {
-    /// Every byte belongs to a checksum-valid record.
+    /// Every byte past the last checksum-valid record is zero.
     Clean,
     /// The file ends mid-record (crash during append); `dropped_bytes`
     /// past `valid_bytes` are discarded on recovery.
     Torn {
         /// Length of the durable prefix.
         valid_bytes: u64,
-        /// Bytes past the prefix that will be truncated.
+        /// Bytes past the prefix up to the last non-zero byte, which
+        /// recovery zeroes.
         dropped_bytes: u64,
     },
     /// A complete-looking record failed its checksum (bit rot or an
@@ -358,7 +367,8 @@ pub enum WalTail {
     Corrupt {
         /// Length of the durable prefix.
         valid_bytes: u64,
-        /// Bytes past the prefix that will be truncated.
+        /// Bytes past the prefix up to the last non-zero byte, which
+        /// recovery zeroes.
         dropped_bytes: u64,
     },
 }
@@ -372,15 +382,17 @@ pub struct WalImage {
     pub records: Vec<WalRecord>,
     /// Tail state — whether a torn/corrupt suffix was detected.
     pub tail: WalTail,
-    /// Length of the valid prefix (header included); recovery truncates
-    /// the file to this length before reopening it for append.
+    /// Length of the valid prefix (header included): the log's length.
+    /// Recovery zeroes the file past it before reopening it for append.
     pub valid_bytes: u64,
 }
 
 /// Reads and validates `path`. `Ok(None)` when the file does not exist;
 /// a typed [`CoreError::CorruptState`] when the *header* is unreadable
 /// (no generation to attribute records to); otherwise the valid record
-/// prefix plus tail diagnosis.
+/// prefix plus tail diagnosis. The log ends at a frame boundary past
+/// which every byte is zero; a zero frame header followed by a non-zero
+/// byte is read as a frame, whose empty payload is a typed refusal.
 pub fn read_wal(path: &Path) -> Result<Option<WalImage>, CoreError> {
     let bytes = match fs::read(path) {
         Ok(b) => b,
@@ -394,10 +406,11 @@ pub fn read_wal(path: &Path) -> Result<Option<WalImage>, CoreError> {
         });
     }
     let generation = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    let used = nonzero_len(&bytes);
     let mut records = Vec::new();
     let mut pos = WAL_HEADER_LEN as usize;
     let mut tail = WalTail::Clean;
-    while pos < bytes.len() {
+    while pos < used {
         match scan_frame(&bytes, pos) {
             FrameScan::Ok { payload_start, len } => {
                 let payload = &bytes[payload_start..payload_start + len];
@@ -407,14 +420,14 @@ pub fn read_wal(path: &Path) -> Result<Option<WalImage>, CoreError> {
             FrameScan::Torn => {
                 tail = WalTail::Torn {
                     valid_bytes: pos as u64,
-                    dropped_bytes: (bytes.len() - pos) as u64,
+                    dropped_bytes: (used - pos) as u64,
                 };
                 break;
             }
             FrameScan::BadChecksum => {
                 tail = WalTail::Corrupt {
                     valid_bytes: pos as u64,
-                    dropped_bytes: (bytes.len() - pos) as u64,
+                    dropped_bytes: (used - pos) as u64,
                 };
                 break;
             }
@@ -426,6 +439,13 @@ pub fn read_wal(path: &Path) -> Result<Option<WalImage>, CoreError> {
         tail,
         valid_bytes: pos as u64,
     }))
+}
+
+/// One past the last non-zero byte of `bytes`: the end of the log
+/// inside a file whose unused chunk space reads as zeros. Found with
+/// one backward pass, so the frame scans stay linear.
+fn nonzero_len(bytes: &[u8]) -> usize {
+    bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1)
 }
 
 enum FrameScan {
@@ -459,13 +479,14 @@ fn scan_frame(bytes: &[u8], pos: usize) -> FrameScan {
 }
 
 /// Byte ranges `(start, end)` of each checksum-valid frame in `path`,
-/// after the 16-byte header — used by fault-injection tooling to aim
-/// corruption at a specific record.
+/// after the 16-byte header and before the zero tail — used by
+/// fault-injection tooling to aim corruption at a specific record.
 pub fn wal_frame_bounds(path: &Path) -> Result<Vec<(u64, u64)>, CoreError> {
     let bytes = fs::read(path).map_err(|e| io_err("read wal", path, e))?;
+    let used = nonzero_len(&bytes);
     let mut bounds = Vec::new();
     let mut pos = WAL_HEADER_LEN as usize;
-    while pos < bytes.len() {
+    while pos < used {
         match scan_frame(&bytes, pos) {
             FrameScan::Ok { payload_start, len } => {
                 bounds.push((pos as u64, (payload_start + len) as u64));
@@ -487,19 +508,28 @@ pub struct WalWriter {
     file: File,
     path: PathBuf,
     policy: FsyncPolicy,
-    /// Current file length (header + appended frames).
+    /// Current log length (header + appended frames).
     bytes: u64,
+    /// Current file length: the log plus its zero tail, a whole number
+    /// of chunks except in a log of the chunkless layout.
+    file_len: u64,
     /// Records appended since the last fsync (batched policy).
     unsynced: usize,
     /// Frame encoding buffer, reused by every append.
     frame: Vec<u8>,
 }
 
+/// The smallest whole number of chunks that holds `len` bytes.
+fn chunk_ceil(len: u64) -> u64 {
+    len.div_ceil(WAL_CHUNK) * WAL_CHUNK
+}
+
 impl WalWriter {
     /// Creates (or atomically replaces) `dir/wal.log` with a fresh log
-    /// at `generation`: header goes to `wal.tmp`, is fsynced, renamed
-    /// over `wal.log`, and the directory is fsynced — a crash at any
-    /// point leaves either the old complete log or the new one.
+    /// at `generation`: header goes to `wal.tmp`, the file is sized to
+    /// its first chunk and fsynced, renamed over `wal.log`, and the
+    /// directory is fsynced — a crash at any point leaves either the old
+    /// complete log or the new one.
     pub fn rotate(dir: &Path, generation: u64, policy: FsyncPolicy) -> Result<Self, CoreError> {
         let tmp = dir.join(WAL_TMP);
         let path = dir.join(WAL_FILE);
@@ -509,6 +539,8 @@ impl WalWriter {
         put_u64(&mut header, generation);
         file.write_all(&header)
             .map_err(|e| io_err("write wal header", &tmp, e))?;
+        file.set_len(WAL_CHUNK)
+            .map_err(|e| io_err("extend wal", &tmp, e))?;
         file.sync_all().map_err(|e| io_err("fsync wal", &tmp, e))?;
         fs::rename(&tmp, &path).map_err(|e| io_err("rename wal", &path, e))?;
         fsync_dir(dir)?;
@@ -517,54 +549,66 @@ impl WalWriter {
             path,
             policy,
             bytes: WAL_HEADER_LEN,
+            file_len: WAL_CHUNK,
             unsynced: 0,
             frame: Vec::new(),
         })
     }
 
-    /// Reopens an existing validated log for append, truncating any
-    /// torn/corrupt tail back to `valid_bytes` first.
-    pub fn reopen(dir: &Path, valid_bytes: u64, policy: FsyncPolicy) -> Result<Self, CoreError> {
+    /// Reopens an existing validated log for append at the end of its
+    /// valid prefix. A clean zero tail is kept as it is; a torn or
+    /// corrupt one is zeroed first: the file is truncated to the prefix,
+    /// sized back to its chunk and fsynced.
+    pub fn reopen(dir: &Path, img: &WalImage, policy: FsyncPolicy) -> Result<Self, CoreError> {
         let path = dir.join(WAL_FILE);
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(&path)
             .map_err(|e| io_err("open wal", &path, e))?;
-        let actual = file
+        let mut file_len = file
             .metadata()
             .map_err(|e| io_err("stat wal", &path, e))?
             .len();
-        if actual != valid_bytes {
-            file.set_len(valid_bytes)
+        if img.tail != WalTail::Clean {
+            file.set_len(img.valid_bytes)
                 .map_err(|e| io_err("truncate wal tail", &path, e))?;
+            file_len = chunk_ceil(img.valid_bytes);
+            file.set_len(file_len)
+                .map_err(|e| io_err("extend wal", &path, e))?;
             file.sync_all().map_err(|e| io_err("fsync wal", &path, e))?;
         }
-        let mut writer = WalWriter {
+        file.seek(SeekFrom::Start(img.valid_bytes))
+            .map_err(|e| io_err("seek wal", &path, e))?;
+        Ok(WalWriter {
             file,
             path,
             policy,
-            bytes: valid_bytes,
+            bytes: img.valid_bytes,
+            file_len,
             unsynced: 0,
             frame: Vec::new(),
-        };
-        use std::io::Seek;
-        writer
-            .file
-            .seek(std::io::SeekFrom::End(0))
-            .map_err(|e| io_err("seek wal", &writer.path, e))?;
-        Ok(writer)
+        })
     }
 
-    /// Writes `rec` to the log in one `write`, then syncs when the
-    /// policy calls for it (see [`FsyncPolicy`]).
+    /// Writes `rec` to the log in one `write`, first growing the file
+    /// by whole chunks when the frame would cross its end, then syncs
+    /// when the policy calls for it (see [`FsyncPolicy`]).
     pub fn append<S: AsRef<str>>(&mut self, rec: &WalRecord<S>) -> Result<(), CoreError> {
         self.frame.clear();
         rec.encode_frame(&mut self.frame);
+        let end = self.bytes + self.frame.len() as u64;
+        if end > self.file_len {
+            let file_len = chunk_ceil(end);
+            self.file
+                .set_len(file_len)
+                .map_err(|e| io_err("extend wal", &self.path, e))?;
+            self.file_len = file_len;
+        }
         self.file
             .write_all(&self.frame)
             .map_err(|e| io_err("append wal", &self.path, e))?;
-        self.bytes += self.frame.len() as u64;
+        self.bytes = end;
         self.unsynced += 1;
         let sync = match self.policy {
             FsyncPolicy::PerCharge => true,
@@ -600,8 +644,40 @@ pub(super) fn fsync_dir(dir: &Path) -> Result<(), CoreError> {
 }
 
 #[cfg(test)]
+impl WalWriter {
+    /// A writer over `/dev/full`, positioned as a fresh log: there every
+    /// `write` fails with ENOSPC, and `set_len` and `fdatasync` fail with
+    /// EINVAL, so one writer reaches the append, chunk-extension and
+    /// sync failure paths.
+    pub(crate) fn on_full_device(policy: FsyncPolicy) -> Self {
+        let path = PathBuf::from("/dev/full");
+        let file = OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .expect("open /dev/full");
+        WalWriter {
+            file,
+            path,
+            policy,
+            bytes: WAL_HEADER_LEN,
+            file_len: WAL_CHUNK,
+            unsynced: 0,
+            frame: Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    fn charge(label: &str) -> WalRecord {
+        WalRecord::Charge {
+            tenant: "t".to_string(),
+            label: label.to_string(),
+            amount: 0.5,
+        }
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("blowfish-wal-{tag}-{}", std::process::id()));
@@ -679,11 +755,89 @@ mod tests {
             WalTail::Torn { dropped_bytes, .. } => assert!(dropped_bytes > 0),
             other => panic!("expected torn tail, got {other:?}"),
         }
-        // Reopen truncates back to the durable prefix.
-        let w2 = WalWriter::reopen(&dir, img.valid_bytes, FsyncPolicy::Off).unwrap();
+        // Reopen zeroes the file past the durable prefix, so the log
+        // ends there, inside a whole chunk.
+        let w2 = WalWriter::reopen(&dir, &img, FsyncPolicy::Off).unwrap();
         assert_eq!(w2.bytes(), img.valid_bytes);
-        assert_eq!(fs::metadata(&path).unwrap().len(), img.valid_bytes);
+        let reread = read_wal(&path).unwrap().unwrap();
+        assert_eq!(reread.valid_bytes, img.valid_bytes);
+        assert_eq!(reread.tail, WalTail::Clean);
+        assert_eq!(fs::metadata(&path).unwrap().len(), WAL_CHUNK);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn frame_crossing_a_chunk_boundary_grows_the_file_by_a_chunk() {
+        let dir = tmpdir("chunk-cross");
+        let path = dir.join(WAL_FILE);
+        let mut w = WalWriter::rotate(&dir, 0, FsyncPolicy::Off).unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().len(), WAL_CHUNK);
+        let frame_len = {
+            let mut buf = Vec::new();
+            charge("c00000").encode_frame(&mut buf);
+            buf.len() as u64
+        };
+        // Fill the first chunk until one more frame would cross its end.
+        let mut appended = 0;
+        while w.bytes() + frame_len <= WAL_CHUNK {
+            w.append(&charge(&format!("c{appended:05}"))).unwrap();
+            appended += 1;
+        }
+        assert_eq!(fs::metadata(&path).unwrap().len(), WAL_CHUNK);
+        let crossing_start = w.bytes();
+        w.append(&charge(&format!("c{appended:05}"))).unwrap();
+        appended += 1;
+        assert!(crossing_start < WAL_CHUNK && w.bytes() > WAL_CHUNK);
+        assert_eq!(fs::metadata(&path).unwrap().len(), 2 * WAL_CHUNK);
+        w.append(&charge("after")).unwrap();
+        appended += 1;
+        let img = read_wal(&path).unwrap().unwrap();
+        assert_eq!(img.records.len(), appended);
+        assert_eq!(img.records.last(), Some(&charge("after")));
+        assert_eq!(img.tail, WalTail::Clean);
+        assert_eq!(img.valid_bytes, w.bytes());
+        let bounds = wal_frame_bounds(&path).unwrap();
+        assert_eq!(bounds.len(), appended);
+        assert!(bounds.contains(&(crossing_start, crossing_start + frame_len)));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn zeroed_frame_header_before_a_valid_frame_is_a_typed_refusal() {
+        let dir = tmpdir("zero-header");
+        let mut w = WalWriter::rotate(&dir, 0, FsyncPolicy::Off).unwrap();
+        for label in ["a", "b"] {
+            w.append(&charge(label)).unwrap();
+        }
+        drop(w);
+        let path = dir.join(WAL_FILE);
+        let bounds = wal_frame_bounds(&path).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let first = bounds[0].0 as usize;
+        bytes[first..first + FRAME_HEADER_LEN].fill(0);
+        fs::write(&path, &bytes).unwrap();
+        // The zero header is not the log's end: a valid frame follows.
+        match read_wal(&path) {
+            Err(CoreError::CorruptState { what, .. }) => assert_eq!(what, "wal record"),
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn full_device_fails_append_extension_and_sync() {
+        let mut w = WalWriter::on_full_device(FsyncPolicy::PerCharge);
+        let op_of = |r: Result<(), CoreError>| match r {
+            Err(CoreError::Durability { op, .. }) => op,
+            other => panic!("expected a durability error, got {other:?}"),
+        };
+        // The frame fits the current chunk: the write itself fails.
+        assert_eq!(op_of(w.append(&charge("a"))), "append wal");
+        // The frame would cross the chunk's end: growing the file fails.
+        w.file_len = w.bytes();
+        assert_eq!(op_of(w.append(&charge("b"))), "extend wal");
+        assert_eq!(op_of(w.sync()), "fsync wal");
+        assert_eq!(w.bytes(), WAL_HEADER_LEN);
     }
 
     #[test]

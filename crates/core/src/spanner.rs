@@ -80,10 +80,10 @@ pub fn theta_line_spanner(k: usize, theta: usize) -> Result<ThetaLineSpanner, Co
 }
 
 /// Exact stretch of `H^θ_k` against `G^θ_k` (Lemma 4.5's ℓ), certified
-/// in closed form without building either graph: O(kθ) arithmetic
-/// instead of materializing `G^θ_k` and running one BFS per vertex.
-/// Requires `k > θ ≥ 1`. Cross-checked against
-/// `PolicyGraph::stretch_through` in the tests.
+/// in closed form without building either graph, in O(θ²) arithmetic
+/// whatever `k`. Requires `k > θ ≥ 1`. Cross-checked against
+/// `PolicyGraph::stretch_through` and against the full O(kθ) certificate
+/// in the tests.
 ///
 /// Every non-red vertex is a leaf hanging off its block's red vertex
 /// (trailing vertices off the last red vertex), and the red vertices form
@@ -91,10 +91,24 @@ pub fn theta_line_spanner(k: usize, theta: usize) -> Result<ThetaLineSpanner, Co
 /// `u → red(u) → … → red(v) → v`, of length
 /// `[u not red] + |ridx(u) − ridx(v)| + [v not red]`; the stretch is the
 /// maximum over the `G^θ_k` edges, i.e. all pairs with `|u − v| ≤ θ`.
+///
+/// Such a pair lies in one block or two adjacent ones, so its length
+/// depends only on its offsets in those blocks and on whether they are
+/// the trailing run. Two full blocks followed by the `k mod θ` trailing
+/// vertices hold every such shape, so the maximum is taken over the
+/// reduced instance `k′ = θ·min(⌊k/θ⌋, 2) + k mod θ`.
 pub fn theta_line_stretch(k: usize, theta: usize) -> Result<usize, CoreError> {
     if theta == 0 || k <= theta {
         return Err(CoreError::InvalidTheta { theta });
     }
+    let blocks = (k / theta).min(2);
+    Ok(certify_theta_line(theta * blocks + k % theta, theta))
+}
+
+/// The maximum tree-path length over every pair `|u − v| ≤ θ` of
+/// `H^θ_k`: the O(kθ) certificate behind [`theta_line_stretch`].
+/// Requires `k > θ ≥ 1`.
+fn certify_theta_line(k: usize, theta: usize) -> usize {
     let nred = k / theta;
     // Index of the red vertex `u` attaches to (or is): block u/θ, clamped
     // so trailing vertices attach to the last red vertex.
@@ -109,7 +123,7 @@ pub fn theta_line_stretch(k: usize, theta: usize) -> Result<usize, CoreError> {
             worst = worst.max(d);
         }
     }
-    Ok(worst)
+    worst
 }
 
 /// The 2-D spanner `H^θ_{k²}` of Section 5.3.2 with its internal/external
@@ -339,6 +353,27 @@ mod tests {
                 sp.stretch, bfs,
                 "closed-form vs BFS stretch for k={k}, θ={theta}"
             );
+        }
+    }
+
+    #[test]
+    fn theta_line_stretch_of_the_reduced_instance_matches_the_full_certificate() {
+        let check = |k: usize, theta: usize| {
+            assert_eq!(
+                theta_line_stretch(k, theta).unwrap(),
+                certify_theta_line(k, theta),
+                "k={k}, θ={theta}"
+            );
+        };
+        for k in 2..=128 {
+            for theta in 1..k {
+                check(k, theta);
+            }
+        }
+        for k in 129..=512 {
+            for theta in 1..=16 {
+                check(k, theta);
+            }
         }
     }
 

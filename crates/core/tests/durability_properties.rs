@@ -2,7 +2,8 @@
 //!
 //! For *any* interleaving of charges, manual snapshots (which rotate and
 //! truncate the WAL), and a crash that cuts the surviving WAL at *any*
-//! byte offset, recovery must be **prefix-consistent**:
+//! byte offset of its log or of the zero tail that pads its file to a
+//! whole chunk, recovery must be **prefix-consistent**:
 //!
 //! * the recovered state is exactly the snapshot plus the bit-exact fold
 //!   of the WAL records that fully survive the cut — never a reordering,
@@ -24,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use blowfish_core::accounting::wal::{wal_frame_bounds, WAL_HEADER_LEN};
 use blowfish_core::accounting::WAL_FILE;
@@ -118,6 +119,120 @@ fn run_script(dir: &Path, fsync: FsyncPolicy, ops: &[Op]) -> DurableModel {
     model
 }
 
+/// Decodes proptest picks into an op script. Roughly 1 in 8 ops is a
+/// snapshot, so scripts mix zero, one, and several truncations.
+fn script(picks: &[(usize, u8)]) -> Vec<Op> {
+    let amounts = [0.1, 0.3, 0.7, 1.0 / 3.0];
+    picks
+        .iter()
+        .map(|&(tenant, kind)| match kind {
+            11 => Op::Snapshot,
+            k => Op::Charge {
+                tenant,
+                amount: amounts[k as usize % amounts.len()],
+            },
+        })
+        .collect()
+}
+
+/// Crashes the ledger state in `dir` by cutting its WAL file to `cut`
+/// bytes (`cut_at` picks it from the log's end and the file's length),
+/// then requires prefix-consistent, live recovery. Frame bounds are read
+/// *before* the cut — they define which records fully survive.
+fn cut_and_recover(
+    dir: &Path,
+    model: &DurableModel,
+    cut_at: impl FnOnce(u64, u64) -> u64,
+) -> Result<(), TestCaseError> {
+    let wal_path = dir.join(WAL_FILE);
+    let bounds = wal_frame_bounds(&wal_path).expect("scan surviving WAL");
+    prop_assert_eq!(bounds.len(), model.wal.len());
+    let log_len = bounds.last().map_or(WAL_HEADER_LEN, |&(_, end)| end);
+    let file_len = fs::metadata(&wal_path).expect("wal metadata").len();
+    let cut = cut_at(log_len, file_len);
+    let file = fs::OpenOptions::new()
+        .write(true)
+        .open(&wal_path)
+        .expect("open wal for truncation");
+    file.set_len(cut).expect("truncate wal");
+    drop(file);
+
+    if cut < WAL_HEADER_LEN {
+        // Not even the header survived: the typed refusal, never a
+        // panic and never an Ok that forgot the snapshot's spend.
+        match Ledger::recover(dir) {
+            Err(CoreError::CorruptState { .. }) => {}
+            Err(other) => prop_assert!(false, "expected CorruptState, got {other}"),
+            Ok(_) => prop_assert!(false, "recovery over a headerless WAL must refuse"),
+        }
+        return Ok(());
+    }
+
+    let surviving = bounds.iter().filter(|(_, end)| *end <= cut).count();
+    let (recovered, report) = match Ledger::recover(dir) {
+        Ok(pair) => pair,
+        Err(e) => {
+            prop_assert!(false, "recovery must survive a cut tail, got {e}");
+            unreachable!()
+        }
+    };
+    prop_assert_eq!(report.wal_records_replayed, surviving);
+
+    let expected = model.fold(surviving);
+    for (index, tenant) in TENANTS.iter().enumerate() {
+        // Before the first snapshot the opens are WAL records 0..3,
+        // so a deep enough cut may legitimately lose a tenant — but
+        // only then, and losing is not resetting: the account is
+        // absent, never present with forgotten spend.
+        let open_survives = model.snapshot_taken || surviving > index;
+        match recovered.spent(tenant) {
+            Ok(spent) => {
+                prop_assert!(
+                    open_survives,
+                    "{tenant} recovered although its open was cut away"
+                );
+                let want = expected[*tenant];
+                prop_assert!(
+                    spent.to_bits() == want.to_bits(),
+                    "{tenant}: recovered {spent} != durable prefix fold {want} \
+                     (cut {cut} of a {log_len}-byte log, {surviving}/{} records)",
+                    bounds.len(),
+                );
+                // Prefix consistency per se: never below the snapshot.
+                prop_assert!(spent >= model.base[*tenant]);
+            }
+            Err(CoreError::UnknownTenant { .. }) => {
+                prop_assert!(
+                    !open_survives,
+                    "{tenant} lost although its open is in the durable prefix \
+                     (cut {cut} of a {log_len}-byte log, {surviving} records)"
+                );
+            }
+            Err(e) => prop_assert!(false, "spent({tenant}) errored: {e}"),
+        }
+    }
+
+    // Liveness: the recovered ledger keeps charging, folding on top
+    // of the recovered spend.
+    if let Ok(before) = recovered.spent(TENANTS[0]) {
+        recovered
+            .charge(TENANTS[0], "post-recovery", Epsilon::new(0.1).expect("eps"))
+            .expect("post-recovery charge");
+        let after = recovered.spent(TENANTS[0]).expect("spent after charge");
+        prop_assert!(after.to_bits() == (before + 0.1).to_bits());
+    }
+    Ok(())
+}
+
+fn state_dir(kind: &str, case: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "blowfish-durability-{kind}-{}-{case}",
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -128,106 +243,37 @@ proptest! {
         cut_pick in 0.0f64..1.0,
         policy in 0usize..POLICIES.len(),
     ) {
-        // Decode the picks into an op script. Roughly 1 in 8 ops is a
-        // snapshot, so scripts mix zero, one, and several truncations.
-        let amounts = [0.1, 0.3, 0.7, 1.0 / 3.0];
-        let ops: Vec<Op> = picks
-            .iter()
-            .map(|&(tenant, kind)| match kind {
-                11 => Op::Snapshot,
-                k => Op::Charge { tenant, amount: amounts[k as usize % amounts.len()] },
-            })
-            .collect();
-
-        let dir = std::env::temp_dir().join(format!(
-            "blowfish-durability-prop-{}-{case}",
-            std::process::id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        let model = run_script(&dir, POLICIES[policy], &ops);
-
+        let dir = state_dir("prop", case);
+        let model = run_script(&dir, POLICIES[policy], &script(&picks));
         // Crash: cut the WAL at an arbitrary byte offset in
-        // [0, file_len]. Frame bounds are read *before* the cut — they
-        // define which records fully survive.
-        let wal_path = dir.join(WAL_FILE);
-        let bounds = wal_frame_bounds(&wal_path).expect("scan surviving WAL");
-        prop_assert_eq!(bounds.len(), model.wal.len());
-        let file_len = fs::metadata(&wal_path).expect("wal metadata").len();
-        let cut = (cut_pick * file_len as f64) as u64;
-        let file = fs::OpenOptions::new()
-            .write(true)
-            .open(&wal_path)
-            .expect("open wal for truncation");
-        file.set_len(cut).expect("truncate wal");
-        drop(file);
-
-        if cut < WAL_HEADER_LEN {
-            // Not even the header survived: the typed refusal, never a
-            // panic and never an Ok that forgot the snapshot's spend.
-            match Ledger::recover(&dir) {
-                Err(CoreError::CorruptState { .. }) => {}
-                Err(other) => prop_assert!(false, "expected CorruptState, got {other}"),
-                Ok(_) => prop_assert!(false, "recovery over a headerless WAL must refuse"),
-            }
-            let _ = fs::remove_dir_all(&dir);
-            return Ok(());
-        }
-
-        let surviving = bounds.iter().filter(|(_, end)| *end <= cut).count();
-        let (recovered, report) = match Ledger::recover(&dir) {
-            Ok(pair) => pair,
-            Err(e) => {
-                prop_assert!(false, "recovery must survive a cut tail, got {e}");
-                unreachable!()
-            }
-        };
-        prop_assert_eq!(report.wal_records_replayed, surviving);
-
-        let expected = model.fold(surviving);
-        for (index, tenant) in TENANTS.iter().enumerate() {
-            // Before the first snapshot the opens are WAL records 0..3,
-            // so a deep enough cut may legitimately lose a tenant — but
-            // only then, and losing is not resetting: the account is
-            // absent, never present with forgotten spend.
-            let open_survives = model.snapshot_taken || surviving > index;
-            match recovered.spent(tenant) {
-                Ok(spent) => {
-                    prop_assert!(
-                        open_survives,
-                        "{tenant} recovered although its open was cut away"
-                    );
-                    let want = expected[*tenant];
-                    prop_assert!(
-                        spent.to_bits() == want.to_bits(),
-                        "{tenant}: recovered {spent} != durable prefix fold {want} \
-                         (cut {cut}/{file_len}, {surviving}/{} records)",
-                        bounds.len(),
-                    );
-                    // Prefix consistency per se: never below the snapshot.
-                    prop_assert!(spent >= model.base[*tenant]);
-                }
-                Err(CoreError::UnknownTenant { .. }) => {
-                    prop_assert!(
-                        !open_survives,
-                        "{tenant} lost although its open is in the durable prefix \
-                         (cut {cut}/{file_len}, {surviving} records)"
-                    );
-                }
-                Err(e) => prop_assert!(false, "spent({tenant}) errored: {e}"),
-            }
-        }
-
-        // Liveness: the recovered ledger keeps charging, folding on top
-        // of the recovered spend.
-        if let Ok(before) = recovered.spent(TENANTS[0]) {
-            recovered
-                .charge(TENANTS[0], "post-recovery", Epsilon::new(0.1).expect("eps"))
-                .expect("post-recovery charge");
-            let after = recovered.spent(TENANTS[0]).expect("spent after charge");
-            prop_assert!(after.to_bits() == (before + 0.1).to_bits());
-        }
-
-        drop(recovered);
+        // [0, end of the last frame]. The file runs on in zeros to a
+        // whole chunk; cuts there are the case below.
+        let outcome = cut_and_recover(&dir, &model, |log_len, _| {
+            ((cut_pick * (log_len + 1) as f64) as u64).min(log_len)
+        });
         let _ = fs::remove_dir_all(&dir);
+        outcome?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn a_cut_inside_the_zero_tail_loses_no_record(
+        case in 0u64..1_000_000,
+        picks in proptest::collection::vec((0usize..16, 0u8..12), 1..24),
+        cut_pick in 0.0f64..1.0,
+        policy in 0usize..POLICIES.len(),
+    ) {
+        let dir = state_dir("zero-tail", case);
+        let model = run_script(&dir, POLICIES[policy], &script(&picks));
+        // Crash: cut the WAL in (end of the last frame, file length],
+        // where only the zeros of its unused chunk space are lost.
+        let outcome = cut_and_recover(&dir, &model, |log_len, file_len| {
+            log_len + 1 + (cut_pick * (file_len - log_len) as f64) as u64
+        });
+        let _ = fs::remove_dir_all(&dir);
+        outcome?;
     }
 }

@@ -183,6 +183,12 @@ impl Service {
             data,
             releases: Mutex::new(HashMap::new()),
         });
+        // Open or attach the account before taking the map's write lock:
+        // a durable open is a WAL append (synced under `per-charge`), and
+        // every request waits on that lock. A live duplicate with the
+        // same budget attaches here and is refused by the map below; one
+        // with another budget is refused here by the ledger.
+        self.ledger.open_or_attach(&id, budget)?;
         // Duplicate detection must consult the *service* map, not the
         // ledger: after `Ledger::recover` the account legitimately
         // pre-exists and is attached rather than re-opened.
@@ -192,7 +198,6 @@ impl Service {
                 blowfish_core::CoreError::DuplicateTenant { tenant: id },
             ));
         }
-        self.ledger.open_or_attach(&id, budget)?;
         tenants.insert(id, tenant);
         Ok(())
     }
@@ -450,33 +455,102 @@ mod tests {
         ));
     }
 
+    fn state_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("blowfish-svc-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn duplicate_and_mismatched_tenants_are_rejected() {
-        let service = service_with_tenant("acme", 1.0);
-        let dup = service.add_tenant(TenantConfig {
-            id: "acme".into(),
-            graph: PolicyGraph::line(16).unwrap(),
-            eps: Epsilon::new(0.5).unwrap(),
-            budget: Epsilon::new(1.0).unwrap(),
-            data: DataVector::new(Domain::one_dim(16), vec![1.0; 16]).unwrap(),
-        });
+        let dir = state_dir("duplicates");
+        let (durable, _) =
+            Ledger::durable(&dir, blowfish_core::LedgerDurability::default()).unwrap();
+        for service in [Service::new(), Service::with_ledger(Arc::new(durable))] {
+            let onboard = |id: &str, budget: f64, k: usize| {
+                service.add_tenant(TenantConfig {
+                    id: id.into(),
+                    graph: PolicyGraph::line(16).unwrap(),
+                    eps: Epsilon::new(0.5).unwrap(),
+                    budget: Epsilon::new(budget).unwrap(),
+                    data: DataVector::new(Domain::one_dim(k), vec![1.0; k]).unwrap(),
+                })
+            };
+            onboard("acme", 1.0, 16).unwrap();
+            service.fit("acme", None, Task::Histogram, 1, "a").unwrap();
+            let account = service.ledger().snapshot("acme").unwrap();
+            let wal_bytes = service.ledger().durability_stats().map(|d| d.wal_bytes);
+            // A live duplicate is refused whether its budget matches
+            // (the ledger attaches, the map refuses) or not (the ledger
+            // refuses).
+            for budget in [1.0, 2.0] {
+                assert!(
+                    matches!(
+                        onboard("acme", budget, 16),
+                        Err(EngineError::Core(
+                            blowfish_core::CoreError::DuplicateTenant { .. }
+                        ))
+                    ),
+                    "budget {budget}"
+                );
+                assert_eq!(service.ledger().snapshot("acme").unwrap(), account);
+                assert_eq!(
+                    service.ledger().durability_stats().map(|d| d.wal_bytes),
+                    wal_bytes
+                );
+            }
+            let mismatch = onboard("other", 1.0, 8);
+            assert!(matches!(mismatch, Err(EngineError::BadRequest { .. })));
+            // The failed onboardings left no tenant and no account behind.
+            assert_eq!(service.tenants(), vec!["acme"]);
+            assert_eq!(service.ledger().tenant_count(), 1);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_fail_stopped_ledger_refuses_fits_and_stores_nothing() {
+        let dir = state_dir("fail-stop");
+        let (ledger, _) =
+            Ledger::durable(&dir, blowfish_core::LedgerDurability::default()).unwrap();
+        let service = Service::with_ledger(Arc::new(ledger));
+        service
+            .add_tenant(TenantConfig {
+                id: "acme".into(),
+                graph: PolicyGraph::line(16).unwrap(),
+                eps: Epsilon::new(0.5).unwrap(),
+                budget: Epsilon::new(2.0).unwrap(),
+                data: DataVector::new(Domain::one_dim(16), vec![3.0; 16]).unwrap(),
+            })
+            .unwrap();
+        service.fit("acme", None, Task::Histogram, 1, "a").unwrap();
+        let before = service.ledger().snapshot("acme").unwrap();
+        // A directory where the log rotation writes its new file: the
+        // snapshot lands but the WAL cannot be rotated, which fail-stops
+        // the ledger.
+        std::fs::create_dir(dir.join("wal.tmp")).unwrap();
         assert!(matches!(
-            dup,
-            Err(EngineError::Core(
-                blowfish_core::CoreError::DuplicateTenant { .. }
-            ))
+            service.ledger().snapshot_now(),
+            Err(blowfish_core::CoreError::Durability { .. })
         ));
-        let mismatch = service.add_tenant(TenantConfig {
-            id: "other".into(),
-            graph: PolicyGraph::line(16).unwrap(),
-            eps: Epsilon::new(0.5).unwrap(),
-            budget: Epsilon::new(1.0).unwrap(),
-            data: DataVector::new(Domain::one_dim(8), vec![1.0; 8]).unwrap(),
-        });
-        assert!(matches!(mismatch, Err(EngineError::BadRequest { .. })));
-        // The failed onboardings left no tenant and no account behind.
-        assert_eq!(service.tenants(), vec!["acme"]);
-        assert_eq!(service.ledger().tenant_count(), 1);
+        let err = service
+            .fit("acme", None, Task::Histogram, 2, "b")
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                EngineError::Core(blowfish_core::CoreError::Durability { detail, .. })
+                    if detail.contains("fail-stopped")
+            ),
+            "{err:?}"
+        );
+        assert!(matches!(
+            answer_1d(&service, "b", &[]),
+            Err(EngineError::UnknownEstimate { .. })
+        ));
+        assert_eq!(service.ledger().snapshot("acme").unwrap(), before);
+        assert_eq!(service.stats(Some("acme")).unwrap()[0].estimates, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -527,8 +601,7 @@ mod tests {
 
     #[test]
     fn recovered_service_attaches_accounts_and_restores_estimates() {
-        let dir = std::env::temp_dir().join(format!("blowfish-svc-recover-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = state_dir("recover");
         let config = || TenantConfig {
             id: "acme".to_string(),
             graph: PolicyGraph::line(16).unwrap(),
